@@ -15,14 +15,43 @@ graceful growth with design size.
 from __future__ import annotations
 
 import time
+from typing import Dict, List
 
 from conftest import banner, save_results
 
 from repro.analysis.metrics import format_table
-from repro.analysis.sweeps import runtime_scaling
+from repro.api.reports import FIGURE10_BENCHMARKS, FIGURE10_SWITCH_COUNT
 from repro.benchmarks.registry import get_benchmark
 from repro.core.removal import remove_deadlocks
 from repro.synthesis.builder import SynthesisConfig, synthesize_design
+
+
+def runtime_scaling() -> Dict[str, List]:
+    """Fresh synthesis and removal wall-clock for every benchmark.
+
+    Runs on the direct path, not the cached runner: the point is to measure
+    fresh synthesis and removal, which a cache hit would falsify.
+    """
+    synthesis_seconds: List[float] = []
+    removal_seconds: List[float] = []
+    added_vcs: List[int] = []
+    for name in FIGURE10_BENCHMARKS:
+        start = time.perf_counter()
+        design = synthesize_design(
+            get_benchmark(name), SynthesisConfig(n_switches=FIGURE10_SWITCH_COUNT)
+        )
+        synthesis_seconds.append(time.perf_counter() - start)
+        result = remove_deadlocks(design)
+        removal_seconds.append(result.runtime_seconds)
+        added_vcs.append(result.added_vc_count)
+    return {
+        "benchmarks": list(FIGURE10_BENCHMARKS),
+        "switch_count": FIGURE10_SWITCH_COUNT,
+        "synthesis_seconds": synthesis_seconds,
+        "removal_seconds": removal_seconds,
+        "added_vcs": added_vcs,
+        "total_removal_seconds": sum(removal_seconds),
+    }
 
 
 def test_runtime_all_benchmarks(benchmark):

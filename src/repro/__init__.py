@@ -25,7 +25,7 @@ Quickstart::
     print(result.summary())                        # 1 VC added, CDG acyclic
 """
 
-from repro.analysis.experiments import MethodComparison, compare_methods, sweep_switch_counts
+from repro.analysis.experiments import MethodComparison, compare_methods
 from repro.analysis.performance import LoadSweep, compare_performance, load_latency_sweep
 from repro.api import (
     ArtifactCache,
@@ -128,7 +128,6 @@ __all__ = [
     # analysis
     "MethodComparison",
     "compare_methods",
-    "sweep_switch_counts",
     "LoadSweep",
     "load_latency_sweep",
     "compare_performance",

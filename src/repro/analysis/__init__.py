@@ -3,39 +3,17 @@
 * :mod:`repro.analysis.metrics` — percentages, normalisation, text tables.
 * :mod:`repro.analysis.experiments` — the three-way comparison (unprotected
   / deadlock removal / resource ordering) the paper's evaluation is built
-  on.
-* :mod:`repro.analysis.sweeps` — the figure-level sweeps (Figures 8, 9, 10
-  and the area/overhead/runtime claims).
+  on; the figure-level sweeps over it are the report types of
+  :mod:`repro.api.reports`.
 """
 
-from repro.analysis.experiments import MethodComparison, compare_methods, sweep_switch_counts
+from repro.analysis.experiments import MethodComparison, compare_methods
 from repro.analysis.metrics import geometric_mean, percent_change, percent_reduction
-from repro.analysis.sweeps import (
-    FIGURE10_BENCHMARKS,
-    FIGURE8_SWITCH_COUNTS,
-    FIGURE9_SWITCH_COUNTS,
-    area_savings_table,
-    figure10_power_series,
-    figure8_series,
-    figure9_series,
-    overhead_vs_unprotected,
-    runtime_scaling,
-)
 
 __all__ = [
     "MethodComparison",
     "compare_methods",
-    "sweep_switch_counts",
     "percent_change",
     "percent_reduction",
     "geometric_mean",
-    "figure8_series",
-    "figure9_series",
-    "figure10_power_series",
-    "area_savings_table",
-    "overhead_vs_unprotected",
-    "runtime_scaling",
-    "FIGURE8_SWITCH_COUNTS",
-    "FIGURE9_SWITCH_COUNTS",
-    "FIGURE10_BENCHMARKS",
 ]

@@ -8,15 +8,16 @@ experiments compare three variants of the same synthesized topology:
 * **resource ordering** — the classic avoidance scheme (adds many VCs).
 
 :func:`compare_methods` produces all three plus their VC counts, power and
-area; :func:`sweep_switch_counts` repeats it over a range of switch counts,
-which is exactly what Figures 8 and 9 plot.
+area for one point; the figure reports of :mod:`repro.api.reports` run it
+over the switch-count grids of Figures 8 and 9 through the cached
+:class:`~repro.api.runner.Runner`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, Optional, Union
 
 from repro.analysis.metrics import percent_reduction
 from repro.api.registry import synthesis_backends
@@ -25,7 +26,6 @@ from repro.core.removal import DEFAULT_REMOVAL_ENGINE, remove_deadlocks
 from repro.core.report import RemovalResult
 from repro.model.design import NocDesign
 from repro.model.traffic import CommunicationGraph
-from repro.perf.executor import parallel_map
 from repro.power.estimator import (
     NocAreaReport,
     NocPowerReport,
@@ -221,41 +221,3 @@ def compare_methods(
         removal_area=removal_area,
         ordering_area=ordering_area,
     )
-
-
-def _compare_point(args) -> MethodComparison:
-    """Process-pool worker: one ``compare_methods`` point, fully materialised.
-
-    Must stay module-level so :func:`repro.perf.executor.parallel_map` can
-    pickle it into worker processes.  ``benchmark`` arrives as the registry
-    *name* whenever possible — :func:`resolve_benchmark_traffic` then builds
-    the traffic graph once per worker instead of unpickling it per point.
-    """
-    benchmark, count, seed, overrides = args
-    return compare_methods(benchmark, count, seed=seed, synthesis_overrides=overrides)
-
-
-def sweep_switch_counts(
-    benchmark: Union[str, CommunicationGraph],
-    switch_counts: Sequence[int],
-    *,
-    seed: int = 0,
-    synthesis_overrides: Optional[Dict] = None,
-    jobs: Optional[int] = None,
-) -> List[MethodComparison]:
-    """Repeat :func:`compare_methods` over several switch counts (Figures 8/9).
-
-    Each point is an independent synthesize/remove/order/estimate pipeline;
-    ``jobs`` fans them out over a process pool (results stay in
-    ``switch_counts`` order; ``None``/``0``/``1`` runs serially).
-
-    Legacy adapter: prefer a :class:`repro.api.spec.ExperimentPlan` over
-    :class:`repro.api.runner.Runner`, which adds artifact caching and
-    returns serializable :class:`~repro.api.result.RunResult` records.
-    """
-    if isinstance(benchmark, str):
-        # Validate the name up front (and warm this process's memo); the
-        # workers re-resolve from the name so no traffic graph is pickled.
-        resolve_benchmark_traffic(benchmark, seed)
-    points = [(benchmark, count, seed, synthesis_overrides) for count in switch_counts]
-    return parallel_map(_compare_point, points, jobs=jobs)

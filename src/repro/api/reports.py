@@ -3,10 +3,9 @@
 Each report type knows two things: which :class:`~repro.api.spec.RunSpec`
 points it needs (:meth:`ReportType.specs`) and how to fold the resulting
 records into the exact dictionary the paper's figure helpers historically
-returned (:meth:`ReportType.render`).  The legacy functions in
-:mod:`repro.analysis.sweeps` are thin adapters over :func:`run_report`, so
-``noc-deadlock figures`` and ``noc-deadlock run <plan.json>`` are
-byte-identical by construction.
+returned (:meth:`ReportType.render`).  ``noc-deadlock figures`` is a thin
+adapter over :func:`run_report`, so it and ``noc-deadlock run <plan.json>``
+are byte-identical by construction.
 
 Report types are registered in :data:`report_types`, so downstream code can
 add custom figures the same way it adds removal engines::

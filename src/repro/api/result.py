@@ -13,7 +13,7 @@ run (JSON round-trips Python floats losslessly).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Dict, Mapping, Optional
 
 from repro.analysis.metrics import percent_reduction
@@ -135,18 +135,8 @@ class RunResult:
         document = {
             "format_version": RESULT_FORMAT_VERSION,
             "spec": self.spec.to_dict(),
-            "removal_extra_vcs": self.removal_extra_vcs,
-            "ordering_extra_vcs": self.ordering_extra_vcs,
-            "removal_iterations": self.removal_iterations,
-            "initial_cycle_count": self.initial_cycle_count,
-            "removal_runtime_s": self.removal_runtime_s,
-            "unprotected_power_mw": self.unprotected_power_mw,
-            "removal_power_mw": self.removal_power_mw,
-            "ordering_power_mw": self.ordering_power_mw,
-            "unprotected_area_mm2": self.unprotected_area_mm2,
-            "removal_area_mm2": self.removal_area_mm2,
-            "ordering_area_mm2": self.ordering_area_mm2,
         }
+        document.update((name, getattr(self, name)) for name in COST_SCALAR_FIELDS)
         if self.simulation is not None:
             document["simulation"] = self.simulation
         if self.attempts > 1:
@@ -167,19 +157,9 @@ class RunResult:
         try:
             return cls(
                 spec=RunSpec.from_dict(data["spec"]),
-                removal_extra_vcs=data["removal_extra_vcs"],
-                ordering_extra_vcs=data["ordering_extra_vcs"],
-                removal_iterations=data["removal_iterations"],
-                initial_cycle_count=data["initial_cycle_count"],
-                removal_runtime_s=data["removal_runtime_s"],
-                unprotected_power_mw=data["unprotected_power_mw"],
-                removal_power_mw=data["removal_power_mw"],
-                ordering_power_mw=data["ordering_power_mw"],
-                unprotected_area_mm2=data["unprotected_area_mm2"],
-                removal_area_mm2=data["removal_area_mm2"],
-                ordering_area_mm2=data["ordering_area_mm2"],
                 simulation=data.get("simulation"),
                 attempts=data.get("attempts", 1),
+                **{name: data[name] for name in COST_SCALAR_FIELDS},
             )
         except KeyError as exc:
             raise PlanError(f"run result document is missing field {exc}") from exc
@@ -191,24 +171,13 @@ class RunResult:
                 f"{self.spec.injection_scale}) has no simulation section"
             )
 
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_comparison(
-        cls, spec: RunSpec, comparison, simulation: Optional[Dict[str, Any]] = None
-    ) -> "RunResult":
-        """Reduce a :class:`~repro.analysis.experiments.MethodComparison`."""
-        return cls(
-            spec=spec,
-            simulation=simulation,
-            removal_extra_vcs=comparison.removal_extra_vcs,
-            ordering_extra_vcs=comparison.ordering_extra_vcs,
-            removal_iterations=comparison.removal.iterations,
-            initial_cycle_count=comparison.removal.initial_cycle_count,
-            removal_runtime_s=comparison.removal.runtime_seconds,
-            unprotected_power_mw=comparison.unprotected_power.total_power_mw,
-            removal_power_mw=comparison.removal_power.total_power_mw,
-            ordering_power_mw=comparison.ordering_power.total_power_mw,
-            unprotected_area_mm2=comparison.unprotected_area.total_area_mm2,
-            removal_area_mm2=comparison.removal_area.total_area_mm2,
-            ordering_area_mm2=comparison.ordering_area.total_area_mm2,
-        )
+
+#: The cost-side scalars of a record — every :class:`RunResult` field but
+#: the spec, the simulation section and the runtime bookkeeping — in
+#: declaration order, which is also their key order in record and
+#: cost-bundle documents.
+COST_SCALAR_FIELDS = tuple(
+    f.name
+    for f in fields(RunResult)
+    if f.name not in ("spec", "simulation", "cache_hit", "attempts")
+)

@@ -39,7 +39,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.analysis.experiments import compare_methods
 from repro.api.cache import ArtifactCache
-from repro.api.result import RunResult
+from repro.api.result import COST_SCALAR_FIELDS, RunResult
 from repro.api.spec import ExperimentPlan, RunSpec
 from repro.errors import ReproError
 from repro.lint.findings import structured_warning
@@ -74,29 +74,13 @@ def default_cache_dir() -> Path:
 #: Design variants a simulating spec evaluates, in record order.
 SIMULATED_VARIANTS = ("unprotected", "removal", "ordering")
 
-#: Scalar fields a cost bundle carries — exactly the non-simulation fields
-#: of :class:`RunResult`, keyed by their constructor names.
-_COST_SCALAR_FIELDS = (
-    "removal_extra_vcs",
-    "ordering_extra_vcs",
-    "removal_iterations",
-    "initial_cycle_count",
-    "removal_runtime_s",
-    "unprotected_power_mw",
-    "removal_power_mw",
-    "ordering_power_mw",
-    "unprotected_area_mm2",
-    "removal_area_mm2",
-    "ordering_area_mm2",
-)
-
-
 @dataclass
 class _CostBundle:
     """Cost-side outcome of one design point, shared across load points.
 
-    ``scalars`` are the :class:`RunResult` constructor keywords (VC
-    counts, removal bookkeeping, power, area); ``designs`` maps each
+    ``scalars`` are the :data:`~repro.api.result.COST_SCALAR_FIELDS`
+    constructor keywords of :class:`RunResult` (VC counts, removal
+    bookkeeping, power, area); ``designs`` maps each
     :data:`SIMULATED_VARIANTS` entry to its :class:`NocDesign`.  Every
     spec sharing a :meth:`RunSpec.cost_fingerprint` shares one bundle, so
     its records carry *identical* cost scalars (including
@@ -147,7 +131,7 @@ def _bundle_from_document(document: Mapping[str, Any]) -> Optional[_CostBundle]:
     try:
         if document.get("format_version") != COST_FORMAT_VERSION:
             return None
-        scalars = {name: document["scalars"][name] for name in _COST_SCALAR_FIELDS}
+        scalars = {name: document["scalars"][name] for name in COST_SCALAR_FIELDS}
         designs = {
             variant: design_from_dict(document["designs"][variant])
             for variant in SIMULATED_VARIANTS

@@ -17,7 +17,7 @@ Plan schema (``format_version`` 1)::
     {
       "format_version": 1,
       "name": "my-plan",
-      "defaults": {"seed": 0, "engine": "incremental"},
+      "defaults": {"seed": 0, "engine": "rebuild"},
       "runs": [
         {"benchmark": "D26_media", "switch_counts": [5, 8, 11]},
         {"benchmarks": ["D36_4", "D36_8"], "switch_count": 14, "seeds": [0, 1]},

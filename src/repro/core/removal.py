@@ -14,28 +14,27 @@ by the benchmark harness: the cycle-selection heuristic (smallest / largest
 / random) and the direction policy (best-of-both / forward-only /
 backward-only).
 
-Interchangeable engines drive the loop, looked up by name in the pluggable
-:data:`repro.api.registry.removal_engines` registry (new engines register
-with a decorator and become valid ``engine=`` values everywhere, including
-:class:`~repro.api.spec.RunSpec` and the CLI).  Built-ins:
+One loop drives the algorithm (:meth:`DeadlockRemover._run_loop`); an
+engine only supplies how it finds the next cycle, how it costs a break and
+how it updates its graph after the break.  Engines are looked up by name in
+the pluggable :data:`repro.api.registry.removal_engines` registry (new
+engines register with a decorator and become valid ``engine=`` values
+everywhere, including :class:`~repro.api.spec.RunSpec` and the CLI).
+Built-ins:
 
-* ``engine="context"`` (default) — everything the incremental engine does,
-  plus the shared per-design state of
-  :class:`~repro.perf.design_context.DesignContext`: cost tables for both
+* ``engine="context"`` (default) — the fast path.  The CDG is maintained
+  from the route deltas each break reports, inside the shared per-design
+  state of :class:`~repro.perf.design_context.DesignContext`; the
+  smallest-cycle search is SCC-pruned, cached per component and
+  depth-limited (:mod:`repro.perf.cycle_search`); cost tables for both
   break directions come from one pass over interned channel-id arrays
-  (:mod:`repro.perf.cost_index`), the affected flows of a break are read
-  from the indexed per-edge flow sets instead of scanning every route, and
-  the smallest-cycle BFS is depth-limited to where a strictly shorter
-  cycle can still exist.  Identical
-  :class:`~repro.core.report.BreakAction` sequences to both other engines.
-* ``engine="incremental"`` — the PR 1 performance core: the CDG is
-  maintained incrementally from the route deltas each break reports, and
-  the smallest-cycle search is SCC-pruned and cached per component,
-  re-searching only the dirty region.  Kept byte-for-byte as the PR 3
-  baseline the scaling benchmark measures against.
-* ``engine="rebuild"`` — the seed behaviour: ``build_cdg(work)`` from
-  scratch and a full BFS sweep per iteration.  Kept as the reference for
-  cross-checks, ablation selections (largest / random) and benchmarking.
+  (:mod:`repro.perf.cost_index`); and the affected flows of a break are
+  read from the indexed per-edge flow sets instead of scanning every
+  route.  Identical :class:`~repro.core.report.BreakAction` sequences to
+  the oracle.
+* ``engine="rebuild"`` — the oracle and the seed behaviour:
+  ``build_cdg(work)`` from scratch and a full BFS sweep per iteration.
+  Also the only loop for the ablation selections (largest / random).
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ from typing import Callable, Optional
 from repro.api.registry import removal_engines
 from repro.core.breaker import RESOURCE_PHYSICAL, RESOURCE_VIRTUAL, break_cycle
 from repro.core.cdg import build_cdg
-from repro.core.cost import BACKWARD, FORWARD, find_dependency_to_break
+from repro.core.cost import best_break, find_dependency_to_break
 from repro.core.cycles import (
     count_cycles,
     find_all_cycles,
@@ -58,7 +57,6 @@ from repro.core.report import RemovalResult
 from repro.errors import ConvergenceError, RemovalError
 from repro.model.design import NocDesign
 from repro.model.validation import validate_design
-from repro.perf.cdg_index import CDGIndex
 from repro.perf.cycle_search import IncrementalCycleSearch, count_cycles_indexed
 from repro.perf.design_context import DesignContext
 
@@ -73,7 +71,6 @@ POLICY_BACKWARD = "backward"
 _POLICIES = (POLICY_BEST, POLICY_FORWARD, POLICY_BACKWARD)
 
 ENGINE_CONTEXT = "context"
-ENGINE_INCREMENTAL = "incremental"
 ENGINE_REBUILD = "rebuild"
 #: Engine used when callers do not choose one explicitly.
 DEFAULT_REMOVAL_ENGINE = ENGINE_CONTEXT
@@ -108,24 +105,23 @@ class DeadlockRemover:
     validate:
         Validate the design before and after removal (recommended).
     engine:
-        ``"context"`` (default) adds the shared
-        :class:`~repro.perf.design_context.DesignContext` state on top of
-        the incremental loop: one-pass int-indexed cost tables, indexed
-        affected-flow lookup and a depth-limited cycle BFS;
-        ``"incremental"`` maintains the CDG from route deltas and runs the
-        SCC-pruned indexed cycle search; ``"rebuild"`` is the seed
-        behaviour (full ``build_cdg`` + full BFS sweep per iteration).  All
-        three produce identical break sequences; the accelerated engines
-        only speed up the paper's ``"smallest"`` selection and
-        transparently fall back to rebuilding for the ablation selections.
+        ``"context"`` (default) runs the loop on the shared
+        :class:`~repro.perf.design_context.DesignContext` state: a CDG
+        maintained from route deltas, the SCC-pruned depth-limited cycle
+        search, one-pass int-indexed cost tables and indexed affected-flow
+        lookup; ``"rebuild"`` is the oracle (full ``build_cdg`` + full BFS
+        sweep per iteration).  Both produce identical break sequences;
+        ``"context"`` only speeds up the paper's ``"smallest"`` selection
+        and transparently falls back to the rebuild loop for the ablation
+        selections.
     cross_check:
-        Debug flag: after every incremental update, rebuild the CDG from
-        scratch and assert the index matches it exactly (slow — for tests
-        and debugging only).  The context engine additionally re-derives
-        every cost table (and break choice) with the reference builder,
-        raising on any mismatch; the CDG verification covers the per-edge
-        flow sets its affected-flow lookup is served from.  Ignored by the
-        rebuild engine.
+        Debug flag for the context engine: after every break, rebuild the
+        CDG from scratch and assert the index matches it exactly, and
+        re-derive every cost table (and break choice) with the reference
+        builder, raising on any mismatch (slow — for tests and debugging
+        only).  The CDG verification covers the per-edge flow sets the
+        affected-flow lookup is served from.  Ignored by the rebuild
+        engine.
     """
 
     def __init__(
@@ -165,30 +161,6 @@ class DeadlockRemover:
         self.cross_check = cross_check
 
     # ------------------------------------------------------------------
-    def _select_cycle(self, cdg, rng: random.Random):
-        if self.cycle_selection == SELECT_SMALLEST:
-            return find_smallest_cycle(cdg)
-        if self.cycle_selection == SELECT_LARGEST:
-            return find_largest_cycle(cdg, limit=2000)
-        cycles = find_all_cycles(cdg, limit=2000)
-        if not cycles:
-            return None
-        return cycles[rng.randrange(len(cycles))]
-
-    def _choose_break(self, cycle, routes):
-        if self.direction_policy == POLICY_FORWARD:
-            cost, pos, table = find_dependency_to_break(cycle, routes, FORWARD)
-            return FORWARD, cost, pos, table
-        if self.direction_policy == POLICY_BACKWARD:
-            cost, pos, table = find_dependency_to_break(cycle, routes, BACKWARD)
-            return BACKWARD, cost, pos, table
-        f_cost, f_pos, f_table = find_dependency_to_break(cycle, routes, FORWARD)
-        b_cost, b_pos, b_table = find_dependency_to_break(cycle, routes, BACKWARD)
-        if f_cost <= b_cost:
-            return FORWARD, f_cost, f_pos, f_table
-        return BACKWARD, b_cost, b_pos, b_table
-
-    # ------------------------------------------------------------------
     def remove(self, design: NocDesign, *, in_place: bool = False) -> RemovalResult:
         """Run Algorithm 1 on ``design`` and return the removal result.
 
@@ -198,11 +170,17 @@ class DeadlockRemover:
         start = time.perf_counter()
         if self.validate:
             validate_design(design)
-        if self.engine == ENGINE_CONTEXT and not in_place:
+        if (
+            self.engine == ENGINE_CONTEXT
+            and self.cycle_selection == SELECT_SMALLEST
+            and not in_place
+        ):
             # Warm the *source* design's CDG index before copying: copy()
             # then forks it into the work design's context, so repeated
             # removal runs on the same design clone the index per run
-            # instead of rebuilding it from the routes per run.
+            # instead of rebuilding it from the routes per run.  Only the
+            # context loop reads that index; the ablation selections run
+            # the rebuild loop and would never touch the fork.
             DesignContext.of(design).cdg_index()
         work = design if in_place else design.copy()
 
@@ -215,59 +193,24 @@ class DeadlockRemover:
             validate_design(work)
         return result
 
-    def _remove_rebuild(self, work: NocDesign, rng: random.Random) -> RemovalResult:
-        """The seed loop: full CDG rebuild and full cycle re-search per break."""
-        cdg = build_cdg(work)
-        initial_cycles = 0
-        initially_free = cdg.is_acyclic()
-        if self.count_initial_cycles and not initially_free:
-            initial_cycles = count_cycles(cdg, limit=2000)
+    def _run_loop(self, work: NocDesign, steps) -> RemovalResult:
+        """Algorithm 1's outer loop, shared by every built-in engine.
 
-        max_iterations = self.max_iterations
-        if max_iterations is None:
-            max_iterations = 100 + 10 * max(cdg.edge_count, 1)
-
-        result = RemovalResult(
-            design=work,
-            initially_deadlock_free=initially_free,
-            initial_cycle_count=initial_cycles,
-        )
-
-        iteration = 0
-        while True:
-            cycle = self._select_cycle(cdg, rng)
-            if cycle is None:
-                break
-            iteration += 1
-            if iteration > max_iterations:
-                remaining = count_cycles(cdg, limit=100)
-                raise ConvergenceError(iteration - 1, remaining)
-            action = self._apply_break(work, cycle, iteration, result)
-            # The CDG is a pure function of the routes, so rebuilding it after
-            # every break keeps it consistent by construction (Step 12).
-            cdg = build_cdg(work)
-
-        result.iterations = iteration
-        if not cdg.is_acyclic():  # pragma: no cover - defensive
-            raise RemovalError("internal error: CDG still cyclic after removal loop")
-        return result
-
-    def _remove_incremental(self, work: NocDesign) -> RemovalResult:
-        """The performance-core loop: route-delta CDG updates + indexed search.
-
-        Produces the exact same :class:`~repro.core.report.BreakAction`
-        sequence as :meth:`_remove_rebuild` with ``cycle_selection="smallest"``
-        (enforced by ``cross_check=True`` and the equivalence test suite).
+        ``steps`` (a :class:`_RebuildSteps` or :class:`_ContextSteps`)
+        supplies what the engines do differently: ``next_cycle``,
+        ``choose_break`` and ``after_break``, plus the CDG they maintain
+        (``graph``, with ``is_acyclic()`` and ``edge_count``), its capped
+        ``count_cycles`` and the ``context`` handed to
+        :func:`~repro.core.breaker.break_cycle`.
         """
-        index = CDGIndex.from_routes(work.routes)
-        initially_free = index.is_acyclic()
+        initially_free = steps.graph.is_acyclic()
         initial_cycles = 0
         if self.count_initial_cycles and not initially_free:
-            initial_cycles = count_cycles_indexed(index, limit=2000)
+            initial_cycles = steps.count_cycles(limit=2000)
 
         max_iterations = self.max_iterations
         if max_iterations is None:
-            max_iterations = 100 + 10 * max(index.edge_count, 1)
+            max_iterations = 100 + 10 * max(steps.graph.edge_count, 1)
 
         result = RemovalResult(
             design=work,
@@ -275,77 +218,15 @@ class DeadlockRemover:
             initial_cycle_count=initial_cycles,
         )
 
-        search = IncrementalCycleSearch(index)
         iteration = 0
         while True:
-            cycle = search.find_smallest()
+            cycle = steps.next_cycle()
             if cycle is None:
                 break
             iteration += 1
             if iteration > max_iterations:
-                remaining = count_cycles_indexed(index, limit=100)
-                raise ConvergenceError(iteration - 1, remaining)
-            action = self._apply_break(work, cycle, iteration, result)
-            # Apply the break's route delta instead of rebuilding: remove the
-            # dependencies of every rerouted flow's old route, add the new ones.
-            for flow_name, old_route in (action.previous_routes or {}).items():
-                index.apply_route_change(
-                    flow_name, old_route.channels, work.routes.route(flow_name).channels
-                )
-            if self.cross_check:
-                index.verify_against(build_cdg(work))
-
-        result.iterations = iteration
-        if not index.is_acyclic():  # pragma: no cover - defensive
-            raise RemovalError("internal error: CDG still cyclic after removal loop")
-        return result
-
-    def _remove_context(self, work: NocDesign) -> RemovalResult:
-        """The design-context loop: shared state + one-pass cost tables.
-
-        Same break sequence as the other engines (enforced by
-        ``cross_check=True``, the hypothesis suites and the per-benchmark
-        action-equality tests); on top of :meth:`_remove_incremental` the
-        cost tables of both directions come from one pass over interned
-        channel-id arrays, the affected flows of each break are read from
-        the indexed per-edge flow sets, and the cycle BFS is depth-limited.
-        """
-        context = DesignContext.of(work)
-        index = context.cdg_index()
-        cost_engine = context.cost_engine()
-        initially_free = index.is_acyclic()
-        initial_cycles = 0
-        if self.count_initial_cycles and not initially_free:
-            initial_cycles = count_cycles_indexed(index, limit=2000)
-
-        max_iterations = self.max_iterations
-        if max_iterations is None:
-            max_iterations = 100 + 10 * max(index.edge_count, 1)
-
-        result = RemovalResult(
-            design=work,
-            initially_deadlock_free=initially_free,
-            initial_cycle_count=initial_cycles,
-        )
-
-        policy = {
-            POLICY_BEST: "best",
-            POLICY_FORWARD: FORWARD,
-            POLICY_BACKWARD: BACKWARD,
-        }[self.direction_policy]
-        search = IncrementalCycleSearch(index, depth_limited=True)
-        iteration = 0
-        while True:
-            cycle = search.find_smallest()
-            if cycle is None:
-                break
-            iteration += 1
-            if iteration > max_iterations:
-                remaining = count_cycles_indexed(index, limit=100)
-                raise ConvergenceError(iteration - 1, remaining)
-            direction, cost, position, table = cost_engine.best_break(cycle, policy)
-            if self.cross_check:
-                self._verify_indexed_choice(work, cycle, direction, position, table)
+                raise ConvergenceError(iteration - 1, steps.count_cycles(limit=100))
+            direction, _, position, table = steps.choose_break(cycle)
             action = break_cycle(
                 work,
                 cycle,
@@ -354,27 +235,106 @@ class DeadlockRemover:
                 iteration=iteration,
                 cost_table=table,
                 resource_mode=self.resource_mode,
-                context=context,
+                context=steps.context,
             )
             result.actions.append(action)
             if self.on_iteration is not None:
                 self.on_iteration(action)
-            for flow_name, old_route in (action.previous_routes or {}).items():
-                context.apply_route_change(
-                    flow_name, old_route, work.routes.route(flow_name)
-                )
-            if self.cross_check:
-                index.verify_against(build_cdg(work))
+            steps.after_break(action)
 
         result.iterations = iteration
-        if not index.is_acyclic():  # pragma: no cover - defensive
+        if not steps.graph.is_acyclic():  # pragma: no cover - defensive
             raise RemovalError("internal error: CDG still cyclic after removal loop")
         return result
 
-    def _verify_indexed_choice(self, work, cycle, direction, position, table) -> None:
+
+def _reference_break(cycle, routes, direction_policy: str):
+    """``(direction, cost, position, table)`` from the reference builder."""
+    if direction_policy == POLICY_BEST:
+        return best_break(cycle, routes)
+    # The forward/backward policy names are the direction names.
+    return (direction_policy, *find_dependency_to_break(cycle, routes, direction_policy))
+
+
+class _RebuildSteps:
+    """The oracle: full ``build_cdg`` and full cycle search per break."""
+
+    context = None
+
+    def __init__(self, remover: DeadlockRemover, work: NocDesign, rng: random.Random):
+        self._remover = remover
+        self._work = work
+        self._rng = rng
+        self.graph = build_cdg(work)
+
+    def count_cycles(self, limit: int) -> int:
+        return count_cycles(self.graph, limit=limit)
+
+    def next_cycle(self):
+        selection = self._remover.cycle_selection
+        if selection == SELECT_SMALLEST:
+            return find_smallest_cycle(self.graph)
+        if selection == SELECT_LARGEST:
+            return find_largest_cycle(self.graph, limit=2000)
+        cycles = find_all_cycles(self.graph, limit=2000)
+        if not cycles:
+            return None
+        return cycles[self._rng.randrange(len(cycles))]
+
+    def choose_break(self, cycle):
+        return _reference_break(cycle, self._work.routes, self._remover.direction_policy)
+
+    def after_break(self, action) -> None:
+        # The CDG is a pure function of the routes, so rebuilding it after
+        # every break keeps it consistent by construction (Step 12).
+        self.graph = build_cdg(self._work)
+
+
+class _ContextSteps:
+    """The fast path over the work design's :class:`DesignContext`.
+
+    The CDG index is updated from each break's route delta, the cycle
+    search is :class:`~repro.perf.cycle_search.IncrementalCycleSearch`, and
+    both cost tables come from the context's one-pass cost engine.  With
+    ``cross_check`` every cost choice is re-derived by the reference
+    builder and the index is verified against ``build_cdg`` after every
+    break.
+    """
+
+    def __init__(self, remover: DeadlockRemover, work: NocDesign):
+        self._remover = remover
+        self._work = work
+        self.context = DesignContext.of(work)
+        self.graph = self.context.cdg_index()
+        self._costs = self.context.cost_engine()
+        self._search = IncrementalCycleSearch(self.graph)
+
+    def count_cycles(self, limit: int) -> int:
+        return count_cycles_indexed(self.graph, limit=limit)
+
+    def next_cycle(self):
+        return self._search.find_smallest()
+
+    def choose_break(self, cycle):
+        choice = self._costs.best_break(cycle, self._remover.direction_policy)
+        if self._remover.cross_check:
+            self._verify_choice(cycle, choice)
+        return choice
+
+    def after_break(self, action) -> None:
+        # Apply the break's route delta instead of rebuilding: remove the
+        # dependencies of every rerouted flow's old route, add the new ones.
+        routes = self._work.routes
+        for flow_name, old_route in (action.previous_routes or {}).items():
+            self.context.apply_route_change(flow_name, old_route, routes.route(flow_name))
+        if self._remover.cross_check:
+            self.graph.verify_against(build_cdg(self._work))
+
+    def _verify_choice(self, cycle, choice) -> None:
         """Cross-check: the indexed cost engine must match the reference."""
-        ref_direction, ref_cost, ref_position, ref_table = self._choose_break(
-            cycle, work.routes
+        direction, _, position, table = choice
+        ref_direction, ref_cost, ref_position, ref_table = _reference_break(
+            cycle, self._work.routes, self._remover.direction_policy
         )
         if (
             (direction, table.best_cost, position)
@@ -388,58 +348,27 @@ class DeadlockRemover:
                 f"{ref_cost} at position {ref_position}"
             )
 
-    def _apply_break(self, work: NocDesign, cycle, iteration: int, result: RemovalResult):
-        """Cost both directions, break the cheaper one, record the action."""
-        direction, cost, position, table = self._choose_break(cycle, work.routes)
-        action = break_cycle(
-            work,
-            cycle,
-            position,
-            direction,
-            iteration=iteration,
-            cost_table=table,
-            resource_mode=self.resource_mode,
-        )
-        result.actions.append(action)
-        if self.on_iteration is not None:
-            self.on_iteration(action)
-        return action
-
 
 @removal_engines.register(ENGINE_CONTEXT)
 def _context_engine(
     remover: DeadlockRemover, work: NocDesign, rng: random.Random
 ) -> RemovalResult:
-    """Default engine: design-context shared state + one-pass cost tables.
+    """Default engine: the design-context fast path.
 
     Only accelerates the paper's ``"smallest"`` selection; the ablation
     selections transparently fall back to the rebuild loop.
     """
     if remover.cycle_selection != SELECT_SMALLEST:
-        return remover._remove_rebuild(work, rng)
-    return remover._remove_context(work)
-
-
-@removal_engines.register(ENGINE_INCREMENTAL)
-def _incremental_engine(
-    remover: DeadlockRemover, work: NocDesign, rng: random.Random
-) -> RemovalResult:
-    """Default engine: route-delta CDG maintenance + indexed cycle search.
-
-    Only accelerates the paper's ``"smallest"`` selection; the ablation
-    selections transparently fall back to the rebuild loop.
-    """
-    if remover.cycle_selection != SELECT_SMALLEST:
-        return remover._remove_rebuild(work, rng)
-    return remover._remove_incremental(work)
+        return remover._run_loop(work, _RebuildSteps(remover, work, rng))
+    return remover._run_loop(work, _ContextSteps(remover, work))
 
 
 @removal_engines.register(ENGINE_REBUILD)
 def _rebuild_engine(
     remover: DeadlockRemover, work: NocDesign, rng: random.Random
 ) -> RemovalResult:
-    """Seed engine: full ``build_cdg`` + full BFS sweep per iteration."""
-    return remover._remove_rebuild(work, rng)
+    """Oracle engine: full ``build_cdg`` + full BFS sweep per iteration."""
+    return remover._run_loop(work, _RebuildSteps(remover, work, rng))
 
 
 def remove_deadlocks(design: NocDesign, **options) -> RemovalResult:

@@ -39,7 +39,6 @@ class RegistryDisciplineRule(LintRule):
         "Simulator": "simulation_engines",
         "IndexedRouter": "routing_engines",
         "_context_engine": "removal_engines",
-        "_incremental_engine": "removal_engines",
         "_rebuild_engine": "removal_engines",
     }
 

@@ -6,8 +6,8 @@ Four pieces, all behaviour-preserving accelerations of the seed code paths:
   incrementally maintained channel dependency graph over dense integer ids
   with dirty-region tracking (replaces the per-iteration ``build_cdg``
   rebuild of Algorithm 1's outer loop);
-* :mod:`repro.perf.cycle_search` — SCC-pruned, per-component-cached
-  smallest-cycle search that returns exactly what
+* :mod:`repro.perf.cycle_search` — SCC-pruned, per-component-cached,
+  depth-limited smallest-cycle search that returns exactly what
   :func:`repro.core.cycles.find_smallest_cycle` would on a fresh rebuild;
 * :mod:`repro.perf.route_engine` — int-relabelled switch graph with a
   per-node label Dijkstra and incremental congestion reweighting (replaces
@@ -21,7 +21,7 @@ Four pieces, all behaviour-preserving accelerations of the seed code paths:
   :class:`~repro.perf.cost_index.CycleCostEngine`, Algorithm 2's forward
   and backward cost tables from one pass over interned channel-id arrays;
 * :mod:`repro.perf.executor` — an ordered, serial-fallback
-  ``ProcessPoolExecutor`` map used by the figure sweeps and the CLI's
+  ``ProcessPoolExecutor`` map used by the plan runner and the CLI's
   ``--jobs`` flag.
 """
 

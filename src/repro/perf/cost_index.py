@@ -189,7 +189,6 @@ def build_cost_tables(cycle: Sequence[Channel], routes: RouteSet) -> Tuple[CostT
     """One-shot ``(forward, backward)`` tables for a cycle and a route set.
 
     Convenience wrapper over a throwaway :class:`CycleCostEngine`; the
-    incremental path (one engine per removal run) is what the removal loop
-    uses.
+    removal loop keeps one engine per run on the design context instead.
     """
     return CycleCostEngine.from_routes(routes).tables(cycle)

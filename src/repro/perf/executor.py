@@ -1,7 +1,7 @@
-"""Parallel point executor for the figure sweeps.
+"""Parallel point executor for experiment plans.
 
-Every point of ``sweep_switch_counts`` / ``figure8/9/10_series`` is an
-independent synthesize → remove → order → estimate pipeline, so the sweeps
+Every spec of a plan (for example one point of the figure 8/9/10 reports)
+is an independent synthesize → remove → order → estimate pipeline, so plans
 parallelise embarrassingly well across processes.  :func:`parallel_map` is a
 drop-in ordered ``map`` that fans work out over a
 :class:`concurrent.futures.ProcessPoolExecutor`:

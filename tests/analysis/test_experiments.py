@@ -8,7 +8,7 @@ unprotected design.
 
 import pytest
 
-from repro.analysis.experiments import compare_methods, sweep_switch_counts
+from repro.analysis.experiments import compare_methods
 from repro.core.cdg import build_cdg
 
 
@@ -60,14 +60,14 @@ class TestCompareMethods:
 
 class TestSweep:
     def test_sweep_produces_one_row_per_count(self, d26_traffic):
-        rows = sweep_switch_counts(d26_traffic, [5, 8])
+        rows = [compare_methods(d26_traffic, count) for count in (5, 8)]
         assert [row.switch_count for row in rows] == [5, 8]
 
     def test_d26_media_removal_is_mostly_free(self, d26_traffic):
         """Figure 8's message: application-specific topologies for D26_media
         are (almost always) deadlock free, so removal costs ~nothing while
         ordering pays per-hop classes."""
-        rows = sweep_switch_counts(d26_traffic, [8, 14, 20])
+        rows = [compare_methods(d26_traffic, count) for count in (8, 14, 20)]
         assert sum(row.removal_extra_vcs for row in rows) <= 2
         assert all(
             row.ordering_extra_vcs >= row.removal_extra_vcs for row in rows

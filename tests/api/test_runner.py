@@ -164,9 +164,9 @@ class TestPlanExecution:
     def test_report_rendering_matches_legacy_series(self):
         """The report pipeline must reproduce the legacy figure dictionary
         byte-for-byte (same keys, same values, same order)."""
-        from repro.analysis.experiments import sweep_switch_counts
+        from repro.analysis.experiments import compare_methods
 
-        comparisons = sweep_switch_counts("D26_media", [6, 9])
+        comparisons = [compare_methods("D26_media", count) for count in (6, 9)]
         legacy = {
             "benchmark": "D26_media",
             "switch_counts": [6, 9],

@@ -73,7 +73,7 @@ class TestRunSpec:
         assert len(fingerprints) == len(variants)
 
     def test_synthesis_fingerprint_shared_across_engines(self):
-        a = RunSpec(benchmark="D26_media", switch_count=8, engine="incremental")
+        a = RunSpec(benchmark="D26_media", switch_count=8, engine="context")
         b = RunSpec(
             benchmark="D26_media",
             switch_count=8,
@@ -154,7 +154,7 @@ class TestGridExpansion:
         document = {
             "format_version": 1,
             "name": "my-plan",
-            "defaults": {"seed": 0, "engine": "incremental"},
+            "defaults": {"seed": 0, "engine": "rebuild"},
             "runs": [
                 {"benchmark": "D26_media", "switch_counts": [5, 8, 11]},
                 {"benchmarks": ["D36_4", "D36_8"], "switch_count": 14, "seeds": [0, 1]},
@@ -163,14 +163,14 @@ class TestGridExpansion:
         }
         plan = ExperimentPlan.from_dict(document)
         assert len(plan.specs) == 3 + 4
-        assert all(spec.engine == "incremental" for spec in plan.specs)
+        assert all(spec.engine == "rebuild" for spec in plan.specs)
 
     def test_entry_overrides_defaults(self):
         specs = expand_run_entry(
-            {"benchmark": "D26_media", "switch_count": 8, "engine": "incremental"},
+            {"benchmark": "D26_media", "switch_count": 8, "engine": "context"},
             defaults={"engine": "rebuild"},
         )
-        assert specs[0].engine == "incremental"
+        assert specs[0].engine == "context"
 
     def test_singular_and_plural_conflict_rejected(self):
         with pytest.raises(PlanError, match="both"):

@@ -69,7 +69,7 @@ class TestRegistry:
 
 class TestBuiltinRegistries:
     def test_removal_engines(self):
-        assert removal_engines.names() == ["context", "incremental", "rebuild"]
+        assert removal_engines.names() == ["context", "rebuild"]
 
     def test_ordering_strategies(self):
         assert ordering_strategies.names() == ["hop_index", "layered"]
@@ -85,7 +85,7 @@ class TestDispatchThroughRegistries:
         @removal_engines.register("recording")
         def _recording_engine(remover, work, rng):
             calls.append(remover.engine)
-            return remover._remove_rebuild(work, rng)
+            return removal_engines.get("rebuild")(remover, work, rng)
 
         try:
             result = remove_deadlocks(ring_design_fixture, engine="recording")

@@ -12,40 +12,53 @@ from repro.errors import ConvergenceError, RemovalError
 from repro.model.validation import validate_design
 
 
-class TestPaperRing:
+class EngineUnderTest:
+    """Loop-level tests run on ``context``, and again in a ``rebuild`` subclass."""
+
+    engine = "context"
+
+    def remove(self, design, **options):
+        return remove_deadlocks(design, engine=self.engine, **options)
+
+
+class TestPaperRing(EngineUnderTest):
     def test_removal_yields_acyclic_cdg(self, ring_design_fixture):
-        result = remove_deadlocks(ring_design_fixture)
+        result = self.remove(ring_design_fixture)
         assert build_cdg(result.design).is_acyclic()
 
     def test_single_vc_is_enough(self, ring_design_fixture):
-        result = remove_deadlocks(ring_design_fixture)
+        result = self.remove(ring_design_fixture)
         assert result.added_vc_count == 1
         assert result.iterations == 1
         assert result.initial_cycle_count == 1
 
     def test_input_design_untouched_by_default(self, ring_design_fixture):
-        remove_deadlocks(ring_design_fixture)
+        self.remove(ring_design_fixture)
         assert ring_design_fixture.extra_vc_count == 0
         assert not build_cdg(ring_design_fixture).is_acyclic()
 
     def test_in_place_removal_mutates_input(self, ring_design_fixture):
-        result = remove_deadlocks(ring_design_fixture, in_place=True)
+        result = self.remove(ring_design_fixture, in_place=True)
         assert result.design is ring_design_fixture
         assert ring_design_fixture.extra_vc_count == 1
 
     def test_result_design_is_valid(self, ring_design_fixture):
-        result = remove_deadlocks(ring_design_fixture)
+        result = self.remove(ring_design_fixture)
         validate_design(result.design)
 
     def test_summary_mentions_vcs(self, ring_design_fixture):
-        summary = remove_deadlocks(ring_design_fixture).summary()
+        summary = self.remove(ring_design_fixture).summary()
         assert "virtual channels added" in summary
         assert "iteration 1" in summary
 
     def test_rerouted_flows_reported(self, ring_design_fixture):
-        result = remove_deadlocks(ring_design_fixture)
+        result = self.remove(ring_design_fixture)
         assert set(result.rerouted_flows) <= {"F1", "F2", "F3", "F4"}
         assert len(result.rerouted_flows) >= 1
+
+
+class TestPaperRingRebuild(TestPaperRing):
+    engine = "rebuild"
 
 
 class TestAlreadyDeadlockFree:
@@ -87,7 +100,7 @@ class TestLargerDesigns:
         assert first.design.routes == second.design.routes
 
 
-class TestOptions:
+class TestOptions(EngineUnderTest):
     def test_unknown_cycle_selection_rejected(self):
         with pytest.raises(RemovalError):
             DeadlockRemover(cycle_selection="weird")
@@ -97,12 +110,12 @@ class TestOptions:
             DeadlockRemover(direction_policy="weird")
 
     def test_forward_only_policy(self, ring_design_fixture):
-        result = remove_deadlocks(ring_design_fixture, direction_policy="forward")
+        result = self.remove(ring_design_fixture, direction_policy="forward")
         assert all(action.direction == "forward" for action in result.actions)
         assert build_cdg(result.design).is_acyclic()
 
     def test_backward_only_policy(self, ring_design_fixture):
-        result = remove_deadlocks(ring_design_fixture, direction_policy="backward")
+        result = self.remove(ring_design_fixture, direction_policy="backward")
         assert all(action.direction == "backward" for action in result.actions)
         assert build_cdg(result.design).is_acyclic()
 
@@ -118,16 +131,16 @@ class TestOptions:
 
     def test_iteration_cap_raises_convergence_error(self, small_ring_design):
         with pytest.raises(ConvergenceError):
-            remove_deadlocks(small_ring_design, max_iterations=0)
+            self.remove(small_ring_design, max_iterations=0)
 
     def test_on_iteration_callback(self, ring_design_fixture):
         seen = []
-        remove_deadlocks(ring_design_fixture, on_iteration=seen.append)
+        self.remove(ring_design_fixture, on_iteration=seen.append)
         assert len(seen) == 1
         assert seen[0].iteration == 1
 
     def test_skip_initial_cycle_count(self, ring_design_fixture):
-        result = remove_deadlocks(ring_design_fixture, count_initial_cycles=False)
+        result = self.remove(ring_design_fixture, count_initial_cycles=False)
         assert result.initial_cycle_count == 0
         assert result.added_vc_count == 1
 
@@ -138,6 +151,10 @@ class TestOptions:
     def test_runtime_is_recorded(self, ring_design_fixture):
         result = remove_deadlocks(ring_design_fixture)
         assert result.runtime_seconds > 0
+
+
+class TestOptionsRebuild(TestOptions):
+    engine = "rebuild"
 
 
 class TestComparisonWithOrdering:

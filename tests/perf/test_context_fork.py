@@ -74,6 +74,14 @@ class TestForkOnCopy:
         assert first.actions == second.actions
         assert first.design.routes == second.design.routes
 
+    def test_ablation_selections_do_not_fork(self, ring_design_fixture):
+        """largest/random run the rebuild loop, which never reads the index."""
+        counters.reset()
+        for selection in ("largest", "random"):
+            result = remove_deadlocks(ring_design_fixture, cycle_selection=selection)
+            assert result.is_deadlock_free
+        assert counters.contexts_forked == 0
+
     def test_forked_removal_matches_seed_engine(self, d36_8_design_14sw):
         design = d36_8_design_14sw.copy()
         DesignContext.of(design).cdg_index()

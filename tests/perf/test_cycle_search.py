@@ -1,4 +1,4 @@
-"""The indexed, SCC-pruned cycle search returns exactly the seed's cycles."""
+"""The indexed, depth-limited cycle search returns exactly the seed's cycles."""
 
 from __future__ import annotations
 
@@ -37,16 +37,6 @@ class TestSearchEquivalence:
         found = IncrementalCycleSearch(CDGIndex.from_routes(routes)).find_smallest()
         assert found == expected
 
-    @given(routes=random_route_sets())
-    @SEARCH_SETTINGS
-    def test_depth_limited_matches_seed_search(self, routes):
-        """The depth-limited array variant returns the exact same cycle."""
-        expected = find_smallest_cycle(build_cdg(routes))
-        search = IncrementalCycleSearch(
-            CDGIndex.from_routes(routes), depth_limited=True
-        )
-        assert search.find_smallest() == expected
-
     @given(
         routes=random_route_sets(),
         replacements=st.lists(
@@ -59,23 +49,15 @@ class TestSearchEquivalence:
     def test_matches_seed_search_across_incremental_updates(self, routes, replacements):
         """Cached per-SCC results stay exact while routes mutate underneath."""
         index = CDGIndex.from_routes(routes)
-        limited_index = CDGIndex.from_routes(routes)
         search = IncrementalCycleSearch(index)
-        limited = IncrementalCycleSearch(limited_index, depth_limited=True)
         assert search.find_smallest() == find_smallest_cycle(build_cdg(routes))
-        assert limited.find_smallest() == find_smallest_cycle(build_cdg(routes))
         names = routes.flow_names
         for flow_index, new_route in replacements:
             flow_name = names[flow_index % len(names)]
             old_route = routes.route(flow_name)
             routes.set_route(flow_name, new_route)
             index.apply_route_change(flow_name, old_route.channels, new_route.channels)
-            limited_index.apply_route_change(
-                flow_name, old_route.channels, new_route.channels
-            )
-            expected = find_smallest_cycle(build_cdg(routes))
-            assert search.find_smallest() == expected
-            assert limited.find_smallest() == expected
+            assert search.find_smallest() == find_smallest_cycle(build_cdg(routes))
 
     def test_acyclic_returns_none(self):
         index = CDGIndex()

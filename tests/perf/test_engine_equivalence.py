@@ -1,11 +1,13 @@
-"""The incremental engine reproduces the seed engine on every benchmark.
+"""The context engine reproduces the rebuild oracle on every benchmark.
 
-For all six registry benchmarks the incremental engine must produce the
-exact :class:`~repro.core.report.BreakAction` sequence of the seed
-(rebuild) engine — same cycles, same broken edges, same costs, same
-rerouted flows, same added channels — plus the same headline numbers.
-The cross-check flag additionally asserts, after every single break, that
-the incrementally maintained CDG equals a from-scratch rebuild.
+For all six registry benchmarks, in virtual-channel and in physical-link
+resource mode, the context engine must produce the exact
+:class:`~repro.core.report.BreakAction` sequence of the rebuild oracle —
+same cycles, same broken edges, same costs, same rerouted flows, same
+added channels — plus the same headline numbers.  The cross-check flag
+additionally asserts, after every single break, that the incrementally
+maintained CDG equals a from-scratch rebuild and that every cost table
+matches the reference builder.
 """
 
 from __future__ import annotations
@@ -30,9 +32,13 @@ def _synthesize(name: str, seed: int = 0):
 @pytest.mark.parametrize("name", list_benchmarks())
 def test_identical_break_actions_on_benchmark(name):
     design = _synthesize(name)
-    seed_result = remove_deadlocks(design, engine="rebuild")
-    for engine in ("incremental", "context"):
-        fast_result = remove_deadlocks(design, engine=engine, cross_check=True)
+    for resource_mode in ("virtual", "physical"):
+        seed_result = remove_deadlocks(
+            design, engine="rebuild", resource_mode=resource_mode
+        )
+        fast_result = remove_deadlocks(
+            design, engine="context", resource_mode=resource_mode, cross_check=True
+        )
         assert fast_result.actions == seed_result.actions
         assert fast_result.iterations == seed_result.iterations
         assert fast_result.added_vc_count == seed_result.added_vc_count
@@ -52,12 +58,12 @@ def test_unknown_engine_rejected():
         DeadlockRemover(engine="warp")
 
 
-def test_ablation_selections_still_work_with_incremental_engine():
+def test_ablation_selections_still_work_with_context_engine():
     """largest/random selections transparently use the rebuild loop."""
     design = _synthesize("D36_8")
-    result = remove_deadlocks(design, cycle_selection="largest", engine="incremental")
+    result = remove_deadlocks(design, cycle_selection="largest", engine="context")
     assert result.is_deadlock_free
-    result = remove_deadlocks(design, cycle_selection="random", engine="incremental")
+    result = remove_deadlocks(design, cycle_selection="random", engine="context")
     assert result.is_deadlock_free
 
 
