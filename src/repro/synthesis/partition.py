@@ -6,6 +6,13 @@ balance cap, until the requested number of clusters (= switches) remains.
 This mirrors the first phase of application-specific topology synthesis
 flows: heavily communicating cores end up behind the same switch, so their
 traffic never enters the switch-to-switch network.
+
+Every cluster pair's weight is cached, together with the flows that cross
+the pair, and a merge recomputes only the pairs of the merged cluster.  A
+weight is always re-summed over its flows in flow-name order, from zero,
+with plain float additions: exactly the sum the naive merge computes by
+scanning all flows for every pair at every step.  Equal weights therefore
+tie as they do there, and the partition equals the naive one bit for bit.
 """
 
 from __future__ import annotations
@@ -17,18 +24,17 @@ from repro.errors import SynthesisError
 from repro.model.traffic import CommunicationGraph
 
 
-def _pair_weight(
-    traffic: CommunicationGraph, cluster_a: List[str], cluster_b: List[str]
-) -> float:
-    """Total bandwidth exchanged between two clusters (both directions)."""
-    members_b = set(cluster_b)
-    weight = 0.0
-    for flow in traffic.flows:
-        if flow.src in cluster_a and flow.dst in members_b:
-            weight += flow.bandwidth
-        elif flow.dst in cluster_a and flow.src in members_b:
-            weight += flow.bandwidth
-    return weight
+def _bandwidth_sum(indices: List[int], bandwidths: List[float]) -> float:
+    """Sum of ``bandwidths[index]`` over ``indices``, added in that order.
+
+    A plain loop on purpose: ``sum`` compensates float rounding on Python
+    3.12 and later, and another rounding can break a tie between pair
+    weights differently.
+    """
+    total = 0.0
+    for index in indices:
+        total += bandwidths[index]
+    return total
 
 
 def partition_cores(
@@ -49,7 +55,8 @@ def partition_cores(
         How many cores beyond the perfectly balanced size
         ``ceil(core_count / n_switches)`` a cluster may hold.  A small slack
         lets tightly-coupled groups stay together without letting a single
-        switch absorb everything.
+        switch absorb everything.  The cap can be exceeded: when no pair of
+        clusters fits under it, the two smallest clusters merge anyway.
 
     Raises
     ------
@@ -68,18 +75,33 @@ def partition_cores(
     max_size = math.ceil(len(cores) / n_switches) + max(0, balance_slack)
     clusters: List[List[str]] = [[core] for core in sorted(cores)]
 
-    # Cache pairwise weights between clusters; recomputed lazily after merges.
+    # crossing[i][j] holds the indices into ``flows`` (ascending, so in
+    # flow-name order) of the flows between clusters i and j, and
+    # weight[i][j] the sum of their bandwidths in that order.  Both are
+    # symmetric and positional: they shrink with ``clusters`` on a merge.
+    flows = traffic.flows
+    bandwidths = [flow.bandwidth for flow in flows]
+    position = {cluster[0]: index for index, cluster in enumerate(clusters)}
+    crossing: List[List[List[int]]] = [[[] for _ in clusters] for _ in clusters]
+    for index, flow in enumerate(flows):
+        a, b = position[flow.src], position[flow.dst]
+        crossing[a][b].append(index)
+        crossing[b][a].append(index)
+    weight = [[_bandwidth_sum(indices, bandwidths) for indices in row] for row in crossing]
+
     while len(clusters) > n_switches:
+        sizes = [len(cluster) for cluster in clusters]
         best_key: Optional[Tuple[float, int]] = None
         best_pair: Optional[Tuple[int, int]] = None
         for i in range(len(clusters)):
+            row = weight[i]
             for j in range(i + 1, len(clusters)):
-                if len(clusters[i]) + len(clusters[j]) > max_size:
+                merged_size = sizes[i] + sizes[j]
+                if merged_size > max_size:
                     continue
-                weight = _pair_weight(traffic, clusters[i], clusters[j])
                 # Prefer the heaviest pair; among equals, the smallest merged
                 # cluster (keeps the partition balanced and deterministic).
-                key = (weight, -(len(clusters[i]) + len(clusters[j])))
+                key = (row[j], -merged_size)
                 if best_key is None or key > best_key:
                     best_key = key
                     best_pair = (i, j)
@@ -92,6 +114,20 @@ def partition_cores(
             i, j = best_pair
         clusters[i] = sorted(clusters[i] + clusters[j])
         del clusters[j]
+
+        # Only the pairs of the merged cluster change.  A pair that gains
+        # flows from j re-sums all of its flows in flow-name order, never
+        # ``weight[i][k] + weight[j][k]``: that rounds differently.
+        for k, from_j in enumerate(crossing[j]):
+            if k == i or k == j or not from_j:
+                continue
+            indices = sorted(crossing[i][k] + from_j)
+            crossing[i][k] = crossing[k][i] = indices
+            weight[i][k] = weight[k][i] = _bandwidth_sum(indices, bandwidths)
+        for matrix in (crossing, weight):
+            del matrix[j]
+            for matrix_row in matrix:
+                del matrix_row[j]
 
     # Deterministic switch numbering: clusters ordered by their first core.
     clusters.sort(key=lambda cluster: cluster[0])
@@ -119,13 +155,21 @@ def internal_bandwidth_fraction(
     A higher value means the partitioning absorbed more traffic locally; it
     is the quantity the greedy merge maximises and a useful quality metric
     for tests.
+
+    Raises
+    ------
+    SynthesisError
+        When ``core_map`` leaves a core that sends or receives a flow
+        unmapped.
     """
+    flows = traffic.flows
+    unmapped = sorted({core for flow in flows for core in (flow.src, flow.dst)} - core_map.keys())
+    if unmapped:
+        raise SynthesisError(f"core map leaves flow endpoints unmapped: {', '.join(unmapped)}")
     total = traffic.total_bandwidth
     if total == 0:
         return 0.0
     internal = sum(
-        flow.bandwidth
-        for flow in traffic.flows
-        if core_map.get(flow.src) == core_map.get(flow.dst)
+        flow.bandwidth for flow in flows if core_map[flow.src] == core_map[flow.dst]
     )
     return internal / total
