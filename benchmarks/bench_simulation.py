@@ -9,8 +9,11 @@ could drift.  This benchmark:
 
 * times both engines end-to-end (injection + drain) on the deadlock-free
   D36_8 design at 35 switches and on an 8x8 XY mesh, asserting the
-  compiled engine's speedup at the D36_8 point is at least ``3x`` (full
-  configuration);
+  compiled engine's speedup at the D36_8 point is at least ``15x`` (full
+  configuration; ``12x`` at 20 switches in ``--smoke``).  Both floors sit
+  above what the compiled engine reaches without its request-indexed
+  switch allocation (about 11x full, 7-10x smoke), so losing that index
+  fails here even though every statistic would still match;
 * asserts the stats of every timed pair are identical field by field;
 * cross-checks (``simulate_design(..., cross_check=True)`` — the compiled
   run re-executed on the legacy engine and compared stat-by-stat) on all
@@ -55,10 +58,10 @@ from repro.synthesis.families import family_design
 from repro.synthesis.regular import default_mesh_traffic
 
 #: Acceptance threshold at the headline point (D36_8 @ 35 switches).
-FULL_SPEEDUP_THRESHOLD = 3.0
-#: Looser threshold for the CI smoke configuration (small topology, short
-#: runs — process noise on shared runners dominates small absolute times).
-SMOKE_SPEEDUP_THRESHOLD = 1.5
+FULL_SPEEDUP_THRESHOLD = 15.0
+#: Threshold for the CI smoke configuration (D36_8 @ 20 switches, short
+#: runs, so a lower bar than the full one).
+SMOKE_SPEEDUP_THRESHOLD = 12.0
 #: Switch count of the six-benchmark cross-check (the Figure 10 setting).
 CROSS_CHECK_SWITCHES = 14
 #: Every registered scenario the cross-check sweep exercises.
@@ -248,7 +251,7 @@ def _check(data: dict, threshold: float) -> List[str]:
 
 
 def test_simulation_speedup(benchmark, context_counters):
-    """Harness entry: full configuration, asserts the 3x acceptance bar."""
+    """Harness entry: full configuration, asserts the 15x acceptance bar."""
     data = benchmark.pedantic(run_simulation_benchmark, rounds=1, iterations=1)
     print("\n" + _report(data))
     _persist(data)
@@ -266,7 +269,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--smoke",
         action="store_true",
         help="small CI configuration (20 switches, short runs, 2-benchmark "
-        "cross-check, looser threshold)",
+        "cross-check, lower threshold)",
     )
     args = parser.parse_args(argv)
     if args.smoke:
@@ -274,7 +277,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             benchmark=args.benchmark,
             switches=20,
             seed=args.seed,
-            rounds=1,
+            rounds=args.rounds,
             max_cycles=600,
             cross_check_benchmarks=["D26_media", "D36_8"],
             cross_check_cycles=250,

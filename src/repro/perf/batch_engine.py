@@ -309,7 +309,7 @@ def _is_fast_generator(generator) -> bool:
     cls = type(generator)
     return (
         isinstance(generator, FlowTrafficGenerator)
-        and cls._injects is FlowTrafficGenerator._injects
+        and cls._firing is FlowTrafficGenerator._firing
         and cls.generate is FlowTrafficGenerator.generate
     )
 

@@ -26,6 +26,14 @@ loop.  This module applies the PR 3/PR 4 playbook to it:
   .SimulationStats` (enforced by ``simulate_design(..., cross_check=True)``
   and the equivalence suite in ``tests/perf/test_sim_engine.py``).
 
+Switch allocation is indexed by request: the network keeps, per channel,
+the number of sources whose head flit requests it right now, and the
+sweep skips the round-robin source scan of an unowned channel whose count
+is zero — the scan could only come back empty there.  On a typical load
+most unowned channels are requested by nobody, so this removes most of the
+per-cycle source checks without touching the scan's order or outcome (see
+:class:`CompiledNetwork` for the invariant and where it is maintained).
+
 Registered as the ``"compiled"`` entry (the default) of
 :data:`repro.api.registry.simulation_engines`; importing this module also
 imports :mod:`repro.simulation.simulator`, which registers ``"legacy"``.
@@ -189,6 +197,34 @@ class CompiledNetwork:
     ``flits_pending_injection``, ``wait_for_edges``), so
     :class:`~repro.simulation.deadlock.DeadlockMonitor` and the shared run
     loop work unchanged.
+
+    **Request counts.** ``req[c]`` is the number of sources in
+    ``r_sources[router of c]`` that pass the allocation scan's own request
+    test for ``c``: a non-empty input buffer with ``buf_lo == 0`` whose
+    head targets ``c`` (``route[hops] == c``), or a non-empty injection
+    queue whose head packet is at flit 0 and whose ``route[0]`` is ``c``.
+    It changes in exactly four places:
+
+    * +1 at ``route[0]`` when :meth:`inject` fills an empty queue;
+    * -1 at ``c`` when a flit with index 0 leaves its source over ``c``;
+    * +1 at ``c`` when a queue's head packet finishes on ``c`` and another
+      packet of the flow is waiting behind it;
+    * +1 at ``route[hops]`` when a flit with index 0 lands in a buffer.
+
+    :meth:`drop_flows` and :meth:`sync_with_design` recount from scratch
+    (:meth:`_count_requests`).
+
+    The sweep skips the source scan of an unowned channel whose count is
+    zero.  That is exact because requests are start-of-cycle facts: a
+    source drains only over its one target channel, each channel is
+    visited at most once per cycle, arrivals land after the sweep, and
+    injection and fault recovery run before it — so the count seen when
+    ``c`` is visited equals the number of sources the legacy scan would
+    accept.  The two ways of getting it wrong are not alike: an
+    *undercount* skips a scan that had a winner and makes the engines
+    diverge, while an *overcount* stays correct and only scans again for
+    nothing (silently losing the speedup — ``tests/perf/test_sim_engine.py``
+    pins the count to an independent walk at every cycle).
     """
 
     def __init__(self, design: NocDesign, *, buffer_depth: int = 4):
@@ -209,6 +245,9 @@ class CompiledNetwork:
         self.out_src = [_NO_SOURCE] * C
         self.alloc_ptr = [0] * C
         self.link_ptr = [0] * t.link_slot_count
+        # Per channel: sources whose head flit requests it (see the class
+        # docstring); the network starts empty.
+        self.req = [0] * C
         # Channel transfer counters (materialised into stats at the end).
         self.busy = [0] * C
         # Injection queues: packet ids per flow plus the head packet's next
@@ -247,7 +286,10 @@ class CompiledNetwork:
         self.pkt_flow[pid] = fid
         self.pkt_size[pid] = packet.size_flits
         self.pkt_created[pid] = packet.created_cycle
-        self.inj_pkts[fid].append(pid)
+        queue = self.inj_pkts[fid]
+        if not queue:
+            self.req[self.template.flow_routes[fid][0]] += 1
+        queue.append(pid)
         size = packet.size_flits
         self._undelivered += size
         self._pending_injection += size
@@ -355,7 +397,22 @@ class CompiledNetwork:
             del self.pkt_size[pid]
             del self.pkt_created[pid]
         self._undelivered -= dropped
+        self._count_requests()
         return (len(doomed), dropped)
+
+    def _count_requests(self) -> None:
+        """Rebuild ``req`` from the buffers and injection queues."""
+        t = self.template
+        flow_routes = t.flow_routes
+        buf_pkt, buf_lo, buf_hi, buf_hops = self.buf_pkt, self.buf_lo, self.buf_hi, self.buf_hops
+        req = [0] * t.channel_count
+        for s in range(t.channel_count):
+            if buf_hi[s] != buf_lo[s] and buf_lo[s] == 0:
+                req[flow_routes[self.pkt_flow[buf_pkt[s]]][buf_hops[s]]] += 1
+        for fid, queue in enumerate(self.inj_pkts):
+            if queue and self.inj_head_idx[fid] == 0:
+                req[flow_routes[fid][0]] += 1
+        self.req = req
 
     def sync_with_design(self) -> None:
         """Recompile the template after a topology/route change and migrate.
@@ -481,6 +538,7 @@ class CompiledNetwork:
         self._buffered = buffered
         self._pending_injection = pending
         self._undelivered = buffered + pending
+        self._count_requests()
 
     # ------------------------------------------------------------------
     # one simulation cycle
@@ -498,6 +556,7 @@ class CompiledNetwork:
         buf_pkt, buf_lo, buf_hi, buf_hops = self.buf_pkt, self.buf_lo, self.buf_hi, self.buf_hops
         out_owner, out_src = self.out_owner, self.out_src
         alloc_ptr, link_ptr = self.alloc_ptr, self.link_ptr
+        req = self.req
         inj_pkts, inj_head = self.inj_pkts, self.inj_head_idx
         pkt_flow, pkt_size = self.pkt_flow, self.pkt_size
         flow_routes = t.flow_routes
@@ -529,6 +588,8 @@ class CompiledNetwork:
                     if owner != -1:
                         source = out_src[c]
                     else:
+                        if not req[c]:
+                            continue  # no head flit requests c: no winner
                         # Switch/VC allocation: round-robin over the
                         # router's sources for a head flit requesting c.
                         sources = r_sources[rid]
@@ -609,11 +670,16 @@ class CompiledNetwork:
                         fid = source - C
                         new_idx = idx + 1
                         if new_idx == pkt_size[pkt]:
-                            inj_pkts[fid].popleft()
+                            queue = inj_pkts[fid]
+                            queue.popleft()
                             inj_head[fid] = 0
+                            if queue:
+                                req[c] += 1  # the next packet's head requests c
                         else:
                             inj_head[fid] = new_idx
                         self._pending_injection -= 1
+                    if idx == 0:
+                        req[c] -= 1  # the head flit left its source
                     r_flits[rid] -= 1
                     moved.add(key)
                     busy[c] += 1
@@ -649,6 +715,8 @@ class CompiledNetwork:
                 buf_lo[c] = idx
             buf_hi[c] = idx + 1
             buf_hops[c] = hops
+            if idx == 0:
+                req[flow_routes[pkt_flow[pkt]][hops]] += 1  # a new head flit
             self._buffered += 1
             r_flits[buf_router[c]] += 1
         pending.clear()

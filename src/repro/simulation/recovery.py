@@ -61,7 +61,6 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.api.registry import recovery_policies
 from repro.core.cdg import build_cdg
-from repro.core.cycles import count_cycles
 from repro.core.removal import remove_deadlocks
 from repro.errors import RouteError, SimulationError
 from repro.model.channels import Channel, Link
@@ -450,11 +449,16 @@ class RecoveryController:
 
         context = DesignContext.of(design)
         context.notify_topology_changed()
-        severed = []
-        for link in removed:
-            for name in routes.flows_using_link(link):
-                routes.remove_route(name)
-                severed.append(name)
+        # One pass over the route set finds every flow crossing a removed
+        # link (flow-name order).
+        removed_links = set(removed)
+        severed = [
+            name
+            for name, route in routes.items()
+            if any(channel.link in removed_links for channel in route.channels)
+        ]
+        for name in severed:
+            routes.remove_route(name)
 
         self.policy.repair(
             context,
@@ -495,7 +499,7 @@ class RecoveryController:
         stats.flits_lost += dropped_flits
         network.sync_with_design()
 
-        acyclic = count_cycles(build_cdg(design), limit=1) == 0
+        acyclic = build_cdg(design).is_acyclic()
         stats.post_fault_deadlock_free = (
             acyclic
             if stats.post_fault_deadlock_free is None

@@ -46,7 +46,7 @@ New scenarios plug in with a decorator::
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from repro.api.registry import traffic_scenarios
 from repro.errors import SimulationError
@@ -234,24 +234,31 @@ class BurstyTrafficGenerator(FlowTrafficGenerator):
     def _compute_rates(self) -> Dict[str, float]:
         # Cap at the duty cycle: while ON the flow injects at rate / duty,
         # which must stay a probability.  Applying the cap here (not in
-        # _injects) keeps offered_flits_per_cycle truthful about the load
+        # _firing) keeps offered_flits_per_cycle truthful about the load
         # the process can actually offer.
         return {
             name: min(rate, self.duty)
             for name, rate in super()._compute_rates().items()
         }
 
-    def _injects(self, flow_name: str) -> bool:
-        on = self._on[flow_name]
-        if on:
-            if self._rng.random() < self._p_off:
-                on = False
-        elif self._rng.random() < self._p_on:
-            on = True
-        self._on[flow_name] = on
-        if not on:
-            return False
-        return self._rng.random() < self._rates[flow_name] / self.duty
+    def _firing(self) -> List[str]:
+        # Per flow, in flow-name order: one state-transition draw, then an
+        # injection draw only while ON.
+        draw = self._rng.random
+        p_off, p_on, duty = self._p_off, self._p_on, self.duty
+        states = self._on
+        fired: List[str] = []
+        for name, rate in self._draw_rates:
+            on = states[name]
+            if on:
+                if draw() < p_off:
+                    on = False
+            elif draw() < p_on:
+                on = True
+            states[name] = on
+            if on and draw() < rate / duty:
+                fired.append(name)
+        return fired
 
 
 # ----------------------------------------------------------------------

@@ -19,7 +19,7 @@ experiment API), so repeated simulations of the same spec are reproducible.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.model.design import NocDesign
 from repro.power.orion import TechnologyParameters
@@ -65,6 +65,10 @@ class FlowTrafficGenerator:
         self._next_packet_id = 0
         self._rates: Dict[str, float] = self._compute_rates()
         self._flow_order: List[str] = sorted(self._rates)
+        #: (flow name, rate) in draw order, so a cycle's draws are one sweep.
+        self._draw_rates: List[Tuple[str, float]] = [
+            (name, self._rates[name]) for name in self._flow_order
+        ]
 
     # ------------------------------------------------------------------
     def _eligible_flows(self) -> List[str]:
@@ -86,7 +90,7 @@ class FlowTrafficGenerator:
         The base implementation is the paper's traffic: every flow's rate is
         proportional to its nominal bandwidth.  Scenario subclasses override
         this to redistribute the offered load spatially; the Bernoulli
-        sampling in :meth:`generate` is shared.
+        sampling in :meth:`_firing` is shared.
         """
         capacity = self.tech.link_capacity_mbps
         rates: Dict[str, float] = {}
@@ -114,21 +118,23 @@ class FlowTrafficGenerator:
             for name, rate in self._rates.items()
         )
 
-    def _injects(self, flow_name: str) -> bool:
-        """One Bernoulli draw: does ``flow_name`` inject a packet this cycle?
+    def _firing(self) -> List[str]:
+        """Flows injecting a packet this cycle, in flow-name order.
 
-        Temporal scenarios (e.g. bursty on/off modulation) override this;
-        the draw order over flows is fixed by :meth:`generate`, so every
-        override stays seed-deterministic.
+        One Bernoulli draw per flow, in flow-name order, all from the
+        instance RNG.  Temporal scenarios (e.g. bursty on/off modulation)
+        override this hook; an override must keep drawing in flow-name
+        order so it stays seed-deterministic.  The batched engine replays
+        exactly these draws on its vectorised path, so it takes that path
+        only for generators that keep this implementation.
         """
-        return self._rng.random() < self._rates[flow_name]
+        draw = self._rng.random
+        return [name for name, rate in self._draw_rates if draw() < rate]
 
     def generate(self, cycle: int) -> List[Packet]:
         """Packets created at ``cycle`` (possibly empty), in flow-name order."""
         packets: List[Packet] = []
-        for flow_name in self._flow_order:
-            if not self._injects(flow_name):
-                continue
+        for flow_name in self._firing():
             flow = self.design.traffic.flow(flow_name)
             if self.design.routes.has_route(flow_name):
                 route_channels = self.design.routes.route(flow_name).channels

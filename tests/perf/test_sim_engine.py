@@ -7,7 +7,8 @@ included), per-channel busy cycles, and the deadlock verdict with the exact
 channels on the wait cycle.  The suite sweeps hand-built fixtures, a
 hypothesis grid of topology families x scenarios x loads (saturating ones
 included), and the SoC benchmarks, and pins the O(1) undelivered-flit
-counter of the compiled network to a full state walk.
+counter and the per-channel allocation request counts of the compiled
+network to full state walks, fault recovery included.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from repro.errors import SimulationError
 from repro.examples_data.paper_ring import paper_ring_design
 from repro.perf.design_context import counters
 from repro.perf.sim_engine import CompiledNetwork, CompiledSimulator, SimulationTemplate
+from repro.simulation.fault_models import spatial_burst_model
 from repro.simulation.simulator import SimulationConfig, Simulator, simulate_design
 from repro.simulation.stats import SimulationStats
 from repro.synthesis.regular import mesh_design, ring_design
@@ -145,19 +147,59 @@ class TestCrossCheckFlag:
             )
 
 
+def requests_by_walk(network: CompiledNetwork) -> list:
+    """Per-channel allocation requests, recounted from the arbitration sources.
+
+    Walks every router's ``r_sources`` with the allocation scan's own
+    request test — a non-empty buffer whose head flit (index 0) is still
+    there, or an injection queue whose head packet has not started — and
+    counts each request at the channel it targets.
+    """
+    t = network.template
+    C = t.channel_count
+    counts = [0] * C
+    for rid, sources in enumerate(t.r_sources):
+        for s in sources:
+            if s < C:
+                if network.buf_hi[s] == network.buf_lo[s] or network.buf_lo[s] != 0:
+                    continue
+                route = t.flow_routes[network.pkt_flow[network.buf_pkt[s]]]
+                target = route[network.buf_hops[s]]
+            else:
+                fid = s - C
+                if not network.inj_pkts[fid] or network.inj_head_idx[fid] != 0:
+                    continue
+                target = t.flow_routes[fid][0]
+            # A head flit always requests an output channel of its router.
+            assert t.switch_index[t.channels[target].src] == rid
+            counts[target] += 1
+    return counts
+
+
 class TestCompiledNetworkAccounting:
     def _drive(self, design, config, cycles):
         simulator = CompiledSimulator(design, config)
         network = simulator.network
+        recovery = simulator._recovery
+        stats = simulator.stats
         for cycle in range(cycles):
+            if recovery is not None:
+                recovery.on_cycle(cycle, network, stats)
+                # drop_flows / sync_with_design recount the requests.
+                assert network.req == requests_by_walk(network)
             simulator._inject_new_packets(cycle)
-            network.step(cycle, simulator.stats)
+            network.step(cycle, stats)
+            if recovery is not None:
+                recovery.after_step(cycle, network, stats)
             # The O(1) counters must agree with a full walk at every cycle.
             buffered, pending = network.count_flits_by_walk()
             assert network.flits_in_network() == buffered
             assert network.flits_pending_injection() == pending
             assert network.undelivered_flits == buffered + pending
-        return network
+            # So must the per-channel request counts: an undercount makes
+            # the allocation skip a winner, an overcount scans for nothing.
+            assert network.req == requests_by_walk(network)
+        return simulator
 
     def test_undelivered_flits_matches_full_walk(self):
         design = mesh_design(3, 3)
@@ -168,6 +210,27 @@ class TestCompiledNetworkAccounting:
         design = paper_ring_design()
         config = SimulationConfig(injection_scale=8.0, buffer_depth=2, seed=1)
         self._drive(design, config, 500)
+
+    def test_drop_flows_recounts_requests(self):
+        design = mesh_design(3, 3)
+        config = SimulationConfig(injection_scale=4.0, buffer_depth=2, seed=3)
+        network = self._drive(design, config, 100).network
+        dropped_packets, _ = network.drop_flows(sorted(network.template.flow_ids)[::2])
+        assert dropped_packets > 0
+        assert network.req == requests_by_walk(network)
+
+    def test_counters_match_walk_through_online_recovery(self, d36_8_design_14sw):
+        design = remove_deadlocks(d36_8_design_14sw).design
+        schedule = spatial_burst_model(
+            design, seed=0, radius=1, start_cycle=50, end_cycle=150, restore_after=100
+        )
+        config = SimulationConfig(seed=0, fault_schedule=schedule)
+        stats = self._drive(design, config, 300).stats
+        # The burst severed in-flight flows: packets were dropped and the
+        # network was re-synchronised with the repaired design.
+        assert stats.fault_events_applied > 0
+        assert stats.flows_rerouted > 0
+        assert stats.packets_lost > 0
 
     def test_undelivered_reaches_zero_after_drain(self, small_mesh_design):
         config = SimulationConfig(injection_scale=1.0, seed=0)

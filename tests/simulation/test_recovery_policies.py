@@ -4,7 +4,8 @@ Two layers: unit tests drive a :class:`RecoveryController` directly
 (with a stub network) to pin each policy's route-set semantics — idle's
 park/reinstate cycle, protection's candidate swap — and engine-equivalence
 tests run every policy through ``simulate_design(..., cross_check=True)``
-on a fat-tree ``k=2`` design under a fail/restore schedule, so compiled
+on a fat-tree ``k=2`` design under a fail/restore schedule and on the
+deadlock-removed D36_8 design under a ``spatial_burst`` fault, so compiled
 and legacy engines are proven field-identical per policy.
 """
 
@@ -19,6 +20,7 @@ from repro.core.cycles import count_cycles
 from repro.core.removal import remove_deadlocks
 from repro.errors import SimulationError
 from repro.simulation.events import EventSchedule
+from repro.simulation.fault_models import spatial_burst_model
 from repro.simulation.recovery import (
     BACKUP_SUFFIX,
     RecoveryController,
@@ -215,6 +217,19 @@ class TestEngineEquivalencePerPolicy:
             fault_recovery=policy,
         )
         stats = simulate_design(fat_tree, max_cycles=400, config=config, cross_check=True)
+        assert stats.fault_events_applied > 0
+        assert stats.post_fault_deadlock_free is not None
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_cross_check_under_spatial_burst(self, d36_8_design_14sw, policy):
+        # The regime of the availability studies: a radius-1 burst with
+        # restore on the deadlock-removed D36_8 design at 14 switches.
+        design = remove_deadlocks(d36_8_design_14sw).design
+        schedule = spatial_burst_model(
+            design, seed=0, radius=1, start_cycle=50, end_cycle=150, restore_after=100
+        )
+        config = SimulationConfig(seed=0, fault_schedule=schedule, fault_recovery=policy)
+        stats = simulate_design(design, max_cycles=300, config=config, cross_check=True)
         assert stats.fault_events_applied > 0
         assert stats.post_fault_deadlock_free is not None
 
