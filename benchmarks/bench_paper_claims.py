@@ -23,6 +23,10 @@ paper reports, not its absolute numbers:
   VC-independent area share, so only the direction and ranking carry over).
 * Overhead against unprotected designs: both averages stay below 5% (the
   paper's "less than 5%") and no power overhead is negative.
+* Runtime ("the method runs within minutes even for the largest
+  benchmark"), read from the records' own ``removal_runtime_s``: removal
+  over Figure 10's six benchmarks takes under 120 s in total, and under
+  60 s at every Figure 9 point.
 
 Runnable standalone or under the harness::
 
@@ -39,7 +43,8 @@ from typing import Dict, List, Sequence, Tuple
 from conftest import banner, save_results
 
 from repro.analysis.metrics import format_table, percent_reduction
-from repro.api.runner import Runner
+from repro.api.reports import report_types
+from repro.api.runner import PlanResult, Runner
 from repro.api.spec import ExperimentPlan
 
 PLAN_PATH = Path(__file__).resolve().parent.parent / "plans" / "paper_figures.json"
@@ -135,7 +140,7 @@ def _area(data: Dict) -> List[str]:
     print(f"\naverage VC reduction  : {data['average_vc_reduction_percent']:.1f}% (paper: 88%)")
     print(
         f"average area saving   : {data['average_area_saving_percent']:.1f}% "
-        "(paper: 66%; see DESIGN.md on the router area model)"
+        "(paper: 66%; this router model has a larger VC-independent area share)"
     )
     return _failed("area", [
         ("average VC reduction > 60%", data["average_vc_reduction_percent"] > 60.0),
@@ -170,25 +175,43 @@ REPORTS = {
 }
 
 
-def run_paper_figures() -> List[Tuple[str, Dict]]:
-    """Cold, uncached run of the figure plan; its rendered reports."""
-    return Runner().run(ExperimentPlan.load(PLAN_PATH)).render_reports()
+def _runtime(outcome: PlanResult) -> List[str]:
+    lookup = outcome.results_by_fingerprint()
+    params = {request.type: request.params for request in outcome.plan.reports}
+
+    def seconds(report: str) -> List[float]:
+        specs = report_types.get(report).specs(params[report])
+        return [lookup[spec.fingerprint()].removal_runtime_s for spec in specs]
+
+    figure10, figure9 = seconds("figure10"), seconds("figure9")
+    print(banner("Section 5 — removal runtime (this run's records)"))
+    print(f"Figure 10, six benchmarks @ 14 switches: {sum(figure10):.3f} s in total")
+    print(f"Figure 9, D36_8 at 10..35 switches: {max(figure9):.3f} s at the slowest point")
+    return _failed("runtime", [
+        ("removal over Figure 10's benchmarks < 120 s in total", sum(figure10) < 120.0),
+        ("removal < 60 s at every Figure 9 point", all(s < 60.0 for s in figure9)),
+    ])
 
 
-def check_paper_claims(reports: List[Tuple[str, Dict]]) -> List[str]:
+def run_paper_figures() -> PlanResult:
+    """Cold, uncached run of the figure plan."""
+    return Runner().run(ExperimentPlan.load(PLAN_PATH))
+
+
+def check_paper_claims(outcome: PlanResult) -> List[str]:
     """Print and save every report; return the claims that do not hold."""
     failures: List[str] = []
-    for name, data in reports:
+    for name, data in outcome.render_reports():
         result_name, check = REPORTS[name]
         failures.extend(check(data))
         save_results(result_name, data)
-    return failures
+    return failures + _runtime(outcome)
 
 
 def test_paper_claims(benchmark):
     """Harness entry: regenerate every figure and assert its shape."""
-    reports = benchmark.pedantic(run_paper_figures, rounds=1, iterations=1)
-    failures = check_paper_claims(reports)
+    outcome = benchmark.pedantic(run_paper_figures, rounds=1, iterations=1)
+    failures = check_paper_claims(outcome)
     assert not failures, "; ".join(failures)
 
 

@@ -39,6 +39,7 @@ from typing import Dict, List, Optional
 REPO_ROOT = Path(__file__).resolve().parent.parent
 ROOT_RESULT_PATH = REPO_ROOT / "BENCH_routing.json"
 
+from repro.api.registry import topology_families
 from repro.benchmarks.registry import BENCHMARK_NAMES, get_benchmark
 from repro.model.design import NocDesign
 from repro.model.traffic import CommunicationGraph
@@ -49,7 +50,6 @@ from repro.synthesis.builder import (
     synthesize_design,
 )
 from repro.synthesis.partition import partition_cores
-from repro.synthesis.regular import attach_cores_round_robin, mesh_topology
 
 #: Acceptance threshold for the 8x8 mesh configuration (full benchmark).
 FULL_SPEEDUP_THRESHOLD = 5.0
@@ -71,12 +71,14 @@ def _mesh_case(side: int, benchmark: str, seed: int) -> NocDesign:
     """The design the ``mesh`` backend would build for ``side**2`` switches,
     *unrouted* — the benchmark times route computation in isolation."""
     traffic = get_benchmark(benchmark, seed=seed)
-    topology = mesh_topology(side, side, name=f"{benchmark}_{side}x{side}mesh")
+    mesh = topology_families.get("mesh").build({"rows": side, "cols": side})
+    topology = mesh.topology
+    topology.name = f"{benchmark}_{side}x{side}mesh"
     return NocDesign(
         name=topology.name,
         topology=topology,
         traffic=traffic,
-        core_map=attach_cores_round_robin(topology, traffic),
+        core_map=mesh.attach_cores(traffic),
     )
 
 

@@ -45,6 +45,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 ROOT_RESULT_PATH = REPO_ROOT / "BENCH_simulation.json"
 
 from repro.benchmarks.registry import get_benchmark, list_benchmarks
+from repro.benchmarks.synthetic import default_mesh_traffic
 from repro.core.removal import remove_deadlocks
 from repro.perf.design_context import counters
 from repro.simulation.simulator import (
@@ -55,7 +56,6 @@ from repro.simulation.simulator import (
 from repro.simulation.stats import SimulationStats
 from repro.synthesis.builder import SynthesisConfig, synthesize_design
 from repro.synthesis.families import family_design
-from repro.synthesis.regular import default_mesh_traffic
 
 #: Acceptance threshold at the headline point (D36_8 @ 35 switches).
 FULL_SPEEDUP_THRESHOLD = 15.0

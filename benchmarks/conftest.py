@@ -1,8 +1,8 @@
 """Shared helpers for the benchmark harness.
 
-Every benchmark regenerates the data behind one table or figure of the
-paper, prints it in a paper-like layout and stores the raw numbers as JSON
-under ``benchmarks/results/`` so EXPERIMENTS.md can quote them.
+The benches print their tables in a paper-like layout and store the raw
+numbers as JSON under ``benchmarks/results/``, so a run leaves a record
+that can be diffed against the previous one.
 
 Run the whole harness with::
 
@@ -32,13 +32,6 @@ def banner(title: str) -> str:
     """A visually distinct section header for the printed reports."""
     line = "=" * len(title)
     return f"\n{line}\n{title}\n{line}"
-
-
-@pytest.fixture
-def results_dir() -> Path:
-    """The directory benchmark results are written to."""
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    return RESULTS_DIR
 
 
 @pytest.fixture

@@ -41,6 +41,15 @@ def arithmetic_mean(values: Sequence[float]) -> float:
     return sum(values) / len(values)
 
 
+def is_saturated(offered: float, delivered: float) -> bool:
+    """Heuristic saturation flag: delivered flits/cycle below 80% of offered.
+
+    The one definition behind ``LoadPoint.saturated`` and the ``latency``
+    and ``scale`` reports.  Zero offered load never saturates.
+    """
+    return offered > 0 and delivered < 0.8 * offered
+
+
 def normalise(values: Dict[str, float], reference_key: str) -> Dict[str, float]:
     """Divide every value by the value at ``reference_key`` (as in Figure 10)."""
     reference = values[reference_key]

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
+from repro.analysis.metrics import is_saturated
 from repro.model.design import NocDesign
 from repro.simulation.events import EventSchedule
 from repro.simulation.simulator import (
@@ -47,10 +48,8 @@ class LoadPoint:
 
     @property
     def saturated(self) -> bool:
-        """Heuristic saturation flag: deliveries fall well short of offers."""
-        if self.offered_flits_per_cycle == 0:
-            return False
-        return self.delivered_flits_per_cycle < 0.8 * self.offered_flits_per_cycle
+        """Heuristic saturation flag (:func:`~repro.analysis.metrics.is_saturated`)."""
+        return is_saturated(self.offered_flits_per_cycle, self.delivered_flits_per_cycle)
 
 
 @dataclass

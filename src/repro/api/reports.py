@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
-from repro.analysis.metrics import arithmetic_mean
+from repro.analysis.metrics import arithmetic_mean, is_saturated
 from repro.api.registry import Registry
 from repro.api.result import RunResult
 from repro.api.spec import ExperimentPlan, ReportRequest, RunSpec
@@ -93,7 +93,7 @@ def _percentile(values: Sequence[float], pct: float) -> Optional[float]:
 
 
 def _sentinel_free(entry: Dict[str, Any]) -> Dict[str, Any]:
-    """Recompute recovery aggregates of a ``resilience`` record in place.
+    """Recompute the recovery aggregates of a record's ``resilience`` section.
 
     ``recovery_cycles`` keeps ``-1`` as its "never drained" wire sentinel
     for cache compatibility; the formatters must never average it into a
@@ -281,11 +281,9 @@ class _LatencyReport(ReportType):
             metrics = [r.simulation["variants"][variant] for r in results]
             saturation = None
             for point in metrics:
-                offered = point["offered_flits_per_cycle"]
-                saturated = offered > 0 and (
-                    point["delivered_flits_per_cycle"] < 0.8 * offered
-                )
-                if point["deadlocked"] or saturated:
+                if point["deadlocked"] or is_saturated(
+                    point["offered_flits_per_cycle"], point["delivered_flits_per_cycle"]
+                ):
                     saturation = point["injection_scale"]
                     break
             curves[variant] = {
@@ -310,80 +308,6 @@ class _LatencyReport(ReportType):
         }
 
 
-#: Default fault request of the ``resilience`` report: two link failures,
-#: later repaired, drawn deterministically from the spec's seed.
-DEFAULT_FAULT_SCHEDULE: Dict[str, Any] = {
-    "random": {
-        "link_failures": 2,
-        "start_cycle": 100,
-        "end_cycle": 1000,
-        "restore_after": 600,
-    }
-}
-
-
-class _ResilienceReport(ReportType):
-    """Fault-injection outcome of one benchmark point, per design variant.
-
-    One simulating :class:`RunSpec` with a ``fault_schedule``; the render
-    folds each variant's ``resilience`` section (recovery latency, lost
-    traffic, post-fault deadlock freedom) next to its headline performance
-    numbers, so one record answers "what did the faults cost".
-
-    Parameters: ``benchmark`` (default ``"D36_8"``), ``switch_count``
-    (default 14), ``injection_scale`` (default 1.0), ``fault_schedule``
-    (default :data:`DEFAULT_FAULT_SCHEDULE`), ``seed`` and any simulation
-    field (``sim_engine``, ``traffic_scenario``, ``sim_cycles``,
-    ``buffer_depth``).
-    """
-
-    def _benchmark(self, params: Mapping[str, Any]) -> str:
-        return params.get("benchmark", "D36_8")
-
-    def _switch_count(self, params: Mapping[str, Any]) -> int:
-        return params.get("switch_count", FIGURE10_SWITCH_COUNT)
-
-    def specs(self, params: Mapping[str, Any]) -> List[RunSpec]:
-        extra = _spec_params(params)
-        if "fault_model" not in extra:
-            extra.setdefault("fault_schedule", dict(DEFAULT_FAULT_SCHEDULE))
-        return [
-            RunSpec(
-                benchmark=self._benchmark(params),
-                switch_count=self._switch_count(params),
-                seed=params.get("seed", 0),
-                injection_scale=params.get("injection_scale", 1.0),
-                **extra,
-            )
-        ]
-
-    def render(self, params, lookup) -> Dict[str, Any]:
-        from repro.api.runner import SIMULATED_VARIANTS  # local: avoid import cycle
-
-        result = self._results(params, lookup)[0]
-        simulation = result.simulation or {}
-        variants: Dict[str, Any] = {}
-        for variant in SIMULATED_VARIANTS:
-            metrics = simulation.get("variants", {}).get(variant, {})
-            entry = _sentinel_free(dict(metrics.get("resilience", {})))
-            entry.update(
-                average_latency=metrics.get("average_latency"),
-                delivered_flits_per_cycle=metrics.get("delivered_flits_per_cycle"),
-                deadlocked=metrics.get("deadlocked"),
-                deadlock_cycle=metrics.get("deadlock_cycle"),
-            )
-            variants[variant] = entry
-        return {
-            "benchmark": self._benchmark(params),
-            "switch_count": self._switch_count(params),
-            "injection_scale": simulation.get("injection_scale"),
-            "sim_cycles": simulation.get("sim_cycles"),
-            "sim_engine": simulation.get("engine", "compiled"),
-            "fault_schedule": simulation.get("fault_schedule"),
-            "variants": variants,
-        }
-
-
 #: Default recovery policies of the ``availability`` report, compared in
 #: registry order.
 DEFAULT_AVAILABILITY_POLICIES: List[str] = ["removal", "reroute", "idle", "protection"]
@@ -396,8 +320,7 @@ DEFAULT_AVAILABILITY_SEEDS: List[int] = list(range(10))
 class _AvailabilityReport(ReportType):
     """Multi-seed availability of one benchmark point under one fault model.
 
-    The statistical upgrade of the single-schedule ``resilience`` report:
-    one simulating :class:`RunSpec` per (recovery policy × fault seed),
+    One simulating :class:`RunSpec` per (recovery policy × fault seed),
     every point an independently cached artifact.  The spec's own ``seed``
     stays fixed across the grid — only ``fault_params["seed"]`` varies —
     so all points share one synthesized design (one design-cache entry)
@@ -639,10 +562,8 @@ class _ScaleReport(ReportType):
             saturated = [
                 bool(
                     m["deadlocked"]
-                    or (
-                        m["offered_flits_per_cycle"] > 0
-                        and m["delivered_flits_per_cycle"]
-                        < 0.8 * m["offered_flits_per_cycle"]
+                    or is_saturated(
+                        m["offered_flits_per_cycle"], m["delivered_flits_per_cycle"]
                     )
                 )
                 for m in metrics
@@ -674,7 +595,6 @@ class _ScaleReport(ReportType):
 
 report_types.register("latency", _LatencyReport())
 report_types.register("scale", _ScaleReport())
-report_types.register("resilience", _ResilienceReport())
 report_types.register("availability", _AvailabilityReport())
 report_types.register("figure8", _SwitchCountSweepReport("D26_media", FIGURE8_SWITCH_COUNTS))
 report_types.register("figure9", _SwitchCountSweepReport("D36_8", FIGURE9_SWITCH_COUNTS))

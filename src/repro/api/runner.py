@@ -45,7 +45,7 @@ from repro.errors import ReproError
 from repro.lint.findings import structured_warning
 from repro.model.design import NocDesign
 from repro.model.serialization import design_from_dict, design_to_dict
-from repro.perf.executor import parallel_map, resolve_jobs
+from repro.perf.executor import parallel_map
 
 RESULT_KIND = "result"
 DESIGN_KIND = "design"
@@ -519,10 +519,10 @@ def _plan_batches(
 def _run_batch_task(
     task: Tuple[List[Dict[str, Any]], List[Optional[str]], Optional[str]]
 ) -> List[RunResult]:
-    """Process-pool worker: one batch of spec dictionaries + cache directory.
+    """One :func:`parallel_map` task: a batch of spec dictionaries + cache directory.
 
     Module-level so :func:`parallel_map` can pickle it; only the small spec
-    dictionaries travel to the worker, never a design or traffic object.
+    dictionaries travel to a worker, never a design or traffic object.
     """
     spec_dicts, engine_overrides, cache_dir = task
     specs = [RunSpec.from_dict(data) for data in spec_dicts]
@@ -628,40 +628,24 @@ class Runner:
         """
         specs = plan.all_specs()
         batches, engine_overrides = _plan_batches(specs)
-        ordered: Dict[int, RunResult] = {}
-        if resolve_jobs(self.jobs) <= 1 or len(specs) <= 1:
-            # Serial path stays in-process so self.cache accounts hits/misses.
-            for batch in batches:
-                if len(batch) == 1:
-                    index = batch[0]
-                    ordered[index] = execute_spec(
-                        specs[index],
-                        self.cache,
-                        sim_engine_override=engine_overrides.get(index),
-                    )
-                else:
-                    group_results = execute_spec_batch(
-                        [specs[index] for index in batch], self.cache
-                    )
-                    for index, result in zip(batch, group_results):
-                        ordered[index] = result
-        else:
-            tasks = [
-                (
-                    [specs[index].to_dict() for index in batch],
-                    [engine_overrides.get(index) for index in batch],
-                    self.cache_dir,
-                )
-                for batch in batches
-            ]
-            attempts: List[int] = []
-            batch_results = parallel_map(
-                _run_batch_task, tasks, jobs=self.jobs, attempts_out=attempts
+        tasks = [
+            (
+                [specs[index].to_dict() for index in batch],
+                [engine_overrides.get(index) for index in batch],
+                self.cache_dir,
             )
-            for batch, group_results, tries in zip(batches, batch_results, attempts):
-                for index, result in zip(batch, group_results):
-                    result.attempts = tries
-                    ordered[index] = result
+            for batch in batches
+        ]
+        # parallel_map runs the tasks inline when jobs resolves to 1.
+        attempts: List[int] = []
+        batch_results = parallel_map(
+            _run_batch_task, tasks, jobs=self.jobs, attempts_out=attempts
+        )
+        ordered: Dict[int, RunResult] = {}
+        for batch, group_results, tries in zip(batches, batch_results, attempts):
+            for index, result in zip(batch, group_results):
+                result.attempts = tries
+                ordered[index] = result
         results = [ordered[index] for index in range(len(specs))]
         return PlanResult(plan=plan, results=results)
 

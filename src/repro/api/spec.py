@@ -36,7 +36,7 @@ Plan schema (``format_version`` 1)::
          "scenario_params": {"trace_cycles": 2000}}
       ],
       "reports": ["figure8", {"type": "figure9", "switch_counts": [10, 14]},
-                  {"type": "resilience", "benchmark": "D36_8"},
+                  {"type": "availability", "benchmark": "D36_8"},
                   {"type": "scale", "family": "fat_tree",
                    "points": [{"k": 2}, {"k": 4}, {"k": 6}]}]
     }

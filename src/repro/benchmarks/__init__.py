@@ -4,8 +4,9 @@ The paper evaluates on six realistic SoC benchmarks (described in its
 reference [21]): ``D26_media``, ``D36_4``, ``D36_6``, ``D36_8``,
 ``D35_bott`` and ``D38_tvopd``.  The original traffic tables are not public,
 so this package provides seeded synthetic reconstructions that match the
-published core counts and traffic structure (see DESIGN.md, substitution 2),
-plus generic synthetic traffic generators for tests and extra experiments.
+published core counts and traffic structure (:mod:`repro.benchmarks.soc`
+says what each one models), plus generic synthetic traffic generators for
+tests and extra experiments.
 """
 
 from repro.benchmarks.registry import BENCHMARK_NAMES, get_benchmark, list_benchmarks

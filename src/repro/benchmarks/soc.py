@@ -16,7 +16,8 @@ core counts and the traffic *structure* the paper and [21] describe:
   parallel decoding pipelines that merge into composition/display stages.
 
 All generators are deterministic for a given ``seed`` (default 0), so every
-figure of EXPERIMENTS.md is reproducible bit for bit.
+figure regenerated from them (``plans/paper_figures.json``) is reproducible
+bit for bit.
 """
 
 from __future__ import annotations

@@ -3,8 +3,10 @@
 These are the standard patterns of the NoC literature (uniform random,
 hotspot, nearest neighbour, pipeline).  They are used by the property-based
 tests (any traffic must yield a valid, deadlock-free design after removal),
-by the ablation benchmarks and as building blocks of the SoC benchmark
-reconstructions.
+by the parametric registry benchmarks and as building blocks of the SoC
+benchmark reconstructions.  :func:`default_ring_traffic` and
+:func:`default_mesh_traffic` are the one-core-per-switch patterns the tests
+and benches route over the ``ring`` and ``mesh`` topology families.
 """
 
 from __future__ import annotations
@@ -134,5 +136,37 @@ def pipeline_traffic(
         flow_id += 1
         if backward_fraction > 0:
             traffic.add_flow(f"p{flow_id}", dst, src, bandwidth * backward_fraction)
+            flow_id += 1
+    return traffic
+
+
+def default_ring_traffic(n_switches: int, *, name: Optional[str] = None) -> CommunicationGraph:
+    """One core per switch, each sending to the core two hops downstream."""
+    traffic = CommunicationGraph(name or f"ring{n_switches}_traffic")
+    for i in range(n_switches):
+        traffic.add_core(f"core{i}")
+    for i in range(n_switches):
+        dst = (i + 2) % n_switches
+        traffic.add_flow(f"f{i}", f"core{i}", f"core{dst}", bandwidth=100.0)
+    return traffic
+
+
+def default_mesh_traffic(
+    rows: int, cols: int, *, name: Optional[str] = None
+) -> CommunicationGraph:
+    """One core per mesh position, each sending to its transposed position."""
+    traffic = CommunicationGraph(name or f"mesh{rows}x{cols}_traffic")
+    for x in range(cols):
+        for y in range(rows):
+            traffic.add_core(f"core_{x}_{y}")
+    flow_id = 0
+    for x in range(cols):
+        for y in range(rows):
+            tx, ty = y % cols, x % rows
+            if (x, y) == (tx, ty):
+                continue
+            traffic.add_flow(
+                f"f{flow_id}", f"core_{x}_{y}", f"core_{tx}_{ty}", bandwidth=50.0
+            )
             flow_id += 1
     return traffic

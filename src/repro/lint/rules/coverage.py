@@ -1,4 +1,4 @@
-"""Cross-check coverage: every registered engine name appears in a test.
+"""Cross-check coverage: every registered engine or report name appears in a test.
 
 The cross-check machinery (``cross_check=True`` re-running a reference
 engine and raising on divergence) only proves anything for engines a test
@@ -38,7 +38,7 @@ class EngineTestCoverageRule(LintRule):
 
     rule_id = "engine-test-coverage"
     description = (
-        "every registered engine/strategy/scenario name must be referenced "
+        "every registered engine/strategy/scenario/report name must be referenced "
         "by at least one test, or the cross-check suites silently skip it"
     )
 
@@ -54,6 +54,7 @@ class EngineTestCoverageRule(LintRule):
             "topology_families",
             "fault_models",
             "recovery_policies",
+            "report_types",
         }
     )
 

@@ -4,8 +4,9 @@ The paper estimates switch power and area with ORION 2.0 [20] at 65 nm.
 ORION itself is not available offline, so this package implements an
 analytic router/link model with the same structure (buffers, crossbar,
 allocators, clock; dynamic + leakage) whose components scale the same way
-with port count, virtual-channel count, buffer depth and flit width — which
-is all the paper's comparisons rely on (see DESIGN.md, substitution 3).
+with port count, virtual-channel count, buffer depth and flit width.  The
+paper's comparisons are ratios between design variants on the same
+technology, so they need that scaling, not ORION's absolute numbers.
 """
 
 from repro.power.estimator import (

@@ -190,8 +190,8 @@ def mesh_coordinates(switch: str) -> Tuple[int, int]:
 
 
 def xy_route(topology: Topology, source_switch: str, destination_switch: str) -> Route:
-    """Dimension-ordered (X then Y) route on a mesh built by
-    :func:`repro.synthesis.regular.mesh_topology`.
+    """Dimension-ordered (X then Y) route on a mesh of the ``mesh`` topology
+    family (switches named ``sw_x_y``).
 
     XY routing forbids the four "illegal" turns of the turn model and is
     therefore deadlock free on meshes; it is used in tests as a known-good

@@ -10,29 +10,17 @@ substrate:
   clustering;
 * :mod:`repro.synthesis.builder` — application-specific switch network
   construction plus deterministic shortest-path routing;
-* :mod:`repro.synthesis.regular` — regular reference topologies (ring, mesh,
-  torus);
+* :mod:`repro.synthesis.families` — parameterized reference topologies
+  (ring, mesh, torus, fat tree, Clos, dragonfly);
 * :mod:`repro.synthesis.floorplan` — a simple grid floorplanner providing
   link lengths for the power model.
 """
 
 from repro.synthesis.builder import SynthesisConfig, synthesize_design
 from repro.synthesis.partition import partition_cores
-from repro.synthesis.regular import (
-    mesh_design,
-    mesh_topology,
-    ring_design,
-    ring_topology,
-    torus_topology,
-)
 
 __all__ = [
     "partition_cores",
     "SynthesisConfig",
     "synthesize_design",
-    "ring_topology",
-    "ring_design",
-    "mesh_topology",
-    "mesh_design",
-    "torus_topology",
 ]

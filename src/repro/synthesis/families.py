@@ -30,8 +30,8 @@ fat-tree arity, a switch count that does not match the family's closed
 form) must never surface as bare ``KeyError``/``TypeError``.
 
 :func:`build_family_design` is the full pipeline (build, attach, route,
-validate); :func:`family_design` is the convenience constructor the
-regular-topology shims in :mod:`repro.synthesis.regular` delegate to.
+validate); :func:`family_design` is its positional-argument convenience
+form.
 """
 
 from __future__ import annotations
@@ -58,20 +58,6 @@ _FAMILY_ROUTINGS = (
     FAMILY_ROUTING_UPDOWN,
     FAMILY_ROUTING_XY,
 )
-
-
-def attach_cores_round_robin(topology: Topology, traffic: CommunicationGraph) -> Dict[str, str]:
-    """Attach cores to switches in round-robin order (deterministic).
-
-    Cores are taken in sorted-name order, switches in topology insertion
-    order — the historical behaviour of ``repro.synthesis.regular``, now
-    shared by every topology family.
-    """
-    switches = topology.switches
-    core_map: Dict[str, str] = {}
-    for index, core in enumerate(sorted(traffic.cores)):
-        core_map[core] = switches[index % len(switches)]
-    return core_map
 
 
 @dataclass
@@ -489,8 +475,7 @@ def build_family_design(
     must equal the family's closed-form size — a mismatch raises
     :class:`SynthesisError` naming the family and parameters instead of
     silently building a different topology than the spec fingerprints.
-    ``core_map`` overrides the family's round-robin attachment (used by the
-    legacy ``mesh_design`` shim's identity placement).
+    ``core_map`` overrides the family's round-robin attachment.
     """
     entry = topology_families.get(family)
     instance = entry.build(params)

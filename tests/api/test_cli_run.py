@@ -93,6 +93,13 @@ class TestRunSubcommand:
         assert main(["run", str(plan), "--no-cache"]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_removed_report_type_is_a_clean_error(self, tmp_path, capsys):
+        plan = _write_plan(tmp_path, {"name": "x", "reports": [{"type": "resilience"}]})
+        assert main(["run", str(plan), "--no-cache"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown report type 'resilience'; available: area, availability" in err
+        assert "Traceback" not in err
+
     def test_checked_in_ci_smoke_plan_loads(self):
         from pathlib import Path
 

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.benchmarks.synthetic import (
+    default_mesh_traffic,
+    default_ring_traffic,
     hotspot_traffic,
     neighbour_traffic,
     pipeline_traffic,
@@ -71,6 +73,17 @@ class TestNeighbour:
     def test_invalid_hops_rejected(self):
         with pytest.raises(BenchmarkError):
             neighbour_traffic(6, hops=6)
+
+
+class TestDefaultTraffic:
+    def test_one_core_per_switch(self):
+        ring = default_ring_traffic(6)
+        assert (ring.core_count, ring.flow_count) == (6, 6)
+        assert ring.bandwidth_between("core4", "core0") > 0
+        mesh = default_mesh_traffic(3, 3)
+        # the three diagonal positions are their own transpose
+        assert (mesh.core_count, mesh.flow_count) == (9, 6)
+        assert mesh.bandwidth_between("core_2_0", "core_0_2") > 0
 
 
 class TestPipeline:

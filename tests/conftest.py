@@ -10,6 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro.benchmarks.soc import d26_media, d36_8
+from repro.benchmarks.synthetic import default_mesh_traffic, default_ring_traffic
 from repro.examples_data.paper_ring import paper_ring_design
 from repro.model.channels import Channel, Link
 from repro.model.design import NocDesign
@@ -18,16 +19,6 @@ from repro.model.topology import Topology
 from repro.model.traffic import CommunicationGraph
 from repro.synthesis.builder import SynthesisConfig, synthesize_design
 from repro.synthesis.families import family_design
-from repro.synthesis.regular import default_mesh_traffic, default_ring_traffic
-
-
-def pytest_configure(config):
-    # Many historical tests still exercise the deprecated ring_design /
-    # mesh_design shims on purpose; keep their warnings out of the summary.
-    config.addinivalue_line(
-        "filterwarnings",
-        "ignore:repro.synthesis.regular:DeprecationWarning",
-    )
 
 
 @pytest.fixture

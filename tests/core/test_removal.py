@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.benchmarks.registry import get_benchmark
 from repro.core.cdg import build_cdg
 from repro.core.removal import (
     DeadlockRemover,
@@ -10,6 +11,8 @@ from repro.core.removal import (
 )
 from repro.errors import ConvergenceError, RemovalError
 from repro.model.validation import validate_design
+from repro.routing.ordering import apply_resource_ordering
+from repro.synthesis.builder import SynthesisConfig, synthesize_design
 
 
 class EngineUnderTest:
@@ -159,16 +162,47 @@ class TestOptionsRebuild(TestOptions):
 
 class TestComparisonWithOrdering:
     def test_removal_cheaper_than_ordering_on_ring(self, ring_design_fixture):
-        from repro.routing.ordering import apply_resource_ordering
-
         removal = remove_deadlocks(ring_design_fixture)
         ordering = apply_resource_ordering(ring_design_fixture)
         assert removal.added_vc_count < ordering.extra_vcs
 
     def test_removal_cheaper_than_ordering_on_benchmark(self, d36_8_design_14sw):
-        from repro.routing.ordering import apply_resource_ordering
-
         design = d36_8_design_14sw.copy()
         removal = remove_deadlocks(design)
         ordering = apply_resource_ordering(design)
         assert removal.added_vc_count < ordering.extra_vcs
+
+
+@pytest.fixture(scope="module")
+def cyclic_designs():
+    """The benchmark points dense enough to have CDG cycles (read-only)."""
+    points = [("D36_6", 14), ("D36_8", 14), ("D36_8", 22), ("D35_bott", 14)]
+    return [
+        synthesize_design(get_benchmark(name), SynthesisConfig(n_switches=switches))
+        for name, switches in points
+    ]
+
+
+class TestAblations:
+    """The heuristics the paper motivates without quantifying them."""
+
+    def test_smallest_cycle_first_is_competitive(self, cyclic_designs):
+        def total(selection):
+            results = [remove_deadlocks(d, cycle_selection=selection) for d in cyclic_designs]
+            return sum(result.added_vc_count for result in results)
+
+        assert total("smallest") <= 1.5 * total("largest")
+
+    def test_best_direction_beats_a_fixed_one(self, cyclic_designs):
+        for design in cyclic_designs:
+            vcs = {
+                policy: remove_deadlocks(design, direction_policy=policy).added_vc_count
+                for policy in ("best", "forward", "backward")
+            }
+            assert vcs["best"] <= max(vcs["forward"], vcs["backward"])
+
+    def test_removal_beats_even_layered_ordering(self, cyclic_designs):
+        for design in cyclic_designs:
+            layered = apply_resource_ordering(design, strategy="layered").extra_vcs
+            hop_index = apply_resource_ordering(design, strategy="hop_index").extra_vcs
+            assert remove_deadlocks(design).added_vc_count <= layered <= hop_index

@@ -60,6 +60,16 @@ class TestEngineTestCoverage:
         )
         assert report.ok
 
+    def test_unreferenced_report_type_is_flagged(self, lint_project):
+        source = _REGISTERING_SOURCE.replace("simulation_engines", "report_types")
+        report = lint_project(
+            {"src/reports.py": source},
+            tests={"test_other.py": "def test_nothing():\n    assert 'figure8'\n"},
+            rules=["engine-test-coverage"],
+        )
+        (finding,) = report.new_findings
+        assert "report_types entry 'ghost-engine'" in finding.message
+
     def test_unrelated_registries_are_ignored(self, lint_project):
         source = _REGISTERING_SOURCE.replace("simulation_engines", "plugin_hooks")
         report = lint_project(

@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api.registry import simulation_engines
+from repro.benchmarks.synthetic import default_mesh_traffic, default_ring_traffic
 from repro.core.removal import remove_deadlocks
 from repro.errors import SimulationError
 from repro.examples_data.paper_ring import paper_ring_design
@@ -34,7 +35,7 @@ from repro.simulation.simulator import (
     simulate_design,
     stats_divergences,
 )
-from repro.synthesis.regular import mesh_design, ring_design
+from repro.synthesis.families import family_design
 
 SCENARIOS = ("flows", "uniform", "hotspot", "transpose", "bursty")
 
@@ -58,8 +59,8 @@ class TestRegistry:
 
 class TestSingleLaneEquivalence:
     @pytest.mark.parametrize("scenario", SCENARIOS)
-    def test_mesh_all_scenarios(self, scenario):
-        design = mesh_design(3, 3)
+    def test_mesh_all_scenarios(self, scenario, small_mesh_design):
+        design = small_mesh_design
         config = SimulationConfig(
             injection_scale=3.0, seed=2, traffic_scenario=scenario
         )
@@ -139,14 +140,15 @@ class TestMultiLaneEquivalence:
         scenario=st.sampled_from(SCENARIOS),
     )
     def test_random_grids_identical(self, family, size, scales, depth, scenario):
-        if family == "ring":
-            design = ring_design(size)
-        elif family == "biring":
-            design = ring_design(size, bidirectional=True)
-        elif family == "mesh":
-            design = mesh_design(2, size - 2)
+        if family == "mesh":
+            mesh = {"rows": 2, "cols": size - 2}
+            traffic = default_mesh_traffic(2, size - 2)
+            design = family_design("mesh", traffic, mesh, name=f"mesh2x{size - 2}")
         else:
-            design = remove_deadlocks(ring_design(size)).design
+            ring = {"n_switches": size, "bidirectional": family == "biring"}
+            design = family_design("ring", default_ring_traffic(size), ring, name=f"ring{size}")
+            if family == "protected_ring":
+                design = remove_deadlocks(design).design
         configs = [
             SimulationConfig(
                 injection_scale=scale,

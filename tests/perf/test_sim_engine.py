@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api.registry import simulation_engines, traffic_scenarios
+from repro.benchmarks.synthetic import default_mesh_traffic, default_ring_traffic
 from repro.core.removal import remove_deadlocks
 from repro.errors import SimulationError
 from repro.examples_data.paper_ring import paper_ring_design
@@ -26,7 +27,7 @@ from repro.perf.sim_engine import CompiledNetwork, CompiledSimulator, Simulation
 from repro.simulation.fault_models import spatial_burst_model
 from repro.simulation.simulator import SimulationConfig, Simulator, simulate_design
 from repro.simulation.stats import SimulationStats
-from repro.synthesis.regular import mesh_design, ring_design
+from repro.synthesis.families import family_design
 
 SCENARIOS = ("flows", "uniform", "hotspot", "transpose", "bursty")
 
@@ -52,8 +53,8 @@ class TestRegistry:
 
 class TestFixtureEquivalence:
     @pytest.mark.parametrize("scenario", SCENARIOS)
-    def test_mesh_all_scenarios(self, scenario):
-        design = mesh_design(3, 3)
+    def test_mesh_all_scenarios(self, scenario, small_mesh_design):
+        design = small_mesh_design
         config = SimulationConfig(
             injection_scale=3.0, seed=2, traffic_scenario=scenario
         )
@@ -95,16 +96,17 @@ class TestHypothesisEquivalence:
         scenario=st.sampled_from(SCENARIOS),
     )
     def test_random_runs_identical(self, family, size, scale, depth, seed, scenario):
-        if family == "ring":
-            design = ring_design(size)
-        elif family == "biring":
-            design = ring_design(size, bidirectional=True)
-        elif family == "mesh":
-            design = mesh_design(2, size - 2)
-        elif family == "protected_ring":
-            design = remove_deadlocks(ring_design(size)).design
-        else:
+        if family == "mesh":
+            mesh = {"rows": 2, "cols": size - 2}
+            traffic = default_mesh_traffic(2, size - 2)
+            design = family_design("mesh", traffic, mesh, name=f"mesh2x{size - 2}")
+        elif family == "paper":
             design = paper_ring_design()
+        else:
+            ring = {"n_switches": size, "bidirectional": family == "biring"}
+            design = family_design("ring", default_ring_traffic(size), ring, name=f"ring{size}")
+            if family == "protected_ring":
+                design = remove_deadlocks(design).design
         config = SimulationConfig(
             injection_scale=scale,
             buffer_depth=depth,
@@ -201,8 +203,8 @@ class TestCompiledNetworkAccounting:
             assert network.req == requests_by_walk(network)
         return simulator
 
-    def test_undelivered_flits_matches_full_walk(self):
-        design = mesh_design(3, 3)
+    def test_undelivered_flits_matches_full_walk(self, small_mesh_design):
+        design = small_mesh_design
         config = SimulationConfig(injection_scale=4.0, buffer_depth=2, seed=3)
         self._drive(design, config, 300)
 
@@ -211,8 +213,8 @@ class TestCompiledNetworkAccounting:
         config = SimulationConfig(injection_scale=8.0, buffer_depth=2, seed=1)
         self._drive(design, config, 500)
 
-    def test_drop_flows_recounts_requests(self):
-        design = mesh_design(3, 3)
+    def test_drop_flows_recounts_requests(self, small_mesh_design):
+        design = small_mesh_design
         config = SimulationConfig(injection_scale=4.0, buffer_depth=2, seed=3)
         network = self._drive(design, config, 100).network
         dropped_packets, _ = network.drop_flows(sorted(network.template.flow_ids)[::2])

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api.registry import routing_engines
+from repro.api.registry import routing_engines, topology_families
 from repro.errors import RouteError
 from repro.model.design import NocDesign
 from repro.model.topology import Topology
@@ -28,7 +28,6 @@ from repro.routing.shortest_path import (
     shortest_route,
 )
 from repro.synthesis.builder import SynthesisConfig, synthesize_design
-from repro.synthesis.regular import mesh_topology
 
 SWITCHES = [f"S{i}" for i in range(6)]
 
@@ -121,7 +120,7 @@ class TestShortestRouteEquivalence:
     def test_non_positive_weights_fall_back_to_legacy(self):
         # Outside the indexed engine's equivalence argument: the call must
         # still succeed (served by the legacy search) and stay consistent.
-        topology = mesh_topology(2, 2)
+        topology = topology_families.get("mesh").build({"rows": 2, "cols": 2}).topology
         link = topology.links[0]
         route = shortest_route(
             topology, "sw_0_0", "sw_1_1", link_weights={link: 0.0}
@@ -231,7 +230,7 @@ class TestMeshTimingRegression:
         the indexed engine must stay orders of magnitude under a bound
         loose enough for noisy CI machines."""
         n = 8
-        topology = mesh_topology(n, n)
+        topology = topology_families.get("mesh").build({"rows": n, "cols": n}).topology
         traffic = CommunicationGraph("complement")
         for x in range(n):
             for y in range(n):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api.registry import topology_families
 from repro.errors import RouteError
 from repro.model.channels import Link
 from repro.model.topology import Topology
@@ -11,7 +12,6 @@ from repro.routing.shortest_path import (
     compute_routes,
     shortest_route,
 )
-from repro.synthesis.regular import mesh_design, ring_topology
 
 
 @pytest.fixture
@@ -56,13 +56,14 @@ class TestShortestRoute:
             shortest_route(square, "A", "A")
 
     def test_unreachable_destination_rejected(self):
-        topo = ring_topology(4)  # unidirectional sw0->sw1->sw2->sw3->sw0
+        # unidirectional sw0->sw1->sw2->sw3->sw0
+        topo = topology_families.get("ring").build({"n_switches": 4}).topology
         topo.add_switch("island")
         with pytest.raises(RouteError):
             shortest_route(topo, "sw0", "island")
 
     def test_unidirectional_ring_goes_the_long_way(self):
-        topo = ring_topology(5)
+        topo = topology_families.get("ring").build({"n_switches": 5}).topology
         route = shortest_route(topo, "sw3", "sw1")
         assert route.hop_count == 3
         assert route.switches == ["sw3", "sw4", "sw0", "sw1"]

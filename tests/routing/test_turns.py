@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.benchmarks.synthetic import default_mesh_traffic
 from repro.core.cdg import build_cdg
 from repro.errors import RouteError
 from repro.model.validation import validate_design
@@ -14,7 +15,7 @@ from repro.routing.turns import (
     updown_route,
     xy_route,
 )
-from repro.synthesis.regular import mesh_design, mesh_topology
+from repro.synthesis.families import family_design
 
 
 class TestBfsLevels:
@@ -89,7 +90,9 @@ class TestXY:
             xy_route(small_mesh_design.topology, "sw_0_0", "sw_0_0")
 
     def test_xy_routes_always_acyclic(self):
-        design = mesh_design(4, 4)
+        design = family_design(
+            "mesh", default_mesh_traffic(4, 4), {"rows": 4, "cols": 4}, name="mesh4x4"
+        )
         assert build_cdg(design).is_acyclic()
 
     def test_xy_missing_link_detected(self, small_mesh_design):

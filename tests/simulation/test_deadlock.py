@@ -1,10 +1,14 @@
 """Tests for runtime deadlock detection (repro.simulation.deadlock)."""
 
+import pytest
+
+from repro.core.cdg import build_cdg
+from repro.core.cycles import verify_cycle
 from repro.core.removal import remove_deadlocks
 from repro.simulation.deadlock import DeadlockMonitor, find_wait_cycle
 from repro.simulation.network import WormholeNetwork
 from repro.simulation.flit import Packet
-from repro.simulation.simulator import SimulationConfig, simulate_design
+from repro.simulation.simulator import SimulationConfig, build_simulator, simulate_design
 from repro.simulation.stats import SimulationStats
 
 
@@ -83,3 +87,27 @@ class TestEndToEnd:
         stats = simulate_design(fixed, max_cycles=5000, config=config)
         assert not stats.deadlock_detected
         assert stats.packets_delivered > 0
+
+
+class TestCdgWitness:
+    """A reported deadlock is a cycle of the simulated design's CDG.
+
+    Under deterministic routing a wormhole deadlock is a cycle of channel
+    dependencies (Dally & Seitz), so the channel list every engine reports
+    must close a cycle in the CDG the paper's algorithm analyses.
+    """
+
+    @pytest.mark.parametrize("engine", ["compiled", "legacy"])
+    def test_paper_ring(self, ring_design_fixture, engine):
+        config = SimulationConfig(injection_scale=6.0, buffer_depth=2, seed=1)
+        stats = build_simulator(ring_design_fixture, config, engine=engine).run(4000)
+        assert stats.deadlock_cycle == 512
+        assert verify_cycle(build_cdg(ring_design_fixture), stats.deadlocked_channels)
+
+    @pytest.mark.parametrize("engine", ["compiled", "batched"])
+    @pytest.mark.parametrize("scale", [1.0, 2.0, 4.0])
+    def test_unprotected_d36_8(self, d36_8_design_14sw, engine, scale):
+        config = SimulationConfig(injection_scale=scale, seed=0)
+        stats = build_simulator(d36_8_design_14sw, config, engine=engine).run(300)
+        assert stats.deadlock_detected
+        assert verify_cycle(build_cdg(d36_8_design_14sw), stats.deadlocked_channels)

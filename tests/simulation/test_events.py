@@ -6,9 +6,9 @@ import json
 
 import pytest
 
+from repro.api.registry import topology_families
 from repro.errors import SimulationError
 from repro.simulation.events import ACTIONS, EventSchedule, FaultEvent
-from repro.synthesis.regular import mesh_design
 
 
 class TestFaultEvent:
@@ -97,7 +97,7 @@ class TestEventSchedule:
 
 class TestRandomSchedules:
     def _topology(self):
-        return mesh_design(3, 3).topology
+        return topology_families.get("mesh").build({"rows": 3, "cols": 3}).topology
 
     def test_same_seed_same_schedule(self):
         topology = self._topology()
@@ -171,7 +171,7 @@ class TestFromSpec:
         assert resolved == schedule
 
     def test_random_request_uses_surrounding_seed_by_default(self):
-        topology = mesh_design(2, 2).topology
+        topology = topology_families.get("mesh").build({"rows": 2, "cols": 2}).topology
         request = {"random": {"link_failures": 1}}
         a = EventSchedule.from_spec(request, topology=topology, seed=4)
         b = EventSchedule.random(topology, seed=4, link_failures=1)
@@ -196,7 +196,8 @@ class TestFromSpec:
     )
     def test_malformed_specs_rejected(self, value):
         with pytest.raises(SimulationError):
-            EventSchedule.from_spec(value, topology=mesh_design(2, 2).topology)
+            mesh = topology_families.get("mesh").build({"rows": 2, "cols": 2})
+            EventSchedule.from_spec(value, topology=mesh.topology)
 
 
 def test_actions_constant_is_complete():

@@ -17,6 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.api.registry import fault_models
+from repro.benchmarks.synthetic import default_mesh_traffic
 from repro.errors import RegistryError, SimulationError
 from repro.simulation.events import EventSchedule
 from repro.simulation.fault_models import (
@@ -27,7 +28,7 @@ from repro.simulation.fault_models import (
     spatial_burst_model,
     uniform_model,
 )
-from repro.synthesis.regular import mesh_design
+from repro.synthesis.families import family_design
 
 SETTINGS = settings(
     max_examples=10,
@@ -40,7 +41,9 @@ SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
 @pytest.fixture(scope="module")
 def design():
-    return mesh_design(3, 3)
+    return family_design(
+        "mesh", default_mesh_traffic(3, 3), {"rows": 3, "cols": 3}, name="mesh3x3"
+    )
 
 
 class TestRegistry:

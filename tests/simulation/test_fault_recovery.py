@@ -23,6 +23,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.benchmarks.registry import get_benchmark, list_benchmarks
+from repro.core.cdg import build_cdg
+from repro.core.cycles import verify_cycle
 from repro.core.removal import remove_deadlocks
 from repro.model.channels import Channel, Link
 from repro.model.design import NocDesign
@@ -30,7 +32,7 @@ from repro.model.routes import Route, RouteSet
 from repro.model.topology import Topology
 from repro.model.traffic import CommunicationGraph
 from repro.simulation.events import EventSchedule
-from repro.simulation.simulator import SimulationConfig, simulate_design
+from repro.simulation.simulator import SimulationConfig, build_simulator, simulate_design
 from repro.synthesis.builder import SynthesisConfig, synthesize_design
 
 SETTINGS = settings(
@@ -156,15 +158,18 @@ def _diagonal_failures(cycle: int, count: int = 4) -> EventSchedule:
 class TestDeadlockAfterFailure:
     """The scenario the axis exists for: healthy-free, faulted-deadlocking."""
 
-    def _run(self, *, fault_recovery: str, engine: str = "compiled", cross_check=False):
-        design = _diagonal_ring_design()
-        config = SimulationConfig(
+    def _config(self, fault_recovery: str) -> SimulationConfig:
+        return SimulationConfig(
             injection_scale=8.0,
             buffer_depth=2,
             seed=0,
             fault_schedule=_diagonal_failures(30),
             fault_recovery=fault_recovery,
         )
+
+    def _run(self, *, fault_recovery: str, engine: str = "compiled", cross_check=False):
+        design = _diagonal_ring_design()
+        config = self._config(fault_recovery)
         return simulate_design(
             design,
             max_cycles=600,
@@ -187,6 +192,15 @@ class TestDeadlockAfterFailure:
         assert legacy.deadlock_detected
         assert legacy.deadlock_cycle == compiled.deadlock_cycle
         assert legacy.deadlocked_channels == compiled.deadlocked_channels
+
+    @pytest.mark.parametrize("engine", ["compiled", "legacy"])
+    def test_deadlock_is_a_cycle_of_the_degraded_cdg(self, engine):
+        healthy = _diagonal_ring_design()
+        simulator = build_simulator(healthy, self._config("reroute"), engine=engine)
+        channels = simulator.run(600).deadlocked_channels
+        assert verify_cycle(build_cdg(simulator._recovery.design), channels)
+        # The healthy CDG has no edges: the witness tells the designs apart.
+        assert not verify_cycle(build_cdg(healthy), channels)
 
     def test_removal_recovery_keeps_the_degraded_design_free(self):
         stats = self._run(fault_recovery="removal", cross_check=True)

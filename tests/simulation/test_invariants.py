@@ -15,14 +15,16 @@ injection rate:
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.benchmarks.synthetic import default_mesh_traffic, default_ring_traffic
 from repro.core.removal import remove_deadlocks
 from repro.examples_data.paper_ring import paper_ring_design
 from repro.simulation.network import WormholeNetwork
-from repro.simulation.simulator import SimulationConfig, Simulator
-from repro.synthesis.regular import mesh_design, ring_design
+from repro.simulation.simulator import SimulationConfig, Simulator, simulate_design
+from repro.synthesis.families import family_design
 
 SETTINGS = settings(
     max_examples=10,
@@ -32,12 +34,13 @@ SETTINGS = settings(
 
 
 def _design_for(kind: str):
-    if kind == "line_mesh":
-        return mesh_design(2, 3)
-    if kind == "mesh":
-        return mesh_design(3, 3)
+    if kind in ("line_mesh", "mesh"):
+        rows = 2 if kind == "line_mesh" else 3
+        traffic = default_mesh_traffic(rows, 3)
+        return family_design("mesh", traffic, {"rows": rows, "cols": 3}, name=f"mesh{rows}x3")
     if kind == "ring_fixed":
-        return remove_deadlocks(ring_design(5)).design
+        ring = family_design("ring", default_ring_traffic(5), {"n_switches": 5}, name="ring5")
+        return remove_deadlocks(ring).design
     return remove_deadlocks(paper_ring_design()).design
 
 
@@ -94,3 +97,14 @@ class TestConservation:
         # plus its minimal serialisation latency.
         assert all(latency >= 1 for latency in stats.latencies)
         assert stats.packets_delivered <= stats.packets_injected
+
+
+@pytest.mark.parametrize("fixture", ["d26_design_14sw", "d36_8_design_14sw"])
+def test_soc_removal_designs_never_deadlock(fixture, request):
+    """The SoC removal designs at the Figure 10 size, on the compiled engine."""
+    protected = remove_deadlocks(request.getfixturevalue(fixture)).design
+    for scale in (1.0, 2.0):
+        config = SimulationConfig(injection_scale=scale, seed=0)
+        stats = simulate_design(protected, max_cycles=3000, config=config, engine="compiled")
+        assert not stats.deadlock_detected
+        assert stats.packets_delivered > 0

@@ -15,6 +15,7 @@ import pytest
 
 from repro.api.registry import recovery_policies
 from repro.benchmarks.registry import get_benchmark
+from repro.benchmarks.synthetic import default_mesh_traffic
 from repro.core.cdg import build_cdg
 from repro.core.cycles import count_cycles
 from repro.core.removal import remove_deadlocks
@@ -29,7 +30,6 @@ from repro.simulation.recovery import (
 from repro.simulation.simulator import SimulationConfig, simulate_design
 from repro.simulation.stats import SimulationStats
 from repro.synthesis.families import family_design
-from repro.synthesis.regular import mesh_design
 
 POLICIES = ["idle", "protection", "removal", "reroute"]
 
@@ -51,7 +51,10 @@ class _StubNetwork:
 
 
 def _protected_mesh():
-    return remove_deadlocks(mesh_design(3, 3)).design
+    design = family_design(
+        "mesh", default_mesh_traffic(3, 3), {"rows": 3, "cols": 3}, name="mesh3x3"
+    )
+    return remove_deadlocks(design).design
 
 
 def _severable(design):

@@ -105,3 +105,4 @@ class TestCrossMethodConsistency:
         ):
             stats = simulate_design(protected, max_cycles=4000, config=config)
             assert not stats.deadlock_detected
+            assert stats.packets_delivered > unprotected_stats.packets_delivered

@@ -25,7 +25,7 @@ from repro.core.removal import remove_deadlocks
 from repro.model.validation import validate_design
 from repro.routing.ordering import apply_resource_ordering
 from repro.synthesis.builder import SynthesisConfig, synthesize_design
-from repro.synthesis.regular import ring_design
+from repro.synthesis.families import family_design
 
 #: Keep hypothesis example counts moderate: each example synthesizes a
 #: topology and runs the full removal pipeline.
@@ -89,7 +89,9 @@ class TestRemovalProperties:
         if hops % n_switches == 0:
             hops = 1
         traffic = neighbour_traffic(n_switches, hops=hops)
-        design = ring_design(n_switches, traffic=traffic)
+        design = family_design(
+            "ring", traffic, {"n_switches": n_switches}, name=f"ring{n_switches}"
+        )
         result = remove_deadlocks(design)
         assert build_cdg(result.design).is_acyclic()
         validate_design(result.design)
