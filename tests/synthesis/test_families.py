@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from collections import Counter
-
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -145,52 +143,6 @@ class TestFamilyGeneratorProperties:
         assert [link.name for link in one.topology.links] == [
             link.name for link in two.topology.links
         ]
-
-
-def _topology(family: str, **params):
-    return topology_families.get(family).build(params).topology
-
-
-class TestRingTopology:
-    def test_unidirectional_ring_link_count(self):
-        topo = _topology("ring", n_switches=5)
-        assert (topo.switch_count, topo.link_count) == (5, 5)
-
-    def test_bidirectional_ring_link_count(self):
-        assert _topology("ring", n_switches=5, bidirectional=True).link_count == 10
-
-    def test_too_small_ring_rejected(self):
-        with pytest.raises(SynthesisError):
-            _topology("ring", n_switches=2)
-
-
-class TestMeshAndTorus:
-    def test_mesh_dimensions(self):
-        topo = _topology("mesh", rows=3, cols=4)
-        assert topo.switch_count == 12
-        # internal bidirectional links: horizontal 3*(4-1) + vertical 4*(3-1)
-        assert topo.link_count == 2 * (3 * 3 + 4 * 2)
-
-    def test_mesh_bad_dimensions_rejected(self):
-        with pytest.raises(SynthesisError):
-            _topology("mesh", rows=0, cols=3)
-
-    def test_torus_has_wraparound_links(self):
-        mesh = _topology("mesh", rows=3, cols=3)
-        torus = _topology("torus", rows=3, cols=3)
-        assert torus.link_count == mesh.link_count + 2 * (3 + 3)
-
-    def test_torus_too_small_rejected(self):
-        with pytest.raises(SynthesisError):
-            _topology("torus", rows=2, cols=4)
-
-
-class TestAttachRoundRobin:
-    def test_distribution_is_balanced(self, d26_traffic):
-        mesh = topology_families.get("mesh").build({"rows": 3, "cols": 3})
-        counts = Counter(mesh.attach_cores(d26_traffic).values())
-        assert len(counts) == 9
-        assert max(counts.values()) - min(counts.values()) <= 1
 
 
 class TestFamilyErrors:

@@ -1,147 +1,103 @@
-"""Tests for regular topologies (repro.synthesis.regular)."""
+"""Tests for the regular topology families (ring, mesh, torus)."""
+
+from collections import Counter
 
 import pytest
 
+from repro.api.registry import topology_families
 from repro.core.cdg import build_cdg
 from repro.errors import SynthesisError
 from repro.model.validation import validate_design
-from repro.synthesis.regular import (
-    attach_cores_round_robin,
-    mesh_design,
-    mesh_topology,
-    ring_design,
-    ring_topology,
-    torus_topology,
-)
+from repro.synthesis.families import family_design
+
+BIRING6 = {"n_switches": 6, "bidirectional": True}
+
+
+def _topology(family: str, **params):
+    return topology_families.get(family).build(params).topology
 
 
 class TestRingTopology:
     def test_unidirectional_ring_link_count(self):
-        topo = ring_topology(5)
-        assert topo.switch_count == 5
-        assert topo.link_count == 5
+        topo = _topology("ring", n_switches=5)
+        assert (topo.switch_count, topo.link_count) == (5, 5)
 
     def test_bidirectional_ring_link_count(self):
-        topo = ring_topology(5, bidirectional=True)
-        assert topo.link_count == 10
+        assert _topology("ring", n_switches=5, bidirectional=True).link_count == 10
 
     def test_too_small_ring_rejected(self):
         with pytest.raises(SynthesisError):
-            ring_topology(2)
+            _topology("ring", n_switches=2)
 
     def test_ring_is_connected(self):
-        assert ring_topology(6).is_connected()
+        assert _topology("ring", n_switches=6).is_connected()
 
 
 class TestMeshAndTorus:
     def test_mesh_dimensions(self):
-        topo = mesh_topology(3, 4)
+        topo = _topology("mesh", rows=3, cols=4)
         assert topo.switch_count == 12
         # internal bidirectional links: horizontal 3*(4-1) + vertical 4*(3-1)
         assert topo.link_count == 2 * (3 * 3 + 4 * 2)
 
     def test_mesh_bad_dimensions_rejected(self):
         with pytest.raises(SynthesisError):
-            mesh_topology(0, 3)
+            _topology("mesh", rows=0, cols=3)
 
     def test_torus_has_wraparound_links(self):
-        mesh = mesh_topology(3, 3)
-        torus = torus_topology(3, 3)
+        mesh = _topology("mesh", rows=3, cols=3)
+        torus = _topology("torus", rows=3, cols=3)
         assert torus.link_count == mesh.link_count + 2 * (3 + 3)
 
     def test_torus_too_small_rejected(self):
         with pytest.raises(SynthesisError):
-            torus_topology(2, 4)
+            _topology("torus", rows=2, cols=4)
 
 
 class TestRingDesign:
-    def test_default_traffic_created(self):
-        design = ring_design(6)
-        assert design.traffic.core_count == 6
-        assert design.traffic.flow_count == 6
-        validate_design(design)
+    def test_default_traffic_created(self, small_ring_design):
+        assert small_ring_design.traffic.core_count == 6
+        assert small_ring_design.traffic.flow_count == 6
+        validate_design(small_ring_design)
 
-    def test_unidirectional_ring_design_has_cyclic_cdg(self):
-        assert not build_cdg(ring_design(6)).is_acyclic()
+    def test_unidirectional_ring_design_has_cyclic_cdg(self, small_ring_design):
+        assert not build_cdg(small_ring_design).is_acyclic()
 
-    def test_bidirectional_ring_design(self):
-        design = ring_design(6, bidirectional=True)
-        validate_design(design)
+    def test_bidirectional_ring_design(self, small_ring_design):
+        validate_design(family_design("ring", small_ring_design.traffic, BIRING6))
 
     def test_custom_traffic_attached_round_robin(self, d26_traffic):
-        design = ring_design(6, traffic=d26_traffic, bidirectional=True)
+        design = family_design("ring", d26_traffic, BIRING6)
         assert set(design.core_map) == set(d26_traffic.cores)
         validate_design(design)
 
 
 class TestMeshDesign:
-    def test_default_mesh_design_valid(self):
-        design = mesh_design(3, 3)
-        validate_design(design)
-        assert design.traffic.core_count == 9
+    def test_default_mesh_design_valid(self, small_mesh_design):
+        validate_design(small_mesh_design)
+        assert small_mesh_design.traffic.core_count == 9
 
-    def test_xy_routing_acyclic(self):
-        assert build_cdg(mesh_design(3, 3)).is_acyclic()
+    def test_xy_routing_acyclic(self, small_mesh_design):
+        assert build_cdg(small_mesh_design).is_acyclic()
 
-    def test_shortest_path_routing_variant(self):
-        design = mesh_design(3, 3, routing="shortest")
-        validate_design(design)
+    def test_shortest_path_routing_variant(self, small_mesh_design):
+        mesh = {"rows": 3, "cols": 3, "routing": "shortest"}
+        traffic, core_map = small_mesh_design.traffic, small_mesh_design.core_map
+        validate_design(family_design("mesh", traffic, mesh, core_map=core_map))
 
     def test_custom_traffic_on_mesh(self, d26_traffic):
-        design = mesh_design(3, 3, traffic=d26_traffic)
-        validate_design(design)
+        validate_design(family_design("mesh", d26_traffic, {"rows": 3, "cols": 3}))
 
 
 class TestAttachRoundRobin:
     def test_all_cores_attached(self, d26_traffic):
-        topo = mesh_topology(3, 3)
-        core_map = attach_cores_round_robin(topo, d26_traffic)
+        mesh = topology_families.get("mesh").build({"rows": 3, "cols": 3})
+        core_map = mesh.attach_cores(d26_traffic)
         assert set(core_map) == set(d26_traffic.cores)
-        assert set(core_map.values()) <= set(topo.switches)
+        assert set(core_map.values()) <= set(mesh.topology.switches)
 
     def test_distribution_is_balanced(self, d26_traffic):
-        topo = mesh_topology(3, 3)
-        core_map = attach_cores_round_robin(topo, d26_traffic)
-        counts = {}
-        for switch in core_map.values():
-            counts[switch] = counts.get(switch, 0) + 1
+        mesh = topology_families.get("mesh").build({"rows": 3, "cols": 3})
+        counts = Counter(mesh.attach_cores(d26_traffic).values())
+        assert len(counts) == 9
         assert max(counts.values()) - min(counts.values()) <= 1
-
-
-class TestDeprecationShims:
-    """ring_design/mesh_design survive as warning shims over family_design."""
-
-    def test_ring_design_warns_and_delegates(self):
-        with pytest.warns(DeprecationWarning, match="ring_design"):
-            design = ring_design(6)
-        assert design.topology.switch_count == 6
-
-    def test_mesh_design_warns_and_delegates(self):
-        with pytest.warns(DeprecationWarning, match="mesh_design"):
-            design = mesh_design(3, 3)
-        assert design.topology.switch_count == 9
-
-    def test_topology_helpers_stay_silent(self):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            ring_topology(4)
-            mesh_topology(2, 2)
-            torus_topology(3, 3)
-
-    def test_shim_matches_family_design(self, d26_traffic):
-        from repro.synthesis.families import family_design
-
-        with pytest.warns(DeprecationWarning):
-            shimmed = mesh_design(3, 3, traffic=d26_traffic)
-        direct = family_design(
-            "mesh",
-            d26_traffic,
-            {"rows": 3, "cols": 3, "routing": "xy"},
-            name="mesh3x3",
-        )
-        assert shimmed.core_map == direct.core_map
-        assert {f: r.channels for f, r in shimmed.routes.items()} == {
-            f: r.channels for f, r in direct.routes.items()
-        }
