@@ -18,9 +18,11 @@ grid (full configuration):
   at a conservative floor (wall-clock noise on shared runners dominates
   the tighter bound).
 
-Both baselines run the batched engine itself, so the gates measure what
-the batch planner and the array program add, and a faster ``compiled``
-engine cannot fail them.  The ``compiled`` lane loop (the same grid
+The array program batches only the injection phase: when injection ends,
+every lane drains alone on a compiled network, exactly as a B = 1 run
+does.  Both baselines run the batched engine itself, so the gates measure
+what the batch planner and batched injection add, and a faster
+``compiled`` engine cannot fail them.  The ``compiled`` lane loop (the same grid
 simulated point by point on :class:`~repro.perf.sim_engine
 .CompiledSimulator`) is timed on the removal design too and its ratio to
 the array program reported without a gate: it is the crossover the choice

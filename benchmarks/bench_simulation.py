@@ -9,11 +9,13 @@ could drift.  This benchmark:
 
 * times both engines end-to-end (injection + drain) on the deadlock-free
   D36_8 design at 35 switches and on an 8x8 XY mesh, asserting the
-  compiled engine's speedup at the D36_8 point is at least ``15x`` (full
-  configuration; ``12x`` at 20 switches in ``--smoke``).  Both floors sit
-  above what the compiled engine reaches without its request-indexed
-  switch allocation (about 11x full, 7-10x smoke), so losing that index
-  fails here even though every statistic would still match;
+  compiled engine's speedup at the D36_8 point is at least ``37x`` (full
+  configuration; ``26x`` at 20 switches in ``--smoke``).  Both floors sit
+  above what the compiled engine reaches without its dormant links
+  (26-35x full, 21-25x smoke over repeated runs, against 38-51x and
+  28-42x with them), and its request-indexed switch allocation sits
+  further below, so losing either fails here even though every
+  statistic would still match;
 * asserts the stats of every timed pair are identical field by field;
 * cross-checks (``simulate_design(..., cross_check=True)`` — the compiled
   run re-executed on the legacy engine and compared stat-by-stat) on all
@@ -58,10 +60,12 @@ from repro.synthesis.builder import SynthesisConfig, synthesize_design
 from repro.synthesis.families import family_design
 
 #: Acceptance threshold at the headline point (D36_8 @ 35 switches).
-FULL_SPEEDUP_THRESHOLD = 15.0
+FULL_SPEEDUP_THRESHOLD = 37.0
 #: Threshold for the CI smoke configuration (D36_8 @ 20 switches, short
 #: runs, so a lower bar than the full one).
-SMOKE_SPEEDUP_THRESHOLD = 12.0
+SMOKE_SPEEDUP_THRESHOLD = 26.0
+#: Compiled runs timed per legacy run (see :func:`_time_point`).
+COMPILED_RUNS_PER_ROUND = 3
 #: Switch count of the six-benchmark cross-check (the Figure 10 setting).
 CROSS_CHECK_SWITCHES = 14
 #: Every registered scenario the cross-check sweep exercises.
@@ -79,7 +83,13 @@ def _protected_design(benchmark: str, switches: int, seed: int):
 
 
 def _time_point(design, *, max_cycles: int, injection_scale: float, seed: int, rounds: int):
-    """Min-of-rounds wall time for both engines plus stats equality."""
+    """Min-of-rounds wall time for both engines plus stats equality.
+
+    Each round times one legacy run and ``COMPILED_RUNS_PER_ROUND``
+    compiled runs, which are far cheaper: the host's speed drifts over
+    seconds, and a minimum is only as good as its chance to land in a fast
+    phase.
+    """
     config = SimulationConfig(injection_scale=injection_scale, seed=seed)
     legacy_times: List[float] = []
     compiled_times: List[float] = []
@@ -90,11 +100,12 @@ def _time_point(design, *, max_cycles: int, injection_scale: float, seed: int, r
             design, max_cycles=max_cycles, config=config, engine="legacy"
         )
         legacy_times.append(time.perf_counter() - start)
-        start = time.perf_counter()
-        compiled_stats = simulate_design(
-            design, max_cycles=max_cycles, config=config, engine="compiled"
-        )
-        compiled_times.append(time.perf_counter() - start)
+        for _ in range(COMPILED_RUNS_PER_ROUND):
+            start = time.perf_counter()
+            compiled_stats = simulate_design(
+                design, max_cycles=max_cycles, config=config, engine="compiled"
+            )
+            compiled_times.append(time.perf_counter() - start)
     legacy_s, compiled_s = min(legacy_times), min(compiled_times)
     return {
         "design": design.name,
@@ -115,7 +126,7 @@ def run_simulation_benchmark(
     benchmark: str = "D36_8",
     switches: int = 35,
     seed: int = 0,
-    rounds: int = 3,
+    rounds: int = 5,
     max_cycles: int = 2000,
     cross_check_benchmarks: Optional[List[str]] = None,
     cross_check_cycles: int = 600,
@@ -251,7 +262,7 @@ def _check(data: dict, threshold: float) -> List[str]:
 
 
 def test_simulation_speedup(benchmark, context_counters):
-    """Harness entry: full configuration, asserts the 15x acceptance bar."""
+    """Harness entry: full configuration, asserts the 37x acceptance bar."""
     data = benchmark.pedantic(run_simulation_benchmark, rounds=1, iterations=1)
     print("\n" + _report(data))
     _persist(data)
@@ -264,7 +275,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--benchmark", default="D36_8")
     parser.add_argument("--switches", type=int, default=35)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--rounds", type=int, default=3)
+    parser.add_argument("--rounds", type=int, default=5)
     parser.add_argument(
         "--smoke",
         action="store_true",

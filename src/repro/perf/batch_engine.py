@@ -1,4 +1,4 @@
-"""Batched wormhole simulation: B runs of one design as one array program.
+"""Batched wormhole simulation: B runs of one design, injected as one array program.
 
 A latency curve, a seed sweep or a scenario comparison is a *grid* of
 simulations of one design that differ only in load point, seed or traffic
@@ -8,12 +8,29 @@ cheap; this module makes the grid cheap: :func:`run_batch` compiles B
 single structure-of-arrays numpy program — every per-channel buffer, credit
 counter, ownership/arbitration pointer and per-flow injection queue head
 lives in one flat ``(B * n,)`` array — and advances all B lanes per cycle
-with masked vector sweeps.
+through the injection phase with masked vector sweeps.
+
+**Drain handoff.** Injection is what the lanes share (one draw stream per
+seed, one vector sweep per cycle).  Once it ends they share nothing, and
+they thin out fast: low loads drain in tens of cycles while saturated
+lanes run for thousands, where a few lanes would pay the array program's
+fixed cost per cycle.  So when no injection is left, each lane still
+holding flits becomes a :class:`~repro.perf.sim_engine.CompiledNetwork`
+built from its state (:meth:`_BatchProgram.lane_network`: buffers,
+ownership, both round-robin pointers, queues, live packet records, busy
+counters; the flit counters and requests are recounted) and drains in
+the compiled run loop's own drain
+(:func:`~repro.simulation.simulator.drain_network`), watchdog count
+included.  A lane's drain is therefore the ``compiled`` engine's drain,
+dormant links and all.  The switch point is structural, not a tuned lane
+width.  Only a lane that deadlocks during injection finishes inside the
+array program; it is then sliced out (:meth:`_BatchProgram._compact`).
 
 Exactness, not approximation: the program reproduces the legacy schedule
 **field-identically** (the same :class:`~repro.simulation.stats
 .SimulationStats` the ``compiled`` and ``legacy`` engines produce, enforced
-by ``cross_check=True`` and the equivalence suite).  The key facts that
+by ``cross_check=True`` and the equivalence suite, which compares lanes
+against both).  The key facts that
 make the per-cycle sweep vectorisable are proved against
 :meth:`CompiledNetwork.step <repro.perf.sim_engine.CompiledNetwork.step>`:
 
@@ -62,11 +79,12 @@ from repro.errors import DeadlockDetected, SimulationError
 from repro.lint.findings import structured_warning
 from repro.model.design import NocDesign
 from repro.perf.design_context import DesignContext
-from repro.perf.sim_engine import CompiledSimulator, SimulationTemplate
-from repro.simulation.deadlock import find_wait_cycle
+from repro.perf.sim_engine import CompiledNetwork, CompiledSimulator, SimulationTemplate
+from repro.simulation.deadlock import DeadlockMonitor, confirm_wait_cycle
 from repro.simulation.simulator import (
     SimulationConfig,
     Simulator,
+    drain_network,
     make_traffic_generator,
     stats_divergences,
 )
@@ -126,9 +144,10 @@ class BatchedTemplate:
         F = len(template.flow_routes)
         self.C, self.S, self.R, self.F = C, S, R, F
 
-        # Link structure: every channel's dense link slot, its VC position
-        # within the link, and the inverse (slot, position) -> channel map.
-        slot_of = np.zeros(C, np.int32)
+        # Link structure: every channel's dense link slot (the scalar
+        # template's map), its VC position within the link, and the inverse
+        # (slot, position) -> channel map.
+        slot_of = np.array(template.link_slot, np.int32)
         pos_in_link = np.zeros(C, np.int32)
         link_n = np.zeros(max(S, 1), np.int32)
         link_router = np.zeros(max(S, 1), np.int32)
@@ -142,7 +161,6 @@ class BatchedTemplate:
                 link_router[slot] = rid
                 link_n[slot] = len(chs)
                 for pos, cid in enumerate(chs):
-                    slot_of[cid] = slot
                     pos_in_link[cid] = pos
                     slot_vcs[slot, pos] = cid
         self.slot_of = slot_of
@@ -212,15 +230,16 @@ class BatchedTemplate:
 class _LaneView:
     """One lane's buffers exposed through the deadlock-checker surface.
 
-    :func:`repro.simulation.deadlock.find_wait_cycle` only calls
-    ``wait_for_edges()``; this adapter reproduces the legacy edge
-    iteration order (``SimulationTemplate.wait_order``) from the flat
+    :func:`repro.simulation.deadlock.confirm_wait_cycle` only reads
+    ``wait_for_edges()`` and ``design``; this adapter reproduces the legacy
+    edge iteration order (``SimulationTemplate.wait_order``) from the flat
     batch state of a single lane.
     """
 
     def __init__(self, program: "_BatchProgram", lane: int):
         self._program = program
         self._lane = lane
+        self.design = program.design
 
     def wait_for_edges(self):
         p = self._program
@@ -320,7 +339,7 @@ def _is_fast_generator(generator) -> bool:
 
 
 class _BatchProgram:
-    """B concurrent wormhole simulations of one design, stepped together."""
+    """B concurrent wormhole simulations of one design, injected together."""
 
     def __init__(
         self,
@@ -488,11 +507,9 @@ class _BatchProgram:
     def _compact(self) -> None:
         """Narrow the program to the still-active lanes.
 
-        Lanes finish at very different cycles (a low-load lane drains in a
-        few hundred cycles, a saturated one runs the full horizon): paying
-        full batch width until the last lane exits would erase much of the
-        batching win, so finished lanes — whose stats are already flushed
-        by :meth:`_finish` — are sliced out of every state array.
+        Only a lane that deadlocks during injection finishes early; its
+        stats are already flushed by :meth:`_finish`, and it is sliced out
+        of every state array so the other lanes stop paying for it.
         """
         np = _numpy()
         keep = np.nonzero(self.active)[0]
@@ -1013,7 +1030,7 @@ class _BatchProgram:
             for lane in np.nonzero(self.idle >= self.watchdog)[0].tolist():
                 if not self.active[lane]:
                     continue
-                channels = find_wait_cycle(_LaneView(self, lane))
+                channels = confirm_wait_cycle(_LaneView(self, lane))
                 if channels is None:
                     self.idle[lane] = 0
                 else:
@@ -1113,15 +1130,9 @@ class _BatchProgram:
     # ------------------------------------------------------------------
     # run loop
     # ------------------------------------------------------------------
-    def _finish(self, lane: int, cycle: int, blocked=None) -> None:
-        """Flush one lane's counters into its stats and retire the lane."""
-        np = _numpy()
-        self.active[lane] = False
+    def _flush(self, lane: int) -> SimulationStats:
+        """Write one lane's accumulated counters into its stats."""
         stats = self.stats_list[lane]
-        stats.cycles_run = cycle
-        if blocked is not None:
-            stats.deadlock_cycle = cycle
-            stats.deadlocked_channels = list(blocked)
         stats.packets_injected = int(self.acc_packets_injected[lane])
         stats.packets_delivered = int(self.acc_packets_delivered[lane])
         stats.flits_delivered = int(self.acc_flits_delivered[lane])
@@ -1129,6 +1140,17 @@ class _BatchProgram:
         stats.local_deliveries = int(self.acc_local_deliveries[lane])
         stats.packets_lost = int(self.acc_packets_lost[lane])
         stats.flits_lost = int(self.acc_flits_lost[lane])
+        return stats
+
+    def _finish(self, lane: int, cycle: int, blocked=None) -> None:
+        """Flush one lane's counters into its stats and retire the lane."""
+        np = _numpy()
+        self.active[lane] = False
+        stats = self._flush(lane)
+        stats.cycles_run = cycle
+        if blocked is not None:
+            stats.deadlock_cycle = cycle
+            stats.deadlocked_channels = list(blocked)
         C = self.bt.C
         channels = self.bt.template.channels
         busy = self.busy[lane * C : (lane + 1) * C]
@@ -1136,14 +1158,51 @@ class _BatchProgram:
         for cid in np.nonzero(busy)[0].tolist():
             record[channels[cid]] = int(busy[cid])
 
-    def run(
-        self,
-        max_cycles: int,
-        *,
-        drain: bool = True,
-        drain_cycles: int = 5_000,
-    ) -> None:
-        np = _numpy()
+    def lane_network(self, lane: int) -> CompiledNetwork:
+        """One lane's state as a :class:`CompiledNetwork` that steps on from here.
+
+        Carries the buffers, ownership, both round-robin pointers, the
+        queues, the live packet records and the busy counters over, then
+        rederives the flit counters and requests with
+        :meth:`CompiledNetwork.recount`.  Every link starts awake, which is
+        always exact.
+        """
+        bt = self.bt
+        C, S, F = bt.C, bt.S, bt.F
+        network = CompiledNetwork(self.design, buffer_depth=self.depth)
+        for name in (
+            "buf_pkt", "buf_lo", "buf_hi", "buf_hops",
+            "out_owner", "out_src", "alloc_ptr", "busy",
+        ):
+            setattr(network, name, getattr(self, name)[lane * C : (lane + 1) * C].tolist())
+        slots = lane * max(S, 1)
+        network.link_ptr = self.link_ptr[slots : slots + S].tolist()
+        # A packet is live while a queue, a buffer or an owned channel still
+        # holds it; its records follow it, in packet-id order.
+        live = {pid for pid in network.buf_pkt if pid >= 0}
+        live.update(pid for pid in network.out_owner if pid >= 0)
+        first = lane * max(F, 1)
+        for fid in range(F):
+            head = int(self.q_head_pid[first + fid])
+            if head >= 0:
+                queue = network.inj_pkts[fid]
+                queue.append(head)
+                queue.extend(self.q_rest[first + fid])
+                live.update(queue)
+                network.inj_head_idx[fid] = int(self.q_head_idx[first + fid])
+        base = lane * self.cap
+        for pid in sorted(live):
+            network.pkt_flow[pid] = int(self.pkt_flow[base + pid])
+            network.pkt_size[pid] = int(self.pkt_size[base + pid])
+            network.pkt_created[pid] = int(self.pkt_created[base + pid])
+        network.recount()
+        return network
+
+    def _inject_all(self, max_cycles: int) -> int:
+        """The injection phase; returns the first cycle after it.
+
+        A lane that deadlocks here finishes at once and is compacted away.
+        """
         cycle = 0
         for _ in range(max_cycles):
             if self.B == 0:
@@ -1155,23 +1214,36 @@ class _BatchProgram:
                 for lane, channels in deadlocked:
                     self._finish(lane, cycle, blocked=channels)
                 self._compact()
-        if drain:
-            for _ in range(drain_cycles):
-                done = np.nonzero(self.undelivered == 0)[0]
-                if done.size:
-                    for lane in done.tolist():
-                        self._finish(lane, cycle)
-                    self._compact()
-                if self.B == 0:
-                    break
-                _transfers, deadlocked = self._step(cycle)
-                cycle += 1
-                if deadlocked:
-                    for lane, channels in deadlocked:
-                        self._finish(lane, cycle, blocked=channels)
-                    self._compact()
+        return cycle
+
+    def _drain_lane(self, lane: int, cycle: int, drain_cycles: int) -> None:
+        """Drain one lane on a compiled network, in the compiled run loop's drain."""
+        network = self.lane_network(lane)
+        monitor = DeadlockMonitor(self.watchdog, idle_cycles=int(self.idle[lane]))
+        stats = self._flush(lane)
+        end, blocked = drain_network(network, monitor, stats, cycle, drain_cycles)
+        network.materialise_busy_cycles(stats)
+        stats.cycles_run = end
+        if blocked is not None:
+            stats.deadlock_cycle = end
+            stats.deadlocked_channels = list(blocked)
+
+    def run(
+        self,
+        max_cycles: int,
+        *,
+        drain: bool = True,
+        drain_cycles: int = 5_000,
+    ) -> None:
+        cycle = self._inject_all(max_cycles)
+        # With no injection left, the lanes share nothing: each one still
+        # holding flits drains alone on a compiled network, built when it
+        # starts draining and dropped when it is done.
         for lane in range(self.B):
-            self._finish(lane, cycle)
+            if drain and self.undelivered[lane]:
+                self._drain_lane(lane, cycle, drain_cycles)
+            else:
+                self._finish(lane, cycle)
 
 
 # ----------------------------------------------------------------------

@@ -113,6 +113,9 @@ class DesignContext:
         self._cost_engine: Optional[CycleCostEngine] = None
         # --- compiled-simulation template (set by repro.perf.sim_engine) --
         self.sim_template = None
+        # --- (routes, version, CDG) deadlock verdicts are checked against
+        # (set by repro.simulation.deadlock.check_cdg_witness) -------------
+        self.witness_cdg = None
 
     # ------------------------------------------------------------------
     # lifecycle

@@ -33,6 +33,9 @@ is zero — the scan could only come back empty there.  On a typical load
 most unowned channels are requested by nobody, so this removes most of the
 per-cycle source checks without touching the scan's order or outcome (see
 :class:`CompiledNetwork` for the invariant and where it is maintained).
+Links are skipped the same way: a link whose last visit did nothing stays
+dormant until an injection, an arrival or a freed credit could change that,
+so a saturated cycle visits the few links that can act instead of all.
 
 Registered as the ``"compiled"`` entry (the default) of
 :data:`repro.api.registry.simulation_engines`; importing this module also
@@ -74,6 +77,7 @@ class SimulationTemplate:
         "switch_index",
         "buf_router",
         "r_links",
+        "link_slot",
         "link_slot_count",
         "r_sources",
         "flow_ids",
@@ -102,11 +106,13 @@ class SimulationTemplate:
         # Per-router output structure: links in Link sort order, each link's
         # channels in VC order — the exact iteration of the legacy
         # ``_step_router``.  Every (router, link) pair gets a dense slot for
-        # its VC round-robin pointer.
+        # its VC round-robin pointer; slots ascend in sweep order, and
+        # ``link_slot`` maps each channel to the slot of its link.
         out_channels: List[List[int]] = [[] for _ in self.switches]
         for cid, channel in enumerate(channels):
             out_channels[self.switch_index[channel.src]].append(cid)
         r_links: List[List[Tuple[Tuple[int, ...], int]]] = []
+        link_slot = [0] * self.channel_count
         slot = 0
         for rid in range(len(self.switches)):
             by_link: Dict = {}
@@ -114,10 +120,14 @@ class SimulationTemplate:
                 by_link.setdefault(channels[cid].link, []).append(cid)
             groups = []
             for link in sorted(by_link):
-                groups.append((tuple(sorted(by_link[link], key=lambda i: channels[i].vc)), slot))
+                chs = tuple(sorted(by_link[link], key=lambda i: channels[i].vc))
+                for cid in chs:
+                    link_slot[cid] = slot
+                groups.append((chs, slot))
                 slot += 1
             r_links.append(groups)
         self.r_links = r_links
+        self.link_slot = link_slot
         self.link_slot_count = slot
 
         # Routed flows, dense ids in sorted-name order (matches the order
@@ -198,6 +208,13 @@ class CompiledNetwork:
     :class:`~repro.simulation.deadlock.DeadlockMonitor` and the shared run
     loop work unchanged.
 
+    **No flit is seen twice in one sweep**, so the sweep keeps no set of
+    moved flits (``WormholeNetwork`` keeps its ``moved_flits`` as the
+    reference): a source feeds only its head flit's target channel, a
+    channel moves at most one flit per cycle, and arrivals land after the
+    sweep.  A flit that moved is therefore parked in the pending list, out
+    of every source, until the sweep is over.
+
     **Request counts.** ``req[c]`` is the number of sources in
     ``r_sources[router of c]`` that pass the allocation scan's own request
     test for ``c``: a non-empty input buffer with ``buf_lo == 0`` whose
@@ -212,7 +229,7 @@ class CompiledNetwork:
     * +1 at ``route[hops]`` when a flit with index 0 lands in a buffer.
 
     :meth:`drop_flows` and :meth:`sync_with_design` recount from scratch
-    (:meth:`_count_requests`).
+    (:meth:`recount`).
 
     The sweep skips the source scan of an unowned channel whose count is
     zero.  That is exact because requests are start-of-cycle facts: a
@@ -225,6 +242,29 @@ class CompiledNetwork:
     diverge, while an *overcount* stays correct and only scans again for
     nothing (silently losing the speedup — ``tests/perf/test_sim_engine.py``
     pins the count to an independent walk at every cycle).
+
+    **Dormant links.** ``awake[slot]`` is False while a visit of the link
+    in ``slot`` could neither transfer a flit nor allocate a channel, and
+    the sweep skips such a link.  A visit that does neither changes no
+    state, and its outcome depends only on the link's own channels
+    (ownership, pointers — changed by its own visits alone), on the head
+    flits of the sources that feed them, and on the credit of their
+    downstream buffers.  So the link goes dormant after such a visit, and
+    exactly three events wake it:
+
+    * :meth:`inject` fills an empty queue whose route starts on the link;
+    * an arrival lands in a buffer whose flits next hop over the link;
+    * a flit leaves the input buffer of one of the link's channels.
+
+    :meth:`recount` (called by :meth:`drop_flows` and
+    :meth:`sync_with_design`) wakes every link.  The third event can wake a
+    link later in the same sweep, and then the link is visited in that
+    sweep: that is exactly when the dense sweep would see the freed credit,
+    because slots ascend in sweep order and a credit freed by an earlier
+    link is visible to every later one.  A link earlier in the sweep sees
+    the credit on the next cycle, as in the dense sweep.  Forgetting a wake
+    makes the engines diverge; ``tests/perf/test_sim_engine.py`` walks
+    every dormant link at every cycle and finds nothing to do there.
     """
 
     def __init__(self, design: NocDesign, *, buffer_depth: int = 4):
@@ -245,9 +285,11 @@ class CompiledNetwork:
         self.out_src = [_NO_SOURCE] * C
         self.alloc_ptr = [0] * C
         self.link_ptr = [0] * t.link_slot_count
-        # Per channel: sources whose head flit requests it (see the class
-        # docstring); the network starts empty.
+        # Per channel: sources whose head flit requests it; per link slot:
+        # whether the sweep visits it (see the class docstring).  The
+        # network starts empty.
         self.req = [0] * C
+        self.awake = [True] * t.link_slot_count
         # Channel transfer counters (materialised into stats at the end).
         self.busy = [0] * C
         # Injection queues: packet ids per flow plus the head packet's next
@@ -263,8 +305,7 @@ class CompiledNetwork:
         self._buffered = 0
         self._pending_injection = 0
         self._undelivered = 0
-        self._moved: set = set()
-        self._pending: List[Tuple[int, int, int, int]] = []
+        self._pending: List[Tuple[int, int, int, int, int]] = []
         # Transfer counts of channels that left the topology mid-run (fault
         # injection); folded into the stats alongside the live counters.
         self._retired_busy: Dict[Channel, int] = {}
@@ -288,7 +329,9 @@ class CompiledNetwork:
         self.pkt_created[pid] = packet.created_cycle
         queue = self.inj_pkts[fid]
         if not queue:
-            self.req[self.template.flow_routes[fid][0]] += 1
+            first = self.template.flow_routes[fid][0]
+            self.req[first] += 1
+            self.awake[self.template.link_slot[first]] = True
         queue.append(pid)
         size = packet.size_flits
         self._undelivered += size
@@ -369,13 +412,8 @@ class CompiledNetwork:
         if not doomed:
             return (0, 0)
         buf_pkt, buf_lo, buf_hi = self.buf_pkt, self.buf_lo, self.buf_hi
-        dropped = 0
         for c in range(t.channel_count):
             if buf_pkt[c] in doomed:
-                flits = buf_hi[c] - buf_lo[c]
-                dropped += flits
-                self._buffered -= flits
-                self.r_flits[t.buf_router[c]] -= flits
                 buf_pkt[c] = -1
                 buf_lo[c] = 0
                 buf_hi[c] = 0
@@ -383,36 +421,53 @@ class CompiledNetwork:
                 self.out_owner[c] = -1
                 self.out_src[c] = _NO_SOURCE
         for fid in doomed_fids:
-            queue = self.inj_pkts[fid]
-            if queue:
-                pend = sum(self.pkt_size[pid] for pid in queue)
-                pend -= self.inj_head_idx[fid]
-                dropped += pend
-                self._pending_injection -= pend
-                self.r_flits[t.flow_src_router[fid]] -= pend
-                queue.clear()
+            self.inj_pkts[fid].clear()
             self.inj_head_idx[fid] = 0
         for pid in doomed:
             del self.pkt_flow[pid]
             del self.pkt_size[pid]
             del self.pkt_created[pid]
-        self._undelivered -= dropped
-        self._count_requests()
-        return (len(doomed), dropped)
+        undelivered = self._undelivered
+        self.recount()
+        return (len(doomed), undelivered - self._undelivered)
 
-    def _count_requests(self) -> None:
-        """Rebuild ``req`` from the buffers and injection queues."""
+    def recount(self) -> None:
+        """Rederive every counter from the buffers and queues; wake all links.
+
+        Recounts the flit counters (per router, buffered, pending and
+        undelivered) and the allocation requests, and marks every link
+        awake.  Called wherever the raw state was rewritten wholesale:
+        :meth:`drop_flows`, :meth:`sync_with_design`, and a batched lane
+        handing its state over to a compiled network.
+        """
         t = self.template
         flow_routes = t.flow_routes
         buf_pkt, buf_lo, buf_hi, buf_hops = self.buf_pkt, self.buf_lo, self.buf_hi, self.buf_hops
+        r_flits = [0] * len(t.switches)
         req = [0] * t.channel_count
+        buffered = 0
         for s in range(t.channel_count):
-            if buf_hi[s] != buf_lo[s] and buf_lo[s] == 0:
-                req[flow_routes[self.pkt_flow[buf_pkt[s]]][buf_hops[s]]] += 1
+            flits = buf_hi[s] - buf_lo[s]
+            if flits:
+                buffered += flits
+                r_flits[t.buf_router[s]] += flits
+                if buf_lo[s] == 0:
+                    req[flow_routes[self.pkt_flow[buf_pkt[s]]][buf_hops[s]]] += 1
+        pending = 0
         for fid, queue in enumerate(self.inj_pkts):
-            if queue and self.inj_head_idx[fid] == 0:
-                req[flow_routes[fid][0]] += 1
+            if queue:
+                pend = sum(self.pkt_size[pid] for pid in queue)
+                pend -= self.inj_head_idx[fid]
+                pending += pend
+                r_flits[t.flow_src_router[fid]] += pend
+                if self.inj_head_idx[fid] == 0:
+                    req[flow_routes[fid][0]] += 1
+        self.r_flits = r_flits
         self.req = req
+        self._buffered = buffered
+        self._pending_injection = pending
+        self._undelivered = buffered + pending
+        self.awake = [True] * t.link_slot_count
 
     def sync_with_design(self) -> None:
         """Recompile the template after a topology/route change and migrate.
@@ -507,22 +562,6 @@ class CompiledNetwork:
             for pid, o_fid in self.pkt_flow.items()
         }
 
-        # Recount the O(1) flit counters against the migrated state.
-        r_flits = [0] * len(new.switches)
-        buffered = 0
-        for c in range(C):
-            flits = buf_hi[c] - buf_lo[c]
-            if flits:
-                buffered += flits
-                r_flits[new.buf_router[c]] += flits
-        pending = 0
-        for fid, queue in enumerate(inj_pkts):
-            if queue:
-                pend = sum(self.pkt_size[pid] for pid in queue)
-                pend -= inj_head[fid]
-                pending += pend
-                r_flits[new.flow_src_router[fid]] += pend
-
         self.template = new
         self.buf_pkt, self.buf_lo, self.buf_hi, self.buf_hops = (
             buf_pkt,
@@ -534,11 +573,8 @@ class CompiledNetwork:
         self.alloc_ptr, self.link_ptr = alloc_ptr, link_ptr
         self.busy = busy
         self.inj_pkts, self.inj_head_idx = inj_pkts, inj_head
-        self.r_flits = r_flits
-        self._buffered = buffered
-        self._pending_injection = pending
-        self._undelivered = buffered + pending
-        self._count_requests()
+        # Recount the O(1) counters against the migrated state.
+        self.recount()
 
     # ------------------------------------------------------------------
     # one simulation cycle
@@ -556,18 +592,16 @@ class CompiledNetwork:
         buf_pkt, buf_lo, buf_hi, buf_hops = self.buf_pkt, self.buf_lo, self.buf_hi, self.buf_hops
         out_owner, out_src = self.out_owner, self.out_src
         alloc_ptr, link_ptr = self.alloc_ptr, self.link_ptr
-        req = self.req
+        req, awake, link_slot = self.req, self.awake, t.link_slot
         inj_pkts, inj_head = self.inj_pkts, self.inj_head_idx
         pkt_flow, pkt_size = self.pkt_flow, self.pkt_size
         flow_routes = t.flow_routes
         r_flits, r_sources = self.r_flits, t.r_sources
         busy = self.busy
         depth = self.buffer_depth
-        moved = self._moved
-        moved.clear()
         pending = self._pending
         pending.clear()
-        transfers = 0
+        transfers = injected = delivered = 0
         latencies = stats.latencies
         pkt_created = self.pkt_created
 
@@ -575,8 +609,11 @@ class CompiledNetwork:
             if r_flits[rid] == 0:
                 continue
             for chs, slot in links:
+                if not awake[slot]:
+                    continue  # nothing changed since a visit that did nothing
                 n = len(chs)
                 start = link_ptr[slot] % n
+                allocated = False
                 for k in range(n):
                     pos = start + k
                     if pos >= n:
@@ -622,6 +659,7 @@ class CompiledNetwork:
                                 alloc_ptr[c] = apos - m if apos >= m else apos
                                 source = s
                                 owner = head_pkt
+                                allocated = True
                                 break
                         if source == _NO_SOURCE:
                             continue
@@ -642,16 +680,14 @@ class CompiledNetwork:
                         idx = inj_head[fid]
                         hops = 0
 
-                    key = pkt * 1048576 + idx
-                    if key in moved:
-                        continue
                     route = flow_routes[pkt_flow[pkt]]
-                    if hops >= len(route) or route[hops] != c:
+                    last_hop = len(route) - 1
+                    if hops > last_hop or route[hops] != c:
                         continue
                     if pkt != out_owner[c]:
                         continue
 
-                    is_last = hops == len(route) - 1
+                    is_last = hops == last_hop
                     if not is_last:
                         # Credit check: the downstream buffer of c must have
                         # room and accept this packet (no interleaving).
@@ -661,35 +697,34 @@ class CompiledNetwork:
                             continue
 
                     # --- commit ---------------------------------------
+                    tail = idx == pkt_size[pkt] - 1
                     if source < C:
                         buf_lo[source] = idx + 1
-                        self._buffered -= 1
-                        if buf_lo[source] == buf_hi[source] and idx == pkt_size[pkt] - 1:
+                        if tail:  # a buffer holds one packet: it is empty now
                             buf_pkt[source] = -1
+                        # Credit freed upstream: wakes the feeding link, in
+                        # this very sweep when it comes later.
+                        awake[link_slot[source]] = True
                     else:
                         fid = source - C
-                        new_idx = idx + 1
-                        if new_idx == pkt_size[pkt]:
+                        if tail:
                             queue = inj_pkts[fid]
                             queue.popleft()
                             inj_head[fid] = 0
                             if queue:
                                 req[c] += 1  # the next packet's head requests c
                         else:
-                            inj_head[fid] = new_idx
-                        self._pending_injection -= 1
+                            inj_head[fid] = idx + 1
+                        injected += 1
                     if idx == 0:
                         req[c] -= 1  # the head flit left its source
                     r_flits[rid] -= 1
-                    moved.add(key)
                     busy[c] += 1
-                    tail = idx == pkt_size[pkt] - 1
                     if tail:
                         out_owner[c] = -1
                         out_src[c] = _NO_SOURCE
                     if is_last:
-                        stats.flits_delivered += 1
-                        self._undelivered -= 1
+                        delivered += 1
                         if tail:
                             stats.packets_delivered += 1
                             latencies.append(cycle - pkt_created[pkt])
@@ -701,25 +736,34 @@ class CompiledNetwork:
                             del pkt_size[pkt]
                             del pkt_created[pkt]
                     else:
-                        pending.append((c, pkt, idx, hops + 1))
+                        pending.append((c, pkt, idx, hops + 1, route[hops + 1]))
                     transfers += 1
                     apos = pos + 1
                     link_ptr[slot] = apos - n if apos >= n else apos
                     break
+                else:
+                    if not allocated:
+                        awake[slot] = False  # a visit that did nothing
 
         # --- arrivals land after every router has been served ---------
         buf_router = t.buf_router
-        for c, pkt, idx, hops in pending:
+        for c, pkt, idx, hops, target in pending:
             if buf_pkt[c] == -1:
                 buf_pkt[c] = pkt
                 buf_lo[c] = idx
             buf_hi[c] = idx + 1
             buf_hops[c] = hops
             if idx == 0:
-                req[flow_routes[pkt_flow[pkt]][hops]] += 1  # a new head flit
-            self._buffered += 1
+                req[target] += 1  # a new head flit
+            awake[link_slot[target]] = True  # a flit to send over that link
             r_flits[buf_router[c]] += 1
         pending.clear()
+        # Every transfer left a queue or a buffer and entered a buffer or
+        # its destination.
+        self._buffered += injected - delivered
+        self._pending_injection -= injected
+        self._undelivered -= delivered
+        stats.flits_delivered += delivered
         stats.flit_transfers += transfers
         return transfers
 

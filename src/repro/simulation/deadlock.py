@@ -13,15 +13,28 @@ Two mechanisms, combined:
 The watchdog alone could confuse extreme congestion with deadlock; the
 wait-for cycle makes the verdict exact, and reporting the channels on the
 cycle makes the diagnosis actionable.
+
+Every confirmed verdict is then checked against ground truth that no
+engine computes: under deterministic routing a wormhole deadlock is a
+cycle of channel dependencies (Dally & Seitz 1987), so the reported
+channels must close a cycle of the simulated design's CDG
+(:func:`check_cdg_witness`).  For a fault run that is the degraded design
+the network holds at the verdict.  A verdict failing the check raises
+:class:`~repro.errors.SimulationError` instead of being reported.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence
 
 import networkx as nx
 
+from repro.core.cdg import build_cdg
+from repro.core.cycles import verify_cycle
+from repro.errors import SimulationError
 from repro.model.channels import Channel
+from repro.model.design import NocDesign
+from repro.perf.design_context import DesignContext
 from repro.simulation.network import WormholeNetwork
 
 
@@ -46,6 +59,43 @@ def find_wait_cycle(network: WormholeNetwork) -> Optional[List[Channel]]:
     return [edge[0] for edge in cycle_edges]
 
 
+def check_cdg_witness(design: NocDesign, channels: Sequence[Channel]) -> None:
+    """Raise :class:`SimulationError` unless ``channels`` close a cycle of the CDG.
+
+    The CDG is built at most once per route set: it is cached on the
+    design's :class:`~repro.perf.design_context.DesignContext` and rebuilt
+    only when the routes change (fault recovery re-routing the private
+    design copy).  A CDG's edges come from the routes alone, so the route
+    set and its version are the whole cache key.
+    """
+    context = DesignContext.of(design)
+    routes = design.routes
+    cached = context.witness_cdg
+    if cached is None or cached[0] is not routes or cached[1] != routes.version:
+        cached = (routes, routes.version, build_cdg(design))
+        context.witness_cdg = cached
+    if not verify_cycle(cached[2], channels):
+        shown = ", ".join(str(channel) for channel in list(channels)[:4])
+        more = "" if len(channels) <= 4 else f", ... ({len(channels)} channels)"
+        raise SimulationError(
+            f"deadlock witness failed on design {design.name!r}: the reported "
+            f"wait cycle [{shown}{more}] is not a cycle of the simulated "
+            "design's channel dependency graph"
+        )
+
+
+def confirm_wait_cycle(network) -> Optional[List[Channel]]:
+    """:func:`find_wait_cycle`, with a found cycle checked by :func:`check_cdg_witness`.
+
+    ``network`` needs ``wait_for_edges()`` and the ``design`` it simulates.
+    Every engine confirms its deadlock verdicts here.
+    """
+    cycle = find_wait_cycle(network)
+    if cycle is not None:
+        check_cdg_witness(network.design, cycle)
+    return cycle
+
+
 class DeadlockMonitor:
     """Tracks progress and decides when the network is deadlocked.
 
@@ -55,11 +105,14 @@ class DeadlockMonitor:
         Number of consecutive cycles without any flit movement (while flits
         are buffered in the network) after which the wait-for graph is
         examined.
+    idle_cycles:
+        Idle cycles already counted, for a run that changes networks part
+        way (a batched lane draining on a compiled network).
     """
 
-    def __init__(self, watchdog_cycles: int = 200):
+    def __init__(self, watchdog_cycles: int = 200, idle_cycles: int = 0):
         self.watchdog_cycles = watchdog_cycles
-        self._idle_cycles = 0
+        self._idle_cycles = idle_cycles
 
     def record_cycle(self, network: WormholeNetwork, transfers: int) -> Optional[List[Channel]]:
         """Update the watchdog after one cycle.
@@ -73,7 +126,7 @@ class DeadlockMonitor:
         self._idle_cycles += 1
         if self._idle_cycles < self.watchdog_cycles:
             return None
-        cycle = find_wait_cycle(network)
+        cycle = confirm_wait_cycle(network)
         if cycle is None:
             # Stalled but no cyclic wait (e.g. the injection process simply
             # stopped); reset so the watchdog can trip again later.

@@ -209,20 +209,9 @@ class Simulator:
                 break
 
         if deadlock_channels is None and drain:
-            for _ in range(drain_cycles):
-                if self.network.undelivered_flits == 0:
-                    break
-                # Events still pending once the drain completes are never
-                # applied (the run is over as far as traffic is concerned).
-                if recovery is not None:
-                    recovery.on_cycle(self._cycle, self.network, self.stats)
-                transfers = self.network.step(self._cycle, self.stats)
-                deadlock_channels = self.monitor.record_cycle(self.network, transfers)
-                if recovery is not None:
-                    recovery.after_step(self._cycle, self.network, self.stats)
-                self._cycle += 1
-                if deadlock_channels is not None:
-                    break
+            self._cycle, deadlock_channels = drain_network(
+                self.network, self.monitor, self.stats, self._cycle, drain_cycles, recovery
+            )
 
         if recovery is not None:
             recovery.finalise(self.stats)
@@ -233,6 +222,34 @@ class Simulator:
             if raise_on_deadlock:
                 raise DeadlockDetected(self._cycle, deadlock_channels)
         return self.stats
+
+
+def drain_network(network, monitor, stats, cycle: int, drain_cycles: int, recovery=None):
+    """The drain phase of a run: step without injecting until nothing is in flight.
+
+    Stops when the network's O(1) undelivered-flit counter reaches zero,
+    when ``monitor`` confirms a deadlock, or after ``drain_cycles`` cycles.
+    Returns ``(cycle, deadlock_channels)``: the first cycle not simulated
+    and the confirmed wait cycle (``None`` without a deadlock).  Shared by
+    :meth:`Simulator.run` and the batched engine, whose lanes drain on a
+    compiled network once their injection phase ends.
+    """
+    deadlock_channels = None
+    for _ in range(drain_cycles):
+        if network.undelivered_flits == 0:
+            break
+        # Events still pending once the drain completes are never applied
+        # (the run is over as far as traffic is concerned).
+        if recovery is not None:
+            recovery.on_cycle(cycle, network, stats)
+        transfers = network.step(cycle, stats)
+        deadlock_channels = monitor.record_cycle(network, transfers)
+        if recovery is not None:
+            recovery.after_step(cycle, network, stats)
+        cycle += 1
+        if deadlock_channels is not None:
+            break
+    return cycle, deadlock_channels
 
 
 simulation_engines.register(ENGINE_LEGACY, Simulator)

@@ -1,15 +1,20 @@
 """The batched numpy engine reproduces the compiled engine exactly, per lane.
 
-``run_batch`` advances B simulations of one design as a single
-structure-of-arrays program; every lane must produce **field-identical**
+``run_batch`` advances B simulations of one design through injection as a
+single structure-of-arrays program, then drains each lane on a compiled
+network; every lane must produce **field-identical**
 :class:`~repro.simulation.stats.SimulationStats` to what
 ``CompiledSimulator(design, config).run(...)`` yields for that lane's
 config — delivered flits and packets, the full latency list (order
 included), per-channel busy cycles, and the deadlock verdict with the
-exact channels on the wait cycle.  The suite sweeps hand-built fixtures,
-a hypothesis grid of topology families x scenarios x loads, mixed-lane
-batches, and pins the registry contract (B = 1 ``"batched"`` simulator),
-the fault-schedule fallback and the lazy numpy import error.
+exact channels on the wait cycle.  Since a lane's drain is the compiled
+engine's own drain, the multi-lane suites also compare against
+``legacy``, which shares no network code with either.  The suite sweeps
+hand-built fixtures, a hypothesis grid of topology families x scenarios x
+loads, mixed-lane batches, pins the state a lane hands over at the end of
+injection field by field, and pins the registry contract (B = 1
+``"batched"`` simulator), the fault-schedule fallback and the lazy numpy
+import error.
 """
 
 from __future__ import annotations
@@ -32,18 +37,24 @@ from repro.simulation.events import EventSchedule
 from repro.simulation.simulator import (
     SimulationConfig,
     build_simulator,
+    make_traffic_generator,
     simulate_design,
     stats_divergences,
 )
+from repro.simulation.stats import SimulationStats
 from repro.synthesis.families import family_design
 
 SCENARIOS = ("flows", "uniform", "hotspot", "transpose", "bursty")
+#: Reference engines of the multi-lane suites: ``compiled`` runs the very
+#: drain a lane hands over to, ``legacy`` checks that drain independently.
+BOTH_REFERENCES = ("compiled", "legacy")
 
 
-def assert_lane_identical(batched, config, design, max_cycles):
-    reference = CompiledSimulator(design, config).run(max_cycles)
-    problems = stats_divergences(batched, reference)
-    assert not problems, problems
+def assert_lane_identical(batched, config, design, max_cycles, engines=("compiled",)):
+    for engine in engines:
+        reference = build_simulator(design, config, engine=engine).run(max_cycles)
+        problems = stats_divergences(batched, reference)
+        assert not problems, (engine, problems)
 
 
 class TestRegistry:
@@ -110,7 +121,7 @@ class TestMultiLaneEquivalence:
         stats_list = run_batch(small_mesh_design, configs, max_cycles=400)
         assert len(stats_list) == len(configs)
         for stats, config in zip(stats_list, configs):
-            assert_lane_identical(stats, config, small_mesh_design, 400)
+            assert_lane_identical(stats, config, small_mesh_design, 400, BOTH_REFERENCES)
 
     def test_deadlocking_and_surviving_lanes_coexist(self):
         """A lane deadlocking must not perturb its batch neighbours."""
@@ -122,7 +133,29 @@ class TestMultiLaneEquivalence:
         stats_list = run_batch(design, configs, max_cycles=4000)
         assert stats_list[1].deadlock_detected
         for stats, config in zip(stats_list, configs):
-            assert_lane_identical(stats, config, design, 4000)
+            assert_lane_identical(stats, config, design, 4000, BOTH_REFERENCES)
+
+    def test_injection_deadlock_and_drain_handoff_meet(self):
+        """One lane deadlocks during injection and is compacted away; the
+        others hand over to compiled networks, one of them to deadlock in
+        its drain.  Lane order and every verdict must survive both."""
+        design = paper_ring_design()
+        max_cycles = 450
+        configs = [
+            SimulationConfig(injection_scale=5.0, buffer_depth=2, seed=3),
+            SimulationConfig(injection_scale=3.0, buffer_depth=2, seed=1),
+            SimulationConfig(injection_scale=6.0, buffer_depth=2, seed=1),
+            SimulationConfig(injection_scale=4.0, buffer_depth=2, seed=0),
+        ]
+        stats_list = run_batch(design, configs, max_cycles=max_cycles)
+        compacted, drained, drain_deadlock, also_drained = stats_list
+        assert compacted.deadlock_cycle < max_cycles
+        assert drain_deadlock.deadlock_cycle > max_cycles
+        for stats in (drained, also_drained):
+            assert not stats.deadlock_detected
+            assert stats.cycles_run > max_cycles  # flits were still in flight
+        for stats, config in zip(stats_list, configs):
+            assert_lane_identical(stats, config, design, max_cycles, BOTH_REFERENCES)
 
     def test_lane_count_one_matches_solo(self, small_ring_design):
         config = SimulationConfig(injection_scale=2.0, seed=5)
@@ -160,7 +193,58 @@ class TestMultiLaneEquivalence:
         ]
         stats_list = run_batch(design, configs, max_cycles=400)
         for stats, config in zip(stats_list, configs):
-            assert_lane_identical(stats, config, design, 400)
+            assert_lane_identical(stats, config, design, 400, BOTH_REFERENCES)
+
+
+class TestDrainHandoff:
+    """A lane hands a compiled network exactly the state a solo run has."""
+
+    @staticmethod
+    def _inject(design, configs, cycles):
+        generators = [make_traffic_generator(design, config) for config in configs]
+        stats = [SimulationStats(design_name=design.name) for _ in configs]
+        program = batch_engine._BatchProgram(design, configs, generators, stats)
+        assert program._inject_all(cycles) == cycles
+        assert program.B == len(configs)  # no lane finished early
+        return program
+
+    @pytest.mark.parametrize("case", ["paper_ring", "d36_8_removal"])
+    def test_lane_network_equals_compiled_after_injection(self, case, d36_8_design_14sw):
+        if case == "paper_ring":
+            # Scale 6 (seed 1) has been stuck for 88 cycles at cycle 400,
+            # 112 short of its watchdog; scale 1 has one flit in flight.
+            design, cycles, depth = paper_ring_design(), 400, 2
+            lanes = ((6.0, 1), (1.0, 0))
+        else:
+            design, cycles, depth = remove_deadlocks(d36_8_design_14sw).design, 200, 4
+            lanes = ((0.5, 0), (4.0, 1), (8.0, 2))
+        configs = [
+            SimulationConfig(injection_scale=scale, buffer_depth=depth, seed=seed)
+            for scale, seed in lanes
+        ]
+        program = self._inject(design, configs, cycles)
+        idle = []
+        for lane, config in enumerate(configs):
+            mine = program.lane_network(lane)
+            solo = CompiledSimulator(design, config)
+            solo.run(cycles, drain=False)
+            theirs = solo.network
+            for name in (
+                "buf_pkt", "buf_lo", "buf_hi", "buf_hops",
+                "out_owner", "out_src", "alloc_ptr", "link_ptr",
+                "req", "r_flits", "inj_head_idx",
+                "pkt_flow", "pkt_size", "pkt_created", "busy",
+            ):
+                assert getattr(mine, name) == getattr(theirs, name), (lane, name)
+            assert [list(q) for q in mine.inj_pkts] == [list(q) for q in theirs.inj_pkts]
+            assert mine.flits_in_network() == theirs.flits_in_network()
+            assert mine.flits_pending_injection() == theirs.flits_pending_injection()
+            assert mine.undelivered_flits == theirs.undelivered_flits
+            assert program.idle[lane] == solo.monitor.idle_cycles
+            idle.append(solo.monitor.idle_cycles)
+            assert theirs.undelivered_flits > 0  # something left to drain
+        if case == "paper_ring":
+            assert idle[0] > 0  # the watchdog count crosses over too
 
 
 class TestCrossCheckFlag:

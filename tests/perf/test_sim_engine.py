@@ -7,8 +7,8 @@ included), per-channel busy cycles, and the deadlock verdict with the exact
 channels on the wait cycle.  The suite sweeps hand-built fixtures, a
 hypothesis grid of topology families x scenarios x loads (saturating ones
 included), and the SoC benchmarks, and pins the O(1) undelivered-flit
-counter and the per-channel allocation request counts of the compiled
-network to full state walks, fault recovery included.
+counter, the per-channel allocation request counts and the dormant links
+of the compiled network to full state walks, fault recovery included.
 """
 
 from __future__ import annotations
@@ -178,18 +178,66 @@ def requests_by_walk(network: CompiledNetwork) -> list:
     return counts
 
 
+def dormant_link_activity(network: CompiledNetwork) -> list:
+    """``(slot, channel)`` pairs where a dormant link would still act.
+
+    A read-only walk of every dormant link against the current state.  A
+    visit of the link would allocate an unowned channel that some head
+    flit requests (counted by :func:`requests_by_walk`, not by ``req``), or
+    move the head flit of an owned channel's source when it is the owner's
+    and its last hop or downstream credit allows.  Any such pair means a
+    wake was missed: the sweep would skip work the dense sweep does.
+    """
+    t = network.template
+    C = t.channel_count
+    requests = requests_by_walk(network)
+    active = []
+    for links in t.r_links:
+        for chs, slot in links:
+            if network.awake[slot]:
+                continue
+            for c in chs:
+                owner = network.out_owner[c]
+                if owner == -1:
+                    if requests[c]:
+                        active.append((slot, c))
+                    continue
+                source = network.out_src[c]
+                if source < C:
+                    if network.buf_hi[source] == network.buf_lo[source]:
+                        continue
+                    pkt, hops = network.buf_pkt[source], network.buf_hops[source]
+                else:
+                    queue = network.inj_pkts[source - C]
+                    if not queue:
+                        continue
+                    pkt, hops = queue[0], 0
+                route = t.flow_routes[network.pkt_flow[pkt]]
+                if pkt != owner or route[hops] != c:
+                    continue
+                room = network.buf_hi[c] - network.buf_lo[c] < network.buffer_depth
+                if hops == len(route) - 1 or (room and network.buf_pkt[c] in (-1, pkt)):
+                    active.append((slot, c))
+    return active
+
+
 class TestCompiledNetworkAccounting:
     def _drive(self, design, config, cycles):
         simulator = CompiledSimulator(design, config)
         network = simulator.network
         recovery = simulator._recovery
         stats = simulator.stats
+        self.dormant_link_cycles = 0
         for cycle in range(cycles):
             if recovery is not None:
                 recovery.on_cycle(cycle, network, stats)
                 # drop_flows / sync_with_design recount the requests.
                 assert network.req == requests_by_walk(network)
             simulator._inject_new_packets(cycle)
+            # A dormant link has nothing to do until one of its wake
+            # events: the sweep may skip it only because of that.
+            assert dormant_link_activity(network) == [], cycle
+            self.dormant_link_cycles += network.awake.count(False)
             network.step(cycle, stats)
             if recovery is not None:
                 recovery.after_step(cycle, network, stats)
@@ -212,6 +260,13 @@ class TestCompiledNetworkAccounting:
         design = paper_ring_design()
         config = SimulationConfig(injection_scale=8.0, buffer_depth=2, seed=1)
         self._drive(design, config, 500)
+        assert self.dormant_link_cycles > 0
+
+    def test_dormant_links_idle_on_saturated_soc_design(self, d36_8_design_14sw):
+        """Unprotected D36_8 @ 14 at scale 4: saturates, then deadlocks."""
+        config = SimulationConfig(injection_scale=4.0, seed=0)
+        self._drive(d36_8_design_14sw, config, 400)
+        assert self.dormant_link_cycles > 0
 
     def test_drop_flows_recounts_requests(self, small_mesh_design):
         design = small_mesh_design
@@ -233,6 +288,7 @@ class TestCompiledNetworkAccounting:
         assert stats.fault_events_applied > 0
         assert stats.flows_rerouted > 0
         assert stats.packets_lost > 0
+        assert self.dormant_link_cycles > 0
 
     def test_undelivered_reaches_zero_after_drain(self, small_mesh_design):
         config = SimulationConfig(injection_scale=1.0, seed=0)

@@ -5,6 +5,9 @@ import pytest
 from repro.core.cdg import build_cdg
 from repro.core.cycles import verify_cycle
 from repro.core.removal import remove_deadlocks
+from repro.errors import SimulationError
+from repro.perf.batch_engine import run_batch
+from repro.simulation import deadlock
 from repro.simulation.deadlock import DeadlockMonitor, find_wait_cycle
 from repro.simulation.network import WormholeNetwork
 from repro.simulation.flit import Packet
@@ -94,8 +97,54 @@ class TestCdgWitness:
 
     Under deterministic routing a wormhole deadlock is a cycle of channel
     dependencies (Dally & Seitz), so the channel list every engine reports
-    must close a cycle in the CDG the paper's algorithm analyses.
+    must close a cycle in the CDG the paper's algorithm analyses.  Every
+    engine checks this itself before it reports a verdict.
     """
+
+    @pytest.mark.parametrize(
+        "engine, max_cycles",
+        [
+            ("legacy", 4000),
+            ("compiled", 4000),
+            # The ring deadlocks at cycle 512: inside the array program's
+            # injection phase, or inside a lane's compiled drain.
+            ("batched", 4000),
+            ("batched", 400),
+        ],
+    )
+    def test_planted_wrong_channels_raise(self, ring_design_fixture, engine, max_cycles, monkeypatch):
+        """A verdict whose wait-for edges run backwards fails the witness."""
+        honest = deadlock.find_wait_cycle
+        planted = []
+
+        def reversed_cycle(network):
+            cycle = honest(network)
+            if cycle is not None:
+                assert len(cycle) > 2  # a reversed 2-cycle is still a cycle
+                planted.append(cycle[::-1])
+                return planted[-1]
+            return None
+
+        monkeypatch.setattr(deadlock, "find_wait_cycle", reversed_cycle)
+        config = SimulationConfig(injection_scale=6.0, buffer_depth=2, seed=1)
+        simulator = build_simulator(ring_design_fixture, config, engine=engine)
+        with pytest.raises(SimulationError, match="deadlock witness failed"):
+            simulator.run(max_cycles)
+        assert planted
+
+    def test_cdg_built_once_per_grid(self, d36_8_design_14sw, monkeypatch):
+        design = d36_8_design_14sw.copy()  # a fresh design context
+        builds = []
+
+        def counting_build_cdg(*args, **kwargs):
+            builds.append(args)
+            return build_cdg(*args, **kwargs)
+
+        monkeypatch.setattr(deadlock, "build_cdg", counting_build_cdg)
+        configs = [SimulationConfig(injection_scale=scale, seed=0) for scale in (1.0, 2.0, 4.0)]
+        stats_list = run_batch(design, configs, max_cycles=300)
+        assert all(stats.deadlock_detected for stats in stats_list)
+        assert len(builds) == 1
 
     @pytest.mark.parametrize("engine", ["compiled", "legacy"])
     def test_paper_ring(self, ring_design_fixture, engine):
