@@ -4,10 +4,9 @@ The environment used for development has no ``wheel`` package available
 offline, so PEP 660 editable installs (``pip install -e .`` with build
 isolation) cannot build the editable wheel.  This classic setuptools file
 keeps the ``pip install -e . --no-build-isolation --no-use-pep517`` path
-(setuptools ``develop``) working and declares the runtime dependencies:
-``networkx`` for topology/routing graphs and ``numpy`` for the batched
-structure-of-arrays simulation engine (:mod:`repro.perf.batch_engine`;
-imported lazily, so every other engine works without it).
+(setuptools ``develop``) working and declares the runtime dependency:
+``networkx`` for topology/routing graphs.  The package needs nothing
+else; every simulation engine, the batched one included, is pure Python.
 """
 
 from setuptools import find_packages, setup
@@ -19,6 +18,5 @@ setup(
     python_requires=">=3.9",
     install_requires=[
         "networkx",
-        "numpy",
     ],
 )

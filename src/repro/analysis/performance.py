@@ -174,23 +174,19 @@ def measure_load_grid(
     *,
     max_cycles: int = 3000,
     buffer_depth: int = 4,
-    cross_check: bool = False,
 ) -> List[Dict[str, Any]]:
-    """Simulate several load points of one design as a single array program.
+    """Simulate several load points of one design as one batched grid.
 
     ``points`` are mappings with ``injection_scale`` (required) plus
     optional ``seed``, ``traffic_scenario`` and ``scenario_params``; every
     point runs for the shared ``max_cycles`` / ``buffer_depth``.  Returns
     one metrics dictionary per point, in order, with exactly the shape
     (and values) :func:`measure_load_point` produces for the same
-    arguments — the batched engine is field-identical to ``compiled``, and
-    ``cross_check=True`` re-runs every lane on the ``compiled`` engine and
-    raises :class:`~repro.errors.SimulationError` on any divergence.
-
-    Fault schedules cannot batch; route fault-injecting points through
-    :func:`measure_load_point` instead.
+    arguments: each point is a compiled lane of
+    :func:`~repro.perf.batch_engine.run_batch`, which validates the design
+    once and injects from the generators built here for the offered load.
     """
-    from repro.perf.batch_engine import run_batch  # local: lazy numpy import
+    from repro.perf.batch_engine import run_batch  # local: the engines load lazily
 
     configs = [
         SimulationConfig(
@@ -203,13 +199,7 @@ def measure_load_grid(
         for point in points
     ]
     generators = [make_traffic_generator(design, config) for config in configs]
-    stats_list = run_batch(
-        design,
-        configs,
-        max_cycles=max_cycles,
-        cross_check=cross_check,
-        generators=generators,
-    )
+    stats_list = run_batch(design, configs, max_cycles=max_cycles, generators=generators)
     return [
         _point_metrics(
             config.injection_scale, generator.offered_flits_per_cycle, stats

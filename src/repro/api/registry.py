@@ -140,12 +140,12 @@ routing_engines = Registry("routing engine", provider="repro.routing.shortest_pa
 
 #: Wormhole simulation engines (``"compiled"``, the int-indexed array
 #: simulator from :mod:`repro.perf.sim_engine` — the default —
-#: ``"batched"``, the numpy structure-of-arrays engine from
-#: :mod:`repro.perf.batch_engine` that runs whole sweeps as one array
-#: program, and ``"legacy"``, the seed object-per-flit
-#: :class:`repro.simulation.simulator.Simulator` kept as the cross-check
-#: reference).  The provider imports the legacy simulator and batched
-#: engine modules, so all built-ins register together.
+#: ``"batched"``, the same compiled simulator under the name that lets the
+#: experiment API run whole sweeps as compiled lanes
+#: (:mod:`repro.perf.batch_engine`), and ``"legacy"``, the seed
+#: object-per-flit :class:`repro.simulation.simulator.Simulator` kept as
+#: the cross-check reference).  The provider imports the legacy simulator
+#: and batched engine modules, so all built-ins register together.
 simulation_engines = Registry("simulation engine", provider="repro.perf.sim_engine")
 
 #: Parameterized topology families (built-ins live in

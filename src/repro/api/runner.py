@@ -15,11 +15,10 @@ The runner turns :class:`~repro.api.spec.RunSpec` points into
   pipeline once instead of once per point on a cold cache.
 * **batched simulation** — simulating specs with ``sim_engine: "batched"``
   that share a cost bundle are grouped by :func:`_plan_batches` and run as
-  one structure-of-arrays program per design variant
+  one grid of compiled lanes per design variant
   (:func:`repro.analysis.performance.measure_load_grid`), still yielding
   one cached :class:`RunResult` per spec with unchanged fingerprints and
-  record bytes.  Specs a batch cannot express fall back per-spec with a
-  structured ``[noc-lint {...}]`` warning.
+  record bytes.  Fault specs run per spec.
 * **cheap fan-out** — plans execute over
   :func:`repro.perf.executor.parallel_map`; only the small spec dictionary
   crosses the process boundary, and every worker resolves the benchmark
@@ -32,7 +31,6 @@ The runner turns :class:`~repro.api.spec.RunSpec` points into
 from __future__ import annotations
 
 import os
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -42,7 +40,6 @@ from repro.api.cache import ArtifactCache
 from repro.api.result import COST_SCALAR_FIELDS, RunResult
 from repro.api.spec import ExperimentPlan, RunSpec
 from repro.errors import ReproError
-from repro.lint.findings import structured_warning
 from repro.model.design import NocDesign
 from repro.model.serialization import design_from_dict, design_to_dict
 from repro.perf.executor import parallel_map
@@ -189,42 +186,38 @@ def _resolve_costs(spec: RunSpec, cache: Optional[ArtifactCache] = None) -> _Cos
     return bundle
 
 
-def execute_spec(
-    spec: RunSpec,
-    cache: Optional[ArtifactCache] = None,
-    *,
-    sim_engine_override: Optional[str] = None,
-) -> RunResult:
+def execute_spec(spec: RunSpec, cache: Optional[ArtifactCache] = None) -> RunResult:
     """Execute one spec, consulting and feeding ``cache`` when given.
 
     Cached documents are never trusted: any entry that fails to
     deserialize (corrupt, stale schema version, missing fields) is treated
     as a miss and recomputed, not raised.
-
-    ``sim_engine_override`` runs the simulation on a different registered
-    engine than ``spec.sim_engine`` *without changing the record* (the
-    ``simulation.engine`` field keeps the spec's spelling) — the batch
-    planner's fallback path for specs the batched engine accepts but
-    cannot group, which is only sound because every engine is
-    field-identical by contract.
     """
-    if cache is not None:
-        document = cache.get(RESULT_KIND, spec.fingerprint())
-        if document is not None:
-            try:
-                result = RunResult.from_dict(document)
-            except ReproError:
-                result = None
-            if result is not None:
-                result.cache_hit = True
-                return result
-
+    result = _cached_result(spec, cache)
+    if result is not None:
+        return result
     bundle = _resolve_costs(spec, cache)
-    simulation = (
-        _simulate_spec(spec, bundle.designs, sim_engine_override=sim_engine_override)
-        if spec.injection_scale
-        else None
-    )
+    simulation = _simulate_spec(spec, bundle.designs) if spec.injection_scale else None
+    return _store_result(spec, bundle, simulation, cache)
+
+
+def _cached_result(spec: RunSpec, cache: Optional[ArtifactCache]) -> Optional[RunResult]:
+    """The spec's cached record, or ``None`` on a miss or an unreadable entry."""
+    document = cache.get(RESULT_KIND, spec.fingerprint()) if cache is not None else None
+    if document is None:
+        return None
+    try:
+        result = RunResult.from_dict(document)
+    except ReproError:
+        return None
+    result.cache_hit = True
+    return result
+
+
+def _store_result(
+    spec: RunSpec, bundle: _CostBundle, simulation, cache: Optional[ArtifactCache]
+) -> RunResult:
+    """Assemble the spec's record and write it to ``cache`` when given."""
     result = RunResult(spec=spec, simulation=simulation, **bundle.scalars)
     if cache is not None:
         cache.put(RESULT_KIND, spec.fingerprint(), result.to_dict())
@@ -261,12 +254,7 @@ def _simulation_document(
     return simulation
 
 
-def _simulate_spec(
-    spec: RunSpec,
-    designs: Dict[str, NocDesign],
-    *,
-    sim_engine_override: Optional[str] = None,
-) -> Dict[str, Any]:
+def _simulate_spec(spec: RunSpec, designs: Dict[str, NocDesign]) -> Dict[str, Any]:
     """Wormhole-simulate the bundle's designs at the spec's load point.
 
     All three variants run with the same engine, scenario and seed (the
@@ -299,7 +287,7 @@ def _simulate_spec(
             seed=spec.seed,
             traffic_scenario=spec.traffic_scenario,
             scenario_params=spec.scenario_params,
-            sim_engine=sim_engine_override or spec.sim_engine,
+            sim_engine=spec.sim_engine,
             fault_schedule=schedule,
             fault_recovery=spec.fault_recovery,
         )
@@ -309,12 +297,9 @@ def _simulate_spec(
 
 
 def _simulate_spec_batch(
-    specs: Sequence[RunSpec],
-    designs: Dict[str, NocDesign],
-    *,
-    cross_check: bool = False,
+    specs: Sequence[RunSpec], designs: Dict[str, NocDesign]
 ) -> List[Dict[str, Any]]:
-    """Simulate a batch group's load points: one array program per variant.
+    """Simulate a batch group's load points: one grid of lanes per variant.
 
     The specs are one :func:`_plan_batches` group (shared cost bundle,
     ``sim_cycles`` and ``buffer_depth``; no fault fields), so each design
@@ -341,7 +326,6 @@ def _simulate_spec_batch(
             points,
             max_cycles=first.sim_cycles,
             buffer_depth=first.buffer_depth,
-            cross_check=cross_check,
         )
         for variant in SIMULATED_VARIANTS
     }
@@ -353,12 +337,9 @@ def _simulate_spec_batch(
 
 
 def execute_spec_batch(
-    specs: Sequence[RunSpec],
-    cache: Optional[ArtifactCache] = None,
-    *,
-    cross_check: bool = False,
+    specs: Sequence[RunSpec], cache: Optional[ArtifactCache] = None
 ) -> List[RunResult]:
-    """Execute one batch group of specs as a single array program.
+    """Execute one batch group of specs, one grid per design variant.
 
     ``specs`` must be a :func:`_plan_batches` group: batch-eligible and
     sharing a :meth:`RunSpec.cost_fingerprint`, ``sim_cycles`` and
@@ -367,38 +348,14 @@ def execute_spec_batch(
     returned records — and the documents written to ``cache`` — are
     byte-identical to executing each spec alone.
     """
-    if not specs:
-        return []
-    resolved: Dict[int, RunResult] = {}
-    missing: List[int] = []
-    for index, spec in enumerate(specs):
-        result = None
-        if cache is not None:
-            document = cache.get(RESULT_KIND, spec.fingerprint())
-            if document is not None:
-                try:
-                    result = RunResult.from_dict(document)
-                except ReproError:
-                    result = None
-        if result is not None:
-            result.cache_hit = True
-            resolved[index] = result
-        else:
-            missing.append(index)
+    results = [_cached_result(spec, cache) for spec in specs]
+    missing = [index for index, result in enumerate(results) if result is None]
     if missing:
         bundle = _resolve_costs(specs[missing[0]], cache)
-        simulations = _simulate_spec_batch(
-            [specs[index] for index in missing],
-            bundle.designs,
-            cross_check=cross_check,
-        )
+        simulations = _simulate_spec_batch([specs[index] for index in missing], bundle.designs)
         for index, simulation in zip(missing, simulations):
-            spec = specs[index]
-            result = RunResult(spec=spec, simulation=simulation, **bundle.scalars)
-            if cache is not None:
-                cache.put(RESULT_KIND, spec.fingerprint(), result.to_dict())
-            resolved[index] = result
-    return [resolved[index] for index in range(len(specs))]
+            results[index] = _store_result(specs[index], bundle, simulation, cache)
+    return results
 
 
 # ----------------------------------------------------------------------
@@ -411,9 +368,7 @@ def _batchable(spec: RunSpec) -> bool:
 
     Only specs that *ask* for the batched engine batch — the grouping must
     never change which engine a spec's record claims.  Fault schedules and
-    fault models are out: recovery rewrites topology and routes mid-run,
-    which the shared structure-of-arrays template cannot express (the
-    engine itself falls back to ``compiled`` for those, warning once).
+    fault models run per spec, each variant alone on the engine.
     """
     return (
         spec.sim_engine == ENGINE_BATCHED
@@ -423,114 +378,35 @@ def _batchable(spec: RunSpec) -> bool:
     )
 
 
-def _trace_horizon(spec: RunSpec) -> Optional[Tuple[str, Any]]:
-    """Replay horizon of a ``trace``-scenario spec, or ``None`` if unknowable.
+def _plan_batches(specs: Sequence[RunSpec]) -> List[List[int]]:
+    """Group batch-eligible specs into index lists covering every spec once.
 
-    An explicit trace given as a *path* would need file I/O to know its
-    horizon; planning never reads files, so it counts as unknowable.
-    """
-    trace = spec.scenario_params.get("trace")
-    if trace is None:
-        return ("synthetic", spec.scenario_params.get("trace_cycles", 3000))
-    if isinstance(trace, Mapping):
-        return ("explicit", trace.get("cycles"))
-    return None
-
-
-def _split_trace_horizons(
-    specs: Sequence[RunSpec], group: List[int]
-) -> Tuple[List[int], List[int]]:
-    """Demote a group's trace lanes when their replay horizons disagree.
-
-    Returns ``(kept, demoted)`` index lists.  A single trace lane (or
-    trace lanes all sharing one known horizon) stays in the group; mixed
-    or unknowable horizons demote every trace lane, so the batch never
-    silently runs lanes whose injection windows differ from what each
-    spec's solo execution would use.
-    """
-    trace_members = [
-        index for index in group if specs[index].traffic_scenario == "trace"
-    ]
-    if len(trace_members) <= 1:
-        return group, []
-    horizons = [_trace_horizon(specs[index]) for index in trace_members]
-    first = horizons[0]
-    if first is not None and all(horizon == first for horizon in horizons):
-        return group, []
-    kept = [index for index in group if index not in trace_members]
-    return kept, trace_members
-
-
-def _plan_batches(
-    specs: Sequence[RunSpec],
-) -> Tuple[List[List[int]], Dict[int, str]]:
-    """Group batch-eligible specs; returns ``(batches, engine_overrides)``.
-
-    ``batches`` is a list of index lists covering every spec exactly once:
-    multi-member lists are batch groups (shared
+    Multi-member lists are batch groups (shared
     :meth:`RunSpec.cost_fingerprint`, ``sim_cycles``, ``buffer_depth``);
-    singletons execute through :func:`execute_spec`.  ``engine_overrides``
-    maps demoted spec indices to the engine their fallback runs on
-    (``"compiled"``), leaving their records untouched.  Deterministic:
+    singletons execute through :func:`execute_spec`.  Deterministic:
     groups appear in first-member order, members in plan order.
     """
     keyed: Dict[Any, List[int]] = {}
-    order: List[Any] = []
     for index, spec in enumerate(specs):
         if _batchable(spec):
             key = (spec.cost_fingerprint(), spec.sim_cycles, spec.buffer_depth)
         else:
             key = ("solo", index)
-        if key not in keyed:
-            keyed[key] = []
-            order.append(key)
-        keyed[key].append(index)
-
-    batches: List[List[int]] = []
-    overrides: Dict[int, str] = {}
-    for key in order:
-        group = keyed[key]
-        demoted: List[int] = []
-        if len(group) > 1:
-            group, demoted = _split_trace_horizons(specs, group)
-            if demoted:
-                warnings.warn(
-                    structured_warning(
-                        "batched-engine-fallback",
-                        f"{len(demoted)} trace-scenario spec(s) in a batch "
-                        "group disagree on the trace replay horizon; "
-                        "falling back to per-spec 'compiled' execution "
-                        "for them",
-                    ),
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
-        if len(group) > 1:
-            batches.append(group)
-        else:
-            for index in group:
-                batches.append([index])
-        for index in demoted:
-            overrides[index] = "compiled"
-            batches.append([index])
-    return batches, overrides
+        keyed.setdefault(key, []).append(index)
+    return list(keyed.values())
 
 
-def _run_batch_task(
-    task: Tuple[List[Dict[str, Any]], List[Optional[str]], Optional[str]]
-) -> List[RunResult]:
+def _run_batch_task(task: Tuple[List[Dict[str, Any]], Optional[str]]) -> List[RunResult]:
     """One :func:`parallel_map` task: a batch of spec dictionaries + cache directory.
 
     Module-level so :func:`parallel_map` can pickle it; only the small spec
     dictionaries travel to a worker, never a design or traffic object.
     """
-    spec_dicts, engine_overrides, cache_dir = task
+    spec_dicts, cache_dir = task
     specs = [RunSpec.from_dict(data) for data in spec_dicts]
     cache = ArtifactCache(cache_dir) if cache_dir else None
     if len(specs) == 1:
-        return [
-            execute_spec(specs[0], cache, sim_engine_override=engine_overrides[0])
-        ]
+        return [execute_spec(specs[0], cache)]
     return execute_spec_batch(specs, cache)
 
 
@@ -622,18 +498,14 @@ class Runner:
         """Execute every spec of ``plan`` (deduplicated) and return results.
 
         Batch-eligible specs (``sim_engine: "batched"`` grids sharing a
-        cost bundle) execute as grouped array programs; everything else
+        cost bundle) execute as grouped grids of lanes; everything else
         runs per spec.  Results come back in ``plan.all_specs()`` order
         regardless of grouping.
         """
         specs = plan.all_specs()
-        batches, engine_overrides = _plan_batches(specs)
+        batches = _plan_batches(specs)
         tasks = [
-            (
-                [specs[index].to_dict() for index in batch],
-                [engine_overrides.get(index) for index in batch],
-                self.cache_dir,
-            )
+            ([specs[index].to_dict() for index in batch], self.cache_dir)
             for batch in batches
         ]
         # parallel_map runs the tasks inline when jobs resolves to 1.

@@ -82,20 +82,18 @@ and the spec's seed, so a ``seeds`` grid sweeps the model.
 from the serialized form when left at their defaults, so pre-existing
 cache addresses hold.
 
-``sim_engine: "batched"`` selects the numpy structure-of-arrays engine
-(:mod:`repro.perf.batch_engine`).  Batched specs are additionally
-*batch-eligible*: the :class:`~repro.api.runner.Runner` groups
-simulating specs that share a :meth:`RunSpec.cost_fingerprint` (same
-design, removal engine and ordering strategy) plus ``sim_cycles`` and
-``buffer_depth``, and runs each group's grid — the points of a latency
-sweep, a scenario comparison — as one array program per design variant,
-still producing one cached :class:`~repro.api.result.RunResult` per spec
-(cache layout, fingerprints and record schema are unchanged; batching is
-invisible except in wall clock).  Specs the batch cannot express fall
-back per-spec with a structured ``[noc-lint {...}]`` warning: fault
-schedules and fault models never batch (recovery rewrites routes
-mid-run), and ``trace``-scenario specs batch only when every trace lane
-of the group shares one replay horizon.
+``sim_engine: "batched"`` selects the batched engine
+(:mod:`repro.perf.batch_engine`), which runs a grid as compiled lanes.
+Batched specs are additionally *batch-eligible*: the
+:class:`~repro.api.runner.Runner` groups simulating specs that share a
+:meth:`RunSpec.cost_fingerprint` (same design, removal engine and
+ordering strategy) plus ``sim_cycles`` and ``buffer_depth``, and runs
+each group's grid — the points of a latency sweep, a scenario
+comparison — as one :func:`~repro.perf.batch_engine.run_batch` call per
+design variant, still producing one cached
+:class:`~repro.api.result.RunResult` per spec (cache layout,
+fingerprints and record schema are unchanged; batching is invisible
+except in wall clock).  Fault schedules and fault models run per spec.
 """
 
 from __future__ import annotations

@@ -379,8 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine",
         choices=simulation_engines.names(),
         default="compiled",
-        help="simulation engine (default: compiled; 'batched' runs the "
-        "numpy array-program engine, one lane here, whole grids in plans)",
+        help="simulation engine (default: compiled; 'batched' is the compiled "
+        "engine here and runs whole grids as compiled lanes in plans)",
     )
     p.add_argument(
         "--traffic-scenario",

@@ -52,7 +52,8 @@ from repro.errors import SimulationError
 from repro.model.channels import Channel
 from repro.model.design import NocDesign
 from repro.perf.design_context import DesignContext, counters
-from repro.simulation.simulator import ENGINE_COMPILED, Simulator
+from repro.simulation.simulator import ENGINE_COMPILED, Simulator, deliver_locally
+from repro.simulation.traffic_gen import FlowTrafficGenerator
 
 #: Source-code space: codes below the channel count are input buffers
 #: (the code *is* the channel id); codes at or above it are injection
@@ -84,6 +85,7 @@ class SimulationTemplate:
         "flow_routes",
         "flow_src_router",
         "wait_order",
+        "flow_table",
         "routes_version",
     )
 
@@ -170,6 +172,16 @@ class SimulationTemplate:
         for switch in topology.switches:
             rid = self.switch_index[switch]
             self.wait_order.extend(in_buffers[rid])
+
+        # Injection table of fault-free runs: flow name -> (flow id, packet
+        # size), flow id -1 for traffic between cores behind one switch,
+        # which never enters the network.
+        self.flow_table: Dict[str, Tuple[int, int]] = {}
+        for flow in design.traffic.flows:
+            if design.switch_of(flow.src) == design.switch_of(flow.dst):
+                self.flow_table[flow.name] = (-1, flow.packet_size_flits)
+            elif flow.name in self.flow_ids:
+                self.flow_table[flow.name] = (self.flow_ids[flow.name], flow.packet_size_flits)
 
         self.routes_version = design.routes.version
 
@@ -323,17 +335,24 @@ class CompiledNetwork:
             raise SimulationError(
                 f"flow {packet.flow_name!r} has no injection queue at {source_switch!r}"
             )
-        pid = packet.packet_id
+        self.enqueue(fid, packet.packet_id, packet.size_flits, packet.created_cycle)
+
+    def enqueue(self, fid: int, pid: int, size: int, created: int) -> None:
+        """Queue packet ``pid`` of flow ``fid`` (``size`` flits, created at ``created``).
+
+        The one way packets enter a compiled network: :meth:`inject`
+        delegates here, and fault-free compiled runs call it straight from
+        the template's ``flow_table``, without building a packet object.
+        """
         self.pkt_flow[pid] = fid
-        self.pkt_size[pid] = packet.size_flits
-        self.pkt_created[pid] = packet.created_cycle
+        self.pkt_size[pid] = size
+        self.pkt_created[pid] = created
         queue = self.inj_pkts[fid]
         if not queue:
             first = self.template.flow_routes[fid][0]
             self.req[first] += 1
             self.awake[self.template.link_slot[first]] = True
         queue.append(pid)
-        size = packet.size_flits
         self._undelivered += size
         self._pending_injection += size
         self.r_flits[self.template.flow_src_router[fid]] += size
@@ -436,9 +455,8 @@ class CompiledNetwork:
 
         Recounts the flit counters (per router, buffered, pending and
         undelivered) and the allocation requests, and marks every link
-        awake.  Called wherever the raw state was rewritten wholesale:
-        :meth:`drop_flows`, :meth:`sync_with_design`, and a batched lane
-        handing its state over to a compiled network.
+        awake.  Called wherever fault recovery rewrote the raw state
+        wholesale: :meth:`drop_flows` and :meth:`sync_with_design`.
         """
         t = self.template
         flow_routes = t.flow_routes
@@ -783,15 +801,48 @@ class CompiledNetwork:
 class CompiledSimulator(Simulator):
     """Flit-level wormhole simulation over the compiled network.
 
-    Shares the run loop, injection logic, traffic generation, deadlock
-    monitoring and statistics of the legacy :class:`Simulator` — only the
-    per-cycle network mechanics are replaced by the array sweep, which is
-    what makes the two engines stats-identical by construction everywhere
-    except the code under test.
+    Shares the run loop, traffic generation, deadlock monitoring and
+    statistics of the legacy :class:`Simulator` — only the per-cycle
+    network mechanics are replaced by the array sweep, which is what makes
+    the two engines stats-identical by construction everywhere except the
+    code under test.
     """
 
     def _build_network(self, design: NocDesign):
         return CompiledNetwork(design, buffer_depth=self.config.buffer_depth)
+
+    def _inject_new_packets(self, cycle: int) -> None:
+        """Queue the packets the generator creates at ``cycle``, by flow id.
+
+        Replays :meth:`FlowTrafficGenerator.generate
+        <repro.simulation.traffic_gen.FlowTrafficGenerator.generate>` without
+        its packet objects: the same draws (``_firing``), the same packet
+        ids in the same order, and the same local deliveries as the packet
+        path of :meth:`Simulator._inject_new_packets`.
+        """
+        generator = self.generator
+        # Fault recovery re-routes flows mid-run and a trace replay builds
+        # its own packets: those runs inject through the packet path.
+        if self._recovery is not None or (
+            type(generator).generate is not FlowTrafficGenerator.generate
+        ):
+            return super()._inject_new_packets(cycle)
+        fired = generator._firing()
+        if not fired:
+            return
+        stats = self.stats
+        table = self.network.template.flow_table
+        enqueue = self.network.enqueue
+        pid = generator._next_packet_id
+        for name in fired:
+            fid, size = table[name]
+            if fid < 0:
+                deliver_locally(stats, size)
+            else:
+                enqueue(fid, pid, size, cycle)
+            pid += 1
+        generator._next_packet_id = pid
+        stats.packets_injected += len(fired)
 
     def run(self, max_cycles: int = 10_000, **kwargs):
         try:
@@ -805,7 +856,6 @@ class CompiledSimulator(Simulator):
 simulation_engines.register(ENGINE_COMPILED, CompiledSimulator)
 
 # This module is the simulation_engines registry provider: importing the
-# batched engine here (after CompiledSimulator exists — it subclasses
-# nothing here but re-uses the template and the cross-check reference)
-# makes all three built-ins register together.
+# batched engine here (after CompiledSimulator exists, which it registers
+# under its own name) makes all three built-ins register together.
 from repro.perf import batch_engine as _batch_engine  # noqa: E402,F401

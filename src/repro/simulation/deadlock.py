@@ -84,18 +84,6 @@ def check_cdg_witness(design: NocDesign, channels: Sequence[Channel]) -> None:
         )
 
 
-def confirm_wait_cycle(network) -> Optional[List[Channel]]:
-    """:func:`find_wait_cycle`, with a found cycle checked by :func:`check_cdg_witness`.
-
-    ``network`` needs ``wait_for_edges()`` and the ``design`` it simulates.
-    Every engine confirms its deadlock verdicts here.
-    """
-    cycle = find_wait_cycle(network)
-    if cycle is not None:
-        check_cdg_witness(network.design, cycle)
-    return cycle
-
-
 class DeadlockMonitor:
     """Tracks progress and decides when the network is deadlocked.
 
@@ -105,20 +93,18 @@ class DeadlockMonitor:
         Number of consecutive cycles without any flit movement (while flits
         are buffered in the network) after which the wait-for graph is
         examined.
-    idle_cycles:
-        Idle cycles already counted, for a run that changes networks part
-        way (a batched lane draining on a compiled network).
     """
 
-    def __init__(self, watchdog_cycles: int = 200, idle_cycles: int = 0):
+    def __init__(self, watchdog_cycles: int = 200):
         self.watchdog_cycles = watchdog_cycles
-        self._idle_cycles = idle_cycles
+        self._idle_cycles = 0
 
     def record_cycle(self, network: WormholeNetwork, transfers: int) -> Optional[List[Channel]]:
         """Update the watchdog after one cycle.
 
         Returns the list of channels on a wait-for cycle when a deadlock is
-        confirmed, otherwise ``None``.
+        confirmed, otherwise ``None``.  Every engine's verdicts pass through
+        here, so this is where :func:`check_cdg_witness` checks them.
         """
         if transfers > 0 or network.flits_in_network() == 0:
             self._idle_cycles = 0
@@ -126,12 +112,13 @@ class DeadlockMonitor:
         self._idle_cycles += 1
         if self._idle_cycles < self.watchdog_cycles:
             return None
-        cycle = confirm_wait_cycle(network)
+        cycle = find_wait_cycle(network)
         if cycle is None:
             # Stalled but no cyclic wait (e.g. the injection process simply
             # stopped); reset so the watchdog can trip again later.
             self._idle_cycles = 0
             return None
+        check_cdg_witness(network.design, cycle)
         return cycle
 
     @property

@@ -22,9 +22,12 @@ pluggable :data:`repro.api.registry.simulation_engines` registry:
 * ``"legacy"`` — :class:`Simulator` below, the seed object-per-flit
   implementation kept as the cross-check reference.
 
-Both produce field-identical :class:`~repro.simulation.stats
-.SimulationStats`; ``simulate_design(..., cross_check=True)`` runs both
-and raises on any divergence.  Traffic comes from the
+``"batched"`` names the compiled engine too; its grids run as compiled
+lanes (:func:`repro.perf.batch_engine.run_batch`), and every run goes
+through :meth:`Simulator.run`.  Both engines produce field-identical
+:class:`~repro.simulation.stats.SimulationStats`;
+``simulate_design(..., cross_check=True)`` runs both and raises on any
+divergence.  Traffic comes from the
 :data:`repro.api.registry.traffic_scenarios` registry
 (:attr:`SimulationConfig.traffic_scenario`).
 """
@@ -121,10 +124,26 @@ class Simulator:
     """Flit-level wormhole simulation of one design (the seed engine)."""
 
     def __init__(self, design: NocDesign, config: Optional[SimulationConfig] = None):
-        self.config = config or SimulationConfig()
         validate_design(design)
+        self._setup(design, config or SimulationConfig())
+
+    @classmethod
+    def lane(cls, design: NocDesign, config: SimulationConfig, generator):
+        """A simulator of an already validated ``design`` injecting from ``generator``.
+
+        How a batched grid builds its lanes: it validates the design once
+        and hands each lane the generator it has already built.  A lane
+        with a fault schedule still builds its own generator, on the
+        private design copy it simulates.
+        """
+        simulator = cls.__new__(cls)
+        simulator._setup(design, config, generator)
+        return simulator
+
+    def _setup(self, design: NocDesign, config: SimulationConfig, generator=None) -> None:
+        self.config = config
         self._recovery = None
-        schedule = self.config.fault_schedule
+        schedule = config.fault_schedule
         if schedule is not None and len(schedule):
             # Fault recovery mutates the topology and routes mid-run; the
             # caller's design (and the legacy cross-check re-run, which
@@ -134,21 +153,24 @@ class Simulator:
             from repro.simulation.recovery import RecoveryController
 
             self._recovery = RecoveryController(
-                design, schedule, mode=self.config.fault_recovery
+                design, schedule, mode=config.fault_recovery
             )
             # The policy's prepare hook may replace the design (protection
             # provisions backup VCs before the run starts), so the network
-            # must be built from the controller's view of it.
+            # and the generator must be built from the controller's view.
             design = self._recovery.design
+            generator = None
         self.design = design
         self.network = self._build_network(design)
-        self.generator = make_traffic_generator(design, self.config)
+        if generator is None:
+            generator = make_traffic_generator(design, config)
+        self.generator = generator
         self.stats = SimulationStats(design_name=design.name)
-        self.monitor = DeadlockMonitor(watchdog_cycles=self.config.watchdog_cycles)
+        self.monitor = DeadlockMonitor(watchdog_cycles=config.watchdog_cycles)
         self._cycle = 0
 
     def _build_network(self, design: NocDesign):
-        """Network-state factory — the only hook engine subclasses override."""
+        """Network-state factory — the hook an engine subclass overrides."""
         return WormholeNetwork(design, buffer_depth=self.config.buffer_depth)
 
     # ------------------------------------------------------------------
@@ -159,13 +181,7 @@ class Simulator:
             dst_switch = self.design.switch_of(flow.dst)
             self.stats.packets_injected += 1
             if src_switch == dst_switch:
-                # Core-to-core traffic behind the same switch never enters
-                # the network: deliver immediately through the local NI.
-                packet.delivered_cycle = cycle + 1
-                self.stats.packets_delivered += 1
-                self.stats.local_deliveries += 1
-                self.stats.flits_delivered += packet.size_flits
-                self.stats.latencies.append(packet.latency)
+                deliver_locally(self.stats, packet.size_flits)
                 continue
             if not packet.route:
                 # Only reachable under fault injection: the flow has no
@@ -224,15 +240,27 @@ class Simulator:
         return self.stats
 
 
+def deliver_locally(stats: SimulationStats, size_flits: int) -> None:
+    """Record a packet between cores behind the same switch.
+
+    Such traffic never enters the network: the local NI delivers it one
+    cycle after its creation.
+    """
+    stats.packets_delivered += 1
+    stats.local_deliveries += 1
+    stats.flits_delivered += size_flits
+    stats.latencies.append(1)
+
+
 def drain_network(network, monitor, stats, cycle: int, drain_cycles: int, recovery=None):
     """The drain phase of a run: step without injecting until nothing is in flight.
 
     Stops when the network's O(1) undelivered-flit counter reaches zero,
     when ``monitor`` confirms a deadlock, or after ``drain_cycles`` cycles.
     Returns ``(cycle, deadlock_channels)``: the first cycle not simulated
-    and the confirmed wait cycle (``None`` without a deadlock).  Shared by
-    :meth:`Simulator.run` and the batched engine, whose lanes drain on a
-    compiled network once their injection phase ends.
+    and the confirmed wait cycle (``None`` without a deadlock).  The drain
+    phase of :meth:`Simulator.run`, and so of every engine's runs: a
+    batched lane is a compiled run.
     """
     deadlock_channels = None
     for _ in range(drain_cycles):

@@ -124,9 +124,9 @@ class FlowTrafficGenerator:
         One Bernoulli draw per flow, in flow-name order, all from the
         instance RNG.  Temporal scenarios (e.g. bursty on/off modulation)
         override this hook; an override must keep drawing in flow-name
-        order so it stays seed-deterministic.  The batched engine replays
-        exactly these draws on its vectorised path, so it takes that path
-        only for generators that keep this implementation.
+        order so it stays seed-deterministic.  Batched lanes that keep this
+        implementation and start from one RNG state fire from one shared
+        stream of these draws (:func:`repro.perf.batch_engine.run_batch`).
         """
         draw = self._rng.random
         return [name for name, rate in self._draw_rates if draw() < rate]

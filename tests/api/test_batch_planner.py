@@ -1,13 +1,13 @@
-"""The Runner batch planner: grouping, fallbacks and cache invisibility.
+"""The Runner batch planner: grouping, solo execution and cache invisibility.
 
 Batching is a pure execution strategy — it must never show up in the
 artifact cache layout, the fingerprints, or the record schema.  The tests
 here pin that contract end to end: grouped specs produce byte-identical
-cached ``RunResult`` documents to solo execution, a plan run twice is
-served entirely from cache, cost bundles make load points share one
-removal run, and every ineligible shape (fault schedules, trace lanes
-with disagreeing horizons, non-batched engines) falls back to per-spec
-execution with correct results.
+cached ``RunResult`` documents to solo execution (trace lanes with
+different replay horizons included), a plan run twice is served entirely
+from cache, cost bundles make load points share one removal run, and the
+specs that never batch (fault schedules, non-batched engines) run per
+spec with correct results.
 """
 
 from __future__ import annotations
@@ -41,6 +41,34 @@ def _grid(scales, **overrides) -> list:
     return [RunSpec(injection_scale=scale, **base) for scale in scales]
 
 
+def _trace_specs(horizons) -> list:
+    """Batched trace-scenario specs, one per synthetic trace horizon."""
+    return [
+        _grid([1.0], traffic_scenario="trace", scenario_params={"trace_cycles": cycles})[0]
+        for cycles in horizons
+    ]
+
+
+def _assert_batch_bytes_equal_solo(specs, tmp_path) -> None:
+    """One batch group and its specs run alone write byte-identical records."""
+    batch_cache = ArtifactCache(tmp_path / "batch")
+    execute_spec_batch(specs, batch_cache)
+    solo_cache = ArtifactCache(tmp_path / "solo")
+    # Seed the solo cache with the shared artifacts so the wall-clock
+    # removal_runtime_s scalar matches exactly.
+    for kind, fingerprint in (
+        (DESIGN_KIND, specs[0].synthesis_fingerprint()),
+        (COST_KIND, specs[0].cost_fingerprint()),
+    ):
+        solo_cache.put(kind, fingerprint, batch_cache.get(kind, fingerprint))
+    for spec in specs:
+        execute_spec(spec, solo_cache)
+        key = spec.fingerprint()
+        batch_bytes = batch_cache._path(RESULT_KIND, key).read_text()
+        assert batch_bytes == solo_cache._path(RESULT_KIND, key).read_text()
+        assert json.loads(batch_bytes)["simulation"]["engine"] == "batched"
+
+
 @pytest.fixture
 def counting_backend(monkeypatch):
     """Replace the 'custom' synthesis backend with a call-counting wrapper."""
@@ -72,25 +100,19 @@ def counting_removal(monkeypatch):
 class TestPlanBatches:
     def test_load_points_group_into_one_batch(self):
         specs = _grid([0.5, 1.0, 1.5])
-        batches, overrides = _plan_batches(specs)
-        assert batches == [[0, 1, 2]]
-        assert overrides == {}
+        assert _plan_batches(specs) == [[0, 1, 2]]
 
     def test_compiled_specs_never_batch(self):
         specs = _grid([0.5, 1.0, 1.5], sim_engine="compiled")
-        batches, overrides = _plan_batches(specs)
-        assert batches == [[0], [1], [2]]
-        assert overrides == {}
+        assert _plan_batches(specs) == [[0], [1], [2]]
 
     def test_different_designs_group_separately(self):
         specs = _grid([0.5, 1.0]) + _grid([0.5, 1.0], switch_count=10)
-        batches, _ = _plan_batches(specs)
-        assert batches == [[0, 1], [2, 3]]
+        assert _plan_batches(specs) == [[0, 1], [2, 3]]
 
     def test_different_sim_cycles_split_groups(self):
         specs = _grid([0.5, 1.0]) + _grid([0.5], sim_cycles=999)
-        batches, _ = _plan_batches(specs)
-        assert batches == [[0, 1], [2]]
+        assert _plan_batches(specs) == [[0, 1], [2]]
 
     def test_cost_only_fields_do_not_split_groups(self):
         """Seeds and scenarios vary inside one group; engines do not."""
@@ -101,14 +123,12 @@ class TestPlanBatches:
         specs_same_seed = _grid([0.5, 1.0]) + _grid(
             [1.5], traffic_scenario="uniform"
         )
-        assert _plan_batches(specs)[0] == [[0, 1], [2]]
-        assert _plan_batches(specs_same_seed)[0] == [[0, 1, 2]]
+        assert _plan_batches(specs) == [[0, 1], [2]]
+        assert _plan_batches(specs_same_seed) == [[0, 1, 2]]
 
     def test_fault_specs_run_solo(self):
         specs = _grid([0.5, 1.0]) + _grid([1.5], fault_model="uniform")
-        batches, overrides = _plan_batches(specs)
-        assert batches == [[0, 1], [2]]
-        assert overrides == {}  # engine-level fallback handles the fault spec
+        assert _plan_batches(specs) == [[0, 1], [2]]
 
     def test_trace_lanes_with_one_horizon_stay(self):
         specs = _grid(
@@ -116,56 +136,24 @@ class TestPlanBatches:
             traffic_scenario="trace",
             scenario_params={"trace_cycles": 200},
         )
-        batches, overrides = _plan_batches(specs)
-        assert batches == [[0, 1]]
-        assert overrides == {}
+        assert _plan_batches(specs) == [[0, 1]]
 
-    def test_trace_lanes_with_mixed_horizons_demote(self):
-        specs = [
-            RunSpec(
-                benchmark="D26_media",
-                switch_count=8,
-                sim_cycles=300,
-                sim_engine="batched",
-                injection_scale=1.0,
-                traffic_scenario="trace",
-                scenario_params={"trace_cycles": cycles},
-            )
-            for cycles in (200, 400)
-        ] + _grid([1.5])
-        with pytest.warns(RuntimeWarning, match="batched-engine-fallback"):
-            batches, overrides = _plan_batches(specs)
-        assert batches == [[2], [0], [1]]
-        assert overrides == {0: "compiled", 1: "compiled"}
+    def test_trace_lanes_with_mixed_horizons_batch(self):
+        """Every lane replays its own generator, so horizons may differ."""
+        specs = _trace_specs((200, 400)) + _grid([1.5])
+        assert _plan_batches(specs) == [[0, 1, 2]]
 
 
 class TestBatchExecutionInvisibility:
     def test_records_byte_identical_to_solo(self, tmp_path):
         """Grouped execution writes the very bytes solo execution writes."""
-        specs = _grid([0.5, 1.0, 1.5])
-        batch_cache = ArtifactCache(tmp_path / "batch")
-        execute_spec_batch(specs, batch_cache)
+        _assert_batch_bytes_equal_solo(_grid([0.5, 1.0, 1.5]), tmp_path)
 
-        solo_cache = ArtifactCache(tmp_path / "solo")
-        for spec in specs:
-            # Seed the solo cache with the shared artifacts so the
-            # wall-clock removal_runtime_s scalar matches exactly.
-            for kind in (DESIGN_KIND, COST_KIND):
-                fingerprint = (
-                    spec.synthesis_fingerprint()
-                    if kind == DESIGN_KIND
-                    else spec.cost_fingerprint()
-                )
-                document = batch_cache.get(kind, fingerprint)
-                if document is not None:
-                    solo_cache.put(kind, fingerprint, document)
-            execute_spec(spec, solo_cache)
-
-        for spec in specs:
-            key = spec.fingerprint()
-            batch_bytes = batch_cache._path(RESULT_KIND, key).read_text()
-            solo_bytes = solo_cache._path(RESULT_KIND, key).read_text()
-            assert batch_bytes == solo_bytes
+    def test_mixed_trace_horizons_identical(self, tmp_path):
+        """Trace lanes of different horizons batch with a flows lane, exactly."""
+        specs = _trace_specs((150, 250)) + _grid([1.5])
+        assert _plan_batches(specs) == [[0, 1, 2]]
+        _assert_batch_bytes_equal_solo(specs, tmp_path)
 
     def test_engine_field_stays_batched(self, tmp_path):
         results = execute_spec_batch(_grid([0.5, 1.0]), None)
@@ -211,8 +199,7 @@ class TestBatchExecutionInvisibility:
                 ],
             }
         )
-        batches, _ = _plan_batches(plan.all_specs())
-        assert batches == [[0, 1]]
+        assert _plan_batches(plan.all_specs()) == [[0, 1]]
         result = Runner(cache_dir=tmp_path / "cache").run(plan)
         rendered = result.render_reports()
         assert rendered[0][0] == "latency"
@@ -272,31 +259,8 @@ class TestCostBundle:
 
 
 class TestFallbackCorrectness:
-    def test_trace_horizon_fallback_results_match_compiled(self, tmp_path):
-        """Demoted trace lanes still produce exactly their solo records."""
-        specs = [
-            RunSpec(
-                benchmark="D26_media",
-                switch_count=8,
-                sim_cycles=300,
-                sim_engine="batched",
-                injection_scale=1.0,
-                traffic_scenario="trace",
-                scenario_params={"trace_cycles": cycles},
-            )
-            for cycles in (150, 250)
-        ]
-        plan = ExperimentPlan(name="traces", specs=specs)
-        with pytest.warns(RuntimeWarning, match="batched-engine-fallback"):
-            result = Runner(cache_dir=tmp_path / "cache").run(plan)
-        for record, spec in zip(result.results, specs):
-            solo = execute_spec(spec, None)
-            assert record.simulation == solo.simulation
-            # The record still claims the engine the spec asked for.
-            assert record.simulation["engine"] == "batched"
-
     def test_fault_schedule_spec_on_batched_engine(self, tmp_path):
-        """A fault-carrying batched spec runs solo via the engine fallback."""
+        """A fault-carrying batched spec runs solo, exactly as on compiled."""
         spec = RunSpec(
             benchmark="D26_media",
             switch_count=8,
@@ -305,11 +269,8 @@ class TestFallbackCorrectness:
             injection_scale=1.5,
             fault_schedule={"random": {"link_failures": 1, "seed": 3}},
         )
-        batches, overrides = _plan_batches([spec])
-        assert batches == [[0]]
-        assert overrides == {}
-        with pytest.warns(RuntimeWarning, match="batched-engine-fallback"):
-            result = execute_spec(spec, None)
+        assert _plan_batches([spec]) == [[0]]
+        result = execute_spec(spec, None)
         reference = execute_spec(
             RunSpec(**{**spec.to_dict(), "sim_engine": "compiled"}), None
         )

@@ -1,25 +1,25 @@
-"""The batched numpy engine reproduces the compiled engine exactly, per lane.
+"""The batched engine runs each lane exactly as a solo compiled run.
 
-``run_batch`` advances B simulations of one design through injection as a
-single structure-of-arrays program, then drains each lane on a compiled
-network; every lane must produce **field-identical**
-:class:`~repro.simulation.stats.SimulationStats` to what
-``CompiledSimulator(design, config).run(...)`` yields for that lane's
-config — delivered flits and packets, the full latency list (order
-included), per-channel busy cycles, and the deadlock verdict with the
-exact channels on the wait cycle.  Since a lane's drain is the compiled
-engine's own drain, the multi-lane suites also compare against
-``legacy``, which shares no network code with either.  The suite sweeps
-hand-built fixtures, a hypothesis grid of topology families x scenarios x
-loads, mixed-lane batches, pins the state a lane hands over at the end of
-injection field by field, and pins the registry contract (B = 1
-``"batched"`` simulator), the fault-schedule fallback and the lazy numpy
-import error.
+``run_batch`` runs B simulations of one design as compiled lanes, one
+after another; lanes that would draw the same Bernoulli doubles replay
+one shared stream.  Every lane must produce **field-identical**
+:class:`~repro.simulation.stats.SimulationStats` to a solo run of its
+config: latency lists in order, per-channel busy cycles, and deadlock
+verdicts with their channels.  The references are ``legacy``, which
+shares no network or injection code with a lane, and, for multi-lane
+grids, a solo ``compiled`` run drawing from its own RNG.  The suite
+sweeps fixtures, a hypothesis grid of families x scenarios x loads and
+mixed-lane grids, and pins the registry contract (``"batched"`` is the
+compiled simulator) and a numpy-free interpreter.
 """
 
 from __future__ import annotations
 
+import os
+import subprocess
 import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -30,8 +30,7 @@ from repro.benchmarks.synthetic import default_mesh_traffic, default_ring_traffi
 from repro.core.removal import remove_deadlocks
 from repro.errors import SimulationError
 from repro.examples_data.paper_ring import paper_ring_design
-from repro.perf import batch_engine
-from repro.perf.batch_engine import BatchedSimulator, run_batch
+from repro.perf.batch_engine import run_batch
 from repro.perf.sim_engine import CompiledSimulator
 from repro.simulation.events import EventSchedule
 from repro.simulation.simulator import (
@@ -41,16 +40,23 @@ from repro.simulation.simulator import (
     simulate_design,
     stats_divergences,
 )
-from repro.simulation.stats import SimulationStats
 from repro.synthesis.families import family_design
 
 SCENARIOS = ("flows", "uniform", "hotspot", "transpose", "bursty")
-#: Reference engines of the multi-lane suites: ``compiled`` runs the very
-#: drain a lane hands over to, ``legacy`` checks that drain independently.
+#: Reference engines of the multi-lane suites: ``legacy`` shares no code
+#: with a lane's network, a solo ``compiled`` run shares all of it but the
+#: shared draw stream.
 BOTH_REFERENCES = ("compiled", "legacy")
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
-def assert_lane_identical(batched, config, design, max_cycles, engines=("compiled",)):
+def _one_link_failure(design):
+    return EventSchedule.random(
+        design.topology, seed=1, link_failures=1, start_cycle=40, end_cycle=200
+    )
+
+
+def assert_lane_identical(batched, config, design, max_cycles, engines=("legacy",)):
     for engine in engines:
         reference = build_simulator(design, config, engine=engine).run(max_cycles)
         problems = stats_divergences(batched, reference)
@@ -62,10 +68,12 @@ class TestRegistry:
         assert "batched" in simulation_engines.names()
 
     def test_build_simulator_returns_batched(self, small_mesh_design):
+        """A B = 1 batched run is a compiled run."""
+        assert simulation_engines.get("batched") is CompiledSimulator
         simulator = build_simulator(
             small_mesh_design, SimulationConfig(injection_scale=1.0), engine="batched"
         )
-        assert isinstance(simulator, BatchedSimulator)
+        assert isinstance(simulator, CompiledSimulator)
 
 
 class TestSingleLaneEquivalence:
@@ -75,7 +83,7 @@ class TestSingleLaneEquivalence:
         config = SimulationConfig(
             injection_scale=3.0, seed=2, traffic_scenario=scenario
         )
-        stats = BatchedSimulator(design, config).run(600)
+        (stats,) = run_batch(design, [config], max_cycles=600)
         assert_lane_identical(stats, config, design, 600)
         assert stats.packets_delivered > 0
 
@@ -83,17 +91,14 @@ class TestSingleLaneEquivalence:
         """An unprotected ring under pressure deadlocks identically."""
         design = paper_ring_design()
         config = SimulationConfig(injection_scale=6.0, buffer_depth=2, seed=1)
-        reference = CompiledSimulator(design, config).run(4000)
-        stats = BatchedSimulator(design, config).run(4000)
-        assert reference.deadlock_detected
-        assert not stats_divergences(stats, reference)
-        assert stats.deadlocked_channels == reference.deadlocked_channels
-        assert stats.deadlock_cycle == reference.deadlock_cycle
+        (stats,) = run_batch(design, [config], max_cycles=4000)
+        assert stats.deadlock_detected
+        assert_lane_identical(stats, config, design, 4000)
 
     def test_protected_ring_survives(self):
         design = remove_deadlocks(paper_ring_design()).design
         config = SimulationConfig(injection_scale=6.0, buffer_depth=2, seed=1)
-        stats = BatchedSimulator(design, config).run(4000)
+        (stats,) = run_batch(design, [config], max_cycles=4000)
         assert not stats.deadlock_detected
         assert_lane_identical(stats, config, design, 4000)
 
@@ -123,6 +128,48 @@ class TestMultiLaneEquivalence:
         for stats, config in zip(stats_list, configs):
             assert_lane_identical(stats, config, small_mesh_design, 400, BOTH_REFERENCES)
 
+    def test_shared_draw_stream_lanes_identical(self, small_mesh_design):
+        """Lanes sharing a seed fire from one stream; the others draw their own."""
+        design = small_mesh_design
+        scenarios = ("flows", "uniform", "hotspot", "transpose", "bursty", "trace", "flows")
+        configs = [
+            SimulationConfig(injection_scale=0.5 * (lane + 1), seed=7, traffic_scenario=name)
+            for lane, name in enumerate(scenarios)
+        ]
+        generators = [make_traffic_generator(design, config) for config in configs]
+        # The last lane's generator has already drawn: same seed, other state.
+        generators[-1]._firing()
+        stats_list = run_batch(design, configs, max_cycles=300, generators=generators)
+        shared = ["_firing" in vars(generator) for generator in generators]
+        assert shared == [True, True, True, True, False, False, False]
+        for stats, config in zip(stats_list[:-1], configs):
+            assert_lane_identical(stats, config, design, 300, BOTH_REFERENCES)
+        assert stats_list[-1].packets_injected > 0
+
+    def test_mixed_depths_and_watchdogs_identical(self):
+        """Lanes share nothing, so every config field may differ."""
+        design = paper_ring_design()
+        configs = [
+            SimulationConfig(injection_scale=6.0, buffer_depth=2, seed=1),
+            SimulationConfig(injection_scale=6.0, buffer_depth=4, seed=1, watchdog_cycles=50),
+        ]
+        stats_list = run_batch(design, configs, max_cycles=1500)
+        for stats, config in zip(stats_list, configs):
+            assert_lane_identical(stats, config, design, 1500)
+
+    def test_fault_schedule_lane_identical(self, small_mesh_design):
+        """A fault lane repairs its own private copy of the design."""
+        schedule = _one_link_failure(small_mesh_design)
+        configs = [
+            SimulationConfig(injection_scale=1.5, seed=2, fault_schedule=schedule),
+            SimulationConfig(injection_scale=1.5, seed=2),
+        ]
+        faulty, healthy = run_batch(small_mesh_design, configs, max_cycles=400)
+        assert faulty.fault_events_applied > 0
+        assert healthy.fault_events_applied == 0
+        for stats, config in zip((faulty, healthy), configs):
+            assert_lane_identical(stats, config, small_mesh_design, 400)
+
     def test_deadlocking_and_surviving_lanes_coexist(self):
         """A lane deadlocking must not perturb its batch neighbours."""
         design = paper_ring_design()
@@ -136,9 +183,9 @@ class TestMultiLaneEquivalence:
             assert_lane_identical(stats, config, design, 4000, BOTH_REFERENCES)
 
     def test_injection_deadlock_and_drain_handoff_meet(self):
-        """One lane deadlocks during injection and is compacted away; the
-        others hand over to compiled networks, one of them to deadlock in
-        its drain.  Lane order and every verdict must survive both."""
+        """One lane deadlocks during injection and one in its drain, which
+        shares a draw stream with a lane that drains cleanly.  Lane order
+        and every verdict must survive."""
         design = paper_ring_design()
         max_cycles = 450
         configs = [
@@ -148,8 +195,8 @@ class TestMultiLaneEquivalence:
             SimulationConfig(injection_scale=4.0, buffer_depth=2, seed=0),
         ]
         stats_list = run_batch(design, configs, max_cycles=max_cycles)
-        compacted, drained, drain_deadlock, also_drained = stats_list
-        assert compacted.deadlock_cycle < max_cycles
+        early, drained, drain_deadlock, also_drained = stats_list
+        assert early.deadlock_cycle < max_cycles
         assert drain_deadlock.deadlock_cycle > max_cycles
         for stats in (drained, also_drained):
             assert not stats.deadlock_detected
@@ -182,11 +229,12 @@ class TestMultiLaneEquivalence:
             design = family_design("ring", default_ring_traffic(size), ring, name=f"ring{size}")
             if family == "protected_ring":
                 design = remove_deadlocks(design).design
+        # Lanes pair up on seeds, so shared streams and own RNGs both run.
         configs = [
             SimulationConfig(
                 injection_scale=scale,
                 buffer_depth=depth,
-                seed=lane,
+                seed=lane // 2,
                 traffic_scenario=scenario,
             )
             for lane, scale in enumerate(scales)
@@ -194,57 +242,6 @@ class TestMultiLaneEquivalence:
         stats_list = run_batch(design, configs, max_cycles=400)
         for stats, config in zip(stats_list, configs):
             assert_lane_identical(stats, config, design, 400, BOTH_REFERENCES)
-
-
-class TestDrainHandoff:
-    """A lane hands a compiled network exactly the state a solo run has."""
-
-    @staticmethod
-    def _inject(design, configs, cycles):
-        generators = [make_traffic_generator(design, config) for config in configs]
-        stats = [SimulationStats(design_name=design.name) for _ in configs]
-        program = batch_engine._BatchProgram(design, configs, generators, stats)
-        assert program._inject_all(cycles) == cycles
-        assert program.B == len(configs)  # no lane finished early
-        return program
-
-    @pytest.mark.parametrize("case", ["paper_ring", "d36_8_removal"])
-    def test_lane_network_equals_compiled_after_injection(self, case, d36_8_design_14sw):
-        if case == "paper_ring":
-            # Scale 6 (seed 1) has been stuck for 88 cycles at cycle 400,
-            # 112 short of its watchdog; scale 1 has one flit in flight.
-            design, cycles, depth = paper_ring_design(), 400, 2
-            lanes = ((6.0, 1), (1.0, 0))
-        else:
-            design, cycles, depth = remove_deadlocks(d36_8_design_14sw).design, 200, 4
-            lanes = ((0.5, 0), (4.0, 1), (8.0, 2))
-        configs = [
-            SimulationConfig(injection_scale=scale, buffer_depth=depth, seed=seed)
-            for scale, seed in lanes
-        ]
-        program = self._inject(design, configs, cycles)
-        idle = []
-        for lane, config in enumerate(configs):
-            mine = program.lane_network(lane)
-            solo = CompiledSimulator(design, config)
-            solo.run(cycles, drain=False)
-            theirs = solo.network
-            for name in (
-                "buf_pkt", "buf_lo", "buf_hi", "buf_hops",
-                "out_owner", "out_src", "alloc_ptr", "link_ptr",
-                "req", "r_flits", "inj_head_idx",
-                "pkt_flow", "pkt_size", "pkt_created", "busy",
-            ):
-                assert getattr(mine, name) == getattr(theirs, name), (lane, name)
-            assert [list(q) for q in mine.inj_pkts] == [list(q) for q in theirs.inj_pkts]
-            assert mine.flits_in_network() == theirs.flits_in_network()
-            assert mine.flits_pending_injection() == theirs.flits_pending_injection()
-            assert mine.undelivered_flits == theirs.undelivered_flits
-            assert program.idle[lane] == solo.monitor.idle_cycles
-            idle.append(solo.monitor.idle_cycles)
-            assert theirs.undelivered_flits > 0  # something left to drain
-        if case == "paper_ring":
-            assert idle[0] > 0  # the watchdog count crosses over too
 
 
 class TestCrossCheckFlag:
@@ -260,7 +257,7 @@ class TestCrossCheckFlag:
         assert stats.packets_delivered > 0
 
     def test_cross_check_raises_on_divergence(self, small_mesh_design, monkeypatch):
-        """A rigged compiled reference must be caught lane by lane."""
+        """A rigged lane must be caught against the legacy reference."""
         original = CompiledSimulator.run
 
         def rigged(self, max_cycles=10_000, **kwargs):
@@ -283,71 +280,53 @@ class TestBatchRejections:
         with pytest.raises(SimulationError, match="at least one"):
             run_batch(small_mesh_design, [], max_cycles=100)
 
-    def test_mixed_buffer_depth_rejected(self, small_mesh_design):
-        configs = [
-            SimulationConfig(injection_scale=1.0, buffer_depth=2),
-            SimulationConfig(injection_scale=1.0, buffer_depth=4),
-        ]
-        with pytest.raises(SimulationError, match="buffer_depth"):
-            run_batch(small_mesh_design, configs, max_cycles=100)
-
-    def test_fault_schedule_rejected_in_batch(self, small_mesh_design):
-        schedule = EventSchedule.random(
-            small_mesh_design.topology, seed=1, link_failures=1
-        )
-        configs = [SimulationConfig(injection_scale=1.0, fault_schedule=schedule)]
-        with pytest.raises(SimulationError, match="fault"):
-            run_batch(small_mesh_design, configs, max_cycles=100)
-
 
 class TestFaultScheduleFallback:
-    def _schedule(self, design):
-        return EventSchedule.random(
-            design.topology, seed=1, link_failures=1, start_cycle=40, end_cycle=200
-        )
-
-    def test_constructor_falls_back_with_structured_warning(self, small_mesh_design):
-        config = SimulationConfig(
-            injection_scale=1.0, fault_schedule=self._schedule(small_mesh_design)
-        )
-        with pytest.warns(RuntimeWarning, match=r"batched-engine-fallback"):
-            simulator = BatchedSimulator(small_mesh_design, config)
-        assert isinstance(simulator, CompiledSimulator)
-        assert not isinstance(simulator, BatchedSimulator)
-
-    def test_warning_payload_is_structured(self, small_mesh_design):
-        config = SimulationConfig(
-            injection_scale=1.0, fault_schedule=self._schedule(small_mesh_design)
-        )
-        with pytest.warns(RuntimeWarning, match=r"\[noc-lint \{") as captured:
-            BatchedSimulator(small_mesh_design, config)
-        assert any("batched-engine-fallback" in str(w.message) for w in captured)
-
     def test_fallback_results_correct(self, small_mesh_design):
-        """The fallback simulator's verdict matches a compiled run exactly."""
+        """A fault run on the batched engine matches the legacy engine exactly."""
         config = SimulationConfig(
-            injection_scale=1.5, seed=2, fault_schedule=self._schedule(small_mesh_design)
+            injection_scale=1.5, seed=2, fault_schedule=_one_link_failure(small_mesh_design)
         )
-        with pytest.warns(RuntimeWarning):
-            stats = BatchedSimulator(small_mesh_design, config).run(400)
-        reference = CompiledSimulator(small_mesh_design, config).run(400)
+        stats = build_simulator(small_mesh_design, config, engine="batched").run(400)
+        reference = build_simulator(small_mesh_design, config, engine="legacy").run(400)
         assert not stats_divergences(stats, reference)
         assert stats.fault_events_applied > 0
 
 
 class TestLazyNumpyImport:
-    def test_missing_numpy_raises_clear_error(self, small_mesh_design, monkeypatch):
-        """Without numpy the 'batched' engine must name the dependency."""
-        monkeypatch.setattr(batch_engine, "_np", None)
-        monkeypatch.setitem(sys.modules, "numpy", None)  # import numpy -> ImportError
-        config = SimulationConfig(injection_scale=1.0)
-        with pytest.raises(SimulationError, match="numpy"):
-            BatchedSimulator(small_mesh_design, config).run(100)
+    """No module of the package imports numpy."""
+
+    def test_package_runs_without_numpy(self):
+        script = textwrap.dedent(
+            """
+            import importlib, pkgutil, sys
+            sys.modules["numpy"] = None  # import numpy -> ImportError
+            import repro
+            for module in pkgutil.walk_packages(repro.__path__, "repro."):
+                importlib.import_module(module.name)
+            from repro.analysis.performance import measure_load_grid
+            from repro.synthesis.families import family_design
+            from repro.benchmarks.synthetic import default_mesh_traffic
+            design = family_design(
+                "mesh", default_mesh_traffic(2, 3), {"rows": 2, "cols": 3}, name="mesh2x3"
+            )
+            points = [{"injection_scale": scale} for scale in (0.5, 1.0, 2.0)]
+            metrics = measure_load_grid(design, points, max_cycles=200)
+            assert [m["injection_scale"] for m in metrics] == [0.5, 1.0, 2.0]
+            assert all(m["packets_delivered"] > 0 for m in metrics)
+            print("ok")
+            """
+        )
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "ok"
 
     def test_other_engines_unaffected_by_missing_numpy(
         self, small_mesh_design, monkeypatch
     ):
-        monkeypatch.setattr(batch_engine, "_np", None)
         monkeypatch.setitem(sys.modules, "numpy", None)
         config = SimulationConfig(injection_scale=1.0)
         stats = simulate_design(

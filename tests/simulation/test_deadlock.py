@@ -106,8 +106,8 @@ class TestCdgWitness:
         [
             ("legacy", 4000),
             ("compiled", 4000),
-            # The ring deadlocks at cycle 512: inside the array program's
-            # injection phase, or inside a lane's compiled drain.
+            # The ring deadlocks at cycle 512: inside the injection phase,
+            # or inside the drain.
             ("batched", 4000),
             ("batched", 400),
         ],

@@ -19,18 +19,38 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.benchmarks.synthetic import default_mesh_traffic, default_ring_traffic
+from repro.api.registry import topology_families
+from repro.benchmarks.synthetic import (
+    default_mesh_traffic,
+    default_ring_traffic,
+    uniform_random_traffic,
+)
+from repro.core.cdg import build_cdg
 from repro.core.removal import remove_deadlocks
 from repro.examples_data.paper_ring import paper_ring_design
+from repro.simulation.fault_models import spatial_burst_model
 from repro.simulation.network import WormholeNetwork
 from repro.simulation.simulator import SimulationConfig, Simulator, simulate_design
-from repro.synthesis.families import family_design
+from repro.synthesis.families import family_design, family_size
 
 SETTINGS = settings(
     max_examples=10,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
+
+#: The smallest member of every registered topology family that has links
+#: (a 1 x 1 mesh is valid but carries only local traffic); a family missing
+#: here fails its converse test below.
+SMALLEST_FAMILY_MEMBERS = {
+    "ring": {"n_switches": 3},
+    "mesh": {"rows": 1, "cols": 2},
+    "torus": {"rows": 3, "cols": 3},
+    "fat_tree": {"k": 2},
+    "clos": {"spines": 1, "leaves": 2},
+    "vl2": {"spines": 1, "leaves": 2},
+    "dragonfly": {"groups": 2, "routers": 2},
+}
 
 
 def _design_for(kind: str):
@@ -108,3 +128,40 @@ def test_soc_removal_designs_never_deadlock(fixture, request):
         stats = simulate_design(protected, max_cycles=3000, config=config, engine="compiled")
         assert not stats.deadlock_detected
         assert stats.packets_delivered > 0
+
+
+@pytest.mark.parametrize("family", sorted(topology_families.names()))
+def test_family_removal_designs_never_deadlock(family):
+    """The converse of the paper's premise on every topology family.
+
+    Deterministic routing over an acyclic CDG leaves no cyclic wait to form,
+    so the removal design must survive four times its nominal load.
+    """
+    params = SMALLEST_FAMILY_MEMBERS[family]
+    traffic = uniform_random_traffic(2 * family_size(family, params), flows_per_core=2, seed=1)
+    protected = remove_deadlocks(family_design(family, traffic, params)).design
+    assert build_cdg(protected).is_acyclic()
+    config = SimulationConfig(injection_scale=4.0, seed=0)
+    stats = simulate_design(protected, max_cycles=1000, config=config, engine="compiled")
+    assert not stats.deadlock_detected
+    assert stats.packets_delivered > 0
+
+
+@pytest.mark.parametrize("policy", ["idle", "protection"])
+def test_recovery_keeps_removal_design_deadlock_free(policy, d36_8_design_14sw):
+    """Faults must not reopen a cycle: D36_8 @ 14 under a spatial burst.
+
+    ``idle`` quiesces the severed flows and ``protection`` swaps in backup
+    routes; neither re-runs removal, so the degraded CDG must stay acyclic
+    on its own.
+    """
+    protected = remove_deadlocks(d36_8_design_14sw).design
+    schedule = spatial_burst_model(
+        protected, seed=0, radius=1, start_cycle=50, end_cycle=150, restore_after=100
+    )
+    config = SimulationConfig(seed=0, fault_schedule=schedule, fault_recovery=policy)
+    stats = simulate_design(protected, max_cycles=300, config=config, engine="compiled")
+    assert stats.fault_events_applied > 0
+    assert not stats.deadlock_detected
+    assert stats.post_fault_deadlock_free is True
+    assert stats.packets_delivered > 0
