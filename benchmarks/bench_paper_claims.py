@@ -2,9 +2,9 @@
 
 One cold run of the checked-in figure plan through
 :class:`~repro.api.runner.Runner` regenerates Figures 8, 9 and 10 and the
-area and overhead claims.  Each report is printed in a paper-like layout,
-saved under ``benchmarks/results/`` and checked against the *shape* the
-paper reports, not its absolute numbers:
+area and overhead claims.  Each report is printed in a paper-like layout
+and checked against the *shape* the paper reports, not its absolute
+numbers:
 
 * Figure 8 (D26_media, 5..25 switches): an application-specific topology
   can be deadlock free without restricting routing, so removal needs no
@@ -28,10 +28,9 @@ paper reports, not its absolute numbers:
   over Figure 10's six benchmarks takes under 120 s in total, and under
   60 s at every Figure 9 point.
 
-Runnable standalone or under the harness::
+Run from the repository root (exit 1 when a claim does not hold)::
 
     PYTHONPATH=src python benchmarks/bench_paper_claims.py
-    cd benchmarks && PYTHONPATH=../src python -m pytest bench_paper_claims.py -q -s
 """
 
 from __future__ import annotations
@@ -40,14 +39,18 @@ import sys
 from pathlib import Path
 from typing import Dict, List, Sequence, Tuple
 
-from conftest import banner, save_results
-
 from repro.analysis.metrics import format_table, percent_reduction
 from repro.api.reports import report_types
 from repro.api.runner import PlanResult, Runner
 from repro.api.spec import ExperimentPlan
 
 PLAN_PATH = Path(__file__).resolve().parent.parent / "plans" / "paper_figures.json"
+
+
+def banner(title: str) -> str:
+    """A visually distinct section header for the printed reports."""
+    line = "=" * len(title)
+    return f"\n{line}\n{title}\n{line}"
 
 
 def _failed(report: str, claims: Sequence[Tuple[str, bool]]) -> List[str]:
@@ -165,13 +168,13 @@ def _overhead(data: Dict) -> List[str]:
     ])
 
 
-#: Report type -> (results file name, printer returning the failed claims).
+#: Report type -> printer returning the failed claims.
 REPORTS = {
-    "figure8": ("figure8_d26_media", _figure8),
-    "figure9": ("figure9_d36_8", _figure9),
-    "figure10": ("figure10_power", _figure10),
-    "area": ("area_savings", _area),
-    "overhead": ("overhead_vs_unprotected", _overhead),
+    "figure8": _figure8,
+    "figure9": _figure9,
+    "figure10": _figure10,
+    "area": _area,
+    "overhead": _overhead,
 }
 
 
@@ -199,20 +202,11 @@ def run_paper_figures() -> PlanResult:
 
 
 def check_paper_claims(outcome: PlanResult) -> List[str]:
-    """Print and save every report; return the claims that do not hold."""
+    """Print every report; return the claims that do not hold."""
     failures: List[str] = []
     for name, data in outcome.render_reports():
-        result_name, check = REPORTS[name]
-        failures.extend(check(data))
-        save_results(result_name, data)
+        failures.extend(REPORTS[name](data))
     return failures + _runtime(outcome)
-
-
-def test_paper_claims(benchmark):
-    """Harness entry: regenerate every figure and assert its shape."""
-    outcome = benchmark.pedantic(run_paper_figures, rounds=1, iterations=1)
-    failures = check_paper_claims(outcome)
-    assert not failures, "; ".join(failures)
 
 
 def main() -> int:

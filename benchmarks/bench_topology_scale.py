@@ -9,9 +9,8 @@ question behind the family layer: does removal stay tractable (and the
 fabric deadlock free) as the network grows from SoC-sized rings to an
 80-switch fat-tree?
 
-Results are persisted both to ``benchmarks/results/topology_scale.json``
-(the harness convention) and to ``BENCH_topology_scale.json`` at the
-repository root.  Runnable standalone::
+Results go to ``BENCH_topology_scale.json`` at the repository root.  Run
+from the repository root::
 
     PYTHONPATH=src python benchmarks/bench_topology_scale.py           # full
     PYTHONPATH=src python benchmarks/bench_topology_scale.py --smoke   # CI, <60 s
@@ -174,12 +173,8 @@ def run_topology_scale(
 
 
 def _persist(data: dict) -> None:
-    """Write the numbers to the harness results dir and the repo root."""
-    results_dir = Path(__file__).parent / "results"
-    results_dir.mkdir(parents=True, exist_ok=True)
-    payload = json.dumps(data, indent=2, sort_keys=True)
-    (results_dir / "topology_scale.json").write_text(payload)
-    ROOT_RESULT_PATH.write_text(payload + "\n")
+    """Write the numbers to ``BENCH_topology_scale.json`` at the repository root."""
+    ROOT_RESULT_PATH.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def _report(data: dict) -> str:
@@ -209,18 +204,6 @@ def _check(data: dict) -> List[str]:
         if point["packets_delivered"] <= 0:
             problems.append(f"{label}: simulation delivered no packets")
     return problems
-
-
-def test_topology_scale_smoke(benchmark):
-    """Harness entry: the smoke ladder, asserting the hard invariants."""
-    data = benchmark.pedantic(
-        lambda: run_topology_scale(points=SMOKE_POINTS, sim_cycles=400),
-        rounds=1,
-        iterations=1,
-    )
-    print("\n" + _report(data))
-    _persist(data)
-    assert not _check(data)
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -26,7 +26,6 @@ Quickstart::
 """
 
 from repro.analysis.experiments import MethodComparison, compare_methods
-from repro.analysis.performance import LoadSweep, compare_performance, load_latency_sweep
 from repro.api import (
     ArtifactCache,
     ExperimentPlan,
@@ -128,9 +127,6 @@ __all__ = [
     # analysis
     "MethodComparison",
     "compare_methods",
-    "LoadSweep",
-    "load_latency_sweep",
-    "compare_performance",
     # declarative experiment API
     "RunSpec",
     "ExperimentPlan",

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Sequence
+from typing import Any, Dict, Iterable, List, Mapping, Sequence
 
 
 def percent_change(reference: float, candidate: float) -> float:
@@ -44,10 +44,24 @@ def arithmetic_mean(values: Sequence[float]) -> float:
 def is_saturated(offered: float, delivered: float) -> bool:
     """Heuristic saturation flag: delivered flits/cycle below 80% of offered.
 
-    The one definition behind ``LoadPoint.saturated`` and the ``latency``
-    and ``scale`` reports.  Zero offered load never saturates.
+    Zero offered load never saturates.
     """
     return offered > 0 and delivered < 0.8 * offered
+
+
+def load_point_failed(metrics: Mapping[str, Any]) -> bool:
+    """True when a simulated load point deadlocked or saturated.
+
+    The one verdict behind the ``latency`` report's saturation scale and
+    the ``scale`` report's ``saturated`` column; ``metrics`` is a load
+    point's dictionary (:func:`repro.analysis.performance.measure_load_grid`).
+    """
+    return bool(
+        metrics["deadlocked"]
+        or is_saturated(
+            metrics["offered_flits_per_cycle"], metrics["delivered_flits_per_cycle"]
+        )
+    )
 
 
 def normalise(values: Dict[str, float], reference_key: str) -> Dict[str, float]:

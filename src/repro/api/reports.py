@@ -18,12 +18,19 @@ add custom figures the same way it adds removal engines::
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.analysis.metrics import arithmetic_mean, is_saturated
+from repro.analysis.metrics import arithmetic_mean, load_point_failed
 from repro.api.registry import Registry
 from repro.api.result import RunResult
-from repro.api.spec import ExperimentPlan, ReportRequest, RunSpec
+from repro.api.spec import (
+    PASS_THROUGH_FIELDS,
+    SPEC_FIELDS,
+    ExperimentPlan,
+    ReportRequest,
+    RunSpec,
+)
+from repro.errors import PlanError
 
 #: Switch counts of Figure 8 (D26_media, x-axis 5..25).
 FIGURE8_SWITCH_COUNTS: List[int] = [5, 8, 11, 14, 17, 20, 23, 25]
@@ -52,31 +59,6 @@ report_types = Registry("report type")
 
 #: Injection scales of the default load–latency sweep.
 LATENCY_INJECTION_SCALES: List[float] = [0.25, 0.5, 0.75, 1.0, 1.5, 2.0]
-
-
-def _spec_params(params: Mapping[str, Any]) -> Dict[str, Any]:
-    """RunSpec fields a report request may override (engine etc.)."""
-    return {
-        key: params[key]
-        for key in (
-            "engine",
-            "ordering_strategy",
-            "synthesis_backend",
-            "synthesis",
-            "topology_family",
-            "family_params",
-            "sim_engine",
-            "traffic_scenario",
-            "scenario_params",
-            "sim_cycles",
-            "buffer_depth",
-            "fault_schedule",
-            "fault_model",
-            "fault_params",
-            "fault_recovery",
-        )
-        if key in params
-    }
 
 
 def _percentile(values: Sequence[float], pct: float) -> Optional[float]:
@@ -112,7 +94,15 @@ def _sentinel_free(entry: Dict[str, Any]) -> Dict[str, Any]:
 
 
 class ReportType:
-    """Base class for report formatters (subclass and register instances)."""
+    """Base class for report formatters (subclass and register instances).
+
+    A request's parameters are the report type's own :attr:`params` plus
+    any :class:`RunSpec` field; the fields outside the grid axes pass
+    through to every spec the report builds (:meth:`_spec_params`).
+    """
+
+    #: Parameters this report type reads itself.
+    params: Tuple[str, ...] = ()
 
     def specs(self, params: Mapping[str, Any]) -> List[RunSpec]:
         """The evaluation points this report needs."""
@@ -125,6 +115,21 @@ class ReportType:
         raise NotImplementedError
 
     # ------------------------------------------------------------------
+    def _spec_params(self, params: Mapping[str, Any]) -> Dict[str, Any]:
+        """The RunSpec fields a request passes through (engine etc.).
+
+        Raises :class:`~repro.errors.PlanError` naming every key that is
+        neither a RunSpec field nor one of :attr:`params`, so a misspelt
+        parameter fails instead of silently taking its default.
+        """
+        unknown = sorted(set(params) - set(SPEC_FIELDS) - set(self.params))
+        if unknown:
+            raise PlanError(
+                f"unknown report parameter(s): {', '.join(unknown)}; a report "
+                f"takes {', '.join(self.params)} or any run spec field"
+            )
+        return {key: params[key] for key in PASS_THROUGH_FIELDS if key in params}
+
     def _results(
         self, params: Mapping[str, Any], lookup: Mapping[str, RunResult]
     ) -> List[RunResult]:
@@ -133,6 +138,8 @@ class ReportType:
 
 class _SwitchCountSweepReport(ReportType):
     """Figures 8 and 9: extra VCs vs. switch count for one benchmark."""
+
+    params = ("switch_counts", "seed")
 
     def __init__(self, benchmark: str, default_counts: Sequence[int]):
         self.benchmark = benchmark
@@ -143,7 +150,7 @@ class _SwitchCountSweepReport(ReportType):
 
     def specs(self, params: Mapping[str, Any]) -> List[RunSpec]:
         seed = params.get("seed", 0)
-        extra = _spec_params(params)
+        extra = self._spec_params(params)
         return [
             RunSpec(benchmark=self.benchmark, switch_count=count, seed=seed, **extra)
             for count in self._counts(params)
@@ -162,6 +169,8 @@ class _SwitchCountSweepReport(ReportType):
 class _BenchmarkSetReport(ReportType):
     """Base for the per-benchmark reports (Figure 10, area, overhead)."""
 
+    params = ("benchmarks", "switch_count", "seed")
+
     def _names(self, params: Mapping[str, Any]) -> List[str]:
         return list(params.get("benchmarks", FIGURE10_BENCHMARKS))
 
@@ -171,7 +180,7 @@ class _BenchmarkSetReport(ReportType):
     def specs(self, params: Mapping[str, Any]) -> List[RunSpec]:
         seed = params.get("seed", 0)
         switch_count = self._switch_count(params)
-        extra = _spec_params(params)
+        extra = self._spec_params(params)
         return [
             RunSpec(benchmark=name, switch_count=switch_count, seed=seed, **extra)
             for name in self._names(params)
@@ -248,6 +257,8 @@ class _LatencyReport(ReportType):
     ``sim_cycles``, ``buffer_depth``).
     """
 
+    params = ("benchmark", "switch_count", "injection_scales", "seed")
+
     def _benchmark(self, params: Mapping[str, Any]) -> str:
         return params.get("benchmark", "D36_8")
 
@@ -259,7 +270,7 @@ class _LatencyReport(ReportType):
 
     def specs(self, params: Mapping[str, Any]) -> List[RunSpec]:
         seed = params.get("seed", 0)
-        extra = _spec_params(params)
+        extra = self._spec_params(params)
         return [
             RunSpec(
                 benchmark=self._benchmark(params),
@@ -279,13 +290,9 @@ class _LatencyReport(ReportType):
         curves: Dict[str, Any] = {}
         for variant in SIMULATED_VARIANTS:
             metrics = [r.simulation["variants"][variant] for r in results]
-            saturation = None
-            for point in metrics:
-                if point["deadlocked"] or is_saturated(
-                    point["offered_flits_per_cycle"], point["delivered_flits_per_cycle"]
-                ):
-                    saturation = point["injection_scale"]
-                    break
+            saturation = next(
+                (m["injection_scale"] for m in metrics if load_point_failed(m)), None
+            )
             curves[variant] = {
                 "offered_flits_per_cycle": [m["offered_flits_per_cycle"] for m in metrics],
                 "delivered_flits_per_cycle": [
@@ -342,6 +349,18 @@ class _AvailabilityReport(ReportType):
     ``buffer_depth``).
     """
 
+    params = (
+        "benchmark",
+        "switch_count",
+        "injection_scale",
+        "fault_model",
+        "fault_params",
+        "recovery_policies",
+        "seeds",
+        "variant",
+        "seed",
+    )
+
     def _benchmark(self, params: Mapping[str, Any]) -> str:
         return params.get("benchmark", "D36_8")
 
@@ -361,7 +380,7 @@ class _AvailabilityReport(ReportType):
         return params.get("variant", "removal")
 
     def specs(self, params: Mapping[str, Any]) -> List[RunSpec]:
-        extra = _spec_params(params)
+        extra = self._spec_params(params)
         # The report's own axes, never a pass-through.
         extra.pop("fault_model", None)
         extra.pop("fault_params", None)
@@ -489,9 +508,9 @@ class _ScaleReport(ReportType):
     ``buffer_depth``).
     """
 
-    def _family(self, params: Mapping[str, Any]) -> str:
-        from repro.errors import PlanError  # local: avoid import cycle
+    params = ("family", "points", "benchmark", "injection_scale", "seed")
 
+    def _family(self, params: Mapping[str, Any]) -> str:
         family = params.get("family")
         if not isinstance(family, str) or not family:
             raise PlanError(
@@ -501,8 +520,6 @@ class _ScaleReport(ReportType):
         return family
 
     def _points(self, params: Mapping[str, Any]) -> List[Dict[str, Any]]:
-        from repro.errors import PlanError  # local: avoid import cycle
-
         family = self._family(params)
         points = params.get("points")
         if points is None:
@@ -535,7 +552,7 @@ class _ScaleReport(ReportType):
         points = self._points(params)
         sizes = self._sizes(params)
         benchmarks = self._benchmarks(params)
-        extra = _spec_params(params)
+        extra = self._spec_params(params)
         # The family axis is the report's own sweep, never a pass-through.
         extra.pop("topology_family", None)
         extra.pop("family_params", None)
@@ -559,15 +576,6 @@ class _ScaleReport(ReportType):
         curves: Dict[str, Any] = {}
         for variant in SIMULATED_VARIANTS:
             metrics = [r.simulation["variants"][variant] for r in results]
-            saturated = [
-                bool(
-                    m["deadlocked"]
-                    or is_saturated(
-                        m["offered_flits_per_cycle"], m["delivered_flits_per_cycle"]
-                    )
-                )
-                for m in metrics
-            ]
             curves[variant] = {
                 "offered_flits_per_cycle": [m["offered_flits_per_cycle"] for m in metrics],
                 "delivered_flits_per_cycle": [
@@ -575,7 +583,7 @@ class _ScaleReport(ReportType):
                 ],
                 "average_latency": [m["average_latency"] for m in metrics],
                 "deadlocked": [m["deadlocked"] for m in metrics],
-                "saturated": saturated,
+                "saturated": [load_point_failed(m) for m in metrics],
             }
         first = results[0].simulation if results else {}
         return {

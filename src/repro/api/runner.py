@@ -13,12 +13,17 @@ The runner turns :class:`~repro.api.spec.RunSpec` points into
   under :meth:`RunSpec.cost_fingerprint`, so the load points of a latency
   sweep — which differ only along the simulation axis — pay the removal
   pipeline once instead of once per point on a cold cache.
-* **batched simulation** — simulating specs with ``sim_engine: "batched"``
-  that share a cost bundle are grouped by :func:`_plan_batches` and run as
-  one grid of compiled lanes per design variant
-  (:func:`repro.analysis.performance.measure_load_grid`), still yielding
-  one cached :class:`RunResult` per spec with unchanged fingerprints and
-  record bytes.  Fault specs run per spec.
+* **one simulation path** — :func:`_simulate_specs` simulates a list of
+  specs that share a cost bundle: a group of several as one grid of lanes
+  per design variant
+  (:func:`repro.analysis.performance.measure_load_grid`), a single spec
+  as one load point (:func:`~repro.analysis.performance
+  .measure_load_point`), both through the same measurement body.
+  :func:`_plan_batches` groups simulating specs with ``sim_engine:
+  "batched"`` that share a cost bundle; every other spec, fault specs
+  included, is a group of one.  Batching still yields one cached
+  :class:`RunResult` per spec with unchanged fingerprints and record
+  bytes.
 * **cheap fan-out** — plans execute over
   :func:`repro.perf.executor.parallel_map`; only the small spec dictionary
   crosses the process boundary, and every worker resolves the benchmark
@@ -189,151 +194,9 @@ def _resolve_costs(spec: RunSpec, cache: Optional[ArtifactCache] = None) -> _Cos
 def execute_spec(spec: RunSpec, cache: Optional[ArtifactCache] = None) -> RunResult:
     """Execute one spec, consulting and feeding ``cache`` when given.
 
-    Cached documents are never trusted: any entry that fails to
-    deserialize (corrupt, stale schema version, missing fields) is treated
-    as a miss and recomputed, not raised.
+    A batch group of one (:func:`execute_spec_batch`).
     """
-    result = _cached_result(spec, cache)
-    if result is not None:
-        return result
-    bundle = _resolve_costs(spec, cache)
-    simulation = _simulate_spec(spec, bundle.designs) if spec.injection_scale else None
-    return _store_result(spec, bundle, simulation, cache)
-
-
-def _cached_result(spec: RunSpec, cache: Optional[ArtifactCache]) -> Optional[RunResult]:
-    """The spec's cached record, or ``None`` on a miss or an unreadable entry."""
-    document = cache.get(RESULT_KIND, spec.fingerprint()) if cache is not None else None
-    if document is None:
-        return None
-    try:
-        result = RunResult.from_dict(document)
-    except ReproError:
-        return None
-    result.cache_hit = True
-    return result
-
-
-def _store_result(
-    spec: RunSpec, bundle: _CostBundle, simulation, cache: Optional[ArtifactCache]
-) -> RunResult:
-    """Assemble the spec's record and write it to ``cache`` when given."""
-    result = RunResult(spec=spec, simulation=simulation, **bundle.scalars)
-    if cache is not None:
-        cache.put(RESULT_KIND, spec.fingerprint(), result.to_dict())
-    return result
-
-
-def _simulation_document(
-    spec: RunSpec, variants: Dict[str, Any], schedule
-) -> Dict[str, Any]:
-    """Assemble the record's ``simulation`` section from per-variant metrics.
-
-    One assembly point for the solo and batched paths, so both serialize
-    byte-identically for the same spec and metrics.
-    """
-    simulation = {
-        "engine": spec.sim_engine,
-        "traffic_scenario": spec.traffic_scenario,
-        "injection_scale": spec.injection_scale,
-        "sim_cycles": spec.sim_cycles,
-        "buffer_depth": spec.buffer_depth,
-        "seed": spec.seed,
-        "variants": variants,
-    }
-    if spec.scenario_params:
-        simulation["scenario_params"] = dict(spec.scenario_params)
-    if spec.fault_schedule is not None:
-        simulation["fault_schedule"] = dict(spec.fault_schedule)
-    if spec.fault_model is not None:
-        simulation["fault_model"] = spec.fault_model
-        if spec.fault_params:
-            simulation["fault_params"] = dict(spec.fault_params)
-    if schedule is not None:
-        simulation["fault_recovery"] = spec.fault_recovery
-    return simulation
-
-
-def _simulate_spec(spec: RunSpec, designs: Dict[str, NocDesign]) -> Dict[str, Any]:
-    """Wormhole-simulate the bundle's designs at the spec's load point.
-
-    All three variants run with the same engine, scenario and seed (the
-    seed is :attr:`RunSpec.seed`, so repeated executions of one spec are
-    reproducible); deadlocks — expected for the unprotected variant under
-    pressure — are recorded in the metrics, never raised.
-    """
-    from repro.analysis.performance import measure_load_point  # local: lazy sim import
-    from repro.simulation.fault_models import build_fault_schedule  # local: lazy sim import
-
-    # Resolve a fault-schedule request (explicit document or fault-model
-    # generator) once, against the unprotected design: the protected
-    # variants only ever *add* channels on the same physical links, so a
-    # schedule drawn here targets links that exist in every variant — all
-    # three degrade under identical faults.  The cascade model also reads
-    # the unprotected design's link loads, which every variant shares.
-    schedule = build_fault_schedule(
-        designs["unprotected"],
-        fault_model=spec.fault_model,
-        fault_params=spec.fault_params,
-        fault_schedule=spec.fault_schedule,
-        seed=spec.seed,
-    )
-    variants = {
-        variant: measure_load_point(
-            designs[variant],
-            injection_scale=spec.injection_scale,
-            max_cycles=spec.sim_cycles,
-            buffer_depth=spec.buffer_depth,
-            seed=spec.seed,
-            traffic_scenario=spec.traffic_scenario,
-            scenario_params=spec.scenario_params,
-            sim_engine=spec.sim_engine,
-            fault_schedule=schedule,
-            fault_recovery=spec.fault_recovery,
-        )
-        for variant in SIMULATED_VARIANTS
-    }
-    return _simulation_document(spec, variants, schedule)
-
-
-def _simulate_spec_batch(
-    specs: Sequence[RunSpec], designs: Dict[str, NocDesign]
-) -> List[Dict[str, Any]]:
-    """Simulate a batch group's load points: one grid of lanes per variant.
-
-    The specs are one :func:`_plan_batches` group (shared cost bundle,
-    ``sim_cycles`` and ``buffer_depth``; no fault fields), so each design
-    variant runs all the group's lanes in a single
-    :func:`~repro.analysis.performance.measure_load_grid` call.  Returns
-    one ``simulation`` document per spec, in order, byte-identical to what
-    :func:`_simulate_spec` produces for the same spec.
-    """
-    from repro.analysis.performance import measure_load_grid  # local: lazy sim import
-
-    first = specs[0]
-    points = [
-        {
-            "injection_scale": spec.injection_scale,
-            "seed": spec.seed,
-            "traffic_scenario": spec.traffic_scenario,
-            "scenario_params": spec.scenario_params,
-        }
-        for spec in specs
-    ]
-    grids = {
-        variant: measure_load_grid(
-            designs[variant],
-            points,
-            max_cycles=first.sim_cycles,
-            buffer_depth=first.buffer_depth,
-        )
-        for variant in SIMULATED_VARIANTS
-    }
-    documents = []
-    for lane, spec in enumerate(specs):
-        variants = {variant: grids[variant][lane] for variant in SIMULATED_VARIANTS}
-        documents.append(_simulation_document(spec, variants, None))
-    return documents
+    return execute_spec_batch([spec], cache)[0]
 
 
 def execute_spec_batch(
@@ -341,21 +204,122 @@ def execute_spec_batch(
 ) -> List[RunResult]:
     """Execute one batch group of specs, one grid per design variant.
 
-    ``specs`` must be a :func:`_plan_batches` group: batch-eligible and
-    sharing a :meth:`RunSpec.cost_fingerprint`, ``sim_cycles`` and
-    ``buffer_depth``.  Cached results are served per spec exactly as
-    :func:`execute_spec` serves them; only the misses run, batched.  The
-    returned records — and the documents written to ``cache`` — are
-    byte-identical to executing each spec alone.
+    ``specs`` must be a :func:`_plan_batches` group: a single spec, or
+    batch-eligible specs sharing a :meth:`RunSpec.cost_fingerprint`,
+    ``sim_cycles`` and ``buffer_depth``.  Cached results are served per
+    spec; only the misses run, batched.  The returned records — and the
+    documents written to ``cache`` — are byte-identical to executing each
+    spec alone.  Cached documents are never trusted: any entry that fails
+    to deserialize (corrupt, stale schema version, missing fields) is
+    treated as a miss and recomputed, not raised.
     """
-    results = [_cached_result(spec, cache) for spec in specs]
+    results: List[Optional[RunResult]] = []
+    for spec in specs:
+        document = cache.get(RESULT_KIND, spec.fingerprint()) if cache is not None else None
+        try:
+            result = RunResult.from_dict(document) if document is not None else None
+        except ReproError:
+            result = None
+        if result is not None:
+            result.cache_hit = True
+        results.append(result)
     missing = [index for index, result in enumerate(results) if result is None]
     if missing:
-        bundle = _resolve_costs(specs[missing[0]], cache)
-        simulations = _simulate_spec_batch([specs[index] for index in missing], bundle.designs)
-        for index, simulation in zip(missing, simulations):
-            results[index] = _store_result(specs[index], bundle, simulation, cache)
+        todo = [specs[index] for index in missing]
+        bundle = _resolve_costs(todo[0], cache)
+        if todo[0].injection_scale is None:  # a cost-only spec (never batched)
+            simulations: List[Optional[Dict[str, Any]]] = [None] * len(todo)
+        else:
+            simulations = _simulate_specs(todo, bundle.designs)
+        for index, spec, simulation in zip(missing, todo, simulations):
+            result = RunResult(spec=spec, simulation=simulation, **bundle.scalars)
+            if cache is not None:
+                cache.put(RESULT_KIND, spec.fingerprint(), result.to_dict())
+            results[index] = result
     return results
+
+
+def _simulate_specs(
+    specs: Sequence[RunSpec], designs: Dict[str, NocDesign]
+) -> List[Dict[str, Any]]:
+    """Wormhole-simulate the bundle's designs at each spec's load point.
+
+    The one function that simulates specs; returns each spec's record
+    ``simulation`` section, in order.  Several specs (a
+    :func:`_plan_batches` group, sharing ``sim_cycles``, ``buffer_depth``
+    and ``sim_engine``) run as one :func:`~repro.analysis.performance
+    .measure_load_grid` call per design variant, a single spec as one
+    :func:`~repro.analysis.performance.measure_load_point` call; both are
+    looked up on the module at call time.  All three variants run with the
+    spec's engine, scenario and seed, so repeated executions of one spec
+    are reproducible; deadlocks — expected for the unprotected variant
+    under pressure — are recorded in the metrics, never raised.
+    """
+    from repro.analysis import performance  # local: lazy sim import
+    from repro.simulation.fault_models import build_fault_schedule  # local: lazy sim import
+
+    # Resolve each fault-schedule request (explicit document or fault-model
+    # generator) once, against the unprotected design: the protected
+    # variants only ever *add* channels on the same physical links, so a
+    # schedule drawn here targets links that exist in every variant — all
+    # three degrade under identical faults.  The cascade model also reads
+    # the unprotected design's link loads, which every variant shares.
+    schedules = [
+        build_fault_schedule(
+            designs["unprotected"],
+            fault_model=spec.fault_model,
+            fault_params=spec.fault_params,
+            fault_schedule=spec.fault_schedule,
+            seed=spec.seed,
+        )
+        for spec in specs
+    ]
+    points = [
+        {
+            "injection_scale": spec.injection_scale,
+            "seed": spec.seed,
+            "traffic_scenario": spec.traffic_scenario,
+            "scenario_params": spec.scenario_params,
+            "fault_schedule": schedule,
+            "fault_recovery": spec.fault_recovery,
+        }
+        for spec, schedule in zip(specs, schedules)
+    ]
+    first = specs[0]
+    shared = dict(
+        max_cycles=first.sim_cycles, buffer_depth=first.buffer_depth, sim_engine=first.sim_engine
+    )
+    grids = {
+        variant: (
+            [performance.measure_load_point(designs[variant], **points[0], **shared)]
+            if len(specs) == 1
+            else performance.measure_load_grid(designs[variant], points, **shared)
+        )
+        for variant in SIMULATED_VARIANTS
+    }
+    documents = []
+    for lane, (spec, schedule) in enumerate(zip(specs, schedules)):
+        simulation = {
+            "engine": spec.sim_engine,
+            "traffic_scenario": spec.traffic_scenario,
+            "injection_scale": spec.injection_scale,
+            "sim_cycles": spec.sim_cycles,
+            "buffer_depth": spec.buffer_depth,
+            "seed": spec.seed,
+            "variants": {variant: grids[variant][lane] for variant in SIMULATED_VARIANTS},
+        }
+        if spec.scenario_params:
+            simulation["scenario_params"] = dict(spec.scenario_params)
+        if spec.fault_schedule is not None:
+            simulation["fault_schedule"] = dict(spec.fault_schedule)
+        if spec.fault_model is not None:
+            simulation["fault_model"] = spec.fault_model
+            if spec.fault_params:
+                simulation["fault_params"] = dict(spec.fault_params)
+        if schedule is not None:
+            simulation["fault_recovery"] = spec.fault_recovery
+        documents.append(simulation)
+    return documents
 
 
 # ----------------------------------------------------------------------
@@ -383,8 +347,8 @@ def _plan_batches(specs: Sequence[RunSpec]) -> List[List[int]]:
 
     Multi-member lists are batch groups (shared
     :meth:`RunSpec.cost_fingerprint`, ``sim_cycles``, ``buffer_depth``);
-    singletons execute through :func:`execute_spec`.  Deterministic:
-    groups appear in first-member order, members in plan order.
+    singletons are groups of one.  Deterministic: groups appear in
+    first-member order, members in plan order.
     """
     keyed: Dict[Any, List[int]] = {}
     for index, spec in enumerate(specs):
@@ -405,8 +369,6 @@ def _run_batch_task(task: Tuple[List[Dict[str, Any]], Optional[str]]) -> List[Ru
     spec_dicts, cache_dir = task
     specs = [RunSpec.from_dict(data) for data in spec_dicts]
     cache = ArtifactCache(cache_dir) if cache_dir else None
-    if len(specs) == 1:
-        return [execute_spec(specs[0], cache)]
     return execute_spec_batch(specs, cache)
 
 

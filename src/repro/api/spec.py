@@ -24,9 +24,9 @@ Plan schema (``format_version`` 1)::
         {"benchmark": "D36_8", "switch_count": 14,
          "injection_scales": [0.5, 1.0, 2.0], "traffic_scenario": "hotspot"},
         {"benchmark": "D36_8", "switch_count": 14, "injection_scale": 1.0,
-         "fault_schedule": {"random": {"link_failures": 2,
-                                       "start_cycle": 100, "end_cycle": 800,
-                                       "restore_after": 500}}},
+         "fault_model": "uniform",
+         "fault_params": {"link_failures": 2, "start_cycle": 100,
+                          "end_cycle": 800, "restore_after": 500}},
         {"benchmark": "D36_8", "switch_count": 14, "injection_scale": 1.0,
          "fault_model": "spatial_burst", "fault_params": {"radius": 2},
          "fault_recovery": "protection", "seeds": [0, 1, 2, 3]},
@@ -57,24 +57,20 @@ run the wormhole simulation at that load point (see
 A ``fault_schedule`` (only meaningful on simulating entries) injects
 link/router failures mid-run and records the resilience metrics —
 recovery latency, in-flight flit loss, post-fault deadlock freedom — in
-the result's ``simulation.variants[*].resilience`` section.  It is either
-an explicit event list::
+the result's ``simulation.variants[*].resilience`` section.  It is an
+explicit event list::
 
     {"events": [{"cycle": 200, "action": "fail_link",
                  "link": {"src": "sw3", "dst": "sw5", "index": 0}},
                 {"cycle": 700, "action": "restore_link",
                  "link": {"src": "sw3", "dst": "sw5", "index": 0}}]}
 
-or a deterministic seeded request (``seed`` defaults to the spec's own)::
-
-    {"random": {"link_failures": 1, "router_failures": 1,
-                "start_cycle": 100, "end_cycle": 1000}}
-
-``fault_model`` names a correlated generator from
-:data:`repro.api.registry.fault_models` instead (``uniform``,
-``spatial_burst``, ``cascade``, ``mtbf``); ``fault_params`` parameterizes
-it and the schedule derives deterministically from the synthesized design
-and the spec's seed, so a ``seeds`` grid sweeps the model.
+``fault_model`` names a seeded generator from
+:data:`repro.api.registry.fault_models` instead (``uniform`` — uniformly
+random link and router failures — ``spatial_burst``, ``cascade``,
+``mtbf``); ``fault_params`` parameterizes it and the schedule derives
+deterministically from the synthesized design and the spec's seed, so a
+``seeds`` grid sweeps the model.
 ``fault_recovery`` picks the repair policy from
 :data:`repro.api.registry.recovery_policies` (``removal`` — the default —
 ``reroute``, ``idle`` or ``protection``).  ``fault_model`` and
@@ -110,7 +106,8 @@ from repro.errors import PlanError
 #: any change that alters the meaning of a serialized spec.
 PLAN_FORMAT_VERSION = 1
 
-_SPEC_FIELDS = (
+#: Every :class:`RunSpec` field, in serialization order.
+SPEC_FIELDS = (
     "benchmark",
     "switch_count",
     "seed",
@@ -131,6 +128,21 @@ _SPEC_FIELDS = (
     "fault_model",
     "fault_params",
     "fault_recovery",
+)
+
+#: The grid axes of a run entry, each as (singular, plural) keys: the
+#: only fields an entry may give as a list.
+_GRID_AXES = (
+    ("benchmark", "benchmarks"),
+    ("switch_count", "switch_counts"),
+    ("seed", "seeds"),
+    ("injection_scale", "injection_scales"),
+)
+
+#: The RunSpec fields a run entry or a report request copies unchanged
+#: into every spec it expands into: all but the grid axes.
+PASS_THROUGH_FIELDS = tuple(
+    name for name in SPEC_FIELDS if name not in {singular for singular, _ in _GRID_AXES}
 )
 
 
@@ -201,13 +213,12 @@ class RunSpec:
     buffer_depth:
         Flit capacity of every VC input buffer during simulation.
     fault_schedule:
-        Optional fault-injection request for the simulation: either an
-        explicit ``{"events": [...]}`` document or a seeded
-        ``{"random": {...}}`` request (see
-        :meth:`repro.simulation.events.EventSchedule.from_spec`; a random
-        request without its own ``seed`` inherits the spec's).  Only
-        meaningful together with ``injection_scale``; mutually exclusive
-        with ``fault_model``.
+        Optional explicit ``{"events": [...]}`` fault schedule for the
+        simulation (see
+        :meth:`repro.simulation.events.EventSchedule.from_spec`; seeded
+        random failures are ``fault_model: "uniform"``).  Only meaningful
+        together with ``injection_scale``; mutually exclusive with
+        ``fault_model``.
     fault_model:
         Optional name in :data:`repro.api.registry.fault_models` of a
         correlated fault-schedule generator (``uniform``,
@@ -319,13 +330,17 @@ class RunSpec:
         if self.fault_schedule is not None:
             if not isinstance(self.fault_schedule, Mapping):
                 raise PlanError(
-                    "fault_schedule must be a mapping with 'events' or 'random' "
+                    "fault_schedule must be a mapping with an 'events' list "
                     f"(or null), got {self.fault_schedule!r}"
                 )
-            if "events" not in self.fault_schedule and "random" not in self.fault_schedule:
+            if "random" in self.fault_schedule:
                 raise PlanError(
-                    "fault_schedule needs an 'events' list or a 'random' request"
+                    "fault_schedule lists explicit 'events' only; request seeded "
+                    'random failures with fault_model: "uniform" and the same '
+                    "parameters as fault_params"
                 )
+            if "events" not in self.fault_schedule:
+                raise PlanError("fault_schedule needs an 'events' list")
             self.fault_schedule = dict(self.fault_schedule)
         if self.fault_model is not None:
             if not isinstance(self.fault_model, str) or not self.fault_model:
@@ -382,11 +397,11 @@ class RunSpec:
         """Rebuild a spec; unknown keys raise :class:`~repro.errors.PlanError`."""
         if not isinstance(data, Mapping):
             raise PlanError(f"run spec must be a mapping, got {type(data).__name__}")
-        unknown = set(data) - set(_SPEC_FIELDS)
+        unknown = set(data) - set(SPEC_FIELDS)
         if unknown:
             raise PlanError(
                 f"unknown run spec field(s): {', '.join(sorted(unknown))}; "
-                f"valid fields: {', '.join(_SPEC_FIELDS)}"
+                f"valid fields: {', '.join(SPEC_FIELDS)}"
             )
         if "benchmark" not in data:
             raise PlanError("run spec is missing the required 'benchmark' field")
@@ -536,28 +551,14 @@ def expand_run_entry(
     # An entry that sets an axis (in either form) fully overrides that axis:
     # drop both of the axis's keys from the defaults so e.g. defaults
     # {"seed": 0} and an entry {"seeds": [0, 1]} do not conflict.
-    for singular, plural in (
-        ("benchmark", "benchmarks"),
-        ("switch_count", "switch_counts"),
-        ("seed", "seeds"),
-        ("injection_scale", "injection_scales"),
-    ):
+    for singular, plural in _GRID_AXES:
         if singular in entry or plural in entry:
             merged.pop(singular, None)
             merged.pop(plural, None)
     merged.update(entry)
 
-    axis_keys = {
-        "benchmark",
-        "benchmarks",
-        "switch_count",
-        "switch_counts",
-        "seed",
-        "seeds",
-        "injection_scale",
-        "injection_scales",
-    }
-    unknown = set(merged) - axis_keys - set(_SPEC_FIELDS)
+    axis_keys = {key for pair in _GRID_AXES for key in pair}
+    unknown = set(merged) - axis_keys - set(SPEC_FIELDS)
     if unknown:
         raise PlanError(
             f"unknown run entry field(s): {', '.join(sorted(unknown))}"
@@ -571,28 +572,7 @@ def expand_run_entry(
     else:
         scales = [None]
 
-    common = {
-        key: merged[key]
-        for key in (
-            "engine",
-            "ordering_strategy",
-            "synthesis_backend",
-            "routing_engine",
-            "synthesis",
-            "topology_family",
-            "family_params",
-            "sim_engine",
-            "traffic_scenario",
-            "scenario_params",
-            "sim_cycles",
-            "buffer_depth",
-            "fault_schedule",
-            "fault_model",
-            "fault_params",
-            "fault_recovery",
-        )
-        if key in merged
-    }
+    common = {key: merged[key] for key in PASS_THROUGH_FIELDS if key in merged}
     specs: List[RunSpec] = []
     for benchmark in benchmarks:
         for count in switch_counts:

@@ -12,7 +12,7 @@ Installed as ``noc-deadlock``.  Subcommands:
 * ``run``       — execute a declarative experiment plan (JSON), with an
   artifact cache so repeated sweeps reuse earlier work;
 * ``lint``      — run the AST-based invariant checker (``repro.lint``)
-  over the sources; exits non-zero on any non-baselined finding.
+  over the sources; exits non-zero on any finding not suppressed inline.
 
 Every subcommand is a thin adapter over the library — ``figures`` and
 ``run`` both go through :mod:`repro.api`, so a plan holding the figure
@@ -144,8 +144,8 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
 def _load_fault_schedule(value: Optional[str]):
     """Parse ``--fault-schedule``: inline JSON (starts with ``{``) or a file.
 
-    Returns the raw document; resolution against the design's topology
-    (including ``{"random": ...}`` requests) happens in ``simulate_design``.
+    Returns the raw document; it is validated against the design's
+    topology when the run resolves it.
     """
     if value is None:
         return None
@@ -264,24 +264,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    from repro.lint import lint_paths, save_baseline  # local: lint-only import
+    from repro.lint import lint_paths  # local: lint-only import
 
-    baseline: Optional[Path] = None
-    if not args.no_baseline:
-        baseline = Path(args.baseline)
     report = lint_paths(
         args.paths,
         root=Path.cwd(),
         tests_dir=args.tests_dir,
-        baseline=baseline,
         rules=args.rules.split(",") if args.rules else None,
     )
-    if args.update_baseline:
-        if baseline is None:
-            raise SystemExit("--update-baseline requires a baseline file (drop --no-baseline)")
-        save_baseline(baseline, report.findings)
-        print(f"wrote {len(report.findings)} finding(s) to {baseline}")
-        return 0
     if args.format == "json":
         print(json.dumps(report.to_dict(), indent=2))
     else:
@@ -289,8 +279,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             print(finding.render())
         summary = (
             f"{report.checked_files} file(s) checked: "
-            f"{len(report.new_findings)} new finding(s), "
-            f"{len(report.grandfathered)} baselined, "
+            f"{len(report.new_findings)} finding(s), "
             f"{len(report.suppressed)} suppressed"
         )
         print(summary, file=sys.stderr)
@@ -407,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="JSON_OR_FILE",
         help="inject link/router failures mid-run: a JSON document (inline "
         "when starting with '{', otherwise a file path) with an 'events' "
-        "list or a seeded 'random' request",
+        "list (for seeded random failures use --fault-model uniform)",
     )
     p.add_argument(
         "--fault-model",
@@ -500,21 +489,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["human", "json"],
         default="human",
         help="output format (default: human; json prints the full report)",
-    )
-    p.add_argument(
-        "--baseline",
-        default="lint-baseline.json",
-        help="grandfathered-findings file (default: lint-baseline.json)",
-    )
-    p.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="compare against an empty baseline — every finding is new",
-    )
-    p.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the baseline from the current findings and exit 0",
     )
     p.add_argument(
         "--tests-dir",

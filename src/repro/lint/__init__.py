@@ -41,19 +41,15 @@ engines use)::
 Workflow
 --------
 * **run**: ``noc-deadlock lint [paths]`` (default ``src``) prints findings
-  and exits non-zero when any *new* finding survives; ``--format json``
+  and exits non-zero when any finding is not suppressed; ``--format json``
   emits the machine-readable document CI consumes.
 * **suppress**: a justified exception carries an inline same-line comment
   ``# noc-lint: disable=<rule-id> - <why>``; suppressions are visible at
-  the offending line, never file- or block-wide.
-* **baseline**: pre-existing findings a PR does not want to pay down yet
-  are grandfathered in ``lint-baseline.json`` (``--update-baseline``
-  rewrites it); matching ignores line numbers so unrelated edits do not
-  invalidate entries.  This repo's baseline is empty — keep it that way.
+  the offending line, never file- or block-wide.  Nothing else excuses a
+  finding: there is no baseline of grandfathered ones.
 """
 
 from repro.lint.base import FileContext, LintRule, ProjectContext, lint_rules
-from repro.lint.baseline import diff_against_baseline, load_baseline, save_baseline
 from repro.lint.engine import LintReport, lint_paths
 from repro.lint.findings import FINDING_KEYS, Finding, structured_warning
 
@@ -64,10 +60,7 @@ __all__ = [
     "LintReport",
     "LintRule",
     "ProjectContext",
-    "diff_against_baseline",
     "lint_paths",
     "lint_rules",
-    "load_baseline",
-    "save_baseline",
     "structured_warning",
 ]

@@ -11,9 +11,9 @@ tests are thin adapters over it.  The pipeline:
 3. run every registered rule's per-file pass, drop findings whose line
    carries an inline ``# noc-lint: disable=`` comment;
 4. run every rule's project-level pass (test files are parsed and
-   provided, never linted);
-5. subtract the baseline — only findings the baseline does not absorb are
-   *new* and fail the run.
+   provided, never linted).
+
+Every finding that is not suppressed inline fails the run.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from pathlib import Path
 from typing import Iterable, List, Optional, Sequence, Union
 
 from repro.lint.base import FileContext, ProjectContext, lint_rules
-from repro.lint.baseline import diff_against_baseline, load_baseline
 from repro.lint.findings import FINDINGS_FORMAT_VERSION, Finding
 from repro.lint.suppress import split_suppressed
 
@@ -93,29 +92,28 @@ def load_file_context(path: Path, root: Path) -> Union[FileContext, Finding]:
 
 @dataclass
 class LintReport:
-    """Everything one lint run produced."""
+    """Everything one lint run produced.
 
-    findings: List[Finding] = field(default_factory=list)
+    ``new_findings`` are the findings no inline comment suppressed, sorted;
+    any of them fails the run.
+    """
+
     new_findings: List[Finding] = field(default_factory=list)
-    grandfathered: List[Finding] = field(default_factory=list)
     suppressed: List[Finding] = field(default_factory=list)
     checked_files: int = 0
-    baseline_path: Optional[str] = None
 
     @property
     def ok(self) -> bool:
-        """True when no *new* findings survived suppression and baseline."""
+        """True when every finding was suppressed inline (or none was made)."""
         return not self.new_findings
 
     def to_dict(self) -> dict:
-        """The ``--format json`` document (schema shared with the baseline)."""
+        """The ``--format json`` document."""
         return {
             "format_version": FINDINGS_FORMAT_VERSION,
             "checked_files": self.checked_files,
             "ok": self.ok,
-            "baseline": self.baseline_path,
             "new_findings": [f.to_dict() for f in self.new_findings],
-            "grandfathered": [f.to_dict() for f in self.grandfathered],
             "suppressed": len(self.suppressed),
         }
 
@@ -125,7 +123,6 @@ def lint_paths(
     *,
     root: Optional[Union[str, Path]] = None,
     tests_dir: Optional[Union[str, Path]] = None,
-    baseline: Optional[Union[str, Path]] = None,
     rules: Optional[Iterable[str]] = None,
 ) -> LintReport:
     """Run the linter and return a :class:`LintReport`.
@@ -140,9 +137,6 @@ def lint_paths(
     tests_dir:
         Test tree parsed (not linted) for cross-referencing rules; pass
         ``None`` to skip project rules that need tests.
-    baseline:
-        Baseline file to subtract; ``None`` compares against an empty
-        baseline, so every finding is new.
     rules:
         Rule ids to run (default: every registered rule).
     """
@@ -187,13 +181,8 @@ def lint_paths(
                 raw_findings.append(finding)
 
     raw_findings.sort()
-    baseline_entries = load_baseline(baseline) if baseline is not None else []
-    new, grandfathered = diff_against_baseline(raw_findings, baseline_entries)
     return LintReport(
-        findings=raw_findings,
-        new_findings=new,
-        grandfathered=grandfathered,
+        new_findings=raw_findings,
         suppressed=suppressed,
         checked_files=len(project.files),
-        baseline_path=str(baseline) if baseline is not None else None,
     )

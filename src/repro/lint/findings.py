@@ -2,27 +2,23 @@
 
 A finding pins down *what* (``rule``), *where* (``path``/``line``/``col``)
 and *why* (``message``).  Findings serialize to the one JSON schema shared
-by the ``noc-deadlock lint --format json`` output, the checked-in baseline
-file and the structured warning payloads :mod:`repro.perf.executor` emits
-(see :func:`structured_warning`), so CI log scraping sees a uniform shape
+by the ``noc-deadlock lint --format json`` output and the structured
+warning payloads :mod:`repro.perf.executor` emits (see
+:func:`structured_warning`), so CI log scraping sees a uniform shape
 everywhere.
-
-The baseline identity of a finding deliberately excludes the line number:
-messages name the offending symbol, so an unrelated edit that shifts a
-grandfathered finding down a few lines does not break the baseline match.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional
 
-#: Version tag of the findings/baseline JSON schema.
+#: Version tag of the findings JSON schema.
 FINDINGS_FORMAT_VERSION = 1
 
 #: The keys of one serialized finding, in canonical order.  Shared by the
-#: lint JSON output, the baseline entries and the executor warning payloads.
+#: lint JSON output and the executor warning payloads.
 FINDING_KEYS = ("rule", "path", "line", "col", "message")
 
 
@@ -75,10 +71,6 @@ class Finding:
         )
 
     # ------------------------------------------------------------------
-    def baseline_key(self) -> Tuple[str, str, str]:
-        """Line-independent identity used for baseline matching."""
-        return (self.rule, self.path, self.message)
-
     def render(self) -> str:
         """One-line human form: ``path:line:col: [rule] message``."""
         return f"{self.path}:{self.line}:{self.col}: [{self.rule}] {self.message}"

@@ -1,25 +1,24 @@
-"""Batched wormhole simulation: B runs of one design as compiled lanes.
+"""Batched wormhole simulation: B runs of one design as lanes.
 
 A latency curve, a seed sweep or a scenario comparison is a *grid* of
-simulations of one design that differ only in load point, seed or traffic
-pattern.  :func:`run_batch` runs such a grid as B lanes, one after
-another.  Each lane is a :class:`~repro.perf.sim_engine.CompiledSimulator`
-on its own :class:`~repro.perf.sim_engine.CompiledNetwork` and runs
-through the compiled engine's own run loop (:meth:`Simulator.run
-<repro.simulation.simulator.Simulator.run>`, drain included), so its
-statistics are those of a solo ``compiled`` run by construction.  The
-lanes share nothing while they run, so they do not run in lockstep.
+simulations of one design that differ in load point, seed, traffic
+pattern or fault schedule.  :func:`run_batch` runs such a grid as B lanes,
+one after another.  Each lane is a simulator of the chosen engine on its
+own network and runs through the shared run and injection loops
+(:meth:`Simulator.run <repro.simulation.simulator.Simulator.run>`), so its
+statistics are those of a solo run of that engine by construction.  A
+load point is a grid of one.
 
 What a grid shares is set-up and randomness:
 
-* the design is validated once, and each lane injects from the generator
-  the caller already built (:func:`~repro.analysis.performance
-  .measure_load_grid` reads the offered load from them);
-* lanes whose generators draw the base Bernoulli sweep (``flows`` and the
-  spatial re-weightings: one uniform double per flow per cycle, in
-  flow-name order) from the same RNG state fire from one stream, drawn
-  and ranked once per group; a lane alone in its group draws from its
-  own RNG.
+* the design is validated once, and every lane, fault lanes included,
+  injects from the generator the caller already built
+  (:func:`~repro.analysis.performance.measure_load_grid` reads the
+  offered load from them);
+* lanes whose generators keep the base Bernoulli ``fire`` (``flows`` and
+  the spatial re-weightings: one uniform double per flow per cycle, in
+  flow-name order) and start from the same RNG state fire from one
+  stream, drawn and ranked once per group.
 
 ``"batched"`` registers :class:`CompiledSimulator` itself, so a B = 1
 batched run is a compiled run, fault schedules included.
@@ -39,9 +38,9 @@ from repro.model.design import NocDesign
 from repro.model.validation import validate_design
 from repro.perf.sim_engine import CompiledSimulator
 from repro.simulation.simulator import (
+    DEFAULT_SIMULATION_ENGINE,
     SimulationConfig,
     make_traffic_generator,
-    verify_against_legacy,
 )
 from repro.simulation.stats import SimulationStats
 from repro.simulation.traffic_gen import FlowTrafficGenerator
@@ -51,11 +50,9 @@ ENGINE_BATCHED = "batched"
 
 def _is_fast_generator(generator) -> bool:
     """True when the generator's per-cycle draws are the base Bernoulli sweep."""
-    cls = type(generator)
     return (
         isinstance(generator, FlowTrafficGenerator)
-        and cls._firing is FlowTrafficGenerator._firing
-        and cls.generate is FlowTrafficGenerator.generate
+        and type(generator).fire is FlowTrafficGenerator.fire
     )
 
 
@@ -65,12 +62,13 @@ def _share_draw_streams(generators: Sequence[Any], max_cycles: int) -> None:
     Lanes group by flow order and RNG state, so a group's members would
     draw identical sequences.  A group draws ``max_cycles × flows`` doubles
     once, from a copy of that state (seeded first, then overwritten by
-    ``setstate``).  ``_firing`` fires a flow in the cycles whose draw is
+    ``setstate``).  ``fire`` fires a flow in the cycles whose draw is
     below the flow's rate, so once each flow's draws are ranked, a member's
     firing cycles for that flow are a prefix of the ranking, found by one
-    bisection.  Each member's ``_firing`` then returns its lists cycle by
-    cycle: the same flows, in the same order, as drawing the stream itself
-    would give, without a Python-level comparison per flow per cycle.
+    bisection.  Each member's ``fire`` is then its per-cycle list's
+    ``__getitem__``: the same flows, in the same order, as drawing the
+    stream itself would give, without a Python-level comparison per flow
+    per cycle.
     """
     groups: Dict[Any, List[Any]] = {}
     for generator in generators:
@@ -97,7 +95,7 @@ def _share_draw_streams(generators: Sequence[Any], max_cycles: int) -> None:
                         fired[cycle].append(name)
                     else:
                         fired[cycle] = [name]
-            generator._firing = iter(fired).__next__
+            generator.fire = fired.__getitem__
 
 
 def run_batch(
@@ -107,17 +105,17 @@ def run_batch(
     max_cycles: int = 10_000,
     drain: bool = True,
     drain_cycles: int = 5_000,
-    cross_check: bool = False,
     generators: Optional[Sequence[Any]] = None,
+    engine: str = DEFAULT_SIMULATION_ENGINE,
 ) -> List[SimulationStats]:
-    """Run B simulations of one design, one compiled lane after another.
+    """Run B simulations of one design, one lane after another.
 
     ``configs`` may differ in anything (load, seed, scenario, buffer
-    depth, watchdog, fault schedule).  Returns one
-    :class:`SimulationStats` per config, in order, field-identical to
-    ``build_simulator(design, config, engine="compiled").run(...)``;
-    ``cross_check=True`` re-runs every lane on the ``legacy`` engine and
-    raises :class:`SimulationError` on any divergence.
+    depth, watchdog, fault schedule).  ``engine`` names the
+    :data:`~repro.api.registry.simulation_engines` entry whose simulator
+    each lane is.  Returns one :class:`SimulationStats` per config, in
+    order, field-identical to
+    ``build_simulator(design, config, engine=engine).run(...)``.
 
     ``generators`` optionally supplies the traffic generators (one per
     config, as :func:`make_traffic_generator` would build them), so callers
@@ -130,17 +128,13 @@ def run_batch(
     if generators is None:
         generators = [make_traffic_generator(design, config) for config in configs]
     _share_draw_streams(generators, max_cycles)
-    run_kwargs = dict(drain=drain, drain_cycles=drain_cycles)
-    stats_list = []
-    for config, generator in zip(configs, generators):
-        lane = CompiledSimulator.lane(design, config, generator)
-        stats = lane.run(max_cycles, **run_kwargs)
-        if cross_check:
-            verify_against_legacy(
-                design, config, stats, ENGINE_BATCHED, max_cycles=max_cycles, **run_kwargs
-            )
-        stats_list.append(stats)
-    return stats_list
+    simulator = simulation_engines.get(engine)
+    return [
+        simulator.lane(design, config, generator).run(
+            max_cycles, drain=drain, drain_cycles=drain_cycles
+        )
+        for config, generator in zip(configs, generators)
+    ]
 
 
 simulation_engines.register(ENGINE_BATCHED, CompiledSimulator)

@@ -37,6 +37,11 @@ Links are skipped the same way: a link whose last visit did nothing stays
 dormant until an injection, an arrival or a freed credit could change that,
 so a saturated cycle visits the few links that can act instead of all.
 
+Packets enter by flow id: the simulator's one injection loop looks each
+fired flow up in ``SimulationTemplate.flow_table`` and calls
+:meth:`CompiledNetwork.enqueue`, so no run — fault runs and trace
+replays included — builds packet objects.
+
 Registered as the ``"compiled"`` entry (the default) of
 :data:`repro.api.registry.simulation_engines`; importing this module also
 imports :mod:`repro.simulation.simulator`, which registers ``"legacy"``.
@@ -48,12 +53,11 @@ from collections import deque
 from typing import Deque, Dict, List, Tuple
 
 from repro.api.registry import simulation_engines
-from repro.errors import SimulationError
 from repro.model.channels import Channel
 from repro.model.design import NocDesign
 from repro.perf.design_context import DesignContext, counters
-from repro.simulation.simulator import ENGINE_COMPILED, Simulator, deliver_locally
-from repro.simulation.traffic_gen import FlowTrafficGenerator
+from repro.simulation.network import build_flow_table
+from repro.simulation.simulator import ENGINE_COMPILED, Simulator
 
 #: Source-code space: codes below the channel count are input buffers
 #: (the code *is* the channel id); codes at or above it are injection
@@ -173,15 +177,9 @@ class SimulationTemplate:
             rid = self.switch_index[switch]
             self.wait_order.extend(in_buffers[rid])
 
-        # Injection table of fault-free runs: flow name -> (flow id, packet
-        # size), flow id -1 for traffic between cores behind one switch,
-        # which never enters the network.
-        self.flow_table: Dict[str, Tuple[int, int]] = {}
-        for flow in design.traffic.flows:
-            if design.switch_of(flow.src) == design.switch_of(flow.dst):
-                self.flow_table[flow.name] = (-1, flow.packet_size_flits)
-            elif flow.name in self.flow_ids:
-                self.flow_table[flow.name] = (self.flow_ids[flow.name], flow.packet_size_flits)
+        # Injection table: flow name -> (flow id, packet size), with the
+        # sentinel keys of local and unrouted flows.
+        self.flow_table = build_flow_table(design, self.flow_ids)
 
         self.routes_version = design.routes.version
 
@@ -215,8 +213,8 @@ class CompiledNetwork:
     """Flat-array wormhole network state, schedule-identical to the legacy one.
 
     Exposes the same surface the simulator and the deadlock monitor use
-    (``inject``, ``step``, ``undelivered_flits``, ``flits_in_network``,
-    ``flits_pending_injection``, ``wait_for_edges``), so
+    (``flow_table``, ``enqueue``, ``step``, ``undelivered_flits``,
+    ``flits_in_network``, ``flits_pending_injection``, ``wait_for_edges``), so
     :class:`~repro.simulation.deadlock.DeadlockMonitor` and the shared run
     loop work unchanged.
 
@@ -234,7 +232,7 @@ class CompiledNetwork:
     queue whose head packet is at flit 0 and whose ``route[0]`` is ``c``.
     It changes in exactly four places:
 
-    * +1 at ``route[0]`` when :meth:`inject` fills an empty queue;
+    * +1 at ``route[0]`` when :meth:`enqueue` fills an empty queue;
     * -1 at ``c`` when a flit with index 0 leaves its source over ``c``;
     * +1 at ``c`` when a queue's head packet finishes on ``c`` and another
       packet of the flow is waiting behind it;
@@ -264,7 +262,7 @@ class CompiledNetwork:
     downstream buffers.  So the link goes dormant after such a visit, and
     exactly three events wake it:
 
-    * :meth:`inject` fills an empty queue whose route starts on the link;
+    * :meth:`enqueue` fills an empty queue whose route starts on the link;
     * an arrival lands in a buffer whose flits next hop over the link;
     * a flit leaves the input buffer of one of the link's channels.
 
@@ -325,25 +323,13 @@ class CompiledNetwork:
     # ------------------------------------------------------------------
     # injection
     # ------------------------------------------------------------------
-    def inject(self, packet) -> None:
-        """Queue all flits of ``packet`` at its source router."""
-        fid = self.template.flow_ids.get(packet.flow_name)
-        if fid is None:
-            source_switch = self.design.switch_of(
-                self.design.traffic.flow(packet.flow_name).src
-            )
-            raise SimulationError(
-                f"flow {packet.flow_name!r} has no injection queue at {source_switch!r}"
-            )
-        self.enqueue(fid, packet.packet_id, packet.size_flits, packet.created_cycle)
+    @property
+    def flow_table(self) -> Dict[str, Tuple[int, int]]:
+        """Flow name -> (flow id, packet size) of the current template."""
+        return self.template.flow_table
 
     def enqueue(self, fid: int, pid: int, size: int, created: int) -> None:
-        """Queue packet ``pid`` of flow ``fid`` (``size`` flits, created at ``created``).
-
-        The one way packets enter a compiled network: :meth:`inject`
-        delegates here, and fault-free compiled runs call it straight from
-        the template's ``flow_table``, without building a packet object.
-        """
+        """Queue packet ``pid`` of flow ``fid`` (``size`` flits, created at ``created``)."""
         self.pkt_flow[pid] = fid
         self.pkt_size[pid] = size
         self.pkt_created[pid] = created
@@ -801,48 +787,15 @@ class CompiledNetwork:
 class CompiledSimulator(Simulator):
     """Flit-level wormhole simulation over the compiled network.
 
-    Shares the run loop, traffic generation, deadlock monitoring and
-    statistics of the legacy :class:`Simulator` — only the per-cycle
-    network mechanics are replaced by the array sweep, which is what makes
-    the two engines stats-identical by construction everywhere except the
-    code under test.
+    Shares the run loop, the injection loop, traffic generation, deadlock
+    monitoring and statistics of the legacy :class:`Simulator` — only the
+    per-cycle network mechanics are replaced by the array sweep, which is
+    what makes the two engines stats-identical by construction everywhere
+    except the code under test.
     """
 
     def _build_network(self, design: NocDesign):
         return CompiledNetwork(design, buffer_depth=self.config.buffer_depth)
-
-    def _inject_new_packets(self, cycle: int) -> None:
-        """Queue the packets the generator creates at ``cycle``, by flow id.
-
-        Replays :meth:`FlowTrafficGenerator.generate
-        <repro.simulation.traffic_gen.FlowTrafficGenerator.generate>` without
-        its packet objects: the same draws (``_firing``), the same packet
-        ids in the same order, and the same local deliveries as the packet
-        path of :meth:`Simulator._inject_new_packets`.
-        """
-        generator = self.generator
-        # Fault recovery re-routes flows mid-run and a trace replay builds
-        # its own packets: those runs inject through the packet path.
-        if self._recovery is not None or (
-            type(generator).generate is not FlowTrafficGenerator.generate
-        ):
-            return super()._inject_new_packets(cycle)
-        fired = generator._firing()
-        if not fired:
-            return
-        stats = self.stats
-        table = self.network.template.flow_table
-        enqueue = self.network.enqueue
-        pid = generator._next_packet_id
-        for name in fired:
-            fid, size = table[name]
-            if fid < 0:
-                deliver_locally(stats, size)
-            else:
-                enqueue(fid, pid, size, cycle)
-            pid += 1
-        generator._next_packet_id = pid
-        stats.packets_injected += len(fired)
 
     def run(self, max_cycles: int = 10_000, **kwargs):
         try:

@@ -27,8 +27,11 @@ attach to their topology objects:
 
 The seeded generator (:meth:`EventSchedule.random`) draws every choice
 from one :class:`random.Random` over *sorted* link/switch lists, so a
-schedule is a pure function of ``(topology, seed, parameters)`` — the
-experiment API threads :attr:`repro.api.spec.RunSpec.seed` into it.
+schedule is a pure function of ``(topology, seed, parameters)``.  The
+experiment API reaches it as the ``uniform`` fault model
+(:mod:`repro.simulation.fault_models`), which threads
+:attr:`repro.api.spec.RunSpec.seed` into it; a spec's ``fault_schedule``
+document lists explicit events only (:meth:`EventSchedule.from_spec`).
 """
 
 from __future__ import annotations
@@ -290,15 +293,16 @@ class EventSchedule:
         value: Union[None, "EventSchedule", Mapping[str, Any]],
         *,
         topology: Optional[Topology] = None,
-        seed: int = 0,
     ) -> Optional["EventSchedule"]:
         """Resolve a spec-level fault-schedule value into a schedule.
 
         Accepts ``None`` (no faults), an :class:`EventSchedule` (passed
-        through), an explicit ``{"events": [...]}`` document, or a
-        ``{"random": {...}}`` request whose parameters are forwarded to
-        :meth:`random` — the seed defaults to the surrounding spec's seed
-        unless the request pins its own.
+        through) or an explicit ``{"events": [...]}`` document; with a
+        ``topology`` the targets are validated against it.  A seeded
+        random schedule is the ``uniform`` fault model's job
+        (:func:`repro.simulation.fault_models.uniform_model`, which draws
+        through :meth:`random`), so a ``{"random": {...}}`` document is
+        rejected with a pointer to it.
         """
         if value is None:
             return None
@@ -312,27 +316,14 @@ class EventSchedule:
                 f"{type(value).__name__}"
             )
         if "random" in value:
-            if "events" in value:
-                raise SimulationError(
-                    "fault schedule cannot combine 'events' and 'random'"
-                )
-            params = value["random"]
-            if not isinstance(params, Mapping):
-                raise SimulationError(
-                    f"'random' fault-schedule parameters must be a mapping, got {params!r}"
-                )
-            if topology is None:
-                raise SimulationError(
-                    "a random fault schedule needs a topology to draw from"
-                )
-            params = dict(params)
-            params.setdefault("seed", seed)
-            return cls.random(topology, **params)
-        if "events" in value:
-            schedule = cls.from_dict(value)
-            if topology is not None:
-                schedule.validate_targets(topology)
-            return schedule
-        raise SimulationError(
-            "fault schedule mapping needs an 'events' list or a 'random' request"
-        )
+            raise SimulationError(
+                "a fault schedule lists explicit 'events' only; draw a seeded "
+                'random schedule with fault_model: "uniform" and the same '
+                "parameters as fault_params"
+            )
+        if "events" not in value:
+            raise SimulationError("fault schedule mapping needs an 'events' list")
+        schedule = cls.from_dict(value)
+        if topology is not None:
+            schedule.validate_targets(topology)
+        return schedule

@@ -65,10 +65,9 @@ def uniform_model(
 ) -> EventSchedule:
     """Uniform-random failures — the PR 6 reference model.
 
-    Delegates to :meth:`EventSchedule.random` with identical parameters,
-    so ``fault_model="uniform"`` reproduces the exact schedules (and
-    therefore the exact simulation statistics) of a PR 6-style
-    ``fault_schedule={"random": {...}}`` request.
+    Delegates to :meth:`EventSchedule.random` with identical parameters:
+    the one way a spec asks for a seeded uniform-random schedule (a
+    ``fault_schedule`` document lists explicit events only).
     """
     return EventSchedule.random(
         design.topology,
@@ -279,16 +278,14 @@ def build_fault_schedule(
     :meth:`EventSchedule.from_spec`, and passing both is an error — they
     are two spellings of the same axis.  A generator's own ``seed``
     parameter, when present in ``fault_params``, wins over the spec-level
-    ``seed`` (mirroring ``{"random": {...}}`` requests).
+    ``seed``.
     """
     if fault_model is None:
         if fault_params:
             raise SimulationError(
                 "fault_params given without a fault_model to apply them to"
             )
-        return EventSchedule.from_spec(
-            fault_schedule, topology=design.topology, seed=seed
-        )
+        return EventSchedule.from_spec(fault_schedule, topology=design.topology)
     if fault_schedule is not None:
         raise SimulationError(
             "fault_model and fault_schedule are mutually exclusive ways to "

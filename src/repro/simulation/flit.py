@@ -49,7 +49,7 @@ class Packet:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"Packet(id={self.packet_id}, flow={self.flow_name!r}, "
+            f"{type(self).__name__}(id={self.packet_id}, flow={self.flow_name!r}, "
             f"size={self.size_flits}, hops={len(self.route)})"
         )
 

@@ -19,11 +19,14 @@ These rules are exactly the preconditions of the CDG-based deadlock
 analysis: packets hold channels while waiting for the next channel of their
 route, so a cyclic channel dependency can (and under pressure does) turn
 into a cyclic wait.
+
+Packets enter through ``flow_table`` and ``enqueue``, the surface the
+simulator's one injection loop drives on every engine.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from repro.errors import SimulationError
 from repro.model.channels import Channel, Link
@@ -31,6 +34,27 @@ from repro.model.design import NocDesign
 from repro.simulation.flit import Flit, Packet, make_flits
 from repro.simulation.router import Router, SourceKey, buffer_source, injection_source
 from repro.simulation.stats import SimulationStats
+
+
+#: ``flow_table`` keys of traffic that never enters the network: a flow
+#: between cores behind one switch, and a flow the degraded design cannot
+#: route (fault injection; its packets are lost at the NI).
+LOCAL_FLOW = -1
+UNROUTED_FLOW = -2
+
+
+def build_flow_table(design: NocDesign, queue_keys: Optional[Mapping[str, Any]] = None):
+    """Flow name -> (queue key, packet size); routed flows key by ``queue_keys`` or name."""
+    table: Dict[str, Tuple[Any, int]] = {}
+    for flow in design.traffic.flows:
+        if design.switch_of(flow.src) == design.switch_of(flow.dst):
+            key = LOCAL_FLOW
+        elif not design.routes.has_route(flow.name):
+            key = UNROUTED_FLOW
+        else:
+            key = flow.name if queue_keys is None else queue_keys[flow.name]
+        table[flow.name] = (key, flow.packet_size_flits)
+    return table
 
 
 class WormholeNetwork:
@@ -62,10 +86,16 @@ class WormholeNetwork:
                 continue
             source_switch = self.design.switch_of(flow.src)
             self.routers[source_switch].add_injection_flow(flow.name)
+        self.flow_table = build_flow_table(self.design)
 
     # ------------------------------------------------------------------
     # injection
     # ------------------------------------------------------------------
+    def enqueue(self, flow_name: str, pid: int, size: int, created: int) -> None:
+        """Queue packet ``pid`` of a routed flow as a :class:`Packet` on its route."""
+        route = self.design.routes.route(flow_name).channels
+        self.inject(Packet(pid, flow_name, route, size, created))
+
     def inject(self, packet: Packet) -> None:
         """Queue all flits of ``packet`` at its source router."""
         source_switch = self.design.switch_of(
@@ -189,7 +219,8 @@ class WormholeNetwork:
           iteration order — which feeds the deadlock verdict — matches a
           freshly built network;
         * injection queues mirror the currently *routed* flows (an
-          unrouted flow must not take part in arbitration).
+          unrouted flow must not take part in arbitration), and the
+          ``flow_table`` is rebuilt to match.
         """
         topology = self.design.topology
         channel_set = set(topology.channels())
@@ -224,6 +255,7 @@ class WormholeNetwork:
             router = self.routers[self.design.switch_of(flow.src)]
             if flow.name not in router.injection_queues:
                 router.add_injection_flow(flow.name)
+        self.flow_table = build_flow_table(self.design)
 
     # ------------------------------------------------------------------
     # one simulation cycle

@@ -11,10 +11,12 @@ name.
 Because the simulator is source-routed over the design's synthesized
 routes, scenarios are expressed as *redistributions of the offered load
 over the design's flows* rather than as arbitrary switch-pair traffic: a
-scenario re-weights which flows inject (spatial) or when they inject
-(temporal) while keeping the aggregate offered load of the ``flows``
-scenario at the same ``injection_scale``, so latency curves of different
-scenarios are comparable.
+scenario re-weights which flows inject (spatial: it overrides
+``_compute_rates``) or when they inject (temporal: it overrides the
+per-cycle hook ``fire(cycle)``, which names the flow of each packet
+created in a cycle) while keeping the aggregate offered load of the
+``flows`` scenario at the same ``injection_scale``, so latency curves of
+different scenarios are comparable.
 
 Built-ins (all seed-deterministic — every random decision comes from the
 generator's instance RNG):
@@ -234,14 +236,14 @@ class BurstyTrafficGenerator(FlowTrafficGenerator):
     def _compute_rates(self) -> Dict[str, float]:
         # Cap at the duty cycle: while ON the flow injects at rate / duty,
         # which must stay a probability.  Applying the cap here (not in
-        # _firing) keeps offered_flits_per_cycle truthful about the load
-        # the process can actually offer.
+        # fire) keeps offered_flits_per_cycle truthful about the load the
+        # process can actually offer.
         return {
             name: min(rate, self.duty)
             for name, rate in super()._compute_rates().items()
         }
 
-    def _firing(self) -> List[str]:
+    def fire(self, cycle: int) -> List[str]:
         # Per flow, in flow-name order: one state-transition draw, then an
         # injection draw only while ON.
         draw = self._rng.random

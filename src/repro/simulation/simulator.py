@@ -22,10 +22,13 @@ pluggable :data:`repro.api.registry.simulation_engines` registry:
 * ``"legacy"`` — :class:`Simulator` below, the seed object-per-flit
   implementation kept as the cross-check reference.
 
-``"batched"`` names the compiled engine too; its grids run as compiled
-lanes (:func:`repro.perf.batch_engine.run_batch`), and every run goes
-through :meth:`Simulator.run`.  Both engines produce field-identical
-:class:`~repro.simulation.stats.SimulationStats`;
+``"batched"`` names the compiled engine too; its grids run as lanes
+(:func:`repro.perf.batch_engine.run_batch`).  Every run of every engine
+goes through :meth:`Simulator.run` and its one injection loop,
+:meth:`Simulator._inject_new_packets`: the generator names the flows
+that fire (``fire(cycle)``), the simulator numbers the packets and the
+network queues them by its ``flow_table``.  Both engines produce
+field-identical :class:`~repro.simulation.stats.SimulationStats`;
 ``simulate_design(..., cross_check=True)`` runs both and raises on any
 divergence.  Traffic comes from the
 :data:`repro.api.registry.traffic_scenarios` registry
@@ -44,7 +47,7 @@ from repro.model.validation import validate_design
 from repro.power.orion import TechnologyParameters
 from repro.simulation.deadlock import DeadlockMonitor
 from repro.simulation.events import EventSchedule
-from repro.simulation.network import WormholeNetwork
+from repro.simulation.network import LOCAL_FLOW, UNROUTED_FLOW, WormholeNetwork
 from repro.simulation.stats import SimulationStats
 
 ENGINE_COMPILED = "compiled"
@@ -132,9 +135,9 @@ class Simulator:
         """A simulator of an already validated ``design`` injecting from ``generator``.
 
         How a batched grid builds its lanes: it validates the design once
-        and hands each lane the generator it has already built.  A lane
-        with a fault schedule still builds its own generator, on the
-        private design copy it simulates.
+        and hands each lane the generator it has already built, fault
+        lanes included (a generator reads the design only when it is
+        built, so it serves the private copy a fault lane simulates).
         """
         simulator = cls.__new__(cls)
         simulator._setup(design, config, generator)
@@ -143,6 +146,8 @@ class Simulator:
     def _setup(self, design: NocDesign, config: SimulationConfig, generator=None) -> None:
         self.config = config
         self._recovery = None
+        if generator is None:
+            generator = make_traffic_generator(design, config)
         schedule = config.fault_schedule
         if schedule is not None and len(schedule):
             # Fault recovery mutates the topology and routes mid-run; the
@@ -157,17 +162,17 @@ class Simulator:
             )
             # The policy's prepare hook may replace the design (protection
             # provisions backup VCs before the run starts), so the network
-            # and the generator must be built from the controller's view.
+            # must be built from the controller's view.
             design = self._recovery.design
-            generator = None
         self.design = design
         self.network = self._build_network(design)
-        if generator is None:
-            generator = make_traffic_generator(design, config)
         self.generator = generator
         self.stats = SimulationStats(design_name=design.name)
         self.monitor = DeadlockMonitor(watchdog_cycles=config.watchdog_cycles)
         self._cycle = 0
+        #: Id of the next packet created: every fired flow gets one, local
+        #: deliveries and NI losses included.
+        self._next_packet_id = 0
 
     def _build_network(self, design: NocDesign):
         """Network-state factory — the hook an engine subclass overrides."""
@@ -175,22 +180,37 @@ class Simulator:
 
     # ------------------------------------------------------------------
     def _inject_new_packets(self, cycle: int) -> None:
-        for packet in self.generator.generate(cycle):
-            flow = self.design.traffic.flow(packet.flow_name)
-            src_switch = self.design.switch_of(flow.src)
-            dst_switch = self.design.switch_of(flow.dst)
-            self.stats.packets_injected += 1
-            if src_switch == dst_switch:
-                deliver_locally(self.stats, packet.size_flits)
-                continue
-            if not packet.route:
-                # Only reachable under fault injection: the flow has no
-                # route in the degraded topology, so its traffic is lost
-                # at the network interface.
-                self.stats.packets_lost += 1
-                self.stats.flits_lost += packet.size_flits
-                continue
-            self.network.inject(packet)
+        """Create the packets the generator fires at ``cycle`` and queue them.
+
+        The one injection loop of every engine, lane, fault run and trace
+        replay: each fired flow name is looked up in the network's
+        ``flow_table`` (rebuilt whenever fault recovery changes the
+        routes) and numbered in firing order.
+        """
+        fired = self.generator.fire(cycle)
+        if not fired:
+            return
+        stats = self.stats
+        table = self.network.flow_table
+        enqueue = self.network.enqueue
+        pid = self._next_packet_id
+        for name in fired:
+            key, size = table[name]
+            if key == LOCAL_FLOW:
+                # Cores behind one switch: the local NI delivers the packet
+                # one cycle after its creation, outside the network.
+                stats.packets_delivered += 1
+                stats.local_deliveries += 1
+                stats.flits_delivered += size
+                stats.latencies.append(1)
+            elif key == UNROUTED_FLOW:
+                stats.packets_lost += 1
+                stats.flits_lost += size
+            else:
+                enqueue(key, pid, size, cycle)
+            pid += 1
+        self._next_packet_id = pid
+        stats.packets_injected += len(fired)
 
     # ------------------------------------------------------------------
     def run(
@@ -208,26 +228,27 @@ class Simulator:
         elapse), so latency statistics are not biased towards short routes.
         The delivered-everything test is the network's O(1) undelivered-flit
         counter, so a run that drains early never pays a per-cycle walk
-        over every router's buffers and injection queues.
+        over every router's buffers and injection queues.  A confirmed
+        deadlock ends either phase.
         """
         recovery = self._recovery
+        network, stats = self.network, self.stats
         deadlock_channels = None
-        for _ in range(max_cycles):
+        for step in range(max_cycles + (drain_cycles if drain else 0)):
+            injecting = step < max_cycles
+            if not injecting and network.undelivered_flits == 0:
+                break  # drained; fault events still pending are never applied
             if recovery is not None:
-                recovery.on_cycle(self._cycle, self.network, self.stats)
-            self._inject_new_packets(self._cycle)
-            transfers = self.network.step(self._cycle, self.stats)
-            deadlock_channels = self.monitor.record_cycle(self.network, transfers)
+                recovery.on_cycle(self._cycle, network, stats)
+            if injecting:
+                self._inject_new_packets(self._cycle)
+            transfers = network.step(self._cycle, stats)
+            deadlock_channels = self.monitor.record_cycle(network, transfers)
             if recovery is not None:
-                recovery.after_step(self._cycle, self.network, self.stats)
+                recovery.after_step(self._cycle, network, stats)
             self._cycle += 1
             if deadlock_channels is not None:
                 break
-
-        if deadlock_channels is None and drain:
-            self._cycle, deadlock_channels = drain_network(
-                self.network, self.monitor, self.stats, self._cycle, drain_cycles, recovery
-            )
 
         if recovery is not None:
             recovery.finalise(self.stats)
@@ -238,46 +259,6 @@ class Simulator:
             if raise_on_deadlock:
                 raise DeadlockDetected(self._cycle, deadlock_channels)
         return self.stats
-
-
-def deliver_locally(stats: SimulationStats, size_flits: int) -> None:
-    """Record a packet between cores behind the same switch.
-
-    Such traffic never enters the network: the local NI delivers it one
-    cycle after its creation.
-    """
-    stats.packets_delivered += 1
-    stats.local_deliveries += 1
-    stats.flits_delivered += size_flits
-    stats.latencies.append(1)
-
-
-def drain_network(network, monitor, stats, cycle: int, drain_cycles: int, recovery=None):
-    """The drain phase of a run: step without injecting until nothing is in flight.
-
-    Stops when the network's O(1) undelivered-flit counter reaches zero,
-    when ``monitor`` confirms a deadlock, or after ``drain_cycles`` cycles.
-    Returns ``(cycle, deadlock_channels)``: the first cycle not simulated
-    and the confirmed wait cycle (``None`` without a deadlock).  The drain
-    phase of :meth:`Simulator.run`, and so of every engine's runs: a
-    batched lane is a compiled run.
-    """
-    deadlock_channels = None
-    for _ in range(drain_cycles):
-        if network.undelivered_flits == 0:
-            break
-        # Events still pending once the drain completes are never applied
-        # (the run is over as far as traffic is concerned).
-        if recovery is not None:
-            recovery.on_cycle(cycle, network, stats)
-        transfers = network.step(cycle, stats)
-        deadlock_channels = monitor.record_cycle(network, transfers)
-        if recovery is not None:
-            recovery.after_step(cycle, network, stats)
-        cycle += 1
-        if deadlock_channels is not None:
-            break
-    return cycle, deadlock_channels
 
 
 simulation_engines.register(ENGINE_LEGACY, Simulator)
@@ -352,10 +333,9 @@ def simulate_design(
 
     ``fault_schedule`` accepts anything
     :meth:`~repro.simulation.events.EventSchedule.from_spec` does — an
-    :class:`~repro.simulation.events.EventSchedule`, an explicit
-    ``{"events": [...]}`` document, or a ``{"random": {...}}`` request
-    resolved against the design's topology with the config's seed — and
-    overrides :attr:`SimulationConfig.fault_schedule`.  The cross-check
+    :class:`~repro.simulation.events.EventSchedule` or an explicit
+    ``{"events": [...]}`` document, validated against the design's
+    topology — and overrides :attr:`SimulationConfig.fault_schedule`.  The cross-check
     re-run replays the identical schedule.  ``fault_recovery`` names a
     :data:`repro.api.registry.recovery_policies` entry and overrides
     :attr:`SimulationConfig.fault_recovery`.
@@ -364,9 +344,7 @@ def simulate_design(
     if fault_schedule is not None:
         config = replace(
             config,
-            fault_schedule=EventSchedule.from_spec(
-                fault_schedule, topology=design.topology, seed=config.seed
-            ),
+            fault_schedule=EventSchedule.from_spec(fault_schedule, topology=design.topology),
         )
     if fault_recovery is not None:
         config = replace(config, fault_recovery=fault_recovery)

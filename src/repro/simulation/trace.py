@@ -27,6 +27,11 @@ A synthetic trace produced by :func:`synthesize_trace` materializes the
 exact Bernoulli draws of the ``flows`` scenario at the same
 ``(seed, injection_scale)`` — replaying it is packet-for-packet identical
 to the paper's traffic, which is what the cross-check tests pin down.
+
+Replay goes through the generators' one per-cycle hook:
+:meth:`TraceTrafficGenerator.fire` names a flow once per packet its
+events emit in that cycle, and the simulator's injection loop numbers and
+queues them like any other scenario's packets.
 """
 
 from __future__ import annotations
@@ -38,7 +43,6 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 from repro.errors import SimulationError
 from repro.model.design import NocDesign
 from repro.power.orion import TechnologyParameters
-from repro.simulation.flit import Packet
 from repro.simulation.traffic_gen import FlowTrafficGenerator
 
 #: Version tag of the trace JSON document.
@@ -67,8 +71,8 @@ def synthesize_trace(
     )
     events: List[Dict[str, Any]] = []
     for cycle in range(cycles):
-        for packet in generator.generate(cycle):
-            events.append({"cycle": cycle, "flow": packet.flow_name, "packets": 1})
+        for name in generator.fire(cycle):
+            events.append({"cycle": cycle, "flow": name, "packets": 1})
     return {
         "format_version": TRACE_FORMAT_VERSION,
         "cycles": cycles,
@@ -271,26 +275,9 @@ class TraceTrafficGenerator(FlowTrafficGenerator):
             count += 1
         return count
 
-    def generate(self, cycle: int) -> List[Packet]:
-        """Packets the trace injects at ``cycle``, in (cycle, flow) order."""
-        packets: List[Packet] = []
+    def fire(self, cycle: int) -> List[str]:
+        """The trace's packets at ``cycle``: a flow's name once per packet, in flow order."""
+        fired: List[str] = []
         for flow_name, count in self._schedule.get(cycle, ()):
-            emit = self._emitted_count(count)
-            if emit <= 0:
-                continue
-            flow = self.design.traffic.flow(flow_name)
-            if self.design.routes.has_route(flow_name):
-                route_channels = self.design.routes.route(flow_name).channels
-            else:
-                route_channels = ()
-            for _ in range(emit):
-                packet = Packet(
-                    packet_id=self._next_packet_id,
-                    flow_name=flow_name,
-                    route=route_channels,
-                    size_flits=flow.packet_size_flits,
-                    created_cycle=cycle,
-                )
-                self._next_packet_id += 1
-                packets.append(packet)
-        return packets
+            fired.extend([flow_name] * self._emitted_count(count))
+        return fired

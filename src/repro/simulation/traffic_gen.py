@@ -1,10 +1,16 @@
-"""Traffic generation: turning flow bandwidths into injected packets.
+"""Traffic generation: deciding which flows create a packet in each cycle.
 
 Every flow injects packets with a Bernoulli process whose rate is derived
 from the flow's bandwidth relative to the channel capacity of the
 technology operating point, multiplied by a global ``injection_scale`` the
 experiments use to push a design towards or beyond saturation (deadlocks in
 cyclic designs only manifest under enough pressure).
+
+A generator has one per-cycle hook, :meth:`FlowTrafficGenerator.fire`: it
+names the flow of each packet created in a cycle, and the simulator
+(:meth:`~repro.simulation.simulator.Simulator._inject_new_packets`) numbers
+the packets and queues them.  A generator reads the design only when it
+is built.
 
 :class:`FlowTrafficGenerator` is the paper's traffic (the ``"flows"``
 scenario); :mod:`repro.simulation.scenarios` subclasses it with alternative
@@ -23,11 +29,10 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.model.design import NocDesign
 from repro.power.orion import TechnologyParameters
-from repro.simulation.flit import Packet
 
 
 class FlowTrafficGenerator:
-    """Generates packets for every routed flow of a design.
+    """Decides, cycle by cycle, which flows of a design create a packet.
 
     Parameters
     ----------
@@ -43,7 +48,7 @@ class FlowTrafficGenerator:
         Seed of the Bernoulli draws — simulations are reproducible.  Every
         random decision of a generator comes from the instance RNG this
         seeds (never module-level randomness), so two generators built with
-        the same arguments emit identical packet sequences.
+        the same arguments fire identical sequences.
     """
 
     #: Scenario name this generator is registered under.
@@ -62,7 +67,6 @@ class FlowTrafficGenerator:
         self.injection_scale = injection_scale
         self.seed = seed
         self._rng = random.Random(seed)
-        self._next_packet_id = 0
         self._rates: Dict[str, float] = self._compute_rates()
         self._flow_order: List[str] = sorted(self._rates)
         #: (flow name, rate) in draw order, so a cycle's draws are one sweep.
@@ -90,7 +94,7 @@ class FlowTrafficGenerator:
         The base implementation is the paper's traffic: every flow's rate is
         proportional to its nominal bandwidth.  Scenario subclasses override
         this to redistribute the offered load spatially; the Bernoulli
-        sampling in :meth:`_firing` is shared.
+        sampling in :meth:`fire` is shared.
         """
         capacity = self.tech.link_capacity_mbps
         rates: Dict[str, float] = {}
@@ -118,35 +122,17 @@ class FlowTrafficGenerator:
             for name, rate in self._rates.items()
         )
 
-    def _firing(self) -> List[str]:
-        """Flows injecting a packet this cycle, in flow-name order.
+    def fire(self, cycle: int) -> List[str]:
+        """Flow names of the packets created in ``cycle``, in creation order.
 
-        One Bernoulli draw per flow, in flow-name order, all from the
-        instance RNG.  Temporal scenarios (e.g. bursty on/off modulation)
-        override this hook; an override must keep drawing in flow-name
-        order so it stays seed-deterministic.  Batched lanes that keep this
-        implementation and start from one RNG state fire from one shared
-        stream of these draws (:func:`repro.perf.batch_engine.run_batch`).
+        One entry per packet.  The base process makes one Bernoulli draw
+        per flow, in flow-name order, all from the instance RNG, so a flow
+        fires at most once per cycle.  Temporal scenarios (bursty on/off
+        modulation, trace replay) override this hook; an override must
+        keep its draws in a fixed order so it stays seed-deterministic.
+        Batched lanes that keep this implementation and start from one RNG
+        state fire from one shared stream of these draws
+        (:func:`repro.perf.batch_engine.run_batch`).
         """
         draw = self._rng.random
         return [name for name, rate in self._draw_rates if draw() < rate]
-
-    def generate(self, cycle: int) -> List[Packet]:
-        """Packets created at ``cycle`` (possibly empty), in flow-name order."""
-        packets: List[Packet] = []
-        for flow_name in self._firing():
-            flow = self.design.traffic.flow(flow_name)
-            if self.design.routes.has_route(flow_name):
-                route_channels = self.design.routes.route(flow_name).channels
-            else:
-                route_channels = ()
-            packet = Packet(
-                packet_id=self._next_packet_id,
-                flow_name=flow_name,
-                route=route_channels,
-                size_flits=flow.packet_size_flits,
-                created_cycle=cycle,
-            )
-            self._next_packet_id += 1
-            packets.append(packet)
-        return packets

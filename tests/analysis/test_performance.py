@@ -2,87 +2,89 @@
 
 import pytest
 
-from repro.analysis.performance import (
-    LoadPoint,
-    compare_performance,
-    load_latency_sweep,
-)
+from repro.analysis.metrics import load_point_failed
+from repro.analysis.performance import measure_load_grid, measure_load_point
 from repro.core.removal import remove_deadlocks
+from repro.simulation.events import EventSchedule
+
+
+def _point(offered, delivered, deadlocked=False):
+    return {
+        "offered_flits_per_cycle": offered,
+        "delivered_flits_per_cycle": delivered,
+        "deadlocked": deadlocked,
+    }
+
+
+def _grid(design, scales, point=None, **kwargs):
+    points = [{"injection_scale": scale, **(point or {})} for scale in scales]
+    return measure_load_grid(design, points, **kwargs)
 
 
 class TestLoadPoint:
     def test_saturation_flag(self):
-        fine = LoadPoint(1.0, 1.0, 0.95, 50.0, 80, 100, False)
-        saturated = LoadPoint(2.0, 1.0, 0.5, 400.0, 900, 100, False)
-        assert not fine.saturated
-        assert saturated.saturated
+        assert not load_point_failed(_point(1.0, 0.95))
+        assert load_point_failed(_point(1.0, 0.5))
+        assert load_point_failed(_point(1.0, 0.95, deadlocked=True))
 
     def test_zero_offer_never_saturated(self):
-        idle = LoadPoint(0.0, 0.0, 0.0, 0.0, 0, 0, False)
-        assert not idle.saturated
+        assert not load_point_failed(_point(0.0, 0.0))
 
 
 class TestSweep:
     def test_latency_grows_with_load(self, simple_line_design):
-        sweep = load_latency_sweep(
-            simple_line_design,
-            injection_scales=(0.5, 4.0),
-            max_cycles=1500,
-        )
-        assert len(sweep.points) == 2
-        low, high = sweep.points
-        assert high.packets_delivered > low.packets_delivered
-        assert high.average_latency >= low.average_latency
-        assert not low.deadlocked and not high.deadlocked
+        low, high = _grid(simple_line_design, (0.5, 4.0), max_cycles=1500)
+        assert high["packets_delivered"] > low["packets_delivered"]
+        assert high["average_latency"] >= low["average_latency"]
+        assert not low["deadlocked"] and not high["deadlocked"]
 
     def test_offered_load_scales_linearly(self, simple_line_design):
-        sweep = load_latency_sweep(
-            simple_line_design, injection_scales=(0.5, 1.0), max_cycles=200
-        )
-        assert sweep.points[1].offered_flits_per_cycle == pytest.approx(
-            2 * sweep.points[0].offered_flits_per_cycle
+        low, high = _grid(simple_line_design, (0.5, 1.0), max_cycles=200)
+        assert high["offered_flits_per_cycle"] == pytest.approx(
+            2 * low["offered_flits_per_cycle"]
         )
 
     def test_unprotected_ring_deadlocks_in_sweep(self, ring_design_fixture):
-        sweep = load_latency_sweep(
-            ring_design_fixture,
-            injection_scales=(6.0,),
-            max_cycles=4000,
-            buffer_depth=2,
-            seed=1,
+        (point,) = _grid(
+            ring_design_fixture, (6.0,), max_cycles=4000, buffer_depth=2, point={"seed": 1}
         )
-        assert sweep.points[0].deadlocked
-        assert sweep.saturation_scale == 6.0
+        assert point["deadlocked"]
+        assert load_point_failed(point)
 
     def test_protected_ring_survives_same_sweep(self, ring_design_fixture):
         fixed = remove_deadlocks(ring_design_fixture).design
-        sweep = load_latency_sweep(
-            fixed, injection_scales=(6.0,), max_cycles=4000, buffer_depth=2, seed=1
-        )
-        assert not sweep.points[0].deadlocked
-
-    def test_as_rows_shape(self, simple_line_design):
-        sweep = load_latency_sweep(
-            simple_line_design, injection_scales=(1.0,), max_cycles=300
-        )
-        rows = sweep.as_rows()
-        assert len(rows) == 1
-        assert len(rows[0]) == 5
+        (point,) = _grid(fixed, (6.0,), max_cycles=4000, buffer_depth=2, point={"seed": 1})
+        assert not point["deadlocked"]
 
     def test_saturation_scale_none_when_healthy(self, simple_line_design):
-        sweep = load_latency_sweep(
-            simple_line_design, injection_scales=(0.25, 0.5), max_cycles=500
-        )
-        assert sweep.saturation_scale is None
+        points = _grid(simple_line_design, (0.25, 0.5), max_cycles=500)
+        assert not any(load_point_failed(point) for point in points)
 
 
-class TestCompare:
-    def test_compare_performance_runs_all_designs(self, ring_design_fixture):
-        fixed = remove_deadlocks(ring_design_fixture).design
-        results = compare_performance(
-            {"unprotected": ring_design_fixture, "removal": fixed},
-            injection_scales=(0.5,),
-            max_cycles=500,
+class TestOneBody:
+    def test_grid_point_equals_solo_point(self, small_mesh_design):
+        """A load point is a grid of one: each grid cell matches its solo call."""
+        schedule = EventSchedule.random(
+            small_mesh_design.topology, seed=1, link_failures=1, start_cycle=40, end_cycle=200
         )
-        assert set(results) == {"unprotected", "removal"}
-        assert all(len(sweep.points) == 1 for sweep in results.values())
+        points = [
+            {"injection_scale": 1.5, "seed": 2, "fault_schedule": schedule},
+            {"injection_scale": 1.5, "seed": 2, "fault_recovery": "reroute",
+             "fault_schedule": schedule.to_dict()},
+            {"injection_scale": 0.5, "seed": 3, "traffic_scenario": "bursty"},
+        ]
+        grid = measure_load_grid(small_mesh_design, points, max_cycles=300)
+        for point, cell in zip(points, grid):
+            solo = measure_load_point(small_mesh_design, max_cycles=300, **point)
+            assert cell == solo
+        assert "resilience" in grid[0] and "resilience" in grid[1]
+        assert "resilience" not in grid[2]
+        assert grid[0]["resilience"]["fault_events_applied"] > 0
+
+    def test_engines_agree(self, small_mesh_design):
+        points = [{"injection_scale": scale, "seed": 1} for scale in (0.5, 2.0)]
+        grids = [
+            measure_load_grid(small_mesh_design, points, max_cycles=300, sim_engine=engine)
+            for engine in ("legacy", "compiled", "batched")
+        ]
+        assert grids[0] == grids[1] == grids[2]

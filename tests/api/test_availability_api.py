@@ -60,7 +60,7 @@ class TestFaultModelFields:
 
     def test_model_and_schedule_are_mutually_exclusive(self):
         with pytest.raises(PlanError, match="mutually exclusive"):
-            _spec(fault_model="uniform", fault_schedule={"random": {}})
+            _spec(fault_model="uniform", fault_schedule={"events": []})
 
     def test_params_without_model_rejected(self):
         with pytest.raises(PlanError, match="without a fault_model"):

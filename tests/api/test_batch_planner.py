@@ -267,7 +267,8 @@ class TestFallbackCorrectness:
             sim_cycles=300,
             sim_engine="batched",
             injection_scale=1.5,
-            fault_schedule={"random": {"link_failures": 1, "seed": 3}},
+            fault_model="uniform",
+            fault_params={"link_failures": 1, "seed": 3},
         )
         assert _plan_batches([spec]) == [[0]]
         result = execute_spec(spec, None)

@@ -20,7 +20,12 @@ SCHEDULE = {
         {"cycle": 50, "action": "fail_link", "link": {"src": "a", "dst": "b"}}
     ]
 }
-RANDOM_REQUEST = {"random": {"link_failures": 2, "start_cycle": 10, "end_cycle": 90}}
+OTHER_SCHEDULE = {
+    "events": [
+        {"cycle": 10, "action": "fail_router", "switch": "b"},
+        {"cycle": 90, "action": "restore_router", "switch": "b"},
+    ]
+}
 
 
 class TestFaultScheduleField:
@@ -55,14 +60,14 @@ class TestFaultScheduleField:
                 fault_schedule=schedule,
             )
 
-        assert spec(SCHEDULE).fingerprint() != spec(RANDOM_REQUEST).fingerprint()
+        assert spec(SCHEDULE).fingerprint() != spec(OTHER_SCHEDULE).fingerprint()
 
     def test_round_trip(self):
         spec = RunSpec(
             benchmark="D36_8",
             switch_count=14,
             injection_scale=1.0,
-            fault_schedule=RANDOM_REQUEST,
+            fault_schedule=OTHER_SCHEDULE,
         )
         assert RunSpec.from_dict(spec.to_dict()) == spec
 
@@ -76,17 +81,26 @@ class TestFaultScheduleField:
                 fault_schedule=value,
             )
 
+    def test_random_request_points_to_the_uniform_model(self):
+        with pytest.raises(PlanError, match='fault_model: "uniform"'):
+            RunSpec(
+                benchmark="D36_8",
+                switch_count=14,
+                injection_scale=1.0,
+                fault_schedule={"random": {"link_failures": 2}},
+            )
+
     def test_expand_run_entry_threads_the_schedule(self):
         specs = expand_run_entry(
             {
                 "benchmark": "D36_8",
                 "switch_counts": [10, 14],
                 "injection_scale": 1.0,
-                "fault_schedule": RANDOM_REQUEST,
+                "fault_schedule": OTHER_SCHEDULE,
             }
         )
         assert len(specs) == 2
-        assert all(spec.fault_schedule == RANDOM_REQUEST for spec in specs)
+        assert all(spec.fault_schedule == OTHER_SCHEDULE for spec in specs)
 
 
 def _result(**overrides) -> RunResult:

@@ -1,6 +1,8 @@
 """The simulation axis of the experiment API: spec fields, latency report,
 cached simulation results and seed reproducibility."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.api.registry import simulation_engines, traffic_scenarios
@@ -148,6 +150,29 @@ class TestLatencyReport:
         )
         assert [spec.injection_scale for spec in specs] == [0.5, 1.0]
         assert all(spec.benchmark == "D26_media" for spec in specs)
+
+    def test_routing_engine_reaches_report_specs(self):
+        report = report_types.get("latency")
+        specs = report.specs(
+            {"benchmark": "D26_media", "switch_count": 8, "injection_scales": [0.5],
+             "routing_engine": "legacy"}
+        )
+        assert [spec.routing_engine for spec in specs] == ["legacy"]
+
+    @pytest.mark.parametrize("report", sorted(report_types.names()))
+    def test_misspelt_parameter_is_rejected(self, report):
+        params = {"family": "ring", "sim_cyles": 500}
+        with pytest.raises(PlanError, match="sim_cyles"):
+            report_types.get(report).specs(params)
+        plan = ExperimentPlan(reports=[ReportRequest(type=report, params=params)])
+        with pytest.raises(PlanError, match="sim_cyles"):
+            plan.all_specs()
+
+    def test_every_checked_in_plan_still_loads(self):
+        plans = sorted((Path(__file__).resolve().parents[2] / "plans").glob("*.json"))
+        assert plans
+        for path in plans:
+            assert ExperimentPlan.load(path).all_specs(), path.name
 
     def test_end_to_end_render(self, tmp_path):
         plan = ExperimentPlan(

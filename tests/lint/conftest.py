@@ -29,7 +29,7 @@ def lint_project(tmp_path):
     the rule ids under test so fixtures stay minimal.
     """
 
-    def run(files, *, tests=None, rules=None, baseline=None):
+    def run(files, *, tests=None, rules=None):
         top_level = set()
         for rel, source in files.items():
             target = tmp_path / rel
@@ -48,7 +48,6 @@ def lint_project(tmp_path):
             root=tmp_path,
             tests_dir=tests_dir,
             rules=rules,
-            baseline=baseline,
         )
 
     return run

@@ -56,9 +56,7 @@ class TestReportSchema:
             "format_version",
             "checked_files",
             "ok",
-            "baseline",
             "new_findings",
-            "grandfathered",
             "suppressed",
         }
         assert document["format_version"] == 1

@@ -37,11 +37,6 @@ class TestFinding:
             ("src/b.py", 1),
         ]
 
-    def test_baseline_key_ignores_line_and_col(self):
-        a = Finding(path="src/a.py", line=3, rule="r", message="m", col=1)
-        b = Finding(path="src/a.py", line=99, rule="r", message="m", col=5)
-        assert a.baseline_key() == b.baseline_key()
-
 
 class TestStructuredWarning:
     def test_payload_parses_and_matches_finding_schema(self):

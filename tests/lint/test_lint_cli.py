@@ -1,4 +1,4 @@
-"""The ``noc-deadlock lint`` subcommand: formats, exit codes, baseline flags."""
+"""The ``noc-deadlock lint`` subcommand: formats and exit codes."""
 
 import json
 import textwrap
@@ -30,15 +30,15 @@ def project(tmp_path, monkeypatch):
 
 class TestHumanOutput:
     def test_new_finding_fails_and_is_rendered(self, project, capsys):
-        assert main(["lint", "src", "--no-baseline"]) == 1
+        assert main(["lint", "src"]) == 1
         captured = capsys.readouterr()
         assert "src/stamp.py:5" in captured.out
         assert "[det-wallclock]" in captured.out
-        assert "1 new finding(s)" in captured.err
+        assert "1 finding(s)" in captured.err
 
     def test_clean_run_exits_zero(self, project, capsys):
-        assert main(["lint", "src/clean.py", "--no-baseline"]) == 0
-        assert "0 new finding(s)" in capsys.readouterr().err
+        assert main(["lint", "src/clean.py"]) == 0
+        assert "0 finding(s)" in capsys.readouterr().err
 
     def test_missing_baseline_file_is_an_empty_baseline(self, project):
         assert main(["lint", "src"]) == 1
@@ -46,7 +46,7 @@ class TestHumanOutput:
 
 class TestJsonOutput:
     def test_document_schema_and_exit_code(self, project, capsys):
-        assert main(["lint", "src", "--format", "json", "--no-baseline"]) == 1
+        assert main(["lint", "src", "--format", "json"]) == 1
         document = json.loads(capsys.readouterr().out)
         assert document["ok"] is False
         assert document["checked_files"] == 2
@@ -62,7 +62,6 @@ class TestJsonOutput:
                     "src",
                     "--format",
                     "json",
-                    "--no-baseline",
                     "--rules",
                     "det-set-order",
                 ]
@@ -71,16 +70,3 @@ class TestJsonOutput:
         )
         assert json.loads(capsys.readouterr().out)["ok"] is True
 
-
-class TestBaselineFlags:
-    def test_update_then_rerun_round_trips_to_green(self, project, capsys):
-        assert main(["lint", "src", "--update-baseline"]) == 0
-        assert "wrote 1 finding(s)" in capsys.readouterr().out
-        assert main(["lint", "src"]) == 0
-        captured = capsys.readouterr()
-        assert "1 baselined" in captured.err
-
-    def test_corrupt_baseline_is_a_clean_cli_error(self, project, capsys):
-        (project / "lint-baseline.json").write_text("{nope")
-        assert main(["lint", "src"]) == 2
-        assert "error:" in capsys.readouterr().err

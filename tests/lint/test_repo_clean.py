@@ -1,6 +1,6 @@
 """The repo-level lint contract this PR establishes.
 
-``src`` lints clean against the (empty) checked-in baseline, and the lint
+``src`` lints clean (nothing grandfathers a finding), and the lint
 package itself is clean with *zero* suppressions — the checker does not
 get to excuse itself.  These tests are the in-process mirror of the CI
 gate, so a finding introduced by a future PR fails the suite even before
@@ -28,13 +28,8 @@ class TestRepoIsClean:
             [REPO_ROOT / "src"],
             root=REPO_ROOT,
             tests_dir=REPO_ROOT / "tests",
-            baseline=REPO_ROOT / "lint-baseline.json",
         )
         assert report.new_findings == [], [f.render() for f in report.new_findings]
-
-    def test_checked_in_baseline_is_empty(self):
-        document = json.loads((REPO_ROOT / "lint-baseline.json").read_text())
-        assert document["findings"] == []
 
     def test_lint_package_is_clean_without_baseline_or_suppressions(self):
         report = lint_paths(

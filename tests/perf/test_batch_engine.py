@@ -39,6 +39,7 @@ from repro.simulation.simulator import (
     make_traffic_generator,
     simulate_design,
     stats_divergences,
+    verify_against_legacy,
 )
 from repro.synthesis.families import family_design
 
@@ -138,9 +139,9 @@ class TestMultiLaneEquivalence:
         ]
         generators = [make_traffic_generator(design, config) for config in configs]
         # The last lane's generator has already drawn: same seed, other state.
-        generators[-1]._firing()
+        generators[-1].fire(0)
         stats_list = run_batch(design, configs, max_cycles=300, generators=generators)
-        shared = ["_firing" in vars(generator) for generator in generators]
+        shared = ["fire" in vars(generator) for generator in generators]
         assert shared == [True, True, True, True, False, False, False]
         for stats, config in zip(stats_list[:-1], configs):
             assert_lane_identical(stats, config, design, 300, BOTH_REFERENCES)
@@ -266,13 +267,10 @@ class TestCrossCheckFlag:
             return stats
 
         monkeypatch.setattr(CompiledSimulator, "run", rigged)
+        config = SimulationConfig(injection_scale=2.0)
+        (stats,) = run_batch(small_mesh_design, [config], max_cycles=200, engine="batched")
         with pytest.raises(SimulationError, match="diverged"):
-            run_batch(
-                small_mesh_design,
-                [SimulationConfig(injection_scale=2.0)],
-                max_cycles=200,
-                cross_check=True,
-            )
+            verify_against_legacy(small_mesh_design, config, stats, "batched", max_cycles=200)
 
 
 class TestBatchRejections:

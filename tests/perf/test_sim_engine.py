@@ -27,6 +27,7 @@ from repro.perf.sim_engine import CompiledNetwork, CompiledSimulator, Simulation
 from repro.simulation.fault_models import spatial_burst_model
 from repro.simulation.simulator import SimulationConfig, Simulator, simulate_design
 from repro.simulation.stats import SimulationStats
+from repro.simulation.trace import TraceTrafficGenerator
 from repro.synthesis.families import family_design
 
 SCENARIOS = ("flows", "uniform", "hotspot", "transpose", "bursty")
@@ -297,22 +298,29 @@ class TestCompiledNetworkAccounting:
         buffered, pending = simulator.network.count_flits_by_walk()
         assert simulator.network.undelivered_flits == buffered + pending == 0
 
-    def test_inject_unrouted_flow_raises(self, small_mesh_design):
-        from repro.simulation.flit import Packet
-
-        design = small_mesh_design.copy()
+    def test_fired_unrouted_flow_is_lost_at_the_ni(self, small_mesh_design):
+        """A fired flow without a route is an NI loss on both engines."""
         victim = next(
-            flow.name
-            for flow in design.traffic.flows
-            if design.switch_of(flow.src) != design.switch_of(flow.dst)
+            flow
+            for flow in small_mesh_design.traffic.flows
+            if small_mesh_design.switch_of(flow.src) != small_mesh_design.switch_of(flow.dst)
         )
-        design.routes.remove_route(victim)
-        network = CompiledNetwork(design)
-        packet = Packet(
-            packet_id=0, flow_name=victim, route=(), size_flits=2, created_cycle=0
-        )
-        with pytest.raises(SimulationError, match="no injection queue"):
-            network.inject(packet)
+        degraded = small_mesh_design.copy()
+        degraded.routes.remove_route(victim.name)
+        trace = {"cycles": 1, "events": [{"cycle": 0, "flow": victim.name, "packets": 2}]}
+        config = SimulationConfig(traffic_scenario="trace", scenario_params={"trace": trace})
+        for engine in ("legacy", "compiled"):
+            # The generator is built on the intact design, so it fires the
+            # flow the degraded design no longer routes.
+            generator = TraceTrafficGenerator(small_mesh_design, trace=trace)
+            simulator = simulation_engines.get(engine).lane(degraded, config, generator)
+            stats = simulator.run(5)
+            assert degraded.routes.has_route(victim.name) is False
+            assert stats.packets_injected == stats.packets_lost == 2, engine
+            assert stats.flits_lost == 2 * victim.packet_size_flits, engine
+            assert stats.flits_delivered == 0, engine
+            assert simulator.network.undelivered_flits == 0, engine
+            assert simulator._next_packet_id == 2, engine
 
 
 class TestTemplateCache:

@@ -170,20 +170,12 @@ class TestFromSpec:
         resolved = EventSchedule.from_spec(schedule.to_dict())
         assert resolved == schedule
 
-    def test_random_request_uses_surrounding_seed_by_default(self):
+    def test_random_request_points_to_the_uniform_model(self):
+        """Seeded random schedules have one spelling: the uniform fault model."""
         topology = topology_families.get("mesh").build({"rows": 2, "cols": 2}).topology
-        request = {"random": {"link_failures": 1}}
-        a = EventSchedule.from_spec(request, topology=topology, seed=4)
-        b = EventSchedule.random(topology, seed=4, link_failures=1)
-        assert a == b
-        pinned = EventSchedule.from_spec(
-            {"random": {"link_failures": 1, "seed": 9}}, topology=topology, seed=4
-        )
-        assert pinned == EventSchedule.random(topology, seed=9, link_failures=1)
-
-    def test_random_request_needs_topology(self):
-        with pytest.raises(SimulationError, match="topology"):
-            EventSchedule.from_spec({"random": {}})
+        for topo in (topology, None):
+            with pytest.raises(SimulationError, match='fault_model: "uniform"'):
+                EventSchedule.from_spec({"random": {"link_failures": 1}}, topology=topo)
 
     @pytest.mark.parametrize(
         "value",

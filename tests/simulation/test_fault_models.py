@@ -234,7 +234,7 @@ class TestBuildFaultSchedule:
         assert schedule.to_dict() == uniform_model(design, seed=5).to_dict()
 
     def test_schedule_document_still_resolves(self, design):
-        schedule = build_fault_schedule(
-            design, fault_schedule={"random": {"link_failures": 1, "seed": 4}}
-        )
+        document = uniform_model(design, seed=4).to_dict()
+        schedule = build_fault_schedule(design, fault_schedule=document)
         assert len(schedule) == 1
+        assert schedule.to_dict() == document

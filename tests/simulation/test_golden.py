@@ -66,6 +66,50 @@ packets (R3).  So ``f3``'s head crosses ``X'`` in cycle 10 and
 ``Y' = sw_2_2->sw_2_1`` in 11, and its tail crosses ``Y'`` in 18:
 latency 17.  ``f1`` keeps 10, and the run ends at 19.
 
+**Case 3: the paper's ring deadlocks (Figures 1-7).**  ``paper_ring_design``
+is the unidirectional ring ``L1 = SW1->SW2``, ``L2 = SW2->SW3``, ``L3 =
+SW3->SW4``, ``L4 = SW4->SW1`` with one VC per link and the flows ``F1 =
+{L1, L2, L3}``, ``F2 = {L3, L4}``, ``F3 = {L4, L1}``, ``F4 = {L1, L2}``,
+8 flits each.  A trace creates one packet of each flow in cycle 0; the
+buffers hold ``d`` flits, ``d`` in 1, 2, 4.  ``B(Lk)`` is the buffer
+behind ``Lk``; its upstream router is served before it, except for
+``B(L4)`` (at ``SW1``, served before ``SW4``).
+
+* Cycle 0 (R5): at ``SW1`` the queues of ``F1`` and ``F4`` both request
+  ``L1`` and ``F1`` comes first by name, so ``F1`` acquires ``L1``;
+  ``F2`` acquires ``L3`` at ``SW3`` and ``F3`` acquires ``L4`` at
+  ``SW4``.  Each head crosses its first channel.  ``F1`` acquires ``L2``
+  in cycle 1, when its head is the only requester at ``SW2``.
+* Nothing ever leaves ``B(L2)``, ``B(L3)`` or ``B(L4)``: their heads wait
+  for ``L3`` (owned by ``F2``), ``L4`` (``F3``) and ``L1`` (``F1``), and a
+  channel is released only when its owner's tail crosses it, which needs
+  all 8 flits to fit downstream of it: ``d >= 8`` for ``F2`` and ``F3``.
+  So ``F2`` and ``F3`` each cross their first channel ``d`` times, in
+  cycles ``0 .. d-1`` (one flit per cycle into an undrained buffer).
+* ``F1`` fills ``B(L2)`` through ``B(L1)``: ``d`` flits cross ``L2`` in
+  cycles ``1 .. d`` and ``2d`` cross ``L1``.  For ``d >= 2`` they cross in
+  cycles ``0 .. 2d-1``: at the start of cycle ``t > d`` ``B(L1)`` holds
+  ``t - d`` flits, so it has room until ``t = 2d - 1``.  For ``d = 1`` the
+  slot ``SW2`` frees in cycle 1 is seen by ``SW1`` only in cycle 2 (R3),
+  so ``L1`` carries flits in cycles 0 and 2.  At ``d = 4`` the tail of
+  ``F1`` crosses ``L1`` in cycle 7 and releases it; in cycle 8 the
+  round-robin pointer (past ``F1``'s queue) grants ``L1`` to ``F4``,
+  whose head cannot enter ``B(L1)`` while ``F1`` holds it (R3).  ``F4``
+  never moves at any depth.
+* So the transfers are ``2d`` on ``L1`` and ``d`` on each of ``L2``,
+  ``L3`` and ``L4``: ``5d`` in all.  The last one is in cycle ``T = 2``
+  for ``d = 1`` and ``T = 2d - 1`` otherwise (3 and 7).
+* The watchdog counts cycles without a transfer while flits are
+  buffered: cycles ``T+1 .. T+200`` are idle, and after cycle ``T + 200``
+  the wait-for graph is checked.  It holds ``B(L1) -> L2``, ``B(L2) ->
+  L3``, ``B(L3) -> L4`` and ``B(L4) -> L1``: the cycle L1 -> L2 -> L3 ->
+  L4, reported in some rotation.  The run stops after that cycle, so
+  ``deadlock_cycle = cycles_run = T + 201``: 203, 204 and 208.  No
+  packet is delivered.
+
+The removal design (``remove_deadlocks``) breaks the cycle, so the same
+trace delivers all four packets there.
+
 Each case runs on ``legacy``, ``compiled`` and a two-lane ``batched`` grid.
 """
 
@@ -73,6 +117,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.removal import remove_deadlocks
+from repro.examples_data.paper_ring import paper_channel, paper_ring_design
 from repro.model.channels import Channel, Link
 from repro.perf.batch_engine import run_batch
 from repro.simulation.simulator import SimulationConfig, build_simulator
@@ -85,7 +131,7 @@ def _channels(*switches):
     return [Channel(Link(a, b)) for a, b in zip(switches, switches[1:])]
 
 
-def _trace_config(events):
+def _trace_config(events, buffer_depth=4):
     """A config replaying exactly one packet per ``(cycle, flow)`` event."""
     horizon = max(cycle for cycle, _ in events) + 1
     trace = {
@@ -93,12 +139,17 @@ def _trace_config(events):
         "cycles": horizon,
         "events": [{"cycle": cycle, "flow": flow, "packets": 1} for cycle, flow in events],
     }
-    return horizon, SimulationConfig(traffic_scenario="trace", scenario_params={"trace": trace})
+    return horizon, SimulationConfig(
+        buffer_depth=buffer_depth,
+        traffic_scenario="trace",
+        scenario_params={"trace": trace},
+    )
 
 
-def _run_lanes(design, lanes, engine):
+def _run_lanes(design, lanes, engine, depths=None):
     """Stats of each lane's trace: solo runs, or one grid on ``batched``."""
-    runs = [_trace_config(events) for events in lanes]
+    depths = depths or [4] * len(lanes)
+    runs = [_trace_config(events, depth) for events, depth in zip(lanes, depths)]
     if engine == "batched":
         (horizon,) = {horizon for horizon, _ in runs}
         return run_batch(design, [config for _, config in runs], max_cycles=horizon)
@@ -154,3 +205,39 @@ def test_contending_packets_follow_round_robin_and_credit_order(engine, small_me
     for stats in (freed_early, freed_late):
         assert stats.flit_transfers == (4 + 2) * F
         assert stats.packets_delivered == 2 and not stats.deadlock_detected
+
+
+RING_TRACE = [(0, "F1"), (0, "F2"), (0, "F3"), (0, "F4")]
+#: The other lane of each depth's two-lane ``batched`` grid.
+OTHER_DEPTH = {1: 2, 2: 4, 4: 1}
+
+
+def _is_rotation(channels, cycle):
+    start = cycle.index(channels[0])
+    return list(channels) == cycle[start:] + cycle[:start]
+
+
+@pytest.mark.parametrize("depth", (1, 2, 4))
+@pytest.mark.parametrize("engine", ENGINES)
+def test_paper_ring_deadlocks_on_one_packet_per_flow(engine, depth):
+    design = paper_ring_design()
+    depths = [depth, OTHER_DEPTH[depth]]
+    runs = _run_lanes(design, [RING_TRACE, RING_TRACE], engine, depths)
+    l1, l2, l3, l4 = (paper_channel(name) for name in ("L1", "L2", "L3", "L4"))
+    for d, stats in zip(depths, runs):
+        last_transfer = 2 if d == 1 else 2 * d - 1
+        assert stats.deadlock_detected, d
+        assert stats.deadlock_cycle == stats.cycles_run == last_transfer + 201
+        assert _is_rotation(stats.deadlocked_channels, [l1, l2, l3, l4])
+        assert stats.flit_transfers == 5 * d
+        assert _busy(stats) == {l1: 2 * d, l2: d, l3: d, l4: d}
+        assert stats.packets_injected == 4
+        assert stats.packets_delivered == stats.flits_delivered == 0
+        assert stats.latencies == []
+
+    # Deadlock removal breaks the cycle: the same trace gets through.
+    fixed = remove_deadlocks(design).design
+    for d, stats in zip(depths, _run_lanes(fixed, [RING_TRACE, RING_TRACE], engine, depths)):
+        assert not stats.deadlock_detected, d
+        assert stats.packets_delivered == 4
+        assert stats.flits_delivered == 4 * F

@@ -38,18 +38,13 @@ class TestDeterminism:
         a = make_generator(simple_line_design, scenario, injection_scale=20.0, seed=7)
         b = make_generator(simple_line_design, scenario, injection_scale=20.0, seed=7)
         for cycle in range(100):
-            packets_a = [(p.flow_name, p.packet_id) for p in a.generate(cycle)]
-            packets_b = [(p.flow_name, p.packet_id) for p in b.generate(cycle)]
-            assert packets_a == packets_b
+            assert a.fire(cycle) == b.fire(cycle)
 
     @pytest.mark.parametrize("scenario", ALL_SCENARIOS)
     def test_different_seeds_diverge_eventually(self, simple_line_design, scenario):
         a = make_generator(simple_line_design, scenario, injection_scale=5.0, seed=1)
         b = make_generator(simple_line_design, scenario, injection_scale=5.0, seed=2)
-        streams_differ = any(
-            [(p.flow_name) for p in a.generate(c)] != [(p.flow_name) for p in b.generate(c)]
-            for c in range(300)
-        )
+        streams_differ = any(a.fire(c) != b.fire(c) for c in range(300))
         assert streams_differ
 
 
@@ -128,8 +123,8 @@ class TestBursty:
         nominal = FlowTrafficGenerator(simple_line_design, injection_scale=10.0)
         bursty = BurstyTrafficGenerator(simple_line_design, injection_scale=10.0, seed=4)
         cycles = 20_000
-        nominal_count = sum(len(nominal.generate(c)) for c in range(cycles))
-        bursty_count = sum(len(bursty.generate(c)) for c in range(cycles))
+        nominal_count = sum(len(nominal.fire(c)) for c in range(cycles))
+        bursty_count = sum(len(bursty.fire(c)) for c in range(cycles))
         assert bursty_count == pytest.approx(nominal_count, rel=0.15)
 
     def test_packets_cluster_in_bursts(self, simple_line_design):
@@ -137,7 +132,7 @@ class TestBursty:
         bursty = BurstyTrafficGenerator(
             simple_line_design, injection_scale=5.0, seed=3, duty=0.2
         )
-        active_cycles = [bool(bursty.generate(c)) for c in range(5000)]
+        active_cycles = [bool(bursty.fire(c)) for c in range(5000)]
         # Count ON->OFF style runs: bursts imply long idle gaps.
         longest_gap = 0
         gap = 0
@@ -160,8 +155,8 @@ class TestSeedThreading:
 
         random_module.seed(123)
         a = make_generator(simple_line_design, "bursty", injection_scale=10.0, seed=5)
-        stream_a = [len(a.generate(c)) for c in range(200)]
+        stream_a = [len(a.fire(c)) for c in range(200)]
         random_module.seed(456)
         b = make_generator(simple_line_design, "bursty", injection_scale=10.0, seed=5)
-        stream_b = [len(b.generate(c)) for c in range(200)]
+        stream_b = [len(b.fire(c)) for c in range(200)]
         assert stream_a == stream_b

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.power.orion import TechnologyParameters
+from repro.simulation.network import WormholeNetwork
+from repro.simulation.simulator import SimulationConfig, Simulator
 from repro.simulation.traffic_gen import FlowTrafficGenerator
 
 
@@ -43,31 +45,40 @@ class TestGeneration:
         a = FlowTrafficGenerator(simple_line_design, injection_scale=50.0, seed=3)
         b = FlowTrafficGenerator(simple_line_design, injection_scale=50.0, seed=3)
         for cycle in range(50):
-            packets_a = [(p.flow_name, p.packet_id) for p in a.generate(cycle)]
-            packets_b = [(p.flow_name, p.packet_id) for p in b.generate(cycle)]
-            assert packets_a == packets_b
+            assert a.fire(cycle) == b.fire(cycle)
 
     def test_packet_ids_are_unique_and_increasing(self, simple_line_design):
-        generator = FlowTrafficGenerator(simple_line_design, injection_scale=100.0, seed=1)
+        """The simulator numbers every packet the generator fires, in order."""
+        config = SimulationConfig(injection_scale=100.0, seed=1)
+        simulator = Simulator(simple_line_design, config)
         ids = []
-        for cycle in range(100):
-            ids.extend(p.packet_id for p in generator.generate(cycle))
+        enqueue = simulator.network.enqueue
+
+        def recording(key, pid, size, created):
+            ids.append(pid)
+            enqueue(key, pid, size, created)
+
+        simulator.network.enqueue = recording
+        simulator.run(100, drain=False)
+        assert ids, "high injection scale must produce packets"
         assert ids == sorted(ids)
         assert len(ids) == len(set(ids))
+        assert simulator._next_packet_id == simulator.stats.packets_injected
 
     def test_packets_carry_route_and_size(self, simple_line_design):
         generator = FlowTrafficGenerator(simple_line_design, injection_scale=100.0, seed=1)
-        packets = []
-        for cycle in range(50):
-            packets.extend(generator.generate(cycle))
-        assert packets, "high injection scale must produce packets"
-        for packet in packets:
-            assert packet.size_flits == 8
-            assert len(packet.route) >= 1
+        table = WormholeNetwork(simple_line_design).flow_table
+        fired = [name for cycle in range(50) for name in generator.fire(cycle)]
+        assert fired, "high injection scale must produce packets"
+        for name in fired:
+            key, size = table[name]
+            assert key == name  # a routed flow queues under its own name
+            assert size == 8
+            assert len(simple_line_design.routes.route(name).channels) >= 1
 
     def test_higher_rate_generates_more_packets(self, simple_line_design):
         low = FlowTrafficGenerator(simple_line_design, injection_scale=5.0, seed=2)
         high = FlowTrafficGenerator(simple_line_design, injection_scale=50.0, seed=2)
-        low_count = sum(len(low.generate(c)) for c in range(200))
-        high_count = sum(len(high.generate(c)) for c in range(200))
+        low_count = sum(len(low.fire(c)) for c in range(200))
+        high_count = sum(len(high.fire(c)) for c in range(200))
         assert high_count > low_count

@@ -206,7 +206,7 @@ class TestBuilderDispatch:
 class TestFamilyEndToEnd:
     @pytest.mark.parametrize("family", FAMILY_NAMES)
     def test_small_instance_synthesize_remove_simulate(self, family):
-        from repro.analysis.performance import measure_load_point
+        from repro.simulation.simulator import SimulationConfig, simulate_design
 
         params = SMALL_POINTS[family]
         size = family_size(family, params)
@@ -215,18 +215,18 @@ class TestFamilyEndToEnd:
         removal = remove_deadlocks(design)
         assert build_cdg(removal.design).is_acyclic()
         for scenario in ("flows", "trace"):
-            # cross_check=True runs compiled and interpreted engines and
-            # raises on any statistics divergence.
-            metrics = measure_load_point(
-                removal.design,
+            config = SimulationConfig(
                 injection_scale=0.5,
-                max_cycles=300,
                 seed=1,
                 traffic_scenario=scenario,
-                scenario_params={"trace_cycles": 300} if scenario == "trace" else None,
-                cross_check=True,
+                scenario_params={"trace_cycles": 300} if scenario == "trace" else {},
             )
-            assert metrics["packets_delivered"] >= 0
+            # cross_check=True runs compiled and interpreted engines and
+            # raises on any statistics divergence.
+            stats = simulate_design(
+                removal.design, max_cycles=300, config=config, cross_check=True
+            )
+            assert stats.packets_delivered >= 0
 
     @pytest.mark.parametrize("family", FAMILY_NAMES)
     def test_removal_engines_agree_on_family_designs(self, family):
