@@ -53,7 +53,7 @@ from repro.synthesis.builder import SynthesisConfig, synthesize_design
 
 def _protected_design(benchmark: str, switches: int, seed: int):
     traffic = get_benchmark(benchmark, seed=seed)
-    design = synthesize_design(traffic, SynthesisConfig(n_switches=switches, seed=seed))
+    design = synthesize_design(traffic, SynthesisConfig(n_switches=switches))
     return remove_deadlocks(design).design
 
 

@@ -117,9 +117,7 @@ def run_removal_scaling(
     traffic = get_benchmark(benchmark, seed=seed)
     points = []
     for count in switch_counts:
-        design = synthesize_design(
-            traffic, SynthesisConfig(n_switches=count, seed=seed)
-        )
+        design = synthesize_design(traffic, SynthesisConfig(n_switches=count))
         # Routing-state reuse probe: re-routing the synthesized design must
         # be served by the context's cached switch graph (the ROADMAP item
         # "reuse one SwitchGraph across repeated compute_routes calls").
@@ -163,7 +161,7 @@ def run_removal_scaling(
     for name in list_benchmarks():
         design = synthesize_design(
             get_benchmark(name, seed=seed),
-            SynthesisConfig(n_switches=CROSS_CHECK_SWITCHES, seed=seed),
+            SynthesisConfig(n_switches=CROSS_CHECK_SWITCHES),
         )
         seed_result = remove_deadlocks(design, engine="rebuild")
         # cross_check=True re-derives every cost table with the reference

@@ -84,9 +84,7 @@ def _mesh_case(side: int, benchmark: str, seed: int) -> NocDesign:
 def _custom_case(benchmark: str, switch_count: int, seed: int) -> NocDesign:
     """A dense application-specific switch network, unrouted."""
     traffic = get_benchmark(benchmark, seed=seed)
-    config = SynthesisConfig(
-        n_switches=switch_count, extra_link_fraction=1.0, max_switch_degree=5, seed=seed
-    )
+    config = SynthesisConfig(n_switches=switch_count, extra_link_fraction=1.0, max_switch_degree=5)
     core_map = partition_cores(traffic, switch_count, balance_slack=config.balance_slack)
     name = f"{benchmark}_{switch_count}sw_dense"
     topology = build_switch_network(traffic, core_map, config, name=name)
@@ -131,14 +129,11 @@ def _benchmark_equivalence(switch_count: int, seed: int) -> Dict[str, Dict[str, 
     for name in BENCHMARK_NAMES:
         traffic = get_benchmark(name, seed=seed)
         start = time.perf_counter()
-        indexed = synthesize_design(traffic, SynthesisConfig(n_switches=switch_count, seed=seed))
+        indexed = synthesize_design(traffic, SynthesisConfig(n_switches=switch_count))
         indexed_s = time.perf_counter() - start
         start = time.perf_counter()
         legacy = synthesize_design(
-            traffic,
-            SynthesisConfig(
-                n_switches=switch_count, seed=seed, routing_engine=ENGINE_LEGACY
-            ),
+            traffic, SynthesisConfig(n_switches=switch_count, routing_engine=ENGINE_LEGACY)
         )
         legacy_s = time.perf_counter() - start
         results[name] = {

@@ -78,7 +78,7 @@ def _stats_identical(a: SimulationStats, b: SimulationStats) -> bool:
 
 def _protected_design(benchmark: str, switches: int, seed: int):
     traffic = get_benchmark(benchmark, seed=seed)
-    design = synthesize_design(traffic, SynthesisConfig(n_switches=switches, seed=seed))
+    design = synthesize_design(traffic, SynthesisConfig(n_switches=switches))
     return remove_deadlocks(design).design
 
 

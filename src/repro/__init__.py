@@ -25,7 +25,7 @@ Quickstart::
     print(result.summary())                        # 1 VC added, CDG acyclic
 """
 
-from repro.analysis.experiments import MethodComparison, compare_methods
+from repro.analysis.experiments import compare_methods
 from repro.api import (
     ArtifactCache,
     ExperimentPlan,
@@ -38,7 +38,6 @@ from repro.api import (
     removal_engines,
     run_plan,
     run_report,
-    synthesis_backends,
 )
 from repro.benchmarks.registry import get_benchmark, list_benchmarks
 from repro.core.cdg import ChannelDependencyGraph, build_cdg
@@ -125,7 +124,6 @@ __all__ = [
     "IncrementalCycleSearch",
     "parallel_map",
     # analysis
-    "MethodComparison",
     "compare_methods",
     # declarative experiment API
     "RunSpec",
@@ -139,7 +137,6 @@ __all__ = [
     "run_report",
     "removal_engines",
     "ordering_strategies",
-    "synthesis_backends",
     # exporters
     "topology_to_dot",
     "cdg_to_dot",

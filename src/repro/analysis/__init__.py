@@ -3,15 +3,16 @@
 * :mod:`repro.analysis.metrics` — percentages, normalisation, text tables.
 * :mod:`repro.analysis.experiments` — the three-way comparison (unprotected
   / deadlock removal / resource ordering) the paper's evaluation is built
-  on; the figure-level sweeps over it are the report types of
+  on: :func:`compare_methods` turns one spec into its :class:`CostBundle`;
+  the figure-level sweeps over it are the report types of
   :mod:`repro.api.reports`.
 """
 
-from repro.analysis.experiments import MethodComparison, compare_methods
+from repro.analysis.experiments import CostBundle, compare_methods
 from repro.analysis.metrics import geometric_mean, percent_change, percent_reduction
 
 __all__ = [
-    "MethodComparison",
+    "CostBundle",
     "compare_methods",
     "percent_change",
     "percent_reduction",

@@ -5,7 +5,8 @@ One coherent surface over the whole evaluation stack:
 * :class:`RunSpec` / :class:`ExperimentPlan` — declarative descriptions of
   evaluation points and plans, JSON round-trippable (:mod:`repro.api.spec`);
 * :data:`removal_engines` / :data:`ordering_strategies` /
-  :data:`synthesis_backends` — pluggable strategy registries with decorator
+  :data:`routing_engines` / :data:`simulation_engines` /
+  :data:`traffic_scenarios` — pluggable strategy registries with decorator
   registration (:mod:`repro.api.registry`);
 * :class:`Runner` / :func:`run_plan` — plan execution over the process-pool
   executor with a content-addressed artifact cache
@@ -39,7 +40,6 @@ from repro.api.registry import (
     removal_engines,
     routing_engines,
     simulation_engines,
-    synthesis_backends,
     traffic_scenarios,
 )
 from repro.api.result import RESULT_FORMAT_VERSION, RunResult
@@ -91,7 +91,6 @@ __all__ = [
     "run_plan",
     "run_report",
     "simulation_engines",
-    "synthesis_backends",
     "traffic_scenarios",
 ]
 

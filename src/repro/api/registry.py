@@ -1,10 +1,12 @@
 """Pluggable strategy registries for the experiment facade.
 
-The evaluation pipeline is assembled from three interchangeable pieces —
-the removal engine, the resource-ordering class-assignment strategy and the
-topology-synthesis backend.  Each piece is looked up by name in a
-:class:`Registry` instead of being dispatched over hardcoded string
-comparisons, so new implementations plug in with a decorator::
+The evaluation pipeline is assembled from interchangeable pieces — the
+removal engine, the resource-ordering class-assignment strategy, the
+routing engine, the topology family, the simulation engine, the traffic
+scenario, the fault model and the recovery policy.  Each piece is looked
+up by name in a :class:`Registry` instead of being dispatched over
+hardcoded string comparisons, so new implementations plug in with a
+decorator::
 
     from repro.api.registry import removal_engines
 
@@ -13,7 +15,10 @@ comparisons, so new implementations plug in with a decorator::
         ...
 
 and immediately become valid values for :class:`~repro.api.spec.RunSpec`
-fields, CLI flags and the library keyword arguments.
+fields, CLI flags and the library keyword arguments.  Synthesis itself is
+not a registry: :func:`repro.synthesis.builder.synthesize_design` is its
+one entry point, and a spec picks a parameterized generator with
+``topology_family``.
 
 Each registry names a *provider* module — the module that registers the
 built-in implementations.  The provider is imported lazily on first lookup,
@@ -127,10 +132,6 @@ removal_engines = Registry("removal engine", provider="repro.core.removal")
 ordering_strategies = Registry(
     "resource-ordering strategy", provider="repro.routing.ordering"
 )
-
-#: Topology-synthesis backends (built-ins live in
-#: :mod:`repro.synthesis.builder`: ``"custom"`` and ``"mesh"``).
-synthesis_backends = Registry("synthesis backend", provider="repro.synthesis.builder")
 
 #: Shortest-path routing engines (built-ins live in
 #: :mod:`repro.routing.shortest_path`: ``"indexed"``, the polynomial indexed

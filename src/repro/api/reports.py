@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.analysis.experiments import VARIANTS
 from repro.analysis.metrics import arithmetic_mean, load_point_failed
 from repro.api.registry import Registry
 from repro.api.result import RunResult
@@ -283,12 +284,10 @@ class _LatencyReport(ReportType):
         ]
 
     def render(self, params, lookup) -> Dict[str, Any]:
-        from repro.api.runner import SIMULATED_VARIANTS  # local: avoid import cycle
-
         results = self._results(params, lookup)
         scales = self._scales(params)
         curves: Dict[str, Any] = {}
-        for variant in SIMULATED_VARIANTS:
+        for variant in VARIANTS:
             metrics = [r.simulation["variants"][variant] for r in results]
             saturation = next(
                 (m["injection_scale"] for m in metrics if load_point_failed(m)), None
@@ -570,11 +569,9 @@ class _ScaleReport(ReportType):
         ]
 
     def render(self, params, lookup) -> Dict[str, Any]:
-        from repro.api.runner import SIMULATED_VARIANTS  # local: avoid import cycle
-
         results = self._results(params, lookup)
         curves: Dict[str, Any] = {}
-        for variant in SIMULATED_VARIANTS:
+        for variant in VARIANTS:
             metrics = [r.simulation["variants"][variant] for r in results]
             curves[variant] = {
                 "offered_flits_per_cycle": [m["offered_flits_per_cycle"] for m in metrics],

@@ -3,12 +3,12 @@
 A :class:`RunResult` is the scalar outcome of executing one
 :class:`~repro.api.spec.RunSpec`: the VC counts, power and area of the
 unprotected / deadlock-removal / resource-ordering variants, plus removal
-bookkeeping (iterations, runtime, initial cycle count).  Every derived
-percentage of the paper's claims is a property computed from those scalars
-with exactly the formulas of
-:class:`repro.analysis.experiments.MethodComparison`, so figures rendered
-from cached results are byte-identical to figures rendered from a fresh
-run (JSON round-trips Python floats losslessly).
+bookkeeping (iterations, runtime, initial cycle count) — the scalars of
+the spec's :class:`~repro.analysis.experiments.CostBundle`.  It is the one
+place that derives the paper's claims (VC reduction, power and area
+savings, overheads, Figure 10's normalised power) from those scalars, so
+figures rendered from cached results are byte-identical to figures
+rendered from a fresh run (JSON round-trips Python floats losslessly).
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ class RunResult:
     attempts: int = field(default=1, compare=False)
 
     # ------------------------------------------------------------------
-    # derived claims — formulas identical to MethodComparison
+    # derived claims of the paper
     # ------------------------------------------------------------------
     @property
     def benchmark(self) -> str:

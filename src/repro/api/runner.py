@@ -9,8 +9,11 @@ The runner turns :class:`~repro.api.spec.RunSpec` points into
   the synthesized design itself may still be served from the cache (specs
   that differ only in engine or strategy share it).
 * **cost bundles** — the cost side of a record (removal, ordering, power,
-  area *and* the three variant designs) is content-addressed separately
-  under :meth:`RunSpec.cost_fingerprint`, so the load points of a latency
+  area *and* the three variant designs) is the
+  :class:`~repro.analysis.experiments.CostBundle` that
+  :func:`~repro.analysis.experiments.compare_methods` returns for the
+  spec, content-addressed separately under
+  :meth:`RunSpec.cost_fingerprint`, so the load points of a latency
   sweep — which differ only along the simulation axis — pay the removal
   pipeline once instead of once per point on a cold cache.
 * **one simulation path** — :func:`_simulate_specs` simulates a list of
@@ -40,7 +43,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.analysis.experiments import compare_methods
+from repro.analysis.experiments import VARIANTS, CostBundle, compare_methods
 from repro.api.cache import ArtifactCache
 from repro.api.result import COST_SCALAR_FIELDS, RunResult
 from repro.api.spec import ExperimentPlan, RunSpec
@@ -73,82 +76,37 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "noc-deadlock"
 
 
-#: Design variants a simulating spec evaluates, in record order.
-SIMULATED_VARIANTS = ("unprotected", "removal", "ordering")
-
-@dataclass
-class _CostBundle:
-    """Cost-side outcome of one design point, shared across load points.
-
-    ``scalars`` are the :data:`~repro.api.result.COST_SCALAR_FIELDS`
-    constructor keywords of :class:`RunResult` (VC counts, removal
-    bookkeeping, power, area); ``designs`` maps each
-    :data:`SIMULATED_VARIANTS` entry to its :class:`NocDesign`.  Every
-    spec sharing a :meth:`RunSpec.cost_fingerprint` shares one bundle, so
-    its records carry *identical* cost scalars (including
-    ``removal_runtime_s``) no matter which load point ran first.
-    """
-
-    scalars: Dict[str, Any]
-    designs: Dict[str, NocDesign]
-
-
-def _bundle_from_comparison(comparison) -> _CostBundle:
-    """Reduce a :class:`~repro.analysis.experiments.MethodComparison`."""
-    return _CostBundle(
-        scalars={
-            "removal_extra_vcs": comparison.removal_extra_vcs,
-            "ordering_extra_vcs": comparison.ordering_extra_vcs,
-            "removal_iterations": comparison.removal.iterations,
-            "initial_cycle_count": comparison.removal.initial_cycle_count,
-            "removal_runtime_s": comparison.removal.runtime_seconds,
-            "unprotected_power_mw": comparison.unprotected_power.total_power_mw,
-            "removal_power_mw": comparison.removal_power.total_power_mw,
-            "ordering_power_mw": comparison.ordering_power.total_power_mw,
-            "unprotected_area_mm2": comparison.unprotected_area.total_area_mm2,
-            "removal_area_mm2": comparison.removal_area.total_area_mm2,
-            "ordering_area_mm2": comparison.ordering_area.total_area_mm2,
-        },
-        designs={
-            "unprotected": comparison.unprotected,
-            "removal": comparison.removal.design,
-            "ordering": comparison.ordering.design,
-        },
-    )
-
-
-def _bundle_to_document(bundle: _CostBundle) -> Dict[str, Any]:
+def _bundle_to_document(bundle: CostBundle) -> Dict[str, Any]:
     return {
         "format_version": COST_FORMAT_VERSION,
         "scalars": dict(bundle.scalars),
         "designs": {
-            variant: design_to_dict(bundle.designs[variant])
-            for variant in SIMULATED_VARIANTS
+            variant: design_to_dict(bundle.designs[variant]) for variant in VARIANTS
         },
     }
 
 
-def _bundle_from_document(document: Mapping[str, Any]) -> Optional[_CostBundle]:
+def _bundle_from_document(document: Mapping[str, Any]) -> Optional[CostBundle]:
     """Rebuild a cached cost bundle; any malformation is a miss (``None``)."""
     try:
         if document.get("format_version") != COST_FORMAT_VERSION:
             return None
         scalars = {name: document["scalars"][name] for name in COST_SCALAR_FIELDS}
         designs = {
-            variant: design_from_dict(document["designs"][variant])
-            for variant in SIMULATED_VARIANTS
+            variant: design_from_dict(document["designs"][variant]) for variant in VARIANTS
         }
     except (KeyError, TypeError, ReproError):
         return None
-    return _CostBundle(scalars=scalars, designs=designs)
+    return CostBundle(scalars=scalars, designs=designs)
 
 
-def _resolve_costs(spec: RunSpec, cache: Optional[ArtifactCache] = None) -> _CostBundle:
+def _resolve_costs(spec: RunSpec, cache: Optional[ArtifactCache] = None) -> CostBundle:
     """The spec's cost bundle: cached under ``cost_fingerprint`` or computed.
 
     On a bundle miss the synthesized (unprotected) design may still be
     served from the ``design`` cache (specs differing only in engine or
-    strategy share it), exactly as before the cost-bundle layer.
+    strategy share it) and handed to :func:`compare_methods`, which then
+    skips synthesis.
     """
     cost_key = spec.cost_fingerprint()
     if cache is not None:
@@ -168,25 +126,10 @@ def _resolve_costs(spec: RunSpec, cache: Optional[ArtifactCache] = None) -> _Cos
             except ReproError:
                 unprotected = None
 
-    # compare_methods resolves the benchmark name through the per-process
-    # memo only when it actually has to synthesize (design-cache miss).
-    comparison = compare_methods(
-        spec.benchmark,
-        spec.switch_count,
-        seed=spec.seed,
-        synthesis_overrides=spec.synthesis,
-        engine=spec.engine,
-        ordering_strategy=spec.ordering_strategy,
-        synthesis_backend=spec.synthesis_backend,
-        routing_engine=spec.routing_engine,
-        topology_family=spec.topology_family,
-        family_params=spec.family_params,
-        unprotected=unprotected,
-    )
-    bundle = _bundle_from_comparison(comparison)
+    bundle = compare_methods(spec, unprotected=unprotected)
     if cache is not None:
         if unprotected is None:
-            cache.put(DESIGN_KIND, design_key, design_to_dict(comparison.unprotected))
+            cache.put(DESIGN_KIND, design_key, design_to_dict(bundle.designs["unprotected"]))
         cache.put(COST_KIND, cost_key, _bundle_to_document(bundle))
     return bundle
 
@@ -295,7 +238,7 @@ def _simulate_specs(
             if len(specs) == 1
             else performance.measure_load_grid(designs[variant], points, **shared)
         )
-        for variant in SIMULATED_VARIANTS
+        for variant in VARIANTS
     }
     documents = []
     for lane, (spec, schedule) in enumerate(zip(specs, schedules)):
@@ -306,7 +249,7 @@ def _simulate_specs(
             "sim_cycles": spec.sim_cycles,
             "buffer_depth": spec.buffer_depth,
             "seed": spec.seed,
-            "variants": {variant: grids[variant][lane] for variant in SIMULATED_VARIANTS},
+            "variants": {variant: grids[variant][lane] for variant in VARIANTS},
         }
         if spec.scenario_params:
             simulation["scenario_params"] = dict(spec.scenario_params)
@@ -391,10 +334,6 @@ class PlanResult:
 
     def results_by_fingerprint(self) -> Dict[str, RunResult]:
         return {result.spec.fingerprint(): result for result in self.results}
-
-    def result_for(self, spec: RunSpec) -> RunResult:
-        """The record of one spec (KeyError when the plan never ran it)."""
-        return self.results_by_fingerprint()[spec.fingerprint()]
 
     def rows(self) -> List[Dict[str, Any]]:
         """Legacy flat rows, one per executed spec."""

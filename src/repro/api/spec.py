@@ -1,8 +1,8 @@
 """Declarative experiment descriptions: :class:`RunSpec` and :class:`ExperimentPlan`.
 
 A :class:`RunSpec` pins down everything one evaluation point needs —
-benchmark, switch count, seed, synthesis overrides, removal engine,
-ordering strategy and synthesis backend — as plain data.  Specs serialize
+benchmark, switch count, seed, synthesis tuning knobs, topology family,
+removal engine and ordering strategy — as plain data.  Specs serialize
 to/from JSON and hash to a stable content address
 (:meth:`RunSpec.fingerprint`), which is what the artifact cache keys on.
 
@@ -146,6 +146,32 @@ PASS_THROUGH_FIELDS = tuple(
 )
 
 
+#: ``SynthesisConfig`` arguments (plus ``seed``) that a spec sets through
+#: its own fields, each mapped to that field.
+_SPEC_SET_SYNTHESIS_KEYS = {
+    "n_switches": "switch_count",
+    "seed": "seed",
+    "routing_engine": "routing_engine",
+    "topology_family": "topology_family",
+    "family_params": "family_params",
+}
+
+
+def _check_synthesis_keys(synthesis: Mapping[str, Any]) -> None:
+    """Reject ``synthesis`` keys that are not ``SynthesisConfig`` tuning knobs."""
+    from repro.synthesis.builder import SynthesisConfig  # local: keep this module light
+
+    knobs = [f.name for f in fields(SynthesisConfig) if f.name not in _SPEC_SET_SYNTHESIS_KEYS]
+    for key in sorted(synthesis):
+        if key in _SPEC_SET_SYNTHESIS_KEYS:
+            raise PlanError(
+                f"synthesis override {key!r} is set by the spec itself; use the "
+                f"spec's {_SPEC_SET_SYNTHESIS_KEYS[key]!r} field instead"
+            )
+        if key not in knobs:
+            raise PlanError(f"unknown synthesis override {key!r}; valid: {', '.join(knobs)}")
+
+
 def _canonical_hash(document: Mapping[str, Any]) -> str:
     """SHA-256 over the canonical JSON form of ``document``."""
     payload = json.dumps(document, sort_keys=True, separators=(",", ":"))
@@ -163,28 +189,35 @@ class RunSpec:
     switch_count:
         Number of switches the topology is synthesized with.
     seed:
-        Seed forwarded to benchmark generation and synthesis.
+        Seed of the benchmark's traffic instance and of the simulation
+        draws (synthesis itself is deterministic).
     engine:
         Removal engine name (``repro.api.registry.removal_engines``).
     ordering_strategy:
         Baseline class-assignment strategy
         (``repro.api.registry.ordering_strategies``).
     synthesis_backend:
-        Topology-synthesis backend
-        (``repro.api.registry.synthesis_backends``).
+        The synthesis path, which follows from ``topology_family``:
+        ``"custom"`` (the application-specific pipeline) without one,
+        ``"family"`` with one.  Not a choice: it stays in :meth:`to_dict`
+        so fingerprints and records keep their bytes, and any other
+        explicit value is a :class:`~repro.errors.PlanError`.
     routing_engine:
         Shortest-path routing engine used during synthesis
         (``repro.api.registry.routing_engines``).
     synthesis:
-        Extra keyword overrides for
-        :class:`repro.synthesis.builder.SynthesisConfig`.
+        Tuning knobs of :class:`repro.synthesis.builder.SynthesisConfig`
+        (``extra_link_fraction``, ``max_switch_degree``, ``routing``,
+        ``balance_slack``, ``congestion_factor``).  An unknown key, or one
+        the spec sets through its own fields (``n_switches``, ``seed``,
+        ``routing_engine``, ``topology_family``, ``family_params``), is a
+        :class:`~repro.errors.PlanError` that names the field to use.
     topology_family:
         Optional name in :data:`repro.api.registry.topology_families`
         (``fat_tree``, ``clos``/``vl2``, ``torus``, ``dragonfly``, ...).
         When set, the topology comes from that parameterized generator
-        (``synthesis_backend`` flips from the default ``"custom"`` to
-        ``"family"`` automatically) and ``switch_count`` must equal the
-        family's closed-form size at ``family_params``.  Elided from the
+        (``synthesis_backend`` reads ``"family"``) and ``switch_count``
+        must equal the family's closed-form size at ``family_params``.  Elided from the
         serialized form when unset, so pre-existing cache addresses hold.
     family_params:
         Parameters of the topology family (e.g. ``{"k": 8}``); a
@@ -244,7 +277,7 @@ class RunSpec:
     seed: int = 0
     engine: str = "context"
     ordering_strategy: str = "hop_index"
-    synthesis_backend: str = "custom"
+    synthesis_backend: Optional[str] = None
     routing_engine: str = "indexed"
     synthesis: Dict[str, Any] = field(default_factory=dict)
     topology_family: Optional[str] = None
@@ -272,7 +305,6 @@ class RunSpec:
         for name in (
             "engine",
             "ordering_strategy",
-            "synthesis_backend",
             "routing_engine",
             "sim_engine",
             "traffic_scenario",
@@ -283,17 +315,28 @@ class RunSpec:
         if not isinstance(self.synthesis, dict):
             raise PlanError(f"synthesis overrides must be a mapping, got {self.synthesis!r}")
         self.synthesis = dict(self.synthesis)
+        _check_synthesis_keys(self.synthesis)
         if self.topology_family is not None:
             if not isinstance(self.topology_family, str) or not self.topology_family:
                 raise PlanError(
                     f"topology_family must be a non-empty string or null, "
                     f"got {self.topology_family!r}"
                 )
-            # A family spec runs through the 'family' backend; flipping the
-            # default here (rather than erroring) keeps plan entries short:
-            # {"topology_family": "fat_tree", "family_params": {"k": 8}}.
-            if self.synthesis_backend == "custom":
-                self.synthesis_backend = "family"
+        backend = "custom" if self.topology_family is None else "family"
+        if self.synthesis_backend is None:
+            self.synthesis_backend = backend
+        elif self.synthesis_backend != backend:
+            hint = (
+                '; a regular mesh is topology_family: "mesh" with family_params '
+                '{"rows": R, "cols": C}'
+                if self.synthesis_backend == "mesh"
+                else ""
+            )
+            raise PlanError(
+                f"synthesis_backend follows topology_family: it is {backend!r} "
+                f"{'with' if self.topology_family else 'without'} a topology_family, "
+                f"not {self.synthesis_backend!r}{hint}"
+            )
         for name in ("family_params", "scenario_params"):
             value = getattr(self, name)
             if not isinstance(value, dict):
@@ -302,10 +345,6 @@ class RunSpec:
         if self.family_params and self.topology_family is None:
             raise PlanError(
                 "family_params given without a topology_family to apply them to"
-            )
-        if self.synthesis_backend == "family" and self.topology_family is None:
-            raise PlanError(
-                "the 'family' synthesis backend needs a topology_family"
             )
         if self.injection_scale is not None:
             if isinstance(self.injection_scale, bool) or not isinstance(

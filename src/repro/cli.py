@@ -121,7 +121,6 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
             switches = 14
     config = SynthesisConfig(
         n_switches=switches,
-        seed=args.seed,
         routing_engine=args.routing_engine,
         topology_family=args.topology_family,
         family_params=family_params,
@@ -334,7 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="switch count (default: 14, or the family's closed form when "
         "--topology-family is given)",
     )
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument(
+        "--seed", type=int, default=0, help="seed of the benchmark's traffic instance"
+    )
     p.add_argument(
         "--routing-engine",
         choices=routing_engines.names(),

@@ -154,19 +154,6 @@ class ChannelDependencyGraph:
             graph.add_edge(first, second, flows=frozenset(flows))
         return graph
 
-    def subgraph_on(self, channels: Iterable[Channel]) -> "ChannelDependencyGraph":
-        """The induced sub-CDG on a set of channels (used in analyses)."""
-        keep = set(channels)
-        sub = ChannelDependencyGraph()
-        for channel in keep:
-            if channel in self._succ:
-                sub.add_channel(channel)
-        for (first, second), flows in self._edge_flows.items():
-            if first in keep and second in keep:
-                for flow in flows:
-                    sub.add_dependency(first, second, flow)
-        return sub
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ChannelDependencyGraph(channels={self.channel_count}, edges={self.edge_count})"
 

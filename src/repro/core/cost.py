@@ -75,10 +75,6 @@ class CostTable:
         """Human-readable column labels ``D1 .. Dj`` as in Table 1."""
         return [f"D{m + 1}" for m in range(len(self.edges))]
 
-    def cost_of(self, flow_name: str, position: int) -> int:
-        """Cost contributed by one flow at one edge position."""
-        return self.entries[flow_name][position]
-
     def flows_creating(self, position: int) -> List[str]:
         """Flows that create the dependency at ``position`` (non-zero cost)."""
         return [name for name in self.flow_names if self.entries[name][position] > 0]
@@ -101,9 +97,6 @@ class CostTable:
         )
         return "\n".join(lines)
 
-    def as_matrix(self) -> List[List[int]]:
-        """The per-flow rows as a list of lists (row order = flow_names)."""
-        return [list(self.entries[name]) for name in self.flow_names]
 
 
 def _ordinal_costs(route: Route, cycle_set: set) -> List[int]:

@@ -76,13 +76,6 @@ def find_smallest_cycle(cdg: ChannelDependencyGraph) -> Optional[List[Channel]]:
     return best
 
 
-def find_cycle_through(cdg: ChannelDependencyGraph, channel: Channel) -> Optional[List[Channel]]:
-    """Shortest cycle passing through a specific channel, or None."""
-    if not cdg.has_channel(channel):
-        raise CycleSearchError(f"channel {channel.name} is not a vertex of the CDG")
-    return _shortest_cycle_through(cdg, channel)
-
-
 def find_all_cycles(
     cdg: ChannelDependencyGraph, limit: Optional[int] = None
 ) -> List[List[Channel]]:

@@ -47,7 +47,6 @@ class EngineTestCoverageRule(LintRule):
         {
             "removal_engines",
             "ordering_strategies",
-            "synthesis_backends",
             "routing_engines",
             "simulation_engines",
             "traffic_scenarios",

@@ -13,7 +13,7 @@ from typing import Dict, List, Optional
 
 from repro.errors import DesignError
 from repro.model.channels import Channel, Link
-from repro.model.routes import Route, RouteSet
+from repro.model.routes import RouteSet
 from repro.model.topology import Topology
 from repro.model.traffic import CommunicationGraph, Flow
 
@@ -72,10 +72,6 @@ class NocDesign:
     def flows(self) -> List[Flow]:
         """All flows of the design, sorted by name."""
         return self.traffic.flows
-
-    def route_of(self, flow_name: str) -> Route:
-        """The route assigned to ``flow_name``."""
-        return self.routes.route(flow_name)
 
     def flow_endpoints_switches(self, flow: Flow) -> tuple:
         """(source switch, destination switch) for a flow."""

@@ -202,34 +202,6 @@ class RouteSet:
         """(flow name, route) pairs sorted by flow name."""
         return [(name, self._routes[name]) for name in self.flow_names]
 
-    def channels_used(self) -> List[Channel]:
-        """All distinct channels used by any route, sorted."""
-        used = set()
-        for route in self._routes.values():
-            used.update(route.channels)
-        return sorted(used)
-
-    def links_used(self) -> List[Link]:
-        """All distinct physical links used by any route, sorted."""
-        used = set()
-        for route in self._routes.values():
-            used.update(route.links)
-        return sorted(used)
-
-    def flows_using_channel(self, channel: Channel) -> List[str]:
-        """Names of flows whose route traverses ``channel``, sorted."""
-        return [name for name, route in self.items() if route.uses_channel(channel)]
-
-    def flows_using_link(self, link: Link) -> List[str]:
-        """Names of flows whose route traverses any VC of ``link``, sorted."""
-        return [name for name, route in self.items() if route.uses_link(link)]
-
-    def max_hop_count(self) -> int:
-        """Longest route length (0 when empty)."""
-        if not self._routes:
-            return 0
-        return max(route.hop_count for route in self._routes.values())
-
     def total_hop_count(self) -> int:
         """Sum of route lengths (proportional to dynamic link traversals)."""
         return sum(route.hop_count for route in self._routes.values())

@@ -175,12 +175,6 @@ class CommunicationGraph:
         """Number of distinct source cores sending to ``core``."""
         return len({f.src for f in self.flows_to(core)})
 
-    def communication_partners(self, core: str) -> List[str]:
-        """All cores ``core`` communicates with (either direction), sorted."""
-        partners = {f.dst for f in self.flows_from(core)}
-        partners |= {f.src for f in self.flows_to(core)}
-        return sorted(partners)
-
     def __iter__(self) -> Iterator[Flow]:
         return iter(self.flows)
 
@@ -203,25 +197,3 @@ class CommunicationGraph:
             f"CommunicationGraph(name={self.name!r}, cores={self.core_count}, "
             f"flows={self.flow_count})"
         )
-
-
-def merge_parallel_flows(traffic: CommunicationGraph) -> CommunicationGraph:
-    """Collapse flows sharing the same (src, dst) pair into a single flow.
-
-    Some benchmark generators emit one flow per logical transaction type;
-    synthesis and route computation only care about the aggregate bandwidth
-    between each core pair, so merging keeps the CDG smaller without changing
-    its structure.
-    """
-    merged = CommunicationGraph(traffic.name + "_merged")
-    merged.add_cores(traffic.cores)
-    seen: Dict[tuple, float] = {}
-    sizes: Dict[tuple, int] = {}
-    for flow in traffic.flows:
-        key = (flow.src, flow.dst)
-        seen[key] = seen.get(key, 0.0) + flow.bandwidth
-        sizes[key] = max(sizes.get(key, 0), flow.packet_size_flits)
-    for i, (key, bandwidth) in enumerate(sorted(seen.items())):
-        src, dst = key
-        merged.add_flow(f"{src}->{dst}", src, dst, bandwidth, sizes[key])
-    return merged

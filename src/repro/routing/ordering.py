@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.api.registry import ordering_strategies
-from repro.core.cdg import build_cdg
 from repro.errors import OrderingError
 from repro.model.channels import Channel, Link
 from repro.model.design import NocDesign
@@ -273,8 +272,3 @@ def _check_ordering(result: OrderingResult) -> None:
                     f"{channel.name} ({previous_class} -> {cls})"
                 )
             previous_class = cls
-
-
-def ordering_is_deadlock_free(result: OrderingResult) -> bool:
-    """Check the CDG of the ordered design is acyclic (it must be)."""
-    return build_cdg(result.design).is_acyclic()

@@ -329,17 +329,3 @@ def compute_routes(
             f"{len(differing)} flow(s): {shown}{extra}"
         )
     return routes
-
-
-def average_hop_count(design: NocDesign) -> float:
-    """Bandwidth-weighted average route length (a common NoC quality metric)."""
-    total_weight = 0.0
-    total_hops = 0.0
-    for flow in design.traffic.flows:
-        if not design.routes.has_route(flow.name):
-            continue
-        total_weight += flow.bandwidth
-        total_hops += flow.bandwidth * design.routes.route(flow.name).hop_count
-    if total_weight == 0:
-        return 0.0
-    return total_hops / total_weight

@@ -16,15 +16,21 @@ Step 3 is what makes the resulting designs interesting for deadlock
 analysis: shortcut links superimposed on the backbone create cyclic channel
 dependencies for sufficiently dense traffic, which is exactly the situation
 the paper's removal algorithm targets.
+
+:func:`synthesize_design` is the one synthesis entry point.  A
+:class:`SynthesisConfig` with a ``topology_family`` goes to that
+parameterized generator (:mod:`repro.synthesis.families`) instead of
+steps 1–4.  The experiment API builds the config from a
+:class:`~repro.api.spec.RunSpec` in
+:func:`repro.analysis.experiments.compare_methods`.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.api.registry import routing_engines, synthesis_backends, topology_families
+from repro.api.registry import routing_engines, topology_families
 from repro.errors import SynthesisError
 from repro.model.design import NocDesign
 from repro.model.topology import Topology
@@ -64,10 +70,6 @@ class SynthesisConfig:
         Passed to :func:`repro.synthesis.partition.partition_cores`.
     congestion_factor:
         Passed to :func:`repro.routing.shortest_path.compute_routes`.
-    seed:
-        Reserved for future stochastic refinement steps; the current
-        pipeline is fully deterministic but the seed is recorded in the
-        design name so sweeps stay reproducible if that changes.
     routing_engine:
         Shortest-path engine name from
         :data:`repro.api.registry.routing_engines` (``"indexed"`` by
@@ -91,7 +93,6 @@ class SynthesisConfig:
     routing: str = ROUTING_SHORTEST
     balance_slack: int = 1
     congestion_factor: float = 0.5
-    seed: int = 0
     routing_engine: str = "indexed"
     topology_family: Optional[str] = None
     family_params: Dict[str, Any] = field(default_factory=dict)
@@ -260,8 +261,7 @@ def synthesize_design(
     orientation instead of rebuilding them per call.
 
     A config with :attr:`SynthesisConfig.topology_family` set dispatches to
-    the family generator instead of the application-specific pipeline (the
-    ``family`` backend is the explicit registry spelling of the same path).
+    the family generator instead of the application-specific pipeline.
     """
     from repro.perf.design_context import DesignContext  # local: keep import light
 
@@ -301,73 +301,3 @@ def synthesize_design(
     assign_link_lengths(design)
     validate_design(design)
     return design
-
-
-def synthesize_for_switch_count(
-    traffic: CommunicationGraph, n_switches: int, **overrides
-) -> NocDesign:
-    """Convenience wrapper used by the sweep benchmarks.
-
-    Every configuration problem — an unknown override name, infeasible
-    family parameters, a switch count off the family's closed form —
-    surfaces as :class:`~repro.errors.SynthesisError`, never as a bare
-    ``TypeError``/``KeyError``.
-    """
-    try:
-        config = SynthesisConfig(n_switches=n_switches, **overrides)
-    except TypeError:
-        valid = [spec_field.name for spec_field in fields(SynthesisConfig)]
-        unknown = sorted(set(overrides) - set(valid))
-        raise SynthesisError(
-            f"unknown synthesis override(s): {', '.join(unknown)}; "
-            f"valid: {', '.join(valid)}"
-        ) from None
-    return synthesize_design(traffic, config)
-
-
-# ----------------------------------------------------------------------
-# Synthesis-backend registry entries.  A backend takes (traffic, config)
-# and returns a routed, validated design; RunSpec.synthesis_backend and
-# compare_methods(..., synthesis_backend=...) select one by name.
-# ----------------------------------------------------------------------
-
-@synthesis_backends.register("custom")
-def _custom_backend(traffic: CommunicationGraph, config: SynthesisConfig) -> NocDesign:
-    """The paper's flow: application-specific switch network (default)."""
-    return synthesize_design(traffic, config)
-
-
-@synthesis_backends.register("mesh")
-def _mesh_backend(traffic: CommunicationGraph, config: SynthesisConfig) -> NocDesign:
-    """Regular-mesh comparison backend: the closest-to-square ``rows × cols``
-    grid with at least ``config.n_switches`` switches, XY-routed (always
-    deadlock free — useful as a baseline workload for the experiment API).
-    Thin adapter over the ``mesh`` topology family.
-    """
-    from repro.synthesis.families import build_family_design  # local: keep import light
-
-    rows = max(1, int(math.sqrt(config.n_switches)))
-    cols = (config.n_switches + rows - 1) // rows
-    return build_family_design(
-        traffic,
-        family="mesh",
-        params={"rows": rows, "cols": cols},
-        routing_engine=config.routing_engine,
-        name=f"{traffic.name}_{rows}x{cols}mesh",
-    )
-
-
-@synthesis_backends.register("family")
-def _family_backend(traffic: CommunicationGraph, config: SynthesisConfig) -> NocDesign:
-    """Parameterized topology-family backend (fat_tree, clos/vl2, torus...).
-
-    Requires :attr:`SynthesisConfig.topology_family`;
-    :class:`~repro.api.spec.RunSpec` selects this backend automatically
-    whenever its ``topology_family`` field is set.
-    """
-    if config.topology_family is None:
-        raise SynthesisError(
-            "the 'family' synthesis backend needs config.topology_family; "
-            f"available families: {', '.join(topology_families.names())}"
-        )
-    return synthesize_design(traffic, config)

@@ -3,25 +3,43 @@
 These tests assert the *shape* of the paper's results on a small
 configuration: deadlock removal adds far fewer VCs than resource ordering,
 which shows up as area and power savings, while staying close to the
-unprotected design.
+unprotected design.  :func:`compare_methods` returns the cost bundle; the
+derived claims are read from the :class:`RunResult` built from it.
 """
 
 import pytest
 
-from repro.analysis.experiments import compare_methods
+from repro.analysis.experiments import VARIANTS, compare_methods
+from repro.api.result import COST_SCALAR_FIELDS, RunResult
+from repro.api.spec import RunSpec
 from repro.core.cdg import build_cdg
 
 
+def _result(benchmark, switch_count):
+    spec = RunSpec(benchmark=benchmark, switch_count=switch_count)
+    return RunResult(spec=spec, **compare_methods(spec).scalars)
+
+
 @pytest.fixture(scope="module")
-def d36_8_comparison():
+def d36_8_bundle():
     """One comparison point reused by several tests (module-scoped)."""
-    return compare_methods("D36_8", 14)
+    return compare_methods(RunSpec(benchmark="D36_8", switch_count=14))
+
+
+@pytest.fixture(scope="module")
+def d36_8_comparison(d36_8_bundle):
+    return RunResult(spec=RunSpec(benchmark="D36_8", switch_count=14), **d36_8_bundle.scalars)
 
 
 class TestCompareMethods:
-    def test_both_methods_yield_deadlock_free_designs(self, d36_8_comparison):
-        assert build_cdg(d36_8_comparison.removal.design).is_acyclic()
-        assert build_cdg(d36_8_comparison.ordering.design).is_acyclic()
+    def test_bundle_holds_the_record_scalars_and_three_designs(self, d36_8_bundle):
+        assert tuple(d36_8_bundle.scalars) == COST_SCALAR_FIELDS
+        assert tuple(d36_8_bundle.designs) == VARIANTS
+        assert isinstance(d36_8_bundle.scalars["initial_cycle_count"], int)
+
+    def test_both_methods_yield_deadlock_free_designs(self, d36_8_bundle):
+        assert build_cdg(d36_8_bundle.designs["removal"]).is_acyclic()
+        assert build_cdg(d36_8_bundle.designs["ordering"]).is_acyclic()
 
     def test_removal_uses_fewer_vcs_than_ordering(self, d36_8_comparison):
         assert d36_8_comparison.removal_extra_vcs < d36_8_comparison.ordering_extra_vcs
@@ -48,26 +66,37 @@ class TestCompareMethods:
         assert "power_saving_percent" in row
         assert "removal_runtime_s" in row
 
-    def test_accepts_traffic_object(self, d26_traffic):
-        comparison = compare_methods(d26_traffic, 8)
-        assert comparison.benchmark == "D26_media"
-        assert comparison.switch_count == 8
-
     def test_synthesis_overrides_forwarded(self):
-        sparse = compare_methods("D36_8", 10, synthesis_overrides={"extra_link_fraction": 0.0})
-        assert sparse.removal_extra_vcs == 0
+        sparse = compare_methods(
+            RunSpec(benchmark="D36_8", switch_count=10, synthesis={"extra_link_fraction": 0.0})
+        )
+        assert sparse.scalars["removal_extra_vcs"] == 0
+
+    def test_given_design_skips_synthesis(self, d36_8_bundle, monkeypatch):
+        from repro.synthesis import builder
+
+        def no_synthesis(*args, **kwargs):
+            raise AssertionError("synthesis ran although a design was given")
+
+        monkeypatch.setattr(builder, "synthesize_design", no_synthesis)
+        unprotected = d36_8_bundle.designs["unprotected"]
+        again = compare_methods(
+            RunSpec(benchmark="D36_8", switch_count=14), unprotected=unprotected
+        )
+        assert again.designs["unprotected"] is unprotected
+        assert again.scalars["ordering_area_mm2"] == d36_8_bundle.scalars["ordering_area_mm2"]
 
 
 class TestSweep:
-    def test_sweep_produces_one_row_per_count(self, d26_traffic):
-        rows = [compare_methods(d26_traffic, count) for count in (5, 8)]
+    def test_sweep_produces_one_row_per_count(self):
+        rows = [_result("D26_media", count) for count in (5, 8)]
         assert [row.switch_count for row in rows] == [5, 8]
 
-    def test_d26_media_removal_is_mostly_free(self, d26_traffic):
+    def test_d26_media_removal_is_mostly_free(self):
         """Figure 8's message: application-specific topologies for D26_media
         are (almost always) deadlock free, so removal costs ~nothing while
         ordering pays per-hop classes."""
-        rows = [compare_methods(d26_traffic, count) for count in (8, 14, 20)]
+        rows = [_result("D26_media", count) for count in (8, 14, 20)]
         assert sum(row.removal_extra_vcs for row in rows) <= 2
         assert all(
             row.ordering_extra_vcs >= row.removal_extra_vcs for row in rows

@@ -17,7 +17,7 @@ import json
 import pytest
 
 from repro.api.cache import ArtifactCache
-from repro.api.registry import removal_engines, synthesis_backends
+from repro.api.registry import removal_engines
 from repro.api.runner import (
     COST_KIND,
     DESIGN_KIND,
@@ -67,20 +67,6 @@ def _assert_batch_bytes_equal_solo(specs, tmp_path) -> None:
         batch_bytes = batch_cache._path(RESULT_KIND, key).read_text()
         assert batch_bytes == solo_cache._path(RESULT_KIND, key).read_text()
         assert json.loads(batch_bytes)["simulation"]["engine"] == "batched"
-
-
-@pytest.fixture
-def counting_backend(monkeypatch):
-    """Replace the 'custom' synthesis backend with a call-counting wrapper."""
-    real = synthesis_backends.get("custom")
-    calls = []
-
-    def wrapper(traffic, config):
-        calls.append((traffic.name, config.n_switches))
-        return real(traffic, config)
-
-    monkeypatch.setitem(synthesis_backends._entries, "custom", wrapper)
-    return calls
 
 
 @pytest.fixture
@@ -209,12 +195,12 @@ class TestBatchExecutionInvisibility:
 
 
 class TestCostBundle:
-    def test_load_points_share_one_cost_bundle(self, tmp_path, counting_backend):
+    def test_load_points_share_one_cost_bundle(self, tmp_path, counting_synthesis):
         specs = _grid([0.5, 1.0, 1.5], sim_engine="compiled")
         runner = Runner(cache_dir=tmp_path / "cache")
         for spec in specs:
             runner.run_spec(spec)
-        assert counting_backend == [("D26_media", 8)]
+        assert counting_synthesis == [("D26_media", 8)]
         assert runner.cache.entry_count(COST_KIND) == 1
         assert runner.cache.entry_count(RESULT_KIND) == 3
 

@@ -93,6 +93,23 @@ class TestRunSubcommand:
         assert main(["run", str(plan), "--no-cache"]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "synthesis, named",
+        [({"extra_link_fracton": 0.2}, "extra_link_fracton"), ({"seed": 5}, "'seed' field")],
+    )
+    def test_bad_synthesis_key_is_a_clean_error(self, tmp_path, capsys, synthesis, named):
+        plan = _write_plan(
+            tmp_path,
+            {
+                "name": "x",
+                "runs": [{"benchmark": "D26_media", "switch_count": 6, "synthesis": synthesis}],
+            },
+        )
+        assert main(["run", str(plan), "--no-cache"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert named in err
+
     def test_removed_report_type_is_a_clean_error(self, tmp_path, capsys):
         plan = _write_plan(tmp_path, {"name": "x", "reports": [{"type": "resilience"}]})
         assert main(["run", str(plan), "--no-cache"]) == 2

@@ -2,27 +2,10 @@
 
 import json
 
-import pytest
-
-from repro.api.registry import synthesis_backends
 from repro.api.reports import run_report
 from repro.api.result import RunResult
 from repro.api.runner import DESIGN_KIND, RESULT_KIND, Runner, run_plan
 from repro.api.spec import ExperimentPlan, ReportRequest, RunSpec
-
-
-@pytest.fixture
-def counting_backend(monkeypatch):
-    """Replace the 'custom' synthesis backend with a call-counting wrapper."""
-    real = synthesis_backends.get("custom")
-    calls = []
-
-    def wrapper(traffic, config):
-        calls.append((traffic.name, config.n_switches))
-        return real(traffic, config)
-
-    monkeypatch.setitem(synthesis_backends._entries, "custom", wrapper)
-    return calls
 
 
 class TestRunSpecExecution:
@@ -43,35 +26,32 @@ class TestRunSpecExecution:
     def test_matches_legacy_compare_methods(self):
         from repro.analysis.experiments import compare_methods
 
-        comparison = compare_methods("D36_8", 14)
-        result = Runner().run_spec(RunSpec(benchmark="D36_8", switch_count=14))
-        assert result.removal_extra_vcs == comparison.removal_extra_vcs
-        assert result.ordering_extra_vcs == comparison.ordering_extra_vcs
-        assert result.removal_power_mw == comparison.removal_power.total_power_mw
-        assert result.ordering_area_mm2 == comparison.ordering_area.total_area_mm2
-        assert result.vc_reduction_percent == comparison.vc_reduction_percent
-        assert result.normalised_ordering_power == comparison.normalised_ordering_power
+        spec = RunSpec(benchmark="D36_8", switch_count=14)
+        scalars = compare_methods(spec).scalars
+        result = Runner().run_spec(spec)
+        scalars["removal_runtime_s"] = result.removal_runtime_s  # wall-clock
+        assert result == RunResult(spec=spec, **scalars)
 
 
 class TestArtifactCacheFlow:
-    def test_second_run_hits_cache_and_skips_synthesis(self, tmp_path, counting_backend):
+    def test_second_run_hits_cache_and_skips_synthesis(self, tmp_path, counting_synthesis):
         spec = RunSpec(benchmark="D26_media", switch_count=8)
         runner = Runner(cache_dir=tmp_path / "cache")
 
         first = runner.run_spec(spec)
         assert first.cache_hit is False
-        assert counting_backend == [("D26_media", 8)]
+        assert counting_synthesis == [("D26_media", 8)]
 
         second = runner.run_spec(spec)
         assert second.cache_hit is True
         # The whole pipeline was skipped: no re-synthesis happened.
-        assert counting_backend == [("D26_media", 8)]
+        assert counting_synthesis == [("D26_media", 8)]
         assert second.to_dict() == first.to_dict()
 
-    def test_design_reused_across_engines_and_strategies(self, tmp_path, counting_backend):
+    def test_design_reused_across_engines_and_strategies(self, tmp_path, counting_synthesis):
         runner = Runner(cache_dir=tmp_path / "cache")
         runner.run_spec(RunSpec(benchmark="D36_8", switch_count=14))
-        assert len(counting_backend) == 1
+        assert len(counting_synthesis) == 1
 
         # Different engine + strategy: result cache misses, but the
         # synthesized design is served from the cache.
@@ -84,7 +64,7 @@ class TestArtifactCacheFlow:
             )
         )
         assert varied.cache_hit is False
-        assert len(counting_backend) == 1  # still one synthesis
+        assert len(counting_synthesis) == 1  # still one synthesis
         assert runner.cache.entry_count(DESIGN_KIND) == 1
         assert runner.cache.entry_count(RESULT_KIND) == 2
 
@@ -100,7 +80,7 @@ class TestArtifactCacheFlow:
         fresh.pop("removal_runtime_s")
         assert via_cache == fresh
 
-    def test_stale_result_schema_is_recomputed_not_raised(self, tmp_path, counting_backend):
+    def test_stale_result_schema_is_recomputed_not_raised(self, tmp_path, counting_synthesis):
         spec = RunSpec(benchmark="D26_media", switch_count=8)
         runner = Runner(cache_dir=tmp_path / "cache")
         first = runner.run_spec(spec)
@@ -115,7 +95,7 @@ class TestArtifactCacheFlow:
         # ...and the bad entry was overwritten with a good one.
         assert runner.run_spec(spec).cache_hit is True
 
-    def test_malformed_design_document_is_recomputed(self, tmp_path, counting_backend):
+    def test_malformed_design_document_is_recomputed(self, tmp_path, counting_synthesis):
         spec = RunSpec(benchmark="D26_media", switch_count=8)
         runner = Runner(cache_dir=tmp_path / "cache")
         runner.run_spec(spec)
@@ -125,7 +105,7 @@ class TestArtifactCacheFlow:
         # document must fall back to fresh synthesis.
         varied = runner.run_spec(RunSpec(benchmark="D26_media", switch_count=8, engine="rebuild"))
         assert varied.cache_hit is False
-        assert len(counting_backend) == 2
+        assert len(counting_synthesis) == 2
 
     def test_cache_dir_tilde_is_expanded(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HOME", str(tmp_path))
@@ -136,12 +116,12 @@ class TestArtifactCacheFlow:
         assert (tmp_path / "noc-cache" / "result").is_dir()
         assert not (tmp_path / "~").exists()
 
-    def test_no_cache_dir_never_writes(self, tmp_path, counting_backend):
+    def test_no_cache_dir_never_writes(self, tmp_path, counting_synthesis):
         runner = Runner()
         spec = RunSpec(benchmark="D26_media", switch_count=8)
         runner.run_spec(spec)
         runner.run_spec(spec)
-        assert len(counting_backend) == 2  # every run synthesizes
+        assert len(counting_synthesis) == 2  # every run synthesizes
         assert list(tmp_path.iterdir()) == []
 
 
@@ -166,12 +146,15 @@ class TestPlanExecution:
         byte-for-byte (same keys, same values, same order)."""
         from repro.analysis.experiments import compare_methods
 
-        comparisons = [compare_methods("D26_media", count) for count in (6, 9)]
+        bundles = [
+            compare_methods(RunSpec(benchmark="D26_media", switch_count=count))
+            for count in (6, 9)
+        ]
         legacy = {
             "benchmark": "D26_media",
             "switch_counts": [6, 9],
-            "resource_ordering_vcs": [c.ordering_extra_vcs for c in comparisons],
-            "deadlock_removal_vcs": [c.removal_extra_vcs for c in comparisons],
+            "resource_ordering_vcs": [b.scalars["ordering_extra_vcs"] for b in bundles],
+            "deadlock_removal_vcs": [b.scalars["removal_extra_vcs"] for b in bundles],
         }
         data = run_report("figure8", {"switch_counts": [6, 9]})
         assert json.dumps(data) == json.dumps(legacy)
@@ -200,3 +183,61 @@ class TestPlanExecution:
             return document
 
         assert [strip(r) for r in serial.results] == [strip(r) for r in parallel.results]
+
+
+class TestCostPathBindings:
+    def test_each_binding_runs_once_per_cost_bundle(self, tmp_path, monkeypatch):
+        """The cost path calls each stage through the module binding that a
+        profiler patches: one synthesis, removal and ordering, three
+        estimations and four design serializations per cost bundle, and no
+        design decoding against an empty cache."""
+        from repro.analysis import experiments
+        from repro.api import runner
+        from repro.synthesis import builder
+
+        bindings = [
+            (builder, "synthesize_design"),
+            (experiments, "remove_deadlocks"),
+            (experiments, "apply_resource_ordering"),
+            (experiments, "estimate_power_and_area"),
+            (runner, "design_to_dict"),
+            (runner, "design_from_dict"),
+        ]
+        calls = {name: 0 for _, name in bindings}
+
+        def counting(name, real):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        for module, name in bindings:
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        plan = ExperimentPlan(
+            name="bindings",
+            specs=[RunSpec(benchmark="D26_media", switch_count=6)],
+            reports=[
+                ReportRequest(
+                    type="latency",
+                    params={
+                        "benchmark": "D26_media",
+                        "switch_count": 8,
+                        "injection_scales": [0.5, 1.0],
+                        "sim_engine": "batched",
+                        "sim_cycles": 200,
+                    },
+                )
+            ],
+        )
+        outcome = Runner(cache_dir=tmp_path / "cache").run(plan)
+        assert len(outcome.results) == 3
+        bundles = 2  # the cost-only spec, and one shared by both load points
+        assert calls == {
+            "synthesize_design": bundles,
+            "remove_deadlocks": bundles,
+            "apply_resource_ordering": bundles,
+            "estimate_power_and_area": 3 * bundles,
+            "design_to_dict": 4 * bundles,
+            "design_from_dict": 0,
+        }

@@ -64,13 +64,56 @@ class TestRunSpec:
             RunSpec(benchmark="D26_media", switch_count=8, seed=1),
             RunSpec(benchmark="D26_media", switch_count=8, engine="rebuild"),
             RunSpec(benchmark="D26_media", switch_count=8, ordering_strategy="layered"),
-            RunSpec(benchmark="D26_media", switch_count=8, synthesis_backend="mesh"),
+            RunSpec(benchmark="D26_media", switch_count=8, topology_family="ring"),
             RunSpec(benchmark="D26_media", switch_count=8, routing_engine="legacy"),
-            RunSpec(benchmark="D26_media", switch_count=8, synthesis={"seed": 2}),
+            RunSpec(benchmark="D26_media", switch_count=8, synthesis={"max_switch_degree": 3}),
         ]
         fingerprints = {spec.fingerprint() for spec in variants}
         assert base.fingerprint() not in fingerprints
         assert len(fingerprints) == len(variants)
+
+    def test_unknown_synthesis_key_rejected(self):
+        with pytest.raises(PlanError, match="unknown synthesis override.*extra_link_fracton"):
+            RunSpec(benchmark="D26_media", switch_count=8, synthesis={"extra_link_fracton": 0.2})
+
+    @pytest.mark.parametrize(
+        "key, field",
+        [
+            ("n_switches", "switch_count"),
+            ("seed", "seed"),
+            ("routing_engine", "routing_engine"),
+            ("topology_family", "topology_family"),
+            ("family_params", "family_params"),
+        ],
+    )
+    def test_synthesis_key_set_by_the_spec_rejected(self, key, field):
+        with pytest.raises(PlanError, match=f"'{key}' is set by the spec.*'{field}' field"):
+            RunSpec(benchmark="D26_media", switch_count=8, synthesis={key: 1})
+
+    def test_synthesis_backend_follows_topology_family(self):
+        plain = RunSpec(benchmark="D26_media", switch_count=8, synthesis_backend="custom")
+        family = RunSpec(benchmark="D26_media", switch_count=4, topology_family="ring")
+        assert plain.synthesis_backend == "custom"
+        assert family.synthesis_backend == "family"
+        assert family.to_dict()["synthesis_backend"] == "family"
+        assert RunSpec.from_dict(family.to_dict()) == family
+
+    @pytest.mark.parametrize(
+        "backend, family",
+        [("mesh", None), ("warp", None), ("family", None), ("custom", "ring")],
+    )
+    def test_other_synthesis_backend_rejected(self, backend, family):
+        with pytest.raises(PlanError, match="synthesis_backend follows topology_family"):
+            RunSpec(
+                benchmark="D26_media",
+                switch_count=8,
+                synthesis_backend=backend,
+                topology_family=family,
+            )
+
+    def test_mesh_backend_points_to_the_mesh_family(self):
+        with pytest.raises(PlanError, match='topology_family: "mesh"'):
+            RunSpec(benchmark="D26_media", switch_count=9, synthesis_backend="mesh")
 
     def test_synthesis_fingerprint_shared_across_engines(self):
         a = RunSpec(benchmark="D26_media", switch_count=8, engine="context")

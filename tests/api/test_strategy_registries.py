@@ -6,7 +6,6 @@ from repro.api.registry import (
     Registry,
     ordering_strategies,
     removal_engines,
-    synthesis_backends,
 )
 from repro.core.removal import DeadlockRemover, remove_deadlocks
 from repro.errors import OrderingError, RegistryError, RemovalError
@@ -74,9 +73,6 @@ class TestBuiltinRegistries:
     def test_ordering_strategies(self):
         assert ordering_strategies.names() == ["hop_index", "layered"]
 
-    def test_synthesis_backends(self):
-        assert synthesis_backends.names() == ["custom", "family", "mesh"]
-
 
 class TestDispatchThroughRegistries:
     def test_custom_engine_is_dispatched(self, ring_design_fixture):
@@ -120,9 +116,11 @@ class TestDispatchThroughRegistries:
 
     def test_mesh_backend_builds_deadlock_free_design(self, d26_traffic):
         from repro.core.removal import is_deadlock_free
-        from repro.synthesis.builder import SynthesisConfig
+        from repro.synthesis.builder import SynthesisConfig, synthesize_design
 
-        backend = synthesis_backends.get("mesh")
-        design = backend(d26_traffic, SynthesisConfig(n_switches=9))
+        config = SynthesisConfig(
+            n_switches=9, topology_family="mesh", family_params={"rows": 3, "cols": 3}
+        )
+        design = synthesize_design(d26_traffic, config)
         assert design.topology.switch_count == 9
         assert is_deadlock_free(design)  # XY-routed mesh

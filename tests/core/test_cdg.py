@@ -73,13 +73,6 @@ class TestQueries:
         assert cdg.out_degree(ch("B", "C")) == 1
         assert cdg.in_degree(ch("B", "C")) == 1
 
-    def test_subgraph_on(self):
-        cdg = ChannelDependencyGraph()
-        cdg.add_route("f0", [ch("A", "B"), ch("B", "C"), ch("C", "D")])
-        sub = cdg.subgraph_on([ch("A", "B"), ch("B", "C")])
-        assert sub.channel_count == 2
-        assert sub.edge_count == 1
-
     def test_to_networkx_preserves_structure(self):
         cdg = ChannelDependencyGraph()
         cdg.add_route("f0", [ch("A", "B"), ch("B", "C")])

@@ -59,7 +59,7 @@ class TestTable1:
 
     def test_as_matrix_row_order(self, ring_design_fixture):
         table = build_cost_table(paper_ring_cycle(), ring_design_fixture.routes, FORWARD)
-        assert table.as_matrix()[0] == [1, 2, 0, 0]
+        assert table.entries[table.flow_names[0]] == (1, 2, 0, 0)
 
 
 class TestBackward:
@@ -135,7 +135,7 @@ class TestValidation:
 
     def test_cost_of_accessor(self, ring_design_fixture):
         table = build_cost_table(paper_ring_cycle(), ring_design_fixture.routes, FORWARD)
-        assert table.cost_of("F1", 1) == 2
+        assert table.entries["F1"][1] == 2
 
 
 class TestGeneralCycles:

@@ -7,7 +7,6 @@ from repro.core.cycles import (
     count_cycles,
     cycle_edges,
     find_all_cycles,
-    find_cycle_through,
     find_largest_cycle,
     find_smallest_cycle,
     has_cycle,
@@ -62,21 +61,6 @@ class TestSmallestCycle:
     def test_deterministic(self, ring_design_fixture):
         cdg = build_cdg(ring_design_fixture)
         assert find_smallest_cycle(cdg) == find_smallest_cycle(cdg)
-
-
-class TestCycleThrough:
-    def test_cycle_through_specific_channel(self, two_cycle_cdg):
-        cycle = find_cycle_through(two_cycle_cdg, ch("A", "B"))
-        assert len(cycle) == 3
-        assert ch("A", "B") in cycle
-
-    def test_channel_not_on_cycle_returns_none(self):
-        cdg = cdg_from_routes([[ch("A", "B"), ch("B", "C")]])
-        assert find_cycle_through(cdg, ch("A", "B")) is None
-
-    def test_unknown_channel_raises(self, two_cycle_cdg):
-        with pytest.raises(CycleSearchError):
-            find_cycle_through(two_cycle_cdg, ch("Z", "W"))
 
 
 class TestEnumeration:

@@ -37,7 +37,7 @@ class TestAccessors:
         assert [f.name for f in simple_line_design.flows] == ["f0", "f1"]
 
     def test_route_of(self, simple_line_design):
-        assert simple_line_design.route_of("f0").hop_count == 2
+        assert simple_line_design.routes.route("f0").hop_count == 2
 
     def test_flow_endpoints_switches(self, simple_line_design):
         flow = simple_line_design.traffic.flow("f0")

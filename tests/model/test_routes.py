@@ -105,22 +105,10 @@ class TestRouteSet:
         with pytest.raises(RouteError):
             RouteSet().set_route("", abc_route)
 
-    def test_channels_and_links_used(self, abc_route):
-        routes = RouteSet({"f0": abc_route, "f1": Route([ch("A", "B", vc=1)])})
-        assert ch("A", "B", vc=1) in routes.channels_used()
-        assert Link("A", "B") in routes.links_used()
-        assert len(routes.links_used()) == 3
-
-    def test_flows_using_channel_and_link(self, abc_route):
-        routes = RouteSet({"f0": abc_route, "f1": Route([ch("A", "B")])})
-        assert routes.flows_using_channel(ch("A", "B")) == ["f0", "f1"]
-        assert routes.flows_using_link(Link("C", "D")) == ["f0"]
-
     def test_hop_count_statistics(self, abc_route):
         routes = RouteSet({"f0": abc_route, "f1": Route([ch("A", "B")])})
-        assert routes.max_hop_count() == 3
         assert routes.total_hop_count() == 4
-        assert RouteSet().max_hop_count() == 0
+        assert RouteSet().total_hop_count() == 0
 
     def test_copy_is_independent(self, abc_route):
         routes = RouteSet({"f0": abc_route})

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import TrafficError
-from repro.model.traffic import CommunicationGraph, Flow, merge_parallel_flows
+from repro.model.traffic import CommunicationGraph, Flow
 
 
 @pytest.fixture
@@ -95,9 +95,6 @@ class TestFlows:
         assert graph.out_degree("a") == 2
         assert graph.in_degree("c") == 2
 
-    def test_communication_partners(self, graph):
-        assert graph.communication_partners("a") == ["b", "c"]
-
     def test_len_and_iter(self, graph):
         assert len(graph) == 3
         assert [f.name for f in graph] == ["f0", "f1", "f2"]
@@ -108,18 +105,3 @@ class TestCopyAndMerge:
         clone = graph.copy()
         clone.add_flow("f9", "c", "b", 1.0)
         assert not graph.has_flow("f9")
-
-    def test_merge_parallel_flows_sums_bandwidth(self):
-        g = CommunicationGraph("dup")
-        g.add_cores(["a", "b"])
-        g.add_flow("x", "a", "b", 10.0, packet_size_flits=4)
-        g.add_flow("y", "a", "b", 20.0, packet_size_flits=8)
-        merged = merge_parallel_flows(g)
-        assert merged.flow_count == 1
-        flow = merged.flows[0]
-        assert flow.bandwidth == 30.0
-        assert flow.packet_size_flits == 8
-
-    def test_merge_keeps_distinct_pairs(self, graph):
-        merged = merge_parallel_flows(graph)
-        assert merged.flow_count == 3

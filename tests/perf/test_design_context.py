@@ -25,7 +25,7 @@ from repro.benchmarks.registry import get_benchmark
 @pytest.fixture
 def design():
     traffic = get_benchmark("D26_media", seed=0)
-    return synthesize_design(traffic, SynthesisConfig(n_switches=8, seed=0))
+    return synthesize_design(traffic, SynthesisConfig(n_switches=8))
 
 
 def _all_pair_routes(graph: SwitchGraph):
@@ -226,7 +226,7 @@ class TestRouteIndex:
         from repro.core.removal import remove_deadlocks
 
         traffic = get_benchmark("D36_8", seed=0)
-        design = synthesize_design(traffic, SynthesisConfig(n_switches=14, seed=0))
+        design = synthesize_design(traffic, SynthesisConfig(n_switches=14))
         remove_deadlocks(design, engine="context", in_place=True)
         compute_routes(design)  # bypasses the context's apply_route_change
         # The reference runs on a copy of the *same* mutated state; the

@@ -26,7 +26,7 @@ SWITCH_COUNT = 14
 
 def _synthesize(name: str, seed: int = 0):
     traffic = get_benchmark(name, seed=seed)
-    return synthesize_design(traffic, SynthesisConfig(n_switches=SWITCH_COUNT, seed=seed))
+    return synthesize_design(traffic, SynthesisConfig(n_switches=SWITCH_COUNT))
 
 
 @pytest.mark.parametrize("name", list_benchmarks())

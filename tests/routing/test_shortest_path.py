@@ -7,11 +7,7 @@ from repro.errors import RouteError
 from repro.model.channels import Link
 from repro.model.topology import Topology
 from repro.model.validation import validate_design
-from repro.routing.shortest_path import (
-    average_hop_count,
-    compute_routes,
-    shortest_route,
-)
+from repro.routing.shortest_path import compute_routes, shortest_route
 
 
 @pytest.fixture
@@ -115,18 +111,3 @@ class TestComputeRoutes:
         first = synthesize_design(d26_traffic, SynthesisConfig(n_switches=8))
         second = synthesize_design(d26_traffic, SynthesisConfig(n_switches=8))
         assert first.routes == second.routes
-
-
-class TestAverageHopCount:
-    def test_zero_for_empty_routes(self, simple_line_design):
-        design = simple_line_design.copy()
-        design.routes.remove_route("f0")
-        design.routes.remove_route("f1")
-        assert average_hop_count(design) == 0.0
-
-    def test_weighted_average(self, simple_line_design):
-        # f0 (bw 100) and f1 (bw 50) both have 2 hops -> average 2.
-        assert average_hop_count(simple_line_design) == pytest.approx(2.0)
-
-    def test_mesh_average_positive(self, small_mesh_design):
-        assert average_hop_count(small_mesh_design) > 0

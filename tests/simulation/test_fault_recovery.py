@@ -48,7 +48,7 @@ CROSS_CHECK_SWITCHES = 14
 @lru_cache(maxsize=None)
 def _protected(benchmark: str, switches: int = CROSS_CHECK_SWITCHES) -> NocDesign:
     traffic = get_benchmark(benchmark, seed=0)
-    design = synthesize_design(traffic, SynthesisConfig(n_switches=switches, seed=0))
+    design = synthesize_design(traffic, SynthesisConfig(n_switches=switches))
     return remove_deadlocks(design).design
 
 

@@ -5,12 +5,7 @@ import pytest
 from repro.core.cdg import build_cdg
 from repro.errors import SynthesisError
 from repro.model.validation import validate_design
-from repro.synthesis.builder import (
-    SynthesisConfig,
-    build_switch_network,
-    synthesize_design,
-    synthesize_for_switch_count,
-)
+from repro.synthesis.builder import SynthesisConfig, build_switch_network, synthesize_design
 from repro.synthesis.partition import partition_cores
 
 
@@ -116,7 +111,7 @@ class TestSynthesizeDesign:
         assert not build_cdg(design).is_acyclic()
 
     def test_switch_count_helper(self, d26_traffic):
-        design = synthesize_for_switch_count(d26_traffic, 6)
+        design = synthesize_design(d26_traffic, SynthesisConfig(n_switches=6))
         assert design.topology.switch_count == 6
 
     def test_custom_name(self, d26_traffic):

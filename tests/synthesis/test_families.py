@@ -10,14 +10,10 @@ from repro.api.registry import topology_families
 from repro.benchmarks.synthetic import uniform_random_traffic
 from repro.core.cdg import build_cdg
 from repro.core.removal import remove_deadlocks
-from repro.errors import RegistryError, SynthesisError
+from repro.errors import PlanError, RegistryError, SynthesisError
 from repro.model.validation import validate_design
 from repro.routing.shortest_path import compute_routes
-from repro.synthesis.builder import (
-    SynthesisConfig,
-    synthesize_design,
-    synthesize_for_switch_count,
-)
+from repro.synthesis.builder import SynthesisConfig, synthesize_design
 from repro.synthesis.families import (
     build_family_design,
     family_design,
@@ -160,15 +156,18 @@ class TestFamilyErrors:
                 d26_traffic, family="fat_tree", params={"k": 4}, n_switches=14
             )
 
-    def test_unknown_override_in_switch_count_synthesis(self, d26_traffic):
-        with pytest.raises(SynthesisError, match="unknown synthesis override"):
-            synthesize_for_switch_count(d26_traffic, 14, bogus_knob=3)
+    def test_unknown_override_in_switch_count_synthesis(self):
+        from repro.api.spec import RunSpec
+
+        with pytest.raises(PlanError, match="unknown synthesis override.*bogus_knob"):
+            RunSpec(benchmark="D26_media", switch_count=14, synthesis={"bogus_knob": 3})
 
     def test_family_mismatch_through_switch_count_synthesis(self, d26_traffic):
+        config = SynthesisConfig(
+            n_switches=14, topology_family="fat_tree", family_params={"k": 4}
+        )
         with pytest.raises(SynthesisError, match="fat_tree"):
-            synthesize_for_switch_count(
-                d26_traffic, 14, topology_family="fat_tree", family_params={"k": 4}
-            )
+            synthesize_design(d26_traffic, config)
 
     def test_dragonfly_host_capacity_enforced(self):
         traffic = uniform_random_traffic(40, flows_per_core=1, seed=0)
@@ -190,13 +189,6 @@ class TestBuilderDispatch:
         design = synthesize_design(d26_traffic, config)
         assert design.topology.switch_count == 9
         validate_design(design)
-
-    def test_family_backend_requires_family(self, d26_traffic):
-        from repro.api.registry import synthesis_backends
-
-        backend = synthesis_backends.get("family")
-        with pytest.raises(SynthesisError, match="topology_family"):
-            backend(d26_traffic, SynthesisConfig(n_switches=9))
 
     def test_unknown_family_in_config_lists_available(self):
         with pytest.raises(SynthesisError, match="hypercube"):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import (
+    RunSpec,
     SimulationConfig,
     SynthesisConfig,
     apply_resource_ordering,
@@ -73,9 +74,9 @@ class TestBenchmarkPipeline:
         assert stats.packets_delivered > 0
 
     def test_comparison_matches_component_calls(self):
-        comparison = compare_methods("D26_media", 10)
-        standalone = remove_deadlocks(comparison.unprotected)
-        assert comparison.removal_extra_vcs == standalone.added_vc_count
+        bundle = compare_methods(RunSpec(benchmark="D26_media", switch_count=10))
+        standalone = remove_deadlocks(bundle.designs["unprotected"])
+        assert bundle.scalars["removal_extra_vcs"] == standalone.added_vc_count
 
 
 class TestCrossMethodConsistency:

@@ -45,9 +45,7 @@ def synthesized_designs(draw):
     n_switches = draw(st.integers(min_value=3, max_value=max(3, n_cores // 2)))
     extra_links = draw(st.sampled_from([0.0, 0.5, 1.0, 2.0]))
     traffic = uniform_random_traffic(n_cores, flows_per_core, seed=seed)
-    config = SynthesisConfig(
-        n_switches=n_switches, extra_link_fraction=extra_links, seed=seed
-    )
+    config = SynthesisConfig(n_switches=n_switches, extra_link_fraction=extra_links)
     return synthesize_design(traffic, config)
 
 
