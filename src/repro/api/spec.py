@@ -217,8 +217,9 @@ class RunSpec:
         (``fat_tree``, ``clos``/``vl2``, ``torus``, ``dragonfly``, ...).
         When set, the topology comes from that parameterized generator
         (``synthesis_backend`` reads ``"family"``) and ``switch_count``
-        must equal the family's closed-form size at ``family_params``.  Elided from the
-        serialized form when unset, so pre-existing cache addresses hold.
+        must equal the family's closed-form size at ``family_params``.
+        Elided from the serialized form when unset, so pre-existing cache
+        addresses hold.
     family_params:
         Parameters of the topology family (e.g. ``{"k": 8}``); a
         ``"routing"`` entry overrides the family's default routing mode.

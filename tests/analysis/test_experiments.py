@@ -72,20 +72,6 @@ class TestCompareMethods:
         )
         assert sparse.scalars["removal_extra_vcs"] == 0
 
-    def test_given_design_skips_synthesis(self, d36_8_bundle, monkeypatch):
-        from repro.synthesis import builder
-
-        def no_synthesis(*args, **kwargs):
-            raise AssertionError("synthesis ran although a design was given")
-
-        monkeypatch.setattr(builder, "synthesize_design", no_synthesis)
-        unprotected = d36_8_bundle.designs["unprotected"]
-        again = compare_methods(
-            RunSpec(benchmark="D36_8", switch_count=14), unprotected=unprotected
-        )
-        assert again.designs["unprotected"] is unprotected
-        assert again.scalars["ordering_area_mm2"] == d36_8_bundle.scalars["ordering_area_mm2"]
-
 
 class TestSweep:
     def test_sweep_produces_one_row_per_count(self):
