@@ -98,7 +98,6 @@ class CostTable:
         return "\n".join(lines)
 
 
-
 def _ordinal_costs(route: Route, cycle_set: set) -> List[int]:
     """For each position in the route, the number of cycle channels seen so
     far (inclusive).  Position ``i`` holds the 'forward ordinal' of
