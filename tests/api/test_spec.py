@@ -86,12 +86,6 @@ class TestRunSpec:
         with pytest.raises(PlanError, match=f"'{key}' is set by the spec.*'{field}' field"):
             RunSpec(benchmark="D26_media", switch_count=8, synthesis={key: 1})
 
-    def test_synthesis_backend_follows_topology_family(self):
-        plain = RunSpec(benchmark="D26_media", switch_count=8, synthesis_backend="custom")
-        family = RunSpec(benchmark="D26_media", switch_count=4, topology_family="ring")
-        assert plain.synthesis_backend == "custom"
-        assert family.to_dict()["synthesis_backend"] == "family"
-
     @pytest.mark.parametrize(
         "backend, family, named",
         [
