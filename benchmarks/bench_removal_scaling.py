@@ -21,7 +21,8 @@ asserts:
   profiler three PRs later.
 
 The initial elementary-cycle count (an optional diagnostic) is disabled so
-the comparison measures the algorithm, not networkx's Johnson enumeration.
+the comparison measures the algorithm, not the capped Johnson enumeration
+(:func:`repro.perf.cycle_search.simple_cycles`) both engines share.
 
 Results go to ``BENCH_removal_scaling.json`` at the repository root.
 Run from the repository root::

@@ -1,6 +1,7 @@
 """Experiment drivers and metrics used by the benchmark harness.
 
-* :mod:`repro.analysis.metrics` — percentages, normalisation, text tables.
+* :mod:`repro.analysis.metrics` — percentages, means, saturation verdicts,
+  text tables.
 * :mod:`repro.analysis.experiments` — the three-way comparison (unprotected
   / deadlock removal / resource ordering) the paper's evaluation is built
   on: :func:`compare_methods` turns one spec into its :class:`CostBundle`;
@@ -9,12 +10,10 @@
 """
 
 from repro.analysis.experiments import CostBundle, compare_methods
-from repro.analysis.metrics import geometric_mean, percent_change, percent_reduction
+from repro.analysis.metrics import percent_reduction
 
 __all__ = [
     "CostBundle",
     "compare_methods",
-    "percent_change",
     "percent_reduction",
-    "geometric_mean",
 ]

@@ -2,21 +2,7 @@
 
 from __future__ import annotations
 
-import math
-from typing import Any, Dict, Iterable, List, Mapping, Sequence
-
-
-def percent_change(reference: float, candidate: float) -> float:
-    """Relative change of ``candidate`` vs ``reference`` in percent.
-
-    Positive means the candidate is larger.  A zero reference with a zero
-    candidate is 0%; a zero reference with a non-zero candidate is treated
-    as a 100% increase (the convention the VC-overhead comparisons need:
-    going from 0 extra VCs to any extra VCs is "all overhead").
-    """
-    if reference == 0:
-        return 0.0 if candidate == 0 else 100.0
-    return (candidate - reference) / reference * 100.0
+from typing import Any, List, Mapping, Sequence
 
 
 def percent_reduction(reference: float, candidate: float) -> float:
@@ -24,14 +10,6 @@ def percent_reduction(reference: float, candidate: float) -> float:
     if reference == 0:
         return 0.0
     return (reference - candidate) / reference * 100.0
-
-
-def geometric_mean(values: Iterable[float]) -> float:
-    """Geometric mean (ignores non-positive entries, 0.0 when empty)."""
-    positives = [v for v in values if v > 0]
-    if not positives:
-        return 0.0
-    return math.exp(sum(math.log(v) for v in positives) / len(positives))
 
 
 def arithmetic_mean(values: Sequence[float]) -> float:
@@ -62,14 +40,6 @@ def load_point_failed(metrics: Mapping[str, Any]) -> bool:
             metrics["offered_flits_per_cycle"], metrics["delivered_flits_per_cycle"]
         )
     )
-
-
-def normalise(values: Dict[str, float], reference_key: str) -> Dict[str, float]:
-    """Divide every value by the value at ``reference_key`` (as in Figure 10)."""
-    reference = values[reference_key]
-    if reference == 0:
-        return {key: 0.0 for key in values}
-    return {key: value / reference for key, value in values.items()}
 
 
 def format_table(headers: List[str], rows: List[Sequence], *, precision: int = 2) -> str:

@@ -42,7 +42,12 @@ from repro.api.runner import Runner, default_cache_dir
 from repro.api.spec import ExperimentPlan
 from repro.benchmarks.registry import get_benchmark, list_benchmarks
 from repro.core.cdg import build_cdg
-from repro.core.cycles import count_cycles, find_smallest_cycle
+from repro.core.cycles import (
+    CYCLE_COUNT_CAP,
+    count_cycles,
+    find_smallest_cycle,
+    format_cycle_count,
+)
 from repro.core.removal import remove_deadlocks
 from repro.errors import ReproError
 from repro.export.dot import cdg_to_dot, design_report, topology_to_dot
@@ -64,9 +69,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     print(f"CDG dependencies : {cdg.edge_count}")
     print(f"deadlock free    : {'yes' if acyclic else 'NO'}")
     if not acyclic:
-        cycles = count_cycles(cdg, limit=1000)
+        cycles = count_cycles(cdg, limit=CYCLE_COUNT_CAP)
         smallest = find_smallest_cycle(cdg)
-        print(f"cycles (capped)  : {cycles}")
+        print(f"cycles           : {format_cycle_count(cycles)}")
         print("smallest cycle   : " + " -> ".join(c.name for c in smallest))
     return 0 if acyclic or not args.strict else 1
 

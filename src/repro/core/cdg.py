@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-import networkx as nx
-
 from repro.errors import DesignError
 from repro.model.channels import Channel
 from repro.model.design import NocDesign
@@ -145,14 +143,6 @@ class ChannelDependencyGraph:
                 if in_degree[succ] == 0:
                     queue.append(succ)
         return visited == len(self._succ)
-
-    def to_networkx(self) -> nx.DiGraph:
-        """Export to a :class:`networkx.DiGraph` (edge attribute ``flows``)."""
-        graph = nx.DiGraph()
-        graph.add_nodes_from(self._succ)
-        for (first, second), flows in self._edge_flows.items():
-            graph.add_edge(first, second, flows=frozenset(flows))
-        return graph
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ChannelDependencyGraph(channels={self.channel_count}, edges={self.edge_count})"

@@ -5,19 +5,24 @@ CDG; whenever the start vertex is reached again a cycle has been found, and
 ``GetSmallestCycle`` returns the shortest one.  We implement exactly that
 (deterministically: vertices and successors are visited in sorted order) and
 additionally expose a full cycle enumeration based on Johnson's algorithm
-(via :func:`networkx.simple_cycles`) which the analysis and test code use.
+(:func:`repro.perf.cycle_search.simple_cycles`, over channel ids in sorted
+order) which the capped counts and the ablation selections use.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import networkx as nx
+from itertools import islice
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.cdg import ChannelDependencyGraph
 from repro.errors import CycleSearchError
 from repro.model.channels import Channel
+
+#: How many elementary cycles a report counts (and the ablation selections
+#: enumerate) before stopping: dense CDGs have exponentially many.  A count
+#: that reaches it is a lower bound (:func:`format_cycle_count`).
+CYCLE_COUNT_CAP = 2000
 
 
 def has_cycle(cdg: ChannelDependencyGraph) -> bool:
@@ -76,10 +81,24 @@ def find_smallest_cycle(cdg: ChannelDependencyGraph) -> Optional[List[Channel]]:
     return best
 
 
+def _enumerate(cdg: ChannelDependencyGraph) -> Tuple[List[Channel], Iterator[Tuple[int, ...]]]:
+    """The CDG's channels (sorted) and its elementary cycles as index tuples."""
+    # Local import: repro.perf imports repro.core.cost, which imports this module.
+    from repro.perf.cycle_search import simple_cycles
+
+    channels = cdg.channels
+    ids = {channel: i for i, channel in enumerate(channels)}
+    successors = [[ids[succ] for succ in cdg.successors(channel)] for channel in channels]
+    return channels, simple_cycles(range(len(channels)), successors.__getitem__)
+
+
 def find_all_cycles(
     cdg: ChannelDependencyGraph, limit: Optional[int] = None
 ) -> List[List[Channel]]:
     """Enumerate elementary cycles of the CDG (Johnson's algorithm).
+
+    Each cycle starts at its smallest channel, and the enumeration order
+    depends only on the CDG, so a capped list is the same in every process.
 
     Parameters
     ----------
@@ -88,33 +107,25 @@ def find_all_cycles(
         elementary cycles and analyses usually only need a count or a
         sample.
     """
-    graph = cdg.to_networkx()
-    cycles: List[List[Channel]] = []
-    for cycle in nx.simple_cycles(graph):
-        cycles.append(list(cycle))
-        if limit is not None and len(cycles) >= limit:
-            break
-    cycles.sort(key=lambda cyc: (len(cyc), [c.name for c in cyc]))
-    return cycles
+    channels, cycles = _enumerate(cdg)
+    found = [[channels[i] for i in cycle] for cycle in islice(cycles, limit)]
+    found.sort(key=lambda cyc: (len(cyc), [c.name for c in cyc]))
+    return found
 
 
 def count_cycles(cdg: ChannelDependencyGraph, limit: Optional[int] = 10000) -> int:
     """Number of elementary cycles (capped at ``limit``).
 
-    The count is independent of enumeration order, so the graph is relabelled
-    to dense integers first: Johnson's algorithm then hashes small ints
-    instead of nested ``Channel`` dataclasses, which is several times faster
-    on the dense CDGs the removal loop counts.
+    A capped count does not depend on the enumeration order.
     """
     if limit is not None and limit <= 0:
         return 0
-    graph = nx.convert_node_labels_to_integers(cdg.to_networkx())
-    count = 0
-    for _ in nx.simple_cycles(graph):
-        count += 1
-        if limit is not None and count >= limit:
-            break
-    return count
+    return sum(1 for _ in islice(_enumerate(cdg)[1], limit))
+
+
+def format_cycle_count(count: int) -> str:
+    """A count capped at :data:`CYCLE_COUNT_CAP`, for a report: ``at least N`` at the cap."""
+    return f"at least {count}" if count >= CYCLE_COUNT_CAP else str(count)
 
 
 def find_largest_cycle(cdg: ChannelDependencyGraph, limit: Optional[int] = 10000) -> Optional[List[Channel]]:
@@ -125,25 +136,21 @@ def find_largest_cycle(cdg: ChannelDependencyGraph, limit: Optional[int] = 10000
     lexicographically smallest channel-name sequence, so the result is the
     same cycle :func:`find_all_cycles` followed by ``max(key=len)`` returned.
     """
-    graph = cdg.to_networkx()
-    best: Optional[List[Channel]] = None
+    channels, cycles = _enumerate(cdg)
+    best: Optional[Tuple[int, ...]] = None
     best_names: Optional[List[str]] = None
-    seen = 0
-    for cycle in nx.simple_cycles(graph):
-        seen += 1
+    for cycle in islice(cycles, limit):
         if best is None or len(cycle) > len(best):
-            best = list(cycle)
+            best = cycle
             best_names = None
         elif len(cycle) == len(best):
-            names = [c.name for c in cycle]
+            names = [channels[i].name for i in cycle]
             if best_names is None:
-                best_names = [c.name for c in best]
+                best_names = [channels[i].name for i in best]
             if names < best_names:
-                best = list(cycle)
+                best = cycle
                 best_names = names
-        if limit is not None and seen >= limit:
-            break
-    return best
+    return None if best is None else [channels[i] for i in best]
 
 
 def cycle_edges(cycle: Sequence[Channel]) -> List[Tuple[Channel, Channel]]:

@@ -48,6 +48,7 @@ from repro.core.breaker import RESOURCE_PHYSICAL, RESOURCE_VIRTUAL, break_cycle
 from repro.core.cdg import build_cdg
 from repro.core.cost import best_break, find_dependency_to_break
 from repro.core.cycles import (
+    CYCLE_COUNT_CAP,
     count_cycles,
     find_all_cycles,
     find_largest_cycle,
@@ -95,8 +96,9 @@ class DeadlockRemover:
     max_iterations:
         Safety cap; ``None`` derives a generous bound from the CDG size.
     count_initial_cycles:
-        When true the initial number of elementary cycles is counted (can be
-        expensive on dense CDGs) and stored in the result.
+        When true the initial number of elementary cycles is counted, up to
+        :data:`~repro.core.cycles.CYCLE_COUNT_CAP` (can be expensive on
+        dense CDGs), and stored in the result.
     seed:
         Random seed, only used with ``cycle_selection="random"``.
     on_iteration:
@@ -206,7 +208,7 @@ class DeadlockRemover:
         initially_free = steps.graph.is_acyclic()
         initial_cycles = 0
         if self.count_initial_cycles and not initially_free:
-            initial_cycles = steps.count_cycles(limit=2000)
+            initial_cycles = steps.count_cycles(limit=CYCLE_COUNT_CAP)
 
         max_iterations = self.max_iterations
         if max_iterations is None:
@@ -275,8 +277,8 @@ class _RebuildSteps:
         if selection == SELECT_SMALLEST:
             return find_smallest_cycle(self.graph)
         if selection == SELECT_LARGEST:
-            return find_largest_cycle(self.graph, limit=2000)
-        cycles = find_all_cycles(self.graph, limit=2000)
+            return find_largest_cycle(self.graph, limit=CYCLE_COUNT_CAP)
+        cycles = find_all_cycles(self.graph, limit=CYCLE_COUNT_CAP)
         if not cycles:
             return None
         return cycles[self._rng.randrange(len(cycles))]

@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.cost import CostTable
+from repro.core.cycles import format_cycle_count
 from repro.model.channels import Channel
 from repro.model.design import NocDesign
 from repro.model.routes import Route
@@ -109,10 +110,15 @@ class RemovalResult:
 
     def summary(self) -> str:
         """Multi-line human-readable report."""
+        if self.initially_deadlock_free:
+            cycles = f"{self.initial_cycle_count} (already deadlock free)"
+        elif self.initial_cycle_count == 0:
+            cycles = "not counted"  # a cyclic CDG has at least one cycle
+        else:
+            cycles = format_cycle_count(self.initial_cycle_count)
         lines = [
             f"Deadlock removal report for design {self.design.name!r}",
-            f"  initial CDG cycles      : {self.initial_cycle_count}"
-            + (" (already deadlock free)" if self.initially_deadlock_free else ""),
+            f"  initial CDG cycles      : {cycles}",
             f"  iterations              : {self.iterations}",
             f"  virtual channels added  : {self.added_vc_count}",
             f"  flows rerouted          : {len(self.rerouted_flows)}",

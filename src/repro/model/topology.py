@@ -25,10 +25,10 @@ class Topology:
     Notes
     -----
     The class deliberately keeps the representation simple (dictionaries of
-    switches and links) instead of wrapping :mod:`networkx`; the deadlock
-    algorithms operate on the channel dependency graph, not directly on the
-    topology, and a plain representation keeps copies cheap and the
-    serialization obvious.
+    switches and links) instead of wrapping a graph library; the package
+    has no runtime dependency.  The deadlock algorithms operate on the
+    channel dependency graph, not directly on the topology, and a plain
+    representation keeps copies cheap and the serialization obvious.
     """
 
     def __init__(self, name: str = "topology"):

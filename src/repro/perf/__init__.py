@@ -8,7 +8,8 @@ Four pieces, all behaviour-preserving accelerations of the seed code paths:
   rebuild of Algorithm 1's outer loop);
 * :mod:`repro.perf.cycle_search` — SCC-pruned, per-component-cached,
   depth-limited smallest-cycle search that returns exactly what
-  :func:`repro.core.cycles.find_smallest_cycle` would on a fresh rebuild;
+  :func:`repro.core.cycles.find_smallest_cycle` would on a fresh rebuild,
+  and the Johnson enumerator behind every elementary-cycle count;
 * :mod:`repro.perf.route_engine` — int-relabelled switch graph with a
   per-node label Dijkstra and incremental congestion reweighting (replaces
   the exponential path-tuple route search without changing any route);

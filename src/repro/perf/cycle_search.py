@@ -25,14 +25,17 @@ search incremental without changing a single returned cycle:
    exact; only components containing a *dirty* vertex (adjacency changed
    since the last search, tracked by :class:`~repro.perf.cdg_index.CDGIndex`)
    are re-searched.
+
+The module also holds the one elementary-cycle enumerator of the package,
+:func:`simple_cycles` (Johnson 1975), which the capped cycle counts and the
+``largest``/``random`` ablation selections of :mod:`repro.core.cycles` run.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Tuple
-
-import networkx as nx
+from itertools import islice
+from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.perf.cdg_index import CDGIndex, ChannelKey
 from repro.model.channels import Channel
@@ -234,22 +237,84 @@ class IncrementalCycleSearch:
         )
 
 
+def simple_cycles(vertices: Iterable[int], successors) -> Iterator[Tuple[int, ...]]:
+    """Every elementary cycle of the graph, once each (Johnson 1975).
+
+    Each strongly connected component with a cycle is searched from its
+    first vertex in ``vertices`` order: every cycle through that vertex is
+    yielded as a tuple of ids starting there.  The vertex is then dropped
+    and the rest of the component is split into components again.  So each
+    cycle starts at its earliest vertex.  Components come in
+    :func:`tarjan_sccs` order and successors in the order ``successors(v)``
+    yields them, so the order depends on the arguments alone, never on
+    string hashing.
+    """
+    order = list(vertices)
+    rank = {vertex: position for position, vertex in enumerate(order)}
+
+    def split(members, succ) -> List[List[int]]:
+        """Cyclic components of ``members`` in rank order, reversed for popping."""
+        found = [c for c in tarjan_sccs(members, succ) if len(c) > 1]
+        return [sorted(c, key=rank.__getitem__) for c in reversed(found)]
+
+    pending = split(order, successors)
+    while pending:
+        component = pending.pop()
+        start = component[0]
+        inside = set(component)
+        adjacency = {v: [w for w in successors(v) if w in inside] for v in component}
+        yield from _circuits(start, adjacency)
+        rest = {v: [w for w in adjacency[v] if w != start] for v in component[1:]}
+        pending.extend(split(component[1:], rest.__getitem__))
+
+
+def _circuits(start: int, adjacency: Dict[int, List[int]]) -> Iterator[Tuple[int, ...]]:
+    """Johnson's CIRCUIT search: the elementary cycles through ``start``.
+
+    An iterative depth-first search that keeps a vertex blocked while no
+    cycle back to ``start`` can pass through it, and releases it (with the
+    vertices waiting on it in ``waiting``, Johnson's B lists) once one does.
+    """
+    path = [start]
+    blocked = {start}
+    waiting: Dict[int, set] = {}
+    stack = [iter(adjacency[start])]
+    closed = [False]
+    while stack:
+        for succ in stack[-1]:
+            if succ == start:
+                yield tuple(path)
+                closed[-1] = True
+            elif succ not in blocked:
+                path.append(succ)
+                blocked.add(succ)
+                stack.append(iter(adjacency[succ]))
+                closed.append(False)
+                break
+        else:
+            stack.pop()
+            vertex = path.pop()
+            if closed.pop():
+                if closed:
+                    closed[-1] = True
+                release = [vertex]
+                while release:
+                    node = release.pop()
+                    if node in blocked:
+                        blocked.discard(node)
+                        release.extend(waiting.pop(node, ()))
+            else:
+                for succ in adjacency[vertex]:
+                    waiting.setdefault(succ, set()).add(vertex)
+
+
 def count_cycles_indexed(index: CDGIndex, limit: Optional[int] = 10000) -> int:
     """Capped elementary-cycle count over the int-indexed CDG.
 
-    Same contract as :func:`repro.core.cycles.count_cycles` (the count is
-    independent of enumeration order), but Johnson's algorithm runs over
-    dense integer nodes instead of Channel dataclasses.
+    Same contract as :func:`repro.core.cycles.count_cycles`: a count
+    capped at ``limit`` does not depend on the enumeration order.
     """
     if limit is not None and limit <= 0:
         return 0
-    graph = nx.DiGraph()
-    graph.add_nodes_from(index.sorted_vertices())
-    for node in index.sorted_vertices():
-        graph.add_edges_from((node, succ) for succ in index.successors(node))
-    count = 0
-    for _ in nx.simple_cycles(graph):
-        count += 1
-        if limit is not None and count >= limit:
-            break
-    return count
+    cycles = simple_cycles(index.sorted_vertices(), index.successors)
+    return sum(1 for _ in islice(cycles, limit))

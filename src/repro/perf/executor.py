@@ -19,18 +19,17 @@ Every degradation warning (serial fallback, pool death with partial
 results kept) carries a ``[noc-lint {...}]`` payload built by
 :func:`repro.lint.findings.structured_warning`, so CI log scrapers parse
 one schema for static lint findings and runtime degradations alike.
+
+The process pool, :mod:`pickle` and the warning helper are imported only
+when a map really fans out, so a serial run never loads
+:mod:`multiprocessing`, :mod:`logging` or :mod:`repro.lint`.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
 import warnings
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Iterable, List, Optional, Sequence, TypeVar
-
-from repro.lint.findings import structured_warning
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -99,6 +98,12 @@ def parallel_map(
         if workers <= 1 or count <= 1:
             _serial(range(count))
             return list(results)  # type: ignore[arg-type]
+        import pickle
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
+        from repro.lint.findings import structured_warning
+
         # Cheap pre-flight: the callable plus one sample item must pickle.
         # The full item list is serialised by the pool itself during
         # dispatch; round-tripping it here would double the work and the

@@ -3,8 +3,6 @@
 * :mod:`repro.routing.shortest_path` — deterministic weighted shortest-path
   route computation over an arbitrary topology (the "routing function" the
   paper takes as input).
-* :mod:`repro.routing.tables` — per-switch routing tables derived from a
-  route set (what a real NoC switch would store).
 * :mod:`repro.routing.ordering` — the resource-ordering baseline the paper
   compares against (Dally & Towles resource classes).
 * :mod:`repro.routing.turns` — turn-prohibition utilities (up*/down* routing
@@ -14,13 +12,10 @@
 
 from repro.routing.ordering import OrderingResult, apply_resource_ordering
 from repro.routing.shortest_path import compute_routes, shortest_route
-from repro.routing.tables import RoutingTable, build_routing_tables
 
 __all__ = [
     "compute_routes",
     "shortest_route",
-    "RoutingTable",
-    "build_routing_tables",
     "apply_resource_ordering",
     "OrderingResult",
 ]

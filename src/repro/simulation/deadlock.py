@@ -8,7 +8,9 @@ Two mechanisms, combined:
 * a **wait-for-graph check** — the channels currently holding flits are
   connected to the channels their head-of-line flits need next; a directed
   cycle among those edges is a wormhole routing deadlock (the runtime
-  manifestation of a CDG cycle).
+  manifestation of a CDG cycle).  A plain depth-first search finds it
+  (:func:`find_wait_cycle`), in an order fixed by the edge list alone, so
+  the reported channels repeat exactly from run to run.
 
 The watchdog alone could confuse extreme congestion with deadlock; the
 wait-for cycle makes the verdict exact, and reporting the channels on the
@@ -25,9 +27,7 @@ the network holds at the verdict.  A verdict failing the check raises
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
-
-import networkx as nx
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.cdg import build_cdg
 from repro.core.cycles import verify_cycle
@@ -42,21 +42,43 @@ def find_wait_cycle(network: WormholeNetwork) -> Optional[List[Channel]]:
     """A cycle in the channel wait-for graph, or None.
 
     Only channels that currently hold flits can take part: an empty channel
-    never blocks anyone.
+    never blocks anyone.  An iterative depth-first search visits the roots
+    in order of first appearance in the wait-for edges and each channel's
+    successors in edge order; a finished channel is never entered again.
+    The first edge into a channel on the current path closes the cycle,
+    which is returned from that channel to the edge's tail.
     """
     edges = network.wait_for_edges()
     if not edges:
         return None
     occupied = {edge[0] for edge in edges}
-    graph = nx.DiGraph()
+    successors: Dict[Channel, List[Channel]] = {}
     for src, dst in edges:
         if dst in occupied:
-            graph.add_edge(src, dst)
-    try:
-        cycle_edges = nx.find_cycle(graph, orientation="original")
-    except nx.NetworkXNoCycle:
-        return None
-    return [edge[0] for edge in cycle_edges]
+            successors.setdefault(src, []).append(dst)
+            successors.setdefault(dst, [])
+    finished = set()
+    for root in successors:
+        if root in finished:
+            continue
+        path = [root]
+        on_path = {root}
+        stack = [iter(successors[root])]
+        while stack:
+            for succ in stack[-1]:
+                if succ in on_path:
+                    return path[path.index(succ):]
+                if succ not in finished:
+                    path.append(succ)
+                    on_path.add(succ)
+                    stack.append(iter(successors[succ]))
+                    break
+            else:
+                stack.pop()
+                done = path.pop()
+                on_path.discard(done)
+                finished.add(done)
+    return None
 
 
 def check_cdg_witness(design: NocDesign, channels: Sequence[Channel]) -> None:

@@ -2,27 +2,10 @@
 
 import pytest
 
-from repro.analysis.metrics import (
-    arithmetic_mean,
-    format_table,
-    geometric_mean,
-    normalise,
-    percent_change,
-    percent_reduction,
-)
+from repro.analysis.metrics import arithmetic_mean, format_table, percent_reduction
 
 
 class TestPercentages:
-    def test_percent_change_increase(self):
-        assert percent_change(100, 150) == pytest.approx(50.0)
-
-    def test_percent_change_decrease(self):
-        assert percent_change(100, 80) == pytest.approx(-20.0)
-
-    def test_percent_change_zero_reference(self):
-        assert percent_change(0, 0) == 0.0
-        assert percent_change(0, 5) == 100.0
-
     def test_percent_reduction(self):
         assert percent_reduction(100, 12) == pytest.approx(88.0)
 
@@ -34,29 +17,9 @@ class TestPercentages:
 
 
 class TestMeans:
-    def test_geometric_mean(self):
-        assert geometric_mean([1, 100]) == pytest.approx(10.0)
-
-    def test_geometric_mean_ignores_nonpositive(self):
-        assert geometric_mean([0, 4, 4]) == pytest.approx(4.0)
-
-    def test_geometric_mean_empty(self):
-        assert geometric_mean([]) == 0.0
-
     def test_arithmetic_mean(self):
         assert arithmetic_mean([1, 2, 3]) == pytest.approx(2.0)
         assert arithmetic_mean([]) == 0.0
-
-
-class TestNormalise:
-    def test_normalise_to_reference(self):
-        values = {"removal": 10.0, "ordering": 12.0}
-        normalised = normalise(values, "removal")
-        assert normalised["removal"] == pytest.approx(1.0)
-        assert normalised["ordering"] == pytest.approx(1.2)
-
-    def test_normalise_zero_reference(self):
-        assert normalise({"a": 0.0, "b": 5.0}, "a") == {"a": 0.0, "b": 0.0}
 
 
 class TestFormatTable:

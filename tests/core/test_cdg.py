@@ -73,14 +73,6 @@ class TestQueries:
         assert cdg.out_degree(ch("B", "C")) == 1
         assert cdg.in_degree(ch("B", "C")) == 1
 
-    def test_to_networkx_preserves_structure(self):
-        cdg = ChannelDependencyGraph()
-        cdg.add_route("f0", [ch("A", "B"), ch("B", "C")])
-        graph = cdg.to_networkx()
-        assert graph.number_of_nodes() == 2
-        assert graph.number_of_edges() == 1
-        assert graph.edges[ch("A", "B"), ch("B", "C")]["flows"] == frozenset({"f0"})
-
 
 class TestAcyclicity:
     def test_linear_route_is_acyclic(self):

@@ -1,5 +1,11 @@
 """Tests for CDG cycle detection (repro.core.cycles)."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
 from repro.core.cdg import ChannelDependencyGraph, build_cdg
@@ -105,6 +111,42 @@ class TestEnumeration:
     def test_has_cycle(self, ring_design_fixture, simple_line_design):
         assert has_cycle(build_cdg(ring_design_fixture))
         assert not has_cycle(build_cdg(simple_line_design))
+
+
+class TestHashSeedIndependence:
+    """A capped enumeration is the same in every process.
+
+    The D36_8 @ 14 CDG has 31 elementary cycles, so a cap of 10 decides
+    which ones are seen.  String hashing changes with ``PYTHONHASHSEED``;
+    the enumeration order must not.
+    """
+
+    SCRIPT = textwrap.dedent(
+        """
+        from repro.benchmarks.registry import get_benchmark
+        from repro.core.cdg import build_cdg
+        from repro.core.cycles import find_all_cycles, find_largest_cycle
+        from repro.synthesis.builder import SynthesisConfig, synthesize_design
+        design = synthesize_design(get_benchmark("D36_8"), SynthesisConfig(n_switches=14))
+        cdg = build_cdg(design)
+        print([[c.name for c in cycle] for cycle in find_all_cycles(cdg, limit=10)])
+        print([c.name for c in find_largest_cycle(cdg, limit=10)])
+        """
+    )
+
+    def run_under(self, hash_seed: str) -> str:
+        src = Path(__file__).resolve().parents[2] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=hash_seed)
+        done = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT], env=env, capture_output=True, text=True
+        )
+        assert done.returncode == 0, done.stderr
+        return done.stdout
+
+    def test_capped_cycles_ignore_the_hash_seed(self):
+        first = self.run_under("0")
+        assert first.count("vc0") > 10
+        assert self.run_under("1") == first
 
 
 class TestCycleEdges:

@@ -10,7 +10,8 @@ shares no network or injection code with a lane, and, for multi-lane
 grids, a solo ``compiled`` run drawing from its own RNG.  The suite
 sweeps fixtures, a hypothesis grid of families x scenarios x loads and
 mixed-lane grids, and pins the registry contract (``"batched"`` is the
-compiled simulator) and a numpy-free interpreter.
+compiled simulator), a numpy-free interpreter and a cold serial run that
+loads neither networkx nor the process pool.
 """
 
 from __future__ import annotations
@@ -291,11 +292,24 @@ class TestFaultScheduleFallback:
         assert stats.fault_events_applied > 0
 
 
+def _run_script(script: str) -> None:
+    """Run ``script`` in a fresh interpreter on this source tree; it prints ``ok``."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(script)],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "ok"
+
+
 class TestLazyNumpyImport:
     """No module of the package imports numpy."""
 
     def test_package_runs_without_numpy(self):
-        script = textwrap.dedent(
+        _run_script(
             """
             import importlib, pkgutil, sys
             sys.modules["numpy"] = None  # import numpy -> ImportError
@@ -315,12 +329,6 @@ class TestLazyNumpyImport:
             print("ok")
             """
         )
-        env = dict(os.environ, PYTHONPATH=str(SRC))
-        done = subprocess.run(
-            [sys.executable, "-c", script], env=env, capture_output=True, text=True
-        )
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "ok"
 
     def test_other_engines_unaffected_by_missing_numpy(
         self, small_mesh_design, monkeypatch
@@ -331,3 +339,41 @@ class TestLazyNumpyImport:
             small_mesh_design, max_cycles=100, config=config, engine="compiled"
         )
         assert stats.flits_delivered > 0
+
+
+class TestColdRunImports:
+    """A cold serial run imports neither networkx nor the process pool."""
+
+    def test_serial_run_without_networkx(self):
+        _run_script(
+            """
+            import importlib, pkgutil, sys
+            sys.modules["networkx"] = None  # import networkx -> ImportError
+            from repro.api.runner import Runner
+            from repro.api.spec import RunSpec
+            spec = RunSpec(benchmark="D36_8", switch_count=14, injection_scale=2.0)
+            result = Runner(jobs=1).run_spec(spec)
+            assert result.initial_cycle_count == 31, result.initial_cycle_count
+            assert result.simulation["variants"]["unprotected"]["deadlocked"]
+            for name in ("networkx", "multiprocessing", "repro.lint"):
+                assert sys.modules.get(name) is None, name
+            import repro
+            for module in pkgutil.walk_packages(repro.__path__, "repro."):
+                importlib.import_module(module.name)
+            print("ok")
+            """
+        )
+
+    def test_benchmark_setup_imports(self):
+        """The imports a benchmark worker makes before its first run."""
+        _run_script(
+            """
+            import sys
+            import numpy, repro, repro.perf.batch_engine
+            import repro.api.cache, repro.api.runner, repro.api.spec
+            heavy = ("networkx", "multiprocessing", "concurrent.futures.process", "repro.lint")
+            loaded = [name for name in heavy if name in sys.modules]
+            assert not loaded, loaded
+            print("ok")
+            """
+        )

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import islice
+
 import networkx as nx
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -15,6 +17,7 @@ from repro.perf.cdg_index import CDGIndex
 from repro.perf.cycle_search import (
     IncrementalCycleSearch,
     count_cycles_indexed,
+    simple_cycles,
     tarjan_sccs,
 )
 
@@ -27,6 +30,30 @@ SEARCH_SETTINGS = settings(
 
 def ch(src, dst, vc=0):
     return Channel(Link(src, dst), vc)
+
+
+def index_graph(index: CDGIndex) -> nx.DiGraph:
+    """The index as a networkx graph, for the oracles."""
+    graph = nx.DiGraph()
+    graph.add_nodes_from(index.sorted_vertices())
+    for node in index.sorted_vertices():
+        graph.add_edges_from((node, succ) for succ in index.successors(node))
+    return graph
+
+
+def canonical(cycle) -> tuple:
+    """The rotation of ``cycle`` that starts at its smallest vertex."""
+    first = cycle.index(min(cycle))
+    return tuple(cycle[first:]) + tuple(cycle[:first])
+
+
+@st.composite
+def digraphs(draw):
+    """A loop-free digraph on up to 8 vertices, as ``(n, edges)``."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges = draw(st.lists(pairs.filter(lambda edge: edge[0] != edge[1]), unique=True))
+    return n, edges
 
 
 class TestSearchEquivalence:
@@ -96,12 +123,32 @@ class TestTarjan:
             frozenset(component)
             for component in tarjan_sccs(index.sorted_vertices(), index.successors)
         }
-        graph = nx.DiGraph()
-        graph.add_nodes_from(index.sorted_vertices())
-        for node in index.sorted_vertices():
-            graph.add_edges_from((node, succ) for succ in index.successors(node))
-        theirs = {frozenset(c) for c in nx.strongly_connected_components(graph)}
+        theirs = {frozenset(c) for c in nx.strongly_connected_components(index_graph(index))}
         assert mine == theirs
+
+
+class TestSimpleCycles:
+    @given(graph=digraphs())
+    @SEARCH_SETTINGS
+    def test_yields_each_networkx_cycle_once(self, graph):
+        n, edges = graph
+        successors = [[] for _ in range(n)]
+        for src, dst in edges:
+            successors[src].append(dst)
+        mine = list(simple_cycles(range(n), successors.__getitem__))
+        assert all(cycle[0] == min(cycle) for cycle in mine)
+        assert len(set(mine)) == len(mine)
+        oracle = nx.DiGraph(edges)
+        oracle.add_nodes_from(range(n))
+        assert set(mine) == {canonical(cycle) for cycle in nx.simple_cycles(oracle)}
+
+    @given(routes=random_route_sets(), limit=st.sampled_from([None, 1, 5, 50, 10000]))
+    @SEARCH_SETTINGS
+    def test_capped_counts_match_networkx(self, routes, limit):
+        index = CDGIndex.from_routes(routes)
+        expected = sum(1 for _ in islice(nx.simple_cycles(index_graph(index)), limit))
+        assert count_cycles_indexed(index, limit=limit) == expected
+        assert count_cycles(build_cdg(routes), limit=limit) == expected
 
 
 class TestCountCycles:

@@ -1,6 +1,9 @@
 """Tests for runtime deadlock detection (repro.simulation.deadlock)."""
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.cdg import build_cdg
 from repro.core.cycles import verify_cycle
@@ -43,6 +46,37 @@ class TestWaitCycle:
         for cycle in range(50):
             network.step(cycle, stats)
         assert find_wait_cycle(network) is None
+
+
+class _WaitForEdges:
+    """Stands in for a network: only its wait-for edges matter here."""
+
+    def __init__(self, edges):
+        self._edges = edges
+
+    def wait_for_edges(self):
+        return self._edges
+
+
+def networkx_wait_cycle(edges):
+    """The channels ``nx.find_cycle`` reports on the same wait-for graph."""
+    occupied = {src for src, _ in edges}
+    graph = nx.DiGraph((src, dst) for src, dst in edges if dst in occupied)
+    try:
+        return [edge[0] for edge in nx.find_cycle(graph, orientation="original")]
+    except nx.NetworkXNoCycle:
+        return None
+
+
+class TestWaitCycleOracle:
+    @given(
+        edges=st.lists(
+            st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=25
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_networkx_find_cycle(self, edges):
+        assert find_wait_cycle(_WaitForEdges(edges)) == networkx_wait_cycle(edges)
 
 
 class TestMonitor:

@@ -19,6 +19,7 @@ class TestAnalyze:
         assert main(["analyze", str(ring_file)]) == 0
         out = capsys.readouterr().out
         assert "deadlock free    : NO" in out
+        assert "cycles           : 1\n" in out
         assert "smallest cycle" in out
 
     def test_analyze_strict_fails_on_cyclic_design(self, ring_file):
