@@ -19,9 +19,11 @@ configuration):
   engine, field-identical stats) and every post-recovery design must be
   deadlock-free (``post_fault_deadlock_free``);
 * **per-policy cost** — the same faulted run repeated under every entry
-  of the :data:`repro.api.registry.recovery_policies` registry, timing
-  each policy's repair strategy against the fault-free baseline and
-  recording its delivery/loss/recovery profile.
+  of the :data:`repro.api.registry.recovery_policies` registry, each
+  round on a fresh copy of the design (so ``protection`` pays its backup
+  provisioning every round), timing each policy's repair strategy
+  against the fault-free baseline and recording its
+  delivery/loss/recovery profile.
 
 Results go to ``BENCH_fault_recovery.json`` at the repository root.
 Run from the repository root::
@@ -125,9 +127,12 @@ def run_fault_recovery_benchmark(
         policy_times: List[float] = []
         policy_stats = None
         for _ in range(max(rounds, 1)):
+            # A fresh copy per round: ``protection`` caches its backup
+            # provisioning on the design, and each round must pay it.
+            fresh = design.copy()
             start = time.perf_counter()
             policy_stats = simulate_design(
-                design, max_cycles=max_cycles, config=policy_config, engine="compiled"
+                fresh, max_cycles=max_cycles, config=policy_config, engine="compiled"
             )
             policy_times.append(time.perf_counter() - start)
         policy_s = min(policy_times)

@@ -22,11 +22,13 @@ The runner turns :class:`~repro.api.spec.RunSpec` points into
   (:func:`repro.analysis.performance.measure_load_grid`), a single spec
   as one load point (:func:`~repro.analysis.performance
   .measure_load_point`), both through the same measurement body.
-  :func:`_plan_batches` groups simulating specs with ``sim_engine:
-  "batched"`` that share a cost bundle; every other spec, fault specs
-  included, is a group of one.  Batching still yields one cached
-  :class:`RunResult` per spec with unchanged fingerprints and record
-  bytes.
+  :func:`_plan_batches` groups the specs that share one
+  :func:`_batch_key` (cost bundle, ``sim_cycles``, ``buffer_depth`` and
+  ``sim_engine``), whatever their engine, so a latency curve, a seed
+  sweep and an availability grid of fault specs each decode their bundle
+  once and run on the engine the specs name.  Batching still yields one
+  cached :class:`RunResult` per spec with unchanged fingerprints and
+  record bytes.
 * **cheap fan-out** — plans execute over
   :func:`repro.perf.executor.parallel_map`; only the small spec dictionary
   crosses the process boundary, and every worker resolves the benchmark
@@ -47,10 +49,10 @@ from repro.analysis.experiments import VARIANTS, CostBundle, compare_methods
 from repro.api.cache import ArtifactCache
 from repro.api.result import COST_SCALAR_FIELDS, RunResult
 from repro.api.spec import ExperimentPlan, RunSpec
-from repro.errors import ReproError
+from repro.errors import PlanError, ReproError
 from repro.model.design import NocDesign
 from repro.model.serialization import design_from_dict, design_to_dict
-from repro.perf.executor import parallel_map
+from repro.perf.executor import parallel_map, resolve_jobs
 
 RESULT_KIND = "result"
 DESIGN_KIND = "design"
@@ -58,11 +60,6 @@ COST_KIND = "costs"
 
 #: Version tag of the cost-bundle cache document; bump on schema changes.
 COST_FORMAT_VERSION = 1
-
-#: Registry name of the batch-capable simulation engine.  A string (not an
-#: import from :mod:`repro.perf.batch_engine`) so planning a batch never
-#: imports the simulation stack.
-ENGINE_BATCHED = "batched"
 
 #: Environment variable overriding the default cache location.
 CACHE_DIR_ENV = "NOC_DEADLOCK_CACHE_DIR"
@@ -147,15 +144,22 @@ def execute_spec_batch(
 ) -> List[RunResult]:
     """Execute one batch group of specs, one grid per design variant.
 
-    ``specs`` must be a :func:`_plan_batches` group: a single spec, or
-    batch-eligible specs sharing a :meth:`RunSpec.cost_fingerprint`,
-    ``sim_cycles`` and ``buffer_depth``.  Cached results are served per
-    spec; only the misses run, batched.  The returned records — and the
-    documents written to ``cache`` — are byte-identical to executing each
-    spec alone.  Cached documents are never trusted: any entry that fails
-    to deserialize (corrupt, stale schema version, missing fields) is
-    treated as a miss and recomputed, not raised.
+    ``specs`` must be a :func:`_plan_batches` group: specs sharing one
+    :func:`_batch_key`, else :class:`~repro.errors.PlanError` names the
+    first field that differs.  Cached results are served per spec; only
+    the misses run, batched.  The returned records — and the documents
+    written to ``cache`` — are byte-identical to executing each spec
+    alone.  Cached documents are never trusted: any entry that fails to
+    deserialize (corrupt, stale schema version, missing fields) is treated
+    as a miss and recomputed, not raised.
     """
+    for spec in specs[1:]:
+        for (name, mine), (_, theirs) in zip(_batch_key(specs[0]), _batch_key(spec)):
+            if mine != theirs:
+                raise PlanError(
+                    f"the specs of one batch group must share {name}: "
+                    f"{mine!r} != {theirs!r}"
+                )
     results: List[Optional[RunResult]] = []
     for spec in specs:
         document = cache.get(RESULT_KIND, spec.fingerprint()) if cache is not None else None
@@ -170,7 +174,7 @@ def execute_spec_batch(
     if missing:
         todo = [specs[index] for index in missing]
         bundle = _resolve_costs(todo[0], cache)
-        if todo[0].injection_scale is None:  # a cost-only spec (never batched)
+        if todo[0].injection_scale is None:  # a group of cost-only specs
             simulations: List[Optional[Dict[str, Any]]] = [None] * len(todo)
         else:
             simulations = _simulate_specs(todo, bundle.designs)
@@ -191,12 +195,13 @@ def _simulate_specs(
     ``simulation`` section, in order.  Several specs (a
     :func:`_plan_batches` group, sharing ``sim_cycles``, ``buffer_depth``
     and ``sim_engine``) run as one :func:`~repro.analysis.performance
-    .measure_load_grid` call per design variant, a single spec as one
-    :func:`~repro.analysis.performance.measure_load_point` call; both are
-    looked up on the module at call time.  All three variants run with the
-    spec's engine, scenario and seed, so repeated executions of one spec
-    are reproducible; deadlocks — expected for the unprotected variant
-    under pressure — are recorded in the metrics, never raised.
+    .measure_load_grid` call per design variant, fault specs included, a
+    single spec as one :func:`~repro.analysis.performance
+    .measure_load_point` call; both are looked up on the module at call
+    time.  All three variants run with the spec's engine, scenario and
+    seed, so repeated executions of one spec are reproducible; deadlocks —
+    expected for the unprotected variant under pressure — are recorded in
+    the metrics, never raised.
     """
     from repro.analysis import performance  # local: lazy sim import
     from repro.simulation.fault_models import build_fault_schedule  # local: lazy sim import
@@ -270,37 +275,45 @@ def _simulate_specs(
 # ----------------------------------------------------------------------
 
 
-def _batchable(spec: RunSpec) -> bool:
-    """Can this spec join a batched execution group at all?
+def _batch_key(spec: RunSpec) -> Tuple[Tuple[str, Any], ...]:
+    """What the specs of one batch group share, as ``(field, value)`` pairs.
 
-    Only specs that *ask* for the batched engine batch — the grouping must
-    never change which engine a spec's record claims.  Fault schedules and
-    fault models run per spec, each variant alone on the engine.
+    One cost bundle (so one decode and one set of variant designs), one
+    run length and buffer depth, one engine (every lane runs on the engine
+    its record names), and cost-only or simulating.  Everything else — load,
+    seed, scenario, fault schedule or model, recovery policy — varies per
+    lane.
     """
     return (
-        spec.sim_engine == ENGINE_BATCHED
-        and spec.injection_scale is not None
-        and spec.fault_schedule is None
-        and spec.fault_model is None
+        ("cost_fingerprint", spec.cost_fingerprint()),
+        ("cost_only", spec.injection_scale is None),
+        ("sim_cycles", spec.sim_cycles),
+        ("buffer_depth", spec.buffer_depth),
+        ("sim_engine", spec.sim_engine),
     )
 
 
-def _plan_batches(specs: Sequence[RunSpec]) -> List[List[int]]:
-    """Group batch-eligible specs into index lists covering every spec once.
+def _plan_batches(specs: Sequence[RunSpec], workers: int = 1) -> List[List[int]]:
+    """Group specs by :func:`_batch_key` into index lists covering every spec once.
 
-    Multi-member lists are batch groups (shared
-    :meth:`RunSpec.cost_fingerprint`, ``sim_cycles``, ``buffer_depth``);
-    singletons are groups of one.  Deterministic: groups appear in
-    first-member order, members in plan order.
+    Each group then splits into at most ``workers`` contiguous chunks of
+    near-equal size, so a parallel run still fans one grid out.
+    Deterministic: groups appear in first-member order, their chunks in
+    order, members in plan order.
     """
     keyed: Dict[Any, List[int]] = {}
     for index, spec in enumerate(specs):
-        if _batchable(spec):
-            key = (spec.cost_fingerprint(), spec.sim_cycles, spec.buffer_depth)
-        else:
-            key = ("solo", index)
-        keyed.setdefault(key, []).append(index)
-    return list(keyed.values())
+        keyed.setdefault(_batch_key(spec), []).append(index)
+    batches: List[List[int]] = []
+    for group in keyed.values():
+        chunks = min(workers, len(group))
+        size, extra = divmod(len(group), chunks)
+        start = 0
+        for chunk in range(chunks):
+            end = start + size + (chunk < extra)
+            batches.append(group[start:end])
+            start = end
+    return batches
 
 
 def _run_batch_task(task: Tuple[List[Dict[str, Any]], Optional[str]]) -> List[RunResult]:
@@ -398,13 +411,12 @@ class Runner:
     def run(self, plan: ExperimentPlan) -> PlanResult:
         """Execute every spec of ``plan`` (deduplicated) and return results.
 
-        Batch-eligible specs (``sim_engine: "batched"`` grids sharing a
-        cost bundle) execute as grouped grids of lanes; everything else
-        runs per spec.  Results come back in ``plan.all_specs()`` order
-        regardless of grouping.
+        Specs sharing a :func:`_batch_key` execute as grids of lanes, a
+        group split into at most one chunk per worker process.  Results
+        come back in ``plan.all_specs()`` order regardless of grouping.
         """
         specs = plan.all_specs()
-        batches = _plan_batches(specs)
+        batches = _plan_batches(specs, resolve_jobs(self.jobs))
         tasks = [
             ([specs[index].to_dict() for index in batch], self.cache_dir)
             for batch in batches

@@ -1,10 +1,11 @@
 """Batched wormhole simulation: B runs of one design as lanes.
 
-A latency curve, a seed sweep or a scenario comparison is a *grid* of
-simulations of one design that differ in load point, seed, traffic
-pattern or fault schedule.  :func:`run_batch` runs such a grid as B lanes,
-one after another.  Each lane is a simulator of the chosen engine on its
-own network and runs through the shared run and injection loops
+A latency curve, a seed sweep, a scenario comparison or an availability
+grid is a *grid* of simulations of one design that differ in load point,
+seed, traffic pattern, fault schedule or recovery policy.
+:func:`run_batch` runs such a grid as B lanes, one after another.  Each
+lane is a simulator of the chosen engine on its own network and runs
+through the shared run and injection loops
 (:meth:`Simulator.run <repro.simulation.simulator.Simulator.run>`), so its
 statistics are those of a solo run of that engine by construction.  A
 load point is a grid of one.
@@ -18,7 +19,11 @@ What a grid shares is set-up and randomness:
 * lanes whose generators keep the base Bernoulli ``fire`` (``flows`` and
   the spatial re-weightings: one uniform double per flow per cycle, in
   flow-name order) and start from the same RNG state fire from one
-  stream, drawn and ranked once per group.
+  stream: one plain sweep when their rates agree too, else one draw
+  ranked once per group;
+* fault lanes of the ``protection`` policy provision their backups once
+  per design (:meth:`~repro.simulation.recovery.ProtectionPolicy.prepare`);
+  every fault lane then repairs its own copy.
 
 ``"batched"`` registers :class:`CompiledSimulator` itself, so a B = 1
 batched run is a compiled run, fault schedules included.
@@ -57,26 +62,38 @@ def _is_fast_generator(generator) -> bool:
 
 
 def _share_draw_streams(generators: Sequence[Any], max_cycles: int) -> None:
-    """Make lanes that would draw the same doubles fire from one stream of them.
+    """Make lanes that would draw the same doubles fire from shared lists.
 
     Lanes group by flow order and RNG state, so a group's members would
-    draw identical sequences.  A group draws ``max_cycles × flows`` doubles
-    once, from a copy of that state (seeded first, then overwritten by
-    ``setstate``).  ``fire`` fires a flow in the cycles whose draw is
-    below the flow's rate, so once each flow's draws are ranked, a member's
-    firing cycles for that flow are a prefix of the ranking, found by one
-    bisection.  Each member's ``fire`` is then its per-cycle list's
-    ``__getitem__``: the same flows, in the same order, as drawing the
-    stream itself would give, without a Python-level comparison per flow
-    per cycle.
+    draw identical sequences, and members with the same rates too would
+    fire identically.  Each member's ``fire`` becomes its per-cycle list's
+    ``__getitem__``, one list per distinct rate vector, holding the same
+    flows in the same order as drawing the stream itself would give:
+
+    * when every member of a group has the same rates (an availability
+      grid: one load, many fault draws), the first member's own ``fire``
+      runs over ``max_cycles`` once and every member fires from that list;
+    * otherwise (a latency curve: one seed, many loads) the group draws
+      ``max_cycles × flows`` doubles once, from a copy of that state
+      (seeded first, then overwritten by ``setstate``).  ``fire`` fires a
+      flow in the cycles whose draw is below the flow's rate, so once each
+      flow's draws are ranked, a rate's firing cycles for that flow are a
+      prefix of the ranking, found by one bisection, without a
+      Python-level comparison per flow per cycle.
     """
-    groups: Dict[Any, List[Any]] = {}
+    groups: Dict[Any, Dict[Any, List[Any]]] = {}
     for generator in generators:
         if _is_fast_generator(generator):
             key = (tuple(generator._flow_order), generator._rng.getstate())
-            groups.setdefault(key, []).append(generator)
-    for (order, state), members in groups.items():
-        if len(members) < 2:
+            rates = tuple(generator._draw_rates)
+            groups.setdefault(key, {}).setdefault(rates, []).append(generator)
+    for (order, state), by_rates in groups.items():
+        if len(by_rates) == 1:
+            (members,) = by_rates.values()
+            if len(members) > 1:
+                fired = list(map(members[0].fire, range(max_cycles)))
+                for generator in members:
+                    generator.fire = fired.__getitem__
             continue
         rng = random.Random(0)
         rng.setstate(state)
@@ -87,15 +104,16 @@ def _share_draw_streams(generators: Sequence[Any], max_cycles: int) -> None:
             draws = stream[flow::flows]
             cycles = array("l", sorted(range(max_cycles), key=draws.__getitem__))
             ranked.append((array("d", sorted(draws)), cycles))
-        for generator in members:
-            fired: List[Any] = [()] * max_cycles
-            for (name, rate), (draws, cycles) in zip(generator._draw_rates, ranked):
+        for rates, members in by_rates.items():
+            fired = [()] * max_cycles
+            for (name, rate), (draws, cycles) in zip(rates, ranked):
                 for cycle in cycles[: bisect_left(draws, rate)]:
                     if fired[cycle]:
                         fired[cycle].append(name)
                     else:
                         fired[cycle] = [name]
-            generator.fire = fired.__getitem__
+            for generator in members:
+                generator.fire = fired.__getitem__
 
 
 def run_batch(
@@ -124,6 +142,11 @@ def run_batch(
     """
     if not configs:
         raise SimulationError("a batched run needs at least one configuration")
+    if generators is not None and len(generators) != len(configs):
+        raise SimulationError(
+            f"a batched run needs one generator per configuration: "
+            f"{len(generators)} generators for {len(configs)} configurations"
+        )
     validate_design(design)
     if generators is None:
         generators = [make_traffic_generator(design, config) for config in configs]

@@ -116,6 +116,9 @@ class DesignContext:
         # --- (routes, version, CDG) deadlock verdicts are checked against
         # (set by repro.simulation.deadlock.check_cdg_witness) -------------
         self.witness_cdg = None
+        # --- (routes, version, topology, provisioned design, candidates) of
+        # the protection recovery policy (set by repro.simulation.recovery) -
+        self.protection = None
 
     # ------------------------------------------------------------------
     # lifecycle

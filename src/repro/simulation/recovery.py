@@ -44,7 +44,7 @@ registry and :attr:`repro.simulation.simulator.SimulationConfig
     routing or removal ever happens.  Switching is non-revertive — a
     flow stays on its backup when the primary's links return.
 
-Determinism: the controller works on the simulator's private design copy,
+Determinism: the controller works on its own private design copy,
 draws no randomness of its own, and touches the network only between
 cycles — so compiled and legacy engines replaying the same schedule stay
 field-identical, which ``cross_check=True`` enforces for every policy.
@@ -90,11 +90,12 @@ class RecoveryPolicy:
         self.controller = controller
 
     def prepare(self, design: NocDesign) -> NocDesign:
-        """Pre-run hook; the returned design is the one the run uses.
+        """Pre-run hook; the run starts from a copy of the returned design.
 
-        Called once, before the network is built.  The default returns
-        the design unchanged; ``protection`` returns a re-provisioned
-        design with backup resources baked in.
+        Called once, before the network is built, with the caller's
+        design, which neither this hook nor the run may change.  The
+        default returns the design unchanged; ``protection`` returns a
+        re-provisioned design with backup resources baked in.
         """
         return design
 
@@ -227,6 +228,13 @@ class ProtectionPolicy(RecoveryPolicy):
     flow with no surviving candidate is quiesced like under ``idle``.
     Switching is non-revertive, but a quiesced flow re-enters on the
     first restore batch that revives one of its candidates.
+
+    Provisioning depends on the design alone, so the ported design and
+    the candidates are cached on the source design's
+    :class:`~repro.perf.design_context.DesignContext`, keyed by its route
+    set, route-set version and topology (links and VC counts): the lanes
+    of one grid provision once, and a design edited between runs
+    provisions again.
     """
 
     def __init__(self, controller):
@@ -234,6 +242,28 @@ class ProtectionPolicy(RecoveryPolicy):
         self._candidates: Dict[str, Tuple[Route, ...]] = {}
 
     def prepare(self, design: NocDesign) -> NocDesign:
+        """The ported design, provisioned once per state of ``design``."""
+        context = DesignContext.of(design)
+        routes = design.routes
+        cached = context.protection
+        if (
+            cached is None
+            or cached[0] is not routes
+            or cached[1] != routes.version
+            or cached[2] != design.topology
+        ):
+            ported, candidates = self._provision(design)
+            cached = (routes, routes.version, design.topology.copy(), ported, candidates)
+            context.protection = cached
+        self._candidates = cached[4]
+        return cached[3]
+
+    @staticmethod
+    def _provision(design: NocDesign) -> Tuple[NocDesign, Dict[str, Tuple[Route, ...]]]:
+        """``(ported design, per-flow candidate routes)`` of the policy.
+
+        Leaves ``design`` unchanged; the ported design shares its traffic.
+        """
         combined = design.copy()
         backup_names: Dict[str, str] = {}
         flows = sorted(design.traffic.flows, key=lambda f: (-f.bandwidth, f.name))
@@ -277,20 +307,21 @@ class ProtectionPolicy(RecoveryPolicy):
                 count_initial_cycles=False,
             )
         ported_routes: Dict[str, Route] = {}
+        candidates: Dict[str, Tuple[Route, ...]] = {}
         for name in design.routes.flow_names:
             primary = combined.routes.route(name)
             ported_routes[name] = primary
-            candidates = [primary]
+            candidates[name] = (primary,)
             if name in backup_names:
-                candidates.append(combined.routes.route(backup_names[name]))
-            self._candidates[name] = tuple(candidates)
-        return NocDesign(
+                candidates[name] += (combined.routes.route(backup_names[name]),)
+        ported = NocDesign(
             name=design.name,
             topology=combined.topology,
             traffic=design.traffic,
             core_map=dict(design.core_map),
             routes=RouteSet(ported_routes),
         )
+        return ported, candidates
 
     def repair(self, context, *, removed, restored, severed, old_routes):
         design = self.controller.design
@@ -312,10 +343,12 @@ class RecoveryController:
     event list, the VC/length book-keeping of currently failed links, the
     live-packet watch sets behind the per-batch recovery latencies, and
     the policy instance repairing the route set.  ``mode`` names an entry
-    of :data:`repro.api.registry.recovery_policies`; the policy's
-    :meth:`~RecoveryPolicy.prepare` hook may replace the design, so
-    callers must build the network from :attr:`design` *after*
-    construction.
+    of :data:`repro.api.registry.recovery_policies`.  The run degrades and
+    repairs :attr:`design`, the controller's private copy of what the
+    policy's :meth:`~RecoveryPolicy.prepare` hook returns, so the caller's
+    design stays as it was (the lanes of a grid and a cross-check re-run
+    share it) and callers must build the network from :attr:`design`.
+    The copy shares the traffic, which recovery never edits.
     """
 
     def __init__(
@@ -329,7 +362,14 @@ class RecoveryController:
         self.mode = mode
         self.congestion_factor = congestion_factor
         self.policy: RecoveryPolicy = recovery_policies.get(mode)(self)
-        self.design = self.policy.prepare(design)
+        start = self.policy.prepare(design)
+        self.design = NocDesign(
+            name=start.name,
+            topology=start.topology.copy(),
+            traffic=start.traffic,
+            core_map=dict(start.core_map),
+            routes=start.routes.copy(),
+        )
         self._events = schedule.events
         self._cursor = 0
         #: Links currently failed: link -> (vc_count, length_mm or None).

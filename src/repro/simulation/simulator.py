@@ -150,19 +150,16 @@ class Simulator:
             generator = make_traffic_generator(design, config)
         schedule = config.fault_schedule
         if schedule is not None and len(schedule):
-            # Fault recovery mutates the topology and routes mid-run; the
-            # caller's design (and the legacy cross-check re-run, which
-            # replays the same schedule from its own fresh copy) must keep
-            # seeing the original.
-            design = design.copy()
             from repro.simulation.recovery import RecoveryController
 
+            # Fault recovery mutates the topology and routes mid-run, so the
+            # run simulates the controller's private copy (protection's
+            # carries the provisioned backups); the caller's design, shared
+            # by a grid's lanes and the legacy cross-check re-run, keeps
+            # its original state.
             self._recovery = RecoveryController(
                 design, schedule, mode=config.fault_recovery
             )
-            # The policy's prepare hook may replace the design (protection
-            # provisions backup VCs before the run starts), so the network
-            # must be built from the controller's view.
             design = self._recovery.design
         self.design = design
         self.network = self._build_network(design)

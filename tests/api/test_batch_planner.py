@@ -2,12 +2,15 @@
 
 Batching is a pure execution strategy — it must never show up in the
 artifact cache layout, the fingerprints, or the record schema.  The tests
-here pin that contract end to end: grouped specs produce byte-identical
-cached ``RunResult`` documents to solo execution (trace lanes with
-different replay horizons included), a plan run twice is served entirely
-from cache, cost bundles make load points share one removal run, and the
-specs that never batch (fault schedules, non-batched engines) run per
-spec with correct results.
+here pin that contract end to end for every kind of group: grouped specs
+produce byte-identical cached ``RunResult`` documents to solo execution
+on every engine (trace lanes with different replay horizons, an
+availability grid of fault specs whose ``reroute`` lanes deadlock, a
+``compiled`` load grid and a ``legacy`` pair), a parallel run that splits
+a group into chunks agrees with the serial one, a plan run twice is
+served entirely from cache, cost bundles make load points share one
+removal run, and a group whose specs do not share one batch key is
+rejected instead of simulated with the first spec's settings.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from repro.api.runner import (
     execute_spec_batch,
 )
 from repro.api.spec import ExperimentPlan, ReportRequest, RunSpec
+from repro.errors import PlanError
 
 
 def _grid(scales, **overrides) -> list:
@@ -49,10 +53,44 @@ def _trace_specs(horizons) -> list:
     ]
 
 
-def _assert_batch_bytes_equal_solo(specs, tmp_path) -> None:
-    """One batch group and its specs run alone write byte-identical records."""
+def _availability_plan() -> ExperimentPlan:
+    """All four recovery policies x two burst-fault seeds on D36_8 @ 14.
+
+    Under fault seeds 0 and 1 the ``reroute`` lanes deadlock (the
+    unprotected variant under both, the removal variant under seed 1).
+    """
+    return ExperimentPlan.from_dict(
+        {
+            "format_version": 1,
+            "name": "availability-grid",
+            "reports": [
+                {
+                    "type": "availability",
+                    "benchmark": "D36_8",
+                    "switch_count": 14,
+                    "sim_cycles": 300,
+                    "fault_model": "spatial_burst",
+                    "fault_params": {
+                        "radius": 1,
+                        "start_cycle": 50,
+                        "end_cycle": 150,
+                        "restore_after": 100,
+                    },
+                    "recovery_policies": ["removal", "reroute", "idle", "protection"],
+                    "seeds": [0, 1],
+                }
+            ],
+        }
+    )
+
+
+def _assert_batch_bytes_equal_solo(specs, tmp_path, engine="batched") -> list:
+    """One batch group and its specs run alone write byte-identical records.
+
+    Returns the group's results.
+    """
     batch_cache = ArtifactCache(tmp_path / "batch")
-    execute_spec_batch(specs, batch_cache)
+    results = execute_spec_batch(specs, batch_cache)
     solo_cache = ArtifactCache(tmp_path / "solo")
     # Seed the solo cache with the shared artifacts so the wall-clock
     # removal_runtime_s scalar matches exactly.
@@ -66,7 +104,8 @@ def _assert_batch_bytes_equal_solo(specs, tmp_path) -> None:
         key = spec.fingerprint()
         batch_bytes = batch_cache._path(RESULT_KIND, key).read_text()
         assert batch_bytes == solo_cache._path(RESULT_KIND, key).read_text()
-        assert json.loads(batch_bytes)["simulation"]["engine"] == "batched"
+        assert json.loads(batch_bytes)["simulation"]["engine"] == engine
+    return results
 
 
 @pytest.fixture
@@ -88,9 +127,11 @@ class TestPlanBatches:
         specs = _grid([0.5, 1.0, 1.5])
         assert _plan_batches(specs) == [[0, 1, 2]]
 
-    def test_compiled_specs_never_batch(self):
-        specs = _grid([0.5, 1.0, 1.5], sim_engine="compiled")
-        assert _plan_batches(specs) == [[0], [1], [2]]
+    def test_engines_of_one_bundle_group_apart(self):
+        """Compiled specs of one bundle form one group, apart from batched ones."""
+        specs = _grid([0.5, 1.0], sim_engine="compiled") + _grid([1.5, 2.0])
+        specs += _grid([2.5], sim_engine="compiled")
+        assert _plan_batches(specs) == [[0, 1, 4], [2, 3]]
 
     def test_different_designs_group_separately(self):
         specs = _grid([0.5, 1.0]) + _grid([0.5, 1.0], switch_count=10)
@@ -112,9 +153,13 @@ class TestPlanBatches:
         assert _plan_batches(specs) == [[0, 1], [2]]
         assert _plan_batches(specs_same_seed) == [[0, 1, 2]]
 
-    def test_fault_specs_run_solo(self):
+    def test_fault_specs_join_their_bundle_group(self):
         specs = _grid([0.5, 1.0]) + _grid([1.5], fault_model="uniform")
-        assert _plan_batches(specs) == [[0, 1], [2]]
+        assert _plan_batches(specs) == [[0, 1, 2]]
+
+    def test_workers_split_a_group_into_contiguous_chunks(self):
+        specs = _grid([0.5, 1.0, 1.5, 2.0, 2.5]) + _grid([0.5], sim_cycles=999)
+        assert _plan_batches(specs, workers=2) == [[0, 1, 2], [3, 4], [5]]
 
     def test_trace_lanes_with_one_horizon_stay(self):
         specs = _grid(
@@ -134,6 +179,22 @@ class TestBatchExecutionInvisibility:
     def test_records_byte_identical_to_solo(self, tmp_path):
         """Grouped execution writes the very bytes solo execution writes."""
         _assert_batch_bytes_equal_solo(_grid([0.5, 1.0, 1.5]), tmp_path)
+
+    def test_availability_grid_identical(self, tmp_path):
+        """Fault specs of every policy run as one grid, deadlocking lanes included."""
+        specs = _availability_plan().all_specs()
+        assert _plan_batches(specs) == [list(range(8))]
+        results = _assert_batch_bytes_equal_solo(specs, tmp_path, engine="compiled")
+        rerouted = [r for r in results if r.spec.fault_recovery == "reroute"]
+        assert all(r.simulation["variants"]["unprotected"]["deadlocked"] for r in rerouted)
+
+    def test_compiled_load_grid_identical(self, tmp_path):
+        specs = _grid([0.5, 1.0, 2.0], sim_engine="compiled")
+        _assert_batch_bytes_equal_solo(specs, tmp_path, engine="compiled")
+
+    def test_legacy_pair_identical(self, tmp_path):
+        specs = _grid([0.5, 2.0], sim_engine="legacy", sim_cycles=200)
+        _assert_batch_bytes_equal_solo(specs, tmp_path, engine="legacy")
 
     def test_mixed_trace_horizons_identical(self, tmp_path):
         """Trace lanes of different horizons batch with a flows lane, exactly."""
@@ -160,12 +221,19 @@ class TestBatchExecutionInvisibility:
 
     def test_parallel_and_serial_agree(self, tmp_path):
         specs = _grid([0.5, 1.0]) + _grid([1.5], sim_engine="compiled")
-        plan = ExperimentPlan(name="mixed", specs=specs)
-        serial = Runner(cache_dir=None).run(plan)
-        parallel = Runner(cache_dir=tmp_path / "cache", jobs=2).run(plan)
-        for mine, theirs in zip(serial.results, parallel.results):
-            assert mine.simulation == theirs.simulation
-            assert mine.spec.fingerprint() == theirs.spec.fingerprint()
+        availability = _availability_plan()
+        # Two workers split the availability grid into two halves.
+        assert _plan_batches(availability.all_specs(), workers=2) == [
+            [0, 1, 2, 3],
+            [4, 5, 6, 7],
+        ]
+        for plan in (ExperimentPlan(name="mixed", specs=specs), availability):
+            serial = Runner(cache_dir=None).run(plan)
+            parallel = Runner(cache_dir=tmp_path / plan.name, jobs=2).run(plan)
+            assert len(serial.results) == len(parallel.results)
+            for mine, theirs in zip(serial.results, parallel.results):
+                assert mine.simulation == theirs.simulation
+                assert mine.spec.fingerprint() == theirs.spec.fingerprint()
 
     def test_latency_report_batches_transparently(self, tmp_path):
         """A latency report on the batched engine groups its load points."""
@@ -192,6 +260,25 @@ class TestBatchExecutionInvisibility:
         assert rendered[0][1]["sim_engine"] == "batched"
         curve = rendered[0][1]["variants"]["removal"]
         assert len(curve["average_latency"]) == 2
+
+
+class TestBatchRejections:
+    @pytest.mark.parametrize(
+        "field, value, named",
+        [
+            ("sim_cycles", 600, "sim_cycles"),
+            ("buffer_depth", 2, "buffer_depth"),
+            ("sim_engine", "compiled", "sim_engine"),
+            ("switch_count", 10, "cost_fingerprint"),
+            ("injection_scale", None, "cost_only"),
+        ],
+    )
+    def test_group_without_one_batch_key_rejected(self, field, value, named):
+        """A spec never simulates with another spec's settings."""
+        first = _grid([1.0])[0]
+        other = RunSpec(**{**first.to_dict(), field: value})
+        with pytest.raises(PlanError, match=f"must share {named}"):
+            execute_spec_batch([first, other], None)
 
 
 class TestCostBundle:
@@ -246,7 +333,7 @@ class TestCostBundle:
 
 class TestFallbackCorrectness:
     def test_fault_schedule_spec_on_batched_engine(self, tmp_path):
-        """A fault-carrying batched spec runs solo, exactly as on compiled."""
+        """A lone fault-carrying batched spec runs exactly as on compiled."""
         spec = RunSpec(
             benchmark="D26_media",
             switch_count=8,

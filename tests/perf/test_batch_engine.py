@@ -1,8 +1,9 @@
 """The batched engine runs each lane exactly as a solo compiled run.
 
 ``run_batch`` runs B simulations of one design as compiled lanes, one
-after another; lanes that would draw the same Bernoulli doubles replay
-one shared stream.  Every lane must produce **field-identical**
+after another; lanes that would draw the same Bernoulli doubles fire from
+one shared stream, swept once when their rates agree and ranked once
+when they do not.  Every lane must produce **field-identical**
 :class:`~repro.simulation.stats.SimulationStats` to a solo run of its
 config: latency lists in order, per-channel busy cycles, and deadlock
 verdicts with their channels.  The references are ``legacy``, which
@@ -31,7 +32,7 @@ from repro.benchmarks.synthetic import default_mesh_traffic, default_ring_traffi
 from repro.core.removal import remove_deadlocks
 from repro.errors import SimulationError
 from repro.examples_data.paper_ring import paper_ring_design
-from repro.perf.batch_engine import run_batch
+from repro.perf.batch_engine import _share_draw_streams, run_batch
 from repro.perf.sim_engine import CompiledSimulator
 from repro.simulation.events import EventSchedule
 from repro.simulation.simulator import (
@@ -42,6 +43,7 @@ from repro.simulation.simulator import (
     stats_divergences,
     verify_against_legacy,
 )
+from repro.simulation.traffic_gen import FlowTrafficGenerator
 from repro.synthesis.families import family_design
 
 SCENARIOS = ("flows", "uniform", "hotspot", "transpose", "bursty")
@@ -274,10 +276,65 @@ class TestCrossCheckFlag:
             verify_against_legacy(small_mesh_design, config, stats, "batched", max_cycles=200)
 
 
+class TestSharedDrawStreams:
+    """Lanes share their draws exactly, and the shared work happens once."""
+
+    MAX_CYCLES = 120
+
+    @pytest.fixture
+    def counted_sweeps(self, monkeypatch):
+        """Cycles swept by the base Bernoulli ``fire``, any generator."""
+        calls = []
+        original = FlowTrafficGenerator.fire
+
+        def counting(generator, cycle):
+            calls.append(cycle)
+            return original(generator, cycle)
+
+        monkeypatch.setattr(FlowTrafficGenerator, "fire", counting)
+        return calls
+
+    def _solo_firings(self, design, config):
+        generator = make_traffic_generator(design, config)
+        return [list(generator.fire(cycle)) for cycle in range(self.MAX_CYCLES)]
+
+    def test_identical_lanes_fire_one_sweep(self, small_mesh_design, counted_sweeps):
+        config = SimulationConfig(injection_scale=2.0, seed=4)
+        expected = self._solo_firings(small_mesh_design, config)
+        generators = [make_traffic_generator(small_mesh_design, config) for _ in range(3)]
+        counted_sweeps.clear()
+        _share_draw_streams(generators, self.MAX_CYCLES)
+        assert counted_sweeps == list(range(self.MAX_CYCLES))
+        for generator in generators:
+            fired = [list(generator.fire(cycle)) for cycle in range(self.MAX_CYCLES)]
+            assert fired == expected
+        assert any(expected)
+        assert len(counted_sweeps) == self.MAX_CYCLES  # the lanes never drew again
+
+    def test_distinct_rates_still_rank(self, small_mesh_design, counted_sweeps):
+        configs = [SimulationConfig(injection_scale=scale, seed=4) for scale in (1.0, 3.0, 3.0)]
+        expected = [self._solo_firings(small_mesh_design, config) for config in configs]
+        generators = [make_traffic_generator(small_mesh_design, config) for config in configs]
+        counted_sweeps.clear()
+        _share_draw_streams(generators, self.MAX_CYCLES)
+        assert counted_sweeps == []  # drawn from a copy of the RNG and ranked
+        assert generators[1].fire == generators[2].fire  # one list per rate vector
+        for generator, firings in zip(generators, expected):
+            fired = [list(generator.fire(cycle)) for cycle in range(self.MAX_CYCLES)]
+            assert fired == firings
+
+
 class TestBatchRejections:
     def test_empty_batch_rejected(self, small_mesh_design):
         with pytest.raises(SimulationError, match="at least one"):
             run_batch(small_mesh_design, [], max_cycles=100)
+
+    def test_generator_count_must_match_configs(self, small_mesh_design):
+        """A missing generator is an error, not a silently dropped lane."""
+        configs = [SimulationConfig(injection_scale=scale) for scale in (0.5, 1.0)]
+        generators = [make_traffic_generator(small_mesh_design, configs[0])]
+        with pytest.raises(SimulationError, match="one generator per configuration"):
+            run_batch(small_mesh_design, configs, max_cycles=100, generators=generators)
 
 
 class TestFaultScheduleFallback:

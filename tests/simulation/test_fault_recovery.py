@@ -11,6 +11,10 @@ deadlock-free while healthy but whose only surviving routes after a link
 failure form a cyclic CDG must *deadlock identically* in both engines when
 recovery is reroute-only, and must *stay deadlock-free* when recovery
 re-runs deadlock removal on the degraded design (the default).
+
+The ``protection`` policy provisions its backups once per design state:
+the lanes of a grid share one provisioning and still match solo runs
+field for field, and a design edited between runs provisions again.
 """
 
 from __future__ import annotations
@@ -31,8 +35,15 @@ from repro.model.design import NocDesign
 from repro.model.routes import Route, RouteSet
 from repro.model.topology import Topology
 from repro.model.traffic import CommunicationGraph
+from repro.perf.batch_engine import run_batch
+from repro.simulation import recovery
 from repro.simulation.events import EventSchedule
-from repro.simulation.simulator import SimulationConfig, build_simulator, simulate_design
+from repro.simulation.simulator import (
+    SimulationConfig,
+    build_simulator,
+    simulate_design,
+    stats_divergences,
+)
 from repro.synthesis.builder import SynthesisConfig, synthesize_design
 
 SETTINGS = settings(
@@ -105,6 +116,61 @@ class TestEngineEquivalenceUnderFaults:
             design, max_cycles=300, config=config, fault_schedule={"events": []}
         )
         assert baseline == empty
+
+
+class TestProtectionProvisioning:
+    @pytest.fixture
+    def provisionings(self, monkeypatch):
+        """Calls of the removal binding the recovery module uses."""
+        calls = []
+        real = recovery.remove_deadlocks
+
+        def counting(*args, **kwargs):
+            calls.append(True)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(recovery, "remove_deadlocks", counting)
+        return calls
+
+    def _configs(self, design: NocDesign) -> List[SimulationConfig]:
+        schedules = _schedules(design) + [
+            EventSchedule.random(
+                design.topology, seed=3, link_failures=1, start_cycle=30, end_cycle=150
+            )
+        ]
+        return [
+            SimulationConfig(
+                injection_scale=1.0, seed=0, fault_schedule=schedule, fault_recovery="protection"
+            )
+            for schedule in schedules
+        ]
+
+    def test_grid_lanes_provision_once(self, provisionings):
+        design = _protected("D26_media").copy()
+        configs = self._configs(design)
+        # Each solo run gets a fresh copy, so each provisions for itself.
+        solo = [simulate_design(design.copy(), max_cycles=300, config=c) for c in configs]
+        assert len(provisionings) == 3
+        del provisionings[:]
+        lanes = run_batch(design, configs, max_cycles=300)
+        assert len(provisionings) == 1
+        for lane, reference in zip(lanes, solo):
+            assert not stats_divergences(lane, reference)
+        assert all(stats.fault_events_applied for stats in lanes)
+
+    def test_edited_design_provisions_again(self, provisionings):
+        design = _protected("D26_media").copy()
+        config = self._configs(design)[0]
+        for _ in range(2):
+            simulate_design(design, max_cycles=100, config=config)
+        assert len(provisionings) == 1
+        name = design.routes.flow_names[0]
+        design.routes.set_route(name, design.routes.route(name))  # a new route-set version
+        simulate_design(design, max_cycles=100, config=config)
+        assert len(provisionings) == 2
+        design.topology.add_virtual_channel(design.topology.links[0])  # a new link table
+        simulate_design(design, max_cycles=100, config=config)
+        assert len(provisionings) == 3
 
 
 def _diagonal_ring_design() -> NocDesign:
