@@ -32,6 +32,7 @@ from repro.analysis.performance import measure_load_point
 from repro.benchmarks.registry import get_benchmark
 from repro.core.cdg import build_cdg
 from repro.core.removal import remove_deadlocks
+from repro.simulation.simulator import SimulationConfig
 from repro.synthesis.families import family_design, family_size
 
 #: Size ladders (three points per family) of the CI smoke configuration.
@@ -117,9 +118,8 @@ def _run_point(
     start = time.perf_counter()
     metrics = measure_load_point(
         removal.design,
-        injection_scale=injection_scale,
+        SimulationConfig(injection_scale=injection_scale, seed=seed),
         max_cycles=sim_cycles,
-        seed=seed,
         sim_engine="compiled",
     )
     simulation_seconds = time.perf_counter() - start

@@ -5,24 +5,26 @@ question — and the reason designers care about adding as few VCs as possible
 in the first place — is whether the protected design still performs.  This
 module measures the classic latency-vs-offered-load curve.
 
-A load point is a grid of one: :func:`measure_load_grid` (a curve, a seed
-sweep, a scenario comparison) and :func:`measure_load_point` (one point)
-share one body, which runs every point as a lane of
-:func:`~repro.perf.batch_engine.run_batch` on the engine named by
-``sim_engine`` and returns the metrics dictionary a
+A load point is one :class:`~repro.simulation.simulator.SimulationConfig`
+(load, seed, traffic scenario, buffer depth, fault schedule, recovery
+policy), and a load point is a grid of one: :func:`measure_load_grid` (a
+curve, a seed sweep, a scenario comparison, an availability grid) and
+:func:`measure_load_point` (one point) share one body, which runs every
+config as a lane of :func:`~repro.perf.batch_engine.run_batch` on the
+engine named by ``sim_engine`` and returns the metrics dictionary a
 :class:`~repro.api.result.RunResult` records.  The experiment API's
-``latency`` report is the cached, parallel way to sweep registry
-benchmarks; these two functions serve ad-hoc
-:class:`~repro.model.design.NocDesign` objects.  Neither calls the other,
-so a wrapper around one of them counts its own calls only.
+``latency`` and ``availability`` reports are the cached, parallel way to
+sweep registry benchmarks (the runner builds one config per spec); these
+two functions serve ad-hoc :class:`~repro.model.design.NocDesign` objects
+too.  Neither calls the other, so a wrapper around one of them counts its
+own calls only.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Sequence
 
 from repro.model.design import NocDesign
-from repro.simulation.events import EventSchedule
 from repro.simulation.simulator import (
     DEFAULT_SIMULATION_ENGINE,
     SimulationConfig,
@@ -32,89 +34,49 @@ from repro.simulation.simulator import (
 
 def measure_load_point(
     design: NocDesign,
+    config: SimulationConfig,
     *,
-    injection_scale: float,
     max_cycles: int = 3000,
-    buffer_depth: int = 4,
-    seed: int = 0,
-    traffic_scenario: str = "flows",
-    scenario_params: Optional[Dict[str, Any]] = None,
     sim_engine: str = DEFAULT_SIMULATION_ENGINE,
-    fault_schedule=None,
-    fault_recovery: str = "removal",
 ) -> Dict[str, Any]:
     """Simulate one load point and return its metrics as a plain dictionary.
 
-    A grid of one point (see :func:`measure_load_grid` for the point
-    fields), so a cached :class:`~repro.api.result.RunResult` and a direct
-    library call agree to the last digit.  Deadlocks are recorded, never
-    raised.
+    A grid of one point (see :func:`measure_load_grid`), so a cached
+    :class:`~repro.api.result.RunResult` and a direct library call agree
+    to the last digit.  Deadlocks are recorded, never raised.
     """
-    point = {
-        "injection_scale": injection_scale,
-        "seed": seed,
-        "traffic_scenario": traffic_scenario,
-        "scenario_params": scenario_params,
-        "fault_schedule": fault_schedule,
-        "fault_recovery": fault_recovery,
-    }
-    (metrics,) = _measure(
-        design, [point], max_cycles=max_cycles, buffer_depth=buffer_depth, sim_engine=sim_engine
-    )
+    (metrics,) = _measure(design, [config], max_cycles=max_cycles, sim_engine=sim_engine)
     return metrics
 
 
 def measure_load_grid(
     design: NocDesign,
-    points: Sequence[Mapping[str, Any]],
+    configs: Sequence[SimulationConfig],
     *,
     max_cycles: int = 3000,
-    buffer_depth: int = 4,
     sim_engine: str = DEFAULT_SIMULATION_ENGINE,
 ) -> List[Dict[str, Any]]:
     """Simulate several load points of one design as one grid of lanes.
 
-    ``points`` are mappings with ``injection_scale`` (required) plus
-    optional ``seed``, ``traffic_scenario``, ``scenario_params``,
-    ``fault_schedule`` (anything
-    :meth:`~repro.simulation.events.EventSchedule.from_spec` accepts) and
-    ``fault_recovery`` (a :data:`repro.api.registry.recovery_policies`
-    name), defaulting as in :func:`measure_load_point`; every point runs
-    for the shared ``max_cycles`` / ``buffer_depth``.  Returns one metrics
-    dictionary per point, in order; a point whose fault schedule is not
-    empty gains a ``resilience`` sub-dictionary (fault-free records keep
-    their exact historical shape).
+    Each config describes one lane whole; every lane injects for the
+    shared ``max_cycles``.  Returns one metrics dictionary per config, in
+    order; a lane whose fault schedule is not empty gains a
+    ``resilience`` sub-dictionary (fault-free records keep their exact
+    historical shape).
     """
-    return _measure(
-        design, points, max_cycles=max_cycles, buffer_depth=buffer_depth, sim_engine=sim_engine
-    )
+    return _measure(design, configs, max_cycles=max_cycles, sim_engine=sim_engine)
 
 
 def _measure(
     design: NocDesign,
-    points: Sequence[Mapping[str, Any]],
+    configs: Sequence[SimulationConfig],
     *,
     max_cycles: int,
-    buffer_depth: int,
     sim_engine: str,
 ) -> List[Dict[str, Any]]:
-    """The one body of both entry points: build the lanes, run, fold the metrics."""
+    """The one body of both entry points: run the lanes, fold the metrics."""
     from repro.perf.batch_engine import run_batch  # local: the engines load lazily
 
-    configs = [
-        SimulationConfig(
-            injection_scale=point["injection_scale"],
-            buffer_depth=buffer_depth,
-            seed=point.get("seed", 0),
-            traffic_scenario=point.get("traffic_scenario", "flows"),
-            scenario_params=dict(point.get("scenario_params") or {}),
-            fault_schedule=EventSchedule.from_spec(
-                point.get("fault_schedule"), topology=design.topology
-            ),
-            fault_recovery=point.get("fault_recovery", "removal"),
-        )
-        for point in points
-    ]
     # The offered load comes from the lanes' own generators.
     generators = [make_traffic_generator(design, config) for config in configs]
     stats_list = run_batch(

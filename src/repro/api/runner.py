@@ -17,10 +17,11 @@ The runner turns :class:`~repro.api.spec.RunSpec` points into
   sweep — which differ only along the simulation axis — pay the removal
   pipeline once instead of once per point on a cold cache.
 * **one simulation path** — :func:`_simulate_specs` simulates a list of
-  specs that share a cost bundle: a group of several as one grid of lanes
-  per design variant
-  (:func:`repro.analysis.performance.measure_load_grid`), a single spec
-  as one load point (:func:`~repro.analysis.performance
+  specs that share a cost bundle.  Each spec becomes one
+  :class:`~repro.simulation.simulator.SimulationConfig`, which every
+  design variant runs: a group of several as one grid of lanes per
+  variant (:func:`repro.analysis.performance.measure_load_grid`), a
+  single spec as one load point (:func:`~repro.analysis.performance
   .measure_load_point`), both through the same measurement body.
   :func:`_plan_batches` groups the specs that share one
   :func:`_batch_key` (cost bundle, ``sim_cycles``, ``buffer_depth`` and
@@ -33,7 +34,9 @@ The runner turns :class:`~repro.api.spec.RunSpec` points into
   :func:`repro.perf.executor.parallel_map`; only the small spec dictionary
   crosses the process boundary, and every worker resolves the benchmark
   traffic once per ``(name, seed)`` through a per-process memo instead of
-  unpickling a full :class:`CommunicationGraph` per point.
+  unpickling a full :class:`CommunicationGraph` per point.  Batches that
+  read one cost bundle in different workers read it from the cache, where
+  it was resolved once before the fan-out.
 * **uniform records** — results use the one JSON schema of
   :class:`RunResult`, shared by tables, figure formatters and the CLI.
 """
@@ -192,61 +195,59 @@ def _simulate_specs(
     """Wormhole-simulate the bundle's designs at each spec's load point.
 
     The one function that simulates specs; returns each spec's record
-    ``simulation`` section, in order.  Several specs (a
-    :func:`_plan_batches` group, sharing ``sim_cycles``, ``buffer_depth``
-    and ``sim_engine``) run as one :func:`~repro.analysis.performance
-    .measure_load_grid` call per design variant, fault specs included, a
-    single spec as one :func:`~repro.analysis.performance
-    .measure_load_point` call; both are looked up on the module at call
-    time.  All three variants run with the spec's engine, scenario and
-    seed, so repeated executions of one spec are reproducible; deadlocks —
-    expected for the unprotected variant under pressure — are recorded in
-    the metrics, never raised.
+    ``simulation`` section, in order.  Each spec becomes one
+    :class:`~repro.simulation.simulator.SimulationConfig` (its fault
+    request resolved once), and the three design variants run those same
+    configs.  Several specs (a :func:`_plan_batches` group, sharing
+    ``sim_cycles``, ``buffer_depth`` and ``sim_engine``) run as one
+    :func:`~repro.analysis.performance.measure_load_grid` call per design
+    variant, fault specs included, a single spec as one
+    :func:`~repro.analysis.performance.measure_load_point` call; both are
+    looked up on the module at call time and get ``max_cycles`` as a
+    keyword.  Repeated executions of one spec are reproducible; deadlocks
+    — expected for the unprotected variant under pressure — are recorded
+    in the metrics, never raised.
     """
     from repro.analysis import performance  # local: lazy sim import
     from repro.simulation.fault_models import build_fault_schedule  # local: lazy sim import
+    from repro.simulation.simulator import SimulationConfig  # local: lazy sim import
 
-    # Resolve each fault-schedule request (explicit document or fault-model
-    # generator) once, against the unprotected design: the protected
-    # variants only ever *add* channels on the same physical links, so a
-    # schedule drawn here targets links that exist in every variant — all
-    # three degrade under identical faults.  The cascade model also reads
-    # the unprotected design's link loads, which every variant shares.
-    schedules = [
-        build_fault_schedule(
-            designs["unprotected"],
-            fault_model=spec.fault_model,
-            fault_params=spec.fault_params,
-            fault_schedule=spec.fault_schedule,
+    # Each fault request (explicit document or fault-model generator) is
+    # resolved against the unprotected design: the protected variants only
+    # ever *add* channels on the same physical links, so a schedule drawn
+    # here targets links that exist in every variant — all three degrade
+    # under identical faults.  The cascade model also reads the unprotected
+    # design's link loads, which every variant shares.
+    configs = [
+        SimulationConfig(
+            injection_scale=spec.injection_scale,
+            buffer_depth=spec.buffer_depth,
             seed=spec.seed,
+            traffic_scenario=spec.traffic_scenario,
+            scenario_params=dict(spec.scenario_params),
+            fault_schedule=build_fault_schedule(
+                designs["unprotected"],
+                fault_model=spec.fault_model,
+                fault_params=spec.fault_params,
+                fault_schedule=spec.fault_schedule,
+                seed=spec.seed,
+            ),
+            fault_recovery=spec.fault_recovery,
         )
         for spec in specs
     ]
-    points = [
-        {
-            "injection_scale": spec.injection_scale,
-            "seed": spec.seed,
-            "traffic_scenario": spec.traffic_scenario,
-            "scenario_params": spec.scenario_params,
-            "fault_schedule": schedule,
-            "fault_recovery": spec.fault_recovery,
-        }
-        for spec, schedule in zip(specs, schedules)
-    ]
     first = specs[0]
-    shared = dict(
-        max_cycles=first.sim_cycles, buffer_depth=first.buffer_depth, sim_engine=first.sim_engine
-    )
+    shared = dict(max_cycles=first.sim_cycles, sim_engine=first.sim_engine)
     grids = {
         variant: (
-            [performance.measure_load_point(designs[variant], **points[0], **shared)]
-            if len(specs) == 1
-            else performance.measure_load_grid(designs[variant], points, **shared)
+            [performance.measure_load_point(designs[variant], configs[0], **shared)]
+            if len(configs) == 1
+            else performance.measure_load_grid(designs[variant], configs, **shared)
         )
         for variant in VARIANTS
     }
     documents = []
-    for lane, (spec, schedule) in enumerate(zip(specs, schedules)):
+    for lane, (spec, config) in enumerate(zip(specs, configs)):
         simulation = {
             "engine": spec.sim_engine,
             "traffic_scenario": spec.traffic_scenario,
@@ -264,7 +265,7 @@ def _simulate_specs(
             simulation["fault_model"] = spec.fault_model
             if spec.fault_params:
                 simulation["fault_params"] = dict(spec.fault_params)
-        if schedule is not None:
+        if config.fault_schedule is not None:
             simulation["fault_recovery"] = spec.fault_recovery
         documents.append(simulation)
     return documents
@@ -314,6 +315,12 @@ def _plan_batches(specs: Sequence[RunSpec], workers: int = 1) -> List[List[int]]
             batches.append(group[start:end])
             start = end
     return batches
+
+
+def _resolve_costs_task(task: Tuple[Dict[str, Any], str]) -> None:
+    """One :func:`parallel_map` task: resolve a spec's cost bundle into the cache."""
+    spec_dict, cache_dir = task
+    _resolve_costs(RunSpec.from_dict(spec_dict), ArtifactCache(cache_dir))
 
 
 def _run_batch_task(task: Tuple[List[Dict[str, Any]], Optional[str]]) -> List[RunResult]:
@@ -408,15 +415,48 @@ class Runner:
         """Execute a single spec in-process."""
         return execute_spec(spec, self.cache)
 
+    def _resolve_shared_bundles(self, specs: Sequence[RunSpec], batches: List[List[int]]) -> None:
+        """Resolve into the cache, once, every cost bundle two or more batches read.
+
+        Such batches (the chunks of one split group, or groups differing
+        only in run length, buffer depth or engine) would each miss the
+        cache in their own worker, run synthesis and removal and write the
+        bundle, and their records would carry different
+        ``removal_runtime_s`` values.  One :func:`parallel_map` task per
+        distinct :meth:`RunSpec.cost_fingerprint` resolves it first, so
+        every batch reads the one cached bundle.
+        """
+        readers: Dict[str, List[RunSpec]] = {}
+        for batch in batches:
+            spec = specs[batch[0]]
+            readers.setdefault(spec.cost_fingerprint(), []).append(spec)
+        parallel_map(
+            _resolve_costs_task,
+            [
+                (group[0].to_dict(), self.cache_dir)
+                for key, group in readers.items()
+                if len(group) > 1 and not self.cache.has(COST_KIND, key)
+            ],
+            jobs=self.jobs,
+        )
+
     def run(self, plan: ExperimentPlan) -> PlanResult:
         """Execute every spec of ``plan`` (deduplicated) and return results.
 
         Specs sharing a :func:`_batch_key` execute as grids of lanes, a
         group split into at most one chunk per worker process.  Results
         come back in ``plan.all_specs()`` order regardless of grouping.
+
+        Before a parallel run fans out, every cost bundle that two or more
+        batches read is resolved once into the cache
+        (:meth:`_resolve_shared_bundles`); without a cache directory the
+        batches cannot share a bundle, and each resolves its own.
         """
         specs = plan.all_specs()
-        batches = _plan_batches(specs, resolve_jobs(self.jobs))
+        workers = resolve_jobs(self.jobs)
+        batches = _plan_batches(specs, workers)
+        if self.cache is not None and workers > 1:
+            self._resolve_shared_bundles(specs, batches)
         tasks = [
             ([specs[index].to_dict() for index in batch], self.cache_dir)
             for batch in batches

@@ -78,18 +78,20 @@ deterministically from the synthesized design and the spec's seed, so a
 from the serialized form when left at their defaults, so pre-existing
 cache addresses hold.
 
-``sim_engine: "batched"`` selects the batched engine
-(:mod:`repro.perf.batch_engine`), which runs a grid as compiled lanes.
-Batched specs are additionally *batch-eligible*: the
-:class:`~repro.api.runner.Runner` groups simulating specs that share a
+Simulating specs batch, whatever their engine or fault axis: the
+:class:`~repro.api.runner.Runner` groups the specs that share a
 :meth:`RunSpec.cost_fingerprint` (same design, removal engine and
-ordering strategy) plus ``sim_cycles`` and ``buffer_depth``, and runs
-each group's grid — the points of a latency sweep, a scenario
-comparison — as one :func:`~repro.perf.batch_engine.run_batch` call per
-design variant, still producing one cached
-:class:`~repro.api.result.RunResult` per spec (cache layout,
-fingerprints and record schema are unchanged; batching is invisible
-except in wall clock).  Fault schedules and fault models run per spec.
+ordering strategy) plus ``sim_cycles``, ``buffer_depth`` and
+``sim_engine``, turns each spec into one
+:class:`~repro.simulation.simulator.SimulationConfig`, and runs each
+group's grid — the points of a latency sweep, a scenario comparison, an
+availability grid of fault specs — as one
+:func:`~repro.perf.batch_engine.run_batch` call per design variant on the
+engine the specs name (``sim_engine: "batched"`` names the compiled
+engine).  It still produces one cached
+:class:`~repro.api.result.RunResult` per spec (cache layout, fingerprints
+and record schema are unchanged; batching is invisible except in wall
+clock).
 """
 
 from __future__ import annotations

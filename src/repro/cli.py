@@ -167,21 +167,22 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     fault_params = _parse_json_object(args.fault_params, "--fault-params")
     if args.fault_params is not None and args.fault_model is None:
         raise SystemExit("--fault-params needs --fault-model")
-    # Resolves --fault-model through the registry or --fault-schedule via
-    # EventSchedule.from_spec (and rejects passing both).
-    schedule = build_fault_schedule(
-        design,
-        fault_model=args.fault_model,
-        fault_params=fault_params,
-        fault_schedule=_load_fault_schedule(args.fault_schedule),
-        seed=args.seed,
-    )
     config = SimulationConfig(
         injection_scale=args.injection_scale,
         buffer_depth=args.buffer_depth,
         seed=args.seed,
         traffic_scenario=args.traffic_scenario,
         scenario_params=_parse_json_object(args.scenario_params, "--scenario-params"),
+        # Resolves --fault-model through the registry or --fault-schedule
+        # via EventSchedule.from_spec (and rejects passing both).
+        fault_schedule=build_fault_schedule(
+            design,
+            fault_model=args.fault_model,
+            fault_params=fault_params,
+            fault_schedule=_load_fault_schedule(args.fault_schedule),
+            seed=args.seed,
+        ),
+        fault_recovery=args.recovery_policy,
     )
     stats = simulate_design(
         design,
@@ -189,8 +190,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         config=config,
         engine=args.engine,
         cross_check=args.cross_check,
-        fault_schedule=schedule,
-        fault_recovery=args.recovery_policy,
     )
     print(stats.summary())
     return 1 if stats.deadlock_detected else 0
@@ -374,8 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine",
         choices=simulation_engines.names(),
         default="compiled",
-        help="simulation engine (default: compiled; 'batched' is the compiled "
-        "engine here and runs whole grids as compiled lanes in plans)",
+        help="simulation engine (default: compiled; 'batched' names the "
+        "compiled engine)",
     )
     p.add_argument(
         "--traffic-scenario",

@@ -2,10 +2,11 @@
 
 A latency curve, a seed sweep, a scenario comparison or an availability
 grid is a *grid* of simulations of one design that differ in load point,
-seed, traffic pattern, fault schedule or recovery policy.
-:func:`run_batch` runs such a grid as B lanes, one after another.  Each
-lane is a simulator of the chosen engine on its own network and runs
-through the shared run and injection loops
+seed, traffic pattern, fault schedule or recovery policy: one
+:class:`~repro.simulation.simulator.SimulationConfig` per lane, which
+describes it whole.  :func:`run_batch` runs such a grid as B lanes, one
+after another.  Each lane is a simulator of the chosen engine on its own
+network and runs through the shared run and injection loops
 (:meth:`Simulator.run <repro.simulation.simulator.Simulator.run>`), so its
 statistics are those of a solo run of that engine by construction.  A
 load point is a grid of one.
@@ -121,19 +122,22 @@ def run_batch(
     configs: Sequence[SimulationConfig],
     *,
     max_cycles: int = 10_000,
-    drain: bool = True,
-    drain_cycles: int = 5_000,
     generators: Optional[Sequence[Any]] = None,
     engine: str = DEFAULT_SIMULATION_ENGINE,
 ) -> List[SimulationStats]:
     """Run B simulations of one design, one lane after another.
 
+    Each :class:`SimulationConfig` describes one lane whole, so
     ``configs`` may differ in anything (load, seed, scenario, buffer
-    depth, watchdog, fault schedule).  ``engine`` names the
-    :data:`~repro.api.registry.simulation_engines` entry whose simulator
-    each lane is.  Returns one :class:`SimulationStats` per config, in
-    order, field-identical to
-    ``build_simulator(design, config, engine=engine).run(...)``.
+    depth, watchdog, fault schedule, recovery policy); every lane injects
+    for ``max_cycles`` and then drains with :meth:`Simulator.run
+    <repro.simulation.simulator.Simulator.run>`'s defaults.  ``engine``
+    names the :data:`~repro.api.registry.simulation_engines` entry whose
+    simulator each lane is.  Returns one :class:`SimulationStats` per
+    config, in order, field-identical to
+    ``build_simulator(design, config, engine=engine).run(max_cycles)``;
+    a lane whose fault schedule names a link or switch the design lacks
+    raises :class:`SimulationError` as that solo run does.
 
     ``generators`` optionally supplies the traffic generators (one per
     config, as :func:`make_traffic_generator` would build them), so callers
@@ -153,9 +157,7 @@ def run_batch(
     _share_draw_streams(generators, max_cycles)
     simulator = simulation_engines.get(engine)
     return [
-        simulator.lane(design, config, generator).run(
-            max_cycles, drain=drain, drain_cycles=drain_cycles
-        )
+        simulator.lane(design, config, generator).run(max_cycles)
         for config, generator in zip(configs, generators)
     ]
 

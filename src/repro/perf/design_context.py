@@ -2,12 +2,11 @@
 
 Every stage of the pipeline derives the same handful of structures from a
 :class:`~repro.model.design.NocDesign` — the int-relabelled
-:class:`~repro.perf.route_engine.SwitchGraph`, the up*/down* BFS
-levels/orientation, the interned channel table and the per-flow channel-id
-arrays — and before this module each call site rebuilt them from scratch:
-every ``compute_routes`` call built a fresh ``SwitchGraph``, every up*/down*
-ablation re-derived the orientation, and every cycle break re-scanned the
-route set with tuple-of-dataclass comparisons.
+:class:`~repro.perf.route_engine.SwitchGraph`, the interned channel
+table and the per-flow channel-id arrays — and before this module each
+call site rebuilt them from scratch: every ``compute_routes`` call built a
+fresh ``SwitchGraph``, and every cycle break re-scanned the route set with
+tuple-of-dataclass comparisons.
 
 :class:`DesignContext` owns that state once per design and keeps it alive
 across the many routing and cycle-break iterations of a removal run,
@@ -68,8 +67,6 @@ class ContextCounters:
     graph_builds: int = 0
     graph_reuses: int = 0
     graph_deltas: int = 0
-    updown_builds: int = 0
-    updown_reuses: int = 0
     route_deltas: int = 0
     cost_tables_indexed: int = 0
     sim_template_builds: int = 0
@@ -92,9 +89,8 @@ counters = ContextCounters()
 class DesignContext:
     """Shared routing/removal state for one :class:`NocDesign`.
 
-    Everything is built lazily: a context created for a removal run never
-    pays for the up*/down* orientation, and a context created for routing
-    never pays for the CDG index.
+    Everything is built lazily: a context created for routing never pays
+    for the CDG index.
     """
 
     def __init__(self, design: NocDesign):
@@ -103,9 +99,6 @@ class DesignContext:
         # --- switch graph -------------------------------------------------
         self._graph: Optional[SwitchGraph] = None
         self._graph_link_count: int = -1
-        # --- up*/down* state (per resolved root) --------------------------
-        self._updown: Dict[str, Tuple[Dict[Link, str], List[bool]]] = {}
-        self._updown_link_count: int = -1
         # --- interned routes / CDG ---------------------------------------
         self._cdg: Optional[CDGIndex] = None
         self._cdg_routes_version: int = -1
@@ -227,16 +220,12 @@ class DesignContext:
     def notify_link_added(self, link: Link) -> None:
         """Apply the delta for a link the removal algorithm just added.
 
-        Appends the link to the cached graph in place (when one is built)
-        and invalidates the up*/down* caches, whose per-link ``up`` flags
-        are positional over the graph's link ids.
+        Appends the link to the cached graph in place (when one is built).
         """
         if self._graph is not None and self._graph.topology is self.design.topology:
             self._graph.add_link(link)
             self._graph_link_count = self.design.topology.link_count
             counters.graph_deltas += 1
-        self._updown.clear()
-        self._updown_link_count = -1
 
     def notify_topology_changed(self) -> None:
         """Invalidate every structure derived from the physical link set.
@@ -251,52 +240,19 @@ class DesignContext:
         """
         self._graph = None
         self._graph_link_count = -1
-        self._updown.clear()
-        self._updown_link_count = -1
         self.sim_template = None
 
     def notify_channel_added(self, channel: Channel) -> None:
         """Record a duplicated channel (new VC or a VC of a new link).
 
-        A fresh VC on an existing link changes neither the switch graph nor
-        the up*/down* orientation; the channel is merely interned so the
-        cost engine can refer to it by id.  A channel whose link is unknown
-        to the topology's current graph signals a parallel-link duplicate —
-        :meth:`notify_link_added` handles that case.
+        A fresh VC on an existing link does not change the switch graph;
+        the channel is merely interned so the cost engine can refer to it
+        by id.  A channel whose link is unknown to the topology's current
+        graph signals a parallel-link duplicate — :meth:`notify_link_added`
+        handles that case.
         """
         if self._cdg is not None:
             self._cdg.intern(channel)
-
-    # ------------------------------------------------------------------
-    # up*/down* state
-    # ------------------------------------------------------------------
-    def updown_state(self, root: Optional[str] = None) -> Tuple[Dict[Link, str], List[bool]]:
-        """``(orientation, per-link-id up flags)`` for up*/down* routing.
-
-        Cached per resolved root and invalidated whenever the topology's
-        link set changes (the flags are positional over the graph's link
-        ids).  The orientation itself is computed by
-        :func:`repro.routing.turns.updown_orientation` — imported lazily so
-        the two modules can depend on each other without an import cycle.
-        """
-        from repro.routing.turns import updown_orientation
-
-        topology = self.design.topology
-        resolved = root if root is not None else min(topology.switches)
-        if self._updown_link_count != topology.link_count:
-            self._updown.clear()
-            self._updown_link_count = topology.link_count
-        cached = self._updown.get(resolved)
-        if cached is not None:
-            counters.updown_reuses += 1
-            return cached
-        graph = self.graph()
-        orientation = updown_orientation(topology, resolved)
-        up_flags = [orientation[link] == "up" for link in graph.links]
-        cached = (orientation, up_flags)
-        self._updown[resolved] = cached
-        counters.updown_builds += 1
-        return cached
 
     # ------------------------------------------------------------------
     # interned routes / CDG / cost tables
@@ -376,6 +332,5 @@ class DesignContext:
         return (
             f"DesignContext(design={self.design.name!r}, "
             f"graph={'cached' if self._graph is not None else 'unbuilt'}, "
-            f"updown_roots={len(self._updown)}, "
             f"indexed_flows={len(self._route_ids)})"
         )

@@ -9,7 +9,7 @@ construction.  The library implements them for three reasons:
 * the synthesis substrate can optionally emit up*/down* routes, reproducing
   the observation (Section 5) that many application-specific topologies are
   deadlock free even without restrictions;
-* they serve as an extra comparison point in the ablation benchmarks;
+* the topology families can route with them (``routing: "updown"``);
 * they exercise the CDG machinery from a different angle in the tests
   (up*/down* and XY route sets must always yield acyclic CDGs).
 """
@@ -158,16 +158,13 @@ def updown_route(
 def compute_updown_routes(design: NocDesign, *, root: Optional[str] = None) -> RouteSet:
     """Route every flow of a design with up*/down* routing (stores + returns).
 
-    The BFS-level orientation and the indexed :class:`SwitchGraph` come
-    from the design's :class:`~repro.perf.design_context.DesignContext`:
-    built once, shared by every flow (the seed version re-derived both per
-    flow) *and* by every later call on the same design — the up*/down*
-    ablation sweeps re-route the same design repeatedly and previously paid
-    for a fresh BFS orientation each time.
+    The BFS-level orientation and its per-link up flags are computed once
+    per call and shared by every flow; the indexed :class:`SwitchGraph`
+    comes from the design's
+    :class:`~repro.perf.design_context.DesignContext`.
     """
-    context = DesignContext.of(design)
-    graph = context.graph()
-    _orientation, up = context.updown_state(root)
+    graph = DesignContext.of(design).graph()
+    up = _updown_up_flags(graph, updown_orientation(design.topology, root))
     for flow in design.traffic.flows:
         src_switch = design.switch_of(flow.src)
         dst_switch = design.switch_of(flow.dst)

@@ -21,9 +21,12 @@ attach to their topology objects:
   back) is a no-op, so random schedules never have to be consistency
   checked.  Targets must exist in the healthy topology though:
   :meth:`EventSchedule.validate_targets` rejects a schedule naming an
-  unknown link or switch before the run starts, and every resolution
-  path that knows the topology (:meth:`EventSchedule.from_spec`, the
-  :data:`repro.api.registry.fault_models` generators) applies it.
+  unknown link or switch before the run starts.  Every run applies it
+  against the design it simulates (the
+  :class:`~repro.simulation.recovery.RecoveryController` constructor),
+  and so do the resolution paths that know the topology
+  (:meth:`EventSchedule.from_spec`, the
+  :data:`repro.api.registry.fault_models` generators).
 
 The seeded generator (:meth:`EventSchedule.random`) draws every choice
 from one :class:`random.Random` over *sorted* link/switch lists, so a

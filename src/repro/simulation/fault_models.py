@@ -271,8 +271,9 @@ def build_fault_schedule(
 ) -> Optional[EventSchedule]:
     """Resolve a spec-level fault request into one validated schedule.
 
-    The single resolution point shared by the experiment runner, the
-    CLI and :func:`~repro.analysis.performance.measure_load_point`: a
+    The single resolution point shared by the experiment runner and the
+    CLI, which put the schedule into the
+    :class:`~repro.simulation.simulator.SimulationConfig` of the run: a
     ``fault_model`` name (with ``fault_params``) generates through the
     registry, a ``fault_schedule`` document resolves through
     :meth:`EventSchedule.from_spec`, and passing both is an error — they

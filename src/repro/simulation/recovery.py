@@ -349,6 +349,13 @@ class RecoveryController:
     design stays as it was (the lanes of a grid and a cross-check re-run
     share it) and callers must build the network from :attr:`design`.
     The copy shares the traffic, which recovery never edits.
+
+    The schedule's targets are checked against ``design`` first
+    (:meth:`~repro.simulation.events.EventSchedule.validate_targets`):
+    every run with faults, on every engine and entry point, builds its
+    controller here, so a schedule naming a link or switch the design
+    lacks raises :class:`~repro.errors.SimulationError` before the first
+    cycle instead of counting as an applied fault event.
     """
 
     def __init__(
@@ -359,6 +366,7 @@ class RecoveryController:
         mode: str = MODE_REMOVAL,
         congestion_factor: float = 0.5,
     ):
+        self._events = schedule.validate_targets(design.topology).events
         self.mode = mode
         self.congestion_factor = congestion_factor
         self.policy: RecoveryPolicy = recovery_policies.get(mode)(self)
@@ -370,7 +378,6 @@ class RecoveryController:
             core_map=dict(start.core_map),
             routes=start.routes.copy(),
         )
-        self._events = schedule.events
         self._cursor = 0
         #: Links currently failed: link -> (vc_count, length_mm or None).
         self._failed: Dict[Link, Tuple[int, Optional[float]]] = {}

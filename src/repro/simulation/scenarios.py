@@ -37,12 +37,16 @@ generator's instance RNG):
   explicit ``trace`` parameter a seeded synthetic trace reproduces the
   ``flows`` scenario packet-for-packet.
 
-New scenarios plug in with a decorator::
+A factory is called with the design and, as keywords, the lane's
+:class:`~repro.simulation.simulator.SimulationConfig` ``injection_scale``,
+``seed`` and ``scenario_params``
+(:func:`~repro.simulation.simulator.make_traffic_generator`).  New
+scenarios plug in with a decorator::
 
     from repro.api.registry import traffic_scenarios
 
     @traffic_scenarios.register("my_pattern")
-    def _my_pattern(design, *, injection_scale=1.0, tech=None, seed=0, **params):
+    def _my_pattern(design, *, injection_scale=1.0, seed=0, **params):
         return MyGenerator(...)
 """
 
@@ -53,7 +57,6 @@ from typing import Dict, List, Optional
 from repro.api.registry import traffic_scenarios
 from repro.errors import SimulationError
 from repro.model.design import NocDesign
-from repro.power.orion import TechnologyParameters
 from repro.simulation.trace import TraceTrafficGenerator
 from repro.simulation.traffic_gen import FlowTrafficGenerator
 
@@ -114,7 +117,6 @@ class HotspotTrafficGenerator(_WeightedTrafficGenerator):
         design: NocDesign,
         *,
         injection_scale: float = 1.0,
-        tech: Optional[TechnologyParameters] = None,
         seed: int = 0,
         hotspot: Optional[str] = None,
         factor: float = 4.0,
@@ -125,7 +127,7 @@ class HotspotTrafficGenerator(_WeightedTrafficGenerator):
             raise SimulationError(f"unknown hotspot switch {hotspot!r}")
         self.factor = factor
         self.hotspot = hotspot if hotspot is not None else self._busiest_switch(design)
-        super().__init__(design, injection_scale=injection_scale, tech=tech, seed=seed)
+        super().__init__(design, injection_scale=injection_scale, seed=seed)
 
     @staticmethod
     def _busiest_switch(design: NocDesign) -> str:
@@ -161,7 +163,6 @@ class TransposeTrafficGenerator(_WeightedTrafficGenerator):
         design: NocDesign,
         *,
         injection_scale: float = 1.0,
-        tech: Optional[TechnologyParameters] = None,
         seed: int = 0,
         off_factor: float = 0.1,
     ):
@@ -173,7 +174,7 @@ class TransposeTrafficGenerator(_WeightedTrafficGenerator):
         self._switch_index = {
             name: i for i, name in enumerate(sorted(design.topology.switches))
         }
-        super().__init__(design, injection_scale=injection_scale, tech=tech, seed=seed)
+        super().__init__(design, injection_scale=injection_scale, seed=seed)
 
     def is_transposed(self, flow_name: str) -> bool:
         """True when the flow's endpoint switches form a transposed pair."""
@@ -208,7 +209,6 @@ class BurstyTrafficGenerator(FlowTrafficGenerator):
         design: NocDesign,
         *,
         injection_scale: float = 1.0,
-        tech: Optional[TechnologyParameters] = None,
         seed: int = 0,
         burst_length: float = 10.0,
         duty: float = 0.3,
@@ -228,7 +228,7 @@ class BurstyTrafficGenerator(FlowTrafficGenerator):
         #: ask for a probability above 1 — the process then turns ON on the
         #: next cycle, the closest realisable behaviour).
         self._p_on = min(duty / (burst_length * (1.0 - duty)), 1.0)
-        super().__init__(design, injection_scale=injection_scale, tech=tech, seed=seed)
+        super().__init__(design, injection_scale=injection_scale, seed=seed)
         self._on: Dict[str, bool] = {
             name: self._rng.random() < duty for name in self._flow_order
         }

@@ -9,9 +9,13 @@ Typical use::
     if stats.deadlock_detected:
         print("design deadlocked at cycle", stats.deadlock_cycle)
 
-Deadlocks are reported in the returned statistics; pass
-``raise_on_deadlock=True`` to get a :class:`repro.errors.DeadlockDetected`
-exception instead (useful in tests of designs that must be deadlock free).
+A :class:`SimulationConfig` describes a run whole — load, seed, traffic
+scenario, buffer depth, fault schedule and recovery policy — from the
+experiment runner's specs and the CLI down to :meth:`Simulator._setup`;
+only the run length and the engine are passed beside it.  Deadlocks are
+reported in the returned statistics; pass ``raise_on_deadlock=True`` to
+get a :class:`repro.errors.DeadlockDetected` exception instead (useful in
+tests of designs that must be deadlock free).
 
 Two interchangeable engines drive a run, looked up by name in the
 pluggable :data:`repro.api.registry.simulation_engines` registry:
@@ -37,14 +41,13 @@ divergence.  Traffic comes from the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
 from repro.api.registry import simulation_engines, traffic_scenarios
 from repro.errors import DeadlockDetected, SimulationError
 from repro.model.design import NocDesign
 from repro.model.validation import validate_design
-from repro.power.orion import TechnologyParameters
 from repro.simulation.deadlock import DeadlockMonitor
 from repro.simulation.events import EventSchedule
 from repro.simulation.network import LOCAL_FLOW, UNROUTED_FLOW, WormholeNetwork
@@ -58,7 +61,10 @@ DEFAULT_SIMULATION_ENGINE = ENGINE_COMPILED
 
 @dataclass
 class SimulationConfig:
-    """Knobs of a simulation run.
+    """The settings of one simulation run (one lane of a grid).
+
+    Everything but the run length and the engine; the experiment runner
+    builds one per spec and runs it on every design variant.
 
     Attributes
     ----------
@@ -72,9 +78,6 @@ class SimulationConfig:
         No-progress window before the deadlock check runs.
     seed:
         Random seed of the traffic generator.
-    tech:
-        Technology parameters (channel capacity used to convert bandwidths
-        into injection rates).
     traffic_scenario:
         Name in :data:`repro.api.registry.traffic_scenarios` (``"flows"``
         is the paper's bandwidth-proportional traffic).
@@ -83,9 +86,16 @@ class SimulationConfig:
         (e.g. ``{"factor": 8.0}`` for ``hotspot``).
     fault_schedule:
         Optional :class:`~repro.simulation.events.EventSchedule` of
-        link/router failures to inject mid-run.  The simulator then works
-        on a private copy of the design (recovery mutates topology and
-        routes) and a cross-check re-run replays the same schedule.
+        link/router failures to inject mid-run (a spec's fault request
+        resolves into one through
+        :func:`~repro.simulation.fault_models.build_fault_schedule`).  The
+        simulator then works on a private copy of the design (recovery
+        mutates topology and routes) and a cross-check re-run replays the
+        same schedule.  Every run checks the schedule's targets against
+        the design it simulates
+        (:class:`~repro.simulation.recovery.RecoveryController`), so a
+        schedule naming a missing link or switch raises
+        :class:`~repro.errors.SimulationError` before the first cycle.
     fault_recovery:
         Name in :data:`repro.api.registry.recovery_policies` of the
         policy repairing the route set after each fault batch:
@@ -100,7 +110,6 @@ class SimulationConfig:
     injection_scale: float = 1.0
     watchdog_cycles: int = 200
     seed: int = 0
-    tech: TechnologyParameters = TechnologyParameters()
     traffic_scenario: str = "flows"
     scenario_params: Dict[str, Any] = field(default_factory=dict)
     fault_schedule: Optional[EventSchedule] = None
@@ -117,7 +126,6 @@ def make_traffic_generator(design: NocDesign, config: SimulationConfig):
     return factory(
         design,
         injection_scale=config.injection_scale,
-        tech=config.tech,
         seed=config.seed,
         **config.scenario_params,
     )
@@ -315,41 +323,27 @@ def simulate_design(
     raise_on_deadlock: bool = False,
     engine: str = DEFAULT_SIMULATION_ENGINE,
     cross_check: bool = False,
-    drain: bool = True,
-    drain_cycles: int = 5_000,
-    fault_schedule=None,
-    fault_recovery: Optional[str] = None,
 ) -> SimulationStats:
     """One-call convenience wrapper around the pluggable simulation engines.
 
     ``engine`` names an entry of
     :data:`repro.api.registry.simulation_engines`; ``cross_check=True``
-    additionally runs the reference ``"legacy"`` engine with an identical
-    fresh configuration and raises :class:`~repro.errors.SimulationError`
-    when any :class:`SimulationStats` field diverges.
-
-    ``fault_schedule`` accepts anything
-    :meth:`~repro.simulation.events.EventSchedule.from_spec` does — an
-    :class:`~repro.simulation.events.EventSchedule` or an explicit
-    ``{"events": [...]}`` document, validated against the design's
-    topology — and overrides :attr:`SimulationConfig.fault_schedule`.  The cross-check
-    re-run replays the identical schedule.  ``fault_recovery`` names a
-    :data:`repro.api.registry.recovery_policies` entry and overrides
-    :attr:`SimulationConfig.fault_recovery`.
+    additionally runs the reference ``"legacy"`` engine with the same
+    ``config`` (fault schedule and recovery policy included) and raises
+    :class:`~repro.errors.SimulationError` when any
+    :class:`SimulationStats` field diverges.
     """
     config = config or SimulationConfig()
-    if fault_schedule is not None:
-        config = replace(
-            config,
-            fault_schedule=EventSchedule.from_spec(fault_schedule, topology=design.topology),
-        )
-    if fault_recovery is not None:
-        config = replace(config, fault_recovery=fault_recovery)
-    simulator = build_simulator(design, config, engine=engine)
-    run_kwargs = dict(
-        drain=drain, drain_cycles=drain_cycles, raise_on_deadlock=raise_on_deadlock
+    stats = build_simulator(design, config, engine=engine).run(
+        max_cycles, raise_on_deadlock=raise_on_deadlock
     )
-    stats = simulator.run(max_cycles, **run_kwargs)
     if cross_check and engine != ENGINE_LEGACY:
-        verify_against_legacy(design, config, stats, engine, max_cycles=max_cycles, **run_kwargs)
+        verify_against_legacy(
+            design,
+            config,
+            stats,
+            engine,
+            max_cycles=max_cycles,
+            raise_on_deadlock=raise_on_deadlock,
+        )
     return stats

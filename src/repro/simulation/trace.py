@@ -42,7 +42,6 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.errors import SimulationError
 from repro.model.design import NocDesign
-from repro.power.orion import TechnologyParameters
 from repro.simulation.traffic_gen import FlowTrafficGenerator
 
 #: Version tag of the trace JSON document.
@@ -54,7 +53,6 @@ def synthesize_trace(
     *,
     cycles: int,
     injection_scale: float = 1.0,
-    tech: Optional[TechnologyParameters] = None,
     seed: int = 0,
 ) -> Dict[str, Any]:
     """Materialize the ``flows`` scenario's injections as a trace document.
@@ -66,9 +64,7 @@ def synthesize_trace(
     """
     if cycles < 1:
         raise SimulationError(f"a trace needs at least 1 cycle, got {cycles}")
-    generator = FlowTrafficGenerator(
-        design, injection_scale=injection_scale, tech=tech, seed=seed
-    )
+    generator = FlowTrafficGenerator(design, injection_scale=injection_scale, seed=seed)
     events: List[Dict[str, Any]] = []
     for cycle in range(cycles):
         for name in generator.fire(cycle):
@@ -202,7 +198,6 @@ class TraceTrafficGenerator(FlowTrafficGenerator):
         design: NocDesign,
         *,
         injection_scale: float = 1.0,
-        tech: Optional[TechnologyParameters] = None,
         seed: int = 0,
         trace: Optional[Union[Mapping[str, Any], str, Path]] = None,
         trace_cycles: int = 3000,
@@ -218,13 +213,12 @@ class TraceTrafficGenerator(FlowTrafficGenerator):
                     design,
                     cycles=trace_cycles,
                     injection_scale=injection_scale,
-                    tech=tech,
                     seed=seed,
                 )
             )
         self._trace = trace
         # _compute_rates (called by the base constructor) reads self._trace.
-        super().__init__(design, injection_scale=injection_scale, tech=tech, seed=seed)
+        super().__init__(design, injection_scale=injection_scale, seed=seed)
         schedule: Dict[int, List[Tuple[str, int]]] = {}
         for event in trace["events"]:
             schedule.setdefault(event["cycle"], []).append(

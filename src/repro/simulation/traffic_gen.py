@@ -25,7 +25,7 @@ experiment API), so repeated simulations of the same spec are reproducible.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.model.design import NocDesign
 from repro.power.orion import TechnologyParameters
@@ -42,8 +42,6 @@ class FlowTrafficGenerator:
         Multiplier on every flow's nominal rate.  1.0 injects at the
         bandwidths the traffic specification asks for; experiments that want
         to provoke deadlocks use values well above 1.
-    tech:
-        Technology parameters (channel capacity).
     seed:
         Seed of the Bernoulli draws — simulations are reproducible.  Every
         random decision of a generator comes from the instance RNG this
@@ -59,11 +57,9 @@ class FlowTrafficGenerator:
         design: NocDesign,
         *,
         injection_scale: float = 1.0,
-        tech: Optional[TechnologyParameters] = None,
         seed: int = 0,
     ):
         self.design = design
-        self.tech = tech or TechnologyParameters()
         self.injection_scale = injection_scale
         self.seed = seed
         self._rng = random.Random(seed)
@@ -92,11 +88,12 @@ class FlowTrafficGenerator:
         """Per-flow packet injection probabilities (the scenario hook).
 
         The base implementation is the paper's traffic: every flow's rate is
-        proportional to its nominal bandwidth.  Scenario subclasses override
-        this to redistribute the offered load spatially; the Bernoulli
-        sampling in :meth:`fire` is shared.
+        proportional to its nominal bandwidth, over the channel capacity of
+        the default technology operating point.  Scenario subclasses
+        override this to redistribute the offered load spatially; the
+        Bernoulli sampling in :meth:`fire` is shared.
         """
-        capacity = self.tech.link_capacity_mbps
+        capacity = TechnologyParameters().link_capacity_mbps
         rates: Dict[str, float] = {}
         for name in self._eligible_flows():
             flow = self.design.traffic.flow(name)

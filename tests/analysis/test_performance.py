@@ -6,6 +6,7 @@ from repro.analysis.metrics import load_point_failed
 from repro.analysis.performance import measure_load_grid, measure_load_point
 from repro.core.removal import remove_deadlocks
 from repro.simulation.events import EventSchedule
+from repro.simulation.simulator import SimulationConfig
 
 
 def _point(offered, delivered, deadlocked=False):
@@ -16,9 +17,9 @@ def _point(offered, delivered, deadlocked=False):
     }
 
 
-def _grid(design, scales, point=None, **kwargs):
-    points = [{"injection_scale": scale, **(point or {})} for scale in scales]
-    return measure_load_grid(design, points, **kwargs)
+def _grid(design, scales, max_cycles, **settings):
+    configs = [SimulationConfig(injection_scale=scale, **settings) for scale in scales]
+    return measure_load_grid(design, configs, max_cycles=max_cycles)
 
 
 class TestLoadPoint:
@@ -45,15 +46,13 @@ class TestSweep:
         )
 
     def test_unprotected_ring_deadlocks_in_sweep(self, ring_design_fixture):
-        (point,) = _grid(
-            ring_design_fixture, (6.0,), max_cycles=4000, buffer_depth=2, point={"seed": 1}
-        )
+        (point,) = _grid(ring_design_fixture, (6.0,), max_cycles=4000, buffer_depth=2, seed=1)
         assert point["deadlocked"]
         assert load_point_failed(point)
 
     def test_protected_ring_survives_same_sweep(self, ring_design_fixture):
         fixed = remove_deadlocks(ring_design_fixture).design
-        (point,) = _grid(fixed, (6.0,), max_cycles=4000, buffer_depth=2, point={"seed": 1})
+        (point,) = _grid(fixed, (6.0,), max_cycles=4000, buffer_depth=2, seed=1)
         assert not point["deadlocked"]
 
     def test_saturation_scale_none_when_healthy(self, simple_line_design):
@@ -67,24 +66,24 @@ class TestOneBody:
         schedule = EventSchedule.random(
             small_mesh_design.topology, seed=1, link_failures=1, start_cycle=40, end_cycle=200
         )
-        points = [
-            {"injection_scale": 1.5, "seed": 2, "fault_schedule": schedule},
-            {"injection_scale": 1.5, "seed": 2, "fault_recovery": "reroute",
-             "fault_schedule": schedule.to_dict()},
-            {"injection_scale": 0.5, "seed": 3, "traffic_scenario": "bursty"},
+        configs = [
+            SimulationConfig(injection_scale=1.5, seed=2, fault_schedule=schedule),
+            SimulationConfig(
+                injection_scale=1.5, seed=2, fault_schedule=schedule, fault_recovery="reroute"
+            ),
+            SimulationConfig(injection_scale=0.5, seed=3, traffic_scenario="bursty"),
         ]
-        grid = measure_load_grid(small_mesh_design, points, max_cycles=300)
-        for point, cell in zip(points, grid):
-            solo = measure_load_point(small_mesh_design, max_cycles=300, **point)
-            assert cell == solo
+        grid = measure_load_grid(small_mesh_design, configs, max_cycles=300)
+        for config, cell in zip(configs, grid):
+            assert cell == measure_load_point(small_mesh_design, config, max_cycles=300)
         assert "resilience" in grid[0] and "resilience" in grid[1]
         assert "resilience" not in grid[2]
         assert grid[0]["resilience"]["fault_events_applied"] > 0
 
     def test_engines_agree(self, small_mesh_design):
-        points = [{"injection_scale": scale, "seed": 1} for scale in (0.5, 2.0)]
+        configs = [SimulationConfig(injection_scale=scale, seed=1) for scale in (0.5, 2.0)]
         grids = [
-            measure_load_grid(small_mesh_design, points, max_cycles=300, sim_engine=engine)
+            measure_load_grid(small_mesh_design, configs, max_cycles=300, sim_engine=engine)
             for engine in ("legacy", "compiled", "batched")
         ]
         assert grids[0] == grids[1] == grids[2]

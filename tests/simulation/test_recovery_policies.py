@@ -119,9 +119,7 @@ class TestIdlePolicy:
 class TestProtectionPolicy:
     def test_prepare_provisions_disjoint_candidates(self):
         design = _protected_mesh()
-        controller = RecoveryController(
-            design, EventSchedule().fail_link(10, "sw0", "sw1"), mode="protection"
-        )
+        controller = RecoveryController(design, EventSchedule(), mode="protection")
         candidates = controller.policy._candidates
         assert set(candidates) == set(design.routes.flow_names)
         protected = 0
@@ -135,9 +133,7 @@ class TestProtectionPolicy:
 
     def test_ported_design_keeps_traffic_and_stays_acyclic(self):
         design = _protected_mesh()
-        controller = RecoveryController(
-            design, EventSchedule().fail_link(10, "sw0", "sw1"), mode="protection"
-        )
+        controller = RecoveryController(design, EventSchedule(), mode="protection")
         ported = controller.design
         assert ported.traffic is design.traffic
         assert sorted(ported.routes.flow_names) == sorted(design.routes.flow_names)
@@ -178,9 +174,7 @@ class TestProtectionPolicy:
             victim + BACKUP_SUFFIX, flow.src, flow.dst, bandwidth=flow.bandwidth
         )
         with pytest.raises(SimulationError, match="backup namespace"):
-            RecoveryController(
-                design, EventSchedule().fail_link(10, "sw0", "sw1"), mode="protection"
-            )
+            RecoveryController(design, EventSchedule(), mode="protection")
 
     def test_disjoint_path_avoids_the_avoid_set(self):
         design = _protected_mesh()

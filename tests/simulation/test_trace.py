@@ -81,15 +81,17 @@ class TestSyntheticTraceEquivalence:
 
     def test_simulation_stats_identical_to_flows(self, small_mesh_design):
         flows = measure_load_point(
-            small_mesh_design, injection_scale=0.5, max_cycles=400, seed=3
+            small_mesh_design, SimulationConfig(injection_scale=0.5, seed=3), max_cycles=400
         )
         trace = measure_load_point(
             small_mesh_design,
-            injection_scale=0.5,
+            SimulationConfig(
+                injection_scale=0.5,
+                seed=3,
+                traffic_scenario="trace",
+                scenario_params={"trace_cycles": 400},
+            ),
             max_cycles=400,
-            seed=3,
-            traffic_scenario="trace",
-            scenario_params={"trace_cycles": 400},
         )
         assert trace["packets_delivered"] == flows["packets_delivered"]
         assert trace["average_latency"] == flows["average_latency"]

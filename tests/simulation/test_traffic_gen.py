@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.power.orion import TechnologyParameters
 from repro.simulation.network import WormholeNetwork
 from repro.simulation.simulator import SimulationConfig, Simulator
 from repro.simulation.traffic_gen import FlowTrafficGenerator
@@ -29,15 +28,6 @@ class TestRates:
         design.routes.remove_route("f1")
         generator = FlowTrafficGenerator(design)
         assert "f1" not in generator.flow_rates
-
-    def test_rate_uses_technology_capacity(self, simple_line_design):
-        slow = FlowTrafficGenerator(
-            simple_line_design, tech=TechnologyParameters(frequency_hz=250e6)
-        ).flow_rates
-        fast = FlowTrafficGenerator(
-            simple_line_design, tech=TechnologyParameters(frequency_hz=1000e6)
-        ).flow_rates
-        assert slow["f0"] > fast["f0"]
 
 
 class TestGeneration:

@@ -244,6 +244,7 @@ class TestFamilyEndToEnd:
     def test_fat_tree_k8_end_to_end(self):
         """The acceptance-criteria point: k=8 (80 switches) full stack."""
         from repro.analysis.performance import measure_load_point
+        from repro.simulation.simulator import SimulationConfig
 
         assert family_size("fat_tree", {"k": 8}) == 80
         traffic = uniform_random_traffic(160, flows_per_core=2, seed=0)
@@ -253,9 +254,8 @@ class TestFamilyEndToEnd:
         assert build_cdg(removal.design).is_acyclic()
         metrics = measure_load_point(
             removal.design,
-            injection_scale=0.5,
+            SimulationConfig(injection_scale=0.5, seed=0),
             max_cycles=300,
-            seed=0,
             sim_engine="compiled",
         )
         assert metrics["packets_delivered"] > 0

@@ -97,6 +97,70 @@ class TestSynthesizeAndSimulate:
         assert code == 1
 
 
+class TestSimulateFaults:
+    """``simulate`` puts its fault flags into the run's SimulationConfig."""
+
+    @pytest.fixture
+    def protected_ring_file(self, tmp_path):
+        from repro.core.removal import remove_deadlocks
+
+        design = remove_deadlocks(paper_ring_design()).design
+        return save_design(design, tmp_path / "protected_ring.json")
+
+    SCHEDULE = {
+        "events": [
+            {"cycle": 50, "action": "fail_link", "link": {"src": "SW1", "dst": "SW2"}},
+            {"cycle": 150, "action": "restore_link", "link": {"src": "SW1", "dst": "SW2"}},
+        ]
+    }
+
+    def _simulate(self, design_file, *flags, cycles=400):
+        return main(
+            ["simulate", str(design_file), "--cycles", str(cycles), "--injection-scale", "0.5",
+             *flags]
+        )
+
+    def test_inline_schedule_with_idle_recovery(self, protected_ring_file, capsys):
+        code = self._simulate(
+            protected_ring_file,
+            "--fault-schedule", json.dumps(self.SCHEDULE),
+            "--recovery-policy", "idle",
+            "--cross-check",
+        )
+        assert code == 0
+        assert "fault events      : 2" in capsys.readouterr().out
+
+    def test_schedule_file_with_idle_recovery(self, protected_ring_file, tmp_path, capsys):
+        schedule_file = tmp_path / "schedule.json"
+        schedule_file.write_text(json.dumps(self.SCHEDULE))
+        code = self._simulate(
+            protected_ring_file,
+            "--fault-schedule", str(schedule_file),
+            "--recovery-policy", "idle",
+            "--cross-check",
+        )
+        assert code == 0
+        assert "fault events      : 2" in capsys.readouterr().out
+
+    def test_fault_model_with_params(self, protected_ring_file, capsys):
+        code = self._simulate(
+            protected_ring_file,
+            "--fault-model", "spatial_burst",
+            "--fault-params", '{"radius": 1}',
+            cycles=1000,
+        )
+        assert code == 0
+        assert "fault events" in capsys.readouterr().out
+
+    def test_missing_link_is_a_clean_error(self, protected_ring_file, capsys):
+        schedule = {
+            "events": [{"cycle": 10, "action": "fail_link", "link": {"src": "SW2", "dst": "SW1"}}]
+        }
+        code = self._simulate(protected_ring_file, "--fault-schedule", json.dumps(schedule))
+        assert code == 2
+        assert "targets link SW2->SW1 (index 0), which does not exist" in capsys.readouterr().err
+
+
 class TestListing:
     def test_benchmarks_listing(self, capsys):
         assert main(["benchmarks"]) == 0
