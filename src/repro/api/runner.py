@@ -5,9 +5,7 @@ The runner turns :class:`~repro.api.spec.RunSpec` points into
 
 * **cache first** — each spec's fingerprint is looked up in the
   content-addressed :class:`~repro.api.cache.ArtifactCache`; a hit skips
-  the whole synthesize/remove/order/estimate pipeline.  On a result miss
-  the synthesized design itself may still be served from the cache (specs
-  that differ only in engine or strategy share it).
+  the whole synthesize/remove/order/estimate pipeline.
 * **cost bundles** — the cost side of a record (removal, ordering, power,
   area *and* the three variant designs) is the
   :class:`~repro.analysis.experiments.CostBundle` that
@@ -58,7 +56,6 @@ from repro.model.serialization import design_from_dict, design_to_dict
 from repro.perf.executor import parallel_map, resolve_jobs
 
 RESULT_KIND = "result"
-DESIGN_KIND = "design"
 COST_KIND = "costs"
 
 #: Version tag of the cost-bundle cache document; bump on schema changes.
@@ -101,13 +98,7 @@ def _bundle_from_document(document: Mapping[str, Any]) -> Optional[CostBundle]:
 
 
 def _resolve_costs(spec: RunSpec, cache: Optional[ArtifactCache] = None) -> CostBundle:
-    """The spec's cost bundle: cached under ``cost_fingerprint`` or computed.
-
-    On a bundle miss the synthesized (unprotected) design may still be
-    served from the ``design`` cache (specs differing only in engine or
-    strategy share it) and handed to :func:`compare_methods`, which then
-    skips synthesis.
-    """
+    """The spec's cost bundle: cached under ``cost_fingerprint`` or computed."""
     cost_key = spec.cost_fingerprint()
     if cache is not None:
         document = cache.get(COST_KIND, cost_key)
@@ -116,20 +107,8 @@ def _resolve_costs(spec: RunSpec, cache: Optional[ArtifactCache] = None) -> Cost
             if bundle is not None:
                 return bundle
 
-    unprotected = None
-    design_key = spec.synthesis_fingerprint()
+    bundle = compare_methods(spec)
     if cache is not None:
-        design_doc = cache.get(DESIGN_KIND, design_key)
-        if design_doc is not None:
-            try:
-                unprotected = design_from_dict(design_doc)
-            except ReproError:
-                unprotected = None
-
-    bundle = compare_methods(spec, unprotected=unprotected)
-    if cache is not None:
-        if unprotected is None:
-            cache.put(DESIGN_KIND, design_key, design_to_dict(bundle.designs["unprotected"]))
         cache.put(COST_KIND, cost_key, _bundle_to_document(bundle))
     return bundle
 

@@ -457,7 +457,12 @@ class RunSpec:
         return _canonical_hash({"format": PLAN_FORMAT_VERSION, "spec": self.to_dict()})
 
     def _design_document(self) -> Dict[str, Any]:
-        """The synthesis-relevant subset of the spec, as a canonical mapping."""
+        """The synthesis-relevant subset of the spec, as a canonical mapping.
+
+        The routing engine *is* part of it: both built-ins produce
+        identical designs, but the cache must never silently conflate a
+        third-party engine with them.
+        """
         return {
             "benchmark": self.benchmark,
             "switch_count": self.switch_count,
@@ -465,7 +470,7 @@ class RunSpec:
             "synthesis_backend": self.synthesis_backend,
             "routing_engine": self.routing_engine,
             "synthesis": dict(self.synthesis),
-            # Family fields join the key only when set, so designs
+            # Family fields join the key only when set, so cost bundles
             # cached before the topology-family axis keep their
             # addresses.
             **(
@@ -477,19 +482,6 @@ class RunSpec:
                 else {}
             ),
         }
-
-    def synthesis_fingerprint(self) -> str:
-        """Content address of the synthesis-relevant subset of the spec.
-
-        Two specs that differ only in removal engine or ordering strategy
-        share this key, so the artifact cache can reuse the synthesized
-        (unprotected) design across them.  The routing engine *is* part of
-        the key: both built-ins produce identical designs, but the cache
-        must never silently conflate a third-party engine with them.
-        """
-        return _canonical_hash(
-            {"format": PLAN_FORMAT_VERSION, "design": self._design_document()}
-        )
 
     def cost_fingerprint(self) -> str:
         """Content address of everything the *cost* pipeline depends on.

@@ -49,7 +49,7 @@ from repro.core.cycles import (
     format_cycle_count,
 )
 from repro.core.removal import remove_deadlocks
-from repro.errors import ReproError
+from repro.errors import ReproError, SimulationError
 from repro.export.dot import cdg_to_dot, design_report, topology_to_dot
 from repro.model.serialization import load_design, save_design
 from repro.power.estimator import estimate_area, estimate_power
@@ -153,7 +153,15 @@ def _load_fault_schedule(value: Optional[str]):
     """
     if value is None:
         return None
-    text = value if value.lstrip().startswith("{") else Path(value).read_text()
+    if value.lstrip().startswith("{"):
+        text = value
+    else:
+        try:
+            text = Path(value).read_text()
+        except OSError as exc:
+            raise SimulationError(
+                f"could not read fault schedule from {value}: {exc}"
+            ) from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:

@@ -105,10 +105,9 @@ def break_cycle(
     ``context`` (a :class:`~repro.perf.design_context.DesignContext` of
     ``design``) is an optional accelerator: the affected flows are then
     read from the indexed per-edge flow sets instead of scanning every
-    route, and channel/link duplications are reported back to the context
-    so its cached switch graph stays exact.  The produced action is
-    identical either way (the indexed flow list equals the scan, in the
-    same sorted order).
+    route, and every duplicated channel is interned in the context's CDG
+    index.  The produced action is identical either way (the indexed flow
+    list equals the scan, in the same sorted order).
     """
     if direction not in (FORWARD, BACKWARD):
         raise RemovalError(f"unknown break direction {direction!r}")
@@ -155,8 +154,6 @@ def break_cycle(
                 duplicate = _duplicate_channel(design, original, resource_mode)
                 duplicates[original] = duplicate
                 if context is not None:
-                    if duplicate.link != original.link:
-                        context.notify_link_added(duplicate.link)
                     context.notify_channel_added(duplicate)
             replacement[p] = duplicates[original]
         design.routes.set_route(flow_name, route.replace_at_positions(replacement))

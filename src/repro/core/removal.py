@@ -172,18 +172,6 @@ class DeadlockRemover:
         start = time.perf_counter()
         if self.validate:
             validate_design(design)
-        if (
-            self.engine == ENGINE_CONTEXT
-            and self.cycle_selection == SELECT_SMALLEST
-            and not in_place
-        ):
-            # Warm the *source* design's CDG index before copying: copy()
-            # then forks it into the work design's context, so repeated
-            # removal runs on the same design clone the index per run
-            # instead of rebuilding it from the routes per run.  Only the
-            # context loop reads that index; the ablation selections run
-            # the rebuild loop and would never touch the fork.
-            DesignContext.of(design).cdg_index()
         work = design if in_place else design.copy()
 
         rng = random.Random(self.seed)

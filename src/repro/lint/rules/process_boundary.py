@@ -35,7 +35,6 @@ _PLAIN_CALLS = frozenset(
         "to_dict",
         "asdict",
         "fingerprint",
-        "synthesis_fingerprint",
         "dict",
         "list",
         "tuple",

@@ -137,11 +137,10 @@ class NocDesign:
         """Pickle only the declared fields.
 
         Performance layers attach derived caches to design instances (e.g.
-        the :class:`~repro.perf.design_context.DesignContext` with its
-        switch graph and CDG index).  Those caches are per-process and
-        rebuildable, so shipping them across process boundaries — every
-        sweep worker returns designs through ``parallel_map`` — would only
-        bloat the payload.
+        the :class:`~repro.perf.design_context.DesignContext` with its CDG
+        index).  Those caches are per-process and rebuildable, so shipping
+        them across process boundaries — every sweep worker returns designs
+        through ``parallel_map`` — would only bloat the payload.
         """
         fields = self.__dataclass_fields__
         return {key: value for key, value in self.__dict__.items() if key in fields}
@@ -153,24 +152,16 @@ class NocDesign:
         """Deep-enough copy: topology and routes are copied, traffic shared
         structure is copied, flows themselves are immutable.
 
-        When a :class:`~repro.perf.design_context.DesignContext` with a
-        synchronised CDG index is attached to this design, the copy's
-        context is seeded from a clone of it (the link sets of a fresh copy
-        are equal by construction), so a removal run on the copy skips the
-        from-scratch index rebuild.  The fork is duck-typed through the
-        attached object to keep the model layer free of perf imports.
+        The copy carries none of the derived caches attached to this design
+        (see :meth:`__getstate__`); it builds its own on first use.
         """
-        clone = NocDesign(
+        return NocDesign(
             name=name or self.name,
             topology=self.topology.copy(),
             traffic=self.traffic.copy(),
             core_map=dict(self.core_map),
             routes=self.routes.copy(),
         )
-        context = self.__dict__.get("_design_context")
-        if context is not None:
-            context.fork_to(clone)
-        return clone
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

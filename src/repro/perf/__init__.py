@@ -15,9 +15,9 @@ Four pieces, all behaviour-preserving accelerations of the seed code paths:
   the exponential path-tuple route search without changing any route);
 * :mod:`repro.perf.design_context` —
   :class:`~repro.perf.design_context.DesignContext`, the per-design cache
-  of shared routing/removal state (switch graph, up*/down* orientation,
-  interned routes) kept alive across routing calls and cycle breaks by
-  applying channel-duplication deltas instead of rebuilding;
+  of what a removal run or a simulation grid reads twice (the CDG index
+  and interned routes, kept alive across cycle breaks by applying route
+  deltas instead of rebuilding, and the simulation slots);
 * :mod:`repro.perf.cost_index` —
   :class:`~repro.perf.cost_index.CycleCostEngine`, Algorithm 2's forward
   and backward cost tables from one pass over interned channel-id arrays;

@@ -164,32 +164,6 @@ class CDGIndex:
             self._dirty.add(second)
 
     # ------------------------------------------------------------------
-    # cloning
-    # ------------------------------------------------------------------
-    def clone(self) -> "CDGIndex":
-        """Independent deep copy of the index (interning table included).
-
-        Copying the already-built adjacency is substantially cheaper than
-        re-interning and re-walking every route of a design, which is what
-        :meth:`~repro.perf.design_context.DesignContext.fork_to` exploits
-        when a design is copied for a removal run: the copy starts from a
-        cloned index instead of a from-scratch build.  Mutations on either
-        side never touch the other (all sets and dicts are copied).
-        """
-        clone = CDGIndex.__new__(CDGIndex)
-        clone._channels = list(self._channels)
-        clone._keys = list(self._keys)
-        clone._ids = dict(self._ids)
-        clone._succ = [set(s) for s in self._succ]
-        clone._pred = [set(s) for s in self._pred]
-        clone._usage = list(self._usage)
-        clone._edge_flows = {edge: set(flows) for edge, flows in self._edge_flows.items()}
-        clone._sorted_succ = list(self._sorted_succ)
-        clone._sorted_vertices = self._sorted_vertices
-        clone._dirty = set(self._dirty)
-        return clone
-
-    # ------------------------------------------------------------------
     # queries (mirroring ChannelDependencyGraph, over ids)
     # ------------------------------------------------------------------
     def channel_of(self, channel_id: int) -> Channel:

@@ -113,37 +113,6 @@ class SwitchGraph:
                 if lid is not None:
                     weight[lid] = value
 
-    def add_link(self, link: Link) -> int:
-        """Append a link the topology gained after this graph was built.
-
-        The delta path of :class:`~repro.perf.design_context.DesignContext`:
-        a physical-mode cycle break adds a parallel link, and appending it
-        here keeps the shared graph exact without an ``O(switches + links)``
-        rebuild.  The new link gets the next dense id (weight 1.0) and is
-        spliced into its source's adjacency at the position :class:`Link`
-        sort order dictates — traversal order, not id magnitude, is what
-        the parallel-link tie-break of :meth:`shortest_path` relies on.
-        Both endpoints must already be switches of the graph (the removal
-        algorithm never adds switches).
-        """
-        existing = self.link_id.get(link)
-        if existing is not None:
-            return existing
-        src_id = self.switch_id(link.src)
-        dst_id = self.switch_id(link.dst)
-        link_id = len(self.links)
-        self.links.append(link)
-        self.link_id[link] = link_id
-        self.weight.append(1.0)
-        edges = self.out[src_id]
-        position = len(edges)
-        for i, (dst, lid) in enumerate(edges):
-            if dst > dst_id or (dst == dst_id and link < self.links[lid]):
-                position = i
-                break
-        edges.insert(position, (dst_id, link_id))
-        return link_id
-
     # ------------------------------------------------------------------
     def shortest_path(self, source: int, target: int) -> Optional[List[int]]:
         """Cheapest link-id path ``source -> target`` (``None`` if unreachable).
@@ -235,10 +204,10 @@ class IndexedRouter:
     """Per-design routing driver with incremental congestion reweighting.
 
     One instance routes every flow of one design: the :class:`SwitchGraph`
-    adjacency and weight arrays are built once and shared across all flows,
-    and :meth:`commit` updates only the weights of the links the committed
-    route actually touches (the congestion weight of every other link is
-    unchanged by construction).
+    adjacency and weight arrays are built once per router and shared across
+    all flows, and :meth:`commit` updates only the weights of the links the
+    committed route actually touches (the congestion weight of every other
+    link is unchanged by construction).
 
     The float expression mirrors the legacy weight dictionary exactly —
     ``1.0 + congestion_factor * routed_bandwidth / total_bandwidth`` with the
@@ -251,13 +220,11 @@ class IndexedRouter:
         *,
         congestion_factor: float = 0.0,
         total_bandwidth: float = 1.0,
-        graph: Optional[SwitchGraph] = None,
     ):
-        self.graph = graph if graph is not None else SwitchGraph(topology)
+        self.graph = SwitchGraph(topology)
         self.congestion_factor = congestion_factor
         self.total_bandwidth = total_bandwidth
         self.routed_bandwidth: List[float] = [0.0] * self.graph.link_count
-        self.graph.set_weights(None, default=1.0)
 
     def route(self, source_switch: str, destination_switch: str) -> Route:
         """Shortest route under the current weights (RouteError if none)."""

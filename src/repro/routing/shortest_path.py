@@ -37,12 +37,14 @@ from repro.model.channels import Channel, Link
 from repro.model.design import NocDesign
 from repro.model.routes import Route, RouteSet
 from repro.model.topology import Topology
-from repro.perf.design_context import DesignContext
 from repro.perf.route_engine import IndexedRouter, SwitchGraph
 
 WEIGHT_HOPS = "hops"
 WEIGHT_CONGESTION = "congestion"
 _WEIGHT_MODES = (WEIGHT_HOPS, WEIGHT_CONGESTION)
+#: Strength of the congestion term when callers do not choose one: the
+#: synthesis routing pass and fault recovery's re-routing both use it.
+DEFAULT_CONGESTION_FACTOR = 0.5
 
 ENGINE_INDEXED = "indexed"
 ENGINE_LEGACY = "legacy"
@@ -217,12 +219,7 @@ def _indexed_compute_routes(
 ) -> RouteSet:
     """Default engine: batched int-indexed graph + incremental reweighting.
 
-    The int-relabelled :class:`SwitchGraph` comes from the design's
-    :class:`~repro.perf.design_context.DesignContext`, so the many
-    ``compute_routes`` calls of a removal run (or of a benchmark's repeated
-    rounds) share one adjacency build instead of rebuilding per call; the
-    router still resets the weight array, so each call starts from the
-    same zero-congestion state as a fresh graph.
+    One int-relabelled :class:`SwitchGraph` serves every flow of the call.
     """
     if congestion_factor < 0:
         # A negative factor can drive link weights to zero or below, where
@@ -240,7 +237,6 @@ def _indexed_compute_routes(
         design.topology,
         congestion_factor=congestion_factor if congestion else 0.0,
         total_bandwidth=max(design.traffic.total_bandwidth, 1e-9),
-        graph=DesignContext.of(design).graph(),
     )
     flows = sorted(design.traffic.flows, key=lambda f: (-f.bandwidth, f.name))
     for flow in flows:
@@ -263,7 +259,7 @@ def compute_routes(
     design: NocDesign,
     *,
     weight_mode: str = WEIGHT_CONGESTION,
-    congestion_factor: float = 0.5,
+    congestion_factor: float = DEFAULT_CONGESTION_FACTOR,
     overwrite: bool = True,
     engine: Optional[str] = None,
     cross_check: bool = False,

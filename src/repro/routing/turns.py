@@ -24,7 +24,6 @@ from repro.model.channels import Channel, Link
 from repro.model.design import NocDesign
 from repro.model.routes import Route, RouteSet
 from repro.model.topology import Topology
-from repro.perf.design_context import DesignContext
 from repro.perf.route_engine import SwitchGraph
 
 
@@ -158,12 +157,10 @@ def updown_route(
 def compute_updown_routes(design: NocDesign, *, root: Optional[str] = None) -> RouteSet:
     """Route every flow of a design with up*/down* routing (stores + returns).
 
-    The BFS-level orientation and its per-link up flags are computed once
-    per call and shared by every flow; the indexed :class:`SwitchGraph`
-    comes from the design's
-    :class:`~repro.perf.design_context.DesignContext`.
+    The indexed :class:`SwitchGraph`, the BFS-level orientation and its
+    per-link up flags are built once per call and shared by every flow.
     """
-    graph = DesignContext.of(design).graph()
+    graph = SwitchGraph(design.topology)
     up = _updown_up_flags(graph, updown_orientation(design.topology, root))
     for flow in design.traffic.flows:
         src_switch = design.switch_of(flow.src)

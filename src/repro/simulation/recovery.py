@@ -67,6 +67,7 @@ from repro.model.channels import Channel, Link
 from repro.model.design import NocDesign
 from repro.model.routes import Route, RouteSet
 from repro.perf.design_context import DesignContext
+from repro.routing.shortest_path import DEFAULT_CONGESTION_FACTOR
 from repro.simulation.events import EventSchedule
 
 #: Names of the two PR 6 policies, kept as importable constants.
@@ -364,11 +365,9 @@ class RecoveryController:
         schedule: EventSchedule,
         *,
         mode: str = MODE_REMOVAL,
-        congestion_factor: float = 0.5,
     ):
         self._events = schedule.validate_targets(design.topology).events
         self.mode = mode
-        self.congestion_factor = congestion_factor
         self.policy: RecoveryPolicy = recovery_policies.get(mode)(self)
         start = self.policy.prepare(design)
         self.design = NocDesign(
@@ -449,7 +448,7 @@ class RecoveryController:
         design = self.design
         routes = design.routes
         router = context.router(
-            congestion_factor=self.congestion_factor,
+            congestion_factor=DEFAULT_CONGESTION_FACTOR,
             total_bandwidth=max(design.traffic.total_bandwidth, 1e-9),
         )
         flows = sorted(design.traffic.flows, key=lambda f: (-f.bandwidth, f.name))
@@ -573,7 +572,3 @@ class RecoveryController:
             else:
                 stats.recovery_cycles[index] = cycle - batch_cycle + 1
         self._watches = remaining
-
-    def finalise(self, stats) -> None:
-        """End-of-run hook: undrained watches keep their ``-1`` marker."""
-        self._watches.clear()

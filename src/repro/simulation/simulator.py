@@ -64,7 +64,10 @@ class SimulationConfig:
     """The settings of one simulation run (one lane of a grid).
 
     Everything but the run length and the engine; the experiment runner
-    builds one per spec and runs it on every design variant.
+    builds one per spec and runs it on every design variant.  Settings no
+    wormhole network can run (buffers of no flits, a load that is not
+    positive, a watchdog window of no cycles) raise
+    :class:`~repro.errors.SimulationError`.
 
     Attributes
     ----------
@@ -114,6 +117,20 @@ class SimulationConfig:
     scenario_params: Dict[str, Any] = field(default_factory=dict)
     fault_schedule: Optional[EventSchedule] = None
     fault_recovery: str = "removal"
+
+    def __post_init__(self):
+        if self.buffer_depth < 1:
+            raise SimulationError(
+                f"buffer_depth must be at least 1 flit, got {self.buffer_depth}"
+            )
+        if self.injection_scale <= 0:
+            raise SimulationError(
+                f"injection_scale must be positive, got {self.injection_scale}"
+            )
+        if self.watchdog_cycles < 1:
+            raise SimulationError(
+                f"watchdog_cycles must be at least 1, got {self.watchdog_cycles}"
+            )
 
 
 def make_traffic_generator(design: NocDesign, config: SimulationConfig):
@@ -255,8 +272,6 @@ class Simulator:
             if deadlock_channels is not None:
                 break
 
-        if recovery is not None:
-            recovery.finalise(self.stats)
         self.stats.cycles_run = self._cycle
         if deadlock_channels is not None:
             self.stats.deadlock_cycle = self._cycle

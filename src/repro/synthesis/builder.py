@@ -36,7 +36,11 @@ from repro.model.design import NocDesign
 from repro.model.topology import Topology
 from repro.model.traffic import CommunicationGraph
 from repro.model.validation import validate_design
-from repro.routing.shortest_path import WEIGHT_CONGESTION, compute_routes
+from repro.routing.shortest_path import (
+    DEFAULT_CONGESTION_FACTOR,
+    WEIGHT_CONGESTION,
+    compute_routes,
+)
 from repro.routing.turns import compute_updown_routes
 from repro.synthesis.floorplan import assign_link_lengths
 from repro.synthesis.partition import partition_cores
@@ -92,7 +96,7 @@ class SynthesisConfig:
     max_switch_degree: int = 4
     routing: str = ROUTING_SHORTEST
     balance_slack: int = 1
-    congestion_factor: float = 0.5
+    congestion_factor: float = DEFAULT_CONGESTION_FACTOR
     routing_engine: str = "indexed"
     topology_family: Optional[str] = None
     family_params: Dict[str, Any] = field(default_factory=dict)
@@ -254,17 +258,9 @@ def synthesize_design(
 ) -> NocDesign:
     """Run the full synthesis pipeline and return a routed, validated design.
 
-    The returned design carries a warm
-    :class:`~repro.perf.design_context.DesignContext` (created here, filled
-    by the routing step): later ``compute_routes`` / up*/down* calls on the
-    same design object reuse the int-relabelled switch graph and the BFS
-    orientation instead of rebuilding them per call.
-
     A config with :attr:`SynthesisConfig.topology_family` set dispatches to
     the family generator instead of the application-specific pipeline.
     """
-    from repro.perf.design_context import DesignContext  # local: keep import light
-
     if config.topology_family is not None:
         from repro.synthesis.families import build_family_design  # local: keep import light
 
@@ -288,7 +284,6 @@ def synthesize_design(
         traffic=traffic.copy(),
         core_map=dict(core_map),
     )
-    DesignContext.of(design)
     if config.routing == ROUTING_UPDOWN:
         compute_updown_routes(design)
     else:

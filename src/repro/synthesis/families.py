@@ -486,8 +486,6 @@ def build_family_design(
             f"but the synthesis config asks for {n_switches}; "
             f"set switch_count to the family's closed-form size"
         )
-    from repro.perf.design_context import DesignContext  # local: keep import light
-
     design_name = name or f"{traffic.name}_{instance.topology.name}"
     topology = instance.topology
     topology.name = design_name
@@ -497,7 +495,6 @@ def build_family_design(
         traffic=traffic.copy(),
         core_map=dict(core_map) if core_map is not None else instance.attach_cores(traffic),
     )
-    DesignContext.of(design)
     if instance.routing == FAMILY_ROUTING_UPDOWN:
         compute_updown_routes(design, root=instance.updown_root)
     elif instance.routing == FAMILY_ROUTING_XY:

@@ -101,7 +101,7 @@ class TestFaultModelFields:
         one = _spec(fault_model="uniform", fault_params={"seed": 0})
         two = _spec(fault_model="uniform", fault_params={"seed": 1})
         assert one.fingerprint() != two.fingerprint()
-        assert one.synthesis_fingerprint() == two.synthesis_fingerprint()
+        assert one.cost_fingerprint() == two.cost_fingerprint()
 
 
 class TestPercentile:
@@ -164,8 +164,8 @@ class TestAvailabilityReport:
         assert [spec.fault_recovery for spec in specs[:10]] == ["removal"] * 10
         assert [spec.fault_recovery for spec in specs[10:]] == ["idle"] * 10
         assert [spec.fault_params["seed"] for spec in specs[:10]] == list(range(10))
-        # The design seed is pinned: one synthesis fingerprint for the grid.
-        assert len({spec.synthesis_fingerprint() for spec in specs}) == 1
+        # The design seed is pinned: one cost bundle for the grid.
+        assert len({spec.cost_fingerprint() for spec in specs}) == 1
         assert all(spec.fault_params["radius"] == 1 for spec in specs)
         assert all(spec.fault_model == "spatial_burst" for spec in specs)
 

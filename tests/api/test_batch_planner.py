@@ -24,7 +24,6 @@ from repro.api.cache import ArtifactCache
 from repro.api.registry import removal_engines
 from repro.api.runner import (
     COST_KIND,
-    DESIGN_KIND,
     RESULT_KIND,
     Runner,
     _plan_batches,
@@ -93,13 +92,10 @@ def _assert_batch_bytes_equal_solo(specs, tmp_path, engine="batched") -> list:
     batch_cache = ArtifactCache(tmp_path / "batch")
     results = execute_spec_batch(specs, batch_cache)
     solo_cache = ArtifactCache(tmp_path / "solo")
-    # Seed the solo cache with the shared artifacts so the wall-clock
+    # Seed the solo cache with the shared cost bundle so the wall-clock
     # removal_runtime_s scalar matches exactly.
-    for kind, fingerprint in (
-        (DESIGN_KIND, specs[0].synthesis_fingerprint()),
-        (COST_KIND, specs[0].cost_fingerprint()),
-    ):
-        solo_cache.put(kind, fingerprint, batch_cache.get(kind, fingerprint))
+    fingerprint = specs[0].cost_fingerprint()
+    solo_cache.put(COST_KIND, fingerprint, batch_cache.get(COST_KIND, fingerprint))
     for spec in specs:
         execute_spec(spec, solo_cache)
         key = spec.fingerprint()
@@ -328,7 +324,6 @@ class TestCostBundle:
         runner.run_spec(base)
         runner.run_spec(varied)
         assert runner.cache.entry_count(COST_KIND) == 2
-        assert runner.cache.entry_count(DESIGN_KIND) == 1
 
     def test_corrupt_cost_bundle_recomputed(self, tmp_path, counting_removal):
         spec = _grid([1.0], sim_engine="compiled")[0]

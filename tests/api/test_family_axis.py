@@ -48,7 +48,7 @@ class TestFamilySpecFields:
             family_params={"rows": 3, "cols": 3},
         )
         assert family.fingerprint() != plain.fingerprint()
-        assert family.synthesis_fingerprint() != plain.synthesis_fingerprint()
+        assert family.cost_fingerprint() != plain.cost_fingerprint()
 
     def test_backend_flips_to_family_automatically(self):
         spec = RunSpec(

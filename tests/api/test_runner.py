@@ -1,10 +1,11 @@
 """End-to-end tests for the experiment Runner and the artifact cache flow."""
 
 import json
+from pathlib import Path
 
 from repro.api.reports import run_report
 from repro.api.result import RunResult
-from repro.api.runner import DESIGN_KIND, RESULT_KIND, Runner, run_plan
+from repro.api.runner import COST_KIND, RESULT_KIND, Runner, run_plan
 from repro.api.spec import ExperimentPlan, ReportRequest, RunSpec
 
 
@@ -48,33 +49,15 @@ class TestArtifactCacheFlow:
         assert counting_synthesis == [("D26_media", 8)]
         assert second.to_dict() == first.to_dict()
 
-    def test_design_reused_across_engines_and_strategies(self, tmp_path, counting_synthesis):
-        runner = Runner(cache_dir=tmp_path / "cache")
-        runner.run_spec(RunSpec(benchmark="D36_8", switch_count=14))
-        assert len(counting_synthesis) == 1
-
-        # Different engine + strategy: result cache misses, but the
-        # synthesized design is served from the cache.
-        varied = runner.run_spec(
-            RunSpec(
-                benchmark="D36_8",
-                switch_count=14,
-                engine="rebuild",
-                ordering_strategy="layered",
-            )
-        )
-        assert varied.cache_hit is False
-        assert len(counting_synthesis) == 1  # still one synthesis
-        assert runner.cache.entry_count(DESIGN_KIND) == 1
-        assert runner.cache.entry_count(RESULT_KIND) == 2
-
     def test_cached_design_reload_is_result_faithful(self, tmp_path):
-        """A design served from the cache must yield the exact numbers a
-        fresh synthesis yields (route order survives serialization)."""
-        spec = RunSpec(benchmark="D36_8", switch_count=14, engine="rebuild")
+        """A record simulated on the designs of a cache-served cost bundle
+        equals a fresh one (route order survives serialization)."""
+        warm = RunSpec(benchmark="D36_8", switch_count=14, injection_scale=0.5, sim_cycles=300)
+        spec = RunSpec(**{**warm.to_dict(), "injection_scale": 2.0})
         runner = Runner(cache_dir=tmp_path / "cache")
-        runner.run_spec(RunSpec(benchmark="D36_8", switch_count=14))  # seeds design cache
+        runner.run_spec(warm)  # writes the shared cost bundle
         via_cache = runner.run_spec(spec).to_dict()
+        assert runner.cache.hits == 1  # the bundle, read back from JSON
         fresh = Runner().run_spec(spec).to_dict()
         via_cache.pop("removal_runtime_s")
         fresh.pop("removal_runtime_s")
@@ -96,14 +79,16 @@ class TestArtifactCacheFlow:
         assert runner.run_spec(spec).cache_hit is True
 
     def test_malformed_design_document_is_recomputed(self, tmp_path, counting_synthesis):
-        spec = RunSpec(benchmark="D26_media", switch_count=8)
+        warm = RunSpec(benchmark="D26_media", switch_count=8, injection_scale=0.5, sim_cycles=100)
         runner = Runner(cache_dir=tmp_path / "cache")
-        runner.run_spec(spec)
-        runner.cache.put(DESIGN_KIND, spec.synthesis_fingerprint(), {"junk": True})
+        runner.run_spec(warm)
+        document = runner.cache.get(COST_KIND, warm.cost_fingerprint())
+        document["designs"]["unprotected"] = {"junk": True}
+        runner.cache.put(COST_KIND, warm.cost_fingerprint(), document)
 
-        # Result cache misses for the rebuild variant; the broken design
-        # document must fall back to fresh synthesis.
-        varied = runner.run_spec(RunSpec(benchmark="D26_media", switch_count=8, engine="rebuild"))
+        # The next load point misses the result cache and reads the cost
+        # bundle; its broken design document must fall back to synthesis.
+        varied = runner.run_spec(RunSpec(**{**warm.to_dict(), "injection_scale": 1.0}))
         assert varied.cache_hit is False
         assert len(counting_synthesis) == 2
 
@@ -159,6 +144,17 @@ class TestPlanExecution:
         data = run_report("figure8", {"switch_counts": [6, 9]})
         assert json.dumps(data) == json.dumps(legacy)
 
+    def test_ci_smoke_plan_caches_only_records_and_cost_bundles(self, tmp_path):
+        """A cold run of the checked-in smoke plan writes each spec's record
+        and cost bundle and nothing else; a second run is served whole."""
+        plans_dir = Path(__file__).resolve().parents[2] / "plans"
+        plan = ExperimentPlan.load(plans_dir / "ci_smoke.json")
+        cache_dir = tmp_path / "cache"
+        Runner(cache_dir=cache_dir).run(plan)
+        assert sorted(kind.name for kind in cache_dir.iterdir()) == [COST_KIND, RESULT_KIND]
+        again = Runner(cache_dir=cache_dir).run(plan)
+        assert again.cache_hits == len(plan.all_specs()) == 5
+
     def test_plan_result_document(self, tmp_path):
         plan = ExperimentPlan(
             name="doc",
@@ -189,7 +185,7 @@ class TestCostPathBindings:
     def test_each_binding_runs_once_per_cost_bundle(self, tmp_path, monkeypatch):
         """The cost path calls each stage through the module binding that a
         profiler patches: one synthesis, removal and ordering, three
-        estimations and four design serializations per cost bundle, and no
+        estimations and three design serializations per cost bundle, and no
         design decoding against an empty cache."""
         from repro.analysis import experiments
         from repro.api import runner
@@ -238,6 +234,6 @@ class TestCostPathBindings:
             "remove_deadlocks": bundles,
             "apply_resource_ordering": bundles,
             "estimate_power_and_area": 3 * bundles,
-            "design_to_dict": 4 * bundles,
+            "design_to_dict": 3 * bundles,
             "design_from_dict": 0,
         }

@@ -103,21 +103,31 @@ class TestRunSpec:
                 topology_family=family,
             )
 
-    def test_synthesis_fingerprint_shared_across_engines(self):
-        a = RunSpec(benchmark="D26_media", switch_count=8, engine="context")
+    def test_cost_fingerprint_shared_across_simulation_axis(self):
+        a = RunSpec(benchmark="D26_media", switch_count=8, injection_scale=0.5)
         b = RunSpec(
             benchmark="D26_media",
             switch_count=8,
+            injection_scale=2.0,
+            traffic_scenario="hotspot",
+            fault_model="uniform",
+        )
+        assert a.cost_fingerprint() == b.cost_fingerprint()
+        assert a.fingerprint() != b.fingerprint()
+        # The removal engine and ordering strategy shape the bundle.
+        c = RunSpec(
+            benchmark="D26_media",
+            switch_count=8,
+            injection_scale=0.5,
             engine="rebuild",
             ordering_strategy="layered",
         )
-        assert a.synthesis_fingerprint() == b.synthesis_fingerprint()
-        assert a.fingerprint() != b.fingerprint()
+        assert c.cost_fingerprint() != a.cost_fingerprint()
 
-    def test_synthesis_fingerprint_sensitive_to_design_inputs(self):
+    def test_cost_fingerprint_sensitive_to_design_inputs(self):
         a = RunSpec(benchmark="D26_media", switch_count=8)
         b = RunSpec(benchmark="D26_media", switch_count=8, synthesis={"max_switch_degree": 5})
-        assert a.synthesis_fingerprint() != b.synthesis_fingerprint()
+        assert a.cost_fingerprint() != b.cost_fingerprint()
 
     def test_routing_engine_round_trips_and_keys_the_design_cache(self):
         spec = RunSpec(benchmark="D26_media", switch_count=8, routing_engine="legacy")
@@ -125,9 +135,10 @@ class TestRunSpec:
         assert clone.routing_engine == "legacy"
         assert clone.fingerprint() == spec.fingerprint()
         # A third-party engine must never share a cached design with the
-        # built-ins, so the synthesis fingerprint includes the engine.
+        # built-ins, so the key of the cost bundle (which holds the
+        # designs) includes the engine.
         default = RunSpec(benchmark="D26_media", switch_count=8)
-        assert spec.synthesis_fingerprint() != default.synthesis_fingerprint()
+        assert spec.cost_fingerprint() != default.cost_fingerprint()
 
     def test_routing_engine_expands_through_grid_entries(self):
         specs = expand_run_entry(

@@ -1,11 +1,10 @@
-"""DesignContext: shared state reuse, delta maintenance and invalidation.
+"""DesignContext: attachment, route-delta maintenance and invalidation.
 
-The context must never serve stale routing state: a channel duplicated
-mid-run — as a VC (no graph change) or as a parallel physical link (graph
-delta) — must leave the cached switch graph exactly equal to a fresh
-rebuild, and out-of-band topology edits must be caught by the staleness
-check.  These tests assert that by routing through the cached graph and
-through a freshly built one and requiring identical routes.
+The context must never serve stale state: routes rewritten out of band
+must not leave a stale CDG index behind, and routing after a topology
+edit — a duplicated channel or an added link — must see the design as it
+is now.  The routing tests assert that by comparing the context's router
+and ``compute_routes`` with a freshly built switch graph or design copy.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ import pytest
 
 from repro.model.channels import Channel, Link
 from repro.model.topology import Topology
-from repro.perf.design_context import DesignContext, counters
+from repro.perf.design_context import DesignContext
 from repro.perf.route_engine import SwitchGraph
 from repro.routing.shortest_path import compute_routes
 from repro.routing.turns import compute_updown_routes, updown_orientation, updown_route
@@ -40,32 +39,14 @@ def _all_pair_routes(graph: SwitchGraph):
     return routes
 
 
-class TestGraphReuse:
-    def test_same_graph_served_across_calls(self, design):
-        context = DesignContext.of(design)
-        first = context.graph()
-        assert context.graph() is first
-
+class TestAttachment:
     def test_context_attached_to_design_instance(self, design):
         assert DesignContext.of(design) is DesignContext.of(design)
         assert DesignContext.of(design.copy()) is not DesignContext.of(design)
 
-    def test_repeated_compute_routes_reuse_one_graph(self, design):
-        counters.reset()
-        compute_routes(design)
-        compute_routes(design)
-        compute_routes(design)
-        assert counters.graph_builds <= 1
-        assert counters.graph_reuses >= 2
-
 
 class TestRouterFactory:
     """``context.router()`` — the sanctioned construction point outside perf/."""
-
-    def test_router_shares_the_cached_graph(self, design):
-        context = DesignContext.of(design)
-        router = context.router()
-        assert router.graph is context.graph()
 
     def test_router_matches_direct_construction(self, design):
         from repro.perf.route_engine import IndexedRouter
@@ -76,7 +57,6 @@ class TestRouterFactory:
             design.topology,
             congestion_factor=0.5,
             total_bandwidth=2.0,
-            graph=context.graph(),
         )
         switches = sorted(design.topology.switches)
         for src in switches[:4]:
@@ -95,62 +75,26 @@ class TestRouterFactory:
         fresh = context.router(congestion_factor=1.0, total_bandwidth=1.0)
         assert not any(fresh.routed_bandwidth)
 
-    def test_reused_graph_routes_equal_fresh_build(self, design):
-        context = DesignContext.of(design)
-        context.graph()
-        compute_routes(design)  # exercise + warm
-        assert _all_pair_routes(context.graph()) == _all_pair_routes(
-            SwitchGraph(design.topology)
-        )
-
 
 class TestInvalidation:
-    def test_vc_duplication_keeps_graph_valid(self, design):
-        """Extra VCs change no physical link: same graph object, same routes."""
-        context = DesignContext.of(design)
-        graph = context.graph()
-        link = design.topology.links[0]
-        duplicate = design.topology.add_virtual_channel(link)
-        context.notify_channel_added(duplicate)
-        assert context.graph() is graph
-        assert _all_pair_routes(context.graph()) == _all_pair_routes(
-            SwitchGraph(design.topology)
-        )
-
-    def test_parallel_link_delta_matches_fresh_rebuild(self, design):
-        """A notified parallel link is appended in place, not rebuilt."""
-        context = DesignContext.of(design)
-        graph = context.graph()
-        counters.reset()
-        new_link = design.topology.add_parallel_link(design.topology.links[0])
-        context.notify_link_added(new_link)
-        assert context.graph() is graph  # delta, not rebuild
-        assert counters.graph_deltas == 1
-        assert new_link in context.graph().link_id
-        assert _all_pair_routes(context.graph()) == _all_pair_routes(
-            SwitchGraph(design.topology)
-        )
-
     def test_out_of_band_link_addition_triggers_rebuild(self, design):
-        """Un-notified topology edits must not be served stale."""
+        """Topology edits made behind the context's back are routed over."""
         context = DesignContext.of(design)
-        stale = context.graph()
         switches = design.topology.switches
-        design.topology.add_link(switches[0], switches[-1], index=7)
-        fresh = context.graph()
-        assert fresh is not stale
-        assert _all_pair_routes(fresh) == _all_pair_routes(SwitchGraph(design.topology))
+        new_link = design.topology.add_link(switches[0], switches[-1], index=7)
+        graph = context.router().graph
+        assert new_link in graph.link_id
+        assert _all_pair_routes(graph) == _all_pair_routes(SwitchGraph(design.topology))
 
     def test_mid_run_duplication_routes_match_fresh_context(self, design):
-        """The satellite scenario: duplicate channels mid-run, then route —
-        results must match a context built from scratch on the same design."""
+        """Duplicate channels mid-run, then route: the results must match a
+        context built from scratch on the same design."""
         context = DesignContext.of(design)
-        context.graph()
+        context.cdg_index()
         topology = design.topology
         for link in topology.links[:3]:
             context.notify_channel_added(topology.add_virtual_channel(link))
-        new_link = topology.add_parallel_link(topology.links[1])
-        context.notify_link_added(new_link)
+        topology.add_parallel_link(topology.links[1])
         compute_routes(design)
         via_context = {name: design.routes.route(name) for name in design.routes}
         fresh = design.copy()
@@ -228,12 +172,22 @@ class TestRouteIndex:
         import pickle
 
         context = DesignContext.of(design)
-        context.graph()
         context.cdg_index()
         clone = pickle.loads(pickle.dumps(design))
         assert not hasattr(clone, "_design_context")
         assert clone == design
         assert DesignContext.of(clone) is not context
+
+    def test_removal_on_copy_leaves_source_context_intact(self, ring_design_fixture):
+        from repro.core.cdg import build_cdg
+        from repro.core.removal import remove_deadlocks
+
+        source_context = DesignContext.of(ring_design_fixture)
+        source_context.cdg_index()
+        result = remove_deadlocks(ring_design_fixture, engine="context")
+        assert result.is_deadlock_free
+        # The source design's context still describes the *unmodified* routes.
+        source_context.cdg_index().verify_against(build_cdg(ring_design_fixture))
 
     def test_flows_creating_matches_reference_scan(self, design):
         from repro.core.breaker import flows_creating_dependency

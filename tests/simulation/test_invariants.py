@@ -20,6 +20,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.api.registry import topology_families
+from repro.api.reports import FIGURE10_BENCHMARKS, FIGURE10_SWITCH_COUNT
+from repro.benchmarks.registry import get_benchmark
 from repro.benchmarks.synthetic import (
     default_mesh_traffic,
     default_ring_traffic,
@@ -31,6 +33,7 @@ from repro.examples_data.paper_ring import paper_ring_design
 from repro.simulation.fault_models import spatial_burst_model
 from repro.simulation.network import WormholeNetwork
 from repro.simulation.simulator import SimulationConfig, Simulator, simulate_design
+from repro.synthesis.builder import SynthesisConfig, synthesize_design
 from repro.synthesis.families import family_design, family_size
 
 SETTINGS = settings(
@@ -119,10 +122,30 @@ class TestConservation:
         assert stats.packets_delivered <= stats.packets_injected
 
 
-@pytest.mark.parametrize("fixture", ["d26_design_14sw", "d36_8_design_14sw"])
-def test_soc_removal_designs_never_deadlock(fixture, request):
-    """The SoC removal designs at the Figure 10 size, on the compiled engine."""
-    protected = remove_deadlocks(request.getfixturevalue(fixture)).design
+#: Figure 10 benchmarks whose unprotected design has a cyclic CDG at the
+#: figure's switch count; the others synthesize deadlock-free.
+CYCLIC_AT_FIGURE10_SIZE = ("D36_6", "D36_8")
+
+
+def _figure10_id(name: str) -> str:
+    # The ids match the conftest fixture names (d26_design_14sw, d36_8_design_14sw).
+    short = "d26" if name == "D26_media" else name.lower()
+    return f"{short}_design_{FIGURE10_SWITCH_COUNT}sw"
+
+
+@pytest.mark.parametrize("name", FIGURE10_BENCHMARKS, ids=_figure10_id)
+def test_soc_removal_designs_never_deadlock(name):
+    """Every Figure 10 removal design at the figure's size, on the compiled engine.
+
+    The two benchmarks with a cyclic unprotected CDG must stay cyclic
+    here, so the converse is tested on designs removal actually changed.
+    """
+    design = synthesize_design(
+        get_benchmark(name, seed=0), SynthesisConfig(n_switches=FIGURE10_SWITCH_COUNT)
+    )
+    if name in CYCLIC_AT_FIGURE10_SIZE:
+        assert not build_cdg(design).is_acyclic()
+    protected = remove_deadlocks(design).design
     for scale in (1.0, 2.0):
         config = SimulationConfig(injection_scale=scale, seed=0)
         stats = simulate_design(protected, max_cycles=3000, config=config, engine="compiled")

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.removal import remove_deadlocks
-from repro.errors import DeadlockDetected
+from repro.errors import DeadlockDetected, SimulationError
 from repro.routing.ordering import apply_resource_ordering
 from repro.simulation.simulator import SimulationConfig, Simulator, simulate_design
 
@@ -130,3 +130,16 @@ class TestValidation:
         del simple_line_design.core_map["c0"]
         with pytest.raises(Exception):
             Simulator(simple_line_design)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("buffer_depth", 0),
+            ("injection_scale", 0.0),
+            ("injection_scale", -1.0),
+            ("watchdog_cycles", 0),
+        ],
+    )
+    def test_config_a_wormhole_network_cannot_run_rejected(self, field, value):
+        with pytest.raises(SimulationError, match=field):
+            SimulationConfig(**{field: value})

@@ -160,6 +160,24 @@ class TestSimulateFaults:
         assert code == 2
         assert "targets link SW2->SW1 (index 0), which does not exist" in capsys.readouterr().err
 
+    def test_missing_schedule_file_is_a_clean_error(self, protected_ring_file, tmp_path, capsys):
+        missing = tmp_path / "no_such_schedule.json"
+        code = self._simulate(protected_ring_file, "--fault-schedule", str(missing))
+        assert code == 2
+        assert f"error: could not read fault schedule from {missing}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (("--injection-scale", "-1"), "injection_scale must be positive"),
+            (("--buffer-depth", "0"), "buffer_depth must be at least 1"),
+        ],
+    )
+    def test_settings_no_network_can_run_are_rejected(self, ring_file, flags, named, capsys):
+        code = main(["simulate", str(ring_file), "--cycles", "100", *flags])
+        assert code == 2
+        assert named in capsys.readouterr().err
+
 
 class TestListing:
     def test_benchmarks_listing(self, capsys):
