@@ -47,7 +47,7 @@ ROOT_RESULT_PATH = REPO_ROOT / "BENCH_fault_recovery.json"
 from repro.api.registry import recovery_policies
 from repro.benchmarks.registry import get_benchmark
 from repro.core.removal import remove_deadlocks
-from repro.perf.design_context import counters
+from repro.perf.counters import counters
 from repro.simulation.events import EventSchedule
 from repro.simulation.simulator import SimulationConfig, simulate_design
 from repro.synthesis.builder import SynthesisConfig, synthesize_design

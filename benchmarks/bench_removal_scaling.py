@@ -1,9 +1,9 @@
 """Removal scaling: the context engine against the rebuild oracle.
 
 The ``"context"`` engine (the default) runs Algorithm 1 on one
-:class:`~repro.perf.design_context.DesignContext` per run: a CDG index
-updated from each break's route delta, the SCC-pruned depth-limited cycle
-search and one-pass int-indexed cost tables.  ``"rebuild"`` keeps the seed
+:class:`~repro.perf.cdg_index.CDGIndex` per run, updated from each break's
+route delta, with the SCC-pruned depth-limited cycle search and one-pass
+int-indexed cost tables over it.  ``"rebuild"`` keeps the seed
 loop — full ``build_cdg`` and full BFS sweep per break — as the oracle.
 
 This benchmark times both engines on D36_8 at 20/28/35 switches and
@@ -49,7 +49,7 @@ from repro.core.cycles import find_smallest_cycle
 from repro.core.removal import remove_deadlocks
 from repro.perf.cdg_index import CDGIndex
 from repro.perf.cycle_search import IncrementalCycleSearch
-from repro.perf.design_context import counters
+from repro.perf.counters import counters
 from repro.synthesis.builder import SynthesisConfig, synthesize_design
 
 #: Acceptance threshold at the largest full-configuration point.

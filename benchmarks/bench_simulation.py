@@ -49,7 +49,7 @@ ROOT_RESULT_PATH = REPO_ROOT / "BENCH_simulation.json"
 from repro.benchmarks.registry import get_benchmark, list_benchmarks
 from repro.benchmarks.synthetic import default_mesh_traffic
 from repro.core.removal import remove_deadlocks
-from repro.perf.design_context import counters
+from repro.perf.counters import counters
 from repro.simulation.simulator import (
     SimulationConfig,
     simulate_design,
@@ -253,7 +253,7 @@ def _check(data: dict, threshold: float) -> List[str]:
     if reuse["sim_template_reuses"] <= 0:
         failures.append(
             "repeated simulations of one design recompiled the simulation "
-            "template instead of reusing the design context's cached one"
+            "template instead of reusing the one cached on the design"
         )
     return failures
 

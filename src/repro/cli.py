@@ -25,7 +25,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import List, Optional, Type
 
 from repro.api.registry import (
     fault_models,
@@ -49,7 +49,13 @@ from repro.core.cycles import (
     format_cycle_count,
 )
 from repro.core.removal import remove_deadlocks
-from repro.errors import ReproError, SimulationError
+from repro.errors import (
+    PlanError,
+    ReproError,
+    SerializationError,
+    SimulationError,
+    SynthesisError,
+)
 from repro.export.dot import cdg_to_dot, design_report, topology_to_dot
 from repro.model.serialization import load_design, save_design
 from repro.power.estimator import estimate_area, estimate_power
@@ -96,24 +102,35 @@ def _cmd_ordering(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_json_object(value: Optional[str], flag: str) -> dict:
-    """Parse an inline-JSON-object CLI value (``{}`` when omitted)."""
+def _parse_json_object(value: Optional[str], flag: str, error: Type[ReproError]) -> dict:
+    """Parse an inline-JSON-object CLI value (``{}`` when omitted).
+
+    A malformed value raises ``error``, the command's own error type.
+    """
     if value is None:
         return {}
     try:
         parsed = json.loads(value)
     except json.JSONDecodeError as exc:
-        raise SystemExit(f"invalid {flag} JSON: {exc}")
+        raise error(f"invalid {flag} JSON: {exc}") from exc
     if not isinstance(parsed, dict):
-        raise SystemExit(f"{flag} must be a JSON object, got {parsed!r}")
+        raise error(f"{flag} must be a JSON object, got {parsed!r}")
     return parsed
+
+
+def _write_output(path: str, text: str, error: Type[ReproError]) -> None:
+    """Write ``text`` to the ``-o`` path; a failed write raises ``error``."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise error(f"could not write {path}: {exc}") from exc
 
 
 def _cmd_synthesize(args: argparse.Namespace) -> int:
     traffic = get_benchmark(args.benchmark, seed=args.seed)
-    family_params = _parse_json_object(args.family_params, "--family-params")
+    family_params = _parse_json_object(args.family_params, "--family-params", SynthesisError)
     if args.family_params is not None and args.topology_family is None:
-        raise SystemExit("--family-params needs --topology-family")
+        raise SynthesisError("--family-params needs --topology-family")
     switches = args.switches
     if switches is None:
         if args.topology_family is not None:
@@ -165,22 +182,24 @@ def _load_fault_schedule(value: Optional[str]):
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise SystemExit(f"invalid fault schedule JSON: {exc}")
+        raise SimulationError(f"invalid fault schedule JSON: {exc}") from exc
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     from repro.simulation.fault_models import build_fault_schedule  # local: lazy import
 
     design = load_design(args.design)
-    fault_params = _parse_json_object(args.fault_params, "--fault-params")
+    fault_params = _parse_json_object(args.fault_params, "--fault-params", SimulationError)
     if args.fault_params is not None and args.fault_model is None:
-        raise SystemExit("--fault-params needs --fault-model")
+        raise SimulationError("--fault-params needs --fault-model")
     config = SimulationConfig(
         injection_scale=args.injection_scale,
         buffer_depth=args.buffer_depth,
         seed=args.seed,
         traffic_scenario=args.traffic_scenario,
-        scenario_params=_parse_json_object(args.scenario_params, "--scenario-params"),
+        scenario_params=_parse_json_object(
+            args.scenario_params, "--scenario-params", SimulationError
+        ),
         # Resolves --fault-model through the registry or --fault-schedule
         # via EventSchedule.from_spec (and rejects passing both).
         fault_schedule=build_fault_schedule(
@@ -214,9 +233,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
     else:
         output = design_report(design)
     if args.output:
-        from pathlib import Path
-
-        Path(args.output).write_text(output + "\n")
+        _write_output(args.output, output + "\n", SerializationError)
         print(f"wrote {args.what} view to {args.output}")
     else:
         print(output)
@@ -262,7 +279,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if not rendered:
         print(json.dumps(outcome.rows(), indent=2))
     if args.output:
-        Path(args.output).write_text(json.dumps(outcome.to_dict(), indent=2) + "\n")
+        _write_output(args.output, json.dumps(outcome.to_dict(), indent=2) + "\n", PlanError)
         print(
             f"wrote {len(outcome.results)} result(s) to {args.output}", file=sys.stderr
         )

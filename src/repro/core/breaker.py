@@ -93,7 +93,7 @@ def break_cycle(
     iteration: int = 0,
     cost_table=None,
     resource_mode: str = RESOURCE_VIRTUAL,
-    context=None,
+    index=None,
 ) -> BreakAction:
     """Break the dependency at ``position`` of ``cycle`` in ``direction``.
 
@@ -102,12 +102,12 @@ def break_cycle(
     are rewritten).  Returns the :class:`~repro.core.report.BreakAction`
     describing what happened.
 
-    ``context`` (a :class:`~repro.perf.design_context.DesignContext` of
-    ``design``) is an optional accelerator: the affected flows are then
-    read from the indexed per-edge flow sets instead of scanning every
-    route, and every duplicated channel is interned in the context's CDG
-    index.  The produced action is identical either way (the indexed flow
-    list equals the scan, in the same sorted order).
+    ``index`` (a :class:`~repro.perf.cdg_index.CDGIndex` of ``design``'s
+    current routes) is an optional accelerator: the affected flows are then
+    read from its per-edge flow sets instead of scanning every route, and
+    every duplicated channel is interned in it when it is created.  The
+    produced action is identical either way (the indexed flow list equals
+    the scan, in the same sorted order).
     """
     if direction not in (FORWARD, BACKWARD):
         raise RemovalError(f"unknown break direction {direction!r}")
@@ -122,8 +122,8 @@ def break_cycle(
     edge = edges[position]
     cycle_set = set(cycle)
 
-    if context is not None:
-        affected = context.flows_creating(edge)
+    if index is not None:
+        affected = index.flows_creating(edge)
     else:
         affected = flows_creating_dependency(design, edge)
     if not affected:
@@ -153,8 +153,8 @@ def break_cycle(
             if original not in duplicates:
                 duplicate = _duplicate_channel(design, original, resource_mode)
                 duplicates[original] = duplicate
-                if context is not None:
-                    context.notify_channel_added(duplicate)
+                if index is not None:
+                    index.intern(duplicate)
             replacement[p] = duplicates[original]
         design.routes.set_route(flow_name, route.replace_at_positions(replacement))
         rerouted.append(flow_name)

@@ -22,9 +22,9 @@ engines register with a decorator and become valid ``engine=`` values
 everywhere, including :class:`~repro.api.spec.RunSpec` and the CLI).
 Built-ins:
 
-* ``engine="context"`` (default) — the fast path.  The CDG is maintained
-  from the route deltas each break reports, inside the shared per-design
-  state of :class:`~repro.perf.design_context.DesignContext`; the
+* ``engine="context"`` (default) — the fast path.  The run builds one
+  :class:`~repro.perf.cdg_index.CDGIndex` from the design's routes and
+  maintains it from the route deltas each break reports; the
   smallest-cycle search is SCC-pruned, cached per component and
   depth-limited (:mod:`repro.perf.cycle_search`); cost tables for both
   break directions come from one pass over interned channel-id arrays
@@ -58,8 +58,9 @@ from repro.core.report import RemovalResult
 from repro.errors import ConvergenceError, RemovalError
 from repro.model.design import NocDesign
 from repro.model.validation import validate_design
+from repro.perf.cdg_index import CDGIndex
+from repro.perf.cost_index import CycleCostEngine
 from repro.perf.cycle_search import IncrementalCycleSearch, count_cycles_indexed
-from repro.perf.design_context import DesignContext
 
 SELECT_SMALLEST = "smallest"
 SELECT_LARGEST = "largest"
@@ -107,9 +108,8 @@ class DeadlockRemover:
     validate:
         Validate the design before and after removal (recommended).
     engine:
-        ``"context"`` (default) runs the loop on the shared
-        :class:`~repro.perf.design_context.DesignContext` state: a CDG
-        maintained from route deltas, the SCC-pruned depth-limited cycle
+        ``"context"`` (default) runs the loop on a CDG index the run builds
+        and maintains from route deltas, the SCC-pruned depth-limited cycle
         search, one-pass int-indexed cost tables and indexed affected-flow
         lookup; ``"rebuild"`` is the oracle (full ``build_cdg`` + full BFS
         sweep per iteration).  Both produce identical break sequences;
@@ -190,7 +190,7 @@ class DeadlockRemover:
         supplies what the engines do differently: ``next_cycle``,
         ``choose_break`` and ``after_break``, plus the CDG they maintain
         (``graph``, with ``is_acyclic()`` and ``edge_count``), its capped
-        ``count_cycles`` and the ``context`` handed to
+        ``count_cycles`` and the ``index`` handed to
         :func:`~repro.core.breaker.break_cycle`.
         """
         initially_free = steps.graph.is_acyclic()
@@ -225,7 +225,7 @@ class DeadlockRemover:
                 iteration=iteration,
                 cost_table=table,
                 resource_mode=self.resource_mode,
-                context=steps.context,
+                index=steps.index,
             )
             result.actions.append(action)
             if self.on_iteration is not None:
@@ -249,7 +249,7 @@ def _reference_break(cycle, routes, direction_policy: str):
 class _RebuildSteps:
     """The oracle: full ``build_cdg`` and full cycle search per break."""
 
-    context = None
+    index = None
 
     def __init__(self, remover: DeadlockRemover, work: NocDesign, rng: random.Random):
         self._remover = remover
@@ -281,11 +281,12 @@ class _RebuildSteps:
 
 
 class _ContextSteps:
-    """The fast path over the work design's :class:`DesignContext`.
+    """The fast path over one CDG index built for this run.
 
-    The CDG index is updated from each break's route delta, the cycle
-    search is :class:`~repro.perf.cycle_search.IncrementalCycleSearch`, and
-    both cost tables come from the context's one-pass cost engine.  With
+    The index is built from the work design's routes and updated from each
+    break's route delta, the cycle search is
+    :class:`~repro.perf.cycle_search.IncrementalCycleSearch`, and both cost
+    tables come from the one-pass cost engine over the same index.  With
     ``cross_check`` every cost choice is re-derived by the reference
     builder and the index is verified against ``build_cdg`` after every
     break.
@@ -294,10 +295,9 @@ class _ContextSteps:
     def __init__(self, remover: DeadlockRemover, work: NocDesign):
         self._remover = remover
         self._work = work
-        self.context = DesignContext.of(work)
-        self.graph = self.context.cdg_index()
-        self._costs = self.context.cost_engine()
-        self._search = IncrementalCycleSearch(self.graph)
+        self.graph = self.index = CDGIndex.from_routes(work.routes)
+        self._costs = CycleCostEngine(self.index)
+        self._search = IncrementalCycleSearch(self.index)
 
     def count_cycles(self, limit: int) -> int:
         return count_cycles_indexed(self.graph, limit=limit)
@@ -316,7 +316,9 @@ class _ContextSteps:
         # dependencies of every rerouted flow's old route, add the new ones.
         routes = self._work.routes
         for flow_name, old_route in (action.previous_routes or {}).items():
-            self.context.apply_route_change(flow_name, old_route, routes.route(flow_name))
+            self.index.apply_route_change(
+                flow_name, old_route.channels, routes.route(flow_name).channels
+            )
         if self._remover.cross_check:
             self.graph.verify_against(build_cdg(self._work))
 
@@ -343,7 +345,7 @@ class _ContextSteps:
 def _context_engine(
     remover: DeadlockRemover, work: NocDesign, rng: random.Random
 ) -> RemovalResult:
-    """Default engine: the design-context fast path.
+    """Default engine: the indexed fast path.
 
     Only accelerates the paper's ``"smallest"`` selection; the ablation
     selections transparently fall back to the rebuild loop.

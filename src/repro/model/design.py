@@ -35,6 +35,14 @@ class NocDesign:
         to.  Every core that appears in a flow must be mapped.
     routes:
         Per-flow channel sequences.
+
+    Simulation memoises what the runs of a grid share on the instance, one
+    private attribute each: ``_sim_template``
+    (:meth:`~repro.perf.sim_engine.SimulationTemplate.of`), ``_witness_cdg``
+    (:func:`~repro.simulation.deadlock.check_cdg_witness`) and ``_protection``
+    (the ``protection`` recovery policy's ``prepare``).  Each reader checks
+    that its memo still matches the design; :meth:`copy` and pickling drop
+    all three.
     """
 
     name: str
@@ -136,11 +144,10 @@ class NocDesign:
     def __getstate__(self):
         """Pickle only the declared fields.
 
-        Performance layers attach derived caches to design instances (e.g.
-        the :class:`~repro.perf.design_context.DesignContext` with its CDG
-        index).  Those caches are per-process and rebuildable, so shipping
-        them across process boundaries — every sweep worker returns designs
-        through ``parallel_map`` — would only bloat the payload.
+        The simulation memos (see the class docstring) are per-process and
+        rebuildable, so shipping them across process boundaries — every
+        sweep worker returns designs through ``parallel_map`` — would only
+        bloat the payload.
         """
         fields = self.__dataclass_fields__
         return {key: value for key, value in self.__dict__.items() if key in fields}
@@ -152,8 +159,8 @@ class NocDesign:
         """Deep-enough copy: topology and routes are copied, traffic shared
         structure is copied, flows themselves are immutable.
 
-        The copy carries none of the derived caches attached to this design
-        (see :meth:`__getstate__`); it builds its own on first use.
+        The copy carries none of the memos attached to this design (see the
+        class docstring); it builds its own on first use.
         """
         return NocDesign(
             name=name or self.name,

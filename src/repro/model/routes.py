@@ -160,11 +160,11 @@ class RouteSet:
     def version(self) -> int:
         """Mutation counter, bumped by every route assignment or removal.
 
-        Derived caches (e.g. the CDG index a
-        :class:`~repro.perf.design_context.DesignContext` maintains) record
-        the version they were built against and detect out-of-band route
-        changes by comparing it — an O(1) staleness check where comparing
-        the routes themselves would cost a full walk.
+        Derived caches (e.g. the compiled simulation template and the
+        witness CDG memoised on a design) record the version they were
+        built against and detect route changes by comparing it — an O(1)
+        staleness check where comparing the routes themselves would cost a
+        full walk.
         """
         return self._version
 

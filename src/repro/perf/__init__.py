@@ -1,11 +1,13 @@
 """repro.perf — the performance core of the reproduction.
 
-Four pieces, all behaviour-preserving accelerations of the seed code paths:
+Behaviour-preserving accelerations of the seed code paths:
 
 * :mod:`repro.perf.cdg_index` — :class:`~repro.perf.cdg_index.CDGIndex`, an
   incrementally maintained channel dependency graph over dense integer ids
-  with dirty-region tracking (replaces the per-iteration ``build_cdg``
-  rebuild of Algorithm 1's outer loop);
+  with dirty-region tracking, the interned route of every flow and the
+  flows creating each dependency; a removal run builds one and applies
+  each cycle break's route delta to it (replaces the per-iteration
+  ``build_cdg`` rebuild of Algorithm 1's outer loop);
 * :mod:`repro.perf.cycle_search` — SCC-pruned, per-component-cached,
   depth-limited smallest-cycle search that returns exactly what
   :func:`repro.core.cycles.find_smallest_cycle` would on a fresh rebuild,
@@ -13,17 +15,14 @@ Four pieces, all behaviour-preserving accelerations of the seed code paths:
 * :mod:`repro.perf.route_engine` — int-relabelled switch graph with a
   per-node label Dijkstra and incremental congestion reweighting (replaces
   the exponential path-tuple route search without changing any route);
-* :mod:`repro.perf.design_context` —
-  :class:`~repro.perf.design_context.DesignContext`, the per-design cache
-  of what a removal run or a simulation grid reads twice (the CDG index
-  and interned routes, kept alive across cycle breaks by applying route
-  deltas instead of rebuilding, and the simulation slots);
 * :mod:`repro.perf.cost_index` —
   :class:`~repro.perf.cost_index.CycleCostEngine`, Algorithm 2's forward
   and backward cost tables from one pass over interned channel-id arrays;
 * :mod:`repro.perf.executor` — an ordered, serial-fallback
   ``ProcessPoolExecutor`` map used by the plan runner and the CLI's
-  ``--jobs`` flag.
+  ``--jobs`` flag;
+* :mod:`repro.perf.counters` — the build/reuse counters the benchmark
+  scripts read to check that the fast paths ran on their indexed state.
 """
 
 from repro.perf.cdg_index import CDGIndex, channel_sort_key
@@ -33,18 +32,17 @@ from repro.perf.cycle_search import (
     count_cycles_indexed,
     tarjan_sccs,
 )
-from repro.perf.design_context import ContextCounters, DesignContext, counters
+from repro.perf.counters import PerfCounters, counters
 from repro.perf.executor import parallel_map, resolve_jobs
 from repro.perf.route_engine import IndexedRouter, SwitchGraph
 
 __all__ = [
     "CDGIndex",
     "channel_sort_key",
-    "ContextCounters",
     "CycleCostEngine",
-    "DesignContext",
     "IncrementalCycleSearch",
     "IndexedRouter",
+    "PerfCounters",
     "SwitchGraph",
     "build_cost_tables",
     "count_cycles_indexed",

@@ -14,7 +14,14 @@ the hot loop:
   one) update the graph in time proportional to the touched routes, and the
   ids whose adjacency changed are collected in a *dirty set* that the
   incremental cycle search (:mod:`repro.perf.cycle_search`) uses to decide
-  which cached per-SCC results are still valid.
+  which cached per-SCC results are still valid;
+* every flow's route is kept as interned ids (:meth:`CDGIndex.route_ids`,
+  read by :mod:`repro.perf.cost_index`), and the flows creating a
+  dependency come from the per-edge flow sets
+  (:meth:`CDGIndex.flows_creating`) instead of a scan of every route.
+
+A removal run builds its own index and applies every break's route delta
+to it; no index outlives its run.
 
 The index is behaviour-equivalent to a fresh
 :func:`repro.core.cdg.build_cdg` of the current route set at every point;
@@ -30,6 +37,7 @@ from repro.core.cdg import ChannelDependencyGraph
 from repro.errors import DesignError
 from repro.model.channels import Channel
 from repro.model.routes import RouteSet
+from repro.perf.counters import counters
 
 #: Sort key of a channel — identical ordering to the ``order=True`` dataclass
 #: comparison of :class:`Channel` (link src, dst, index, then VC), computed
@@ -59,6 +67,8 @@ class CDGIndex:
         self._usage: List[int] = []
         # (id, id) -> names of the flows creating the dependency.
         self._edge_flows: Dict[Tuple[int, int], Set[str]] = {}
+        # flow name -> its route as interned ids.
+        self._route_ids: Dict[str, Tuple[int, ...]] = {}
         # Lazily sorted adjacency (by channel sort key); None = needs resort.
         self._sorted_succ: List[Optional[Tuple[int, ...]]] = []
         # Live vertex ids in channel sort order; None = needs resort.
@@ -97,7 +107,8 @@ class CDGIndex:
     # ------------------------------------------------------------------
     def add_route(self, flow_name: str, channels: Iterable[Channel]) -> None:
         """Add one flow's route: vertices, dependencies and usage counts."""
-        ids = [self.intern(channel) for channel in channels]
+        ids = tuple(self.intern(channel) for channel in channels)
+        self._route_ids[flow_name] = ids
         for channel_id in ids:
             if self._usage[channel_id] == 0:
                 self._sorted_vertices = None
@@ -108,6 +119,7 @@ class CDGIndex:
     def remove_route(self, flow_name: str, channels: Iterable[Channel]) -> None:
         """Undo :meth:`add_route` for the same flow and channel sequence."""
         ids = [self._ids[channel] for channel in channels]
+        self._route_ids.pop(flow_name, None)
         # A route may traverse the same channel pair more than once, but the
         # flow is recorded once per distinct edge — remove it exactly once.
         for first, second in dict.fromkeys(zip(ids, ids[1:])):
@@ -128,6 +140,7 @@ class CDGIndex:
         """Replace one flow's route (the delta a cycle break produces)."""
         self.remove_route(flow_name, old_channels)
         self.add_route(flow_name, new_channels)
+        counters.route_deltas += 1
 
     def _add_dependency(self, first: int, second: int, flow_name: str) -> None:
         if first == second:
@@ -220,6 +233,20 @@ class CDGIndex:
     def flows_on_edge(self, first: int, second: int) -> Set[str]:
         """Flow names creating the dependency ``first -> second`` (copy)."""
         return set(self._edge_flows.get((first, second), ()))
+
+    def flows_creating(self, edge: Tuple[Channel, Channel]) -> List[str]:
+        """Names of the flows whose route creates ``edge``, sorted.
+
+        The indexed equivalent of
+        :func:`repro.core.breaker.flows_creating_dependency`, which scans
+        every route in name order and so lists the same flows.
+        """
+        first, second = self.intern(edge[0]), self.intern(edge[1])
+        return sorted(self._edge_flows.get((first, second), ()))
+
+    def route_ids(self, flow_name: str) -> Tuple[int, ...]:
+        """The flow's current route as a tuple of interned channel ids."""
+        return self._route_ids[flow_name]
 
     # ------------------------------------------------------------------
     # dirty tracking

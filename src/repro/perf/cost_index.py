@@ -32,13 +32,14 @@ paths, and ``benchmarks/bench_removal_scaling.py`` asserts identical
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from repro.core.cost import BACKWARD, FORWARD, CostTable
 from repro.errors import RemovalError
 from repro.model.channels import Channel
 from repro.model.routes import RouteSet
 from repro.perf.cdg_index import CDGIndex
+from repro.perf.counters import counters
 
 
 class CycleCostEngine:
@@ -47,29 +48,19 @@ class CycleCostEngine:
     Parameters
     ----------
     index:
-        The CDG index of the current route set; supplies channel interning
-        and the per-edge flow sets that name the table rows.
-    route_ids:
-        Live mapping ``flow name -> tuple of interned channel ids`` for the
-        current routes.  The caller (normally
-        :class:`~repro.perf.design_context.DesignContext`) keeps it in sync
-        with the index as routes change; the engine only reads it.
+        The CDG index of the current route set; supplies channel interning,
+        the per-edge flow sets that name the table rows and every flow's
+        route as interned ids.  The engine only reads it; the caller keeps
+        it in sync as routes change.
     """
 
-    def __init__(self, index: CDGIndex, route_ids: Mapping[str, Tuple[int, ...]]):
+    def __init__(self, index: CDGIndex):
         self._index = index
-        self._route_ids = route_ids
 
-    # ------------------------------------------------------------------
     @classmethod
     def from_routes(cls, routes: RouteSet) -> "CycleCostEngine":
         """Standalone engine over a plain route set (tests, one-off use)."""
-        index = CDGIndex()
-        route_ids: Dict[str, Tuple[int, ...]] = {}
-        for flow_name, route in routes.items():
-            route_ids[flow_name] = tuple(index.intern(c) for c in route.channels)
-            index.add_route(flow_name, route.channels)
-        return cls(index, route_ids)
+        return cls(CDGIndex.from_routes(routes))
 
     # ------------------------------------------------------------------
     def tables(self, cycle: Sequence[Channel]) -> Tuple[CostTable, CostTable]:
@@ -79,8 +70,6 @@ class CycleCostEngine:
         calls on the current routes (same rows, same entries, same column
         maxima, same best cost/position and tie-breaking).
         """
-        from repro.perf.design_context import counters
-
         index = self._index
         cycle = list(cycle)
         if len(cycle) < 2:
@@ -102,7 +91,7 @@ class CycleCostEngine:
         forward_entries: Dict[str, Tuple[int, ...]] = {}
         backward_entries: Dict[str, Tuple[int, ...]] = {}
         for flow_name in sorted(row_flows):
-            ids = self._route_ids[flow_name]
+            ids = index.route_ids(flow_name)
             length = len(ids)
             # Forward ordinals: inclusive prefix count of cycle members.
             prefix = [0] * length
@@ -189,6 +178,6 @@ def build_cost_tables(cycle: Sequence[Channel], routes: RouteSet) -> Tuple[CostT
     """One-shot ``(forward, backward)`` tables for a cycle and a route set.
 
     Convenience wrapper over a throwaway :class:`CycleCostEngine`; the
-    removal loop keeps one engine per run on the design context instead.
+    removal loop keeps one engine per run over its own CDG index instead.
     """
     return CycleCostEngine.from_routes(routes).tables(cycle)

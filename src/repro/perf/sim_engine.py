@@ -10,10 +10,10 @@ loop.  This module applies the PR 3/PR 4 playbook to it:
 * a :class:`SimulationTemplate` — the static, int-relabelled compilation of
   a design (the interned channel table, the per-router link/VC groups and
   arbitration source lists in the exact legacy orders, and the per-flow
-  precompiled channel-id routes).  It is cached on the design's
-  :class:`~repro.perf.design_context.DesignContext`, so a load–latency
-  sweep compiles the design once and reuses the template across all its
-  simulation runs (``counters.sim_template_builds`` / ``_reuses``);
+  precompiled channel-id routes).  It is cached on the design instance
+  (``design._sim_template``), so a load–latency sweep compiles the design
+  once and reuses the template across all its simulation runs
+  (``counters.sim_template_builds`` / ``_reuses``);
 * a :class:`CompiledNetwork` over flat arrays: per-channel occupancy
   ranges, reservation/ownership/credit state and round-robin pointers are
   plain ``list``\\ s of ints.  A virtual-channel buffer always holds a
@@ -55,7 +55,7 @@ from typing import Deque, Dict, List, Tuple
 from repro.api.registry import simulation_engines
 from repro.model.channels import Channel
 from repro.model.design import NocDesign
-from repro.perf.design_context import DesignContext, counters
+from repro.perf.counters import counters
 from repro.simulation.network import build_flow_table
 from repro.simulation.simulator import ENGINE_COMPILED, Simulator
 
@@ -194,17 +194,16 @@ class SimulationTemplate:
     def of(cls, design: NocDesign) -> "SimulationTemplate":
         """The design's cached template, (re)compiled when stale.
 
-        Cached on the design's :class:`DesignContext`, so repeated
-        simulations of one design (e.g. a load–latency sweep) compile the
-        static structure once.
+        Cached on the design instance (``design._sim_template``), so
+        repeated simulations of one design (e.g. a load–latency sweep)
+        compile the static structure once.
         """
-        context = DesignContext.of(design)
-        template = getattr(context, "sim_template", None)
+        template = getattr(design, "_sim_template", None)
         if template is not None and template.design is design and template.is_current():
             counters.sim_template_reuses += 1
             return template
         template = cls(design)
-        context.sim_template = template
+        design._sim_template = template
         counters.sim_template_builds += 1
         return template
 
@@ -493,7 +492,7 @@ class CompiledNetwork:
         ):
             return
         new = SimulationTemplate(design)
-        DesignContext.of(design).sim_template = new
+        design._sim_template = new
         counters.sim_template_builds += 1
 
         # Transfer counts of channels that no longer exist must still reach

@@ -325,3 +325,38 @@ def compute_routes(
             f"{len(differing)} flow(s): {shown}{extra}"
         )
     return routes
+
+
+def reroute_unrouted(design: NocDesign) -> None:
+    """Re-route every unrouted flow against the design's current topology.
+
+    The repair step fault recovery's ``removal`` and ``reroute`` policies
+    share (:mod:`repro.simulation.recovery`).  Mirrors the synthesis
+    routing pass: flows in descending-bandwidth order, surviving routes
+    committed first so the congestion weights the re-routed flows see
+    reflect the traffic that is actually staying put.  A flow with no
+    remaining path stays unrouted (its future packets are lost at
+    injection).
+    """
+    routes = design.routes
+    router = IndexedRouter(
+        design.topology,
+        congestion_factor=DEFAULT_CONGESTION_FACTOR,
+        total_bandwidth=max(design.traffic.total_bandwidth, 1e-9),
+    )
+    flows = sorted(design.traffic.flows, key=lambda f: (-f.bandwidth, f.name))
+    unrouted = []
+    for flow in flows:
+        if routes.has_route(flow.name):
+            router.commit(routes.route(flow.name), flow.bandwidth)
+        elif design.switch_of(flow.src) != design.switch_of(flow.dst):
+            unrouted.append(flow)
+    for flow in unrouted:
+        try:
+            route = router.route(
+                design.switch_of(flow.src), design.switch_of(flow.dst)
+            )
+        except RouteError:
+            continue
+        routes.set_route(flow.name, route)
+        router.commit(route, flow.bandwidth)

@@ -34,7 +34,6 @@ from repro.core.cycles import verify_cycle
 from repro.errors import SimulationError
 from repro.model.channels import Channel
 from repro.model.design import NocDesign
-from repro.perf.design_context import DesignContext
 from repro.simulation.network import WormholeNetwork
 
 
@@ -85,17 +84,16 @@ def check_cdg_witness(design: NocDesign, channels: Sequence[Channel]) -> None:
     """Raise :class:`SimulationError` unless ``channels`` close a cycle of the CDG.
 
     The CDG is built at most once per route set: it is cached on the
-    design's :class:`~repro.perf.design_context.DesignContext` and rebuilt
-    only when the routes change (fault recovery re-routing the private
-    design copy).  A CDG's edges come from the routes alone, so the route
-    set and its version are the whole cache key.
+    design instance (``design._witness_cdg``) and rebuilt only when the
+    routes change (fault recovery re-routing the private design copy).  A
+    CDG's edges come from the routes alone, so the route set and its
+    version are the whole cache key.
     """
-    context = DesignContext.of(design)
     routes = design.routes
-    cached = context.witness_cdg
+    cached = getattr(design, "_witness_cdg", None)
     if cached is None or cached[0] is not routes or cached[1] != routes.version:
         cached = (routes, routes.version, build_cdg(design))
-        context.witness_cdg = cached
+        design._witness_cdg = cached
     if not verify_cycle(cached[2], channels):
         shown = ", ".join(str(channel) for channel in list(channels)[:4])
         more = "" if len(channels) <= 4 else f", ... ({len(channels)} channels)"

@@ -19,8 +19,8 @@ registry and :attr:`repro.simulation.simulator.SimulationConfig
 .fault_recovery` names one:
 
 ``removal`` (default)
-    Re-route every severed flow through the design context's router
-    (:meth:`~repro.perf.design_context.DesignContext.router`) with the
+    Re-route every severed flow
+    (:func:`~repro.routing.shortest_path.reroute_unrouted`) with the
     same congestion-aware ordering the synthesis pipeline uses, then
     re-run deadlock removal through the dirty-region ``"context"``
     engine, so the post-fault route set is again provably deadlock-free.
@@ -62,12 +62,11 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.api.registry import recovery_policies
 from repro.core.cdg import build_cdg
 from repro.core.removal import remove_deadlocks
-from repro.errors import RouteError, SimulationError
+from repro.errors import SimulationError
 from repro.model.channels import Channel, Link
 from repro.model.design import NocDesign
 from repro.model.routes import Route, RouteSet
-from repro.perf.design_context import DesignContext
-from repro.routing.shortest_path import DEFAULT_CONGESTION_FACTOR
+from repro.routing.shortest_path import reroute_unrouted
 from repro.simulation.events import EventSchedule
 
 #: Names of the two PR 6 policies, kept as importable constants.
@@ -102,7 +101,6 @@ class RecoveryPolicy:
 
     def repair(
         self,
-        context: DesignContext,
         *,
         removed: List[Link],
         restored: List[Link],
@@ -125,16 +123,16 @@ class RemovalPolicy(RecoveryPolicy):
 
     runs_removal = True
 
-    def repair(self, context, *, removed, restored, severed, old_routes):
-        self.controller.reroute_unrouted(context)
+    def repair(self, *, removed, restored, severed, old_routes):
+        reroute_unrouted(self.controller.design)
 
 
 @recovery_policies.register(MODE_REROUTE)
 class ReroutePolicy(RecoveryPolicy):
     """Re-routing only; the degraded CDG keeps whatever cycles it grew."""
 
-    def repair(self, context, *, removed, restored, severed, old_routes):
-        self.controller.reroute_unrouted(context)
+    def repair(self, *, removed, restored, severed, old_routes):
+        reroute_unrouted(self.controller.design)
 
 
 @recovery_policies.register("idle")
@@ -153,7 +151,7 @@ class IdlePolicy(RecoveryPolicy):
         super().__init__(controller)
         self._parked: Dict[str, Route] = {}
 
-    def repair(self, context, *, removed, restored, severed, old_routes):
+    def repair(self, *, removed, restored, severed, old_routes):
         for name in severed:
             self._parked[name] = old_routes[name]
         if not restored:
@@ -231,11 +229,10 @@ class ProtectionPolicy(RecoveryPolicy):
     first restore batch that revives one of its candidates.
 
     Provisioning depends on the design alone, so the ported design and
-    the candidates are cached on the source design's
-    :class:`~repro.perf.design_context.DesignContext`, keyed by its route
-    set, route-set version and topology (links and VC counts): the lanes
-    of one grid provision once, and a design edited between runs
-    provisions again.
+    the candidates are cached on the source design instance
+    (``design._protection``), keyed by its route set, route-set version
+    and topology (links and VC counts): the lanes of one grid provision
+    once, and a design edited between runs provisions again.
     """
 
     def __init__(self, controller):
@@ -244,9 +241,8 @@ class ProtectionPolicy(RecoveryPolicy):
 
     def prepare(self, design: NocDesign) -> NocDesign:
         """The ported design, provisioned once per state of ``design``."""
-        context = DesignContext.of(design)
         routes = design.routes
-        cached = context.protection
+        cached = getattr(design, "_protection", None)
         if (
             cached is None
             or cached[0] is not routes
@@ -255,7 +251,7 @@ class ProtectionPolicy(RecoveryPolicy):
         ):
             ported, candidates = self._provision(design)
             cached = (routes, routes.version, design.topology.copy(), ported, candidates)
-            context.protection = cached
+            design._protection = cached
         self._candidates = cached[4]
         return cached[3]
 
@@ -324,7 +320,7 @@ class ProtectionPolicy(RecoveryPolicy):
         )
         return ported, candidates
 
-    def repair(self, context, *, removed, restored, severed, old_routes):
+    def repair(self, *, removed, restored, severed, old_routes):
         design = self.controller.design
         topology = design.topology
         routes = design.routes
@@ -435,39 +431,6 @@ class RecoveryController:
     # ------------------------------------------------------------------
     # recovery pipeline
     # ------------------------------------------------------------------
-    def reroute_unrouted(self, context: DesignContext) -> None:
-        """Re-route every unrouted flow against the degraded topology.
-
-        The shared repair step of the ``removal`` and ``reroute``
-        policies.  Mirrors the synthesis routing pass: flows in
-        descending-bandwidth order, surviving routes committed first so
-        the congestion weights the re-routed flows see reflect the
-        traffic that is actually staying put.  A flow with no remaining
-        path stays unrouted (its future packets are lost at injection).
-        """
-        design = self.design
-        routes = design.routes
-        router = context.router(
-            congestion_factor=DEFAULT_CONGESTION_FACTOR,
-            total_bandwidth=max(design.traffic.total_bandwidth, 1e-9),
-        )
-        flows = sorted(design.traffic.flows, key=lambda f: (-f.bandwidth, f.name))
-        unrouted = []
-        for flow in flows:
-            if routes.has_route(flow.name):
-                router.commit(routes.route(flow.name), flow.bandwidth)
-            elif design.switch_of(flow.src) != design.switch_of(flow.dst):
-                unrouted.append(flow)
-        for flow in unrouted:
-            try:
-                route = router.route(
-                    design.switch_of(flow.src), design.switch_of(flow.dst)
-                )
-            except RouteError:
-                continue
-            routes.set_route(flow.name, route)
-            router.commit(route, flow.bandwidth)
-
     def on_cycle(self, cycle: int, network, stats) -> None:
         """Apply every event due at (or before) ``cycle``, then recover."""
         events = self._events
@@ -493,8 +456,6 @@ class RecoveryController:
         if not changed_topology:
             return
 
-        context = DesignContext.of(design)
-        context.notify_topology_changed()
         # One pass over the route set finds every flow crossing a removed
         # link (flow-name order).
         removed_links = set(removed)
@@ -507,7 +468,6 @@ class RecoveryController:
             routes.remove_route(name)
 
         self.policy.repair(
-            context,
             removed=removed,
             restored=restored,
             severed=severed,

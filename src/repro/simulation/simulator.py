@@ -138,14 +138,22 @@ def make_traffic_generator(design: NocDesign, config: SimulationConfig):
 
     Both simulation engines build their generator through this helper, so a
     cross-checked pair of runs consumes identical packet sequences.
+    Parameters the scenario does not accept raise
+    :class:`~repro.errors.SimulationError` naming the scenario.
     """
     factory = traffic_scenarios.get(config.traffic_scenario)
-    return factory(
-        design,
-        injection_scale=config.injection_scale,
-        seed=config.seed,
-        **config.scenario_params,
-    )
+    try:
+        return factory(
+            design,
+            injection_scale=config.injection_scale,
+            seed=config.seed,
+            **config.scenario_params,
+        )
+    except TypeError as exc:
+        raise SimulationError(
+            f"invalid parameters for traffic scenario "
+            f"{config.traffic_scenario!r}: {exc}"
+        ) from exc
 
 
 class Simulator:

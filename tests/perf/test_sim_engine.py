@@ -22,7 +22,7 @@ from repro.benchmarks.synthetic import default_mesh_traffic, default_ring_traffi
 from repro.core.removal import remove_deadlocks
 from repro.errors import SimulationError
 from repro.examples_data.paper_ring import paper_ring_design
-from repro.perf.design_context import counters
+from repro.perf.counters import counters
 from repro.perf.sim_engine import CompiledNetwork, CompiledSimulator, SimulationTemplate
 from repro.simulation.fault_models import spatial_burst_model
 from repro.simulation.simulator import SimulationConfig, Simulator, simulate_design

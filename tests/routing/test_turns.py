@@ -73,6 +73,25 @@ class TestUpDown:
         assert build_cdg(design).is_acyclic()
 
 
+class TestUpdownState:
+    def test_orientation_matches_reference(self, d26_traffic):
+        """Routes follow the reference orientation and never turn down -> up."""
+        from repro.synthesis.builder import SynthesisConfig, synthesize_design
+
+        design = synthesize_design(d26_traffic, SynthesisConfig(n_switches=8))
+        reference = updown_orientation(design.topology)
+        routes = compute_updown_routes(design)
+        assert routes.flow_names
+        for name in routes.flow_names:
+            route = routes.route(name)
+            flow = design.traffic.flow(name)
+            assert route == updown_route(
+                design.topology, design.switch_of(flow.src), design.switch_of(flow.dst)
+            )
+            directions = [reference[link] for link in route.links]
+            assert directions == sorted(directions, key=lambda d: d == "down")
+
+
 class TestXY:
     def test_mesh_coordinates_parse(self):
         assert mesh_coordinates("sw_2_1") == (2, 1)

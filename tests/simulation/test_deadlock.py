@@ -167,7 +167,7 @@ class TestCdgWitness:
         assert planted
 
     def test_cdg_built_once_per_grid(self, d36_8_design_14sw, monkeypatch):
-        design = d36_8_design_14sw.copy()  # a fresh design context
+        design = d36_8_design_14sw.copy()  # no memos yet
         builds = []
 
         def counting_build_cdg(*args, **kwargs):

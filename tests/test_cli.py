@@ -191,3 +191,91 @@ class TestListing:
         data = json.loads(capsys.readouterr().out)
         assert data["switch_count"] == 14
         assert len(data["benchmarks"]) == 6
+
+
+class TestTypedErrors:
+    """Malformed input and failed writes exit 2 with ``error:``; a deadlock exits 1.
+
+    A script driving ``simulate`` must be able to tell a typo (exit 2)
+    from a design that deadlocks (exit 1).
+    """
+
+    @staticmethod
+    def _assert_clean_error(code, capsys, named):
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:")
+        assert named in err
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (("--fault-schedule", "{bad"), "invalid fault schedule JSON"),
+            (("--fault-model", "uniform", "--fault-params", "{bad"), "invalid --fault-params JSON"),
+            (("--fault-model", "uniform", "--fault-params", "[1]"), "must be a JSON object"),
+            (("--fault-params", "{}"), "--fault-params needs --fault-model"),
+            (("--scenario-params", "{bad"), "invalid --scenario-params JSON"),
+            (("--scenario-params", '{"bogus": 1}'), "traffic scenario 'flows'"),
+            (
+                ("--traffic-scenario", "hotspot", "--scenario-params", '{"factor": "x"}'),
+                "traffic scenario 'hotspot'",
+            ),
+        ],
+    )
+    def test_simulate_input_errors(self, ring_file, flags, named, capsys):
+        code = main(["simulate", str(ring_file), "--cycles", "100", *flags])
+        self._assert_clean_error(code, capsys, named)
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (("--family-params", "{bad"), "invalid --family-params JSON"),
+            (("--family-params", "{}"), "--family-params needs --topology-family"),
+        ],
+    )
+    def test_synthesize_input_errors(self, flags, named, capsys):
+        code = main(["synthesize", "D26_media", "--switches", "6", *flags])
+        self._assert_clean_error(code, capsys, named)
+
+    def test_plan_scenario_params_error(self, tmp_path, capsys):
+        plan = tmp_path / "plan.json"
+        plan.write_text(
+            json.dumps(
+                {
+                    "name": "bogus-scenario",
+                    "runs": [
+                        {
+                            "benchmark": "D26_media",
+                            "switch_count": 6,
+                            "injection_scale": 1.0,
+                            "sim_cycles": 100,
+                            "scenario_params": {"bogus": 1},
+                        }
+                    ],
+                }
+            )
+        )
+        code = main(["run", str(plan), "--no-cache"])
+        self._assert_clean_error(code, capsys, "traffic scenario 'flows'")
+
+    def test_run_output_write_error(self, tmp_path, capsys):
+        plan = tmp_path / "plan.json"
+        plan.write_text(
+            json.dumps({"name": "costs", "runs": [{"benchmark": "D26_media", "switch_count": 6}]})
+        )
+        target = tmp_path / "missing" / "out.json"
+        code = main(["run", str(plan), "--no-cache", "-o", str(target)])
+        self._assert_clean_error(code, capsys, f"could not write {target}")
+
+    def test_export_output_write_error(self, ring_file, tmp_path, capsys):
+        target = tmp_path / "missing" / "ring.dot"
+        code = main(["export", str(ring_file), "topology", "-o", str(target)])
+        self._assert_clean_error(code, capsys, f"could not write {target}")
+
+    def test_deadlocking_simulation_still_exits_1(self, ring_file, capsys):
+        code = main(
+            ["simulate", str(ring_file), "--cycles", "5000", "--injection-scale", "6.0",
+             "--buffer-depth", "2", "--seed", "1", "--scenario-params", "{}"]
+        )
+        assert code == 1
+        assert "error" not in capsys.readouterr().err
