@@ -44,8 +44,7 @@ Plan schema (``format_version`` 1)::
 A ``topology_family`` entry synthesizes through the named parameterized
 generator (:data:`repro.api.registry.topology_families`) instead of the
 application-specific pipeline; ``switch_count`` must equal the family's
-closed-form size at ``family_params``.  Both fields are elided from the
-serialized form when unset, so pre-family cache addresses hold.
+closed-form size at ``family_params``.
 
 Every run entry accepts the singular or plural form of ``benchmark``,
 ``switch_count``, ``seed`` and ``injection_scale`` plus any other
@@ -74,9 +73,7 @@ deterministically from the synthesized design and the spec's seed, so a
 ``fault_recovery`` picks the repair policy from
 :data:`repro.api.registry.recovery_policies` (``removal`` — the default —
 ``reroute``, ``idle`` or ``protection``).  ``fault_model`` and
-``fault_schedule`` are mutually exclusive; all three fields are elided
-from the serialized form when left at their defaults, so pre-existing
-cache addresses hold.
+``fault_schedule`` are mutually exclusive.
 
 Simulating specs batch, whatever their engine or fault axis: the
 :class:`~repro.api.runner.Runner` groups the specs that share a
@@ -92,10 +89,22 @@ engine).  It still produces one cached
 :class:`~repro.api.result.RunResult` per spec (cache layout, fingerprints
 and record schema are unchanged; batching is invisible except in wall
 clock).
+
+The canonical form and both content addresses follow from the dataclass
+fields.  :meth:`RunSpec.to_dict` writes every field in field order: the
+fields of ``_ALWAYS_WRITTEN`` whatever their value, every other field only
+while it differs from its default, so a spec that leaves a newer axis at
+its default keeps the address it had before that axis existed.
+:meth:`RunSpec.fingerprint` hashes that document and
+:meth:`RunSpec.cost_fingerprint` hashes it without
+:data:`SIMULATION_FIELDS`.  A new field therefore keys the result and the
+cost bundle unless it is named simulation-only: over-keying only loses
+sharing, under-keying would serve a bundle computed for another design.
 """
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 from dataclasses import MISSING, dataclass, field, fields
@@ -108,30 +117,6 @@ from repro.errors import PlanError
 #: any change that alters the meaning of a serialized spec.
 PLAN_FORMAT_VERSION = 1
 
-#: Every :class:`RunSpec` field, in serialization order.
-SPEC_FIELDS = (
-    "benchmark",
-    "switch_count",
-    "seed",
-    "engine",
-    "ordering_strategy",
-    "synthesis_backend",
-    "routing_engine",
-    "synthesis",
-    "topology_family",
-    "family_params",
-    "sim_engine",
-    "traffic_scenario",
-    "scenario_params",
-    "injection_scale",
-    "sim_cycles",
-    "buffer_depth",
-    "fault_schedule",
-    "fault_model",
-    "fault_params",
-    "fault_recovery",
-)
-
 #: The grid axes of a run entry, each as (singular, plural) keys: the
 #: only fields an entry may give as a list.
 _GRID_AXES = (
@@ -140,13 +125,6 @@ _GRID_AXES = (
     ("seed", "seeds"),
     ("injection_scale", "injection_scales"),
 )
-
-#: The RunSpec fields a run entry or a report request copies unchanged
-#: into every spec it expands into: all but the grid axes.
-PASS_THROUGH_FIELDS = tuple(
-    name for name in SPEC_FIELDS if name not in {singular for singular, _ in _GRID_AXES}
-)
-
 
 #: ``SynthesisConfig`` arguments (plus ``seed``) that a spec sets through
 #: its own fields, each mapped to that field.
@@ -178,6 +156,37 @@ def _canonical_hash(document: Mapping[str, Any]) -> str:
     """SHA-256 over the canonical JSON form of ``document``."""
     payload = json.dumps(document, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+#: The :class:`RunSpec` fields :meth:`RunSpec.to_dict` writes whatever their
+#: value; every other field is written only while it differs from its
+#: default.
+_ALWAYS_WRITTEN = (
+    "benchmark",
+    "switch_count",
+    "seed",
+    "engine",
+    "ordering_strategy",
+    "synthesis_backend",
+    "routing_engine",
+    "synthesis",
+)
+
+#: The :class:`RunSpec` fields only simulation reads: the ones
+#: :meth:`RunSpec.cost_fingerprint` leaves out, so the load points of one
+#: sweep share one cost bundle.
+SIMULATION_FIELDS = (
+    "sim_engine",
+    "traffic_scenario",
+    "scenario_params",
+    "injection_scale",
+    "sim_cycles",
+    "buffer_depth",
+    "fault_schedule",
+    "fault_model",
+    "fault_params",
+    "fault_recovery",
+)
 
 
 @dataclass
@@ -220,12 +229,10 @@ class RunSpec:
         When set, the topology comes from that parameterized generator
         (``synthesis_backend`` reads ``"family"``) and ``switch_count``
         must equal the family's closed-form size at ``family_params``.
-        Elided from the serialized form when unset, so pre-existing cache
-        addresses hold.
     family_params:
         Parameters of the topology family (e.g. ``{"k": 8}``); a
         ``"routing"`` entry overrides the family's default routing mode.
-        Only meaningful with ``topology_family``; elided when empty.
+        Only meaningful with ``topology_family``.
     sim_engine:
         Wormhole simulation engine
         (``repro.api.registry.simulation_engines``); only exercised when
@@ -236,8 +243,7 @@ class RunSpec:
     scenario_params:
         Extra keyword arguments for the scenario's generator factory (e.g.
         ``{"factor": 8.0}`` for ``hotspot``, or ``{"trace": {...}}`` /
-        ``{"trace_cycles": 2000}`` for the ``trace`` scenario).  Elided
-        from the serialized form when empty.
+        ``{"trace_cycles": 2000}`` for the ``trace`` scenario).
     injection_scale:
         The load point: when set, the spec additionally simulates the
         comparison's designs at this injection scale and records the
@@ -261,18 +267,17 @@ class RunSpec:
         ``spatial_burst``, ``cascade``, ``mtbf``).  The schedule is
         generated deterministically against the *synthesized* design
         with the spec's seed, so one spec per seed sweeps a fault model
-        (the ``availability`` report builds exactly that grid).  Elided
-        from the serialized form when unset, so pre-existing cache
-        addresses hold; mutually exclusive with ``fault_schedule``.
+        (the ``availability`` report builds exactly that grid).
+        Mutually exclusive with ``fault_schedule``.
     fault_params:
         Keyword parameters of the fault model (e.g. ``{"radius": 2}``
         for ``spatial_burst``); a ``"seed"`` entry overrides the spec's.
-        Only meaningful with ``fault_model``; elided when empty.
+        Only meaningful with ``fault_model``.
     fault_recovery:
         Name in :data:`repro.api.registry.recovery_policies` of the
         recovery policy repairing the route set after each fault batch
-        (``removal``, ``reroute``, ``idle``, ``protection``).  Elided
-        when left at the default ``"removal"`` (the PR 6 behaviour).
+        (``removal``, the default, ``reroute``, ``idle``,
+        ``protection``).
     """
 
     benchmark: str
@@ -410,29 +415,22 @@ class RunSpec:
             )
 
     # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-serializable form (default-valued optional fields elided).
-
-        The simulation-axis and topology-family fields are serialized (and
-        therefore fingerprinted) only when they differ from their dataclass
-        default, so every spec that predates those axes keeps the exact
-        content address it had — warm artifact caches stay warm.
-        """
-        document = {
-            "benchmark": self.benchmark,
-            "switch_count": self.switch_count,
-            "seed": self.seed,
-            "engine": self.engine,
-            "ordering_strategy": self.ordering_strategy,
-            "synthesis_backend": self.synthesis_backend,
-            "routing_engine": self.routing_engine,
-            "synthesis": dict(self.synthesis),
-        }
-        for name, default in _ELIDED_FIELD_DEFAULTS:
+    def _document(self, names: Iterable[str]) -> Dict[str, Any]:
+        """The fields ``names`` in order, defaults elided outside ``_ALWAYS_WRITTEN``."""
+        document = {}
+        for name in names:
             value = getattr(self, name)
-            if value != default:
+            if name in _ALWAYS_WRITTEN or value != _DEFAULTS[name]:
                 document[name] = value
         return document
+
+    def to_dict(self) -> Dict[str, Any]:
+        """The canonical JSON-serializable form, sharing no mapping with the spec.
+
+        Every field in field order; a field outside ``_ALWAYS_WRITTEN`` only
+        while it differs from its default, which :meth:`from_dict` restores.
+        """
+        return copy.deepcopy(self._document(SPEC_FIELDS))
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "RunSpec":
@@ -454,99 +452,45 @@ class RunSpec:
     # ------------------------------------------------------------------
     def fingerprint(self) -> str:
         """Content address of the full spec — the result-cache key."""
-        return _canonical_hash({"format": PLAN_FORMAT_VERSION, "spec": self.to_dict()})
-
-    def _design_document(self) -> Dict[str, Any]:
-        """The synthesis-relevant subset of the spec, as a canonical mapping.
-
-        The routing engine *is* part of it: both built-ins produce
-        identical designs, but the cache must never silently conflate a
-        third-party engine with them.
-        """
-        return {
-            "benchmark": self.benchmark,
-            "switch_count": self.switch_count,
-            "seed": self.seed,
-            "synthesis_backend": self.synthesis_backend,
-            "routing_engine": self.routing_engine,
-            "synthesis": dict(self.synthesis),
-            # Family fields join the key only when set, so cost bundles
-            # cached before the topology-family axis keep their
-            # addresses.
-            **(
-                {
-                    "topology_family": self.topology_family,
-                    "family_params": dict(self.family_params),
-                }
-                if self.topology_family is not None
-                else {}
-            ),
-        }
+        return _canonical_hash(
+            {"format": PLAN_FORMAT_VERSION, "spec": self._document(SPEC_FIELDS)}
+        )
 
     def cost_fingerprint(self) -> str:
         """Content address of everything the *cost* pipeline depends on.
 
         The cost side of a record — removal, ordering, power and area —
-        depends only on the synthesized design plus the removal engine and
-        ordering strategy; the simulation axis (``injection_scale``,
-        ``traffic_scenario``, ``seed``-driven traffic, fault fields) never
-        touches it.  Specs differing only along those axes — e.g. the load
-        points of one latency sweep — share this key, so the artifact
-        cache can serve one removal/ordering run to the whole sweep
-        instead of re-running removal per point on a cold cache.
+        depends on every field but :data:`SIMULATION_FIELDS`.  Specs
+        differing only along those — e.g. the load points of one latency
+        sweep — share this key, so the artifact cache can serve one
+        removal/ordering run to the whole sweep instead of re-running
+        removal per point on a cold cache.
         """
         return _canonical_hash(
-            {
-                "format": PLAN_FORMAT_VERSION,
-                "costs": {
-                    **self._design_document(),
-                    "engine": self.engine,
-                    "ordering_strategy": self.ordering_strategy,
-                },
-            }
+            {"format": PLAN_FORMAT_VERSION, "costs": self._document(_COST_FIELDS)}
         )
 
 
-#: The simulation-axis and topology-family fields with their dataclass
-#: defaults, derived from the :class:`RunSpec` field definitions so the
-#: to_dict elision can never drift from the actual defaults (a drift would
-#: silently re-address every cached spec).
-_SIM_AXIS_FIELDS = (
-    "sim_engine",
-    "traffic_scenario",
-    "scenario_params",
-    "injection_scale",
-    "sim_cycles",
-    "buffer_depth",
-    "fault_schedule",
-    "fault_model",
-    "fault_params",
-    "fault_recovery",
-)
-_FAMILY_AXIS_FIELDS = (
-    "topology_family",
-    "family_params",
-)
-_ELIDED_AXIS_FIELDS = _SIM_AXIS_FIELDS + _FAMILY_AXIS_FIELDS
-_ELIDED_FIELD_DEFAULTS = tuple(
-    (
-        spec_field.name,
-        spec_field.default
-        if spec_field.default is not MISSING
-        else spec_field.default_factory(),
-    )
-    for spec_field in fields(RunSpec)
-    if spec_field.name in _ELIDED_AXIS_FIELDS
-)
+#: Every :class:`RunSpec` field, in serialization order.
+SPEC_FIELDS = tuple(spec_field.name for spec_field in fields(RunSpec))
 
-#: Fields deliberately left out of :meth:`RunSpec.fingerprint`.  Empty on
-#: purpose: every field of this spec changes the result, so every field is
-#: content-addressed.  A field that genuinely must not re-key the cache
-#: (e.g. a pure progress-reporting knob) is elided by naming it here, which
-#: is the explicit allowlist the ``fingerprint-completeness`` lint rule
-#: checks — an un-listed, un-fingerprinted field fails ``noc-deadlock
-#: lint``.
-FINGERPRINT_ELIDED: tuple = ()
+#: Each field's default; a required field's is ``MISSING``, which no value
+#: equals.
+_DEFAULTS = {
+    spec_field.name: spec_field.default
+    if spec_field.default_factory is MISSING
+    else spec_field.default_factory()
+    for spec_field in fields(RunSpec)
+}
+
+#: The fields :meth:`RunSpec.cost_fingerprint` hashes.
+_COST_FIELDS = tuple(name for name in SPEC_FIELDS if name not in SIMULATION_FIELDS)
+
+#: The RunSpec fields a run entry or a report request copies unchanged
+#: into every spec it expands into: all but the grid axes.
+PASS_THROUGH_FIELDS = tuple(
+    name for name in SPEC_FIELDS if name not in {singular for singular, _ in _GRID_AXES}
+)
 
 
 # ----------------------------------------------------------------------

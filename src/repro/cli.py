@@ -267,6 +267,9 @@ def _cmd_figures(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     plan = ExperimentPlan.load(args.plan)
+    if args.output and not Path(args.output).parent.is_dir():
+        # Fail before the plan runs, not after.
+        raise PlanError(f"could not write {args.output}: its directory does not exist")
     cache_dir = None
     if not args.no_cache:
         cache_dir = Path(args.cache_dir).expanduser() if args.cache_dir else default_cache_dir()

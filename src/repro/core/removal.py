@@ -9,10 +9,10 @@ The outer loop of the paper's method:
    backward direction (Algorithm 2) and apply the cheaper break;
 4. update topology and routes and repeat until the CDG is acyclic.
 
-On top of the paper's algorithm this module exposes two ablation knobs used
-by the benchmark harness: the cycle-selection heuristic (smallest / largest
-/ random) and the direction policy (best-of-both / forward-only /
-backward-only).
+On top of the paper's algorithm this module exposes two ablation knobs,
+which only tests set: the cycle-selection heuristic (smallest / largest /
+random) and the direction policy (best-of-both / forward-only /
+backward-only).  No spec, plan or CLI flag reaches them.
 
 One loop drives the algorithm (:meth:`DeadlockRemover._run_loop`); an
 engine only supplies how it finds the next cycle, how it costs a break and
@@ -85,11 +85,12 @@ class DeadlockRemover:
     ----------
     cycle_selection:
         Which cycle to break at every iteration.  ``"smallest"`` is the
-        paper's heuristic; ``"largest"`` and ``"random"`` exist for the
-        ablation benchmark.
+        paper's heuristic; ``"largest"`` and ``"random"`` are ablations
+        that only tests set.
     direction_policy:
         ``"best"`` compares forward and backward costs (the paper);
-        ``"forward"`` / ``"backward"`` force a single direction.
+        ``"forward"`` / ``"backward"`` force a single direction, an
+        ablation that only tests set.
     resource_mode:
         ``"virtual"`` (default) duplicates channels as extra VCs on the same
         physical link; ``"physical"`` adds parallel physical links instead,

@@ -2,11 +2,10 @@
 
 The reproduction's correctness rests on invariants that runtime
 cross-checks can only sample: determinism (all randomness flows from
-``RunSpec.seed``), fingerprint completeness (every spec field is
-content-addressed or deliberately elided), registry discipline (engines
-are resolved by name, never constructed ad hoc), process-boundary safety
-(only plain spec data crosses ``parallel_map``) and cross-check coverage
-(every registered engine appears in a test).  This package checks them
+``RunSpec.seed``), registry discipline (engines are resolved by name,
+never constructed ad hoc), process-boundary safety (only plain spec data
+crosses ``parallel_map``) and cross-check coverage (every registered
+engine appears in a test).  This package checks them
 *statically*, before any test runs, and gates CI through the
 ``noc-deadlock lint`` subcommand.
 

@@ -11,7 +11,6 @@ from this provider so the built-in set always loads together.
 from repro.lint.rules import (  # noqa: F401  (imported for registration)
     coverage,
     determinism,
-    fingerprint,
     process_boundary,
     registry_discipline,
 )

@@ -49,6 +49,15 @@ ROUTING_SHORTEST = "shortest"
 ROUTING_UPDOWN = "updown"
 _ROUTINGS = (ROUTING_SHORTEST, ROUTING_UPDOWN)
 
+#: The numeric tuning knobs of :class:`SynthesisConfig` with the types
+#: they accept; a bool is rejected although Python counts it as an int.
+_NUMERIC_KNOBS = (
+    ("extra_link_fraction", (int, float)),
+    ("max_switch_degree", int),
+    ("balance_slack", int),
+    ("congestion_factor", (int, float)),
+)
+
 
 @dataclass
 class SynthesisConfig:
@@ -102,6 +111,11 @@ class SynthesisConfig:
     family_params: Dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self):
+        for name, number_types in _NUMERIC_KNOBS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, number_types):
+                kind = "an integer" if number_types is int else "a number"
+                raise SynthesisError(f"{name} must be {kind}, got {value!r}")
         if self.n_switches < 1:
             raise SynthesisError(f"switch count must be positive, got {self.n_switches}")
         if self.extra_link_fraction < 0:

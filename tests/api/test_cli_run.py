@@ -95,7 +95,14 @@ class TestRunSubcommand:
 
     @pytest.mark.parametrize(
         "synthesis, named",
-        [({"extra_link_fracton": 0.2}, "extra_link_fracton"), ({"seed": 5}, "'seed' field")],
+        [
+            ({"extra_link_fracton": 0.2}, "extra_link_fracton"),
+            ({"seed": 5}, "'seed' field"),
+            ({"extra_link_fraction": "x"}, "extra_link_fraction must be a number"),
+            ({"max_switch_degree": "x"}, "max_switch_degree must be an integer"),
+            ({"balance_slack": "x"}, "balance_slack must be an integer"),
+            ({"congestion_factor": "x"}, "congestion_factor must be a number"),
+        ],
     )
     def test_bad_synthesis_key_is_a_clean_error(self, tmp_path, capsys, synthesis, named):
         plan = _write_plan(
@@ -109,6 +116,21 @@ class TestRunSubcommand:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert named in err
+
+    def test_unwritable_output_fails_before_the_plan_runs(self, tmp_path, capsys, monkeypatch):
+        from pathlib import Path
+
+        from repro.api.runner import Runner
+
+        def must_not_run(self, plan):
+            raise AssertionError("the plan ran before the -o path was checked")
+
+        monkeypatch.setattr(Runner, "run", must_not_run)
+        plan = Path(__file__).resolve().parents[2] / "plans" / "ci_smoke.json"
+        target = tmp_path / "missing" / "out.json"
+        assert main(["run", str(plan), "--no-cache", "-o", str(target)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: could not write {target}")
 
     def test_removed_report_type_is_a_clean_error(self, tmp_path, capsys):
         plan = _write_plan(tmp_path, {"name": "x", "reports": [{"type": "resilience"}]})

@@ -78,7 +78,7 @@ class TestArtifactCacheFlow:
         # ...and the bad entry was overwritten with a good one.
         assert runner.run_spec(spec).cache_hit is True
 
-    def test_malformed_design_document_is_recomputed(self, tmp_path, counting_synthesis):
+    def test_malformed_bundle_design_is_recomputed(self, tmp_path, counting_synthesis):
         warm = RunSpec(benchmark="D26_media", switch_count=8, injection_scale=0.5, sim_cycles=100)
         runner = Runner(cache_dir=tmp_path / "cache")
         runner.run_spec(warm)

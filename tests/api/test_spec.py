@@ -5,6 +5,8 @@ import json
 import pytest
 
 from repro.api.spec import (
+    SIMULATION_FIELDS,
+    SPEC_FIELDS,
     ExperimentPlan,
     ReportRequest,
     RunSpec,
@@ -12,6 +14,89 @@ from repro.api.spec import (
 )
 from repro.errors import PlanError
 
+#: One off-default value per RunSpec field, in field order.  A field whose
+#: value needs a partner field sets both.
+FIELD_CASES = {
+    "benchmark": {"benchmark": "D36_8"},
+    "switch_count": {"switch_count": 9},
+    "seed": {"seed": 1},
+    "engine": {"engine": "rebuild"},
+    "ordering_strategy": {"ordering_strategy": "layered"},
+    "synthesis_backend": {"synthesis_backend": "family", "topology_family": "mesh"},
+    "routing_engine": {"routing_engine": "legacy"},
+    "synthesis": {"synthesis": {"max_switch_degree": 3}},
+    "topology_family": {"topology_family": "ring"},
+    "family_params": {"topology_family": "ring", "family_params": {"n_switches": 8}},
+    "sim_engine": {"sim_engine": "batched"},
+    "traffic_scenario": {"traffic_scenario": "hotspot"},
+    "scenario_params": {"scenario_params": {"factor": 8.0}},
+    "injection_scale": {"injection_scale": 0.5},
+    "sim_cycles": {"sim_cycles": 100},
+    "buffer_depth": {"buffer_depth": 2},
+    "fault_schedule": {"fault_schedule": {"events": []}},
+    "fault_model": {"fault_model": "uniform"},
+    "fault_params": {"fault_model": "uniform", "fault_params": {"link_failures": 2}},
+    "fault_recovery": {"fault_recovery": "idle"},
+}
+
+_LINK = {"src": "sw3", "dst": "sw5", "index": 0}
+
+#: Specs with their (fingerprint, cost_fingerprint).  ``fault_model`` and
+#: ``fault_schedule`` exclude each other, so the schedule has its own spec.
+PINNED = {
+    "topology-family": (
+        RunSpec(
+            benchmark="uniform_c64_f2",
+            switch_count=80,
+            topology_family="fat_tree",
+            family_params={"k": 8},
+        ),
+        "7719257da8a2f0c16792b3978f961e24482e77a02298c23b10b576898b7e4719",
+        "66c4ce5672a2d41c494263d592134e45311985c1029b0cc1127d6736d9821ffb",
+    ),
+    "fault-schedule": (
+        RunSpec(
+            benchmark="D36_8",
+            switch_count=14,
+            injection_scale=1.0,
+            sim_cycles=500,
+            fault_schedule={
+                "events": [
+                    {"cycle": 200, "action": "fail_link", "link": dict(_LINK)},
+                    {"cycle": 400, "action": "restore_link", "link": dict(_LINK)},
+                ]
+            },
+            fault_recovery="reroute",
+        ),
+        "ff585f3ff8858fe5d519a10accd1a2216da856f610b1d04f49a75b636057f260",
+        "d30b55a1a011839f8e09b9f4a9fe1df8e554d3e385f39eaebb6323800cae912b",
+    ),
+    "all-axes": (
+        RunSpec(
+            benchmark="D36_8",
+            switch_count=16,
+            seed=3,
+            engine="rebuild",
+            ordering_strategy="layered",
+            synthesis_backend="family",
+            routing_engine="legacy",
+            synthesis={"extra_link_fraction": 0.25},
+            topology_family="mesh",
+            family_params={"rows": 4, "cols": 4},
+            sim_engine="batched",
+            traffic_scenario="hotspot",
+            scenario_params={"factor": 8.0},
+            injection_scale=0.75,
+            sim_cycles=400,
+            buffer_depth=2,
+            fault_model="spatial_burst",
+            fault_params={"radius": 2},
+            fault_recovery="idle",
+        ),
+        "060c156047895c8417df675c10cbe4dba2eb4b5ca83720177bf4060d725864cc",
+        "452bd06222a8481485f59666a2e014dab9ce64cb86af5b7e1f4ba8abe8fe90b5",
+    ),
+}
 
 class TestRunSpec:
     def test_round_trip_through_dict(self):
@@ -57,20 +142,38 @@ class TestRunSpec:
             RunSpec(benchmark="D26_media", switch_count=8, synthesis="nope")
 
     def test_fingerprint_sensitive_to_every_field(self):
-        base = RunSpec(benchmark="D26_media", switch_count=8)
-        variants = [
-            RunSpec(benchmark="D36_8", switch_count=8),
-            RunSpec(benchmark="D26_media", switch_count=9),
-            RunSpec(benchmark="D26_media", switch_count=8, seed=1),
-            RunSpec(benchmark="D26_media", switch_count=8, engine="rebuild"),
-            RunSpec(benchmark="D26_media", switch_count=8, ordering_strategy="layered"),
-            RunSpec(benchmark="D26_media", switch_count=8, topology_family="ring"),
-            RunSpec(benchmark="D26_media", switch_count=8, routing_engine="legacy"),
-            RunSpec(benchmark="D26_media", switch_count=8, synthesis={"max_switch_degree": 3}),
-        ]
-        fingerprints = {spec.fingerprint() for spec in variants}
-        assert base.fingerprint() not in fingerprints
-        assert len(fingerprints) == len(variants)
+        required = {"benchmark": "D26_media", "switch_count": 8}
+        base = RunSpec(**required)
+        # One case per field, so a new field without a case fails here.
+        assert tuple(FIELD_CASES) == SPEC_FIELDS
+        fingerprints = {base.fingerprint()}
+        for name, overrides in FIELD_CASES.items():
+            spec = RunSpec(**{**required, **overrides})
+            fingerprints.add(spec.fingerprint())
+            moves_costs = spec.cost_fingerprint() != base.cost_fingerprint()
+            assert moves_costs == (name not in SIMULATION_FIELDS), name
+        # Every case moves the fingerprint, and no two cases collide.
+        assert len(fingerprints) == len(FIELD_CASES) + 1
+
+    @pytest.mark.parametrize("name", list(PINNED))
+    def test_addresses_are_pinned(self, name):
+        # Every cached record and cost bundle lives at these addresses; a
+        # change here silently invalidates every user's artifact cache.
+        spec, fingerprint, cost_fingerprint = PINNED[name]
+        assert (spec.fingerprint(), spec.cost_fingerprint()) == (fingerprint, cost_fingerprint)
+        assert RunSpec.from_dict(json.loads(json.dumps(spec.to_dict()))) == spec
+
+    @pytest.mark.parametrize(
+        "name", ["synthesis", "family_params", "scenario_params", "fault_params", "fault_schedule"]
+    )
+    def test_to_dict_shares_no_mapping_with_the_spec(self, name):
+        spec = PINNED["fault-schedule" if name == "fault_schedule" else "all-axes"][0]
+        before = (spec.to_dict(), spec.fingerprint(), spec.cost_fingerprint())
+        document = spec.to_dict()
+        document[name]["edited"] = 1
+        if name == "fault_schedule":
+            document[name]["events"].append({"cycle": 1})
+        assert (spec.to_dict(), spec.fingerprint(), spec.cost_fingerprint()) == before
 
     @pytest.mark.parametrize(
         "key, field",

@@ -30,6 +30,27 @@ class TestConfig:
         with pytest.raises(SynthesisError):
             SynthesisConfig(n_switches=4, routing="magic")
 
+    @pytest.mark.parametrize(
+        "knob, value, kind",
+        [
+            ("extra_link_fraction", "0.5", "a number"),
+            ("extra_link_fraction", True, "a number"),
+            ("max_switch_degree", 4.0, "an integer"),
+            ("max_switch_degree", True, "an integer"),
+            ("balance_slack", "1", "an integer"),
+            ("balance_slack", False, "an integer"),
+            ("congestion_factor", None, "a number"),
+            ("congestion_factor", True, "a number"),
+        ],
+    )
+    def test_mistyped_knob_rejected(self, knob, value, kind):
+        with pytest.raises(SynthesisError, match=f"{knob} must be {kind}, got {value!r}"):
+            SynthesisConfig(n_switches=4, **{knob: value})
+
+    def test_numeric_knobs_accept_ints_and_floats(self):
+        config = SynthesisConfig(n_switches=4, extra_link_fraction=1, congestion_factor=-2)
+        assert (config.extra_link_fraction, config.congestion_factor) == (1, -2)
+
 
 class TestSwitchNetwork:
     def test_backbone_is_connected(self, d26_traffic):
