@@ -18,6 +18,11 @@ configuration):
   ``cross_check=True`` (compiled engine re-verified against the legacy
   engine, field-identical stats) and every post-recovery design must be
   deadlock-free (``post_fault_deadlock_free``);
+* **template reuse** — the timed rounds compile the design's simulation
+  template once and then once per fault batch of each faulted round
+  (``sim_template_builds == 1 + rounds × batches_total``): a faulted run
+  starts from the design's cached template and continues its numbering
+  after every batch;
 * **per-policy cost** — the same faulted run repeated under every entry
   of the :data:`repro.api.registry.recovery_policies` registry, each
   round on a fresh copy of the design (so ``protection`` pays its backup
@@ -228,6 +233,13 @@ def _check(data: dict) -> List[str]:
         failures.append("compiled and legacy engines diverged under faults")
     if data["batches_total"] and data["batches_drained"] == 0:
         failures.append("no fault batch ever drained its in-flight packets")
+    builds = data["removal_counters"]["sim_template_builds"]
+    expected = 1 + data["rounds"] * data["batches_total"]
+    if builds != expected:
+        failures.append(
+            f"{builds} simulation templates compiled, expected {expected}: one for "
+            "the design plus one per fault batch of each faulted round"
+        )
     for policy, entry in sorted(data["policies"].items()):
         # reroute deliberately skips the removal re-run, so a cyclic
         # post-fault CDG is its documented (and tested) failure mode.

@@ -322,7 +322,7 @@ class RunSpec:
                 raise PlanError(f"{name} must be a non-empty string, got {value!r}")
         if not isinstance(self.synthesis, dict):
             raise PlanError(f"synthesis overrides must be a mapping, got {self.synthesis!r}")
-        self.synthesis = dict(self.synthesis)
+        self.synthesis = copy.deepcopy(dict(self.synthesis))
         _check_synthesis_keys(self.synthesis)
         if self.topology_family is not None:
             if not isinstance(self.topology_family, str) or not self.topology_family:
@@ -349,7 +349,7 @@ class RunSpec:
             value = getattr(self, name)
             if not isinstance(value, dict):
                 raise PlanError(f"{name} must be a mapping, got {value!r}")
-            setattr(self, name, dict(value))
+            setattr(self, name, copy.deepcopy(dict(value)))
         if self.family_params and self.topology_family is None:
             raise PlanError(
                 "family_params given without a topology_family to apply them to"
@@ -388,7 +388,7 @@ class RunSpec:
                 )
             if "events" not in self.fault_schedule:
                 raise PlanError("fault_schedule needs an 'events' list")
-            self.fault_schedule = dict(self.fault_schedule)
+            self.fault_schedule = copy.deepcopy(dict(self.fault_schedule))
         if self.fault_model is not None:
             if not isinstance(self.fault_model, str) or not self.fault_model:
                 raise PlanError(
@@ -404,7 +404,7 @@ class RunSpec:
             raise PlanError(
                 f"fault_params must be a mapping, got {self.fault_params!r}"
             )
-        self.fault_params = dict(self.fault_params)
+        self.fault_params = copy.deepcopy(dict(self.fault_params))
         if self.fault_params and self.fault_model is None:
             raise PlanError(
                 "fault_params given without a fault_model to apply them to"

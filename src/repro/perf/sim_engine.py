@@ -13,7 +13,8 @@ loop.  This module applies the PR 3/PR 4 playbook to it:
   precompiled channel-id routes).  It is cached on the design instance
   (``design._sim_template``), so a load–latency sweep compiles the design
   once and reuses the template across all its simulation runs
-  (``counters.sim_template_builds`` / ``_reuses``);
+  (``counters.sim_template_builds`` / ``_reuses``); a fault run starts
+  from the cached template of the design its recovery controller prepared;
 * a :class:`CompiledNetwork` over flat arrays: per-channel occupancy
   ranges, reservation/ownership/credit state and round-robin pointers are
   plain ``list``\\ s of ints.  A virtual-channel buffer always holds a
@@ -42,6 +43,13 @@ fired flow up in ``SimulationTemplate.flow_table`` and calls
 :meth:`CompiledNetwork.enqueue`, so no run — fault runs and trace
 replays included — builds packet objects.
 
+A fault run keeps one numbering to its last cycle.  After each fault
+batch the template is compiled again, continuing the ids it gave: a failed
+link's channels keep theirs (out of play until the link comes back), and
+the channels, link slots and flows a batch brings are appended, so the
+network's state stays valid and :meth:`CompiledNetwork.sync_with_design`
+only grows its arrays.
+
 Registered as the ``"compiled"`` entry (the default) of
 :data:`repro.api.registry.simulation_engines`; importing this module also
 imports :mod:`repro.simulation.simulator`, which registers ``"legacy"``.
@@ -50,7 +58,7 @@ imports :mod:`repro.simulation.simulator`, which registers ``"legacy"``.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.api.registry import simulation_engines
 from repro.model.channels import Channel
@@ -59,10 +67,9 @@ from repro.perf.counters import counters
 from repro.simulation.network import build_flow_table
 from repro.simulation.simulator import ENGINE_COMPILED, Simulator
 
-#: Source-code space: codes below the channel count are input buffers
-#: (the code *is* the channel id); codes at or above it are injection
-#: queues (``code - channel_count`` is the flow id).
-_NO_SOURCE = -1
+# Source codes: an input buffer's code is its channel id (``>= 0``), an
+# injection queue's code is ``~flow_id`` (``< 0``), so no code depends on
+# how many channels a run has numbered.  ``None`` is no source.
 
 
 class SimulationTemplate:
@@ -71,6 +78,16 @@ class SimulationTemplate:
     Everything here is immutable under simulation (it only depends on the
     topology, the core mapping and the routes), so one template serves any
     number of concurrent :class:`CompiledNetwork` instances.
+
+    A fresh compile numbers channels in sort order, link slots in sweep
+    order and flows in name order.  Compiled with ``previous``, a template
+    continues that numbering instead, which is how a fault run keeps its
+    ids to its last cycle: a channel that left the topology keeps its id
+    and link slot, a flow that lost its route keeps its id and last route,
+    and both leave every list the sweep walks (``r_links``, ``r_sources``,
+    ``wait_order``) until they come back.  Channels, link slots and flows
+    new to the run are appended.  The sweep lists always follow the legacy
+    orders, whatever the ids.
     """
 
     __slots__ = (
@@ -93,13 +110,18 @@ class SimulationTemplate:
         "routes_version",
     )
 
-    def __init__(self, design: NocDesign):
+    def __init__(self, design: NocDesign, previous: Optional["SimulationTemplate"] = None):
         self.design = design
         topology = design.topology
-        channels = topology.channels()  # sorted copy
+        in_play = topology.channels()  # sorted copy
+        channels = in_play
+        if previous is not None:
+            known = previous.channel_id
+            channels = previous.channels + [c for c in in_play if c not in known]
         self.channels: List[Channel] = channels
         self.channel_id: Dict[Channel, int] = {c: i for i, c in enumerate(channels)}
         self.channel_count = len(channels)
+        channel_id = self.channel_id
 
         # Sweep order: the legacy network serves routers in sorted-name
         # order, so sweep ids are assigned in that order.
@@ -107,65 +129,68 @@ class SimulationTemplate:
         self.switch_index: Dict[str, int] = {
             name: i for i, name in enumerate(self.switches)
         }
-        self.buf_router: List[int] = [self.switch_index[c.dst] for c in channels]
+        switch_index = self.switch_index
+        self.buf_router: List[int] = [switch_index[c.dst] for c in channels]
 
         # Per-router output structure: links in Link sort order, each link's
         # channels in VC order — the exact iteration of the legacy
-        # ``_step_router``.  Every (router, link) pair gets a dense slot for
-        # its VC round-robin pointer; slots ascend in sweep order, and
-        # ``link_slot`` maps each channel to the slot of its link.
-        out_channels: List[List[int]] = [[] for _ in self.switches]
-        for cid, channel in enumerate(channels):
-            out_channels[self.switch_index[channel.src]].append(cid)
-        r_links: List[List[Tuple[Tuple[int, ...], int]]] = []
+        # ``_step_router`` (sorted channels group by link, and sorted links
+        # by router).  Every (router, link) pair gets a dense slot for its
+        # VC round-robin pointer, and ``link_slot`` maps each channel to
+        # the slot of its link.
         link_slot = [0] * self.channel_count
-        slot = 0
-        for rid in range(len(self.switches)):
-            by_link: Dict = {}
-            for cid in out_channels[rid]:
-                by_link.setdefault(channels[cid].link, []).append(cid)
-            groups = []
-            for link in sorted(by_link):
-                chs = tuple(sorted(by_link[link], key=lambda i: channels[i].vc))
-                for cid in chs:
-                    link_slot[cid] = slot
-                groups.append((chs, slot))
-                slot += 1
-            r_links.append(groups)
-        self.r_links = r_links
+        slot_of: Dict = {}
+        self.link_slot_count = 0
+        if previous is not None:
+            link_slot[: previous.channel_count] = previous.link_slot
+            slot_of = {channels[c].link: slot for c, slot in enumerate(previous.link_slot)}
+            self.link_slot_count = previous.link_slot_count
+        by_link: Dict = {}
+        for channel in in_play:
+            by_link.setdefault(channel.link, []).append(channel_id[channel])
+        self.r_links: List[List[Tuple[Tuple[int, ...], int]]] = [[] for _ in self.switches]
+        for link, chs in by_link.items():
+            slot = slot_of.get(link)
+            if slot is None:
+                slot = self.link_slot_count
+                self.link_slot_count += 1
+            for cid in chs:
+                link_slot[cid] = slot
+            self.r_links[switch_index[link.src]].append((tuple(chs), slot))
         self.link_slot = link_slot
-        self.link_slot_count = slot
 
-        # Routed flows, dense ids in sorted-name order (matches the order
-        # injection queues are created — and therefore arbitrated — in the
-        # legacy router: ``sorted(self.injection_queues)``).
+        # Routed flows, in sorted-name order (the order injection queues
+        # are created — and therefore arbitrated — in the legacy router:
+        # ``sorted(self.injection_queues)``).
         self.flow_ids: Dict[str, int] = {}
         self.flow_routes: List[Tuple[int, ...]] = []
         self.flow_src_router: List[int] = []
+        if previous is not None:
+            self.flow_ids.update(previous.flow_ids)
+            self.flow_routes.extend(previous.flow_routes)
+            self.flow_src_router.extend(previous.flow_src_router)
+        inj_codes: List[List[int]] = [[] for _ in self.switches]
         for flow in design.traffic.flows:  # sorted by name
             if not design.routes.has_route(flow.name):
                 continue
-            fid = len(self.flow_routes)
-            self.flow_ids[flow.name] = fid
-            self.flow_routes.append(
-                tuple(self.channel_id[c] for c in design.routes.route(flow.name).channels)
+            fid = self.flow_ids.get(flow.name)
+            if fid is None:
+                fid = self.flow_ids[flow.name] = len(self.flow_routes)
+                self.flow_routes.append(())
+                self.flow_src_router.append(switch_index[design.switch_of(flow.src)])
+            self.flow_routes[fid] = tuple(
+                channel_id[c] for c in design.routes.route(flow.name).channels
             )
-            self.flow_src_router.append(self.switch_index[design.switch_of(flow.src)])
+            inj_codes[self.flow_src_router[fid]].append(~fid)
 
         # Per-router arbitration sources in the legacy ``all_sources``
         # order: input buffers sorted by channel, then injection queues
-        # sorted by flow name.  Buffer code = channel id; injection code =
-        # channel_count + flow id.
+        # sorted by flow name.
         in_buffers: List[List[int]] = [[] for _ in self.switches]
-        for cid in range(self.channel_count):
-            in_buffers[self.buf_router[cid]].append(cid)  # already channel-sorted
-        inj_flows: List[List[int]] = [[] for _ in self.switches]
-        for name in sorted(self.flow_ids):
-            fid = self.flow_ids[name]
-            inj_flows[self.flow_src_router[fid]].append(fid)
+        for channel in in_play:
+            in_buffers[switch_index[channel.dst]].append(channel_id[channel])
         self.r_sources: List[Tuple[int, ...]] = [
-            tuple(in_buffers[rid] + [self.channel_count + fid for fid in inj_flows[rid]])
-            for rid in range(len(self.switches))
+            tuple(in_buffers[rid] + inj_codes[rid]) for rid in range(len(self.switches))
         ]
 
         # Wait-for-edge iteration order: the legacy ``wait_for_edges`` walks
@@ -174,8 +199,7 @@ class SimulationTemplate:
         # channels filtered by destination).
         self.wait_order: List[int] = []
         for switch in topology.switches:
-            rid = self.switch_index[switch]
-            self.wait_order.extend(in_buffers[rid])
+            self.wait_order.extend(in_buffers[switch_index[switch]])
 
         # Injection table: flow name -> (flow id, packet size), with the
         # sentinel keys of local and unrouted flows.
@@ -269,18 +293,25 @@ class CompiledNetwork:
     :meth:`sync_with_design`) wakes every link.  The third event can wake a
     link later in the same sweep, and then the link is visited in that
     sweep: that is exactly when the dense sweep would see the freed credit,
-    because slots ascend in sweep order and a credit freed by an earlier
-    link is visible to every later one.  A link earlier in the sweep sees
+    because a credit freed by a link earlier in the sweep is visible to
+    every later one.  A link earlier in the sweep sees
     the credit on the next cycle, as in the dense sweep.  Forgetting a wake
     makes the engines diverge; ``tests/perf/test_sim_engine.py`` walks
     every dormant link at every cycle and finds nothing to do there.
+
+    **Fault runs.** The network simulates ``design`` from ``template``, a
+    compilation of a design with the same channels and routes (a fault
+    run's private copy starts from the template of the design it was
+    copied from).  The ids stay fixed for the whole run: a fault batch
+    continues the template's numbering (:meth:`sync_with_design`), so a
+    channel out of play keeps its id, its busy count and its empty buffer,
+    and the arrays only grow.
     """
 
-    def __init__(self, design: NocDesign, *, buffer_depth: int = 4):
+    def __init__(self, design: NocDesign, template: SimulationTemplate, *, buffer_depth: int = 4):
         self.design = design
         self.buffer_depth = buffer_depth
-        t = SimulationTemplate.of(design)
-        self.template = t
+        self.template = t = template
         C = t.channel_count
         # Buffer state per channel: current packet (reservation, -1 free),
         # flit-index range [lo, hi) of the stored contiguous run, and the
@@ -291,7 +322,7 @@ class CompiledNetwork:
         self.buf_hops = [0] * C
         # Wormhole ownership + arbitration state per outgoing channel.
         self.out_owner = [-1] * C
-        self.out_src = [_NO_SOURCE] * C
+        self.out_src: List[Optional[int]] = [None] * C
         self.alloc_ptr = [0] * C
         self.link_ptr = [0] * t.link_slot_count
         # Per channel: sources whose head flit requests it; per link slot:
@@ -315,9 +346,6 @@ class CompiledNetwork:
         self._pending_injection = 0
         self._undelivered = 0
         self._pending: List[Tuple[int, int, int, int, int]] = []
-        # Transfer counts of channels that left the topology mid-run (fault
-        # injection); folded into the stats alongside the live counters.
-        self._retired_busy: Dict[Channel, int] = {}
 
     # ------------------------------------------------------------------
     # injection
@@ -423,7 +451,7 @@ class CompiledNetwork:
                 buf_hi[c] = 0
             if self.out_owner[c] in doomed:
                 self.out_owner[c] = -1
-                self.out_src[c] = _NO_SOURCE
+                self.out_src[c] = None
         for fid in doomed_fids:
             self.inj_pkts[fid].clear()
             self.inj_head_idx[fid] = 0
@@ -440,8 +468,9 @@ class CompiledNetwork:
 
         Recounts the flit counters (per router, buffered, pending and
         undelivered) and the allocation requests, and marks every link
-        awake.  Called wherever fault recovery rewrote the raw state
-        wholesale: :meth:`drop_flows` and :meth:`sync_with_design`.
+        awake.  Called wherever fault recovery changed the raw state or
+        the template under it: :meth:`drop_flows` and
+        :meth:`sync_with_design`.
         """
         t = self.template
         flow_routes = t.flow_routes
@@ -473,110 +502,41 @@ class CompiledNetwork:
         self.awake = [True] * t.link_slot_count
 
     def sync_with_design(self) -> None:
-        """Recompile the template after a topology/route change and migrate.
+        """Continue the template's numbering after a fault batch.
 
-        The fault-recovery drop rule guarantees that every surviving packet
-        belongs to a flow whose route is unchanged, so migration is a pure
-        relabelling: per-channel state is carried over by :class:`Channel`
-        identity, source codes and flow ids are remapped by name, and the
-        per-(router, link) VC round-robin pointers follow their link (a
-        link that lost all channels restarts at VC 0, exactly like the
-        legacy network dropping and re-creating its ``link_pointer``
-        entry).
+        Fault recovery calls this once a batch changed the topology, after
+        :meth:`drop_flows` discarded every packet whose flow lost or changed
+        its route, so the surviving state is valid under the ids it already
+        has: the arrays only grow, by the channels, link slots and flows new
+        to the run.  A channel out of play restarts its allocation pointer
+        and its link's VC pointer at 0, exactly as the legacy network
+        re-creates them when a failed link comes back.
         """
         old = self.template
-        design = self.design
-        if (
-            old.channels == design.topology.channels()
-            and old.routes_version == design.routes.version
-        ):
-            return
-        new = SimulationTemplate(design)
-        design._sim_template = new
+        t = SimulationTemplate(self.design, old)
         counters.sim_template_builds += 1
-
-        # Transfer counts of channels that no longer exist must still reach
-        # the final stats (the legacy engine records them in place).
-        new_ids = new.channel_id
-        for o_cid, count in enumerate(self.busy):
-            channel = old.channels[o_cid]
-            if count and channel not in new_ids:
-                self._retired_busy[channel] = (
-                    self._retired_busy.get(channel, 0) + count
-                )
-
-        C = new.channel_count
-        buf_pkt = [-1] * C
-        buf_lo = [0] * C
-        buf_hi = [0] * C
-        buf_hops = [0] * C
-        out_owner = [-1] * C
-        out_src = [_NO_SOURCE] * C
-        alloc_ptr = [0] * C
-        busy = [0] * C
-        old_flow_name = {fid: name for name, fid in old.flow_ids.items()}
-        for n_cid, channel in enumerate(new.channels):
-            o_cid = old.channel_id.get(channel)
-            if o_cid is None:
-                continue
-            buf_pkt[n_cid] = self.buf_pkt[o_cid]
-            buf_lo[n_cid] = self.buf_lo[o_cid]
-            buf_hi[n_cid] = self.buf_hi[o_cid]
-            buf_hops[n_cid] = self.buf_hops[o_cid]
-            alloc_ptr[n_cid] = self.alloc_ptr[o_cid]
-            busy[n_cid] = self.busy[o_cid]
-            owner = self.out_owner[o_cid]
-            if owner == -1:
-                continue
-            src = self.out_src[o_cid]
-            if src < old.channel_count:
-                new_src = new.channel_id.get(old.channels[src], -1)
-            else:
-                fid = new.flow_ids.get(old_flow_name[src - old.channel_count], -1)
-                new_src = new.channel_count + fid if fid >= 0 else -1
-            if new_src >= 0:
-                out_owner[n_cid] = owner
-                out_src[n_cid] = new_src
-
-        # Per-(router, link) VC pointers follow their link across templates.
-        old_link_ptr = {}
-        for rid, groups in enumerate(old.r_links):
-            for chs, slot in groups:
-                old_link_ptr[(rid, old.channels[chs[0]].link)] = self.link_ptr[slot]
-        link_ptr = [0] * new.link_slot_count
-        for rid, groups in enumerate(new.r_links):
-            for chs, slot in groups:
-                link_ptr[slot] = old_link_ptr.get(
-                    (rid, new.channels[chs[0]].link), 0
-                )
-
-        # Injection queues and packet records follow their flow by name
-        # (flows that became unrouted had their queues cleared by
-        # ``drop_flows`` before this sync).
-        inj_pkts: List[Deque[int]] = [deque() for _ in new.flow_routes]
-        inj_head = [0] * len(new.flow_routes)
-        for name, o_fid in old.flow_ids.items():
-            n_fid = new.flow_ids.get(name)
-            if n_fid is not None:
-                inj_pkts[n_fid] = self.inj_pkts[o_fid]
-                inj_head[n_fid] = self.inj_head_idx[o_fid]
-        self.pkt_flow = {
-            pid: new.flow_ids[old_flow_name[o_fid]]
-            for pid, o_fid in self.pkt_flow.items()
-        }
-
-        self.template = new
-        self.buf_pkt, self.buf_lo, self.buf_hi, self.buf_hops = (
-            buf_pkt,
-            buf_lo,
-            buf_hi,
-            buf_hops,
-        )
-        self.out_owner, self.out_src = out_owner, out_src
-        self.alloc_ptr, self.link_ptr = alloc_ptr, link_ptr
-        self.busy = busy
-        self.inj_pkts, self.inj_head_idx = inj_pkts, inj_head
-        # Recount the O(1) counters against the migrated state.
+        grow = t.channel_count - old.channel_count
+        for array, fill in (
+            (self.buf_pkt, -1),
+            (self.buf_lo, 0),
+            (self.buf_hi, 0),
+            (self.buf_hops, 0),
+            (self.out_owner, -1),
+            (self.out_src, None),
+            (self.alloc_ptr, 0),
+            (self.busy, 0),
+        ):
+            array.extend([fill] * grow)
+        self.link_ptr.extend([0] * (t.link_slot_count - old.link_slot_count))
+        for _ in range(len(t.flow_routes) - len(old.flow_routes)):
+            self.inj_pkts.append(deque())
+            self.inj_head_idx.append(0)
+        playing = set(t.wait_order)  # every channel in play is one input buffer
+        for cid in range(t.channel_count):
+            if cid not in playing:
+                self.alloc_ptr[cid] = 0
+                self.link_ptr[t.link_slot[cid]] = 0
+        self.template = t
         self.recount()
 
     # ------------------------------------------------------------------
@@ -591,7 +551,6 @@ class CompiledNetwork:
         router has been served.
         """
         t = self.template
-        C = t.channel_count
         buf_pkt, buf_lo, buf_hi, buf_hops = self.buf_pkt, self.buf_lo, self.buf_hi, self.buf_hops
         out_owner, out_src = self.out_owner, self.out_src
         alloc_ptr, link_ptr = self.alloc_ptr, self.link_ptr
@@ -634,7 +593,7 @@ class CompiledNetwork:
                         # router's sources for a head flit requesting c.
                         sources = r_sources[rid]
                         m = len(sources)
-                        source = _NO_SOURCE
+                        source = None
                         if m:
                             astart = alloc_ptr[c] % m
                             for off in range(m):
@@ -642,14 +601,14 @@ class CompiledNetwork:
                                 if spos >= m:
                                     spos -= m
                                 s = sources[spos]
-                                if s < C:
+                                if s >= 0:
                                     if buf_hi[s] == buf_lo[s] or buf_lo[s] != 0:
                                         continue  # empty, or head flit gone
                                     head_pkt = buf_pkt[s]
                                     if flow_routes[pkt_flow[head_pkt]][buf_hops[s]] != c:
                                         continue
                                 else:
-                                    fid = s - C
+                                    fid = ~s
                                     queue = inj_pkts[fid]
                                     if not queue or inj_head[fid] != 0:
                                         continue
@@ -664,18 +623,18 @@ class CompiledNetwork:
                                 owner = head_pkt
                                 allocated = True
                                 break
-                        if source == _NO_SOURCE:
+                        if source is None:
                             continue
 
                     # --- head flit of the source ----------------------
-                    if source < C:
+                    if source >= 0:
                         if buf_hi[source] == buf_lo[source]:
                             continue
                         pkt = buf_pkt[source]
                         idx = buf_lo[source]
                         hops = buf_hops[source]
                     else:
-                        fid = source - C
+                        fid = ~source
                         queue = inj_pkts[fid]
                         if not queue:
                             continue
@@ -701,7 +660,7 @@ class CompiledNetwork:
 
                     # --- commit ---------------------------------------
                     tail = idx == pkt_size[pkt] - 1
-                    if source < C:
+                    if source >= 0:
                         buf_lo[source] = idx + 1
                         if tail:  # a buffer holds one packet: it is empty now
                             buf_pkt[source] = -1
@@ -709,7 +668,7 @@ class CompiledNetwork:
                         # this very sweep when it comes later.
                         awake[link_slot[source]] = True
                     else:
-                        fid = source - C
+                        fid = ~source
                         if tail:
                             queue = inj_pkts[fid]
                             queue.popleft()
@@ -725,7 +684,7 @@ class CompiledNetwork:
                     busy[c] += 1
                     if tail:
                         out_owner[c] = -1
-                        out_src[c] = _NO_SOURCE
+                        out_src[c] = None
                     if is_last:
                         delivered += 1
                         if tail:
@@ -775,8 +734,6 @@ class CompiledNetwork:
         """Fold the per-channel transfer counters into the stats dict."""
         channels = self.template.channels
         record = stats.channel_busy_cycles
-        for channel, count in self._retired_busy.items():
-            record[channel] = record.get(channel, 0) + count
         for cid, count in enumerate(self.busy):
             if count:
                 channel = channels[cid]
@@ -794,7 +751,13 @@ class CompiledSimulator(Simulator):
     """
 
     def _build_network(self, design: NocDesign):
-        return CompiledNetwork(design, buffer_depth=self.config.buffer_depth)
+        # A fault run simulates the recovery controller's private copy,
+        # which equals the design the controller prepared until the first
+        # batch, so it starts from that design's cached template.
+        start = design if self._recovery is None else self._recovery.prepared
+        return CompiledNetwork(
+            design, SimulationTemplate.of(start), buffer_depth=self.config.buffer_depth
+        )
 
     def run(self, max_cycles: int = 10_000, **kwargs):
         try:

@@ -217,36 +217,3 @@ def estimate_power_and_area(
         design, tech, router_model, link_model, want_power=True, want_area=True
     )
     return power, area
-
-
-def power_overhead(reference: NocPowerReport, candidate: NocPowerReport) -> float:
-    """Relative power overhead of ``candidate`` with respect to ``reference``.
-
-    Positive values mean the candidate consumes more power; this is the
-    quantity behind Figure 10 (resource ordering vs. deadlock removal) and
-    the <5% overhead claim (deadlock removal vs. unprotected design).
-
-    Raises :class:`ValueError` when the reference consumes no power at all
-    — the ratio is undefined there, and silently reporting "no overhead"
-    hid mis-wired comparisons (e.g. an empty reference design).
-    """
-    if reference.total_power_mw == 0:
-        raise ValueError(
-            f"reference power report {reference.design_name!r} totals 0 mW; "
-            "the relative overhead is undefined for a powerless reference"
-        )
-    return candidate.total_power_mw / reference.total_power_mw - 1.0
-
-
-def area_overhead(reference: NocAreaReport, candidate: NocAreaReport) -> float:
-    """Relative area overhead of ``candidate`` with respect to ``reference``.
-
-    Raises :class:`ValueError` when the reference occupies no area (the
-    ratio is undefined), mirroring :func:`power_overhead`.
-    """
-    if reference.total_area_mm2 == 0:
-        raise ValueError(
-            f"reference area report {reference.design_name!r} totals 0 mm²; "
-            "the relative overhead is undefined for a zero-area reference"
-        )
-    return candidate.total_area_mm2 / reference.total_area_mm2 - 1.0

@@ -365,7 +365,9 @@ class RecoveryController:
         self._events = schedule.validate_targets(design.topology).events
         self.mode = mode
         self.policy: RecoveryPolicy = recovery_policies.get(mode)(self)
-        start = self.policy.prepare(design)
+        #: The design :meth:`~RecoveryPolicy.prepare` returned; the run
+        #: degrades a copy of it, so it stays as it was.
+        self.prepared = start = self.policy.prepare(design)
         self.design = NocDesign(
             name=start.name,
             topology=start.topology.copy(),

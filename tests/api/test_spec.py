@@ -176,6 +176,47 @@ class TestRunSpec:
         assert (spec.to_dict(), spec.fingerprint(), spec.cost_fingerprint()) == before
 
     @pytest.mark.parametrize(
+        "name, value, edit",
+        [
+            pytest.param(
+                "synthesis",
+                {"extra_link_fraction": 0.25},
+                lambda v: v.update(extra_link_fraction=0.5),
+                id="synthesis",
+            ),
+            pytest.param(
+                "family_params", {"rows": 4, "cols": 4}, lambda v: v.update(rows=8), id="family_params"
+            ),
+            pytest.param(
+                "scenario_params",
+                {"trace": {"cycles": 10, "events": [{"cycle": 0, "flow": "f0", "packets": 1}]}},
+                lambda v: v["trace"]["events"].append({"cycle": 5, "flow": "f1", "packets": 1}),
+                id="scenario_params",
+            ),
+            pytest.param(
+                "fault_params", {"radius": 1}, lambda v: v.update(radius=2), id="fault_params"
+            ),
+            pytest.param(
+                "fault_schedule",
+                {"events": [{"cycle": 200, "action": "fail_link", "link": dict(_LINK)}]},
+                lambda v: v["events"][0]["link"].update(dst="S9"),
+                id="fault_schedule",
+            ),
+        ],
+    )
+    def test_spec_shares_no_mapping_with_its_inputs(self, name, value, edit):
+        """Editing what a caller passed, at any depth, leaves both addresses."""
+        fields = {"benchmark": "D36_8", "switch_count": 16, "injection_scale": 1.0, name: value}
+        if name == "family_params":
+            fields["topology_family"] = "mesh"
+        if name == "fault_params":
+            fields["fault_model"] = "spatial_burst"
+        spec = RunSpec(**fields)
+        before = (spec.fingerprint(), spec.cost_fingerprint())
+        edit(value)
+        assert (spec.fingerprint(), spec.cost_fingerprint()) == before
+
+    @pytest.mark.parametrize(
         "key, field",
         [
             ("n_switches", "switch_count"),

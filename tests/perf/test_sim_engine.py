@@ -9,6 +9,8 @@ hypothesis grid of topology families x scenarios x loads (saturating ones
 included), and the SoC benchmarks, and pins the O(1) undelivered-flit
 counter, the per-channel allocation request counts and the dormant links
 of the compiled network to full state walks, fault recovery included.
+After every fault batch the template that continues the run's numbering
+must describe the sweep a fresh compile of the repaired design does.
 """
 
 from __future__ import annotations
@@ -24,11 +26,13 @@ from repro.errors import SimulationError
 from repro.examples_data.paper_ring import paper_ring_design
 from repro.perf.counters import counters
 from repro.perf.sim_engine import CompiledNetwork, CompiledSimulator, SimulationTemplate
+from repro.simulation.events import EventSchedule
 from repro.simulation.fault_models import spatial_burst_model
 from repro.simulation.simulator import SimulationConfig, Simulator, simulate_design
 from repro.simulation.stats import SimulationStats
 from repro.simulation.trace import TraceTrafficGenerator
 from repro.synthesis.families import family_design
+from template_oracle import assert_matches_fresh_compile
 
 SCENARIOS = ("flows", "uniform", "hotspot", "transpose", "bursty")
 
@@ -159,17 +163,16 @@ def requests_by_walk(network: CompiledNetwork) -> list:
     counts each request at the channel it targets.
     """
     t = network.template
-    C = t.channel_count
-    counts = [0] * C
+    counts = [0] * t.channel_count
     for rid, sources in enumerate(t.r_sources):
         for s in sources:
-            if s < C:
+            if s >= 0:
                 if network.buf_hi[s] == network.buf_lo[s] or network.buf_lo[s] != 0:
                     continue
                 route = t.flow_routes[network.pkt_flow[network.buf_pkt[s]]]
                 target = route[network.buf_hops[s]]
             else:
-                fid = s - C
+                fid = ~s
                 if not network.inj_pkts[fid] or network.inj_head_idx[fid] != 0:
                     continue
                 target = t.flow_routes[fid][0]
@@ -190,7 +193,6 @@ def dormant_link_activity(network: CompiledNetwork) -> list:
     wake was missed: the sweep would skip work the dense sweep does.
     """
     t = network.template
-    C = t.channel_count
     requests = requests_by_walk(network)
     active = []
     for links in t.r_links:
@@ -204,12 +206,12 @@ def dormant_link_activity(network: CompiledNetwork) -> list:
                         active.append((slot, c))
                     continue
                 source = network.out_src[c]
-                if source < C:
+                if source >= 0:
                     if network.buf_hi[source] == network.buf_lo[source]:
                         continue
                     pkt, hops = network.buf_pkt[source], network.buf_hops[source]
                 else:
-                    queue = network.inj_pkts[source - C]
+                    queue = network.inj_pkts[~source]
                     if not queue:
                         continue
                     pkt, hops = queue[0], 0
@@ -229,11 +231,23 @@ class TestCompiledNetworkAccounting:
         recovery = simulator._recovery
         stats = simulator.stats
         self.dormant_link_cycles = 0
+        self.revived = self.appended = 0
         for cycle in range(cycles):
             if recovery is not None:
+                before = network.template
                 recovery.on_cycle(cycle, network, stats)
                 # drop_flows / sync_with_design recount the requests.
                 assert network.req == requests_by_walk(network)
+                t = network.template
+                if t is not before:
+                    # The batch continued the run's numbering: no id moved,
+                    # and the sweep is the one a fresh compile describes.
+                    assert t.channels[: before.channel_count] == before.channels
+                    assert before.flow_ids.items() <= t.flow_ids.items()
+                    assert_matches_fresh_compile(t)
+                    back = set(t.wait_order) - set(before.wait_order)
+                    self.revived += sum(1 for c in back if c < before.channel_count)
+                    self.appended += t.channel_count - before.channel_count
             simulator._inject_new_packets(cycle)
             # A dormant link has nothing to do until one of its wake
             # events: the sweep may skip it only because of that.
@@ -290,6 +304,20 @@ class TestCompiledNetworkAccounting:
         assert stats.flows_rerouted > 0
         assert stats.packets_lost > 0
         assert self.dormant_link_cycles > 0
+        # The restore brought failed channels back under their old ids.
+        assert self.revived > 0
+
+    def test_online_removal_vcs_join_the_run_numbering(self, d36_8_design_14sw):
+        """A burst whose online removal adds VCs, then a restore."""
+        design = remove_deadlocks(d36_8_design_14sw).design
+        schedule = spatial_burst_model(
+            design, seed=3, radius=1, start_cycle=50, end_cycle=150, restore_after=100
+        )
+        config = SimulationConfig(seed=3, fault_schedule=schedule)
+        stats = self._drive(design, config, 300).stats
+        assert len(stats.recovery_cycles) == 2
+        assert self.appended > 0
+        assert self.revived > 0
 
     def test_undelivered_reaches_zero_after_drain(self, small_mesh_design):
         config = SimulationConfig(injection_scale=1.0, seed=0)
@@ -331,6 +359,22 @@ class TestTemplateCache:
         CompiledSimulator(small_mesh_design, config).run(50)
         assert counters.sim_template_builds == 1
         assert counters.sim_template_reuses >= 1
+
+    def test_fault_run_starts_from_the_design_template(self, small_mesh_design):
+        """A fault lane's private copy reuses its design's template until a batch."""
+        schedule = (
+            EventSchedule().fail_link(20, "sw_0_0", "sw_1_0").restore_link(60, "sw_0_0", "sw_1_0")
+        )
+        config = SimulationConfig(injection_scale=1.0, fault_schedule=schedule)
+        counters.reset()
+        for _ in range(2):
+            simulator = CompiledSimulator(small_mesh_design, config)
+            assert simulator.network.design is not small_mesh_design
+            assert simulator.network.template is small_mesh_design._sim_template
+            assert len(simulator.run(100).recovery_cycles) == 2
+        # One compile of the design, then one continued compile per batch.
+        assert counters.sim_template_builds == 1 + 2 * 2
+        assert counters.sim_template_reuses == 1
 
     def test_template_rebuilt_after_route_change(self, small_ring_design):
         SimulationTemplate.of(small_ring_design)

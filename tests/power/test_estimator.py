@@ -3,15 +3,7 @@
 import pytest
 
 from repro.core.removal import remove_deadlocks
-from repro.power.estimator import (
-    NocAreaReport,
-    NocPowerReport,
-    area_overhead,
-    estimate_area,
-    estimate_power,
-    estimate_power_and_area,
-    power_overhead,
-)
+from repro.power.estimator import estimate_area, estimate_power, estimate_power_and_area
 from repro.power.orion import TechnologyParameters
 from repro.routing.ordering import apply_resource_ordering
 
@@ -88,38 +80,6 @@ class TestPaperShapedComparisons:
             estimate_area(ordering.design).total_area_mm2
             > estimate_area(removal.design).total_area_mm2
         )
-
-    def test_removal_overhead_vs_unprotected_is_small(self, d36_8_design_14sw):
-        design = d36_8_design_14sw.copy()
-        removal = remove_deadlocks(design)
-        base_power = estimate_power(design)
-        removal_power = estimate_power(removal.design)
-        assert power_overhead(base_power, removal_power) < 0.10
-
-    def test_overhead_helpers_signs(self, ring_design_fixture):
-        base_power = estimate_power(ring_design_fixture)
-        base_area = estimate_area(ring_design_fixture)
-        assert power_overhead(base_power, base_power) == pytest.approx(0.0)
-        assert area_overhead(base_area, base_area) == pytest.approx(0.0)
-        bigger = ring_design_fixture.copy()
-        for link in bigger.topology.links:
-            bigger.topology.add_virtual_channel(link)
-        assert power_overhead(base_power, estimate_power(bigger)) > 0
-        assert area_overhead(base_area, estimate_area(bigger)) > 0
-
-    def test_zero_reference_power_raises_value_error(self, ring_design_fixture):
-        """Regression: a powerless reference must raise a clear ValueError
-        instead of failing with a division error or silently reporting 0."""
-        empty = NocPowerReport(design_name="empty")
-        candidate = estimate_power(ring_design_fixture)
-        with pytest.raises(ValueError, match="0 mW"):
-            power_overhead(empty, candidate)
-
-    def test_zero_reference_area_raises_value_error(self, ring_design_fixture):
-        empty = NocAreaReport(design_name="empty")
-        candidate = estimate_area(ring_design_fixture)
-        with pytest.raises(ValueError, match="0 mm"):
-            area_overhead(empty, candidate)
 
 
 class TestFusedEstimation:

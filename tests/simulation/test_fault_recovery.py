@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from typing import Dict, List, Tuple
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -42,6 +43,7 @@ from repro.model.routes import Route, RouteSet
 from repro.model.topology import Topology
 from repro.model.traffic import CommunicationGraph
 from repro.perf.batch_engine import run_batch
+from repro.perf.sim_engine import CompiledNetwork
 from repro.simulation import recovery
 from repro.simulation.events import EventSchedule
 from repro.simulation.simulator import (
@@ -51,6 +53,7 @@ from repro.simulation.simulator import (
     stats_divergences,
 )
 from repro.synthesis.builder import SynthesisConfig, synthesize_design
+from template_oracle import assert_matches_fresh_compile
 
 SETTINGS = settings(
     max_examples=6,
@@ -91,7 +94,67 @@ def _schedules(design: NocDesign) -> List[EventSchedule]:
     ]
 
 
+def _shared_link_design(vcs: int) -> NocDesign:
+    """Two flows from switch A to switch B over link A->B with ``vcs`` VCs.
+
+    ``f1`` (2 flits) rides VC 0 and ``f2`` (5 flits) the last VC, so with
+    one VC they compete for one channel and with two for one link.
+    """
+    topology = Topology("shared_link")
+    topology.add_switches(["A", "B"])
+    topology.add_bidirectional_link("A", "B", vc_count=vcs)
+    traffic = CommunicationGraph("shared_link_traffic")
+    traffic.add_cores(["a1", "a2", "b"])
+    traffic.add_flow("f1", "a1", "b", packet_size_flits=2)
+    traffic.add_flow("f2", "a2", "b", packet_size_flits=5)
+    link = Link("A", "B")
+    routes = RouteSet(
+        {"f1": Route([Channel(link, 0)]), "f2": Route([Channel(link, vcs - 1)])}
+    )
+    return NocDesign(
+        name="shared_link",
+        topology=topology,
+        traffic=traffic,
+        core_map={"a1": "A", "a2": "A", "b": "B"},
+        routes=routes,
+    )
+
+
 class TestEngineEquivalenceUnderFaults:
+    @pytest.mark.parametrize(
+        "vcs, latencies", [(1, [1, 1, 6]), (2, [1, 2, 6])], ids=["one-vc", "two-vcs"]
+    )
+    def test_restored_link_arbitrates_afresh(self, vcs, latencies):
+        """A restored link's allocation and VC pointers restart at 0.
+
+        f1 crosses A->B alone at cycle 0, which moves the channel's
+        allocation pointer (one VC) or the link's VC pointer (two VCs) off
+        its start.  The link fails at cycle 10 and is restored at 20, where
+        ``idle`` reinstates both routes and f1 and f2 fire together.  A
+        fresh link serves f1 first: with one VC f1 ends at cycle 21 and f2
+        holds the channel for cycles 22-26; with two the VCs alternate from
+        VC 0, so f1 ends at cycle 22 and f2 at 26.
+        """
+        trace = {
+            "cycles": 30,
+            "events": [
+                {"cycle": 0, "flow": "f1", "packets": 1},
+                {"cycle": 20, "flow": "f1", "packets": 1},
+                {"cycle": 20, "flow": "f2", "packets": 1},
+            ],
+        }
+        config = SimulationConfig(
+            traffic_scenario="trace",
+            scenario_params={"trace": trace},
+            fault_schedule=EventSchedule().fail_link(10, "A", "B").restore_link(20, "A", "B"),
+            fault_recovery="idle",
+        )
+        stats = simulate_design(
+            _shared_link_design(vcs), max_cycles=30, config=config, cross_check=True
+        )
+        assert stats.fault_events_applied == 2
+        assert stats.latencies == latencies
+
     @pytest.mark.parametrize("soc_benchmark", list_benchmarks())
     @pytest.mark.parametrize("which", [0, 1])
     def test_cross_check_on_soc_benchmarks(self, soc_benchmark, which):
@@ -338,10 +401,20 @@ class TestRandomScheduleProperties:
             traffic_scenario=scenario,
             fault_schedule=schedule,
         )
+        sync = CompiledNetwork.sync_with_design
+
+        def checked_sync(network):
+            # After every batch (restores and online-removal VCs included)
+            # the template continuing the run's numbering describes the
+            # sweep a fresh compile of the repaired design does.
+            sync(network)
+            assert_matches_fresh_compile(network.template)
+
         # Raises on any compiled-vs-legacy stats divergence.
-        simulate_design(
-            design, max_cycles=250, config=config, engine="compiled", cross_check=True
-        )
+        with mock.patch.object(CompiledNetwork, "sync_with_design", checked_sync):
+            simulate_design(
+                design, max_cycles=250, config=config, engine="compiled", cross_check=True
+            )
 
     @SETTINGS
     @given(
