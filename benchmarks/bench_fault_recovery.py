@@ -3,7 +3,7 @@
 A fault schedule (link/router failures plus repairs) turns a simulation
 run into a sequence of recovery episodes: every topology change re-routes
 the affected flows, re-runs deadlock removal on the degraded design
-through the dirty-region ``"context"`` engine and swaps the new route
+through the incremental ``"context"`` engine and swaps the new route
 tables into the running network.  This benchmark quantifies what that
 costs on the deadlock-free D36_8 design at 35 switches (full
 configuration):
@@ -12,8 +12,9 @@ configuration):
   batch drained under the recovered route tables
   (:attr:`~repro.simulation.stats.SimulationStats.recovery_cycles`);
 * **re-removal cost** — wall-clock overhead of the faulted run over an
-  identical fault-free run, plus the ``"context"`` engine's dirty-region
-  counters for the in-flight removals;
+  identical fault-free run, plus the :mod:`repro.perf.counters` counters
+  of the timed rounds (route deltas and indexed cost tables of the
+  in-flight removals, simulation template builds and reuses);
 * **verdict integrity** — the faulted run is executed with
   ``cross_check=True`` (compiled engine re-verified against the legacy
   engine, field-identical stats) and every post-recovery design must be
@@ -30,7 +31,8 @@ configuration):
   against the fault-free baseline and recording its
   delivery/loss/recovery profile.
 
-Results go to ``BENCH_fault_recovery.json`` at the repository root.
+Results go to ``BENCH_fault_recovery.json`` at the repository root, and
+``--smoke`` results to ``BENCH_fault_recovery.smoke.json`` (ignored by git).
 Run from the repository root::
 
     PYTHONPATH=src python benchmarks/bench_fault_recovery.py           # full
@@ -191,9 +193,15 @@ def run_fault_recovery_benchmark(
     }
 
 
-def _persist(data: dict) -> None:
-    """Write the numbers to ``BENCH_fault_recovery.json`` at the repository root."""
-    ROOT_RESULT_PATH.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+def _persist(data: dict, *, smoke: bool) -> Path:
+    """Write the numbers to ``BENCH_fault_recovery.json`` at the repository root.
+
+    A smoke run writes ``BENCH_fault_recovery.smoke.json`` instead, so it never
+    replaces the committed full results.
+    """
+    path = ROOT_RESULT_PATH.with_suffix(".smoke.json") if smoke else ROOT_RESULT_PATH
+    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    return path
 
 
 def _report(data: dict) -> str:
@@ -280,8 +288,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             rounds=args.rounds,
         )
     print(_report(data))
-    _persist(data)
-    print(f"wrote {ROOT_RESULT_PATH}")
+    print(f"wrote {_persist(data, smoke=args.smoke)}")
     failures = _check(data)
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)

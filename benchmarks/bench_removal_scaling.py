@@ -24,7 +24,8 @@ The initial elementary-cycle count (an optional diagnostic) is disabled so
 the comparison measures the algorithm, not the capped Johnson enumeration
 (:func:`repro.perf.cycle_search.simple_cycles`) both engines share.
 
-Results go to ``BENCH_removal_scaling.json`` at the repository root.
+Results go to ``BENCH_removal_scaling.json`` at the repository root, and
+``--smoke`` results to ``BENCH_removal_scaling.smoke.json`` (ignored by git).
 Run from the repository root::
 
     PYTHONPATH=src python benchmarks/bench_removal_scaling.py           # full
@@ -187,9 +188,15 @@ def run_removal_scaling(
     }
 
 
-def _persist(data: dict) -> None:
-    """Write the numbers to ``BENCH_removal_scaling.json`` at the repository root."""
-    ROOT_RESULT_PATH.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+def _persist(data: dict, *, smoke: bool) -> Path:
+    """Write the numbers to ``BENCH_removal_scaling.json`` at the repository root.
+
+    A smoke run writes ``BENCH_removal_scaling.smoke.json`` instead, so it never
+    replaces the committed full results.
+    """
+    path = ROOT_RESULT_PATH.with_suffix(".smoke.json") if smoke else ROOT_RESULT_PATH
+    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    return path
 
 
 def _report(data: dict) -> str:
@@ -272,8 +279,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
         threshold = FULL_SPEEDUP_THRESHOLD
     print(_report(data))
-    _persist(data)
-    print(f"wrote {ROOT_RESULT_PATH}")
+    print(f"wrote {_persist(data, smoke=args.smoke)}")
     failures = _check(data, threshold)
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)

@@ -19,8 +19,9 @@ This benchmark pits the two engines against each other on:
 * **all six SoC benchmarks** through the full synthesis pipeline — the
   serialized route sets of both engines must be *byte-identical*.
 
-Results go to ``BENCH_routing.json`` at the repository root.  Run from
-the repository root::
+Results go to ``BENCH_routing.json`` at the repository root, and
+``--smoke`` results to ``BENCH_routing.smoke.json`` (ignored by git).
+Run from the repository root::
 
     PYTHONPATH=src python benchmarks/bench_routing.py           # full
     PYTHONPATH=src python benchmarks/bench_routing.py --smoke   # CI, <60 s
@@ -172,9 +173,15 @@ def run_routing_benchmark(
     }
 
 
-def _persist(data: dict) -> None:
-    """Write the numbers to ``BENCH_routing.json`` at the repository root."""
-    ROOT_RESULT_PATH.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+def _persist(data: dict, *, smoke: bool) -> Path:
+    """Write the numbers to ``BENCH_routing.json`` at the repository root.
+
+    A smoke run writes ``BENCH_routing.smoke.json`` instead, so it never
+    replaces the committed full results.
+    """
+    path = ROOT_RESULT_PATH.with_suffix(".smoke.json") if smoke else ROOT_RESULT_PATH
+    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    return path
 
 
 def _case_line(label: str, case: Dict[str, object]) -> str:
@@ -233,8 +240,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
         threshold = FULL_SPEEDUP_THRESHOLD
     print(_report(data))
-    _persist(data)
-    print(f"wrote {ROOT_RESULT_PATH}")
+    print(f"wrote {_persist(data, smoke=args.smoke)}")
     if not data["all_routes_identical"]:
         print("FAIL: routing engines disagreed on a route set", file=sys.stderr)
         return 1

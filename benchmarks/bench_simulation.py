@@ -27,8 +27,9 @@ could drift.  This benchmark:
   (``counters.sim_template_reuses``), so a regression that recompiles per
   run fails loudly here.
 
-Results go to ``BENCH_simulation.json`` at the repository root.  Run from
-the repository root::
+Results go to ``BENCH_simulation.json`` at the repository root, and
+``--smoke`` results to ``BENCH_simulation.smoke.json`` (ignored by git).
+Run from the repository root::
 
     PYTHONPATH=src python benchmarks/bench_simulation.py           # full
     PYTHONPATH=src python benchmarks/bench_simulation.py --smoke   # CI, <60 s
@@ -208,9 +209,15 @@ def run_simulation_benchmark(
     }
 
 
-def _persist(data: dict) -> None:
-    """Write the numbers to ``BENCH_simulation.json`` at the repository root."""
-    ROOT_RESULT_PATH.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+def _persist(data: dict, *, smoke: bool) -> Path:
+    """Write the numbers to ``BENCH_simulation.json`` at the repository root.
+
+    A smoke run writes ``BENCH_simulation.smoke.json`` instead, so it never
+    replaces the committed full results.
+    """
+    path = ROOT_RESULT_PATH.with_suffix(".smoke.json") if smoke else ROOT_RESULT_PATH
+    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    return path
 
 
 def _report(data: dict) -> str:
@@ -291,8 +298,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
         threshold = FULL_SPEEDUP_THRESHOLD
     print(_report(data))
-    _persist(data)
-    print(f"wrote {ROOT_RESULT_PATH}")
+    print(f"wrote {_persist(data, smoke=args.smoke)}")
     failures = _check(data, threshold)
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)

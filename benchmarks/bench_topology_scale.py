@@ -9,8 +9,9 @@ question behind the family layer: does removal stay tractable (and the
 fabric deadlock free) as the network grows from SoC-sized rings to an
 80-switch fat-tree?
 
-Results go to ``BENCH_topology_scale.json`` at the repository root.  Run
-from the repository root::
+Results go to ``BENCH_topology_scale.json`` at the repository root, and
+``--smoke`` results to ``BENCH_topology_scale.smoke.json`` (ignored by git).
+Run from the repository root::
 
     PYTHONPATH=src python benchmarks/bench_topology_scale.py           # full
     PYTHONPATH=src python benchmarks/bench_topology_scale.py --smoke   # CI, <60 s
@@ -172,9 +173,15 @@ def run_topology_scale(
     }
 
 
-def _persist(data: dict) -> None:
-    """Write the numbers to ``BENCH_topology_scale.json`` at the repository root."""
-    ROOT_RESULT_PATH.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+def _persist(data: dict, *, smoke: bool) -> Path:
+    """Write the numbers to ``BENCH_topology_scale.json`` at the repository root.
+
+    A smoke run writes ``BENCH_topology_scale.smoke.json`` instead, so it never
+    replaces the committed full results.
+    """
+    path = ROOT_RESULT_PATH.with_suffix(".smoke.json") if smoke else ROOT_RESULT_PATH
+    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    return path
 
 
 def _report(data: dict) -> str:
@@ -226,8 +233,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         injection_scale=args.injection_scale,
     )
     print(_report(data))
-    _persist(data)
-    print(f"wrote {ROOT_RESULT_PATH}")
+    print(f"wrote {_persist(data, smoke=args.smoke)}")
     problems = _check(data)
     for problem in problems:
         print(f"FAIL: {problem}", file=sys.stderr)

@@ -42,11 +42,11 @@ def load_point_failed(metrics: Mapping[str, Any]) -> bool:
     )
 
 
-def format_table(headers: List[str], rows: List[Sequence], *, precision: int = 2) -> str:
-    """Render a list of rows as a fixed-width text table."""
+def format_table(headers: List[str], rows: List[Sequence]) -> str:
+    """Render a list of rows as a fixed-width text table (floats to 2 places)."""
     def fmt(value) -> str:
         if isinstance(value, float):
-            return f"{value:.{precision}f}"
+            return f"{value:.2f}"
         return str(value)
 
     str_rows = [[fmt(v) for v in row] for row in rows]

@@ -14,8 +14,9 @@ config as a lane of :func:`~repro.perf.batch_engine.run_batch` on the
 engine named by ``sim_engine`` and returns the metrics dictionary a
 :class:`~repro.api.result.RunResult` records.  The experiment API's
 ``latency`` and ``availability`` reports are the cached, parallel way to
-sweep registry benchmarks (the runner builds one config per spec); these
-two functions serve ad-hoc :class:`~repro.model.design.NocDesign` objects
+sweep registry benchmarks (the runner builds one config per spec and
+calls :func:`measure_load_grid` for every group of specs); these two
+functions serve ad-hoc :class:`~repro.model.design.NocDesign` objects
 too.  Neither calls the other, so a wrapper around one of them counts its
 own calls only.
 """

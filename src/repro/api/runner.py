@@ -17,11 +17,9 @@ The runner turns :class:`~repro.api.spec.RunSpec` points into
 * **one simulation path** — :func:`_simulate_specs` simulates a list of
   specs that share a cost bundle.  Each spec becomes one
   :class:`~repro.simulation.simulator.SimulationConfig`, which every
-  design variant runs: a group of several as one grid of lanes per
-  variant (:func:`repro.analysis.performance.measure_load_grid`), a
-  single spec as one load point (:func:`~repro.analysis.performance
-  .measure_load_point`), both through the same measurement body.
-  :func:`_plan_batches` groups the specs that share one
+  design variant runs as one grid of lanes per variant
+  (:func:`repro.analysis.performance.measure_load_grid`; a single spec is
+  a grid of one).  :func:`_plan_batches` groups the specs that share one
   :func:`_batch_key` (cost bundle, ``sim_cycles``, ``buffer_depth`` and
   ``sim_engine``), whatever their engine, so a latency curve, a seed
   sweep and an availability grid of fault specs each decode their bundle
@@ -177,13 +175,12 @@ def _simulate_specs(
     ``simulation`` section, in order.  Each spec becomes one
     :class:`~repro.simulation.simulator.SimulationConfig` (its fault
     request resolved once), and the three design variants run those same
-    configs.  Several specs (a :func:`_plan_batches` group, sharing
-    ``sim_cycles``, ``buffer_depth`` and ``sim_engine``) run as one
-    :func:`~repro.analysis.performance.measure_load_grid` call per design
-    variant, fault specs included, a single spec as one
-    :func:`~repro.analysis.performance.measure_load_point` call; both are
-    looked up on the module at call time and get ``max_cycles`` as a
-    keyword.  Repeated executions of one spec are reproducible; deadlocks
+    configs.  The specs (a :func:`_plan_batches` group, sharing
+    ``sim_cycles``, ``buffer_depth`` and ``sim_engine``, or a single spec)
+    run as one :func:`~repro.analysis.performance.measure_load_grid` call
+    per design variant, fault specs included; it is looked up on the
+    module at call time and gets ``max_cycles`` as a keyword.  Repeated
+    executions of one spec are reproducible; deadlocks
     — expected for the unprotected variant under pressure — are recorded
     in the metrics, never raised.
     """
@@ -216,12 +213,12 @@ def _simulate_specs(
         for spec in specs
     ]
     first = specs[0]
-    shared = dict(max_cycles=first.sim_cycles, sim_engine=first.sim_engine)
     grids = {
-        variant: (
-            [performance.measure_load_point(designs[variant], configs[0], **shared)]
-            if len(configs) == 1
-            else performance.measure_load_grid(designs[variant], configs, **shared)
+        variant: performance.measure_load_grid(
+            designs[variant],
+            configs,
+            max_cycles=first.sim_cycles,
+            sim_engine=first.sim_engine,
         )
         for variant in VARIANTS
     }

@@ -590,12 +590,14 @@ class ReportRequest:
             raise PlanError(f"report type must be a non-empty string, got {self.type!r}")
         if not isinstance(self.params, dict):
             raise PlanError(f"report params must be a mapping, got {self.params!r}")
-        self.params = dict(self.params)
+        # Deep copies, as RunSpec makes: no nested list or dict is shared
+        # with the caller, in either direction.
+        self.params = copy.deepcopy(dict(self.params))
 
     def to_dict(self) -> Union[str, Dict[str, Any]]:
         if not self.params:
             return self.type
-        return {"type": self.type, **self.params}
+        return {"type": self.type, **copy.deepcopy(self.params)}
 
     @classmethod
     def from_dict(cls, data: Union[str, Mapping[str, Any]]) -> "ReportRequest":

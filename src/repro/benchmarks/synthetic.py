@@ -59,13 +59,15 @@ def hotspot_traffic(
     n_hotspots: int = 2,
     *,
     seed: int = 0,
-    hotspot_bandwidth: float = 400.0,
-    background_bandwidth: float = 40.0,
     prefix: str = "core",
     name: Optional[str] = None,
 ) -> CommunicationGraph:
     """All cores send to a few hotspot cores (memory-controller pattern),
-    plus light background traffic to a random partner."""
+    plus light background traffic to a random partner.
+
+    Each request to a hotspot carries 400 MB/s, its reply 200 MB/s and the
+    background flow 40 MB/s.
+    """
     if n_cores < 3:
         raise BenchmarkError(f"need at least 3 cores, got {n_cores}")
     if n_hotspots < 1 or n_hotspots >= n_cores:
@@ -80,14 +82,14 @@ def hotspot_traffic(
         if src in hotspots:
             continue
         hotspot = hotspots[flow_id % n_hotspots]
-        traffic.add_flow(f"f{flow_id}", src, hotspot, hotspot_bandwidth)
+        traffic.add_flow(f"f{flow_id}", src, hotspot, 400.0)
         flow_id += 1
         # replies from the hotspot back to the requester
-        traffic.add_flow(f"f{flow_id}", hotspot, src, hotspot_bandwidth / 2)
+        traffic.add_flow(f"f{flow_id}", hotspot, src, 200.0)
         flow_id += 1
         others = [c for c in cores if c not in (src, hotspot)]
         dst = others[rng.randrange(len(others))]
-        traffic.add_flow(f"f{flow_id}", src, dst, background_bandwidth)
+        traffic.add_flow(f"f{flow_id}", src, dst, 40.0)
         flow_id += 1
     return traffic
 

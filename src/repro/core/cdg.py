@@ -31,10 +31,6 @@ class ChannelDependencyGraph:
         self._pred: Dict[Channel, Set[Channel]] = {}
         # (ci, cj) -> set of flow names creating the dependency
         self._edge_flows: Dict[Tuple[Channel, Channel], Set[str]] = {}
-        # Sorted views of the vertex/edge sets, rebuilt lazily after mutation
-        # so repeated reporting calls stop re-sorting the same data.
-        self._channels_cache: Optional[List[Channel]] = None
-        self._edges_cache: Optional[List[Tuple[Channel, Channel]]] = None
 
     # ------------------------------------------------------------------
     # construction
@@ -44,7 +40,6 @@ class ChannelDependencyGraph:
         if channel not in self._succ:
             self._succ[channel] = set()
             self._pred[channel] = set()
-            self._channels_cache = None
 
     def add_dependency(self, first: Channel, second: Channel, flow_name: str) -> None:
         """Record that ``flow_name`` uses ``first`` immediately before ``second``."""
@@ -58,7 +53,6 @@ class ChannelDependencyGraph:
         self._succ[first].add(second)
         self._pred[second].add(first)
         self._edge_flows.setdefault((first, second), set()).add(flow_name)
-        self._edges_cache = None
 
     def add_route(self, flow_name: str, channels: Iterable[Channel]) -> None:
         """Add every consecutive channel pair of a route as dependencies."""
@@ -74,9 +68,7 @@ class ChannelDependencyGraph:
     @property
     def channels(self) -> List[Channel]:
         """All vertices, sorted."""
-        if self._channels_cache is None:
-            self._channels_cache = sorted(self._succ)
-        return list(self._channels_cache)
+        return sorted(self._succ)
 
     @property
     def channel_count(self) -> int:
@@ -86,9 +78,7 @@ class ChannelDependencyGraph:
     @property
     def edges(self) -> List[Tuple[Channel, Channel]]:
         """All dependency edges, sorted."""
-        if self._edges_cache is None:
-            self._edges_cache = sorted(self._edge_flows)
-        return list(self._edges_cache)
+        return sorted(self._edge_flows)
 
     @property
     def edge_count(self) -> int:

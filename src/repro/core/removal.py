@@ -25,8 +25,8 @@ Built-ins:
 * ``engine="context"`` (default) — the fast path.  The run builds one
   :class:`~repro.perf.cdg_index.CDGIndex` from the design's routes and
   maintains it from the route deltas each break reports; the
-  smallest-cycle search is SCC-pruned, cached per component and
-  depth-limited (:mod:`repro.perf.cycle_search`); cost tables for both
+  smallest-cycle search is SCC-pruned and depth-limited
+  (:mod:`repro.perf.cycle_search`); cost tables for both
   break directions come from one pass over interned channel-id arrays
   (:mod:`repro.perf.cost_index`); and the affected flows of a break are
   read from the indexed per-edge flow sets instead of scanning every

@@ -17,12 +17,7 @@ def _quote(name: str) -> str:
     return f'"{escaped}"'
 
 
-def topology_to_dot(
-    design_or_topology,
-    *,
-    show_cores: bool = True,
-    highlight_extra_vcs: bool = True,
-) -> str:
+def topology_to_dot(design_or_topology, *, show_cores: bool = True) -> str:
     """Render a topology (or a whole design) as a Graphviz ``digraph``.
 
     Switches become boxes; each physical link becomes one edge labelled with
@@ -47,7 +42,7 @@ def topology_to_dot(
         if link.index > 0:
             attributes.append("style=dashed")
             attributes.append("color=darkorange")
-        elif highlight_extra_vcs and vcs > 1:
+        elif vcs > 1:
             attributes.append("color=crimson")
             attributes.append("penwidth=2")
         lines.append(

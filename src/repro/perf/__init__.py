@@ -4,12 +4,12 @@ Behaviour-preserving accelerations of the seed code paths:
 
 * :mod:`repro.perf.cdg_index` — :class:`~repro.perf.cdg_index.CDGIndex`, an
   incrementally maintained channel dependency graph over dense integer ids
-  with dirty-region tracking, the interned route of every flow and the
-  flows creating each dependency; a removal run builds one and applies
-  each cycle break's route delta to it (replaces the per-iteration
-  ``build_cdg`` rebuild of Algorithm 1's outer loop);
-* :mod:`repro.perf.cycle_search` — SCC-pruned, per-component-cached,
-  depth-limited smallest-cycle search that returns exactly what
+  with the interned route of every flow and the flows creating each
+  dependency; a removal run builds one and applies each cycle break's
+  route delta to it (replaces the per-iteration ``build_cdg`` rebuild of
+  Algorithm 1's outer loop);
+* :mod:`repro.perf.cycle_search` — SCC-pruned, depth-limited smallest-cycle
+  search that returns exactly what
   :func:`repro.core.cycles.find_smallest_cycle` would on a fresh rebuild,
   and the Johnson enumerator behind every elementary-cycle count;
 * :mod:`repro.perf.route_engine` — int-relabelled switch graph with a

@@ -9,7 +9,8 @@ after another.  Each lane is a simulator of the chosen engine on its own
 network and runs through the shared run and injection loops
 (:meth:`Simulator.run <repro.simulation.simulator.Simulator.run>`), so its
 statistics are those of a solo run of that engine by construction.  A
-load point is a grid of one.
+load point is a grid of one, and so is
+:func:`~repro.simulation.simulator.simulate_design`.
 
 What a grid shares is set-up and randomness:
 
@@ -134,8 +135,8 @@ def run_batch(
     <repro.simulation.simulator.Simulator.run>`'s defaults.  ``engine``
     names the :data:`~repro.api.registry.simulation_engines` entry whose
     simulator each lane is.  Returns one :class:`SimulationStats` per
-    config, in order, field-identical to
-    ``build_simulator(design, config, engine=engine).run(max_cycles)``;
+    config, in order, field-identical to a solo run of that simulator,
+    ``simulation_engines.get(engine)(design, config).run(max_cycles)``;
     a lane whose fault schedule names a link or switch the design lacks
     raises :class:`SimulationError` as that solo run does.
 

@@ -11,10 +11,7 @@ the hot loop:
 * adjacency is kept as int sets plus lazily presorted tuples that are
   invalidated only when the vertex they belong to mutates;
 * route deltas (``remove_route`` of the old route, ``add_route`` of the new
-  one) update the graph in time proportional to the touched routes, and the
-  ids whose adjacency changed are collected in a *dirty set* that the
-  incremental cycle search (:mod:`repro.perf.cycle_search`) uses to decide
-  which cached per-SCC results are still valid;
+  one) update the graph in time proportional to the touched routes;
 * every flow's route is kept as interned ids (:meth:`CDGIndex.route_ids`,
   read by :mod:`repro.perf.cost_index`), and the flows creating a
   dependency come from the per-edge flow sets
@@ -52,7 +49,7 @@ def channel_sort_key(channel: Channel) -> ChannelKey:
 
 
 class CDGIndex:
-    """Dirty-region incremental CDG over interned integer channel ids."""
+    """Incrementally updated CDG over interned integer channel ids."""
 
     def __init__(self):
         # id -> Channel and the reverse interning map.
@@ -71,10 +68,6 @@ class CDGIndex:
         self._route_ids: Dict[str, Tuple[int, ...]] = {}
         # Lazily sorted adjacency (by channel sort key); None = needs resort.
         self._sorted_succ: List[Optional[Tuple[int, ...]]] = []
-        # Live vertex ids in channel sort order; None = needs resort.
-        self._sorted_vertices: Optional[Tuple[int, ...]] = None
-        # Ids whose adjacency changed since the last consume_dirty().
-        self._dirty: Set[int] = set()
 
     # ------------------------------------------------------------------
     # construction
@@ -110,8 +103,6 @@ class CDGIndex:
         ids = tuple(self.intern(channel) for channel in channels)
         self._route_ids[flow_name] = ids
         for channel_id in ids:
-            if self._usage[channel_id] == 0:
-                self._sorted_vertices = None
             self._usage[channel_id] += 1
         for first, second in zip(ids, ids[1:]):
             self._add_dependency(first, second, flow_name)
@@ -126,9 +117,7 @@ class CDGIndex:
             self._remove_dependency(first, second, flow_name)
         for channel_id in ids:
             self._usage[channel_id] -= 1
-            if self._usage[channel_id] == 0:
-                self._sorted_vertices = None
-            elif self._usage[channel_id] < 0:
+            if self._usage[channel_id] < 0:
                 raise DesignError(
                     f"usage count of {self._channels[channel_id].name} went "
                     "negative; remove_route does not match a prior add_route"
@@ -154,8 +143,6 @@ class CDGIndex:
             self._succ[first].add(second)
             self._pred[second].add(first)
             self._sorted_succ[first] = None
-            self._dirty.add(first)
-            self._dirty.add(second)
         else:
             flows.add(flow_name)
 
@@ -173,8 +160,6 @@ class CDGIndex:
             self._succ[first].discard(second)
             self._pred[second].discard(first)
             self._sorted_succ[first] = None
-            self._dirty.add(first)
-            self._dirty.add(second)
 
     # ------------------------------------------------------------------
     # queries (mirroring ChannelDependencyGraph, over ids)
@@ -206,13 +191,11 @@ class CDGIndex:
         """Number of dependency edges."""
         return len(self._edge_flows)
 
-    def sorted_vertices(self) -> Tuple[int, ...]:
-        """Live vertex ids in channel sort order (cached)."""
-        if self._sorted_vertices is None:
-            live = [i for i in range(len(self._channels)) if self._usage[i] > 0]
-            live.sort(key=self._keys.__getitem__)
-            self._sorted_vertices = tuple(live)
-        return self._sorted_vertices
+    def sorted_vertices(self) -> List[int]:
+        """Live vertex ids in channel sort order."""
+        live = [i for i in range(len(self._channels)) if self._usage[i] > 0]
+        live.sort(key=self._keys.__getitem__)
+        return live
 
     def sorted_successors(self, channel_id: int) -> Tuple[int, ...]:
         """Successor ids in channel sort order (cached until mutation)."""
@@ -247,20 +230,6 @@ class CDGIndex:
     def route_ids(self, flow_name: str) -> Tuple[int, ...]:
         """The flow's current route as a tuple of interned channel ids."""
         return self._route_ids[flow_name]
-
-    # ------------------------------------------------------------------
-    # dirty tracking
-    # ------------------------------------------------------------------
-    @property
-    def dirty(self) -> Set[int]:
-        """Ids whose adjacency changed since the last :meth:`consume_dirty`."""
-        return set(self._dirty)
-
-    def consume_dirty(self) -> Set[int]:
-        """Return and clear the dirty set (one search epoch ends)."""
-        dirty = self._dirty
-        self._dirty = set()
-        return dirty
 
     # ------------------------------------------------------------------
     # structure analysis
@@ -335,5 +304,5 @@ class CDGIndex:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"CDGIndex(vertices={self.vertex_count}, edges={self.edge_count}, "
-            f"interned={len(self._channels)}, dirty={len(self._dirty)})"
+            f"interned={len(self._channels)})"
         )

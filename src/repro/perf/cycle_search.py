@@ -1,8 +1,8 @@
-"""Indexed smallest-cycle search with SCC pruning and dirty-region caching.
+"""Indexed smallest-cycle search with SCC pruning and a depth bound.
 
 ``GetSmallestCycle`` in the seed implementation BFS-searches from *every*
-vertex of the CDG on *every* removal iteration.  Three observations make the
-search incremental without changing a single returned cycle:
+vertex of the CDG on *every* removal iteration.  Two observations narrow
+the search without changing a single returned cycle:
 
 1. **SCC pruning** — a cycle through ``v`` lies entirely inside ``v``'s
    strongly connected component: every vertex on a path from ``v`` back to
@@ -19,12 +19,9 @@ search incremental without changing a single returned cycle:
    vertex of the SCC with the lexicographically smallest
    ``(cycle length, start key)`` pair.
 
-3. **Dirty-region reuse** — a break only re-routes a few flows, so most
-   SCCs survive an iteration with identical membership and untouched
-   adjacency.  Their cached ``(length, start, cycle)`` result is still
-   exact; only components containing a *dirty* vertex (adjacency changed
-   since the last search, tracked by :class:`~repro.perf.cdg_index.CDGIndex`)
-   are re-searched.
+Every call runs one Tarjan pass over the live CDG and searches every
+cyclic component; the BFS of one component reads the index's presorted
+successor tuples and epoch-stamped scratch arrays.
 
 The module also holds the one elementary-cycle enumerator of the package,
 :func:`simple_cycles` (Johnson 1975), which the capped cycle counts and the
@@ -35,14 +32,14 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import islice
-from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.perf.cdg_index import CDGIndex, ChannelKey
 from repro.model.channels import Channel
 
 
 class SccCycleEntry(NamedTuple):
-    """Cached smallest-cycle result for one strongly connected component."""
+    """The smallest-cycle result of one strongly connected component."""
 
     length: int
     start_key: ChannelKey
@@ -104,11 +101,12 @@ def tarjan_sccs(vertices: Iterable[int], successors) -> List[List[int]]:
 
 
 class IncrementalCycleSearch:
-    """Smallest-cycle search over a :class:`CDGIndex` with per-SCC caching.
+    """Smallest-cycle search over a :class:`CDGIndex`, one SCC at a time.
 
     One instance lives for one removal run; call :meth:`find_smallest` once
     per iteration, after applying the iteration's route deltas to the index.
-    Results are identical to
+    Each call searches every cyclic strongly connected component of the
+    current graph.  Results are identical to
     :func:`repro.core.cycles.find_smallest_cycle` on a freshly rebuilt CDG.
 
     Every BFS after the first hit of a component is bounded to the depth
@@ -123,7 +121,6 @@ class IncrementalCycleSearch:
 
     def __init__(self, index: CDGIndex):
         self._index = index
-        self._cache: Dict[FrozenSet[int], SccCycleEntry] = {}
         # Epoch-stamped scratch arrays for the BFS: indexed by dense
         # channel id, validity decided by comparing stamps, so a fresh BFS
         # costs one counter bump instead of fresh dicts.
@@ -136,22 +133,13 @@ class IncrementalCycleSearch:
     def find_smallest(self) -> Optional[List[Channel]]:
         """The smallest CDG cycle (ties: smallest start channel), or None."""
         index = self._index
-        dirty = index.consume_dirty()
-        sccs = tarjan_sccs(index.sorted_vertices(), index.successors)
-
-        new_cache: Dict[FrozenSet[int], SccCycleEntry] = {}
         best: Optional[SccCycleEntry] = None
-        for component in sccs:
+        for component in tarjan_sccs(index.sorted_vertices(), index.successors):
             if len(component) < 2:
                 continue
-            key = frozenset(component)
-            entry = self._cache.get(key)
-            if entry is None or not dirty.isdisjoint(key):
-                entry = self._search_component(component)
-            new_cache[key] = entry
+            entry = self._search_component(component)
             if best is None or (entry.length, entry.start_key) < (best.length, best.start_key):
                 best = entry
-        self._cache = new_cache
         if best is None:
             return None
         return [index.channel_of(i) for i in best.cycle]

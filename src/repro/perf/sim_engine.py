@@ -760,12 +760,11 @@ class CompiledSimulator(Simulator):
         )
 
     def run(self, max_cycles: int = 10_000, **kwargs):
-        try:
-            return super().run(max_cycles, **kwargs)
-        finally:
-            # Fold the array counters into the stats dict even when a
-            # deadlock is raised (the legacy engine records them in place).
-            self.network.materialise_busy_cycles(self.stats)
+        stats = super().run(max_cycles, **kwargs)
+        # Fold the array counters into the stats dict (the legacy engine
+        # records them in place).
+        self.network.materialise_busy_cycles(stats)
+        return stats
 
 
 simulation_engines.register(ENGINE_COMPILED, CompiledSimulator)

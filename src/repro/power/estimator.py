@@ -117,8 +117,6 @@ def _router_loads(
 def _estimate(
     design: NocDesign,
     tech: Optional[TechnologyParameters],
-    router_model: Optional[RouterPowerModel],
-    link_model: Optional[LinkPowerModel],
     *,
     want_power: bool,
     want_area: bool,
@@ -133,8 +131,8 @@ def _estimate(
     reports are identical.
     """
     tech = tech or TechnologyParameters()
-    router_model = router_model or RouterPowerModel(tech)
-    link_model = link_model or LinkPowerModel(tech)
+    router_model = RouterPowerModel(tech)
+    link_model = LinkPowerModel(tech)
 
     port_counts = design.switch_port_counts()
     topology = design.topology
@@ -171,39 +169,23 @@ def _estimate(
 
 
 def estimate_power(
-    design: NocDesign,
-    *,
-    tech: Optional[TechnologyParameters] = None,
-    router_model: Optional[RouterPowerModel] = None,
-    link_model: Optional[LinkPowerModel] = None,
+    design: NocDesign, *, tech: Optional[TechnologyParameters] = None
 ) -> NocPowerReport:
     """Estimate the power of every router and link of a design."""
-    power, _ = _estimate(
-        design, tech, router_model, link_model, want_power=True, want_area=False
-    )
+    power, _ = _estimate(design, tech, want_power=True, want_area=False)
     return power
 
 
 def estimate_area(
-    design: NocDesign,
-    *,
-    tech: Optional[TechnologyParameters] = None,
-    router_model: Optional[RouterPowerModel] = None,
-    link_model: Optional[LinkPowerModel] = None,
+    design: NocDesign, *, tech: Optional[TechnologyParameters] = None
 ) -> NocAreaReport:
     """Estimate the silicon area of every router and link of a design."""
-    _, area = _estimate(
-        design, tech, router_model, link_model, want_power=False, want_area=True
-    )
+    _, area = _estimate(design, tech, want_power=False, want_area=True)
     return area
 
 
 def estimate_power_and_area(
-    design: NocDesign,
-    *,
-    tech: Optional[TechnologyParameters] = None,
-    router_model: Optional[RouterPowerModel] = None,
-    link_model: Optional[LinkPowerModel] = None,
+    design: NocDesign, *, tech: Optional[TechnologyParameters] = None
 ) -> Tuple[NocPowerReport, NocAreaReport]:
     """Both reports of a design from one pass over the derived inputs.
 
@@ -213,7 +195,4 @@ def estimate_power_and_area(
     The evaluation pipeline reports both quantities for every design it
     touches, which previously doubled that work per sweep point.
     """
-    power, area = _estimate(
-        design, tech, router_model, link_model, want_power=True, want_area=True
-    )
-    return power, area
+    return _estimate(design, tech, want_power=True, want_area=True)

@@ -22,7 +22,6 @@ from repro.simulation.simulator import (
     DEFAULT_SIMULATION_ENGINE,
     SimulationConfig,
     Simulator,
-    build_simulator,
     make_traffic_generator,
     simulate_design,
     stats_divergences,
@@ -38,7 +37,6 @@ __all__ = [
     "RecoveryController",
     "Simulator",
     "SimulationConfig",
-    "build_simulator",
     "make_traffic_generator",
     "simulate_design",
     "SimulationStats",

@@ -22,7 +22,7 @@ registry and :attr:`repro.simulation.simulator.SimulationConfig
     Re-route every severed flow
     (:func:`~repro.routing.shortest_path.reroute_unrouted`) with the
     same congestion-aware ordering the synthesis pipeline uses, then
-    re-run deadlock removal through the dirty-region ``"context"``
+    re-run deadlock removal through the incremental ``"context"``
     engine, so the post-fault route set is again provably deadlock-free.
 ``reroute``
     The same re-routing pass without the removal re-run — leaves the

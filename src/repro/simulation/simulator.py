@@ -2,10 +2,10 @@
 
 Typical use::
 
-    from repro.simulation import Simulator, SimulationConfig
+    from repro.simulation import SimulationConfig, simulate_design
 
-    sim = Simulator(design, SimulationConfig(injection_scale=3.0, seed=1))
-    stats = sim.run(max_cycles=20_000)
+    config = SimulationConfig(injection_scale=3.0, seed=1)
+    stats = simulate_design(design, max_cycles=20_000, config=config)
     if stats.deadlock_detected:
         print("design deadlocked at cycle", stats.deadlock_cycle)
 
@@ -13,9 +13,9 @@ A :class:`SimulationConfig` describes a run whole — load, seed, traffic
 scenario, buffer depth, fault schedule and recovery policy — from the
 experiment runner's specs and the CLI down to :meth:`Simulator._setup`;
 only the run length and the engine are passed beside it.  Deadlocks are
-reported in the returned statistics; pass ``raise_on_deadlock=True`` to
-get a :class:`repro.errors.DeadlockDetected` exception instead (useful in
-tests of designs that must be deadlock free).
+reported in the returned statistics; ``simulate_design(...,
+raise_on_deadlock=True)`` raises :class:`repro.errors.DeadlockDetected`
+instead (useful in tests of designs that must be deadlock free).
 
 Two interchangeable engines drive a run, looked up by name in the
 pluggable :data:`repro.api.registry.simulation_engines` registry:
@@ -26,9 +26,10 @@ pluggable :data:`repro.api.registry.simulation_engines` registry:
 * ``"legacy"`` — :class:`Simulator` below, the seed object-per-flit
   implementation kept as the cross-check reference.
 
-``"batched"`` names the compiled engine too; its grids run as lanes
-(:func:`repro.perf.batch_engine.run_batch`).  Every run of every engine
-goes through :meth:`Simulator.run` and its one injection loop,
+``"batched"`` names the compiled engine too.  Every grid runs as lanes
+of :func:`repro.perf.batch_engine.run_batch`, and :func:`simulate_design`
+is a grid of one.  Every run of every engine goes through
+:meth:`Simulator.run` and its one injection loop,
 :meth:`Simulator._inject_new_packets`: the generator names the flows
 that fire (``fire(cycle)``), the simulator numbers the packets and the
 network queues them by its ``flow_table``.  Both engines produce
@@ -249,7 +250,6 @@ class Simulator:
         *,
         drain: bool = True,
         drain_cycles: int = 5_000,
-        raise_on_deadlock: bool = False,
     ) -> SimulationStats:
         """Simulate ``max_cycles`` of injection plus an optional drain phase.
 
@@ -284,8 +284,6 @@ class Simulator:
         if deadlock_channels is not None:
             self.stats.deadlock_cycle = self._cycle
             self.stats.deadlocked_channels = list(deadlock_channels)
-            if raise_on_deadlock:
-                raise DeadlockDetected(self._cycle, deadlock_channels)
         return self.stats
 
 
@@ -309,35 +307,6 @@ def stats_divergences(mine: SimulationStats, theirs: SimulationStats) -> list:
     return problems
 
 
-def build_simulator(
-    design: NocDesign,
-    config: Optional[SimulationConfig] = None,
-    *,
-    engine: str = DEFAULT_SIMULATION_ENGINE,
-):
-    """Instantiate the named engine's simulator for ``design``."""
-    return simulation_engines.get(engine)(design, config or SimulationConfig())
-
-
-def verify_against_legacy(
-    design: NocDesign,
-    config: SimulationConfig,
-    stats: SimulationStats,
-    engine: str,
-    **run_kwargs,
-) -> None:
-    """Re-run the legacy reference engine and raise on any stats divergence."""
-    reference = Simulator(design, config).run(**run_kwargs)
-    problems = stats_divergences(stats, reference)
-    if problems:
-        shown = "; ".join(problems[:5])
-        extra = "" if len(problems) <= 5 else f" (+{len(problems) - 5} more)"
-        raise SimulationError(
-            f"simulation engine {engine!r} diverged from the legacy "
-            f"reference: {shown}{extra}"
-        )
-
-
 def simulate_design(
     design: NocDesign,
     *,
@@ -347,26 +316,31 @@ def simulate_design(
     engine: str = DEFAULT_SIMULATION_ENGINE,
     cross_check: bool = False,
 ) -> SimulationStats:
-    """One-call convenience wrapper around the pluggable simulation engines.
+    """One simulation of ``design``: a one-lane :func:`~repro.perf.batch_engine.run_batch`.
 
     ``engine`` names an entry of
     :data:`repro.api.registry.simulation_engines`; ``cross_check=True``
     additionally runs the reference ``"legacy"`` engine with the same
     ``config`` (fault schedule and recovery policy included) and raises
     :class:`~repro.errors.SimulationError` when any
-    :class:`SimulationStats` field diverges.
+    :class:`SimulationStats` field diverges.  Only after that comparison
+    does ``raise_on_deadlock=True`` turn a deadlocked run into
+    :class:`~repro.errors.DeadlockDetected`.
     """
+    from repro.perf.batch_engine import run_batch  # local: the engines load lazily
+
     config = config or SimulationConfig()
-    stats = build_simulator(design, config, engine=engine).run(
-        max_cycles, raise_on_deadlock=raise_on_deadlock
-    )
+    (stats,) = run_batch(design, [config], max_cycles=max_cycles, engine=engine)
     if cross_check and engine != ENGINE_LEGACY:
-        verify_against_legacy(
-            design,
-            config,
-            stats,
-            engine,
-            max_cycles=max_cycles,
-            raise_on_deadlock=raise_on_deadlock,
-        )
+        (reference,) = run_batch(design, [config], max_cycles=max_cycles, engine=ENGINE_LEGACY)
+        problems = stats_divergences(stats, reference)
+        if problems:
+            shown = "; ".join(problems[:5])
+            extra = "" if len(problems) <= 5 else f" (+{len(problems) - 5} more)"
+            raise SimulationError(
+                f"simulation engine {engine!r} diverged from the legacy "
+                f"reference: {shown}{extra}"
+            )
+    if raise_on_deadlock and stats.deadlock_detected:
+        raise DeadlockDetected(stats.deadlock_cycle, stats.deadlocked_channels)
     return stats

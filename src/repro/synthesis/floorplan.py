@@ -49,10 +49,7 @@ def _wirelength(
 
 
 def place_switches(
-    design: NocDesign,
-    *,
-    tile_mm: float = DEFAULT_TILE_MM,
-    max_passes: int = 4,
+    design: NocDesign, *, tile_mm: float = DEFAULT_TILE_MM
 ) -> Dict[str, Tuple[float, float]]:
     """Place switches on a grid minimising bandwidth-weighted wirelength.
 
@@ -88,7 +85,7 @@ def place_switches(
             cost += weight * (abs(ax - bx) + abs(ay - by))
         return cost
 
-    for _ in range(max_passes):
+    for _ in range(4):  # at most four improvement passes
         improved = False
         for i in range(len(switches)):
             for j in range(i + 1, len(switches)):

@@ -389,6 +389,18 @@ class TestReportRequest:
         with pytest.raises(PlanError, match="type"):
             ReportRequest.from_dict({"switch_counts": [10]})
 
+    def test_request_shares_no_params_with_its_caller(self):
+        """Editing the input list or a ``to_dict()`` copy leaves the plan as built."""
+        scales = [0.5, 1.0]
+        request = ReportRequest(type="latency", params={"injection_scales": scales})
+        plan = ExperimentPlan(reports=[request])
+        assert len(plan.all_specs()) == 2
+        scales.append(2.0)
+        assert len(plan.all_specs()) == 2
+        request.to_dict()["injection_scales"].append(4.0)
+        assert len(plan.all_specs()) == 2
+        assert request.params == {"injection_scales": [0.5, 1.0]}
+
 
 class TestExperimentPlan:
     def test_json_round_trip(self):

@@ -37,11 +37,9 @@ from repro.perf.sim_engine import CompiledSimulator
 from repro.simulation.events import EventSchedule
 from repro.simulation.simulator import (
     SimulationConfig,
-    build_simulator,
     make_traffic_generator,
     simulate_design,
     stats_divergences,
-    verify_against_legacy,
 )
 from repro.simulation.traffic_gen import FlowTrafficGenerator
 from repro.synthesis.families import family_design
@@ -62,7 +60,7 @@ def _one_link_failure(design):
 
 def assert_lane_identical(batched, config, design, max_cycles, engines=("legacy",)):
     for engine in engines:
-        reference = build_simulator(design, config, engine=engine).run(max_cycles)
+        reference = simulation_engines.get(engine)(design, config).run(max_cycles)
         problems = stats_divergences(batched, reference)
         assert not problems, (engine, problems)
 
@@ -71,13 +69,9 @@ class TestRegistry:
     def test_batched_engine_registered(self):
         assert "batched" in simulation_engines.names()
 
-    def test_build_simulator_returns_batched(self, small_mesh_design):
+    def test_batched_engine_is_the_compiled_simulator(self):
         """A B = 1 batched run is a compiled run."""
         assert simulation_engines.get("batched") is CompiledSimulator
-        simulator = build_simulator(
-            small_mesh_design, SimulationConfig(injection_scale=1.0), engine="batched"
-        )
-        assert isinstance(simulator, CompiledSimulator)
 
 
 class TestSingleLaneEquivalence:
@@ -270,10 +264,14 @@ class TestCrossCheckFlag:
             return stats
 
         monkeypatch.setattr(CompiledSimulator, "run", rigged)
-        config = SimulationConfig(injection_scale=2.0)
-        (stats,) = run_batch(small_mesh_design, [config], max_cycles=200, engine="batched")
-        with pytest.raises(SimulationError, match="diverged"):
-            verify_against_legacy(small_mesh_design, config, stats, "batched", max_cycles=200)
+        with pytest.raises(SimulationError, match="'batched' diverged"):
+            simulate_design(
+                small_mesh_design,
+                max_cycles=200,
+                config=SimulationConfig(injection_scale=2.0),
+                engine="batched",
+                cross_check=True,
+            )
 
 
 class TestSharedDrawStreams:
@@ -343,8 +341,8 @@ class TestFaultScheduleFallback:
         config = SimulationConfig(
             injection_scale=1.5, seed=2, fault_schedule=_one_link_failure(small_mesh_design)
         )
-        stats = build_simulator(small_mesh_design, config, engine="batched").run(400)
-        reference = build_simulator(small_mesh_design, config, engine="legacy").run(400)
+        stats = simulation_engines.get("batched")(small_mesh_design, config).run(400)
+        reference = simulation_engines.get("legacy")(small_mesh_design, config).run(400)
         assert not stats_divergences(stats, reference)
         assert stats.fault_events_applied > 0
 

@@ -76,33 +76,6 @@ def ch(src, dst, vc=0):
     return Channel(Link(src, dst), vc)
 
 
-class TestDirtyTracking:
-    def test_fresh_index_reports_edge_endpoints_dirty(self):
-        index = CDGIndex()
-        index.add_route("f0", [ch("A", "B"), ch("B", "C")])
-        assert index.dirty == {index.intern(ch("A", "B")), index.intern(ch("B", "C"))}
-
-    def test_consume_dirty_clears(self):
-        index = CDGIndex()
-        index.add_route("f0", [ch("A", "B"), ch("B", "C")])
-        assert index.consume_dirty()
-        assert index.dirty == set()
-
-    def test_shared_edge_only_dirty_when_structure_changes(self):
-        """Adding a second flow on an existing edge does not dirty anything."""
-        index = CDGIndex()
-        index.add_route("f0", [ch("A", "B"), ch("B", "C")])
-        index.consume_dirty()
-        index.add_route("f1", [ch("A", "B"), ch("B", "C")])
-        assert index.dirty == set()
-        # Removing one of the two flows keeps the edge: still clean.
-        index.remove_route("f0", [ch("A", "B"), ch("B", "C")])
-        assert index.dirty == set()
-        # Removing the last flow drops the edge: endpoints become dirty.
-        index.remove_route("f1", [ch("A", "B"), ch("B", "C")])
-        assert index.dirty == {index.intern(ch("A", "B")), index.intern(ch("B", "C"))}
-
-
 class TestVertexLifecycle:
     def test_unused_channel_leaves_vertex_set(self):
         index = CDGIndex()

@@ -99,8 +99,8 @@ class TestSearchEquivalence:
         assert len(cycle) == 2
         assert set(cycle) == {ch("X", "Y"), ch("Y", "X")}
 
-    def test_cache_reused_for_untouched_component(self):
-        """A search after an unrelated delta must not re-dirty a clean SCC."""
+    def test_other_scc_found_after_unrelated_change(self):
+        """Breaking one SCC's cycle leaves the other SCC's cycle to find."""
         index = CDGIndex()
         index.add_route("f0", [ch("A", "B"), ch("B", "A"), ch("A", "B")])
         index.add_route("f1", [ch("C", "D"), ch("D", "C"), ch("C", "D")])

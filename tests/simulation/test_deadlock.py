@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api.registry import simulation_engines
 from repro.core.cdg import build_cdg
 from repro.core.cycles import verify_cycle
 from repro.core.removal import remove_deadlocks
@@ -14,7 +15,7 @@ from repro.simulation import deadlock
 from repro.simulation.deadlock import DeadlockMonitor, find_wait_cycle
 from repro.simulation.network import WormholeNetwork
 from repro.simulation.flit import Packet
-from repro.simulation.simulator import SimulationConfig, build_simulator, simulate_design
+from repro.simulation.simulator import SimulationConfig, simulate_design
 from repro.simulation.stats import SimulationStats
 
 
@@ -161,7 +162,7 @@ class TestCdgWitness:
 
         monkeypatch.setattr(deadlock, "find_wait_cycle", reversed_cycle)
         config = SimulationConfig(injection_scale=6.0, buffer_depth=2, seed=1)
-        simulator = build_simulator(ring_design_fixture, config, engine=engine)
+        simulator = simulation_engines.get(engine)(ring_design_fixture, config)
         with pytest.raises(SimulationError, match="deadlock witness failed"):
             simulator.run(max_cycles)
         assert planted
@@ -183,7 +184,7 @@ class TestCdgWitness:
     @pytest.mark.parametrize("engine", ["compiled", "legacy"])
     def test_paper_ring(self, ring_design_fixture, engine):
         config = SimulationConfig(injection_scale=6.0, buffer_depth=2, seed=1)
-        stats = build_simulator(ring_design_fixture, config, engine=engine).run(4000)
+        stats = simulation_engines.get(engine)(ring_design_fixture, config).run(4000)
         assert stats.deadlock_cycle == 512
         assert verify_cycle(build_cdg(ring_design_fixture), stats.deadlocked_channels)
 
@@ -191,6 +192,6 @@ class TestCdgWitness:
     @pytest.mark.parametrize("scale", [1.0, 2.0, 4.0])
     def test_unprotected_d36_8(self, d36_8_design_14sw, engine, scale):
         config = SimulationConfig(injection_scale=scale, seed=0)
-        stats = build_simulator(d36_8_design_14sw, config, engine=engine).run(300)
+        stats = simulation_engines.get(engine)(d36_8_design_14sw, config).run(300)
         assert stats.deadlock_detected
         assert verify_cycle(build_cdg(d36_8_design_14sw), stats.deadlocked_channels)

@@ -32,6 +32,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.performance import measure_load_point
+from repro.api.registry import simulation_engines
 from repro.benchmarks.registry import get_benchmark, list_benchmarks
 from repro.core.cdg import build_cdg
 from repro.core.cycles import verify_cycle
@@ -48,7 +49,6 @@ from repro.simulation import recovery
 from repro.simulation.events import EventSchedule
 from repro.simulation.simulator import (
     SimulationConfig,
-    build_simulator,
     simulate_design,
     stats_divergences,
 )
@@ -333,7 +333,7 @@ class TestDeadlockAfterFailure:
     @pytest.mark.parametrize("engine", ["compiled", "legacy"])
     def test_deadlock_is_a_cycle_of_the_degraded_cdg(self, engine):
         healthy = _diagonal_ring_design()
-        simulator = build_simulator(healthy, self._config("reroute"), engine=engine)
+        simulator = simulation_engines.get(engine)(healthy, self._config("reroute"))
         channels = simulator.run(600).deadlocked_channels
         assert verify_cycle(build_cdg(simulator._recovery.design), channels)
         # The healthy CDG has no edges: the witness tells the designs apart.
@@ -349,8 +349,8 @@ class TestDeadlockAfterFailure:
 
 #: The entry points of a faulted run, each as (design, config, engine) -> run.
 _ENTRY_POINTS = {
-    "Simulator": lambda design, config, engine: build_simulator(
-        design, config, engine=engine
+    "Simulator": lambda design, config, engine: simulation_engines.get(engine)(
+        design, config
     ).run(100),
     "run_batch": lambda design, config, engine: run_batch(
         design, [config], max_cycles=100, engine=engine

@@ -117,11 +117,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api.registry import simulation_engines
 from repro.core.removal import remove_deadlocks
 from repro.examples_data.paper_ring import paper_channel, paper_ring_design
 from repro.model.channels import Channel, Link
 from repro.perf.batch_engine import run_batch
-from repro.simulation.simulator import SimulationConfig, build_simulator
+from repro.simulation.simulator import SimulationConfig
 
 F = 8
 ENGINES = ("legacy", "compiled", "batched")
@@ -154,7 +155,7 @@ def _run_lanes(design, lanes, engine, depths=None):
         (horizon,) = {horizon for horizon, _ in runs}
         return run_batch(design, [config for _, config in runs], max_cycles=horizon)
     return [
-        build_simulator(design, config, engine=engine).run(horizon)
+        simulation_engines.get(engine)(design, config).run(horizon)
         for horizon, config in runs
     ]
 

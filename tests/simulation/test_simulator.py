@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.removal import remove_deadlocks
 from repro.errors import DeadlockDetected, SimulationError
+from repro.perf.sim_engine import CompiledSimulator
 from repro.routing.ordering import apply_resource_ordering
 from repro.simulation.simulator import SimulationConfig, Simulator, simulate_design
 
@@ -97,13 +98,42 @@ class TestDeadlockBehaviour:
         assert stats.deadlock_detected
         assert stats.deadlock_cycle <= stats.cycles_run
 
-    def test_raise_on_deadlock(self, ring_design_fixture):
-        with pytest.raises(DeadlockDetected):
+    def test_raise_on_deadlock(self, ring_design_fixture, monkeypatch):
+        """The exception carries the verdict the statistics record.
+
+        With ``cross_check`` it is raised only after the legacy comparison,
+        so a diverging engine is reported as diverging, deadlock or not.
+        """
+        config = SimulationConfig(injection_scale=6.0, buffer_depth=2, seed=1)
+        stats = simulate_design(ring_design_fixture, max_cycles=5000, config=config)
+        assert stats.deadlocked_channels
+        for cross_check in (False, True):
+            with pytest.raises(DeadlockDetected) as raised:
+                simulate_design(
+                    ring_design_fixture,
+                    max_cycles=5000,
+                    config=config,
+                    raise_on_deadlock=True,
+                    cross_check=cross_check,
+                )
+            assert raised.value.cycle == stats.deadlock_cycle
+            assert raised.value.blocked_channels == stats.deadlocked_channels
+
+        original = CompiledSimulator.run
+
+        def rigged(self, max_cycles=10_000, **kwargs):
+            rigged_stats = original(self, max_cycles, **kwargs)
+            rigged_stats.flits_delivered += 1
+            return rigged_stats
+
+        monkeypatch.setattr(CompiledSimulator, "run", rigged)
+        with pytest.raises(SimulationError, match="diverged"):
             simulate_design(
                 ring_design_fixture,
                 max_cycles=5000,
-                config=SimulationConfig(injection_scale=6.0, buffer_depth=2, seed=1),
+                config=config,
                 raise_on_deadlock=True,
+                cross_check=True,
             )
 
     def test_removal_prevents_deadlock(self, ring_design_fixture):
