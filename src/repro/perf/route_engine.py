@@ -121,7 +121,8 @@ class SwitchGraph:
         (= switch-name sequence) and then by link order among equal-weight
         parallel links — the exact selection rule of the legacy path-tuple
         search.  Weights must be positive for the per-node label argument to
-        hold (all built-in weight modes produce weights >= 1).
+        hold (congestion weights are >= 1, and ``shortest_route`` rejects
+        any other weight).
         """
         if source == target:
             return []

@@ -16,7 +16,10 @@ network takes another step:
 
 Policies live in the :data:`repro.api.registry.recovery_policies`
 registry and :attr:`repro.simulation.simulator.SimulationConfig
-.fault_recovery` names one:
+.fault_recovery` names one.  There are two repair mechanisms: ``removal``
+and ``reroute`` route every unrouted flow afresh, while ``idle`` and
+``protection`` give each unrouted flow its first candidate route whose
+links all survive, from a fixed per-flow list made before the run:
 
 ``removal`` (default)
     Re-route every severed flow
@@ -29,12 +32,12 @@ registry and :attr:`repro.simulation.simulator.SimulationConfig
     degraded CDG as the re-router made it (used by the resilience
     test-suite to provoke genuine post-fault deadlocks).
 ``idle``
-    No re-routing at all: severed flows are quiesced — their routes are
-    parked and their traffic is lost at injection — until every link of
-    the parked route is back, at which point the original route is
-    reinstated verbatim.  The route set only ever shrinks back towards
-    the pre-fault one, so a deadlock-removed design stays deadlock-free
-    through any fail/restore sequence.
+    No re-routing at all: a severed flow is quiesced — it has no route,
+    so its traffic is lost at injection — until every link of its start
+    route is back, at which point that route is reinstated verbatim.  The
+    live route set is always a subset of the start one, so a
+    deadlock-removed design stays deadlock-free through any fail/restore
+    sequence.
 ``protection``
     Protection switching: before the run starts the policy provisions a
     backup route per flow (link-disjoint from the primary where the
@@ -80,7 +83,7 @@ class RecoveryPolicy:
     A policy is registered by name in
     :data:`repro.api.registry.recovery_policies` and instantiated once
     per :class:`RecoveryController` (i.e. once per simulation run), so it
-    may keep per-run state such as parked routes or provisioned backups.
+    may keep per-run state such as each flow's candidate routes.
     """
 
     #: Re-run deadlock removal after a repair that changed any route.
@@ -99,70 +102,62 @@ class RecoveryPolicy:
         """
         return design
 
-    def repair(
-        self,
-        *,
-        removed: List[Link],
-        restored: List[Link],
-        severed: List[str],
-        old_routes: Dict[str, Route],
-    ) -> None:
+    def repair(self) -> None:
         """Repair ``controller.design.routes`` after a fault batch.
 
-        Runs after the ``severed`` flows' routes (which crossed a link in
-        ``removed``) were dropped; ``old_routes`` snapshots every route
-        as it was when the batch hit and ``restored`` lists the links the
-        same batch brought back.
+        Runs after every route crossing a link the batch removed was
+        dropped, on the topology the batch left.
         """
         raise NotImplementedError
-
-
-@recovery_policies.register(MODE_REMOVAL)
-class RemovalPolicy(RecoveryPolicy):
-    """PR 6 default: congestion-aware re-routing + deadlock re-removal."""
-
-    runs_removal = True
-
-    def repair(self, *, removed, restored, severed, old_routes):
-        reroute_unrouted(self.controller.design)
 
 
 @recovery_policies.register(MODE_REROUTE)
 class ReroutePolicy(RecoveryPolicy):
     """Re-routing only; the degraded CDG keeps whatever cycles it grew."""
 
-    def repair(self, *, removed, restored, severed, old_routes):
+    def repair(self) -> None:
         reroute_unrouted(self.controller.design)
+
+
+@recovery_policies.register(MODE_REMOVAL)
+class RemovalPolicy(ReroutePolicy):
+    """The default: congestion-aware re-routing + deadlock re-removal."""
+
+    runs_removal = True
 
 
 @recovery_policies.register("idle")
 class IdlePolicy(RecoveryPolicy):
     """Quiesce severed flows until their links restore; never re-route.
 
-    A severed flow's route is parked verbatim; while parked the flow is
-    unrouted, so its packets are lost at injection (the quiescing).  On
-    every batch that restores links, any parked route whose links are all
-    back is reinstated unchanged.  Because the live route set is always a
-    subset of the pre-fault one, the CDG only ever loses edges relative
-    to the (deadlock-removed) original.
+    Each flow's one candidate is its start route.  A severed flow stays
+    unrouted, so its packets are lost at injection (the quiescing), until
+    a batch leaves every link of that route in place; the route is then
+    reinstated unchanged.  Because the live route set is always a subset
+    of the start one, the CDG only ever loses edges relative to the
+    (deadlock-removed) original.
     """
 
-    def __init__(self, controller):
-        super().__init__(controller)
-        self._parked: Dict[str, Route] = {}
+    #: Each flow's candidate routes, in the order repair tries them.
+    _candidates: Dict[str, Tuple[Route, ...]]
 
-    def repair(self, *, removed, restored, severed, old_routes):
-        for name in severed:
-            self._parked[name] = old_routes[name]
-        if not restored:
-            return
+    def prepare(self, design: NocDesign) -> NocDesign:
+        """Record each flow's start route as its one candidate."""
+        self._candidates = {name: (route,) for name, route in design.routes.items()}
+        return design
+
+    def repair(self) -> None:
+        """Give each unrouted flow its first candidate whose links all survive."""
         design = self.controller.design
         topology = design.topology
-        for name in sorted(self._parked):
-            route = self._parked[name]
-            if all(topology.has_link(link) for link in route.links):
-                design.routes.set_route(name, route)
-                del self._parked[name]
+        routes = design.routes
+        for name in sorted(self._candidates):
+            if routes.has_route(name):
+                continue
+            for candidate in self._candidates[name]:
+                if all(topology.has_link(link) for link in candidate.links):
+                    routes.set_route(name, candidate)
+                    break
 
 
 #: Suffix of the pseudo-flows carrying backup routes through the
@@ -208,7 +203,7 @@ def _disjoint_path(
 
 
 @recovery_policies.register("protection")
-class ProtectionPolicy(RecoveryPolicy):
+class ProtectionPolicy(IdlePolicy):
     """Protection switching with pre-provisioned, jointly removed backups.
 
     :meth:`prepare` computes one backup route per flow — the shortest
@@ -223,10 +218,11 @@ class ProtectionPolicy(RecoveryPolicy):
     traffic, post-removal primary routes.
 
     At failure each severed flow switches to its first pre-provisioned
-    candidate whose links all survive (primary first, then backup); a
-    flow with no surviving candidate is quiesced like under ``idle``.
-    Switching is non-revertive, but a quiesced flow re-enters on the
-    first restore batch that revives one of its candidates.
+    candidate whose links all survive (primary first, then backup), with
+    :class:`IdlePolicy`'s repair; a flow with no surviving candidate is
+    quiesced like under ``idle``.  Switching is non-revertive, but a
+    quiesced flow re-enters on the first restore batch that revives one
+    of its candidates.
 
     Provisioning depends on the design alone, so the ported design and
     the candidates are cached on the source design instance
@@ -234,10 +230,6 @@ class ProtectionPolicy(RecoveryPolicy):
     and topology (links and VC counts): the lanes of one grid provision
     once, and a design edited between runs provisions again.
     """
-
-    def __init__(self, controller):
-        super().__init__(controller)
-        self._candidates: Dict[str, Tuple[Route, ...]] = {}
 
     def prepare(self, design: NocDesign) -> NocDesign:
         """The ported design, provisioned once per state of ``design``."""
@@ -320,18 +312,6 @@ class ProtectionPolicy(RecoveryPolicy):
         )
         return ported, candidates
 
-    def repair(self, *, removed, restored, severed, old_routes):
-        design = self.controller.design
-        topology = design.topology
-        routes = design.routes
-        for name in sorted(self._candidates):
-            if routes.has_route(name):
-                continue
-            for candidate in self._candidates[name]:
-                if all(topology.has_link(link) for link in candidate.links):
-                    routes.set_route(name, candidate)
-                    break
-
 
 class RecoveryController:
     """Applies a fault schedule to a running simulation and recovers.
@@ -380,9 +360,8 @@ class RecoveryController:
         self._failed: Dict[Link, Tuple[int, Optional[float]]] = {}
         #: Active recovery watches: (stats index, batch cycle, live pids).
         self._watches: List[Tuple[int, int, Set[int]]] = []
-        #: Links removed / restored by the batch currently being applied.
+        #: Links removed by the batch currently being applied.
         self._batch_removed: List[Link] = []
-        self._batch_restored: List[Link] = []
 
     # ------------------------------------------------------------------
     # topology surgery
@@ -407,7 +386,6 @@ class RecoveryController:
         topology.add_link(
             link.src, link.dst, index=link.index, vc_count=vc_count, length_mm=length_mm
         )
-        self._batch_restored.append(link)
         return True
 
     def _apply_event(self, event) -> bool:
@@ -449,18 +427,15 @@ class RecoveryController:
         old_routes = {name: routes.route(name) for name in routes.flow_names}
 
         self._batch_removed = []
-        self._batch_restored = []
         changed_topology = False
         for event in due:
             changed_topology |= self._apply_event(event)
-        removed = self._batch_removed
-        restored = self._batch_restored
         if not changed_topology:
             return
 
         # One pass over the route set finds every flow crossing a removed
         # link (flow-name order).
-        removed_links = set(removed)
+        removed_links = set(self._batch_removed)
         severed = [
             name
             for name, route in routes.items()
@@ -469,12 +444,7 @@ class RecoveryController:
         for name in severed:
             routes.remove_route(name)
 
-        self.policy.repair(
-            removed=removed,
-            restored=restored,
-            severed=severed,
-            old_routes=old_routes,
-        )
+        self.policy.repair()
         route_changed = routes.flow_names != sorted(old_routes) or any(
             routes.route(name) != old_routes[name] for name in routes.flow_names
         )

@@ -36,11 +36,7 @@ from repro.model.design import NocDesign
 from repro.model.topology import Topology
 from repro.model.traffic import CommunicationGraph
 from repro.model.validation import validate_design
-from repro.routing.shortest_path import (
-    DEFAULT_CONGESTION_FACTOR,
-    WEIGHT_CONGESTION,
-    compute_routes,
-)
+from repro.routing.shortest_path import DEFAULT_CONGESTION_FACTOR, compute_routes
 from repro.routing.turns import compute_updown_routes
 from repro.synthesis.floorplan import assign_link_lengths
 from repro.synthesis.partition import partition_cores
@@ -82,7 +78,8 @@ class SynthesisConfig:
     balance_slack:
         Passed to :func:`repro.synthesis.partition.partition_cores`.
     congestion_factor:
-        Passed to :func:`repro.routing.shortest_path.compute_routes`.
+        Passed to :func:`repro.routing.shortest_path.compute_routes`; must
+        be non-negative (0 routes on hop count).
     routing_engine:
         Shortest-path engine name from
         :data:`repro.api.registry.routing_engines` (``"indexed"`` by
@@ -120,6 +117,10 @@ class SynthesisConfig:
             raise SynthesisError(f"switch count must be positive, got {self.n_switches}")
         if self.extra_link_fraction < 0:
             raise SynthesisError("extra_link_fraction must be non-negative")
+        if not self.congestion_factor >= 0:
+            raise SynthesisError(
+                f"congestion_factor must be non-negative, got {self.congestion_factor!r}"
+            )
         if self.max_switch_degree < 2:
             raise SynthesisError("max_switch_degree must be at least 2")
         if self.routing not in _ROUTINGS:
@@ -303,7 +304,6 @@ def synthesize_design(
     else:
         compute_routes(
             design,
-            weight_mode=WEIGHT_CONGESTION,
             congestion_factor=config.congestion_factor,
             engine=config.routing_engine,
         )

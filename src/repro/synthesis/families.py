@@ -500,7 +500,7 @@ def build_family_design(
     elif instance.routing == FAMILY_ROUTING_XY:
         compute_xy_routes(design)
     else:
-        compute_routes(design, weight_mode="hops", engine=routing_engine)
+        compute_routes(design, congestion_factor=0.0, engine=routing_engine)
     validate_design(design)
     return design
 

@@ -102,6 +102,7 @@ class TestRunSubcommand:
             ({"max_switch_degree": "x"}, "max_switch_degree must be an integer"),
             ({"balance_slack": "x"}, "balance_slack must be an integer"),
             ({"congestion_factor": "x"}, "congestion_factor must be a number"),
+            ({"congestion_factor": -3.0}, "congestion_factor must be non-negative"),
         ],
     )
     def test_bad_synthesis_key_is_a_clean_error(self, tmp_path, capsys, synthesis, named):

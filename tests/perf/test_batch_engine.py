@@ -242,38 +242,6 @@ class TestMultiLaneEquivalence:
             assert_lane_identical(stats, config, design, 400, BOTH_REFERENCES)
 
 
-class TestCrossCheckFlag:
-    def test_cross_check_passes(self, d36_8_design_14sw):
-        design = remove_deadlocks(d36_8_design_14sw).design
-        stats = simulate_design(
-            design,
-            max_cycles=300,
-            config=SimulationConfig(injection_scale=2.0, seed=0),
-            engine="batched",
-            cross_check=True,
-        )
-        assert stats.packets_delivered > 0
-
-    def test_cross_check_raises_on_divergence(self, small_mesh_design, monkeypatch):
-        """A rigged lane must be caught against the legacy reference."""
-        original = CompiledSimulator.run
-
-        def rigged(self, max_cycles=10_000, **kwargs):
-            stats = original(self, max_cycles, **kwargs)
-            stats.flits_delivered += 1
-            return stats
-
-        monkeypatch.setattr(CompiledSimulator, "run", rigged)
-        with pytest.raises(SimulationError, match="'batched' diverged"):
-            simulate_design(
-                small_mesh_design,
-                max_cycles=200,
-                config=SimulationConfig(injection_scale=2.0),
-                engine="batched",
-                cross_check=True,
-            )
-
-
 class TestSharedDrawStreams:
     """Lanes share their draws exactly, and the shared work happens once."""
 

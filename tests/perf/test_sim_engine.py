@@ -122,19 +122,22 @@ class TestHypothesisEquivalence:
         assert_stats_identical(legacy, compiled)
 
 
+@pytest.mark.parametrize("engine", ["compiled", "batched"])
 class TestCrossCheckFlag:
-    def test_cross_check_passes_on_benchmark_design(self, d36_8_design_14sw):
+    """Both names of the compiled simulator cross-check against ``legacy``."""
+
+    def test_cross_check_passes_on_benchmark_design(self, d36_8_design_14sw, engine):
         design = remove_deadlocks(d36_8_design_14sw).design
         stats = simulate_design(
             design,
             max_cycles=300,
             config=SimulationConfig(injection_scale=2.0, seed=0),
-            engine="compiled",
+            engine=engine,
             cross_check=True,
         )
         assert stats.packets_delivered > 0
 
-    def test_cross_check_raises_on_divergence(self, small_mesh_design, monkeypatch):
+    def test_cross_check_raises_on_divergence(self, small_mesh_design, monkeypatch, engine):
         """A rigged compiled engine must be caught by the stats comparison."""
         original = CompiledSimulator.run
 
@@ -144,12 +147,12 @@ class TestCrossCheckFlag:
             return stats
 
         monkeypatch.setattr(CompiledSimulator, "run", rigged)
-        with pytest.raises(SimulationError, match="diverged"):
+        with pytest.raises(SimulationError, match=f"{engine!r} diverged"):
             simulate_design(
                 small_mesh_design,
                 max_cycles=200,
                 config=SimulationConfig(injection_scale=2.0),
-                engine="compiled",
+                engine=engine,
                 cross_check=True,
             )
 

@@ -18,12 +18,16 @@ from hypothesis import strategies as st
 
 from repro.api.registry import routing_engines, topology_families
 from repro.errors import RouteError
+from repro.model.channels import Channel
 from repro.model.design import NocDesign
+from repro.model.routes import Route
 from repro.model.topology import Topology
 from repro.model.traffic import CommunicationGraph
 from repro.routing.shortest_path import (
+    DEFAULT_CONGESTION_FACTOR,
     ENGINE_INDEXED,
     ENGINE_LEGACY,
+    _legacy_dijkstra,
     compute_routes,
     shortest_route,
 )
@@ -102,43 +106,22 @@ class TestShortestRouteEquivalence:
                 st.floats(min_value=0.1, max_value=10.0, allow_nan=False),
                 label=f"w[{link.name}]",
             )
-        legacy = shortest_route(topology, source, target, link_weights=weights, engine=ENGINE_LEGACY)
-        indexed = shortest_route(topology, source, target, link_weights=weights, engine=ENGINE_INDEXED)
-        assert indexed == legacy
-
-    def test_negative_congestion_factor_stays_equivalent(self, d26_traffic):
-        # A negative factor can push link weights to zero or below, outside
-        # the indexed engine's soundness argument — the indexed entry must
-        # serve such inputs through the reference search.
-        base = synthesize_design(d26_traffic, SynthesisConfig(n_switches=8))
-        legacy = base.copy()
-        indexed = base.copy()
-        compute_routes(legacy, congestion_factor=-2.0, engine=ENGINE_LEGACY)
-        compute_routes(indexed, congestion_factor=-2.0, engine=ENGINE_INDEXED)
-        assert indexed.routes == legacy.routes
-
-    def test_non_positive_weights_fall_back_to_legacy(self):
-        # Outside the indexed engine's equivalence argument: the call must
-        # still succeed (served by the legacy search) and stay consistent.
-        topology = topology_families.get("mesh").build({"rows": 2, "cols": 2}).topology
-        link = topology.links[0]
-        route = shortest_route(
-            topology, "sw_0_0", "sw_1_1", link_weights={link: 0.0}
-        )
-        legacy = shortest_route(
-            topology, "sw_0_0", "sw_1_1", link_weights={link: 0.0}, engine=ENGINE_LEGACY
-        )
-        assert route == legacy
+        links = _legacy_dijkstra(topology, source, target, weights)
+        legacy = Route([Channel(link, 0) for link in links])
+        assert shortest_route(topology, source, target, link_weights=weights) == legacy
 
 
 class TestComputeRoutesEquivalence:
     @settings(max_examples=100, deadline=None)
-    @given(design=random_design(), mode=st.sampled_from(["hops", "congestion"]))
-    def test_route_sets_identical(self, design, mode):
+    @given(
+        design=random_design(),
+        congestion_factor=st.sampled_from([0.0, DEFAULT_CONGESTION_FACTOR]),
+    )
+    def test_route_sets_identical(self, design, congestion_factor):
         legacy = design.copy()
         indexed = design.copy()
-        compute_routes(legacy, weight_mode=mode, engine=ENGINE_LEGACY)
-        compute_routes(indexed, weight_mode=mode, engine=ENGINE_INDEXED)
+        compute_routes(legacy, congestion_factor=congestion_factor, engine=ENGINE_LEGACY)
+        compute_routes(indexed, congestion_factor=congestion_factor, engine=ENGINE_INDEXED)
         assert indexed.routes == legacy.routes
 
     @pytest.mark.parametrize("traffic_fixture", ["d26_traffic", "d36_8_traffic"])
@@ -151,19 +134,6 @@ class TestComputeRoutesEquivalence:
         assert indexed.routes == legacy.routes
         assert indexed.topology == legacy.topology
 
-    def test_overwrite_false_preserved_routes_affect_congestion(self, d26_traffic):
-        base = synthesize_design(d26_traffic, SynthesisConfig(n_switches=10))
-        # Drop half the routes, recompute with overwrite=False on copies.
-        for design_engine in (ENGINE_LEGACY, ENGINE_INDEXED):
-            partial = base.copy()
-            for i, name in enumerate(partial.routes.flow_names):
-                if i % 2 == 0:
-                    partial.routes.remove_route(name)
-            compute_routes(partial, overwrite=False, engine=design_engine)
-            if design_engine == ENGINE_LEGACY:
-                reference = partial.routes
-        assert partial.routes == reference
-
 
 class TestCrossCheck:
     def test_cross_check_passes_on_benchmark_design(self, d26_traffic):
@@ -172,14 +142,11 @@ class TestCrossCheck:
         compute_routes(design, cross_check=True)
 
     def test_cross_check_detects_divergent_engine(self, small_mesh_design):
-        def _bogus(design, *, weight_mode, congestion_factor, overwrite):
+        def _bogus(design, *, congestion_factor):
             # Correct routes, but silently drops one flow — the kind of
             # subtle divergence the cross-check exists to catch.
             routes = routing_engines.get(ENGINE_INDEXED)(
-                design,
-                weight_mode=weight_mode,
-                congestion_factor=congestion_factor,
-                overwrite=overwrite,
+                design, congestion_factor=congestion_factor
             )
             routes.remove_route(routes.flow_names[0])
             return routes
@@ -189,34 +156,13 @@ class TestCrossCheck:
             design = small_mesh_design
             design.routes = type(design.routes)()
             with pytest.raises(RouteError, match="diverged from the reference"):
-                compute_routes(
-                    design,
-                    weight_mode="congestion",
-                    engine="bogus",
-                    cross_check=True,
-                )
+                compute_routes(design, engine="bogus", cross_check=True)
         finally:
             routing_engines.unregister("bogus")
 
     def test_unknown_engine_rejected(self, small_mesh_design):
         with pytest.raises(RouteError, match="unknown routing engine"):
             compute_routes(small_mesh_design, engine="warp-drive")
-        with pytest.raises(RouteError, match="single-pair routing engine"):
-            shortest_route(
-                small_mesh_design.topology, "sw_0_0", "sw_1_1", engine="warp-drive"
-            )
-
-    def test_third_party_engine_rejected_by_single_pair_search(self, small_mesh_design):
-        # A registered engine is a *design-level* loop; shortest_route must
-        # refuse it rather than silently substituting the indexed search.
-        routing_engines.register("thirdparty", lambda design, **kwargs: design.routes)
-        try:
-            with pytest.raises(RouteError, match="single-pair routing engine"):
-                shortest_route(
-                    small_mesh_design.topology, "sw_0_0", "sw_1_1", engine="thirdparty"
-                )
-        finally:
-            routing_engines.unregister("thirdparty")
 
     def test_builtin_engines_registered(self):
         names = routing_engines.names()

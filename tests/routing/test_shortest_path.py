@@ -5,9 +5,16 @@ import pytest
 from repro.api.registry import topology_families
 from repro.errors import RouteError
 from repro.model.channels import Link
+from repro.model.design import NocDesign
 from repro.model.topology import Topology
+from repro.model.traffic import CommunicationGraph
 from repro.model.validation import validate_design
-from repro.routing.shortest_path import compute_routes, shortest_route
+from repro.routing.shortest_path import (
+    ENGINE_INDEXED,
+    ENGINE_LEGACY,
+    compute_routes,
+    shortest_route,
+)
 
 
 @pytest.fixture
@@ -20,6 +27,27 @@ def square() -> Topology:
     topo.add_bidirectional_link("C", "D")
     topo.add_bidirectional_link("D", "A")
     return topo
+
+
+@pytest.fixture
+def three_switch_design() -> NocDesign:
+    """A-B-C in a line, one core per switch; flows a->b, b->a and a->c."""
+    topo = Topology("line3")
+    topo.add_switches(["A", "B", "C"])
+    topo.add_bidirectional_link("A", "B")
+    topo.add_bidirectional_link("B", "C")
+    traffic = CommunicationGraph("line3")
+    for core in ("a", "b", "c"):
+        traffic.add_core(core)
+    traffic.add_flow("f0", "a", "b", bandwidth=50.0)
+    traffic.add_flow("f1", "b", "a", bandwidth=50.0)
+    traffic.add_flow("f2", "a", "c", bandwidth=50.0)
+    return NocDesign(
+        name="line3",
+        topology=topo,
+        traffic=traffic,
+        core_map={"a": "A", "b": "B", "c": "C"},
+    )
 
 
 class TestShortestRoute:
@@ -46,6 +74,12 @@ class TestShortestRoute:
         weights = {Link("A", "B"): 10.0, Link("B", "C"): 10.0}
         route = shortest_route(square, "A", "C", link_weights=weights)
         assert route.switches[1] == "D"
+
+    def test_non_positive_weight_rejected(self, three_switch_design):
+        # A zero-weight A<->B cycle: the path-tuple search never leaves it.
+        weights = {Link("A", "B"): 0.0, Link("B", "A"): 0.0}
+        with pytest.raises(RouteError, match="link weights must be positive"):
+            shortest_route(three_switch_design.topology, "A", "C", link_weights=weights)
 
     def test_same_switch_rejected(self, square):
         with pytest.raises(RouteError):
@@ -83,7 +117,7 @@ class TestComputeRoutes:
 
     def test_hops_mode_gives_minimum_hop_routes(self, small_mesh_design):
         design = small_mesh_design.copy()
-        compute_routes(design, weight_mode="hops")
+        compute_routes(design, congestion_factor=0.0)
         validate_design(design)
         for flow in design.traffic.flows:
             src, dst = design.flow_endpoints_switches(flow)
@@ -94,16 +128,13 @@ class TestComputeRoutes:
             manhattan = abs(sx - dx) + abs(sy - dy)
             assert design.routes.route(flow.name).hop_count == manhattan
 
-    def test_unknown_weight_mode_rejected(self, small_mesh_design):
-        with pytest.raises(RouteError):
-            compute_routes(small_mesh_design.copy(), weight_mode="banana")
-
-    def test_overwrite_false_keeps_existing_routes(self, small_mesh_design):
-        design = small_mesh_design.copy()
-        existing = {name: design.routes.route(name) for name in design.routes}
-        compute_routes(design, weight_mode="hops", overwrite=False)
-        for name, route in existing.items():
-            assert design.routes.route(name) == route
+    @pytest.mark.parametrize("engine", [ENGINE_INDEXED, ENGINE_LEGACY])
+    def test_negative_congestion_factor_rejected(self, three_switch_design, engine):
+        # At -3.0 the first two flows drive A->B and B->A to weight 0, a
+        # zero-weight cycle the third flow's search would loop on.
+        with pytest.raises(RouteError, match="congestion_factor must be non-negative"):
+            compute_routes(three_switch_design, congestion_factor=-3.0, engine=engine)
+        assert len(three_switch_design.routes) == 0
 
     def test_congestion_mode_is_deterministic(self, d26_traffic):
         from repro.synthesis.builder import SynthesisConfig, synthesize_design

@@ -2,7 +2,7 @@
 
 Two layers: unit tests drive a :class:`RecoveryController` directly
 (with a stub network) to pin each policy's route-set semantics — idle's
-park/reinstate cycle, protection's candidate swap — and engine-equivalence
+quiesce/reinstate cycle, protection's candidate swap — and engine-equivalence
 tests run every policy through ``simulate_design(..., cross_check=True)``
 on a fat-tree ``k=2`` design under a fail/restore schedule and on the
 deadlock-removed D36_8 design under a ``spatial_burst`` fault, so compiled
@@ -88,13 +88,12 @@ class TestIdlePolicy:
 
         controller.on_cycle(10, network, stats)
         assert not controller.design.routes.has_route(name)
-        assert controller.policy._parked[name] == original
+        assert controller.policy._candidates[name] == (original,)
         # Quiesced, never re-routed: the live CDG shrank, so still acyclic.
         assert count_cycles(build_cdg(controller.design), limit=1) == 0
 
         controller.on_cycle(50, network, stats)
         assert controller.design.routes.route(name) == original
-        assert name not in controller.policy._parked
 
     def test_route_stays_parked_while_any_link_is_down(self):
         design = _protected_mesh()
@@ -112,8 +111,9 @@ class TestIdlePolicy:
         stats = SimulationStats(design_name=design.name)
         controller.on_cycle(10, _StubNetwork(), stats)
         controller.on_cycle(40, _StubNetwork(), stats)
-        # The restore batch did not bring `link` back, so `name` stays parked.
-        assert name in controller.policy._parked
+        # The restore batch did not bring `link` back, so `name` stays quiesced.
+        assert not controller.design.routes.has_route(name)
+        assert controller.policy._candidates[name] == (design.routes.route(name),)
 
 
 class TestProtectionPolicy:

@@ -22,6 +22,10 @@ class TestConfig:
         with pytest.raises(SynthesisError):
             SynthesisConfig(n_switches=4, extra_link_fraction=-1)
 
+    def test_negative_congestion_factor_rejected(self):
+        with pytest.raises(SynthesisError, match="congestion_factor must be non-negative"):
+            SynthesisConfig(n_switches=4, congestion_factor=-3.0)
+
     def test_small_degree_rejected(self):
         with pytest.raises(SynthesisError):
             SynthesisConfig(n_switches=4, max_switch_degree=1)
@@ -48,8 +52,8 @@ class TestConfig:
             SynthesisConfig(n_switches=4, **{knob: value})
 
     def test_numeric_knobs_accept_ints_and_floats(self):
-        config = SynthesisConfig(n_switches=4, extra_link_fraction=1, congestion_factor=-2)
-        assert (config.extra_link_fraction, config.congestion_factor) == (1, -2)
+        config = SynthesisConfig(n_switches=4, extra_link_fraction=1, congestion_factor=2)
+        assert (config.extra_link_fraction, config.congestion_factor) == (1, 2)
 
 
 class TestSwitchNetwork:
