@@ -42,14 +42,9 @@ Run from the repository root::
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
-from pathlib import Path
 from typing import List, Optional
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-ROOT_RESULT_PATH = REPO_ROOT / "BENCH_fault_recovery.json"
 
 from repro.api.registry import recovery_policies
 from repro.benchmarks.registry import get_benchmark
@@ -58,6 +53,8 @@ from repro.perf.counters import counters
 from repro.simulation.events import EventSchedule
 from repro.simulation.simulator import SimulationConfig, simulate_design
 from repro.synthesis.builder import SynthesisConfig, synthesize_design
+
+from _results import persist
 
 
 def _protected_design(benchmark: str, switches: int, seed: int):
@@ -193,17 +190,6 @@ def run_fault_recovery_benchmark(
     }
 
 
-def _persist(data: dict, *, smoke: bool) -> Path:
-    """Write the numbers to ``BENCH_fault_recovery.json`` at the repository root.
-
-    A smoke run writes ``BENCH_fault_recovery.smoke.json`` instead, so it never
-    replaces the committed full results.
-    """
-    path = ROOT_RESULT_PATH.with_suffix(".smoke.json") if smoke else ROOT_RESULT_PATH
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-    return path
-
-
 def _report(data: dict) -> str:
     lines = [
         f"fault recovery benchmark — {data['benchmark']} @ "
@@ -288,7 +274,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             rounds=args.rounds,
         )
     print(_report(data))
-    print(f"wrote {_persist(data, smoke=args.smoke)}")
+    print(f"wrote {persist('fault_recovery', data, smoke=args.smoke)}")
     failures = _check(data)
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)

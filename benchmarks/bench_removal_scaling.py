@@ -35,14 +35,9 @@ Run from the repository root::
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
-from pathlib import Path
 from typing import Dict, List, Optional, Sequence
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-ROOT_RESULT_PATH = REPO_ROOT / "BENCH_removal_scaling.json"
 
 from repro.benchmarks.registry import get_benchmark, list_benchmarks
 from repro.core.cdg import build_cdg
@@ -52,6 +47,8 @@ from repro.perf.cdg_index import CDGIndex
 from repro.perf.cycle_search import IncrementalCycleSearch
 from repro.perf.counters import counters
 from repro.synthesis.builder import SynthesisConfig, synthesize_design
+
+from _results import persist
 
 #: Acceptance threshold at the largest full-configuration point.
 FULL_SPEEDUP_THRESHOLD = 8.0
@@ -188,17 +185,6 @@ def run_removal_scaling(
     }
 
 
-def _persist(data: dict, *, smoke: bool) -> Path:
-    """Write the numbers to ``BENCH_removal_scaling.json`` at the repository root.
-
-    A smoke run writes ``BENCH_removal_scaling.smoke.json`` instead, so it never
-    replaces the committed full results.
-    """
-    path = ROOT_RESULT_PATH.with_suffix(".smoke.json") if smoke else ROOT_RESULT_PATH
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-    return path
-
-
 def _report(data: dict) -> str:
     lines = [
         f"removal scaling benchmark — {data['benchmark']} (seed {data['seed']})",
@@ -279,7 +265,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
         threshold = FULL_SPEEDUP_THRESHOLD
     print(_report(data))
-    print(f"wrote {_persist(data, smoke=args.smoke)}")
+    print(f"wrote {persist('removal_scaling', data, smoke=args.smoke)}")
     failures = _check(data, threshold)
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)

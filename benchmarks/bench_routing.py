@@ -33,11 +33,7 @@ import argparse
 import json
 import sys
 import time
-from pathlib import Path
 from typing import Dict, List, Optional
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-ROOT_RESULT_PATH = REPO_ROOT / "BENCH_routing.json"
 
 from repro.api.registry import topology_families
 from repro.benchmarks.registry import BENCHMARK_NAMES, get_benchmark
@@ -50,6 +46,8 @@ from repro.synthesis.builder import (
     synthesize_design,
 )
 from repro.synthesis.partition import partition_cores
+
+from _results import persist
 
 #: Acceptance threshold for the 8x8 mesh configuration (full benchmark).
 FULL_SPEEDUP_THRESHOLD = 5.0
@@ -173,17 +171,6 @@ def run_routing_benchmark(
     }
 
 
-def _persist(data: dict, *, smoke: bool) -> Path:
-    """Write the numbers to ``BENCH_routing.json`` at the repository root.
-
-    A smoke run writes ``BENCH_routing.smoke.json`` instead, so it never
-    replaces the committed full results.
-    """
-    path = ROOT_RESULT_PATH.with_suffix(".smoke.json") if smoke else ROOT_RESULT_PATH
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-    return path
-
-
 def _case_line(label: str, case: Dict[str, object]) -> str:
     return (
         f"  {label:<22}: {case['legacy_seconds'] * 1e3:8.1f} ms -> "
@@ -240,7 +227,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
         threshold = FULL_SPEEDUP_THRESHOLD
     print(_report(data))
-    print(f"wrote {_persist(data, smoke=args.smoke)}")
+    print(f"wrote {persist('routing', data, smoke=args.smoke)}")
     if not data["all_routes_identical"]:
         print("FAIL: routing engines disagreed on a route set", file=sys.stderr)
         return 1

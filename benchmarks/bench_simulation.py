@@ -38,14 +38,9 @@ Run from the repository root::
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
-from pathlib import Path
 from typing import Dict, List, Optional
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-ROOT_RESULT_PATH = REPO_ROOT / "BENCH_simulation.json"
 
 from repro.benchmarks.registry import get_benchmark, list_benchmarks
 from repro.benchmarks.synthetic import default_mesh_traffic
@@ -59,6 +54,8 @@ from repro.simulation.simulator import (
 from repro.simulation.stats import SimulationStats
 from repro.synthesis.builder import SynthesisConfig, synthesize_design
 from repro.synthesis.families import family_design
+
+from _results import persist
 
 #: Acceptance threshold at the headline point (D36_8 @ 35 switches).
 FULL_SPEEDUP_THRESHOLD = 37.0
@@ -209,17 +206,6 @@ def run_simulation_benchmark(
     }
 
 
-def _persist(data: dict, *, smoke: bool) -> Path:
-    """Write the numbers to ``BENCH_simulation.json`` at the repository root.
-
-    A smoke run writes ``BENCH_simulation.smoke.json`` instead, so it never
-    replaces the committed full results.
-    """
-    path = ROOT_RESULT_PATH.with_suffix(".smoke.json") if smoke else ROOT_RESULT_PATH
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-    return path
-
-
 def _report(data: dict) -> str:
     lines = [
         f"simulation engine benchmark — {data['benchmark']} (seed {data['seed']})",
@@ -298,7 +284,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
         threshold = FULL_SPEEDUP_THRESHOLD
     print(_report(data))
-    print(f"wrote {_persist(data, smoke=args.smoke)}")
+    print(f"wrote {persist('simulation', data, smoke=args.smoke)}")
     failures = _check(data, threshold)
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)

@@ -20,14 +20,9 @@ Run from the repository root::
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
-from pathlib import Path
 from typing import Dict, List, Optional
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-ROOT_RESULT_PATH = REPO_ROOT / "BENCH_topology_scale.json"
 
 from repro.analysis.performance import measure_load_point
 from repro.benchmarks.registry import get_benchmark
@@ -35,6 +30,8 @@ from repro.core.cdg import build_cdg
 from repro.core.removal import remove_deadlocks
 from repro.simulation.simulator import SimulationConfig
 from repro.synthesis.families import family_design, family_size
+
+from _results import persist
 
 #: Size ladders (three points per family) of the CI smoke configuration.
 SMOKE_POINTS: Dict[str, List[dict]] = {
@@ -173,17 +170,6 @@ def run_topology_scale(
     }
 
 
-def _persist(data: dict, *, smoke: bool) -> Path:
-    """Write the numbers to ``BENCH_topology_scale.json`` at the repository root.
-
-    A smoke run writes ``BENCH_topology_scale.smoke.json`` instead, so it never
-    replaces the committed full results.
-    """
-    path = ROOT_RESULT_PATH.with_suffix(".smoke.json") if smoke else ROOT_RESULT_PATH
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-    return path
-
-
 def _report(data: dict) -> str:
     lines = ["topology-family scaling sweep (removal + compiled simulation)"]
     lines.append(
@@ -233,7 +219,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         injection_scale=args.injection_scale,
     )
     print(_report(data))
-    print(f"wrote {_persist(data, smoke=args.smoke)}")
+    print(f"wrote {persist('topology_scale', data, smoke=args.smoke)}")
     problems = _check(data)
     for problem in problems:
         print(f"FAIL: {problem}", file=sys.stderr)

@@ -11,7 +11,7 @@ decorator::
     from repro.api.registry import removal_engines
 
     @removal_engines.register("my_engine")
-    def _my_engine(remover, work, rng):
+    def _my_engine(remover, work):
         ...
 
 and immediately become valid values for :class:`~repro.api.spec.RunSpec`

@@ -107,6 +107,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Union
@@ -361,9 +362,10 @@ class RunSpec:
                 raise PlanError(
                     f"injection_scale must be a number or null, got {self.injection_scale!r}"
                 )
-            if self.injection_scale <= 0:
+            if not 0 < self.injection_scale < math.inf:
                 raise PlanError(
-                    f"injection_scale must be positive, got {self.injection_scale}"
+                    f"injection_scale must be positive and finite, "
+                    f"got {self.injection_scale}"
                 )
             self.injection_scale = float(self.injection_scale)
         if not isinstance(self.sim_cycles, int) or isinstance(self.sim_cycles, bool):

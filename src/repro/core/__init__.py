@@ -6,7 +6,8 @@
   :data:`CYCLE_COUNT_CAP` cycles where a report counts them).
 * :mod:`repro.core.cost` — the forward/backward cost tables of Algorithm 2
   (Table 1 of the paper).
-* :mod:`repro.core.breaker` — ``BreakCycleForward`` / ``BreakCycleBackward``.
+* :mod:`repro.core.breaker` — ``BreakCycleForward`` / ``BreakCycleBackward``
+  as one ``break_cycle`` with a direction.
 * :mod:`repro.core.removal` — the outer loop (Algorithm 1).
 """
 

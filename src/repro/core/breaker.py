@@ -1,7 +1,8 @@
 """Breaking a CDG cycle by duplicating channels and re-routing flows.
 
 This implements ``BreakCycleForward`` and ``BreakCycleBackward`` from
-Section 4.1 of the paper.  Breaking the dependency ``d(cm, cm+1)`` of a
+Section 4.1 of the paper as one :func:`break_cycle` with a direction
+(``FORWARD`` or ``BACKWARD``).  Breaking the dependency ``d(cm, cm+1)`` of a
 cycle works on the real design, not just on the CDG:
 
 1. every flow whose route uses ``cm`` immediately followed by ``cm+1`` is
@@ -175,32 +176,4 @@ def break_cycle(
         channels_added=duplicates,
         cost_table=cost_table,
         previous_routes=previous_routes,
-    )
-
-
-def break_cycle_forward(
-    design: NocDesign,
-    cycle: Sequence[Channel],
-    position: int,
-    *,
-    iteration: int = 0,
-    cost_table=None,
-) -> BreakAction:
-    """``BreakCycleForward`` of Algorithm 1."""
-    return break_cycle(
-        design, cycle, position, FORWARD, iteration=iteration, cost_table=cost_table
-    )
-
-
-def break_cycle_backward(
-    design: NocDesign,
-    cycle: Sequence[Channel],
-    position: int,
-    *,
-    iteration: int = 0,
-    cost_table=None,
-) -> BreakAction:
-    """``BreakCycleBackward`` of Algorithm 1."""
-    return break_cycle(
-        design, cycle, position, BACKWARD, iteration=iteration, cost_table=cost_table
     )

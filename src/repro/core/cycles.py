@@ -6,7 +6,7 @@ CDG; whenever the start vertex is reached again a cycle has been found, and
 (deterministically: vertices and successors are visited in sorted order) and
 additionally expose a full cycle enumeration based on Johnson's algorithm
 (:func:`repro.perf.cycle_search.simple_cycles`, over channel ids in sorted
-order) which the capped counts and the ablation selections use.
+order) which the capped counts use.
 """
 
 from __future__ import annotations
@@ -19,9 +19,9 @@ from repro.core.cdg import ChannelDependencyGraph
 from repro.errors import CycleSearchError
 from repro.model.channels import Channel
 
-#: How many elementary cycles a report counts (and the ablation selections
-#: enumerate) before stopping: dense CDGs have exponentially many.  A count
-#: that reaches it is a lower bound (:func:`format_cycle_count`).
+#: How many elementary cycles a report counts before stopping: dense CDGs
+#: have exponentially many.  A count that reaches it is a lower bound
+#: (:func:`format_cycle_count`).
 CYCLE_COUNT_CAP = 2000
 
 
@@ -126,31 +126,6 @@ def count_cycles(cdg: ChannelDependencyGraph, limit: Optional[int] = 10000) -> i
 def format_cycle_count(count: int) -> str:
     """A count capped at :data:`CYCLE_COUNT_CAP`, for a report: ``at least N`` at the cap."""
     return f"at least {count}" if count >= CYCLE_COUNT_CAP else str(count)
-
-
-def find_largest_cycle(cdg: ChannelDependencyGraph, limit: Optional[int] = 10000) -> Optional[List[Channel]]:
-    """The longest elementary cycle (used by the ablation study).
-
-    Takes the maximum over the raw enumeration instead of sorting all
-    cycles first; ties between equally long cycles are still broken by the
-    lexicographically smallest channel-name sequence, so the result is the
-    same cycle :func:`find_all_cycles` followed by ``max(key=len)`` returned.
-    """
-    channels, cycles = _enumerate(cdg)
-    best: Optional[Tuple[int, ...]] = None
-    best_names: Optional[List[str]] = None
-    for cycle in islice(cycles, limit):
-        if best is None or len(cycle) > len(best):
-            best = cycle
-            best_names = None
-        elif len(cycle) == len(best):
-            names = [channels[i].name for i in cycle]
-            if best_names is None:
-                best_names = [channels[i].name for i in best]
-            if names < best_names:
-                best = cycle
-                best_names = names
-    return None if best is None else [channels[i] for i in best]
 
 
 def cycle_edges(cycle: Sequence[Channel]) -> List[Tuple[Channel, Channel]]:

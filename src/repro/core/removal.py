@@ -9,11 +9,6 @@ The outer loop of the paper's method:
    backward direction (Algorithm 2) and apply the cheaper break;
 4. update topology and routes and repeat until the CDG is acyclic.
 
-On top of the paper's algorithm this module exposes two ablation knobs,
-which only tests set: the cycle-selection heuristic (smallest / largest /
-random) and the direction policy (best-of-both / forward-only /
-backward-only).  No spec, plan or CLI flag reaches them.
-
 One loop drives the algorithm (:meth:`DeadlockRemover._run_loop`); an
 engine only supplies how it finds the next cycle, how it costs a break and
 how it updates its graph after the break.  Engines are looked up by name in
@@ -34,26 +29,18 @@ Built-ins:
   the oracle.
 * ``engine="rebuild"`` — the oracle and the seed behaviour:
   ``build_cdg(work)`` from scratch and a full BFS sweep per iteration.
-  Also the only loop for the ablation selections (largest / random).
 """
 
 from __future__ import annotations
 
-import random
 import time
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.api.registry import removal_engines
 from repro.core.breaker import RESOURCE_PHYSICAL, RESOURCE_VIRTUAL, break_cycle
 from repro.core.cdg import build_cdg
-from repro.core.cost import best_break, find_dependency_to_break
-from repro.core.cycles import (
-    CYCLE_COUNT_CAP,
-    count_cycles,
-    find_all_cycles,
-    find_largest_cycle,
-    find_smallest_cycle,
-)
+from repro.core.cost import best_break
+from repro.core.cycles import CYCLE_COUNT_CAP, count_cycles, find_smallest_cycle
 from repro.core.report import RemovalResult
 from repro.errors import ConvergenceError, RemovalError
 from repro.model.design import NocDesign
@@ -62,16 +49,6 @@ from repro.perf.cdg_index import CDGIndex
 from repro.perf.cost_index import CycleCostEngine
 from repro.perf.cycle_search import IncrementalCycleSearch, count_cycles_indexed
 
-SELECT_SMALLEST = "smallest"
-SELECT_LARGEST = "largest"
-SELECT_RANDOM = "random"
-_SELECTIONS = (SELECT_SMALLEST, SELECT_LARGEST, SELECT_RANDOM)
-
-POLICY_BEST = "best"
-POLICY_FORWARD = "forward"
-POLICY_BACKWARD = "backward"
-_POLICIES = (POLICY_BEST, POLICY_FORWARD, POLICY_BACKWARD)
-
 ENGINE_CONTEXT = "context"
 ENGINE_REBUILD = "rebuild"
 #: Engine used when callers do not choose one explicitly.
@@ -79,18 +56,10 @@ DEFAULT_REMOVAL_ENGINE = ENGINE_CONTEXT
 
 
 class DeadlockRemover:
-    """Configurable implementation of Algorithm 1.
+    """Algorithm 1: break the smallest cycle first, in the cheaper direction.
 
     Parameters
     ----------
-    cycle_selection:
-        Which cycle to break at every iteration.  ``"smallest"`` is the
-        paper's heuristic; ``"largest"`` and ``"random"`` are ablations
-        that only tests set.
-    direction_policy:
-        ``"best"`` compares forward and backward costs (the paper);
-        ``"forward"`` / ``"backward"`` force a single direction, an
-        ablation that only tests set.
     resource_mode:
         ``"virtual"`` (default) duplicates channels as extra VCs on the same
         physical link; ``"physical"`` adds parallel physical links instead,
@@ -101,11 +70,6 @@ class DeadlockRemover:
         When true the initial number of elementary cycles is counted, up to
         :data:`~repro.core.cycles.CYCLE_COUNT_CAP` (can be expensive on
         dense CDGs), and stored in the result.
-    seed:
-        Random seed, only used with ``cycle_selection="random"``.
-    on_iteration:
-        Optional callback invoked with each
-        :class:`~repro.core.report.BreakAction` as it happens.
     validate:
         Validate the design before and after removal (recommended).
     engine:
@@ -113,10 +77,7 @@ class DeadlockRemover:
         and maintains from route deltas, the SCC-pruned depth-limited cycle
         search, one-pass int-indexed cost tables and indexed affected-flow
         lookup; ``"rebuild"`` is the oracle (full ``build_cdg`` + full BFS
-        sweep per iteration).  Both produce identical break sequences;
-        ``"context"`` only speeds up the paper's ``"smallest"`` selection
-        and transparently falls back to the rebuild loop for the ablation
-        selections.
+        sweep per iteration).  Both produce identical break sequences.
     cross_check:
         Debug flag for the context engine: after every break, rebuild the
         CDG from scratch and assert the index matches it exactly, and
@@ -130,21 +91,13 @@ class DeadlockRemover:
     def __init__(
         self,
         *,
-        cycle_selection: str = SELECT_SMALLEST,
-        direction_policy: str = POLICY_BEST,
         resource_mode: str = RESOURCE_VIRTUAL,
         max_iterations: Optional[int] = None,
         count_initial_cycles: bool = True,
-        seed: int = 0,
-        on_iteration: Optional[Callable] = None,
         validate: bool = True,
         engine: str = DEFAULT_REMOVAL_ENGINE,
         cross_check: bool = False,
     ):
-        if cycle_selection not in _SELECTIONS:
-            raise RemovalError(f"unknown cycle selection {cycle_selection!r}")
-        if direction_policy not in _POLICIES:
-            raise RemovalError(f"unknown direction policy {direction_policy!r}")
         if resource_mode not in (RESOURCE_VIRTUAL, RESOURCE_PHYSICAL):
             raise RemovalError(f"unknown resource mode {resource_mode!r}")
         if engine not in removal_engines:
@@ -152,13 +105,9 @@ class DeadlockRemover:
                 f"unknown removal engine {engine!r}; "
                 f"available: {', '.join(removal_engines.names())}"
             )
-        self.cycle_selection = cycle_selection
-        self.direction_policy = direction_policy
         self.resource_mode = resource_mode
         self.max_iterations = max_iterations
         self.count_initial_cycles = count_initial_cycles
-        self.seed = seed
-        self.on_iteration = on_iteration
         self.validate = validate
         self.engine = engine
         self.cross_check = cross_check
@@ -174,10 +123,7 @@ class DeadlockRemover:
         if self.validate:
             validate_design(design)
         work = design if in_place else design.copy()
-
-        rng = random.Random(self.seed)
-        engine = removal_engines.get(self.engine)
-        result = engine(self, work, rng)
+        result = removal_engines.get(self.engine)(self, work)
 
         result.runtime_seconds = time.perf_counter() - start
         if self.validate:
@@ -229,8 +175,6 @@ class DeadlockRemover:
                 index=steps.index,
             )
             result.actions.append(action)
-            if self.on_iteration is not None:
-                self.on_iteration(action)
             steps.after_break(action)
 
         result.iterations = iteration
@@ -239,41 +183,23 @@ class DeadlockRemover:
         return result
 
 
-def _reference_break(cycle, routes, direction_policy: str):
-    """``(direction, cost, position, table)`` from the reference builder."""
-    if direction_policy == POLICY_BEST:
-        return best_break(cycle, routes)
-    # The forward/backward policy names are the direction names.
-    return (direction_policy, *find_dependency_to_break(cycle, routes, direction_policy))
-
-
 class _RebuildSteps:
     """The oracle: full ``build_cdg`` and full cycle search per break."""
 
     index = None
 
-    def __init__(self, remover: DeadlockRemover, work: NocDesign, rng: random.Random):
-        self._remover = remover
+    def __init__(self, work: NocDesign):
         self._work = work
-        self._rng = rng
         self.graph = build_cdg(work)
 
     def count_cycles(self, limit: int) -> int:
         return count_cycles(self.graph, limit=limit)
 
     def next_cycle(self):
-        selection = self._remover.cycle_selection
-        if selection == SELECT_SMALLEST:
-            return find_smallest_cycle(self.graph)
-        if selection == SELECT_LARGEST:
-            return find_largest_cycle(self.graph, limit=CYCLE_COUNT_CAP)
-        cycles = find_all_cycles(self.graph, limit=CYCLE_COUNT_CAP)
-        if not cycles:
-            return None
-        return cycles[self._rng.randrange(len(cycles))]
+        return find_smallest_cycle(self.graph)
 
     def choose_break(self, cycle):
-        return _reference_break(cycle, self._work.routes, self._remover.direction_policy)
+        return best_break(cycle, self._work.routes)
 
     def after_break(self, action) -> None:
         # The CDG is a pure function of the routes, so rebuilding it after
@@ -293,9 +219,9 @@ class _ContextSteps:
     break.
     """
 
-    def __init__(self, remover: DeadlockRemover, work: NocDesign):
-        self._remover = remover
+    def __init__(self, work: NocDesign, cross_check: bool):
         self._work = work
+        self._cross_check = cross_check
         self.graph = self.index = CDGIndex.from_routes(work.routes)
         self._costs = CycleCostEngine(self.index)
         self._search = IncrementalCycleSearch(self.index)
@@ -307,9 +233,15 @@ class _ContextSteps:
         return self._search.find_smallest()
 
     def choose_break(self, cycle):
-        choice = self._costs.best_break(cycle, self._remover.direction_policy)
-        if self._remover.cross_check:
-            self._verify_choice(cycle, choice)
+        choice = self._costs.best_break(cycle)
+        if self._cross_check:
+            reference = best_break(cycle, self._work.routes)
+            if choice != reference:
+                raise RemovalError(
+                    "indexed cost engine diverged from the reference builder: chose "
+                    f"{choice[0]!r} cost {choice[1]} at position {choice[2]}, reference "
+                    f"chose {reference[0]!r} cost {reference[1]} at position {reference[2]}"
+                )
         return choice
 
     def after_break(self, action) -> None:
@@ -320,48 +252,20 @@ class _ContextSteps:
             self.index.apply_route_change(
                 flow_name, old_route.channels, routes.route(flow_name).channels
             )
-        if self._remover.cross_check:
+        if self._cross_check:
             self.graph.verify_against(build_cdg(self._work))
-
-    def _verify_choice(self, cycle, choice) -> None:
-        """Cross-check: the indexed cost engine must match the reference."""
-        direction, _, position, table = choice
-        ref_direction, ref_cost, ref_position, ref_table = _reference_break(
-            cycle, self._work.routes, self._remover.direction_policy
-        )
-        if (
-            (direction, table.best_cost, position)
-            != (ref_direction, ref_cost, ref_position)
-            or table != ref_table
-        ):
-            raise RemovalError(
-                "indexed cost engine diverged from the reference builder: "
-                f"chose {direction!r} cost {table.best_cost} at position "
-                f"{position}, reference chose {ref_direction!r} cost "
-                f"{ref_cost} at position {ref_position}"
-            )
 
 
 @removal_engines.register(ENGINE_CONTEXT)
-def _context_engine(
-    remover: DeadlockRemover, work: NocDesign, rng: random.Random
-) -> RemovalResult:
-    """Default engine: the indexed fast path.
-
-    Only accelerates the paper's ``"smallest"`` selection; the ablation
-    selections transparently fall back to the rebuild loop.
-    """
-    if remover.cycle_selection != SELECT_SMALLEST:
-        return remover._run_loop(work, _RebuildSteps(remover, work, rng))
-    return remover._run_loop(work, _ContextSteps(remover, work))
+def _context_engine(remover: DeadlockRemover, work: NocDesign) -> RemovalResult:
+    """Default engine: the indexed fast path."""
+    return remover._run_loop(work, _ContextSteps(work, remover.cross_check))
 
 
 @removal_engines.register(ENGINE_REBUILD)
-def _rebuild_engine(
-    remover: DeadlockRemover, work: NocDesign, rng: random.Random
-) -> RemovalResult:
+def _rebuild_engine(remover: DeadlockRemover, work: NocDesign) -> RemovalResult:
     """Oracle engine: full ``build_cdg`` + full BFS sweep per iteration."""
-    return remover._run_loop(work, _RebuildSteps(remover, work, rng))
+    return remover._run_loop(work, _RebuildSteps(work))
 
 
 def remove_deadlocks(design: NocDesign, **options) -> RemovalResult:

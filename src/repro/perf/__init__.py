@@ -26,7 +26,7 @@ Behaviour-preserving accelerations of the seed code paths:
 """
 
 from repro.perf.cdg_index import CDGIndex, channel_sort_key
-from repro.perf.cost_index import CycleCostEngine, build_cost_tables
+from repro.perf.cost_index import CycleCostEngine
 from repro.perf.cycle_search import (
     IncrementalCycleSearch,
     count_cycles_indexed,
@@ -44,7 +44,6 @@ __all__ = [
     "IndexedRouter",
     "PerfCounters",
     "SwitchGraph",
-    "build_cost_tables",
     "count_cycles_indexed",
     "counters",
     "tarjan_sccs",

@@ -131,20 +131,14 @@ class CycleCostEngine:
             _finish_table(BACKWARD, cycle_tuple, edges, backward_entries),
         )
 
-    def best_break(
-        self, cycle: Sequence[Channel], direction_policy: str = "best"
-    ) -> Tuple[str, int, int, CostTable]:
-        """``(direction, cost, position, table)`` under a direction policy.
+    def best_break(self, cycle: Sequence[Channel]) -> Tuple[str, int, int, CostTable]:
+        """``(direction, cost, position, table)`` of the cheaper direction.
 
-        ``"best"`` compares both directions with forward winning ties (Step
-        7 of Algorithm 1); ``"forward"`` / ``"backward"`` force one
-        direction.  Either way both tables come from the same single pass.
+        Forward wins ties (Step 7 of Algorithm 1), exactly as
+        :func:`repro.core.cost.best_break`; both tables come from the same
+        single pass.
         """
         forward, backward = self.tables(cycle)
-        if direction_policy == FORWARD:
-            return FORWARD, forward.best_cost, forward.best_position, forward
-        if direction_policy == BACKWARD:
-            return BACKWARD, backward.best_cost, backward.best_position, backward
         if forward.best_cost <= backward.best_cost:
             return FORWARD, forward.best_cost, forward.best_position, forward
         return BACKWARD, backward.best_cost, backward.best_position, backward
@@ -172,12 +166,3 @@ def _finish_table(
         best_cost=max_costs[best_position],
         best_position=best_position,
     )
-
-
-def build_cost_tables(cycle: Sequence[Channel], routes: RouteSet) -> Tuple[CostTable, CostTable]:
-    """One-shot ``(forward, backward)`` tables for a cycle and a route set.
-
-    Convenience wrapper over a throwaway :class:`CycleCostEngine`; the
-    removal loop keeps one engine per run over its own CDG index instead.
-    """
-    return CycleCostEngine.from_routes(routes).tables(cycle)

@@ -24,8 +24,8 @@ cyclic component; the BFS of one component reads the index's presorted
 successor tuples and epoch-stamped scratch arrays.
 
 The module also holds the one elementary-cycle enumerator of the package,
-:func:`simple_cycles` (Johnson 1975), which the capped cycle counts and the
-``largest``/``random`` ablation selections of :mod:`repro.core.cycles` run.
+:func:`simple_cycles` (Johnson 1975), which the capped cycle counts of
+:mod:`repro.core.cycles` and :func:`count_cycles_indexed` run.
 """
 
 from __future__ import annotations

@@ -13,7 +13,8 @@ route on).  Ties break deterministically, so repeated runs produce
 identical designs.  Dijkstra's method needs non-negative weights and the
 indexed engine's tie-break argument positive ones, so a negative factor
 and a non-positive explicit link weight raise
-:class:`~repro.errors.RouteError`.
+:class:`~repro.errors.RouteError`; so does a factor too large for a path
+cost to stay exact (see :func:`compute_routes`).
 
 Two interchangeable engines implement the per-design routing loop, looked up
 by name in the pluggable :data:`repro.api.registry.routing_engines` registry
@@ -215,8 +216,9 @@ def compute_routes(
         Strength of the congestion term: a link's weight is ``1 + factor *
         routed / total``, where ``routed`` is the bandwidth of the flows
         routed over it so far, so heavy flows spread out.  ``0`` routes
-        every flow on a minimum-hop path; a negative factor raises
-        :class:`~repro.errors.RouteError`.
+        every flow on a minimum-hop path.  A negative factor, or one with
+        ``(1 + factor) * link count >= 2**53`` (NaN and inf included),
+        raises :class:`~repro.errors.RouteError`.
     engine:
         Routing engine name from :data:`repro.api.registry.routing_engines`.
     cross_check:
@@ -229,9 +231,13 @@ def compute_routes(
     switch get no route (they never enter the network).  Returns the
     design's route set.
     """
-    if not congestion_factor >= 0:
+    # Below 2**53 a path cost (at most links x (1 + factor)) grows with every
+    # link it adds; past it the legacy search can loop.
+    links = max(design.topology.link_count, 1)
+    if not (congestion_factor >= 0 and (1 + congestion_factor) * links < 2**53):
         raise RouteError(
-            f"congestion_factor must be non-negative, got {congestion_factor!r}"
+            f"congestion_factor must be non-negative, and (1 + congestion_factor) "
+            f"* {links} links must stay below 2**53; got {congestion_factor!r}"
         )
     if engine not in routing_engines:
         raise RouteError(

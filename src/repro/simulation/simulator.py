@@ -42,6 +42,7 @@ divergence.  Traffic comes from the
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
@@ -67,7 +68,7 @@ class SimulationConfig:
     Everything but the run length and the engine; the experiment runner
     builds one per spec and runs it on every design variant.  Settings no
     wormhole network can run (buffers of no flits, a load that is not
-    positive, a watchdog window of no cycles) raise
+    positive and finite, a watchdog window of no cycles) raise
     :class:`~repro.errors.SimulationError`.
 
     Attributes
@@ -124,9 +125,9 @@ class SimulationConfig:
             raise SimulationError(
                 f"buffer_depth must be at least 1 flit, got {self.buffer_depth}"
             )
-        if self.injection_scale <= 0:
+        if not 0 < self.injection_scale < math.inf:
             raise SimulationError(
-                f"injection_scale must be positive, got {self.injection_scale}"
+                f"injection_scale must be positive and finite, got {self.injection_scale}"
             )
         if self.watchdog_cycles < 1:
             raise SimulationError(

@@ -27,6 +27,7 @@ steps 1–4.  The experiment API builds the config from a
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -79,7 +80,7 @@ class SynthesisConfig:
         Passed to :func:`repro.synthesis.partition.partition_cores`.
     congestion_factor:
         Passed to :func:`repro.routing.shortest_path.compute_routes`; must
-        be non-negative (0 routes on hop count).
+        be non-negative and finite (0 routes on hop count).
     routing_engine:
         Shortest-path engine name from
         :data:`repro.api.registry.routing_engines` (``"indexed"`` by
@@ -115,11 +116,15 @@ class SynthesisConfig:
                 raise SynthesisError(f"{name} must be {kind}, got {value!r}")
         if self.n_switches < 1:
             raise SynthesisError(f"switch count must be positive, got {self.n_switches}")
-        if self.extra_link_fraction < 0:
-            raise SynthesisError("extra_link_fraction must be non-negative")
-        if not self.congestion_factor >= 0:
+        if not 0 <= self.extra_link_fraction < math.inf:
             raise SynthesisError(
-                f"congestion_factor must be non-negative, got {self.congestion_factor!r}"
+                f"extra_link_fraction must be non-negative and finite, "
+                f"got {self.extra_link_fraction!r}"
+            )
+        if not 0 <= self.congestion_factor < math.inf:
+            raise SynthesisError(
+                f"congestion_factor must be non-negative and finite, "
+                f"got {self.congestion_factor!r}"
             )
         if self.max_switch_degree < 2:
             raise SynthesisError("max_switch_degree must be at least 2")

@@ -103,6 +103,8 @@ class TestRunSubcommand:
             ({"balance_slack": "x"}, "balance_slack must be an integer"),
             ({"congestion_factor": "x"}, "congestion_factor must be a number"),
             ({"congestion_factor": -3.0}, "congestion_factor must be non-negative"),
+            ({"extra_link_fraction": float("nan")}, "extra_link_fraction must be non-negative"),
+            ({"congestion_factor": float("inf")}, "congestion_factor must be non-negative"),
         ],
     )
     def test_bad_synthesis_key_is_a_clean_error(self, tmp_path, capsys, synthesis, named):

@@ -56,6 +56,9 @@ class TestSpecFields:
     def test_invalid_values_rejected(self):
         with pytest.raises(PlanError):
             RunSpec(benchmark="D26_media", switch_count=8, injection_scale=-1.0)
+        for scale in (float("nan"), float("inf")):
+            with pytest.raises(PlanError, match="injection_scale must be positive and finite"):
+                RunSpec(benchmark="D26_media", switch_count=8, injection_scale=scale)
         with pytest.raises(PlanError):
             RunSpec(benchmark="D26_media", switch_count=8, injection_scale="high")
         with pytest.raises(PlanError):

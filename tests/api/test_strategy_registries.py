@@ -79,9 +79,9 @@ class TestDispatchThroughRegistries:
         calls = []
 
         @removal_engines.register("recording")
-        def _recording_engine(remover, work, rng):
+        def _recording_engine(remover, work):
             calls.append(remover.engine)
-            return removal_engines.get("rebuild")(remover, work, rng)
+            return removal_engines.get("rebuild")(remover, work)
 
         try:
             result = remove_deadlocks(ring_design_fixture, engine="recording")

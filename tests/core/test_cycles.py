@@ -13,7 +13,6 @@ from repro.core.cycles import (
     count_cycles,
     cycle_edges,
     find_all_cycles,
-    find_largest_cycle,
     find_smallest_cycle,
     has_cycle,
     verify_cycle,
@@ -82,28 +81,6 @@ class TestEnumeration:
         assert count_cycles(two_cycle_cdg) == 2
         assert count_cycles(build_cdg(ring_design_fixture)) == 1
 
-    def test_largest_cycle(self, two_cycle_cdg):
-        assert len(find_largest_cycle(two_cycle_cdg)) == 3
-
-    def test_largest_cycle_none_when_acyclic(self, simple_line_design):
-        assert find_largest_cycle(build_cdg(simple_line_design)) is None
-
-    def test_largest_cycle_matches_sorted_enumeration(self, two_cycle_cdg):
-        """The single-pass max equals sort-then-max from the enumeration."""
-        cycles = find_all_cycles(two_cycle_cdg)
-        assert find_largest_cycle(two_cycle_cdg) == max(cycles, key=len)
-
-    def test_largest_cycle_tie_broken_by_names(self):
-        # Two disjoint 2-cycles: the one with the smaller channel names wins.
-        cdg = cdg_from_routes(
-            [
-                [ch("X", "Y"), ch("Y", "X"), ch("X", "Y")],
-                [ch("A", "B"), ch("B", "A"), ch("A", "B")],
-            ]
-        )
-        cycle = find_largest_cycle(cdg)
-        assert set(cycle) == {ch("A", "B"), ch("B", "A")}
-
     def test_count_cycles_respects_limit(self, two_cycle_cdg):
         assert count_cycles(two_cycle_cdg, limit=1) == 1
         assert count_cycles(two_cycle_cdg, limit=0) == 0
@@ -125,12 +102,11 @@ class TestHashSeedIndependence:
         """
         from repro.benchmarks.registry import get_benchmark
         from repro.core.cdg import build_cdg
-        from repro.core.cycles import find_all_cycles, find_largest_cycle
+        from repro.core.cycles import find_all_cycles
         from repro.synthesis.builder import SynthesisConfig, synthesize_design
         design = synthesize_design(get_benchmark("D36_8"), SynthesisConfig(n_switches=14))
         cdg = build_cdg(design)
         print([[c.name for c in cycle] for cycle in find_all_cycles(cdg, limit=10)])
-        print([c.name for c in find_largest_cycle(cdg, limit=10)])
         """
     )
 

@@ -4,12 +4,8 @@ import pytest
 
 from repro.benchmarks.registry import get_benchmark
 from repro.core.cdg import build_cdg
-from repro.core.removal import (
-    DeadlockRemover,
-    is_deadlock_free,
-    remove_deadlocks,
-)
-from repro.errors import ConvergenceError, RemovalError
+from repro.core.removal import is_deadlock_free, remove_deadlocks
+from repro.errors import ConvergenceError
 from repro.model.validation import validate_design
 from repro.routing.ordering import apply_resource_ordering
 from repro.synthesis.builder import SynthesisConfig, synthesize_design
@@ -104,43 +100,9 @@ class TestLargerDesigns:
 
 
 class TestOptions(EngineUnderTest):
-    def test_unknown_cycle_selection_rejected(self):
-        with pytest.raises(RemovalError):
-            DeadlockRemover(cycle_selection="weird")
-
-    def test_unknown_direction_policy_rejected(self):
-        with pytest.raises(RemovalError):
-            DeadlockRemover(direction_policy="weird")
-
-    def test_forward_only_policy(self, ring_design_fixture):
-        result = self.remove(ring_design_fixture, direction_policy="forward")
-        assert all(action.direction == "forward" for action in result.actions)
-        assert build_cdg(result.design).is_acyclic()
-
-    def test_backward_only_policy(self, ring_design_fixture):
-        result = self.remove(ring_design_fixture, direction_policy="backward")
-        assert all(action.direction == "backward" for action in result.actions)
-        assert build_cdg(result.design).is_acyclic()
-
-    def test_largest_cycle_selection(self, small_ring_design):
-        result = remove_deadlocks(small_ring_design, cycle_selection="largest")
-        assert build_cdg(result.design).is_acyclic()
-
-    def test_random_cycle_selection_with_seed(self, small_ring_design):
-        first = remove_deadlocks(small_ring_design, cycle_selection="random", seed=7)
-        second = remove_deadlocks(small_ring_design, cycle_selection="random", seed=7)
-        assert first.added_vc_count == second.added_vc_count
-        assert build_cdg(first.design).is_acyclic()
-
     def test_iteration_cap_raises_convergence_error(self, small_ring_design):
         with pytest.raises(ConvergenceError):
             self.remove(small_ring_design, max_iterations=0)
-
-    def test_on_iteration_callback(self, ring_design_fixture):
-        seen = []
-        self.remove(ring_design_fixture, on_iteration=seen.append)
-        assert len(seen) == 1
-        assert seen[0].iteration == 1
 
     def test_skip_initial_cycle_count(self, ring_design_fixture):
         result = self.remove(ring_design_fixture, count_initial_cycles=False)
@@ -183,23 +145,8 @@ def cyclic_designs():
     ]
 
 
-class TestAblations:
-    """The heuristics the paper motivates without quantifying them."""
-
-    def test_smallest_cycle_first_is_competitive(self, cyclic_designs):
-        def total(selection):
-            results = [remove_deadlocks(d, cycle_selection=selection) for d in cyclic_designs]
-            return sum(result.added_vc_count for result in results)
-
-        assert total("smallest") <= 1.5 * total("largest")
-
-    def test_best_direction_beats_a_fixed_one(self, cyclic_designs):
-        for design in cyclic_designs:
-            vcs = {
-                policy: remove_deadlocks(design, direction_policy=policy).added_vc_count
-                for policy in ("best", "forward", "backward")
-            }
-            assert vcs["best"] <= max(vcs["forward"], vcs["backward"])
+class TestAgainstOrderingStrategies:
+    """On every cyclic benchmark design: removal <= layered <= hop-index ordering."""
 
     def test_removal_beats_even_layered_ordering(self, cyclic_designs):
         for design in cyclic_designs:

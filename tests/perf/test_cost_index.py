@@ -24,7 +24,7 @@ from repro.model.design import NocDesign
 from repro.model.routes import Route, RouteSet
 from repro.model.topology import Topology
 from repro.model.traffic import CommunicationGraph
-from repro.perf.cost_index import CycleCostEngine, build_cost_tables
+from repro.perf.cost_index import CycleCostEngine
 
 from route_strategies import random_route_sets
 
@@ -86,7 +86,7 @@ class TestTableEquivalence:
         )
         foreign = [Channel(Link("X", "Y"), 0), Channel(Link("Y", "X"), 0)]
         with pytest.raises(RemovalError, match="no flow creates any dependency"):
-            build_cost_tables(foreign, routes)
+            CycleCostEngine.from_routes(routes).tables(foreign)
 
 
 def _ring_design(n_switches: int = 4) -> NocDesign:
@@ -125,14 +125,9 @@ class TestEndToEndActionEquality:
         assert context_result.actions == seed_result.actions
         assert context_result.design.routes == seed_result.design.routes
 
-    @pytest.mark.parametrize("policy", ["best", "forward", "backward"])
-    def test_direction_policies_match_seed_path(self, policy):
+    def test_best_direction_matches_seed_path(self):
         design = _ring_design(4)
-        seed_result = remove_deadlocks(
-            design, engine="rebuild", direction_policy=policy
-        )
-        context_result = remove_deadlocks(
-            design, engine="context", direction_policy=policy, cross_check=True
-        )
+        seed_result = remove_deadlocks(design, engine="rebuild")
+        context_result = remove_deadlocks(design, engine="context", cross_check=True)
         assert context_result.actions == seed_result.actions
         assert context_result.design.routes == seed_result.design.routes

@@ -58,15 +58,6 @@ def test_unknown_engine_rejected():
         DeadlockRemover(engine="warp")
 
 
-def test_ablation_selections_still_work_with_context_engine():
-    """largest/random selections transparently use the rebuild loop."""
-    design = _synthesize("D36_8")
-    result = remove_deadlocks(design, cycle_selection="largest", engine="context")
-    assert result.is_deadlock_free
-    result = remove_deadlocks(design, cycle_selection="random", engine="context")
-    assert result.is_deadlock_free
-
-
 def test_actions_carry_route_deltas():
     """Every break reports the pre-break routes of the flows it moved."""
     design = _synthesize("D36_8")

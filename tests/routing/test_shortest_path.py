@@ -131,10 +131,16 @@ class TestComputeRoutes:
     @pytest.mark.parametrize("engine", [ENGINE_INDEXED, ENGINE_LEGACY])
     def test_negative_congestion_factor_rejected(self, three_switch_design, engine):
         # At -3.0 the first two flows drive A->B and B->A to weight 0, a
-        # zero-weight cycle the third flow's search would loop on.
-        with pytest.raises(RouteError, match="congestion_factor must be non-negative"):
-            compute_routes(three_switch_design, congestion_factor=-3.0, engine=engine)
+        # zero-weight cycle the third flow's search would loop on.  At inf
+        # or 1e300 a path's cost no longer grows by a link's weight, so the
+        # legacy search loops as well.
+        for factor in (-3.0, float("inf"), 1e300):
+            with pytest.raises(RouteError, match="congestion_factor must be non-negative"):
+                compute_routes(three_switch_design, congestion_factor=factor, engine=engine)
         assert len(three_switch_design.routes) == 0
+        # A large factor inside the bound still routes, the same on both engines.
+        compute_routes(three_switch_design, congestion_factor=1e12, engine=engine, cross_check=True)
+        assert len(three_switch_design.routes) > 0
 
     def test_congestion_mode_is_deterministic(self, d26_traffic):
         from repro.synthesis.builder import SynthesisConfig, synthesize_design

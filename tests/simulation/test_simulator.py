@@ -168,6 +168,8 @@ class TestValidation:
             ("injection_scale", 0.0),
             ("injection_scale", -1.0),
             ("watchdog_cycles", 0),
+            ("injection_scale", float("nan")),
+            ("injection_scale", float("inf")),
         ],
     )
     def test_config_a_wormhole_network_cannot_run_rejected(self, field, value):

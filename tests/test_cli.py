@@ -171,6 +171,7 @@ class TestSimulateFaults:
         [
             (("--injection-scale", "-1"), "injection_scale must be positive"),
             (("--buffer-depth", "0"), "buffer_depth must be at least 1"),
+            (("--injection-scale", "nan"), "injection_scale must be positive"),
         ],
     )
     def test_settings_no_network_can_run_are_rejected(self, ring_file, flags, named, capsys):
