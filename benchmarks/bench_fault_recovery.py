@@ -50,7 +50,7 @@ from repro.api.registry import recovery_policies
 from repro.benchmarks.registry import get_benchmark
 from repro.core.removal import remove_deadlocks
 from repro.perf.counters import counters
-from repro.simulation.events import EventSchedule
+from repro.simulation.fault_models import uniform_model
 from repro.simulation.simulator import SimulationConfig, simulate_design
 from repro.synthesis.builder import SynthesisConfig, synthesize_design
 
@@ -75,8 +75,8 @@ def run_fault_recovery_benchmark(
 ) -> dict:
     """Time fault-free vs. faulted runs and collect recovery metrics."""
     design = _protected_design(benchmark, switches, seed)
-    schedule = EventSchedule.random(
-        design.topology,
+    schedule = uniform_model(
+        design,
         seed=seed,
         link_failures=link_failures,
         router_failures=router_failures,

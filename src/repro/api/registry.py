@@ -15,10 +15,15 @@ decorator::
         ...
 
 and immediately become valid values for :class:`~repro.api.spec.RunSpec`
-fields, CLI flags and the library keyword arguments.  Synthesis itself is
-not a registry: :func:`repro.synthesis.builder.synthesize_design` is its
-one entry point, and a spec picks a parameterized generator with
-``topology_family``.
+fields, CLI flags and the library keyword arguments.  A fault model or
+traffic scenario also declares its knobs with :func:`repro.domains.knobs`
+under the registration (see :mod:`repro.simulation.scenarios`): their
+kinds are its keyword-only parameters' annotations, their bounds the
+decorator's keywords, and every call is checked before the body runs.
+Their registries refuse an entry that declares none.
+Synthesis itself is not a registry:
+:func:`repro.synthesis.builder.synthesize_design` is its one entry point,
+and a spec picks a parameterized generator with ``topology_family``.
 
 Each registry names a *provider* module — the module that registers the
 built-in implementations.  The provider is imported lazily on first lookup,
@@ -47,10 +52,16 @@ class Registry:
         Dotted path of the module that registers the built-in entries.  It
         is imported (once) the first time the registry is queried, so the
         built-ins are always visible regardless of import order.
+    declares_knobs:
+        Every entry must be decorated with :func:`repro.domains.knobs`
+        itself, so its keywords are checked before any call; registering
+        one that is not raises :class:`RegistryError`.
     """
 
-    def __init__(self, kind: str, *, provider: Optional[str] = None):
+    def __init__(self, kind: str, *, provider: Optional[str] = None,
+                 declares_knobs: bool = False):
         self.kind = kind
+        self.declares_knobs = declares_knobs
         self._provider = provider
         self._provider_loaded = provider is None
         self._entries: Dict[str, Any] = {}
@@ -87,6 +98,11 @@ class Registry:
             )
         if name in self._entries:
             raise RegistryError(f"{self.kind} {name!r} is already registered")
+        if self.declares_knobs and "domains" not in getattr(obj, "__dict__", {}):
+            raise RegistryError(
+                f"{self.kind} {name!r} declares no knob domains; decorate it with "
+                "repro.domains.knobs"
+            )
         self._entries[name] = obj
 
     # ------------------------------------------------------------------
@@ -113,6 +129,10 @@ class Registry:
     def __contains__(self, name: object) -> bool:
         self._load_provider()
         return name in self._entries
+
+    def __iter__(self):
+        """The registered names, sorted: a registry is a knob's choices (:mod:`repro.domains`)."""
+        return iter(self.names())
 
     def __len__(self) -> int:
         self._load_provider()
@@ -160,17 +180,20 @@ topology_families = Registry("topology family", provider="repro.synthesis.famili
 #: Traffic-scenario generators for the wormhole simulator (built-ins live in
 #: :mod:`repro.simulation.scenarios`: ``"flows"`` — the paper's
 #: bandwidth-proportional traffic — plus ``"uniform"``, ``"hotspot"``,
-#: ``"transpose"`` and ``"bursty"``; all seed-deterministic).
-traffic_scenarios = Registry("traffic scenario", provider="repro.simulation.scenarios")
+#: ``"transpose"``, ``"bursty"`` and ``"trace"``; all seed-deterministic).
+traffic_scenarios = Registry(
+    "traffic scenario", provider="repro.simulation.scenarios", declares_knobs=True
+)
 
 #: Correlated fault-schedule generators (built-ins live in
-#: :mod:`repro.simulation.fault_models`: ``"uniform"`` — the PR 6
-#: uniform-random reference — plus ``"spatial_burst"``, ``"cascade"`` and
-#: ``"mtbf"``).  A model is a seeded pure function
-#: ``(design, **params) -> EventSchedule``;
+#: :mod:`repro.simulation.fault_models`: ``"uniform"`` — uniform-random
+#: failures — plus ``"spatial_burst"``, ``"cascade"`` and ``"mtbf"``).
+#: A model is a seeded pure function ``(design, **params) -> EventSchedule``;
 #: :attr:`repro.api.spec.RunSpec.fault_model` selects one and
 #: :attr:`~repro.api.spec.RunSpec.fault_params` parameterizes it.
-fault_models = Registry("fault model", provider="repro.simulation.fault_models")
+fault_models = Registry(
+    "fault model", provider="repro.simulation.fault_models", declares_knobs=True
+)
 
 #: Recovery policies applied by the in-simulation
 #: :class:`~repro.simulation.recovery.RecoveryController` when a fault batch

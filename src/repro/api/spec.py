@@ -107,11 +107,11 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
-import math
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Union
 
+from repro.domains import POSITIVE, Domains, at_least
 from repro.errors import PlanError
 
 #: Version tag baked into plan documents and content-address hashes; bump on
@@ -136,21 +136,6 @@ _SPEC_SET_SYNTHESIS_KEYS = {
     "topology_family": "topology_family",
     "family_params": "family_params",
 }
-
-
-def _check_synthesis_keys(synthesis: Mapping[str, Any]) -> None:
-    """Reject ``synthesis`` keys that are not ``SynthesisConfig`` tuning knobs."""
-    from repro.synthesis.builder import SynthesisConfig  # local: keep this module light
-
-    knobs = [f.name for f in fields(SynthesisConfig) if f.name not in _SPEC_SET_SYNTHESIS_KEYS]
-    for key in sorted(synthesis):
-        if key in _SPEC_SET_SYNTHESIS_KEYS:
-            raise PlanError(
-                f"synthesis override {key!r} is set by the spec itself; use the "
-                f"spec's {_SPEC_SET_SYNTHESIS_KEYS[key]!r} field instead"
-            )
-        if key not in knobs:
-            raise PlanError(f"unknown synthesis override {key!r}; valid: {', '.join(knobs)}")
 
 
 def _canonical_hash(document: Mapping[str, Any]) -> str:
@@ -302,35 +287,27 @@ class RunSpec:
     fault_params: Dict[str, Any] = field(default_factory=dict)
     fault_recovery: str = "removal"
 
+    #: The fields' bounds; each field's kind is its annotation (:mod:`repro.domains`).
+    domains = Domains("run spec", PlanError, switch_count=at_least(1), injection_scale=POSITIVE,
+                      sim_cycles=at_least(1), buffer_depth=at_least(1))
+
     def __post_init__(self):
-        if not isinstance(self.benchmark, str) or not self.benchmark:
-            raise PlanError(f"benchmark must be a non-empty string, got {self.benchmark!r}")
-        if not isinstance(self.switch_count, int) or isinstance(self.switch_count, bool):
-            raise PlanError(f"switch_count must be an integer, got {self.switch_count!r}")
-        if self.switch_count < 1:
-            raise PlanError(f"switch_count must be positive, got {self.switch_count}")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise PlanError(f"seed must be an integer, got {self.seed!r}")
-        for name in (
-            "engine",
-            "ordering_strategy",
-            "routing_engine",
-            "sim_engine",
-            "traffic_scenario",
-        ):
-            value = getattr(self, name)
-            if not isinstance(value, str) or not value:
-                raise PlanError(f"{name} must be a non-empty string, got {value!r}")
-        if not isinstance(self.synthesis, dict):
-            raise PlanError(f"synthesis overrides must be a mapping, got {self.synthesis!r}")
-        self.synthesis = copy.deepcopy(dict(self.synthesis))
-        _check_synthesis_keys(self.synthesis)
-        if self.topology_family is not None:
-            if not isinstance(self.topology_family, str) or not self.topology_family:
+        from repro.synthesis.builder import SynthesisConfig  # local: keep this module light
+
+        self.domains.check(self.__dict__)
+        for key in sorted(self.synthesis):
+            if key in _SPEC_SET_SYNTHESIS_KEYS:
                 raise PlanError(
-                    f"topology_family must be a non-empty string or null, "
-                    f"got {self.topology_family!r}"
+                    f"synthesis override {key!r} is set by the spec itself; use the "
+                    f"spec's {_SPEC_SET_SYNTHESIS_KEYS[key]!r} field instead"
                 )
+        SynthesisConfig.domains.check(
+            self.synthesis, label="synthesis", error=PlanError, exclude=_SPEC_SET_SYNTHESIS_KEYS
+        )
+        # Deep copies: no nested list or dict is shared with the caller.
+        for name in ("synthesis", "family_params", "scenario_params", "fault_schedule",
+                     "fault_params"):
+            setattr(self, name, copy.deepcopy(getattr(self, name)))
         backend = "custom" if self.topology_family is None else "family"
         if self.synthesis_backend is None:
             self.synthesis_backend = backend
@@ -346,42 +323,13 @@ class RunSpec:
                 f"{'with' if self.topology_family else 'without'} a topology_family, "
                 f"not {self.synthesis_backend!r}{hint}"
             )
-        for name in ("family_params", "scenario_params"):
-            value = getattr(self, name)
-            if not isinstance(value, dict):
-                raise PlanError(f"{name} must be a mapping, got {value!r}")
-            setattr(self, name, copy.deepcopy(dict(value)))
         if self.family_params and self.topology_family is None:
             raise PlanError(
                 "family_params given without a topology_family to apply them to"
             )
         if self.injection_scale is not None:
-            if isinstance(self.injection_scale, bool) or not isinstance(
-                self.injection_scale, (int, float)
-            ):
-                raise PlanError(
-                    f"injection_scale must be a number or null, got {self.injection_scale!r}"
-                )
-            if not 0 < self.injection_scale < math.inf:
-                raise PlanError(
-                    f"injection_scale must be positive and finite, "
-                    f"got {self.injection_scale}"
-                )
             self.injection_scale = float(self.injection_scale)
-        if not isinstance(self.sim_cycles, int) or isinstance(self.sim_cycles, bool):
-            raise PlanError(f"sim_cycles must be an integer, got {self.sim_cycles!r}")
-        if self.sim_cycles < 1:
-            raise PlanError(f"sim_cycles must be positive, got {self.sim_cycles}")
-        if not isinstance(self.buffer_depth, int) or isinstance(self.buffer_depth, bool):
-            raise PlanError(f"buffer_depth must be an integer, got {self.buffer_depth!r}")
-        if self.buffer_depth < 1:
-            raise PlanError(f"buffer_depth must be at least 1, got {self.buffer_depth}")
         if self.fault_schedule is not None:
-            if not isinstance(self.fault_schedule, Mapping):
-                raise PlanError(
-                    "fault_schedule must be a mapping with an 'events' list "
-                    f"(or null), got {self.fault_schedule!r}"
-                )
             if "random" in self.fault_schedule:
                 raise PlanError(
                     "fault_schedule lists explicit 'events' only; request seeded "
@@ -390,30 +338,14 @@ class RunSpec:
                 )
             if "events" not in self.fault_schedule:
                 raise PlanError("fault_schedule needs an 'events' list")
-            self.fault_schedule = copy.deepcopy(dict(self.fault_schedule))
-        if self.fault_model is not None:
-            if not isinstance(self.fault_model, str) or not self.fault_model:
-                raise PlanError(
-                    f"fault_model must be a non-empty string or null, "
-                    f"got {self.fault_model!r}"
-                )
-            if self.fault_schedule is not None:
+            if self.fault_model is not None:
                 raise PlanError(
                     "fault_model and fault_schedule are mutually exclusive ways "
                     "to request fault injection; set only one"
                 )
-        if not isinstance(self.fault_params, dict):
-            raise PlanError(
-                f"fault_params must be a mapping, got {self.fault_params!r}"
-            )
-        self.fault_params = copy.deepcopy(dict(self.fault_params))
         if self.fault_params and self.fault_model is None:
             raise PlanError(
                 "fault_params given without a fault_model to apply them to"
-            )
-        if not isinstance(self.fault_recovery, str) or not self.fault_recovery:
-            raise PlanError(
-                f"fault_recovery must be a non-empty string, got {self.fault_recovery!r}"
             )
 
     # ------------------------------------------------------------------
@@ -436,19 +368,8 @@ class RunSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "RunSpec":
-        """Rebuild a spec; unknown keys raise :class:`~repro.errors.PlanError`."""
-        if not isinstance(data, Mapping):
-            raise PlanError(f"run spec must be a mapping, got {type(data).__name__}")
-        unknown = set(data) - set(SPEC_FIELDS)
-        if unknown:
-            raise PlanError(
-                f"unknown run spec field(s): {', '.join(sorted(unknown))}; "
-                f"valid fields: {', '.join(SPEC_FIELDS)}"
-            )
-        if "benchmark" not in data:
-            raise PlanError("run spec is missing the required 'benchmark' field")
-        if "switch_count" not in data:
-            raise PlanError("run spec is missing the required 'switch_count' field")
+        """Rebuild a spec; unknown or missing keys raise :class:`~repro.errors.PlanError`."""
+        cls.domains.check(data)
         return cls(**dict(data))
 
     # ------------------------------------------------------------------
@@ -586,12 +507,10 @@ class ReportRequest:
 
     type: str
     params: Dict[str, Any] = field(default_factory=dict)
+    domains = Domains("report request", PlanError)
 
     def __post_init__(self):
-        if not isinstance(self.type, str) or not self.type:
-            raise PlanError(f"report type must be a non-empty string, got {self.type!r}")
-        if not isinstance(self.params, dict):
-            raise PlanError(f"report params must be a mapping, got {self.params!r}")
+        self.domains.check(self.__dict__)
         # Deep copies, as RunSpec makes: no nested list or dict is shared
         # with the caller, in either direction.
         self.params = copy.deepcopy(dict(self.params))
@@ -619,6 +538,17 @@ class ReportRequest:
 # Experiment plans
 # ----------------------------------------------------------------------
 
+class _PlanDocument:
+    """A plan document's fields, each with its default (:mod:`repro.domains`)."""
+
+    format_version: int = PLAN_FORMAT_VERSION
+    name: str = "plan"
+    defaults: Dict[str, Any] = {}
+    runs: List[Any] = []
+    reports: List[Any] = []
+    domains = Domains("plan", PlanError)
+
+
 @dataclass
 class ExperimentPlan:
     """A named batch of :class:`RunSpec` points plus report requests."""
@@ -626,10 +556,10 @@ class ExperimentPlan:
     name: str = "plan"
     specs: List[RunSpec] = field(default_factory=list)
     reports: List[ReportRequest] = field(default_factory=list)
+    domains = Domains("plan", PlanError)
 
     def __post_init__(self):
-        if not isinstance(self.name, str) or not self.name:
-            raise PlanError(f"plan name must be a non-empty string, got {self.name!r}")
+        self.domains.check(self.__dict__)
 
     # ------------------------------------------------------------------
     def all_specs(self) -> List[RunSpec]:
@@ -670,30 +600,16 @@ class ExperimentPlan:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ExperimentPlan":
-        if not isinstance(data, Mapping):
-            raise PlanError(f"plan must be a mapping, got {type(data).__name__}")
+        _PlanDocument.domains.check(data)
         version = data.get("format_version", PLAN_FORMAT_VERSION)
         if version != PLAN_FORMAT_VERSION:
             raise PlanError(
                 f"unsupported plan format version {version} (expected {PLAN_FORMAT_VERSION})"
             )
-        known = {"format_version", "name", "defaults", "runs", "reports"}
-        unknown = set(data) - known
-        if unknown:
-            raise PlanError(f"unknown plan field(s): {', '.join(sorted(unknown))}")
-        defaults = data.get("defaults", {})
-        if not isinstance(defaults, Mapping):
-            raise PlanError(f"plan defaults must be a mapping, got {defaults!r}")
-        runs = data.get("runs", [])
-        if not isinstance(runs, (list, tuple)):
-            raise PlanError(f"plan runs must be a list, got {runs!r}")
         specs: List[RunSpec] = []
-        for entry in runs:
-            specs.extend(expand_run_entry(entry, defaults))
-        reports_data = data.get("reports", [])
-        if not isinstance(reports_data, (list, tuple)):
-            raise PlanError(f"plan reports must be a list, got {reports_data!r}")
-        reports = [ReportRequest.from_dict(entry) for entry in reports_data]
+        for entry in data.get("runs", []):
+            specs.extend(expand_run_entry(entry, data.get("defaults", {})))
+        reports = [ReportRequest.from_dict(entry) for entry in data.get("reports", [])]
         if not specs and not reports:
             raise PlanError("plan has neither runs nor reports — nothing to execute")
         return cls(name=data.get("name", "plan"), specs=specs, reports=reports)

@@ -37,7 +37,6 @@ from typing import Dict, Sequence, Tuple
 from repro.core.cost import BACKWARD, FORWARD, CostTable
 from repro.errors import RemovalError
 from repro.model.channels import Channel
-from repro.model.routes import RouteSet
 from repro.perf.cdg_index import CDGIndex
 from repro.perf.counters import counters
 
@@ -56,11 +55,6 @@ class CycleCostEngine:
 
     def __init__(self, index: CDGIndex):
         self._index = index
-
-    @classmethod
-    def from_routes(cls, routes: RouteSet) -> "CycleCostEngine":
-        """Standalone engine over a plain route set (tests, one-off use)."""
-        return cls(CDGIndex.from_routes(routes))
 
     # ------------------------------------------------------------------
     def tables(self, cycle: Sequence[Channel]) -> Tuple[CostTable, CostTable]:

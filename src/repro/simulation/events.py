@@ -28,21 +28,20 @@ attach to their topology objects:
   (:meth:`EventSchedule.from_spec`, the
   :data:`repro.api.registry.fault_models` generators).
 
-The seeded generator (:meth:`EventSchedule.random`) draws every choice
-from one :class:`random.Random` over *sorted* link/switch lists, so a
-schedule is a pure function of ``(topology, seed, parameters)``.  The
-experiment API reaches it as the ``uniform`` fault model
-(:mod:`repro.simulation.fault_models`), which threads
-:attr:`repro.api.spec.RunSpec.seed` into it; a spec's ``fault_schedule``
-document lists explicit events only (:meth:`EventSchedule.from_spec`).
+Seeded schedules come from the fault models
+(:mod:`repro.simulation.fault_models`, ``uniform`` among them), which draw
+every choice from one :class:`random.Random` over *sorted* link/switch
+lists, so a schedule is a pure function of ``(design, seed,
+parameters)``; a spec's ``fault_schedule`` document lists explicit events
+only (:meth:`EventSchedule.from_spec`).
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
 
+from repro.domains import NON_NEGATIVE, Domains
 from repro.errors import SimulationError
 from repro.model.channels import Link
 from repro.model.topology import Topology
@@ -65,16 +64,10 @@ class FaultEvent:
     cycle: int
     action: str
     target: Tuple[Any, ...]
+    domains = Domains("fault event", SimulationError, cycle=NON_NEGATIVE, action=ACTIONS)
 
     def __post_init__(self):
-        if not isinstance(self.cycle, int) or isinstance(self.cycle, bool) or self.cycle < 0:
-            raise SimulationError(
-                f"fault event cycle must be a non-negative integer, got {self.cycle!r}"
-            )
-        if self.action not in ACTIONS:
-            raise SimulationError(
-                f"unknown fault action {self.action!r}; valid: {', '.join(ACTIONS)}"
-            )
+        self.domains.check(self.__dict__)
         if self.action in _LINK_ACTIONS and len(self.target) != 3:
             raise SimulationError(
                 f"{self.action} target must be (src, dst, index), got {self.target!r}"
@@ -131,9 +124,7 @@ class FaultEvent:
                 raise SimulationError(f"{action} event needs a 'switch' field")
             target = (data["switch"],)
         else:
-            raise SimulationError(
-                f"unknown fault action {action!r}; valid: {', '.join(ACTIONS)}"
-            )
+            target = ()  # the action's domain rejects it, naming the valid ones
         return cls(cycle=data.get("cycle", 0), action=action, target=target)
 
 
@@ -245,51 +236,6 @@ class EventSchedule:
         return self
 
     # ------------------------------------------------------------------
-    # seeded random generation
-    # ------------------------------------------------------------------
-    @classmethod
-    def random(
-        cls,
-        topology: Topology,
-        *,
-        seed: int = 0,
-        link_failures: int = 1,
-        router_failures: int = 0,
-        start_cycle: int = 100,
-        end_cycle: int = 1000,
-        restore_after: Optional[int] = None,
-    ) -> "EventSchedule":
-        """A deterministic random schedule for ``topology``.
-
-        Picks ``link_failures`` distinct links and ``router_failures``
-        distinct switches (clamped to what the topology has), each failing
-        at a cycle drawn uniformly from ``[start_cycle, end_cycle)``; with
-        ``restore_after`` set, every failure is matched by a restore that
-        many cycles later.  All draws come from one ``random.Random(seed)``
-        over sorted candidate lists, so the schedule is a pure function of
-        the arguments.
-        """
-        if end_cycle <= start_cycle:
-            raise SimulationError(
-                f"end_cycle ({end_cycle}) must exceed start_cycle ({start_cycle})"
-            )
-        rng = random.Random(seed)
-        schedule = cls()
-        links = topology.links  # sorted
-        for link in rng.sample(links, min(max(link_failures, 0), len(links))):
-            cycle = rng.randrange(start_cycle, end_cycle)
-            schedule.fail_link(cycle, link.src, link.dst, link.index)
-            if restore_after is not None:
-                schedule.restore_link(cycle + restore_after, link.src, link.dst, link.index)
-        switches = sorted(topology.switches)
-        for switch in rng.sample(switches, min(max(router_failures, 0), len(switches))):
-            cycle = rng.randrange(start_cycle, end_cycle)
-            schedule.fail_router(cycle, switch)
-            if restore_after is not None:
-                schedule.restore_router(cycle + restore_after, switch)
-        return schedule.validate_targets(topology)
-
-    # ------------------------------------------------------------------
     @classmethod
     def from_spec(
         cls,
@@ -303,9 +249,8 @@ class EventSchedule:
         through) or an explicit ``{"events": [...]}`` document; with a
         ``topology`` the targets are validated against it.  A seeded
         random schedule is the ``uniform`` fault model's job
-        (:func:`repro.simulation.fault_models.uniform_model`, which draws
-        through :meth:`random`), so a ``{"random": {...}}`` document is
-        rejected with a pointer to it.
+        (:func:`repro.simulation.fault_models.uniform_model`), so a
+        ``{"random": {...}}`` document is rejected with a pointer to it.
         """
         if value is None:
             return None

@@ -1,15 +1,14 @@
-"""Correlated fault-model generators for the fault-injection axis.
+"""Fault-model generators for the fault-injection axis.
 
-PR 6's :meth:`~repro.simulation.events.EventSchedule.random` draws
-failures uniformly over the topology — fine as a reference, but real
-failures cluster: a power-domain brownout takes out a neighbourhood, hot
-links age faster, components fail and get repaired over and over.  This
-module packages those correlation structures as named generators in the
-:data:`repro.api.registry.fault_models` registry, each a seeded, pure
-function ``(design, seed, parameters) -> EventSchedule``:
+Uniform-random failures are the reference model, but real failures
+cluster: a power-domain brownout takes out a neighbourhood, hot links age
+faster, components fail and get repaired over and over.  This module
+packages the uniform draw and those correlation structures as named
+generators in the :data:`repro.api.registry.fault_models` registry, each
+a seeded, pure function ``(design, seed, parameters) -> EventSchedule``:
 
-* ``uniform`` — the PR 6 behaviour, byte-identical to
-  :meth:`EventSchedule.random` (kept as the reference model);
+* ``uniform`` — distinct links and switches, each failing at a cycle
+  drawn uniformly from a window (the reference model);
 * ``spatial_burst`` — each burst picks an epicentre switch and fails
   every link with an endpoint within ``radius`` hops of it, modelling a
   spatially correlated event (power domain, clock region, thermal hot
@@ -29,7 +28,10 @@ over *sorted* candidate lists, so the schedule is a pure function of
 :attr:`repro.api.spec.RunSpec.seed` and
 :attr:`~repro.api.spec.RunSpec.fault_params` into it — and every
 generator validates its output against the topology
-(:meth:`EventSchedule.validate_targets`) before returning it.
+(:meth:`EventSchedule.validate_targets`) before returning it.  Each
+declares its parameters' bounds with :func:`repro.domains.knobs`, so an
+unknown or out-of-domain parameter raises
+:class:`~repro.errors.SimulationError` naming the model before any draw.
 """
 
 from __future__ import annotations
@@ -38,21 +40,26 @@ import random
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.api.registry import fault_models
+from repro.domains import NON_NEGATIVE, POSITIVE, at_least, knobs
 from repro.errors import SimulationError
 from repro.model.channels import Link
 from repro.model.design import NocDesign
 from repro.model.topology import Topology
 from repro.simulation.events import EventSchedule
 
+#: Bounds of the failure window every windowed model takes.
+_WINDOW = dict(start_cycle=NON_NEGATIVE, end_cycle=NON_NEGATIVE, restore_after=at_least(1))
+
 
 def _check_window(start_cycle: int, end_cycle: int) -> None:
+    """The failure window's cross-field rule: it ends after it starts."""
     if end_cycle <= start_cycle:
-        raise SimulationError(
-            f"end_cycle ({end_cycle}) must exceed start_cycle ({start_cycle})"
-        )
+        raise SimulationError(f"end_cycle ({end_cycle}) must exceed start_cycle ({start_cycle})")
 
 
 @fault_models.register("uniform")
+@knobs("fault model 'uniform'", SimulationError, link_failures=NON_NEGATIVE,
+       router_failures=NON_NEGATIVE, **_WINDOW)
 def uniform_model(
     design: NocDesign,
     *,
@@ -63,21 +70,32 @@ def uniform_model(
     end_cycle: int = 1000,
     restore_after: Optional[int] = None,
 ) -> EventSchedule:
-    """Uniform-random failures — the PR 6 reference model.
+    """Uniform-random failures, the reference model.
 
-    Delegates to :meth:`EventSchedule.random` with identical parameters:
-    the one way a spec asks for a seeded uniform-random schedule (a
-    ``fault_schedule`` document lists explicit events only).
+    Picks ``link_failures`` distinct links and ``router_failures``
+    distinct switches (at most what the topology has), each failing at a
+    cycle drawn uniformly from ``[start_cycle, end_cycle)``; with
+    ``restore_after`` set, every failure is matched by a restore that many
+    cycles later.  The one way a spec asks for a seeded uniform-random
+    schedule (a ``fault_schedule`` document lists explicit events only).
     """
-    return EventSchedule.random(
-        design.topology,
-        seed=seed,
-        link_failures=link_failures,
-        router_failures=router_failures,
-        start_cycle=start_cycle,
-        end_cycle=end_cycle,
-        restore_after=restore_after,
-    )
+    _check_window(start_cycle, end_cycle)
+    topology = design.topology
+    rng = random.Random(seed)
+    schedule = EventSchedule()
+    links = topology.links  # sorted
+    for link in rng.sample(links, min(link_failures, len(links))):
+        cycle = rng.randrange(start_cycle, end_cycle)
+        schedule.fail_link(cycle, link.src, link.dst, link.index)
+        if restore_after is not None:
+            schedule.restore_link(cycle + restore_after, link.src, link.dst, link.index)
+    switches = sorted(topology.switches)
+    for switch in rng.sample(switches, min(router_failures, len(switches))):
+        cycle = rng.randrange(start_cycle, end_cycle)
+        schedule.fail_router(cycle, switch)
+        if restore_after is not None:
+            schedule.restore_router(cycle + restore_after, switch)
+    return schedule.validate_targets(topology)
 
 
 def _hop_distances(topology: Topology, origin: str) -> Dict[str, int]:
@@ -100,6 +118,8 @@ def _hop_distances(topology: Topology, origin: str) -> Dict[str, int]:
 
 
 @fault_models.register("spatial_burst")
+@knobs("fault model 'spatial_burst'", SimulationError, bursts=NON_NEGATIVE, radius=NON_NEGATIVE,
+       **_WINDOW)
 def spatial_burst_model(
     design: NocDesign,
     *,
@@ -120,15 +140,13 @@ def spatial_burst_model(
     re-failing an already failed link is the usual no-op.
     """
     _check_window(start_cycle, end_cycle)
-    if radius < 0:
-        raise SimulationError(f"burst radius must be non-negative, got {radius}")
     topology = design.topology
     rng = random.Random(seed)
     schedule = EventSchedule()
     switches = sorted(topology.switches)
     if not switches:
         return schedule
-    for epicentre in rng.sample(switches, min(max(bursts, 0), len(switches))):
+    for epicentre in rng.sample(switches, min(bursts, len(switches))):
         cycle = rng.randrange(start_cycle, end_cycle)
         distances = _hop_distances(topology, epicentre)
         far = radius + 1
@@ -154,7 +172,7 @@ def _weighted_draw_order(
     """
     pool: List[Tuple[Link, float]] = list(zip(links, weights))
     chosen: List[Link] = []
-    for _ in range(min(max(count, 0), len(pool))):
+    for _ in range(min(count, len(pool))):
         total = sum(weight for _, weight in pool if weight > 0)
         if total > 0:
             threshold = rng.random() * total
@@ -174,6 +192,7 @@ def _weighted_draw_order(
 
 
 @fault_models.register("cascade")
+@knobs("fault model 'cascade'", SimulationError, failures=NON_NEGATIVE, **_WINDOW)
 def cascade_model(
     design: NocDesign,
     *,
@@ -214,6 +233,7 @@ def cascade_model(
 
 
 @fault_models.register("mtbf")
+@knobs("fault model 'mtbf'", SimulationError, mtbf=POSITIVE, mttr=POSITIVE, horizon=at_least(1))
 def mtbf_model(
     design: NocDesign,
     *,
@@ -233,12 +253,6 @@ def mtbf_model(
     falling past the horizon is dropped, so at most the last event of a
     link is an unmatched failure (it stays down to the end of the run).
     """
-    if mtbf <= 0 or mttr <= 0:
-        raise SimulationError(
-            f"mtbf and mttr must be positive, got mtbf={mtbf}, mttr={mttr}"
-        )
-    if horizon < 1:
-        raise SimulationError(f"horizon must be at least 1 cycle, got {horizon}")
     topology = design.topology
     rng = random.Random(seed)
     schedule = EventSchedule()
@@ -292,12 +306,5 @@ def build_fault_schedule(
             "fault_model and fault_schedule are mutually exclusive ways to "
             "request fault injection; set only one"
         )
-    generator = fault_models.get(fault_model)
-    params = dict(fault_params or {})
-    params.setdefault("seed", seed)
-    try:
-        return generator(design, **params)
-    except TypeError as exc:
-        raise SimulationError(
-            f"invalid parameters for fault model {fault_model!r}: {exc}"
-        ) from exc
+    params = {"seed": seed, **(fault_params or {})}
+    return fault_models.get(fault_model)(design, **params)

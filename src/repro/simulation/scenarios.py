@@ -41,12 +41,12 @@ A factory is called with the design and, as keywords, the lane's
 :class:`~repro.simulation.simulator.SimulationConfig` ``injection_scale``,
 ``seed`` and ``scenario_params``
 (:func:`~repro.simulation.simulator.make_traffic_generator`).  New
-scenarios plug in with a decorator::
-
-    from repro.api.registry import traffic_scenarios
+scenarios plug in with a decorator and declare their knobs
+(:func:`repro.domains.knobs`; a class's bounds extend its base's)::
 
     @traffic_scenarios.register("my_pattern")
-    def _my_pattern(design, *, injection_scale=1.0, seed=0, **params):
+    @knobs("traffic scenario 'my_pattern'", SimulationError, spread=POSITIVE)
+    def _my_pattern(design, *, injection_scale: float = 1.0, seed: int = 0, spread: float = 1.0):
         return MyGenerator(...)
 """
 
@@ -55,6 +55,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.api.registry import traffic_scenarios
+from repro.domains import NON_NEGATIVE, POSITIVE, Interval, at_least, knobs
 from repro.errors import SimulationError
 from repro.model.design import NocDesign
 from repro.simulation.trace import TraceTrafficGenerator
@@ -92,6 +93,7 @@ class _WeightedTrafficGenerator(FlowTrafficGenerator):
         return rates
 
 
+@knobs("traffic scenario 'uniform'", SimulationError)
 class UniformTrafficGenerator(_WeightedTrafficGenerator):
     """Aggregate offered load spread evenly over every eligible flow."""
 
@@ -101,6 +103,7 @@ class UniformTrafficGenerator(_WeightedTrafficGenerator):
         return 1.0
 
 
+@knobs("traffic scenario 'hotspot'", SimulationError, factor=POSITIVE)
 class HotspotTrafficGenerator(_WeightedTrafficGenerator):
     """Uniform load with one destination switch boosted by ``factor``.
 
@@ -121,8 +124,6 @@ class HotspotTrafficGenerator(_WeightedTrafficGenerator):
         hotspot: Optional[str] = None,
         factor: float = 4.0,
     ):
-        if factor <= 0:
-            raise SimulationError(f"hotspot factor must be positive, got {factor}")
         if hotspot is not None and not design.topology.has_switch(hotspot):
             raise SimulationError(f"unknown hotspot switch {hotspot!r}")
         self.factor = factor
@@ -146,6 +147,7 @@ class HotspotTrafficGenerator(_WeightedTrafficGenerator):
         return 1.0
 
 
+@knobs("traffic scenario 'transpose'", SimulationError, off_factor=NON_NEGATIVE)
 class TransposeTrafficGenerator(_WeightedTrafficGenerator):
     """Load concentrated on transposed switch-index pairs.
 
@@ -166,10 +168,6 @@ class TransposeTrafficGenerator(_WeightedTrafficGenerator):
         seed: int = 0,
         off_factor: float = 0.1,
     ):
-        if off_factor < 0:
-            raise SimulationError(
-                f"transpose off_factor must be non-negative, got {off_factor}"
-            )
         self.off_factor = off_factor
         self._switch_index = {
             name: i for i, name in enumerate(sorted(design.topology.switches))
@@ -187,6 +185,8 @@ class TransposeTrafficGenerator(_WeightedTrafficGenerator):
         return 1.0 if self.is_transposed(flow_name) else self.off_factor
 
 
+@knobs("traffic scenario 'bursty'", SimulationError, burst_length=at_least(1),
+       duty=Interval(0, 1, open_low=True))
 class BurstyTrafficGenerator(FlowTrafficGenerator):
     """The paper's rates modulated by per-flow on/off bursts.
 
@@ -213,12 +213,6 @@ class BurstyTrafficGenerator(FlowTrafficGenerator):
         burst_length: float = 10.0,
         duty: float = 0.3,
     ):
-        if burst_length < 1:
-            raise SimulationError(
-                f"mean burst length must be at least 1 cycle, got {burst_length}"
-            )
-        if not 0 < duty < 1:
-            raise SimulationError(f"duty cycle must be in (0, 1), got {duty}")
         self.burst_length = burst_length
         self.duty = duty
         #: ON -> OFF transition probability (mean burst of burst_length cycles).

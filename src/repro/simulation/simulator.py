@@ -42,11 +42,11 @@ divergence.  Traffic comes from the
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
 from repro.api.registry import simulation_engines, traffic_scenarios
+from repro.domains import POSITIVE, Domains, at_least
 from repro.errors import DeadlockDetected, SimulationError
 from repro.model.design import NocDesign
 from repro.model.validation import validate_design
@@ -66,8 +66,8 @@ class SimulationConfig:
     """The settings of one simulation run (one lane of a grid).
 
     Everything but the run length and the engine; the experiment runner
-    builds one per spec and runs it on every design variant.  Settings no
-    wormhole network can run (buffers of no flits, a load that is not
+    builds one per spec and runs it on every design variant.  Settings out
+    of their declared domains (buffers of no flits, a load that is not
     positive and finite, a watchdog window of no cycles) raise
     :class:`~repro.errors.SimulationError`.
 
@@ -120,42 +120,31 @@ class SimulationConfig:
     fault_schedule: Optional[EventSchedule] = None
     fault_recovery: str = "removal"
 
+    #: The settings' bounds; each setting's kind is its annotation (:mod:`repro.domains`).
+    domains = Domains("simulation config", SimulationError, buffer_depth=at_least(1),
+                      injection_scale=POSITIVE, watchdog_cycles=at_least(1))
+
     def __post_init__(self):
-        if self.buffer_depth < 1:
-            raise SimulationError(
-                f"buffer_depth must be at least 1 flit, got {self.buffer_depth}"
-            )
-        if not 0 < self.injection_scale < math.inf:
-            raise SimulationError(
-                f"injection_scale must be positive and finite, got {self.injection_scale}"
-            )
-        if self.watchdog_cycles < 1:
-            raise SimulationError(
-                f"watchdog_cycles must be at least 1, got {self.watchdog_cycles}"
-            )
+        self.domains.check(self.__dict__)
 
 
 def make_traffic_generator(design: NocDesign, config: SimulationConfig):
     """The configured scenario's packet generator for ``design``.
 
     Both simulation engines build their generator through this helper, so a
-    cross-checked pair of runs consumes identical packet sequences.
-    Parameters the scenario does not accept raise
-    :class:`~repro.errors.SimulationError` naming the scenario.
+    cross-checked pair of runs consumes identical packet sequences.  The
+    scenario's declared domains (:func:`repro.domains.knobs`) check
+    ``scenario_params``, where the config's own ``injection_scale`` and
+    ``seed`` are unknown, before the call.
     """
     factory = traffic_scenarios.get(config.traffic_scenario)
-    try:
-        return factory(
-            design,
-            injection_scale=config.injection_scale,
-            seed=config.seed,
-            **config.scenario_params,
-        )
-    except TypeError as exc:
-        raise SimulationError(
-            f"invalid parameters for traffic scenario "
-            f"{config.traffic_scenario!r}: {exc}"
-        ) from exc
+    factory.domains.check(config.scenario_params, exclude=("injection_scale", "seed"))
+    return factory(
+        design,
+        injection_scale=config.injection_scale,
+        seed=config.seed,
+        **config.scenario_params,
+    )
 
 
 class Simulator:

@@ -40,6 +40,7 @@ import json
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
+from repro.domains import NON_NEGATIVE, POSITIVE, Domains, at_least, knobs
 from repro.errors import SimulationError
 from repro.model.design import NocDesign
 from repro.simulation.traffic_gen import FlowTrafficGenerator
@@ -48,6 +49,7 @@ from repro.simulation.traffic_gen import FlowTrafficGenerator
 TRACE_FORMAT_VERSION = 1
 
 
+@knobs("synthetic trace", SimulationError, cycles=at_least(1), injection_scale=POSITIVE)
 def synthesize_trace(
     design: NocDesign,
     *,
@@ -62,8 +64,6 @@ def synthesize_trace(
     ``flows`` scenario produces for ``(design, seed)`` — a seeded synthetic
     demand trace, reproducible from the spec's seed.
     """
-    if cycles < 1:
-        raise SimulationError(f"a trace needs at least 1 cycle, got {cycles}")
     generator = FlowTrafficGenerator(design, injection_scale=injection_scale, seed=seed)
     events: List[Dict[str, Any]] = []
     for cycle in range(cycles):
@@ -76,6 +76,24 @@ def synthesize_trace(
     }
 
 
+class _TraceDocument:
+    """A trace document's fields: a class value is the default, none means required."""
+
+    format_version: int = TRACE_FORMAT_VERSION
+    cycles: int
+    events: List[Any] = []
+    domains = Domains("trace", SimulationError, cycles=at_least(1))
+
+
+class _TraceEvent:
+    """A trace event's fields, declared as :class:`_TraceDocument`'s are."""
+
+    cycle: int
+    flow: str
+    packets: int = 1
+    domains = Domains("trace event", SimulationError, cycle=NON_NEGATIVE, packets=POSITIVE)
+
+
 def validate_trace(document: Mapping[str, Any]) -> Dict[str, Any]:
     """Canonical form of a trace document (SimulationError on any problem).
 
@@ -83,54 +101,25 @@ def validate_trace(document: Mapping[str, Any]) -> Dict[str, Any]:
     two traces listing the same injections in any order canonicalize to the
     same document (and therefore the same spec fingerprint).
     """
-    if not isinstance(document, Mapping):
-        raise SimulationError(
-            f"a trace must be a mapping, got {type(document).__name__}"
-        )
+    _TraceDocument.domains.check(document)
     version = document.get("format_version", TRACE_FORMAT_VERSION)
     if version != TRACE_FORMAT_VERSION:
         raise SimulationError(
             f"unsupported trace format version {version!r} "
             f"(expected {TRACE_FORMAT_VERSION})"
         )
-    unknown = sorted(set(document) - {"format_version", "cycles", "events"})
-    if unknown:
-        raise SimulationError(f"unknown trace field(s): {', '.join(unknown)}")
-    cycles = document.get("cycles")
-    if not isinstance(cycles, int) or isinstance(cycles, bool) or cycles < 1:
-        raise SimulationError(f"trace cycles must be a positive integer, got {cycles!r}")
-    events = document.get("events", [])
-    if not isinstance(events, (list, tuple)):
-        raise SimulationError(f"trace events must be a list, got {events!r}")
+    cycles = document["cycles"]
     merged: Dict[Tuple[int, str], int] = {}
-    for event in events:
-        if not isinstance(event, Mapping):
-            raise SimulationError(f"trace event must be a mapping, got {event!r}")
-        extra = sorted(set(event) - {"cycle", "flow", "packets"})
-        if extra:
-            raise SimulationError(f"unknown trace event field(s): {', '.join(extra)}")
-        cycle = event.get("cycle")
-        if not isinstance(cycle, int) or isinstance(cycle, bool) or cycle < 0:
-            raise SimulationError(
-                f"trace event cycle must be a non-negative integer, got {cycle!r}"
-            )
+    for event in document.get("events", []):
+        _TraceEvent.domains.check(event)
+        cycle = event["cycle"]
         if cycle >= cycles:
             raise SimulationError(
                 f"trace event at cycle {cycle} is beyond the trace horizon "
                 f"({cycles} cycles)"
             )
-        flow = event.get("flow")
-        if not isinstance(flow, str) or not flow:
-            raise SimulationError(
-                f"trace event flow must be a non-empty string, got {flow!r}"
-            )
-        packets = event.get("packets", 1)
-        if not isinstance(packets, int) or isinstance(packets, bool) or packets < 1:
-            raise SimulationError(
-                f"trace event packet count must be a positive integer, got {packets!r}"
-            )
-        key = (cycle, flow)
-        merged[key] = merged.get(key, 0) + packets
+        key = (cycle, event["flow"])
+        merged[key] = merged.get(key, 0) + event.get("packets", 1)
     canonical_events = [
         {"cycle": cycle, "flow": flow, "packets": merged[(cycle, flow)]}
         for cycle, flow in sorted(merged)
@@ -167,6 +156,7 @@ def save_trace(document: Mapping[str, Any], path: Union[str, Path]) -> Path:
     return path
 
 
+@knobs("traffic scenario 'trace'", SimulationError, trace_cycles=at_least(1))
 class TraceTrafficGenerator(FlowTrafficGenerator):
     """Replay a per-flow demand trace (the ``trace`` scenario).
 

@@ -27,10 +27,13 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Tuple
 
+from repro.domains import POSITIVE, knobs
+from repro.errors import SimulationError
 from repro.model.design import NocDesign
 from repro.power.orion import TechnologyParameters
 
 
+@knobs("traffic scenario 'flows'", SimulationError, injection_scale=POSITIVE)
 class FlowTrafficGenerator:
     """Decides, cycle by cycle, which flows of a design create a packet.
 

@@ -27,11 +27,11 @@ steps 1–4.  The experiment API builds the config from a
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.api.registry import routing_engines, topology_families
+from repro.domains import NON_NEGATIVE, Domains, at_least
 from repro.errors import SynthesisError
 from repro.model.design import NocDesign
 from repro.model.topology import Topology
@@ -45,15 +45,6 @@ from repro.synthesis.partition import partition_cores
 ROUTING_SHORTEST = "shortest"
 ROUTING_UPDOWN = "updown"
 _ROUTINGS = (ROUTING_SHORTEST, ROUTING_UPDOWN)
-
-#: The numeric tuning knobs of :class:`SynthesisConfig` with the types
-#: they accept; a bool is rejected although Python counts it as an int.
-_NUMERIC_KNOBS = (
-    ("extra_link_fraction", (int, float)),
-    ("max_switch_degree", int),
-    ("balance_slack", int),
-    ("congestion_factor", (int, float)),
-)
 
 
 @dataclass
@@ -79,8 +70,8 @@ class SynthesisConfig:
     balance_slack:
         Passed to :func:`repro.synthesis.partition.partition_cores`.
     congestion_factor:
-        Passed to :func:`repro.routing.shortest_path.compute_routes`; must
-        be non-negative and finite (0 routes on hop count).
+        Passed to :func:`repro.routing.shortest_path.compute_routes` (0
+        routes on hop count).
     routing_engine:
         Shortest-path engine name from
         :data:`repro.api.registry.routing_engines` (``"indexed"`` by
@@ -108,48 +99,15 @@ class SynthesisConfig:
     topology_family: Optional[str] = None
     family_params: Dict[str, Any] = field(default_factory=dict)
 
+    #: The knobs' bounds; each knob's kind is its annotation (:mod:`repro.domains`).
+    domains = Domains("synthesis config", SynthesisError, n_switches=at_least(1),
+                      extra_link_fraction=NON_NEGATIVE, max_switch_degree=at_least(2),
+                      routing=_ROUTINGS, balance_slack=NON_NEGATIVE,
+                      congestion_factor=NON_NEGATIVE, routing_engine=routing_engines,
+                      topology_family=topology_families)
+
     def __post_init__(self):
-        for name, number_types in _NUMERIC_KNOBS:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, number_types):
-                kind = "an integer" if number_types is int else "a number"
-                raise SynthesisError(f"{name} must be {kind}, got {value!r}")
-        if self.n_switches < 1:
-            raise SynthesisError(f"switch count must be positive, got {self.n_switches}")
-        if not 0 <= self.extra_link_fraction < math.inf:
-            raise SynthesisError(
-                f"extra_link_fraction must be non-negative and finite, "
-                f"got {self.extra_link_fraction!r}"
-            )
-        if not 0 <= self.congestion_factor < math.inf:
-            raise SynthesisError(
-                f"congestion_factor must be non-negative and finite, "
-                f"got {self.congestion_factor!r}"
-            )
-        if self.max_switch_degree < 2:
-            raise SynthesisError("max_switch_degree must be at least 2")
-        if self.routing not in _ROUTINGS:
-            raise SynthesisError(f"unknown routing mode {self.routing!r}")
-        if self.routing_engine not in routing_engines:
-            raise SynthesisError(
-                f"unknown routing engine {self.routing_engine!r}; "
-                f"available: {', '.join(routing_engines.names())}"
-            )
-        if self.topology_family is not None:
-            if not isinstance(self.topology_family, str) or not self.topology_family:
-                raise SynthesisError(
-                    f"topology_family must be a non-empty string or None, "
-                    f"got {self.topology_family!r}"
-                )
-            if self.topology_family not in topology_families:
-                raise SynthesisError(
-                    f"unknown topology family {self.topology_family!r}; "
-                    f"available: {', '.join(topology_families.names())}"
-                )
-        if not isinstance(self.family_params, dict):
-            raise SynthesisError(
-                f"family_params must be a mapping, got {self.family_params!r}"
-            )
+        self.domains.check(self.__dict__)
         self.family_params = dict(self.family_params)
         if self.family_params and self.topology_family is None:
             raise SynthesisError(

@@ -24,10 +24,11 @@ select one by name:
 Every family builds a :class:`FamilyInstance`: the :class:`Topology` plus a
 deterministic core-attachment order (``attach_points``), so the same
 ``(family, params, traffic)`` triple always produces byte-identical
-designs.  Parameter validation raises :class:`~repro.errors.SynthesisError`
-naming the family and the offending parameters — infeasible requests (odd
-fat-tree arity, a switch count that does not match the family's closed
-form) must never surface as bare ``KeyError``/``TypeError``.
+designs.  A family declares its parameters as annotated class attributes
+with bounds (:mod:`repro.domains`), and a request outside them, or an
+infeasible one (odd fat-tree arity, a switch count that does not match the
+family's closed form), raises :class:`~repro.errors.SynthesisError`
+naming the family and its parameters.
 
 :func:`build_family_design` is the full pipeline (build, attach, route,
 validate); :func:`family_design` is its positional-argument convenience
@@ -40,6 +41,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.api.registry import topology_families
+from repro.domains import Domains, at_least
 from repro.errors import SynthesisError
 from repro.model.design import NocDesign
 from repro.model.topology import Topology
@@ -119,23 +121,22 @@ def _describe(family: str, params: Mapping[str, Any]) -> str:
 class TopologyFamily:
     """Base class of the family generators (subclass and register instances).
 
-    Subclasses declare their integer parameters (``int_params`` with per-
-    parameter minimums) and optional boolean flags (``flag_params`` with
-    defaults), implement the closed-form :meth:`_size` and the topology
+    A subclass declares its parameters as annotated class attributes: the
+    annotation is the kind, a class-level value the default (a parameter
+    without one is required), and its ``domains`` the bounds
+    (:mod:`repro.domains`), which extend its base's (every family takes a
+    ``routing`` mode).  It implements the closed-form :meth:`_size` and the topology
     construction :meth:`_build`, and may refine :meth:`_check` for
-    constraints beyond simple minimums (e.g. fat-tree arity parity).
+    constraints across parameters (e.g. fat-tree arity parity).
     """
 
     #: Registry name (set per instance so clones like ``vl2`` keep their own).
     name = "family"
     #: Routing mode used when ``family_params`` does not override it.
-    default_routing = FAMILY_ROUTING_SHORTEST
-    #: ``((param, minimum), ...)`` — required integer parameters, in order.
-    int_params: Tuple[Tuple[str, int], ...] = ()
-    #: ``((param, default), ...)`` — integer parameters that may be omitted.
-    int_defaults: Tuple[Tuple[str, int], ...] = ()
-    #: ``((flag, default), ...)`` — optional boolean parameters.
-    flag_params: Tuple[Tuple[str, bool], ...] = ()
+    routing: str = FAMILY_ROUTING_SHORTEST
+    domains = Domains(
+        "topology family", SynthesisError, routing=(FAMILY_ROUTING_SHORTEST, FAMILY_ROUTING_UPDOWN)
+    )
 
     def __init__(self, name: str):
         self.name = name
@@ -145,54 +146,11 @@ class TopologyFamily:
         return _describe(self.name, dict(params))
 
     def normalized_params(self, params: Optional[Mapping[str, Any]]) -> Dict[str, Any]:
-        """Validate and normalize ``params`` (SynthesisError on any problem)."""
+        """Validate ``params`` against the declaration; fill in the defaults."""
         given = dict(params or {})
-        routing = given.pop("routing", self.default_routing)
-        known = [key for key, _ in self.int_params] + [key for key, _ in self.flag_params]
-        unknown = sorted(set(given) - set(known))
-        if unknown:
-            raise SynthesisError(
-                f"{self.describe(given)}: unknown parameter(s) "
-                f"{', '.join(unknown)}; valid: {', '.join(known + ['routing'])}"
-            )
-        defaults = dict(self.int_defaults)
-        normalized: Dict[str, Any] = {}
-        for key, minimum in self.int_params:
-            if key not in given:
-                if key in defaults:
-                    given[key] = defaults[key]
-                else:
-                    raise SynthesisError(
-                        f"{self.describe(given)}: missing required parameter {key!r}"
-                    )
-            value = given[key]
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise SynthesisError(
-                    f"{self.describe(given)}: {key} must be an integer, got {value!r}"
-                )
-            if value < minimum:
-                raise SynthesisError(
-                    f"{self.describe(given)}: {key} must be at least {minimum}, got {value}"
-                )
-            normalized[key] = value
-        for key, default in self.flag_params:
-            value = given.get(key, default)
-            if not isinstance(value, bool):
-                raise SynthesisError(
-                    f"{self.describe(given)}: {key} must be a boolean, got {value!r}"
-                )
-            normalized[key] = value
-        if routing not in _FAMILY_ROUTINGS:
-            raise SynthesisError(
-                f"{self.describe(given)}: unknown routing mode {routing!r}; "
-                f"valid: {', '.join(_FAMILY_ROUTINGS)}"
-            )
-        if routing == FAMILY_ROUTING_XY and not getattr(self, "supports_xy", False):
-            raise SynthesisError(
-                f"{self.describe(given)}: XY routing needs coordinate-named "
-                "switches (mesh/torus families only)"
-            )
-        normalized["routing"] = routing
+        self.domains.check(given, label=self.describe(given))
+        normalized = {name: given.get(name, getattr(self, name, None))
+                      for name in self.domains.knobs}
         self._check(normalized)
         return normalized
 
@@ -247,9 +205,9 @@ class RingFamily(TopologyFamily):
     unidirectional configuration.
     """
 
-    default_routing = FAMILY_ROUTING_SHORTEST
-    int_params = (("n_switches", 3),)
-    flag_params = (("bidirectional", False),)
+    n_switches: int
+    bidirectional: bool = False
+    domains = Domains(n_switches=at_least(3))
 
     def _size(self, params: Dict[str, Any]) -> int:
         return params["n_switches"]
@@ -272,9 +230,11 @@ class RingFamily(TopologyFamily):
 class MeshFamily(TopologyFamily):
     """A ``rows x cols`` 2D mesh with switches named ``sw_x_y``."""
 
-    default_routing = FAMILY_ROUTING_XY
-    supports_xy = True
-    int_params = (("rows", 1), ("cols", 1))
+    routing = FAMILY_ROUTING_XY
+    rows: int
+    cols: int
+    #: XY routing needs coordinate-named switches: meshes and tori only.
+    domains = Domains(rows=at_least(1), cols=at_least(1), routing=_FAMILY_ROUTINGS)
 
     def _size(self, params: Dict[str, Any]) -> int:
         return params["rows"] * params["cols"]
@@ -302,8 +262,8 @@ class TorusFamily(MeshFamily):
     stressor at scale.
     """
 
-    default_routing = FAMILY_ROUTING_SHORTEST
-    int_params = (("rows", 3), ("cols", 3))
+    routing = FAMILY_ROUTING_SHORTEST
+    domains = Domains(rows=at_least(3), cols=at_least(3))
 
     def _build(self, params: Dict[str, Any]) -> Topology:
         rows, cols = params["rows"], params["cols"]
@@ -327,8 +287,9 @@ class FatTreeFamily(TopologyFamily):
     turn-restriction that makes multi-rooted trees deadlock free.
     """
 
-    default_routing = FAMILY_ROUTING_UPDOWN
-    int_params = (("k", 2),)
+    routing = FAMILY_ROUTING_UPDOWN
+    k: int
+    domains = Domains(k=at_least(2))
 
     def _check(self, params: Dict[str, Any]) -> None:
         if params["k"] % 2 != 0:
@@ -375,8 +336,10 @@ class ClosFamily(TopologyFamily):
     default routing is up*/down* rooted at ``spine0``.
     """
 
-    default_routing = FAMILY_ROUTING_UPDOWN
-    int_params = (("spines", 1), ("leaves", 2))
+    routing = FAMILY_ROUTING_UPDOWN
+    spines: int
+    leaves: int
+    domains = Domains(spines=at_least(1), leaves=at_least(2))
 
     def _size(self, params: Dict[str, Any]) -> int:
         return params["spines"] + params["leaves"]
@@ -407,10 +370,11 @@ class DragonflyFamily(TopologyFamily):
     the group's routers.  ``hosts`` bounds the cores attachable per router.
     """
 
-    default_routing = FAMILY_ROUTING_SHORTEST
-    int_params = (("groups", 2), ("routers", 2), ("hosts", 1))
+    groups: int
+    routers: int
     #: Four hosts per router when unspecified, the literature's usual a=2p.
-    int_defaults = (("hosts", 4),)
+    hosts: int = 4
+    domains = Domains(groups=at_least(2), routers=at_least(2), hosts=at_least(1))
 
     def _size(self, params: Dict[str, Any]) -> int:
         return params["groups"] * params["routers"]

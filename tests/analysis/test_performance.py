@@ -5,7 +5,7 @@ import pytest
 from repro.analysis.metrics import load_point_failed
 from repro.analysis.performance import measure_load_grid, measure_load_point
 from repro.core.removal import remove_deadlocks
-from repro.simulation.events import EventSchedule
+from repro.simulation.fault_models import uniform_model
 from repro.simulation.simulator import SimulationConfig
 
 
@@ -63,8 +63,8 @@ class TestSweep:
 class TestOneBody:
     def test_grid_point_equals_solo_point(self, small_mesh_design):
         """A load point is a grid of one: each grid cell matches its solo call."""
-        schedule = EventSchedule.random(
-            small_mesh_design.topology, seed=1, link_failures=1, start_cycle=40, end_cycle=200
+        schedule = uniform_model(
+            small_mesh_design, seed=1, link_failures=1, start_cycle=40, end_cycle=200
         )
         configs = [
             SimulationConfig(injection_scale=1.5, seed=2, fault_schedule=schedule),

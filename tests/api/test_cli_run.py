@@ -105,6 +105,7 @@ class TestRunSubcommand:
             ({"congestion_factor": -3.0}, "congestion_factor must be non-negative"),
             ({"extra_link_fraction": float("nan")}, "extra_link_fraction must be non-negative"),
             ({"congestion_factor": float("inf")}, "congestion_factor must be non-negative"),
+            ({"balance_slack": -1}, "synthesis: balance_slack must be non-negative, got -1"),
         ],
     )
     def test_bad_synthesis_key_is_a_clean_error(self, tmp_path, capsys, synthesis, named):

@@ -122,7 +122,7 @@ class TestRunSpec:
         assert spec.synthesis == {}
 
     def test_unknown_field_rejected(self):
-        with pytest.raises(PlanError, match="unknown run spec field"):
+        with pytest.raises(PlanError, match="run spec: unknown parameter.*bogus"):
             RunSpec.from_dict({"benchmark": "D26_media", "switch_count": 8, "bogus": 1})
 
     def test_missing_required_fields_rejected(self):
@@ -431,7 +431,7 @@ class TestExperimentPlan:
             ExperimentPlan.load(path)
 
     def test_unknown_plan_field_rejected(self):
-        with pytest.raises(PlanError, match="unknown plan field"):
+        with pytest.raises(PlanError, match="plan: unknown parameter.*rnus"):
             ExperimentPlan.from_dict({"name": "x", "rnus": []})
 
     def test_unsupported_version_rejected(self):

@@ -4,12 +4,15 @@ import pytest
 
 from repro.api.registry import (
     Registry,
+    fault_models,
     ordering_strategies,
     removal_engines,
+    traffic_scenarios,
 )
 from repro.core.removal import DeadlockRemover, remove_deadlocks
 from repro.errors import OrderingError, RegistryError, RemovalError
 from repro.routing.ordering import apply_resource_ordering
+from repro.simulation.traffic_gen import FlowTrafficGenerator
 
 
 class TestRegistry:
@@ -66,9 +69,31 @@ class TestRegistry:
         assert registry._provider_loaded is True
 
 
+def _undeclared_generator(design, **params):
+    return None
+
+
+class _UndeclaredScenario(FlowTrafficGenerator):
+    """Inherits its base's declared knobs but declares none of its own."""
+
+
 class TestBuiltinRegistries:
     def test_removal_engines(self):
         assert removal_engines.names() == ["context", "rebuild"]
+
+    @pytest.mark.parametrize(
+        "registry, entry",
+        [
+            (traffic_scenarios, _undeclared_generator),
+            (traffic_scenarios, _UndeclaredScenario),
+            (fault_models, _undeclared_generator),
+        ],
+        ids=["scenario-function", "scenario-subclass", "fault-model-function"],
+    )
+    def test_entry_without_declared_knobs_rejected(self, registry, entry):
+        with pytest.raises(RegistryError, match="'undeclared' declares no knob domains"):
+            registry.register("undeclared", entry)
+        assert "undeclared" not in registry
 
     def test_ordering_strategies(self):
         assert ordering_strategies.names() == ["hop_index", "layered"]

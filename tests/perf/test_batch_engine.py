@@ -34,7 +34,7 @@ from repro.errors import SimulationError
 from repro.examples_data.paper_ring import paper_ring_design
 from repro.perf.batch_engine import _share_draw_streams, run_batch
 from repro.perf.sim_engine import CompiledSimulator
-from repro.simulation.events import EventSchedule
+from repro.simulation.fault_models import uniform_model
 from repro.simulation.simulator import (
     SimulationConfig,
     make_traffic_generator,
@@ -53,8 +53,8 @@ SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 def _one_link_failure(design):
-    return EventSchedule.random(
-        design.topology, seed=1, link_failures=1, start_cycle=40, end_cycle=200
+    return uniform_model(
+        design, seed=1, link_failures=1, start_cycle=40, end_cycle=200
     )
 
 

@@ -24,6 +24,7 @@ from repro.model.design import NocDesign
 from repro.model.routes import Route, RouteSet
 from repro.model.topology import Topology
 from repro.model.traffic import CommunicationGraph
+from repro.perf.cdg_index import CDGIndex
 from repro.perf.cost_index import CycleCostEngine
 
 from route_strategies import random_route_sets
@@ -50,7 +51,7 @@ class TestTableEquivalence:
         cycles = find_all_cycles(build_cdg(routes), limit=50)
         if not cycles:
             return
-        engine = CycleCostEngine.from_routes(routes)
+        engine = CycleCostEngine(CDGIndex.from_routes(routes))
         for cycle in cycles:
             forward, backward = engine.tables(cycle)
             _assert_tables_equal(forward, build_cost_table(cycle, routes, FORWARD))
@@ -64,7 +65,7 @@ class TestTableEquivalence:
         cycles = find_all_cycles(build_cdg(routes), limit=50)
         if not cycles:
             return
-        engine = CycleCostEngine.from_routes(routes)
+        engine = CycleCostEngine(CDGIndex.from_routes(routes))
         for cycle in cycles:
             direction, cost, position, table = engine.best_break(cycle)
             ref_direction, ref_cost, ref_position, ref_table = best_break(cycle, routes)
@@ -75,7 +76,7 @@ class TestTableEquivalence:
         routes = RouteSet()
         link = Link("A", "B")
         routes.set_route("f0", Route([Channel(link, 0)]))
-        engine = CycleCostEngine.from_routes(routes)
+        engine = CycleCostEngine(CDGIndex.from_routes(routes))
         with pytest.raises(RemovalError):
             engine.tables([Channel(link, 0)])
 
@@ -86,7 +87,7 @@ class TestTableEquivalence:
         )
         foreign = [Channel(Link("X", "Y"), 0), Channel(Link("Y", "X"), 0)]
         with pytest.raises(RemovalError, match="no flow creates any dependency"):
-            CycleCostEngine.from_routes(routes).tables(foreign)
+            CycleCostEngine(CDGIndex.from_routes(routes)).tables(foreign)
 
 
 def _ring_design(n_switches: int = 4) -> NocDesign:

@@ -9,6 +9,7 @@ import pytest
 from repro.api.registry import topology_families
 from repro.errors import SimulationError
 from repro.simulation.events import ACTIONS, EventSchedule, FaultEvent
+from repro.simulation.fault_models import uniform_model
 
 
 class TestFaultEvent:
@@ -36,7 +37,8 @@ class TestFaultEvent:
             FaultEvent(cycle, "fail_link", ("a", "b", 0))
 
     def test_unknown_action_rejected(self):
-        with pytest.raises(SimulationError, match="unknown fault action"):
+        expected = "fault event: action must be one of 'fail_link', .*, got 'explode'"
+        with pytest.raises(SimulationError, match=expected):
             FaultEvent(0, "explode", ("a", "b", 0))
 
     def test_mismatched_target_arity_rejected(self):
@@ -96,28 +98,24 @@ class TestEventSchedule:
 
 
 class TestRandomSchedules:
-    def _topology(self):
-        return topology_families.get("mesh").build({"rows": 3, "cols": 3}).topology
+    """The seeded draw of the ``uniform`` fault model."""
 
-    def test_same_seed_same_schedule(self):
-        topology = self._topology()
-        a = EventSchedule.random(topology, seed=3, link_failures=2, router_failures=1)
-        b = EventSchedule.random(topology, seed=3, link_failures=2, router_failures=1)
+    def test_same_seed_same_schedule(self, small_mesh_design):
+        a = uniform_model(small_mesh_design, seed=3, link_failures=2, router_failures=1)
+        b = uniform_model(small_mesh_design, seed=3, link_failures=2, router_failures=1)
         assert a == b
 
-    def test_different_seeds_diverge(self):
-        topology = self._topology()
+    def test_different_seeds_diverge(self, small_mesh_design):
         schedules = {
-            EventSchedule.random(topology, seed=seed, link_failures=2).events
+            uniform_model(small_mesh_design, seed=seed, link_failures=2).events
             for seed in range(8)
         }
         assert len(schedules) > 1
 
-    def test_cycles_within_window_and_targets_exist(self):
-        topology = self._topology()
-        links = set(topology.links)
-        schedule = EventSchedule.random(
-            topology, seed=1, link_failures=3, start_cycle=10, end_cycle=40
+    def test_cycles_within_window_and_targets_exist(self, small_mesh_design):
+        links = set(small_mesh_design.topology.links)
+        schedule = uniform_model(
+            small_mesh_design, seed=1, link_failures=3, start_cycle=10, end_cycle=40
         )
         assert len(schedule) == 3
         for event in schedule:
@@ -125,10 +123,9 @@ class TestRandomSchedules:
             assert 10 <= event.cycle < 40
             assert event.link in links
 
-    def test_restore_after_pairs_every_failure(self):
-        topology = self._topology()
-        schedule = EventSchedule.random(
-            topology,
+    def test_restore_after_pairs_every_failure(self, small_mesh_design):
+        schedule = uniform_model(
+            small_mesh_design,
             seed=2,
             link_failures=2,
             router_failures=1,
@@ -141,10 +138,10 @@ class TestRandomSchedules:
         for event in restores:
             assert event.cycle == by_target[event.target] + 500
 
-    def test_failure_counts_clamped_to_topology(self):
-        topology = self._topology()
-        schedule = EventSchedule.random(
-            topology, seed=0, link_failures=10_000, router_failures=10_000
+    def test_failure_counts_clamped_to_topology(self, small_mesh_design):
+        topology = small_mesh_design.topology
+        schedule = uniform_model(
+            small_mesh_design, seed=0, link_failures=10_000, router_failures=10_000
         )
         fails = [e for e in schedule if e.action == "fail_link"]
         routers = [e for e in schedule if e.action == "fail_router"]
@@ -152,9 +149,9 @@ class TestRandomSchedules:
         assert len(routers) == len(topology.switches)
         assert len({e.target for e in fails}) == len(fails)
 
-    def test_empty_window_rejected(self):
+    def test_empty_window_rejected(self, small_mesh_design):
         with pytest.raises(SimulationError):
-            EventSchedule.random(self._topology(), start_cycle=10, end_cycle=10)
+            uniform_model(small_mesh_design, start_cycle=10, end_cycle=10)
 
 
 class TestFromSpec:

@@ -5,12 +5,15 @@ parameters)``: the experiment cache fingerprints only the spec, so any
 hidden state (wallclock, iteration order over an unsorted container)
 would silently poison cached results.  The hypothesis suites here pin
 that purity plus each model's defining structural property — uniform's
-byte-identity with :meth:`EventSchedule.random`, spatial bursts'
-radius-bounded footprint, the cascade's load-before-idle ordering and
-the MTBF renewal process's per-link fail/restore alternation.
+byte-identity with the schedules ``EventSchedule.random`` drew, spatial
+bursts' radius-bounded footprint, the cascade's load-before-idle ordering
+and the MTBF renewal process's per-link fail/restore alternation.
 """
 
 from __future__ import annotations
+
+import hashlib
+import json
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -19,7 +22,6 @@ from hypothesis import strategies as st
 from repro.api.registry import fault_models
 from repro.benchmarks.synthetic import default_mesh_traffic
 from repro.errors import RegistryError, SimulationError
-from repro.simulation.events import EventSchedule
 from repro.simulation.fault_models import (
     _hop_distances,
     build_fault_schedule,
@@ -56,20 +58,25 @@ class TestRegistry:
 
 
 class TestUniformModel:
-    @SETTINGS
-    @given(seed=SEEDS)
-    def test_byte_identical_to_event_schedule_random(self, design, seed):
-        generated = uniform_model(
-            design, seed=seed, link_failures=2, router_failures=1, restore_after=120
-        )
-        reference = EventSchedule.random(
-            design.topology,
-            seed=seed,
-            link_failures=2,
-            router_failures=1,
-            restore_after=120,
-        )
-        assert generated.to_dict() == reference.to_dict()
+    #: SHA-256 prefixes of the canonical schedule JSON per seed, as
+    #: ``EventSchedule.random`` drew them before this model took over its
+    #: body: cached records of ``uniform`` runs are keyed by their spec, so
+    #: the draw must never move.
+    PINNED = {
+        0: "2924c6ae4050cc54",
+        1: "266307d81f6c26dc",
+        2: "ff49f018d02314d4",
+        3: "da4b219a9bd53907",
+        4: "71163ecd32dac271",
+    }
+
+    def test_byte_identical_to_event_schedule_random(self, design):
+        for seed, digest in self.PINNED.items():
+            schedule = uniform_model(
+                design, seed=seed, link_failures=2, router_failures=1, restore_after=120
+            )
+            payload = json.dumps(schedule.to_dict(), sort_keys=True).encode()
+            assert hashlib.sha256(payload).hexdigest()[:16] == digest, seed
 
 
 class TestSpatialBurstModel:

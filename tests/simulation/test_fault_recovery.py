@@ -47,6 +47,7 @@ from repro.perf.batch_engine import run_batch
 from repro.perf.sim_engine import CompiledNetwork
 from repro.simulation import recovery
 from repro.simulation.events import EventSchedule
+from repro.simulation.fault_models import uniform_model
 from repro.simulation.simulator import (
     SimulationConfig,
     simulate_design,
@@ -75,16 +76,16 @@ def _protected(benchmark: str, switches: int = CROSS_CHECK_SWITCHES) -> NocDesig
 def _schedules(design: NocDesign) -> List[EventSchedule]:
     """Two distinct schedules per design: link-only and link+router."""
     return [
-        EventSchedule.random(
-            design.topology,
+        uniform_model(
+            design,
             seed=1,
             link_failures=2,
             start_cycle=40,
             end_cycle=200,
             restore_after=150,
         ),
-        EventSchedule.random(
-            design.topology,
+        uniform_model(
+            design,
             seed=2,
             link_failures=1,
             router_failures=1,
@@ -205,8 +206,8 @@ class TestProtectionProvisioning:
 
     def _configs(self, design: NocDesign) -> List[SimulationConfig]:
         schedules = _schedules(design) + [
-            EventSchedule.random(
-                design.topology, seed=3, link_failures=1, start_cycle=30, end_cycle=150
+            uniform_model(
+                design, seed=3, link_failures=1, start_cycle=30, end_cycle=150
             )
         ]
         return [
@@ -386,8 +387,8 @@ class TestRandomScheduleProperties:
         self, seed, scenario, link_failures, router_failures
     ):
         design = _protected("D26_media", 8)
-        schedule = EventSchedule.random(
-            design.topology,
+        schedule = uniform_model(
+            design,
             seed=seed,
             link_failures=link_failures,
             router_failures=router_failures,

@@ -21,7 +21,7 @@ from repro.core.cycles import count_cycles
 from repro.core.removal import remove_deadlocks
 from repro.errors import SimulationError
 from repro.simulation.events import EventSchedule
-from repro.simulation.fault_models import spatial_burst_model
+from repro.simulation.fault_models import spatial_burst_model, uniform_model
 from repro.simulation.recovery import (
     BACKUP_SUFFIX,
     RecoveryController,
@@ -199,8 +199,8 @@ class TestEngineEquivalencePerPolicy:
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_cross_check_on_fat_tree(self, fat_tree, policy):
-        schedule = EventSchedule.random(
-            fat_tree.topology,
+        schedule = uniform_model(
+            fat_tree,
             seed=3,
             link_failures=2,
             start_cycle=40,
@@ -232,8 +232,8 @@ class TestEngineEquivalencePerPolicy:
 
     @pytest.mark.parametrize("policy", ["idle", "protection"])
     def test_never_rerouting_policies_stay_deadlock_free(self, fat_tree, policy):
-        schedule = EventSchedule.random(
-            fat_tree.topology, seed=5, link_failures=3, start_cycle=30, end_cycle=150
+        schedule = uniform_model(
+            fat_tree, seed=5, link_failures=3, start_cycle=30, end_cycle=150
         )
         config = SimulationConfig(
             injection_scale=1.0,

@@ -47,15 +47,21 @@ class TestValidateTrace:
     @pytest.mark.parametrize(
         "document, match",
         [
-            ({"cycles": 0, "events": []}, "positive integer"),
+            ({"cycles": 0, "events": []}, "cycles must be at least 1"),
             ({"cycles": 5, "events": [{"cycle": 7, "flow": "f0"}]}, "horizon"),
             ({"cycles": 5, "events": [{"cycle": -1, "flow": "f0"}]}, "non-negative"),
             ({"cycles": 5, "events": [{"cycle": 1, "flow": ""}]}, "non-empty"),
             ({"cycles": 5, "events": [{"cycle": 1, "flow": "f0", "packets": 0}]}, "positive"),
-            ({"cycles": 5, "events": [{"cycle": 1, "flow": "f0", "pkts": 1}]}, "unknown trace event field"),
-            ({"cycles": 5, "events": [], "extra": 1}, "unknown trace field"),
+            (
+                {"cycles": 5, "events": [{"cycle": 1, "flow": "f0", "pkts": 1}]},
+                "trace event: unknown parameter.*pkts",
+            ),
+            ({"cycles": 5, "events": [], "extra": 1}, "trace: unknown parameter.*extra"),
             ({"cycles": 5, "events": [], "format_version": 99}, "unsupported trace format"),
             ("not a mapping", "must be a mapping"),
+            ({"events": []}, "trace: missing required parameter 'cycles'"),
+            ({"cycles": 5, "events": [{"flow": "f0"}]}, "missing required parameter 'cycle'"),
+            ({"cycles": 5, "events": [{"cycle": 1}]}, "missing required parameter 'flow'"),
         ],
     )
     def test_malformed_traces_rejected(self, document, match):

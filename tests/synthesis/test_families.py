@@ -159,7 +159,7 @@ class TestFamilyErrors:
     def test_unknown_override_in_switch_count_synthesis(self):
         from repro.api.spec import RunSpec
 
-        with pytest.raises(PlanError, match="unknown synthesis override.*bogus_knob"):
+        with pytest.raises(PlanError, match="synthesis: unknown parameter.*bogus_knob"):
             RunSpec(benchmark="D26_media", switch_count=14, synthesis={"bogus_knob": 3})
 
     def test_family_mismatch_through_switch_count_synthesis(self, d26_traffic):

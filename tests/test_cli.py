@@ -207,6 +207,7 @@ class TestTypedErrors:
         assert code == 2
         assert err.startswith("error:")
         assert named in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize(
         "flags, named",
@@ -220,6 +221,51 @@ class TestTypedErrors:
             (
                 ("--traffic-scenario", "hotspot", "--scenario-params", '{"factor": "x"}'),
                 "traffic scenario 'hotspot'",
+            ),
+            # Each knob outside its declared domain, named with its owner.
+            (
+                ("--fault-model", "mtbf", "--fault-params", '{"mtbf": NaN}'),
+                "fault model 'mtbf': mtbf must be positive and finite, got nan",
+            ),
+            (
+                ("--fault-model", "mtbf", "--fault-params", '{"mttr": NaN}'),
+                "fault model 'mtbf': mttr must be positive and finite, got nan",
+            ),
+            (
+                ("--fault-model", "mtbf", "--fault-params", '{"mtbf": Infinity}'),
+                "fault model 'mtbf': mtbf must be positive and finite, got inf",
+            ),
+            (
+                ("--fault-model", "uniform", "--fault-params", '{"start_cycle": NaN}'),
+                "fault model 'uniform': start_cycle must be an integer, got nan",
+            ),
+            (
+                ("--fault-model", "uniform", "--fault-params", '{"link_failures": -3}'),
+                "fault model 'uniform': link_failures must be non-negative, got -3",
+            ),
+            (
+                ("--fault-model", "cascade", "--fault-params", '{"failures": -3}'),
+                "fault model 'cascade': failures must be non-negative, got -3",
+            ),
+            (
+                ("--fault-model", "spatial_burst", "--fault-params", '{"bursts": -1}'),
+                "fault model 'spatial_burst': bursts must be non-negative, got -1",
+            ),
+            (
+                ("--fault-model", "uniform", "--fault-params", '{"link_failures": 2.5}'),
+                "fault model 'uniform': link_failures must be an integer, got 2.5",
+            ),
+            (
+                ("--traffic-scenario", "hotspot", "--scenario-params", '{"factor": NaN}'),
+                "traffic scenario 'hotspot': factor must be positive and finite, got nan",
+            ),
+            (
+                ("--traffic-scenario", "transpose", "--scenario-params", '{"off_factor": NaN}'),
+                "traffic scenario 'transpose': off_factor must be non-negative and finite, got nan",
+            ),
+            (
+                ("--traffic-scenario", "bursty", "--scenario-params", '{"burst_length": NaN}'),
+                "traffic scenario 'bursty': burst_length must be at least 1 and finite, got nan",
             ),
         ],
     )
@@ -258,6 +304,26 @@ class TestTypedErrors:
         )
         code = main(["run", str(plan), "--no-cache"])
         self._assert_clean_error(code, capsys, "traffic scenario 'flows'")
+
+    @pytest.mark.parametrize(
+        "params, named",
+        [
+            (
+                {"traffic_scenario": "hotspot", "scenario_params": {"factor": float("nan")}},
+                "traffic scenario 'hotspot': factor must be positive and finite, got nan",
+            ),
+            (
+                {"fault_model": "mtbf", "fault_params": {"mtbf": float("nan")}},
+                "fault model 'mtbf': mtbf must be positive and finite, got nan",
+            ),
+        ],
+    )
+    def test_plan_params_out_of_domain(self, tmp_path, capsys, params, named):
+        plan = tmp_path / "plan.json"
+        run = {"benchmark": "D26_media", "switch_count": 6, "injection_scale": 1.0, **params}
+        plan.write_text(json.dumps({"name": "out-of-domain", "runs": [{**run, "sim_cycles": 100}]}))
+        code = main(["run", str(plan), "--no-cache"])
+        self._assert_clean_error(code, capsys, named)
 
     def test_run_output_write_error(self, tmp_path, capsys):
         plan = tmp_path / "plan.json"
