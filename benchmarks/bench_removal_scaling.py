@@ -20,9 +20,10 @@ asserts:
   indexed cost tables > 0), so a change that silently falls back to
   rebuilding fails here and not in a profiler three PRs later.
 
-The initial elementary-cycle count (an optional diagnostic) is disabled so
-the comparison measures the algorithm, not the capped Johnson enumeration
-(:func:`repro.perf.cycle_search.simple_cycles`) both engines share.
+Removal counts no elementary cycles; both engines take the initial CDG's
+cycle structure from one linear-time Tarjan pass
+(:func:`repro.perf.cycle_search.cycle_structure`), so the comparison
+measures the algorithm.
 
 Results go to ``BENCH_removal_scaling.json`` at the repository root, and
 ``--smoke`` results to ``BENCH_removal_scaling.smoke.json`` (ignored by git).
@@ -121,13 +122,9 @@ def run_removal_scaling(
         context_times: List[float] = []
         counters.reset()
         for _ in range(max(rounds, 1)):
-            rebuild_result, elapsed = _timed(
-                remove_deadlocks, design, engine="rebuild", count_initial_cycles=False
-            )
+            rebuild_result, elapsed = _timed(remove_deadlocks, design, engine="rebuild")
             rebuild_times.append(elapsed)
-            context_result, elapsed = _timed(
-                remove_deadlocks, design, engine="context", count_initial_cycles=False
-            )
+            context_result, elapsed = _timed(remove_deadlocks, design, engine="context")
             context_times.append(elapsed)
         reuse = counters.snapshot()
         rebuild_s = min(rebuild_times)

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Dict
 
+from repro.api.result import NOT_COUNTED
 from repro.api.spec import RunSpec
 from repro.benchmarks.registry import get_benchmark
 from repro.core.removal import remove_deadlocks
@@ -97,7 +98,10 @@ def compare_methods(spec: RunSpec) -> CostBundle:
             "removal_extra_vcs": removal.added_vc_count,
             "ordering_extra_vcs": ordering.extra_vcs,
             "removal_iterations": removal.iterations,
-            "initial_cycle_count": removal.initial_cycle_count,
+            "initial_cycle_count": NOT_COUNTED,
+            "initial_cyclic_sccs": removal.initial_cyclic_sccs,
+            "initial_largest_scc": removal.initial_largest_scc,
+            "initial_cyclic_channels": removal.initial_cyclic_channels,
             "removal_runtime_s": removal.runtime_seconds,
             "unprotected_power_mw": unprotected_power.total_power_mw,
             "removal_power_mw": removal_power.total_power_mw,

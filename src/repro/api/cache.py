@@ -35,7 +35,7 @@ import os
 import tempfile
 import time
 from pathlib import Path
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, List, Optional, Union
 
 _KEY_PREFIX_LEN = 2
 
@@ -144,6 +144,10 @@ class ArtifactCache:
     def has(self, kind: str, key: str) -> bool:
         """True when an entry exists (does not touch the hit/miss counters)."""
         return self._path(kind, key).is_file()
+
+    def keys(self, kind: str) -> List[str]:
+        """Every key stored under ``kind``, in sorted entry-path order."""
+        return [path.stem for path in sorted((self.root / kind).glob("*/*.json"))]
 
     # ------------------------------------------------------------------
     def entry_count(self, kind: Optional[str] = None) -> int:

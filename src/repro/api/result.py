@@ -3,8 +3,9 @@
 A :class:`RunResult` is the scalar outcome of executing one
 :class:`~repro.api.spec.RunSpec`: the VC counts, power and area of the
 unprotected / deadlock-removal / resource-ordering variants, plus removal
-bookkeeping (iterations, runtime, initial cycle count) — the scalars of
-the spec's :class:`~repro.analysis.experiments.CostBundle`.  It is the one
+bookkeeping (iterations, runtime, the cycle structure of the unprotected
+CDG) — the scalars of the spec's
+:class:`~repro.analysis.experiments.CostBundle`.  It is the one
 place that derives the paper's claims (VC reduction, power and area
 savings, overheads, Figure 10's normalised power) from those scalars, so
 figures rendered from cached results are byte-identical to figures
@@ -21,19 +22,36 @@ from repro.api.spec import RunSpec
 from repro.errors import PlanError
 
 #: Version tag of the result schema; cached documents with a different
-#: version are treated as cache misses by the runner.
+#: version are treated as cache misses by the runner.  A change in what a
+#: stage computes bumps that stage's version
+#: (:data:`~repro.api.spec.STAGE_VERSIONS`) instead, which moves the
+#: records' cache addresses.
 RESULT_FORMAT_VERSION = 1
+
+#: ``initial_cycle_count`` of every record: removal counts no elementary
+#: cycles (removal version 2).  The ``initial_cyclic_*`` and
+#: ``initial_largest_scc`` fields hold the exact structure instead.
+NOT_COUNTED = -1
 
 
 @dataclass
 class RunResult:
-    """Scalar outcome of one evaluation point (one :class:`RunSpec`)."""
+    """Scalar outcome of one evaluation point (one :class:`RunSpec`).
+
+    ``initial_cycle_count`` reads :data:`NOT_COUNTED`.  The three fields
+    after it are the exact cycle structure of the unprotected design's
+    CDG: its cyclic strongly connected components, the channel count of
+    the largest one and the number of channels on some cycle.
+    """
 
     spec: RunSpec
     removal_extra_vcs: int
     ordering_extra_vcs: int
     removal_iterations: int
     initial_cycle_count: int
+    initial_cyclic_sccs: int
+    initial_largest_scc: int
+    initial_cyclic_channels: int
     removal_runtime_s: float
     unprotected_power_mw: float
     removal_power_mw: float

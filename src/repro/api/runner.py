@@ -39,7 +39,9 @@ The runner turns :class:`~repro.api.spec.RunSpec` points into
 
 from __future__ import annotations
 
+import json
 import os
+import random
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -48,6 +50,7 @@ from repro.analysis.experiments import VARIANTS, CostBundle, compare_methods
 from repro.api.cache import ArtifactCache
 from repro.api.result import COST_SCALAR_FIELDS, RunResult
 from repro.api.spec import ExperimentPlan, RunSpec
+from repro.domains import at_least, knobs
 from repro.errors import PlanError, ReproError
 from repro.model.design import NocDesign
 from repro.model.serialization import design_from_dict, design_to_dict
@@ -449,6 +452,56 @@ class Runner:
                 ordered[index] = result
         results = [ordered[index] for index in range(len(specs))]
         return PlanResult(plan=plan, results=results)
+
+
+#: Record fields that depend on the host, not the spec: left out of an audit.
+_HOST_FIELDS = ("removal_runtime_s", "attempts")
+
+
+def _filed_under_its_spec(key: str, document: Any) -> bool:
+    """True when ``document`` holds a spec whose current fingerprint is ``key``."""
+    if not isinstance(document, dict):
+        return False
+    try:
+        return RunSpec.from_dict(document.get("spec")).fingerprint() == key
+    except ReproError:
+        return False
+
+
+@knobs("cache audit", PlanError, sample=at_least(1))
+def audit_cache(
+    cache: ArtifactCache, *, sample: int
+) -> Tuple[Dict[str, Optional[str]], int]:
+    """Re-execute a seeded sample of cached records and diff them byte for byte.
+
+    An entry of the ``result`` kind whose spec does not fingerprint to its
+    own key is orphaned: a stage version bump moved its spec's address
+    (or the entry is unreadable), so it is counted apart, not re-executed.
+    Draws ``sample`` of the other entries (all when fewer) with
+    ``random.Random(0)`` over the sorted entry paths, re-executes each
+    entry's spec without a cache and compares the fresh ``to_dict()`` JSON
+    with the cached document's, ``removal_runtime_s`` and ``attempts``
+    aside.  Returns the map from each drawn fingerprint, in draw order, to
+    the first key whose value differs (``None`` when the record holds),
+    and the number of orphaned entries.
+    """
+    keys = cache.keys(RESULT_KIND)
+    current = [key for key in keys if _filed_under_its_spec(key, cache.get(RESULT_KIND, key))]
+    audited: Dict[str, Optional[str]] = {}
+    for key in random.Random(0).sample(current, min(sample, len(current))):
+        cached = cache.get(RESULT_KIND, key)
+        fresh = execute_spec(RunSpec.from_dict(cached["spec"])).to_dict()
+        for document in (cached, fresh):
+            for name in _HOST_FIELDS:
+                document.pop(name, None)
+        audited[key] = None
+        if json.dumps(cached) != json.dumps(fresh):
+            audited[key] = next(
+                (name for name in dict.fromkeys([*fresh, *cached])
+                 if json.dumps(cached.get(name)) != json.dumps(fresh.get(name))),
+                "(key order)",
+            )
+    return audited, len(keys) - len(current)
 
 
 def run_plan(

@@ -100,6 +100,15 @@ its default keeps the address it had before that axis existed.
 :data:`SIMULATION_FIELDS`.  A new field therefore keys the result and the
 cost bundle unless it is named simulation-only: over-keying only loses
 sharing, under-keying would serve a bundle computed for another design.
+
+Both addresses also hash the semantics version of each pipeline stage
+(:data:`STAGE_VERSIONS`): :meth:`RunSpec.fingerprint` all six,
+:meth:`RunSpec.cost_fingerprint` all but ``simulation``.  **A change to
+what a stage computes bumps that stage's version**, so no warm cache
+serves a record or cost bundle the changed code would not write: a
+simulation bump recomputes the records and keeps the cost bundles, any
+other bump recomputes both.  Records hold the spec, not its address, so
+a bump moves addresses but no record byte.
 """
 
 from __future__ import annotations
@@ -117,6 +126,19 @@ from repro.errors import PlanError
 #: Version tag baked into plan documents and content-address hashes; bump on
 #: any change that alters the meaning of a serialized spec.
 PLAN_FORMAT_VERSION = 1
+
+#: The semantics version of each pipeline stage, hashed into both content
+#: addresses; bump a stage's entry when what it computes changes.
+#: Removal 2: records carry the exact cycle structure of the unprotected
+#: CDG, and ``initial_cycle_count`` reads -1 (not counted).
+STAGE_VERSIONS = {
+    "synthesis": 1,
+    "routing": 1,
+    "removal": 2,
+    "ordering": 1,
+    "estimation": 1,
+    "simulation": 1,
+}
 
 #: The grid axes of a run entry, each as (singular, plural) keys: the
 #: only fields an entry may give as a list.
@@ -374,9 +396,13 @@ class RunSpec:
 
     # ------------------------------------------------------------------
     def fingerprint(self) -> str:
-        """Content address of the full spec — the result-cache key."""
+        """Content address of the full spec and every stage version — the result-cache key."""
         return _canonical_hash(
-            {"format": PLAN_FORMAT_VERSION, "spec": self._document(SPEC_FIELDS)}
+            {
+                "format": PLAN_FORMAT_VERSION,
+                "stages": STAGE_VERSIONS,
+                "spec": self._document(SPEC_FIELDS),
+            }
         )
 
     def cost_fingerprint(self) -> str:
@@ -387,10 +413,17 @@ class RunSpec:
         differing only along those — e.g. the load points of one latency
         sweep — share this key, so the artifact cache can serve one
         removal/ordering run to the whole sweep instead of re-running
-        removal per point on a cold cache.
+        removal per point on a cold cache.  It hashes every stage version
+        but the simulation stage's.
         """
+        stages = {name: version for name, version in STAGE_VERSIONS.items()
+                  if name != "simulation"}
         return _canonical_hash(
-            {"format": PLAN_FORMAT_VERSION, "costs": self._document(_COST_FIELDS)}
+            {
+                "format": PLAN_FORMAT_VERSION,
+                "stages": stages,
+                "costs": self._document(_COST_FIELDS),
+            }
         )
 
 

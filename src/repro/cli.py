@@ -11,6 +11,8 @@ Installed as ``noc-deadlock``.  Subcommands:
 * ``figures``   — regenerate the data behind the paper's figures;
 * ``run``       — execute a declarative experiment plan (JSON), with an
   artifact cache so repeated sweeps reuse earlier work;
+* ``cache audit`` — re-execute a seeded sample of cached records and diff
+  them against the cache (exit 1 on any difference);
 * ``lint``      — run the AST-based invariant checker (``repro.lint``)
   over the sources; exits non-zero on any finding not suppressed inline.
 
@@ -38,7 +40,8 @@ from repro.api.registry import (
     traffic_scenarios,
 )
 from repro.api.reports import run_report
-from repro.api.runner import Runner, default_cache_dir
+from repro.api.cache import ArtifactCache
+from repro.api.runner import Runner, audit_cache, default_cache_dir
 from repro.api.spec import ExperimentPlan
 from repro.benchmarks.registry import get_benchmark, list_benchmarks
 from repro.core.cdg import build_cdg
@@ -294,6 +297,21 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+def _cmd_cache_audit(args: argparse.Namespace) -> int:
+    cache_dir = Path(args.cache_dir).expanduser() if args.cache_dir else default_cache_dir()
+    audited, orphaned = audit_cache(ArtifactCache(cache_dir), sample=args.sample)
+    differing = {fingerprint: key for fingerprint, key in audited.items() if key is not None}
+    for fingerprint, key in differing.items():
+        print(f"{fingerprint}: differs at {key!r}")
+    print(
+        f"cache audit: {len(differing)} of {len(audited)} record(s) differ; "
+        f"{orphaned} orphaned record(s) skipped (not filed under their spec's "
+        "current fingerprint)",
+        file=sys.stderr,
+    )
+    return 1 if differing else 0
+
+
 def _cmd_lint(args: argparse.Namespace) -> int:
     from repro.lint import lint_paths  # local: lint-only import
 
@@ -506,6 +524,22 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the full result document (specs, results, reports) as JSON",
     )
     p.set_defaults(func=_cmd_run)
+
+    p = sub.add_parser("cache", help="check the artifact cache")
+    cache_sub = p.add_subparsers(dest="cache_command", required=True)
+    p = cache_sub.add_parser(
+        "audit",
+        help="re-execute a seeded sample of cached records without the cache "
+        "and diff them (removal_runtime_s and attempts aside); exit 1 on any diff",
+    )
+    p.add_argument("--sample", type=int, required=True, help="how many records to draw")
+    p.add_argument(
+        "--cache-dir",
+        default=None,
+        help="artifact cache directory (default: $NOC_DEADLOCK_CACHE_DIR "
+        "or ~/.cache/noc-deadlock)",
+    )
+    p.set_defaults(func=_cmd_cache_audit)
 
     p = sub.add_parser(
         "lint",

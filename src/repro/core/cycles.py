@@ -19,9 +19,9 @@ from repro.core.cdg import ChannelDependencyGraph
 from repro.errors import CycleSearchError
 from repro.model.channels import Channel
 
-#: How many elementary cycles a report counts before stopping: dense CDGs
-#: have exponentially many.  A count that reaches it is a lower bound
-#: (:func:`format_cycle_count`).
+#: How many elementary cycles ``noc-deadlock analyze`` counts before
+#: stopping: dense CDGs have exponentially many.  A count that reaches it is
+#: a lower bound (:func:`format_cycle_count`).  Removal counts none.
 CYCLE_COUNT_CAP = 2000
 
 
@@ -116,10 +116,13 @@ def find_all_cycles(
 def count_cycles(cdg: ChannelDependencyGraph, limit: Optional[int] = 10000) -> int:
     """Number of elementary cycles (capped at ``limit``).
 
-    A capped count does not depend on the enumeration order.
+    A capped count does not depend on the enumeration order.  With
+    ``limit=1`` it is Kahn's acyclicity test, which enumerates nothing.
     """
     if limit is not None and limit <= 0:
         return 0
+    if limit == 1:
+        return 0 if cdg.is_acyclic() else 1
     return sum(1 for _ in islice(_enumerate(cdg)[1], limit))
 
 

@@ -11,10 +11,21 @@ The outer loop of the paper's method:
 
 One loop drives the algorithm (:meth:`DeadlockRemover._run_loop`); an
 engine only supplies how it finds the next cycle, how it costs a break and
-how it updates its graph after the break.  Engines are looked up by name in
-the pluggable :data:`repro.api.registry.removal_engines` registry (new
-engines register with a decorator and become valid ``engine=`` values
-everywhere, including :class:`~repro.api.spec.RunSpec` and the CLI).
+how it updates its graph after the break.
+
+Before the loop, one Tarjan pass over the unprotected CDG gives the
+result its exact cycle structure: the number of cyclic strongly connected
+components, the channel count of the largest and the number of channels
+on some cycle (:func:`repro.perf.cycle_search.cycle_structure`).
+Elementary cycles are not counted: a dense CDG has exponentially many, and
+the paper reports what breaking them costs, not how many there were.  A
+capped count stays available off this path
+(:func:`repro.core.cycles.count_cycles`, ``noc-deadlock analyze``).
+
+Engines are looked up by name in the pluggable
+:data:`repro.api.registry.removal_engines` registry (new engines register
+with a decorator and become valid ``engine=`` values everywhere,
+including :class:`~repro.api.spec.RunSpec` and the CLI).
 Built-ins:
 
 * ``engine="context"`` (default) — the fast path.  The run builds one
@@ -40,14 +51,18 @@ from repro.api.registry import removal_engines
 from repro.core.breaker import RESOURCE_PHYSICAL, RESOURCE_VIRTUAL, break_cycle
 from repro.core.cdg import build_cdg
 from repro.core.cost import best_break
-from repro.core.cycles import CYCLE_COUNT_CAP, count_cycles, find_smallest_cycle
+from repro.core.cycles import count_cycles, find_smallest_cycle
 from repro.core.report import RemovalResult
 from repro.errors import ConvergenceError, RemovalError
 from repro.model.design import NocDesign
 from repro.model.validation import validate_design
 from repro.perf.cdg_index import CDGIndex
 from repro.perf.cost_index import CycleCostEngine
-from repro.perf.cycle_search import IncrementalCycleSearch, count_cycles_indexed
+from repro.perf.cycle_search import (
+    IncrementalCycleSearch,
+    count_cycles_indexed,
+    cycle_structure,
+)
 
 ENGINE_CONTEXT = "context"
 ENGINE_REBUILD = "rebuild"
@@ -66,10 +81,6 @@ class DeadlockRemover:
         for NoC architectures without VC support (Section 1 of the paper).
     max_iterations:
         Safety cap; ``None`` derives a generous bound from the CDG size.
-    count_initial_cycles:
-        When true the initial number of elementary cycles is counted, up to
-        :data:`~repro.core.cycles.CYCLE_COUNT_CAP` (can be expensive on
-        dense CDGs), and stored in the result.
     validate:
         Validate the design before and after removal (recommended).
     engine:
@@ -93,7 +104,6 @@ class DeadlockRemover:
         *,
         resource_mode: str = RESOURCE_VIRTUAL,
         max_iterations: Optional[int] = None,
-        count_initial_cycles: bool = True,
         validate: bool = True,
         engine: str = DEFAULT_REMOVAL_ENGINE,
         cross_check: bool = False,
@@ -107,7 +117,6 @@ class DeadlockRemover:
             )
         self.resource_mode = resource_mode
         self.max_iterations = max_iterations
-        self.count_initial_cycles = count_initial_cycles
         self.validate = validate
         self.engine = engine
         self.cross_check = cross_check
@@ -136,14 +145,12 @@ class DeadlockRemover:
         ``steps`` (a :class:`_RebuildSteps` or :class:`_ContextSteps`)
         supplies what the engines do differently: ``next_cycle``,
         ``choose_break`` and ``after_break``, plus the CDG they maintain
-        (``graph``, with ``is_acyclic()`` and ``edge_count``), its capped
-        ``count_cycles`` and the ``index`` handed to
-        :func:`~repro.core.breaker.break_cycle`.
+        (``graph``, with ``is_acyclic()`` and ``edge_count``), its
+        ``cycle_structure``, the capped ``count_cycles`` a
+        :class:`~repro.errors.ConvergenceError` reports and the ``index``
+        handed to :func:`~repro.core.breaker.break_cycle`.
         """
-        initially_free = steps.graph.is_acyclic()
-        initial_cycles = 0
-        if self.count_initial_cycles and not initially_free:
-            initial_cycles = steps.count_cycles(limit=CYCLE_COUNT_CAP)
+        cyclic_sccs, largest_scc, cyclic_channels = steps.cycle_structure()
 
         max_iterations = self.max_iterations
         if max_iterations is None:
@@ -151,8 +158,9 @@ class DeadlockRemover:
 
         result = RemovalResult(
             design=work,
-            initially_deadlock_free=initially_free,
-            initial_cycle_count=initial_cycles,
+            initial_cyclic_sccs=cyclic_sccs,
+            initial_largest_scc=largest_scc,
+            initial_cyclic_channels=cyclic_channels,
         )
 
         iteration = 0
@@ -192,6 +200,9 @@ class _RebuildSteps:
         self._work = work
         self.graph = build_cdg(work)
 
+    def cycle_structure(self):
+        return cycle_structure(self.graph.channels, self.graph.successors)
+
     def count_cycles(self, limit: int) -> int:
         return count_cycles(self.graph, limit=limit)
 
@@ -225,6 +236,9 @@ class _ContextSteps:
         self.graph = self.index = CDGIndex.from_routes(work.routes)
         self._costs = CycleCostEngine(self.index)
         self._search = IncrementalCycleSearch(self.index)
+
+    def cycle_structure(self):
+        return cycle_structure(self.index.sorted_vertices(), self.index.successors)
 
     def count_cycles(self, limit: int) -> int:
         return count_cycles_indexed(self.graph, limit=limit)

@@ -6,7 +6,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.cost import CostTable
-from repro.core.cycles import format_cycle_count
 from repro.model.channels import Channel
 from repro.model.design import NocDesign
 from repro.model.routes import Route
@@ -77,12 +76,18 @@ class RemovalResult:
 
     The headline number is :attr:`added_vc_count` — the quantity plotted in
     Figures 8 and 9 of the paper for the "Deadlock removal alg." series.
+
+    The ``initial_*`` fields are the exact cycle structure of the CDG
+    before removal, from one Tarjan pass: its cyclic strongly connected
+    components, the channel count of the largest one, and the channels
+    that lie on some cycle.  Elementary cycles are not counted.
     """
 
     design: NocDesign
     actions: List[BreakAction] = field(default_factory=list)
-    initially_deadlock_free: bool = False
-    initial_cycle_count: int = 0
+    initial_cyclic_sccs: int = 0
+    initial_largest_scc: int = 0
+    initial_cyclic_channels: int = 0
     iterations: int = 0
     runtime_seconds: float = 0.0
 
@@ -90,6 +95,11 @@ class RemovalResult:
     def added_vc_count(self) -> int:
         """Total number of VCs added over all break actions."""
         return sum(action.added_vc_count for action in self.actions)
+
+    @property
+    def initially_deadlock_free(self) -> bool:
+        """True when the CDG had no cycle before removal: no cyclic SCC."""
+        return self.initial_cyclic_sccs == 0
 
     @property
     def rerouted_flows(self) -> List[str]:
@@ -111,14 +121,15 @@ class RemovalResult:
     def summary(self) -> str:
         """Multi-line human-readable report."""
         if self.initially_deadlock_free:
-            cycles = f"{self.initial_cycle_count} (already deadlock free)"
-        elif self.initial_cycle_count == 0:
-            cycles = "not counted"  # a cyclic CDG has at least one cycle
+            structure = "already deadlock free"
         else:
-            cycles = format_cycle_count(self.initial_cycle_count)
+            structure = (
+                f"largest {self.initial_largest_scc} channels, "
+                f"{self.initial_cyclic_channels} channels on cycles"
+            )
         lines = [
             f"Deadlock removal report for design {self.design.name!r}",
-            f"  initial CDG cycles      : {cycles}",
+            f"  initial cyclic SCCs     : {self.initial_cyclic_sccs} ({structure})",
             f"  iterations              : {self.iterations}",
             f"  virtual channels added  : {self.added_vc_count}",
             f"  flows rerouted          : {len(self.rerouted_flows)}",

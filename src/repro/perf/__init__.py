@@ -11,7 +11,8 @@ Behaviour-preserving accelerations of the seed code paths:
 * :mod:`repro.perf.cycle_search` — SCC-pruned, depth-limited smallest-cycle
   search that returns exactly what
   :func:`repro.core.cycles.find_smallest_cycle` would on a fresh rebuild,
-  and the Johnson enumerator behind every elementary-cycle count;
+  the exact cycle structure a removal record carries, and the Johnson
+  enumerator behind every elementary-cycle count;
 * :mod:`repro.perf.route_engine` — int-relabelled switch graph with a
   per-node label Dijkstra and incremental congestion reweighting (replaces
   the exponential path-tuple route search without changing any route);
@@ -30,6 +31,7 @@ from repro.perf.cost_index import CycleCostEngine
 from repro.perf.cycle_search import (
     IncrementalCycleSearch,
     count_cycles_indexed,
+    cycle_structure,
     tarjan_sccs,
 )
 from repro.perf.counters import PerfCounters, counters
@@ -46,6 +48,7 @@ __all__ = [
     "SwitchGraph",
     "count_cycles_indexed",
     "counters",
+    "cycle_structure",
     "tarjan_sccs",
     "parallel_map",
     "resolve_jobs",

@@ -23,9 +23,11 @@ Every call runs one Tarjan pass over the live CDG and searches every
 cyclic component; the BFS of one component reads the index's presorted
 successor tuples and epoch-stamped scratch arrays.
 
-The module also holds the one elementary-cycle enumerator of the package,
-:func:`simple_cycles` (Johnson 1975), which the capped cycle counts of
-:mod:`repro.core.cycles` and :func:`count_cycles_indexed` run.
+The same Tarjan pass gives a removal record its exact cycle structure
+(:func:`cycle_structure`).  The module also holds the one elementary-cycle
+enumerator of the package, :func:`simple_cycles` (Johnson 1975), which the
+capped cycle counts of :mod:`repro.core.cycles` and
+:func:`count_cycles_indexed` run; removal counts no cycles.
 """
 
 from __future__ import annotations
@@ -98,6 +100,18 @@ def tarjan_sccs(vertices: Iterable[int], successors) -> List[List[int]]:
                         break
                 sccs.append(component)
     return sccs
+
+
+def cycle_structure(vertices: Iterable[int], successors) -> Tuple[int, int, int]:
+    """``(cyclic SCCs, channels in the largest, channels on some cycle)``.
+
+    One :func:`tarjan_sccs` pass, linear in the graph.  A component is
+    cyclic when it has two or more vertices: a CDG has no self-loops.  A
+    vertex lies on some cycle exactly when its component is cyclic, so the
+    third number is the size of the union of every elementary cycle.
+    """
+    sizes = [len(c) for c in tarjan_sccs(vertices, successors) if len(c) > 1]
+    return len(sizes), max(sizes, default=0), sum(sizes)
 
 
 class IncrementalCycleSearch:

@@ -293,7 +293,6 @@ class ProtectionPolicy(IdlePolicy):
                 in_place=True,
                 engine="context",
                 validate=False,
-                count_initial_cycles=False,
             )
         ported_routes: Dict[str, Route] = {}
         candidates: Dict[str, Tuple[Route, ...]] = {}
@@ -454,7 +453,6 @@ class RecoveryController:
                 in_place=True,
                 engine="context",
                 validate=False,
-                count_initial_cycles=False,
             )
 
         # Resilience book-keeping against the *final* post-recovery routes.

@@ -62,7 +62,8 @@ def synthesize_trace(
     The returned document, replayed through the ``trace`` scenario at the
     same ``injection_scale``, injects the exact packet sequence the
     ``flows`` scenario produces for ``(design, seed)`` — a seeded synthetic
-    demand trace, reproducible from the spec's seed.
+    demand trace, reproducible from the spec's seed.  It is already in the
+    canonical form :func:`validate_trace` returns.
     """
     generator = FlowTrafficGenerator(design, injection_scale=injection_scale, seed=seed)
     events: List[Dict[str, Any]] = []
@@ -198,13 +199,11 @@ class TraceTrafficGenerator(FlowTrafficGenerator):
         elif trace is not None:
             trace = validate_trace(trace)
         else:
-            trace = validate_trace(
-                synthesize_trace(
-                    design,
-                    cycles=trace_cycles,
-                    injection_scale=injection_scale,
-                    seed=seed,
-                )
+            # Canonical by construction (ascending cycles, one packet per
+            # flow and cycle, flows in sorted-name order, all below the
+            # horizon), so only traces from outside the program are checked.
+            trace = synthesize_trace(
+                design, cycles=trace_cycles, injection_scale=injection_scale, seed=seed
             )
         self._trace = trace
         # _compute_rates (called by the base constructor) reads self._trace.

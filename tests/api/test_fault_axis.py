@@ -109,7 +109,10 @@ def _result(**overrides) -> RunResult:
         removal_extra_vcs=1,
         ordering_extra_vcs=5,
         removal_iterations=2,
-        initial_cycle_count=3,
+        initial_cycle_count=-1,
+        initial_cyclic_sccs=1,
+        initial_largest_scc=4,
+        initial_cyclic_channels=4,
         removal_runtime_s=0.1,
         unprotected_power_mw=10.0,
         removal_power_mw=11.0,

@@ -82,11 +82,12 @@ class TestSpecFields:
         for name in ("sim_engine", "traffic_scenario", "injection_scale",
                      "sim_cycles", "buffer_depth"):
             assert name not in document
-        # The historical content address of this exact spec (computed with
-        # the pre-simulation 8-field schema); a change here silently
-        # invalidates every user's artifact cache.
+        # The content address of this exact spec (the pre-simulation
+        # 8-field document plus the stage versions); a change here silently
+        # invalidates every user's artifact cache, so only a stage version
+        # bump may move it (last moved by removal 2).
         assert spec.fingerprint() == (
-            "bdc4b57cbbcf46982a8e033d01a01bf9a0cd136b6377ed49b89e6295b64d28f8"
+            "a9cefe9b1fcab4ed742afe2b447d938946659813b3608495e09c4d758b332652"
         )
 
     def test_explicit_default_sim_values_share_the_fingerprint(self):

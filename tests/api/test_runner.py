@@ -1,12 +1,16 @@
 """End-to-end tests for the experiment Runner and the artifact cache flow."""
 
 import json
+import random
 from pathlib import Path
 
+import pytest
+
+from repro.api.cache import ArtifactCache
 from repro.api.reports import run_report
 from repro.api.result import RunResult
-from repro.api.runner import COST_KIND, RESULT_KIND, Runner, run_plan
-from repro.api.spec import ExperimentPlan, ReportRequest, RunSpec
+from repro.api.runner import COST_KIND, RESULT_KIND, Runner, audit_cache, run_plan
+from repro.api.spec import STAGE_VERSIONS, ExperimentPlan, ReportRequest, RunSpec
 
 
 class TestRunSpecExecution:
@@ -237,3 +241,118 @@ class TestCostPathBindings:
             "design_to_dict": 3 * bundles,
             "design_from_dict": 0,
         }
+
+
+PLANS = Path(__file__).resolve().parents[2] / "plans"
+
+
+class TestStageVersions:
+    """Both addresses hash the stage versions, so a bump reaches every warm cache."""
+
+    @pytest.mark.parametrize(
+        "stage, bundles_recomputed",
+        [("simulation", 0), ("removal", 1)],
+        ids=["simulation", "removal"],
+    )
+    def test_a_bump_recomputes_what_the_stage_feeds(
+        self, tmp_path, monkeypatch, stage, bundles_recomputed
+    ):
+        """A simulation bump serves every cost bundle and recomputes every
+        record; a removal bump recomputes both.  The records keep their
+        bytes (host time aside): they hold the spec, not its address."""
+        from repro.api import runner
+
+        plan = ExperimentPlan.load(PLANS / "ci_latency_smoke.json")
+        warm = Runner(cache_dir=tmp_path).run(plan)
+        real = runner.compare_methods
+        computed = []
+        monkeypatch.setattr(
+            runner, "compare_methods", lambda spec: computed.append(spec) or real(spec)
+        )
+        monkeypatch.setitem(STAGE_VERSIONS, stage, STAGE_VERSIONS[stage] + 1)
+        bumped = Runner(cache_dir=tmp_path).run(plan)
+
+        cache = ArtifactCache(tmp_path)
+        assert bumped.cache_hits == 0
+        assert len(computed) == bundles_recomputed
+        assert cache.entry_count(RESULT_KIND) == 2 * len(plan.all_specs())
+        assert cache.entry_count(COST_KIND) == 1 + bundles_recomputed
+
+        def strip(result):
+            document = result.to_dict()
+            document.pop("removal_runtime_s")
+            return document
+
+        assert [strip(r) for r in bumped.results] == [strip(r) for r in warm.results]
+
+
+class TestCacheAudit:
+    def test_audit_finds_nothing_then_one_planted_edit(self, tmp_path):
+        Runner(cache_dir=tmp_path).run(ExperimentPlan.load(PLANS / "ci_latency_smoke.json"))
+        cache = ArtifactCache(tmp_path)
+        audited, orphaned = audit_cache(cache, sample=5)
+        assert len(audited) == 2 and set(audited.values()) == {None} and orphaned == 0
+
+        planted = cache.keys(RESULT_KIND)[0]
+        document = cache.get(RESULT_KIND, planted)
+        document["removal_extra_vcs"] += 1
+        cache.put(RESULT_KIND, planted, document)
+        audited, orphaned = audit_cache(cache, sample=5)
+        assert {k: v for k, v in audited.items() if v} == {planted: "removal_extra_vcs"}
+        assert orphaned == 0
+
+    def test_draw_is_seeded_over_sorted_entries(self, tmp_path):
+        Runner(cache_dir=tmp_path).run(
+            ExperimentPlan.from_grid("audit", "D26_media", [5, 6, 8])
+        )
+        cache = ArtifactCache(tmp_path)
+        keys = cache.keys(RESULT_KIND)
+        assert keys == sorted(keys) and len(keys) == 3
+        audited, _ = audit_cache(cache, sample=2)
+        assert list(audited) == random.Random(0).sample(keys, 2)
+
+    def test_records_a_stage_bump_left_behind_are_skipped(self, tmp_path, monkeypatch):
+        """After a bump the old records sit at addresses no spec has: they
+        are orphaned, not re-executed, and no diff is reported for them."""
+        plan = ExperimentPlan.load(PLANS / "ci_latency_smoke.json")
+        Runner(cache_dir=tmp_path).run(plan)
+        cache = ArtifactCache(tmp_path)
+        monkeypatch.setitem(STAGE_VERSIONS, "removal", STAGE_VERSIONS["removal"] + 1)
+        assert audit_cache(cache, sample=5) == ({}, 2)
+
+        Runner(cache_dir=tmp_path).run(plan)
+        audited, orphaned = audit_cache(cache, sample=5)
+        assert set(audited.values()) == {None}
+        assert sorted(audited) == sorted(spec.fingerprint() for spec in plan.all_specs())
+        assert orphaned == 2
+
+    def test_a_record_filed_under_another_key_is_not_audited(self, tmp_path):
+        Runner(cache_dir=tmp_path).run(ExperimentPlan.load(PLANS / "ci_latency_smoke.json"))
+        cache = ArtifactCache(tmp_path)
+        first, second = cache.keys(RESULT_KIND)
+        cache.put(RESULT_KIND, second, cache.get(RESULT_KIND, first))
+        assert audit_cache(cache, sample=5) == ({first: None}, 1)
+
+    def test_cli_exit_codes(self, tmp_path, monkeypatch, capsys):
+        from repro.cli import main
+
+        assert main(["run", str(PLANS / "ci_latency_smoke.json"), "--cache-dir", str(tmp_path)]) == 0
+        assert main(["cache", "audit", "--sample", "5", "--cache-dir", str(tmp_path)]) == 0
+        cache = ArtifactCache(tmp_path)
+        planted = cache.keys(RESULT_KIND)[-1]
+        document = cache.get(RESULT_KIND, planted)
+        document["simulation"]["variants"]["removal"]["packets_delivered"] += 1
+        cache.put(RESULT_KIND, planted, document)
+        capsys.readouterr()
+        assert main(["cache", "audit", "--sample", "5", "--cache-dir", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == f"{planted}: differs at 'simulation'\n"
+        assert "1 of 2 record(s) differ; 0 orphaned" in captured.err
+        assert main(["cache", "audit", "--sample", "0", "--cache-dir", str(tmp_path)]) == 2
+
+        monkeypatch.setitem(STAGE_VERSIONS, "removal", STAGE_VERSIONS["removal"] + 1)
+        capsys.readouterr()
+        assert main(["cache", "audit", "--sample", "5", "--cache-dir", str(tmp_path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "0 of 0 record(s) differ; 2 orphaned" in captured.err

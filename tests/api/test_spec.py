@@ -7,6 +7,7 @@ import pytest
 from repro.api.spec import (
     SIMULATION_FIELDS,
     SPEC_FIELDS,
+    STAGE_VERSIONS,
     ExperimentPlan,
     ReportRequest,
     RunSpec,
@@ -43,6 +44,8 @@ _LINK = {"src": "sw3", "dst": "sw5", "index": 0}
 
 #: Specs with their (fingerprint, cost_fingerprint).  ``fault_model`` and
 #: ``fault_schedule`` exclude each other, so the schedule has its own spec.
+#: The addresses hash the stage versions too, so they move only with a
+#: stage version bump (``STAGE_VERSIONS``; last moved by removal 2).
 PINNED = {
     "topology-family": (
         RunSpec(
@@ -51,8 +54,8 @@ PINNED = {
             topology_family="fat_tree",
             family_params={"k": 8},
         ),
-        "7719257da8a2f0c16792b3978f961e24482e77a02298c23b10b576898b7e4719",
-        "66c4ce5672a2d41c494263d592134e45311985c1029b0cc1127d6736d9821ffb",
+        "e9b390f7b911723a2a97e25fc011b798da971596d9c4c7fb397d51f6aa92a3e5",
+        "f83a6a55d0600ceb6f760dae69c195c0730cd2441b33e35afaf9aeb32dffb810",
     ),
     "fault-schedule": (
         RunSpec(
@@ -68,8 +71,8 @@ PINNED = {
             },
             fault_recovery="reroute",
         ),
-        "ff585f3ff8858fe5d519a10accd1a2216da856f610b1d04f49a75b636057f260",
-        "d30b55a1a011839f8e09b9f4a9fe1df8e554d3e385f39eaebb6323800cae912b",
+        "7235fa153cd4633c81f3f5e9fba92f625aadef56040fd677b02d77d5b9b7880d",
+        "1e184032b977ecbaa17dc31ee0be4db2aa860b829845470b44e646404b6ca027",
     ),
     "all-axes": (
         RunSpec(
@@ -93,8 +96,8 @@ PINNED = {
             fault_params={"radius": 2},
             fault_recovery="idle",
         ),
-        "060c156047895c8417df675c10cbe4dba2eb4b5ca83720177bf4060d725864cc",
-        "452bd06222a8481485f59666a2e014dab9ce64cb86af5b7e1f4ba8abe8fe90b5",
+        "845c10983a2b1deb179b422f179d227e4d3206d55e4758b76c3099220e9e2c97",
+        "858143807f900ea7782448e6059c1eb95858521db11eae72f6840cbf3e021134",
     ),
 }
 
@@ -158,10 +161,21 @@ class TestRunSpec:
     @pytest.mark.parametrize("name", list(PINNED))
     def test_addresses_are_pinned(self, name):
         # Every cached record and cost bundle lives at these addresses; a
-        # change here silently invalidates every user's artifact cache.
+        # change here silently invalidates every user's artifact cache, so
+        # only a stage version bump may move them.
         spec, fingerprint, cost_fingerprint = PINNED[name]
         assert (spec.fingerprint(), spec.cost_fingerprint()) == (fingerprint, cost_fingerprint)
         assert RunSpec.from_dict(json.loads(json.dumps(spec.to_dict()))) == spec
+
+    @pytest.mark.parametrize("stage", list(STAGE_VERSIONS))
+    def test_each_stage_version_keys_its_addresses(self, stage, monkeypatch):
+        """A bump moves the record address, and the cost-bundle address
+        unless the stage is simulation, which no cost bundle depends on."""
+        spec = PINNED["all-axes"][0]
+        fingerprint, cost_fingerprint = spec.fingerprint(), spec.cost_fingerprint()
+        monkeypatch.setitem(STAGE_VERSIONS, stage, STAGE_VERSIONS[stage] + 1)
+        moved = (spec.fingerprint() != fingerprint, spec.cost_fingerprint() != cost_fingerprint)
+        assert moved == (True, stage != "simulation")
 
     @pytest.mark.parametrize(
         "name", ["synthesis", "family_params", "scenario_params", "fault_params", "fault_schedule"]

@@ -10,16 +10,19 @@ import pytest
 
 from repro.core.cdg import ChannelDependencyGraph, build_cdg
 from repro.core.cycles import (
+    CYCLE_COUNT_CAP,
     count_cycles,
     cycle_edges,
     find_all_cycles,
     find_smallest_cycle,
+    format_cycle_count,
     has_cycle,
     verify_cycle,
 )
 from repro.errors import CycleSearchError
 from repro.examples_data.paper_ring import paper_channel
 from repro.model.channels import Channel, Link
+from repro.perf import cycle_search
 
 
 def ch(src, dst, vc=0):
@@ -84,6 +87,22 @@ class TestEnumeration:
     def test_count_cycles_respects_limit(self, two_cycle_cdg):
         assert count_cycles(two_cycle_cdg, limit=1) == 1
         assert count_cycles(two_cycle_cdg, limit=0) == 0
+
+    def test_limit_one_is_kahns_test(self, two_cycle_cdg, simple_line_design, monkeypatch):
+        acyclic = build_cdg(simple_line_design)
+        enumerated = [min(len(find_all_cycles(cdg)), 1) for cdg in (two_cycle_cdg, acyclic)]
+        assert enumerated == [1, 0]
+
+        def enumerate_nothing(*args, **kwargs):
+            raise AssertionError("count_cycles(limit=1) enumerated cycles")
+
+        monkeypatch.setattr(cycle_search, "simple_cycles", enumerate_nothing)
+        assert [count_cycles(cdg, limit=1) for cdg in (two_cycle_cdg, acyclic)] == enumerated
+
+    def test_capped_count_reads_as_a_lower_bound(self):
+        # `noc-deadlock analyze` prints its capped count this way.
+        assert format_cycle_count(CYCLE_COUNT_CAP) == f"at least {CYCLE_COUNT_CAP}"
+        assert format_cycle_count(CYCLE_COUNT_CAP - 1) == str(CYCLE_COUNT_CAP - 1)
 
     def test_has_cycle(self, ring_design_fixture, simple_line_design):
         assert has_cycle(build_cdg(ring_design_fixture))

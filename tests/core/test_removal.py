@@ -7,6 +7,7 @@ from repro.core.cdg import build_cdg
 from repro.core.removal import is_deadlock_free, remove_deadlocks
 from repro.errors import ConvergenceError
 from repro.model.validation import validate_design
+from repro.perf import cycle_search
 from repro.routing.ordering import apply_resource_ordering
 from repro.synthesis.builder import SynthesisConfig, synthesize_design
 
@@ -29,7 +30,13 @@ class TestPaperRing(EngineUnderTest):
         result = self.remove(ring_design_fixture)
         assert result.added_vc_count == 1
         assert result.iterations == 1
-        assert result.initial_cycle_count == 1
+        # One cyclic SCC: the ring's four channels, all on its one cycle.
+        structure = (
+            result.initial_cyclic_sccs,
+            result.initial_largest_scc,
+            result.initial_cyclic_channels,
+        )
+        assert structure == (1, 4, 4)
 
     def test_input_design_untouched_by_default(self, ring_design_fixture):
         self.remove(ring_design_fixture)
@@ -104,10 +111,18 @@ class TestOptions(EngineUnderTest):
         with pytest.raises(ConvergenceError):
             self.remove(small_ring_design, max_iterations=0)
 
-    def test_skip_initial_cycle_count(self, ring_design_fixture):
-        result = self.remove(ring_design_fixture, count_initial_cycles=False)
-        assert result.initial_cycle_count == 0
+    def test_skip_initial_cycle_count(self, ring_design_fixture, monkeypatch):
+        """Removal enumerates no elementary cycles, and has no knob to."""
+
+        def enumerate_nothing(*args, **kwargs):
+            raise AssertionError("removal enumerated elementary cycles")
+
+        monkeypatch.setattr(cycle_search, "simple_cycles", enumerate_nothing)
+        result = self.remove(ring_design_fixture)
         assert result.added_vc_count == 1
+        assert not hasattr(result, "initial_cycle_count")
+        with pytest.raises(TypeError):
+            self.remove(ring_design_fixture, count_initial_cycles=True)
 
     def test_validation_can_be_disabled(self, ring_design_fixture):
         result = remove_deadlocks(ring_design_fixture, validate=False)

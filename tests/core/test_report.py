@@ -1,6 +1,5 @@
 """Tests for removal result records (repro.core.report)."""
 
-from repro.core.cycles import CYCLE_COUNT_CAP
 from repro.core.removal import remove_deadlocks
 from repro.core.report import BreakAction, RemovalResult
 from repro.examples_data.paper_ring import paper_channel
@@ -39,17 +38,15 @@ class TestRemovalResult:
 
     def test_summary_prints_an_exact_count(self, ring_design_fixture):
         summary = remove_deadlocks(ring_design_fixture).summary()
-        assert "initial CDG cycles      : 1\n" in summary
-
-    def test_summary_prints_a_capped_count_as_a_lower_bound(self, ring_design_fixture):
-        result = RemovalResult(
-            design=ring_design_fixture, initial_cycle_count=CYCLE_COUNT_CAP
+        assert (
+            "initial cyclic SCCs     : 1 (largest 4 channels, 4 channels on cycles)\n"
+            in summary
         )
-        assert f"initial CDG cycles      : at least {CYCLE_COUNT_CAP}\n" in result.summary()
 
-    def test_summary_says_when_cycles_were_not_counted(self, ring_design_fixture):
-        result = remove_deadlocks(ring_design_fixture, count_initial_cycles=False)
-        assert "initial CDG cycles      : not counted\n" in result.summary()
+    def test_summary_prints_no_elementary_cycle_count(self, ring_design_fixture):
+        # Removal counts no elementary cycles, so its summary claims none.
+        summary = remove_deadlocks(ring_design_fixture).summary()
+        assert "CDG cycles" not in summary
 
     def test_manual_construction(self, simple_line_design):
         result = RemovalResult(design=simple_line_design)

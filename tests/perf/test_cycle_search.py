@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from itertools import islice
+from pathlib import Path
 
 import networkx as nx
 from hypothesis import HealthCheck, given, settings
@@ -10,13 +11,16 @@ from hypothesis import strategies as st
 
 from route_strategies import random_route, random_route_sets
 
+from repro.analysis.experiments import compare_methods
+from repro.api.spec import ExperimentPlan
 from repro.core.cdg import build_cdg
-from repro.core.cycles import count_cycles, find_smallest_cycle
+from repro.core.cycles import count_cycles, find_all_cycles, find_smallest_cycle
 from repro.model.channels import Channel, Link
 from repro.perf.cdg_index import CDGIndex
 from repro.perf.cycle_search import (
     IncrementalCycleSearch,
     count_cycles_indexed,
+    cycle_structure,
     simple_cycles,
     tarjan_sccs,
 )
@@ -125,6 +129,47 @@ class TestTarjan:
         }
         theirs = {frozenset(c) for c in nx.strongly_connected_components(index_graph(index))}
         assert mine == theirs
+
+
+def networkx_structure(graph: nx.DiGraph) -> tuple:
+    """The oracle's ``(cyclic SCCs, largest, channels on cycles)``."""
+    sizes = [len(c) for c in nx.strongly_connected_components(graph) if len(c) > 1]
+    return len(sizes), max(sizes, default=0), sum(sizes)
+
+
+class TestCycleStructure:
+    @given(routes=random_route_sets())
+    @SEARCH_SETTINGS
+    def test_matches_networkx_and_the_union_of_all_cycles(self, routes):
+        index = CDGIndex.from_routes(routes)
+        structure = cycle_structure(index.sorted_vertices(), index.successors)
+        assert structure == networkx_structure(index_graph(index))
+        cdg = build_cdg(routes)
+        assert cycle_structure(cdg.channels, cdg.successors) == structure
+        on_cycles = {channel for cycle in find_all_cycles(cdg) for channel in cycle}
+        assert structure[2] == len(on_cycles)
+
+    def test_every_paper_figure_record_matches_networkx(self):
+        """The Figure 8-10, area and overhead designs: every record carries
+        the structure of its unprotected CDG, and no cycle count."""
+        plan = ExperimentPlan.load(Path(__file__).resolve().parents[2] / "plans/paper_figures.json")
+        specs = plan.all_specs()
+        assert len(specs) == 19
+        cyclic = 0
+        for spec in specs:
+            bundle = compare_methods(spec)
+            cdg = build_cdg(bundle.designs["unprotected"])
+            graph = nx.DiGraph(cdg.edges)
+            graph.add_nodes_from(cdg.channels)
+            scalars = bundle.scalars
+            assert scalars["initial_cycle_count"] == -1
+            assert (
+                scalars["initial_cyclic_sccs"],
+                scalars["initial_largest_scc"],
+                scalars["initial_cyclic_channels"],
+            ) == networkx_structure(graph), spec
+            cyclic += scalars["initial_cyclic_sccs"] > 0
+        assert 0 < cyclic < len(specs)
 
 
 class TestSimpleCycles:

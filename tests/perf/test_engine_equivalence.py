@@ -4,7 +4,8 @@ For all six registry benchmarks, in virtual-channel and in physical-link
 resource mode, the context engine must produce the exact
 :class:`~repro.core.report.BreakAction` sequence of the rebuild oracle —
 same cycles, same broken edges, same costs, same rerouted flows, same
-added channels — plus the same headline numbers.  The cross-check flag
+added channels — plus the same headline numbers and the same cycle
+structure of the initial CDG.  The cross-check flag
 additionally asserts, after every single break, that the incrementally
 maintained CDG equals a from-scratch rebuild and that every cost table
 matches the reference builder.
@@ -42,7 +43,9 @@ def test_identical_break_actions_on_benchmark(name):
         assert fast_result.actions == seed_result.actions
         assert fast_result.iterations == seed_result.iterations
         assert fast_result.added_vc_count == seed_result.added_vc_count
-        assert fast_result.initial_cycle_count == seed_result.initial_cycle_count
+        assert fast_result.initial_cyclic_sccs == seed_result.initial_cyclic_sccs
+        assert fast_result.initial_largest_scc == seed_result.initial_largest_scc
+        assert fast_result.initial_cyclic_channels == seed_result.initial_cyclic_channels
         assert fast_result.initially_deadlock_free == seed_result.initially_deadlock_free
         assert fast_result.design.routes == seed_result.design.routes
 

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import functools
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.performance import measure_load_point
 from repro.api.registry import traffic_scenarios
+from repro.benchmarks.registry import get_benchmark
 from repro.errors import SimulationError
 from repro.simulation.simulator import SimulationConfig, simulate_design
 from repro.simulation.trace import (
@@ -19,6 +23,7 @@ from repro.simulation.trace import (
     validate_trace,
 )
 from repro.simulation.traffic_gen import FlowTrafficGenerator
+from repro.synthesis.builder import SynthesisConfig, synthesize_design
 
 
 class TestValidateTrace:
@@ -109,6 +114,34 @@ class TestSyntheticTraceEquivalence:
         other = synthesize_trace(small_mesh_design, cycles=100, seed=10)
         assert one == two
         assert one != other
+
+
+@functools.lru_cache(maxsize=None)
+def _synthesized(benchmark: str, switches: int, seed: int):
+    traffic = get_benchmark(benchmark, seed=seed)
+    return synthesize_design(traffic, SynthesisConfig(n_switches=switches))
+
+
+class TestSyntheticTraceIsCanonical:
+    """The generator skips re-validating its own trace because of this."""
+
+    @given(
+        design=st.sampled_from(
+            [("D26_media", 8), ("D36_8", 14), ("D35_bott", 10), ("D38_tvopd", 6)]
+        ),
+        design_seed=st.integers(min_value=0, max_value=2),
+        seed=st.integers(min_value=0, max_value=2**32),
+        scale=st.floats(min_value=0.01, max_value=16.0),
+        cycles=st.integers(min_value=1, max_value=300),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_validation_leaves_a_synthesized_trace_unchanged(
+        self, design, design_seed, seed, scale, cycles
+    ):
+        document = synthesize_trace(
+            _synthesized(*design, design_seed), cycles=cycles, injection_scale=scale, seed=seed
+        )
+        assert validate_trace(document) == document
 
 
 class TestExplicitTraces:
