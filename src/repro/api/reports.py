@@ -7,16 +7,35 @@ returned (:meth:`ReportType.render`).  ``noc-deadlock figures`` is a thin
 adapter over :func:`run_report`, so it and ``noc-deadlock run <plan.json>``
 are byte-identical by construction.
 
-Report types are registered in :data:`report_types`, so downstream code can
-add custom figures the same way it adds removal engines::
+A report type declares its parameters once, the way topology families do
+(:mod:`repro.domains`): each is an annotated class attribute whose value
+is its default (a parameter without one is required), with the bounds of
+the values the report reads itself in the class's ``domains``; every
+report takes ``seed``.  Any other key of a request names a
+:class:`RunSpec` field, which passes through to every spec the report
+builds; a field the report sets itself (a grid axis it does not take, or
+one of :attr:`ReportType.sets`) is a :class:`~repro.errors.PlanError`
+naming the parameter to use.  Custom reports register in
+:data:`report_types`, as topology families do::
 
-    @report_types.register("my_table")
     class MyTable(ReportType):
-        ...
+        benchmarks: List[str] = ["D26_media", "D36_8"]
+        domains = Domains("report 'my_table'")
+        sets = {"benchmark": "benchmarks"}
+
+        def _specs(self, params, fields):
+            return [RunSpec(benchmark=name, switch_count=14, seed=params["seed"], **fields)
+                    for name in params["benchmarks"]]
+
+        def _render(self, params, results):
+            return {"removal_extra_vcs": [r.removal_extra_vcs for r in results]}
+
+    report_types.register("my_table", MyTable())
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -31,6 +50,7 @@ from repro.api.spec import (
     ReportRequest,
     RunSpec,
 )
+from repro.domains import Domains
 from repro.errors import PlanError
 
 #: Switch counts of Figure 8 (D26_media, x-axis 5..25).
@@ -75,128 +95,128 @@ def _percentile(values: Sequence[float], pct: float) -> Optional[float]:
     return ordered[rank - 1]
 
 
-def _sentinel_free(entry: Dict[str, Any]) -> Dict[str, Any]:
-    """Recompute the recovery aggregates of a record's ``resilience`` section.
-
-    ``recovery_cycles`` keeps ``-1`` as its "never drained" wire sentinel
-    for cache compatibility; the formatters must never average it into a
-    latency number.  Recomputing from the raw list (rather than trusting
-    ``mean_recovery_cycles``) also upgrades records cached before the
-    ``batches_never_drained`` count existed.
-    """
-    cycles = entry.get("recovery_cycles")
-    if cycles is not None:
-        drained = [c for c in cycles if c >= 0]
-        entry["mean_recovery_cycles"] = (
-            sum(drained) / len(drained) if drained else 0.0
-        )
-        entry["batches_never_drained"] = sum(1 for c in cycles if c < 0)
-    return entry
-
-
 class ReportType:
     """Base class for report formatters (subclass and register instances).
 
-    A request's parameters are the report type's own :attr:`params` plus
-    any :class:`RunSpec` field; the fields outside the grid axes pass
-    through to every spec the report builds (:meth:`_spec_params`).
+    A subclass declares its parameters (see the module docstring) and
+    implements :meth:`_specs` and :meth:`_render`; :meth:`specs` and
+    :meth:`render` resolve a request with :meth:`_resolve` first.
     """
 
-    #: Parameters this report type reads itself.
-    params: Tuple[str, ...] = ()
+    #: The seed of every spec the report builds.
+    seed: int = 0
+    domains = Domains("report", PlanError)
+    #: Run spec fields the report sets itself besides the grid axes, or
+    #: from a parameter of another name: each mapped to that parameter
+    #: (not annotated, so not a parameter).
+    sets = {}
+
+    def __init__(self):
+        #: The run spec fields a request passes through to every spec: the
+        #: non-axis fields that are neither parameters nor set by the report.
+        self.pass_through = set(PASS_THROUGH_FIELDS) - self.domains.knobs.keys() - self.sets.keys()
 
     def specs(self, params: Mapping[str, Any]) -> List[RunSpec]:
         """The evaluation points this report needs."""
-        raise NotImplementedError
+        return self._specs(*self._resolve(params))
 
     def render(
         self, params: Mapping[str, Any], lookup: Mapping[str, RunResult]
     ) -> Dict[str, Any]:
         """Fold the records (keyed by spec fingerprint) into the figure dict."""
-        raise NotImplementedError
+        values, fields = self._resolve(params)
+        results = [lookup[spec.fingerprint()] for spec in self._specs(values, fields)]
+        return self._render(values, results)
 
     # ------------------------------------------------------------------
-    def _spec_params(self, params: Mapping[str, Any]) -> Dict[str, Any]:
-        """The RunSpec fields a request passes through (engine etc.).
-
-        Raises :class:`~repro.errors.PlanError` naming every key that is
-        neither a RunSpec field nor one of :attr:`params`, so a misspelt
-        parameter fails instead of silently taking its default.
-        """
-        unknown = sorted(set(params) - set(SPEC_FIELDS) - set(self.params))
+    def _resolve(self, params: Mapping[str, Any]) -> Tuple[Dict[str, Any], Dict[str, Any]]:
+        """A request's parameters, defaults filled in, and the run spec
+        fields it passes through; :class:`~repro.errors.PlanError` names
+        any other key."""
+        knobs, label = self.domains.knobs, self.domains.label
+        unknown = sorted(params.keys() - knobs.keys() - set(SPEC_FIELDS))
         if unknown:
             raise PlanError(
-                f"unknown report parameter(s): {', '.join(unknown)}; a report "
-                f"takes {', '.join(self.params)} or any run spec field"
+                f"{label}: unknown parameter(s) {', '.join(unknown)}; valid: "
+                f"{', '.join(knobs)} or a run spec field"
             )
-        return {key: params[key] for key in PASS_THROUGH_FIELDS if key in params}
+        owned = sorted(params.keys() - knobs.keys() - self.pass_through)
+        if owned:
+            use = f"; use {self.sets[owned[0]]!r}" if owned[0] in self.sets else ""
+            raise PlanError(f"{label}: run spec field {owned[0]!r} is set by the report{use}")
+        given = copy.deepcopy({key: params[key] for key in params.keys() & knobs.keys()})
+        fields = {key: params[key] for key in params.keys() & self.pass_through}
+        return self.domains.normalize(given), fields
 
-    def _results(
-        self, params: Mapping[str, Any], lookup: Mapping[str, RunResult]
-    ) -> List[RunResult]:
-        return [lookup[spec.fingerprint()] for spec in self.specs(params)]
+    def _specs(self, params: Dict[str, Any], fields: Dict[str, Any]) -> List[RunSpec]:
+        """The specs of resolved ``params``, each with the pass-through ``fields``."""
+        raise NotImplementedError
+
+    def _render(self, params: Dict[str, Any], results: List[RunResult]) -> Dict[str, Any]:
+        """The rendered document of resolved ``params`` and the specs' records."""
+        raise NotImplementedError
 
 
 class _SwitchCountSweepReport(ReportType):
     """Figures 8 and 9: extra VCs vs. switch count for one benchmark."""
 
-    params = ("switch_counts", "seed")
+    #: The figure's benchmark (not a parameter).
+    benchmark = ""
+    switch_counts: List[int]
+    sets = {"switch_count": "switch_counts"}
 
-    def __init__(self, benchmark: str, default_counts: Sequence[int]):
-        self.benchmark = benchmark
-        self.default_counts = list(default_counts)
-
-    def _counts(self, params: Mapping[str, Any]) -> List[int]:
-        return list(params.get("switch_counts", self.default_counts))
-
-    def specs(self, params: Mapping[str, Any]) -> List[RunSpec]:
-        seed = params.get("seed", 0)
-        extra = self._spec_params(params)
+    def _specs(self, params, fields) -> List[RunSpec]:
         return [
-            RunSpec(benchmark=self.benchmark, switch_count=count, seed=seed, **extra)
-            for count in self._counts(params)
+            RunSpec(benchmark=self.benchmark, switch_count=count, seed=params["seed"], **fields)
+            for count in params["switch_counts"]
         ]
 
-    def render(self, params, lookup) -> Dict[str, Any]:
-        results = self._results(params, lookup)
+    def _render(self, params, results) -> Dict[str, Any]:
         return {
             "benchmark": self.benchmark,
-            "switch_counts": self._counts(params),
+            "switch_counts": params["switch_counts"],
             "resource_ordering_vcs": [r.ordering_extra_vcs for r in results],
             "deadlock_removal_vcs": [r.removal_extra_vcs for r in results],
         }
 
 
+class _Figure8Report(_SwitchCountSweepReport):
+    benchmark = "D26_media"
+    switch_counts = FIGURE8_SWITCH_COUNTS
+    domains = Domains("report 'figure8'")
+
+
+class _Figure9Report(_SwitchCountSweepReport):
+    benchmark = "D36_8"
+    switch_counts = FIGURE9_SWITCH_COUNTS
+    domains = Domains("report 'figure9'")
+
+
 class _BenchmarkSetReport(ReportType):
     """Base for the per-benchmark reports (Figure 10, area, overhead)."""
 
-    params = ("benchmarks", "switch_count", "seed")
+    benchmarks: List[str] = FIGURE10_BENCHMARKS
+    switch_count: int = FIGURE10_SWITCH_COUNT
+    sets = {"benchmark": "benchmarks"}
 
-    def _names(self, params: Mapping[str, Any]) -> List[str]:
-        return list(params.get("benchmarks", FIGURE10_BENCHMARKS))
-
-    def _switch_count(self, params: Mapping[str, Any]) -> int:
-        return params.get("switch_count", FIGURE10_SWITCH_COUNT)
-
-    def specs(self, params: Mapping[str, Any]) -> List[RunSpec]:
-        seed = params.get("seed", 0)
-        switch_count = self._switch_count(params)
-        extra = self._spec_params(params)
+    def _specs(self, params, fields) -> List[RunSpec]:
         return [
-            RunSpec(benchmark=name, switch_count=switch_count, seed=seed, **extra)
-            for name in self._names(params)
+            RunSpec(benchmark=name, switch_count=params["switch_count"], seed=params["seed"],
+                    **fields)
+            for name in params["benchmarks"]
         ]
 
 
 class _Figure10PowerReport(_BenchmarkSetReport):
     """Figure 10: power of resource ordering normalised to deadlock removal."""
 
-    def render(self, params, lookup) -> Dict[str, Any]:
-        results = self._results(params, lookup)
+    domains = Domains("report 'figure10'")
+
+    def _render(self, params, results) -> Dict[str, Any]:
         savings = [r.power_saving_percent for r in results]
         return {
-            "benchmarks": self._names(params),
-            "switch_count": self._switch_count(params),
+            "benchmarks": params["benchmarks"],
+            "switch_count": params["switch_count"],
             "deadlock_removal_normalised_power": [1.0 for _ in results],
             "resource_ordering_normalised_power": [
                 r.normalised_ordering_power for r in results
@@ -209,13 +229,14 @@ class _Figure10PowerReport(_BenchmarkSetReport):
 class _AreaSavingsReport(_BenchmarkSetReport):
     """The §5 area claim: VC and area reduction of removal vs. ordering."""
 
-    def render(self, params, lookup) -> Dict[str, Any]:
-        results = self._results(params, lookup)
+    domains = Domains("report 'area'")
+
+    def _render(self, params, results) -> Dict[str, Any]:
         vc_reduction = [r.vc_reduction_percent for r in results]
         area_saving = [r.area_saving_percent for r in results]
         return {
-            "benchmarks": self._names(params),
-            "switch_count": self._switch_count(params),
+            "benchmarks": params["benchmarks"],
+            "switch_count": params["switch_count"],
             "removal_extra_vcs": [r.removal_extra_vcs for r in results],
             "ordering_extra_vcs": [r.ordering_extra_vcs for r in results],
             "vc_reduction_percent": vc_reduction,
@@ -228,13 +249,14 @@ class _AreaSavingsReport(_BenchmarkSetReport):
 class _OverheadReport(_BenchmarkSetReport):
     """The §5 overhead claim: removal vs. designs with no deadlock handling."""
 
-    def render(self, params, lookup) -> Dict[str, Any]:
-        results = self._results(params, lookup)
+    domains = Domains("report 'overhead'")
+
+    def _render(self, params, results) -> Dict[str, Any]:
         power_overhead = [r.removal_power_overhead_percent for r in results]
         area_overhead = [r.removal_area_overhead_percent for r in results]
         return {
-            "benchmarks": self._names(params),
-            "switch_count": self._switch_count(params),
+            "benchmarks": params["benchmarks"],
+            "switch_count": params["switch_count"],
             "power_overhead_percent": power_overhead,
             "area_overhead_percent": area_overhead,
             "average_power_overhead_percent": arithmetic_mean(power_overhead),
@@ -250,42 +272,31 @@ class _LatencyReport(ReportType):
     folds the per-spec simulation records into latency/throughput curves
     for the unprotected, deadlock-removal and resource-ordering variants,
     plus each variant's saturation scale (first deadlocked or
-    saturated point — deliveries below 80 % of offers).
-
-    Parameters: ``benchmark`` (default ``"D36_8"``), ``switch_count``
-    (default 14, the Figure 10 setting), ``injection_scales``, ``seed`` and
-    any simulation field (``sim_engine``, ``traffic_scenario``,
-    ``sim_cycles``, ``buffer_depth``).
+    saturated point — deliveries below 80 % of offers).  The simulation
+    fields (``sim_engine``, ``traffic_scenario``, ``sim_cycles``,
+    ``buffer_depth``) pass through.
     """
 
-    params = ("benchmark", "switch_count", "injection_scales", "seed")
+    benchmark: str = "D36_8"
+    #: The Figure 10 setting.
+    switch_count: int = FIGURE10_SWITCH_COUNT
+    injection_scales: List[float] = LATENCY_INJECTION_SCALES
+    domains = Domains("report 'latency'")
+    sets = {"injection_scale": "injection_scales"}
 
-    def _benchmark(self, params: Mapping[str, Any]) -> str:
-        return params.get("benchmark", "D36_8")
-
-    def _switch_count(self, params: Mapping[str, Any]) -> int:
-        return params.get("switch_count", FIGURE10_SWITCH_COUNT)
-
-    def _scales(self, params: Mapping[str, Any]) -> List[float]:
-        return list(params.get("injection_scales", LATENCY_INJECTION_SCALES))
-
-    def specs(self, params: Mapping[str, Any]) -> List[RunSpec]:
-        seed = params.get("seed", 0)
-        extra = self._spec_params(params)
+    def _specs(self, params, fields) -> List[RunSpec]:
         return [
             RunSpec(
-                benchmark=self._benchmark(params),
-                switch_count=self._switch_count(params),
-                seed=seed,
+                benchmark=params["benchmark"],
+                switch_count=params["switch_count"],
+                seed=params["seed"],
                 injection_scale=scale,
-                **extra,
+                **fields,
             )
-            for scale in self._scales(params)
+            for scale in params["injection_scales"]
         ]
 
-    def render(self, params, lookup) -> Dict[str, Any]:
-        results = self._results(params, lookup)
-        scales = self._scales(params)
+    def _render(self, params, results) -> Dict[str, Any]:
         curves: Dict[str, Any] = {}
         for variant in VARIANTS:
             metrics = [r.simulation["variants"][variant] for r in results]
@@ -305,9 +316,9 @@ class _LatencyReport(ReportType):
             }
         first = results[0].simulation if results else {}
         return {
-            "benchmark": self._benchmark(params),
-            "switch_count": self._switch_count(params),
-            "injection_scales": scales,
+            "benchmark": params["benchmark"],
+            "switch_count": params["switch_count"],
+            "injection_scales": params["injection_scales"],
             "traffic_scenario": first.get("traffic_scenario", "flows"),
             "sim_engine": first.get("engine", "compiled"),
             "variants": curves,
@@ -322,6 +333,10 @@ DEFAULT_AVAILABILITY_POLICIES: List[str] = ["removal", "reroute", "idle", "prote
 #: smallest sample the percentile columns are meaningful over).
 DEFAULT_AVAILABILITY_SEEDS: List[int] = list(range(10))
 
+#: The resilience section of a load point whose schedule drew no fault
+#: (the simulation writes none).
+_NO_FAULT = {"flits_lost": 0, "recovery_cycles": [], "post_fault_deadlock_free": None}
+
 
 class _AvailabilityReport(ReportType):
     """Multi-seed availability of one benchmark point under one fault model.
@@ -331,82 +346,48 @@ class _AvailabilityReport(ReportType):
     stays fixed across the grid — only ``fault_params["seed"]`` varies —
     so all points share one cost bundle (one synthesized design, one
     removal run) and identical traffic, isolating the fault draw as the
-    only source of variance.  The render folds one chosen design variant
-    (default ``"removal"``, the paper's protected design) into per-policy
+    only source of variance.  The render folds one chosen design
+    ``variant`` (the paper's protected design by default) into per-policy
     availability columns: delivered fraction, nearest-rank p50/p95/p99
     recovery latency over the pooled drained batches, the flit-loss
     distribution, never-drained batch counts and the fraction of seeds
-    that stayed post-fault deadlock-free.
-
-    Parameters: ``benchmark`` (default ``"D36_8"``), ``switch_count``
-    (default 14), ``injection_scale`` (default 1.0), ``fault_model``
-    (default ``"uniform"``), ``fault_params``, ``recovery_policies``
-    (default :data:`DEFAULT_AVAILABILITY_POLICIES`), ``seeds`` (fault
-    seeds, default :data:`DEFAULT_AVAILABILITY_SEEDS`), ``variant``,
-    ``seed`` (the fixed design/traffic seed) and any simulation field
+    that stayed post-fault deadlock-free.  ``seeds`` are the fault seeds,
+    ``seed`` the fixed design and traffic seed, and the simulation fields
     (``sim_engine``, ``traffic_scenario``, ``sim_cycles``,
-    ``buffer_depth``).
+    ``buffer_depth``) pass through.
     """
 
-    params = (
-        "benchmark",
-        "switch_count",
-        "injection_scale",
-        "fault_model",
-        "fault_params",
-        "recovery_policies",
-        "seeds",
-        "variant",
-        "seed",
-    )
+    benchmark: str = "D36_8"
+    switch_count: int = FIGURE10_SWITCH_COUNT
+    injection_scale: float = 1.0
+    fault_model: str = "uniform"
+    fault_params: Dict[str, Any] = {}
+    recovery_policies: List[str] = DEFAULT_AVAILABILITY_POLICIES
+    seeds: List[int] = DEFAULT_AVAILABILITY_SEEDS
+    variant: str = "removal"
+    domains = Domains("report 'availability'", variant=VARIANTS)
+    sets = {"fault_recovery": "recovery_policies"}
 
-    def _benchmark(self, params: Mapping[str, Any]) -> str:
-        return params.get("benchmark", "D36_8")
-
-    def _switch_count(self, params: Mapping[str, Any]) -> int:
-        return params.get("switch_count", FIGURE10_SWITCH_COUNT)
-
-    def _fault_model(self, params: Mapping[str, Any]) -> str:
-        return params.get("fault_model", "uniform")
-
-    def _policies(self, params: Mapping[str, Any]) -> List[str]:
-        return list(params.get("recovery_policies", DEFAULT_AVAILABILITY_POLICIES))
-
-    def _seeds(self, params: Mapping[str, Any]) -> List[int]:
-        return list(params.get("seeds", DEFAULT_AVAILABILITY_SEEDS))
-
-    def _variant(self, params: Mapping[str, Any]) -> str:
-        return params.get("variant", "removal")
-
-    def specs(self, params: Mapping[str, Any]) -> List[RunSpec]:
-        extra = self._spec_params(params)
-        # The report's own axes, never a pass-through.
-        extra.pop("fault_model", None)
-        extra.pop("fault_params", None)
-        extra.pop("fault_recovery", None)
-        fault_params = dict(params.get("fault_params", {}))
+    def _specs(self, params, fields) -> List[RunSpec]:
         return [
             RunSpec(
-                benchmark=self._benchmark(params),
-                switch_count=self._switch_count(params),
-                seed=params.get("seed", 0),
-                injection_scale=params.get("injection_scale", 1.0),
-                fault_model=self._fault_model(params),
-                fault_params={**fault_params, "seed": fault_seed},
+                benchmark=params["benchmark"],
+                switch_count=params["switch_count"],
+                seed=params["seed"],
+                injection_scale=params["injection_scale"],
+                fault_model=params["fault_model"],
+                fault_params={**params["fault_params"], "seed": fault_seed},
                 fault_recovery=policy,
-                **extra,
+                **fields,
             )
-            for policy in self._policies(params)
-            for fault_seed in self._seeds(params)
+            for policy in params["recovery_policies"]
+            for fault_seed in params["seeds"]
         ]
 
-    def render(self, params, lookup) -> Dict[str, Any]:
-        policies = self._policies(params)
-        seeds = self._seeds(params)
-        variant = self._variant(params)
-        results = self._results(params, lookup)
+    def _render(self, params, results) -> Dict[str, Any]:
+        seeds = params["seeds"]
         per_policy: Dict[str, Any] = {}
-        for index, policy in enumerate(policies):
+        for index, policy in enumerate(params["recovery_policies"]):
             rows = results[index * len(seeds) : (index + 1) * len(seeds)]
             delivered: List[float] = []
             flits_lost: List[int] = []
@@ -414,42 +395,42 @@ class _AvailabilityReport(ReportType):
             never_drained = 0
             deadlock_free_seeds = 0
             for row in rows:
-                metrics = (row.simulation or {}).get("variants", {}).get(variant, {})
-                injected = metrics.get("packets_injected") or 0
-                delivered.append(
-                    metrics.get("packets_delivered", 0) / injected if injected else 0.0
-                )
-                resilience = _sentinel_free(dict(metrics.get("resilience", {})))
-                flits_lost.append(resilience.get("flits_lost", 0))
-                cycles = resilience.get("recovery_cycles", [])
+                metrics = row.simulation["variants"][params["variant"]]
+                injected = metrics["packets_injected"]
+                delivered.append(metrics["packets_delivered"] / injected if injected else 0.0)
+                resilience = metrics.get("resilience", _NO_FAULT)
+                flits_lost.append(resilience["flits_lost"])
+                # -1 is the wire sentinel of a batch that never drained:
+                # counted, never averaged into a latency.
+                cycles = resilience["recovery_cycles"]
                 pooled_recovery.extend(c for c in cycles if c >= 0)
-                never_drained += resilience.get("batches_never_drained", 0)
-                if resilience.get("post_fault_deadlock_free") is not False:
+                never_drained += sum(1 for c in cycles if c < 0)
+                if resilience["post_fault_deadlock_free"] is not False:
                     deadlock_free_seeds += 1
             per_policy[policy] = {
                 "delivered_fraction": delivered,
-                "mean_delivered_fraction": arithmetic_mean(delivered) if delivered else 0.0,
+                "mean_delivered_fraction": arithmetic_mean(delivered),
                 "recovery_cycles_p50": _percentile(pooled_recovery, 50),
                 "recovery_cycles_p95": _percentile(pooled_recovery, 95),
                 "recovery_cycles_p99": _percentile(pooled_recovery, 99),
                 "recovery_samples": len(pooled_recovery),
                 "batches_never_drained": never_drained,
                 "flits_lost": flits_lost,
-                "mean_flits_lost": arithmetic_mean(flits_lost) if flits_lost else 0.0,
+                "mean_flits_lost": arithmetic_mean(flits_lost),
                 "deadlock_free_fraction": (
                     deadlock_free_seeds / len(rows) if rows else 0.0
                 ),
             }
         first = results[0].simulation if results else {}
         return {
-            "benchmark": self._benchmark(params),
-            "switch_count": self._switch_count(params),
-            "injection_scale": params.get("injection_scale", 1.0),
-            "fault_model": self._fault_model(params),
-            "fault_params": dict(params.get("fault_params", {})),
+            "benchmark": params["benchmark"],
+            "switch_count": params["switch_count"],
+            "injection_scale": params["injection_scale"],
+            "fault_model": params["fault_model"],
+            "fault_params": params["fault_params"],
             "seeds": seeds,
-            "variant": variant,
-            "sim_engine": first.get("engine", "compiled") if first else "compiled",
+            "variant": params["variant"],
+            "sim_engine": first.get("engine", "compiled"),
             "policies": per_policy,
         }
 
@@ -497,79 +478,62 @@ class _ScaleReport(ReportType):
     size — the datacenter-scale question of whether the paper's algorithm
     keeps up as the fabric grows.
 
-    Parameters: ``family`` (required), ``points`` (list of family-parameter
-    dictionaries; default :data:`DEFAULT_SCALE_POINTS` for the family),
-    ``benchmark`` (one registry name used at every size; default a
-    parametric ``uniform_c{2·size}_f2`` synthetic per point, which scales
-    the workload with the fabric), ``injection_scale`` (default 0.75),
-    ``seed`` and any simulation field (``sim_engine``,
+    ``points`` lists family-parameter dictionaries (by default the
+    family's :data:`DEFAULT_SCALE_POINTS`); ``benchmark`` names one
+    registry benchmark used at every size (by default a parametric
+    ``uniform_c{2·size}_f2`` synthetic per point, which scales the workload
+    with the fabric); the simulation fields (``sim_engine``,
     ``traffic_scenario``, ``scenario_params``, ``sim_cycles``,
-    ``buffer_depth``).
+    ``buffer_depth``) pass through.
     """
 
-    params = ("family", "points", "benchmark", "injection_scale", "seed")
+    family: str
+    points: Optional[List[Dict[str, Any]]] = None
+    benchmark: Optional[str] = None
+    injection_scale: float = 0.75
+    domains = Domains("report 'scale'")
+    sets = {"switch_count": "points", "topology_family": "family", "family_params": "points"}
 
-    def _family(self, params: Mapping[str, Any]) -> str:
-        family = params.get("family")
-        if not isinstance(family, str) or not family:
-            raise PlanError(
-                "the scale report needs a 'family' parameter naming a "
-                "topology family (e.g. 'fat_tree')"
-            )
-        return family
-
-    def _points(self, params: Mapping[str, Any]) -> List[Dict[str, Any]]:
-        family = self._family(params)
-        points = params.get("points")
-        if points is None:
-            points = DEFAULT_SCALE_POINTS.get(family)
-            if points is None:
-                raise PlanError(
-                    f"no default size sweep for topology family {family!r}; "
-                    "pass explicit 'points'"
-                )
-        if not isinstance(points, (list, tuple)) or not points:
-            raise PlanError("scale report 'points' must be a non-empty list")
-        return [dict(point) for point in points]
-
-    def _sizes(self, params: Mapping[str, Any]) -> List[int]:
+    def _resolve(self, params):
+        """Also fill in the family's default ``points`` and each point's size and benchmark."""
         from repro.synthesis.families import family_size  # local: lazy import
 
-        family = self._family(params)
-        return [family_size(family, point) for point in self._points(params)]
-
-    def _benchmarks(self, params: Mapping[str, Any]) -> List[str]:
-        benchmark = params.get("benchmark")
-        if benchmark is not None:
-            return [benchmark for _ in self._points(params)]
+        values, fields = super()._resolve(params)
+        family, points = values["family"], values["points"]
+        if points is None:
+            if family not in DEFAULT_SCALE_POINTS:
+                raise PlanError(
+                    f"{self.domains.label}: no default size sweep for topology family "
+                    f"{family!r}; pass explicit 'points'"
+                )
+            points = values["points"] = copy.deepcopy(DEFAULT_SCALE_POINTS[family])
+        elif not points:
+            raise PlanError(f"{self.domains.label}: points must be a non-empty list, got []")
+        values["sizes"] = [family_size(family, point) for point in points]
         # Parametric synthetic workload growing with the fabric: two cores
         # per switch, two flows per core.
-        return [f"uniform_c{2 * size}_f2" for size in self._sizes(params)]
+        values["benchmarks"] = [
+            values["benchmark"] or f"uniform_c{2 * size}_f2" for size in values["sizes"]
+        ]
+        return values, fields
 
-    def specs(self, params: Mapping[str, Any]) -> List[RunSpec]:
-        family = self._family(params)
-        points = self._points(params)
-        sizes = self._sizes(params)
-        benchmarks = self._benchmarks(params)
-        extra = self._spec_params(params)
-        # The family axis is the report's own sweep, never a pass-through.
-        extra.pop("topology_family", None)
-        extra.pop("family_params", None)
+    def _specs(self, params, fields) -> List[RunSpec]:
         return [
             RunSpec(
                 benchmark=benchmark,
                 switch_count=size,
-                seed=params.get("seed", 0),
-                injection_scale=params.get("injection_scale", 0.75),
-                topology_family=family,
+                seed=params["seed"],
+                injection_scale=params["injection_scale"],
+                topology_family=params["family"],
                 family_params=point,
-                **extra,
+                **fields,
             )
-            for benchmark, size, point in zip(benchmarks, sizes, points)
+            for benchmark, size, point in zip(
+                params["benchmarks"], params["sizes"], params["points"]
+            )
         ]
 
-    def render(self, params, lookup) -> Dict[str, Any]:
-        results = self._results(params, lookup)
+    def _render(self, params, results) -> Dict[str, Any]:
         curves: Dict[str, Any] = {}
         for variant in VARIANTS:
             metrics = [r.simulation["variants"][variant] for r in results]
@@ -584,11 +548,11 @@ class _ScaleReport(ReportType):
             }
         first = results[0].simulation if results else {}
         return {
-            "family": self._family(params),
-            "points": self._points(params),
-            "sizes": self._sizes(params),
-            "benchmarks": self._benchmarks(params),
-            "injection_scale": params.get("injection_scale", 0.75),
+            "family": params["family"],
+            "points": params["points"],
+            "sizes": params["sizes"],
+            "benchmarks": params["benchmarks"],
+            "injection_scale": params["injection_scale"],
             "traffic_scenario": first.get("traffic_scenario", "flows"),
             "sim_engine": first.get("engine", "compiled"),
             "removal_extra_vcs": [r.removal_extra_vcs for r in results],
@@ -601,8 +565,8 @@ class _ScaleReport(ReportType):
 report_types.register("latency", _LatencyReport())
 report_types.register("scale", _ScaleReport())
 report_types.register("availability", _AvailabilityReport())
-report_types.register("figure8", _SwitchCountSweepReport("D26_media", FIGURE8_SWITCH_COUNTS))
-report_types.register("figure9", _SwitchCountSweepReport("D36_8", FIGURE9_SWITCH_COUNTS))
+report_types.register("figure8", _Figure8Report())
+report_types.register("figure9", _Figure9Report())
 report_types.register("figure10", _Figure10PowerReport())
 report_types.register("area", _AreaSavingsReport())
 report_types.register("overhead", _OverheadReport())

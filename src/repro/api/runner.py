@@ -133,8 +133,9 @@ def execute_spec_batch(
     the misses run, batched.  The returned records — and the documents
     written to ``cache`` — are byte-identical to executing each spec
     alone.  Cached documents are never trusted: any entry that fails to
-    deserialize (corrupt, stale schema version, missing fields) is treated
-    as a miss and recomputed, not raised.
+    deserialize (corrupt, stale schema version, missing fields) or holds
+    the record of another spec is treated as a miss and recomputed (its
+    entry overwritten), not raised.
     """
     for spec in specs[1:]:
         for (name, mine), (_, theirs) in zip(_batch_key(specs[0]), _batch_key(spec)):
@@ -150,8 +151,10 @@ def execute_spec_batch(
             result = RunResult.from_dict(document) if document is not None else None
         except ReproError:
             result = None
-        if result is not None:
+        if result is not None and result.spec == spec:
             result.cache_hit = True
+        else:
+            result = None
         results.append(result)
     missing = [index for index, result in enumerate(results) if result is None]
     if missing:

@@ -633,19 +633,19 @@ class ExperimentPlan:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ExperimentPlan":
-        _PlanDocument.domains.check(data)
-        version = data.get("format_version", PLAN_FORMAT_VERSION)
+        document = _PlanDocument.domains.normalize(data)
+        version = document["format_version"]
         if version != PLAN_FORMAT_VERSION:
             raise PlanError(
                 f"unsupported plan format version {version} (expected {PLAN_FORMAT_VERSION})"
             )
         specs: List[RunSpec] = []
-        for entry in data.get("runs", []):
-            specs.extend(expand_run_entry(entry, data.get("defaults", {})))
-        reports = [ReportRequest.from_dict(entry) for entry in data.get("reports", [])]
+        for entry in document["runs"]:
+            specs.extend(expand_run_entry(entry, document["defaults"]))
+        reports = [ReportRequest.from_dict(entry) for entry in document["reports"]]
         if not specs and not reports:
             raise PlanError("plan has neither runs nor reports — nothing to execute")
-        return cls(name=data.get("name", "plan"), specs=specs, reports=reports)
+        return cls(name=document["name"], specs=specs, reports=reports)
 
     # ------------------------------------------------------------------
     def to_json(self, *, indent: Optional[int] = 2) -> str:

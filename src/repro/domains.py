@@ -15,17 +15,20 @@ must be given.  A violation raises the owner's typed error as ``"<owner>:
 the type is wrong and the bound when the value is out of it.  A value that
 passes is kept as given.
 
-A class (a dataclass, a topology family, a document's field list) holds
-a :class:`Domains` as its ``domains`` attribute; a subclass's extends its
-base's.  A class's knob with a default (a class value, a dataclass
-field's default) is optional, one without is required.  A generator (a
-fault model, a traffic scenario class) is decorated with :func:`knobs`,
-which checks the keywords of every call.
+A class (a dataclass, a topology family, a report type, a document's
+field list) holds a :class:`Domains` as its ``domains`` attribute; a
+subclass's extends its base's.  A class's knob with a default (a class
+value, a dataclass field's default) is optional, one without is required;
+:meth:`Domains.normalize` fills an omitted one in from the class, so no
+reader restates a default.  A generator (a fault model, a traffic
+scenario class) is decorated with :func:`knobs`, which checks the
+keywords of every call.
 """
 
 from __future__ import annotations
 
 import collections.abc
+import copy
 import dataclasses
 import functools
 import inspect
@@ -171,6 +174,14 @@ class Domains:
             else:
                 domain = "one of " + ", ".join(map(repr, bound))
             raise error(f"{label}: {name} must be {domain}, got {value!r}")
+
+    def normalize(self, values: Mapping[str, Any], *, label=None) -> Dict[str, Any]:
+        """:meth:`check` ``values`` and return every knob of a class owner:
+        the value given, else a copy of the class value (its default), so no
+        two callers share a default."""
+        self.check(values, label=label)
+        return {name: values[name] if name in values else copy.deepcopy(getattr(self.owner, name))
+                for name in self.knobs}
 
 
 def knobs(label: str, error: Type[ReproError], **bounds):

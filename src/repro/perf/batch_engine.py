@@ -40,6 +40,7 @@ from itertools import repeat, starmap
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.api.registry import simulation_engines
+from repro.domains import at_least, knobs
 from repro.errors import SimulationError
 from repro.model.design import NocDesign
 from repro.model.validation import validate_design
@@ -118,6 +119,7 @@ def _share_draw_streams(generators: Sequence[Any], max_cycles: int) -> None:
                 generator.fire = fired.__getitem__
 
 
+@knobs("simulation run", SimulationError, max_cycles=at_least(1))
 def run_batch(
     design: NocDesign,
     configs: Sequence[SimulationConfig],
@@ -131,7 +133,7 @@ def run_batch(
     Each :class:`SimulationConfig` describes one lane whole, so
     ``configs`` may differ in anything (load, seed, scenario, buffer
     depth, watchdog, fault schedule, recovery policy); every lane injects
-    for ``max_cycles`` and then drains with :meth:`Simulator.run
+    for ``max_cycles`` (at least one) and then drains with :meth:`Simulator.run
     <repro.simulation.simulator.Simulator.run>`'s defaults.  ``engine``
     names the :data:`~repro.api.registry.simulation_engines` entry whose
     simulator each lane is.  Returns one :class:`SimulationStats` per

@@ -102,8 +102,8 @@ def validate_trace(document: Mapping[str, Any]) -> Dict[str, Any]:
     two traces listing the same injections in any order canonicalize to the
     same document (and therefore the same spec fingerprint).
     """
-    _TraceDocument.domains.check(document)
-    version = document.get("format_version", TRACE_FORMAT_VERSION)
+    document = _TraceDocument.domains.normalize(document)
+    version = document["format_version"]
     if version != TRACE_FORMAT_VERSION:
         raise SimulationError(
             f"unsupported trace format version {version!r} "
@@ -111,8 +111,8 @@ def validate_trace(document: Mapping[str, Any]) -> Dict[str, Any]:
         )
     cycles = document["cycles"]
     merged: Dict[Tuple[int, str], int] = {}
-    for event in document.get("events", []):
-        _TraceEvent.domains.check(event)
+    for event in document["events"]:
+        event = _TraceEvent.domains.normalize(event)
         cycle = event["cycle"]
         if cycle >= cycles:
             raise SimulationError(
@@ -120,7 +120,7 @@ def validate_trace(document: Mapping[str, Any]) -> Dict[str, Any]:
                 f"({cycles} cycles)"
             )
         key = (cycle, event["flow"])
-        merged[key] = merged.get(key, 0) + event.get("packets", 1)
+        merged[key] = merged.get(key, 0) + event["packets"]
     canonical_events = [
         {"cycle": cycle, "flow": flow, "packets": merged[(cycle, flow)]}
         for cycle, flow in sorted(merged)

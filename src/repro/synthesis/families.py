@@ -147,10 +147,9 @@ class TopologyFamily:
 
     def normalized_params(self, params: Optional[Mapping[str, Any]]) -> Dict[str, Any]:
         """Validate ``params`` against the declaration; fill in the defaults."""
-        given = dict(params or {})
-        self.domains.check(given, label=self.describe(given))
-        normalized = {name: given.get(name, getattr(self, name, None))
-                      for name in self.domains.knobs}
+        given = {} if params is None else params
+        label = self.describe(given if isinstance(given, Mapping) else {})
+        normalized = self.domains.normalize(given, label=label)
         self._check(normalized)
         return normalized
 

@@ -17,7 +17,6 @@ from repro.api.reports import (
     DEFAULT_AVAILABILITY_POLICIES,
     DEFAULT_AVAILABILITY_SEEDS,
     _percentile,
-    _sentinel_free,
     report_types,
 )
 from repro.api.result import RunResult
@@ -113,20 +112,6 @@ class TestPercentile:
 
     def test_empty_sample(self):
         assert _percentile([], 50) is None
-
-
-class TestSentinelFree:
-    def test_recomputes_aggregates_excluding_the_sentinel(self):
-        entry = _sentinel_free(
-            {"recovery_cycles": [10, -1, 20], "mean_recovery_cycles": 9.667}
-        )
-        assert entry["mean_recovery_cycles"] == 15.0
-        assert entry["batches_never_drained"] == 1
-        # The wire list keeps its sentinel untouched.
-        assert entry["recovery_cycles"] == [10, -1, 20]
-
-    def test_pre_axis_record_shape_passes_through(self):
-        assert _sentinel_free({}) == {}
 
 
 def _result(spec: RunSpec, simulation) -> RunResult:

@@ -50,9 +50,10 @@ class TestRunSubcommand:
     ):
         """`noc-deadlock run <plan>` must print byte-identical JSON to the
         legacy `figures` subcommand for the same report."""
-        import repro.api.reports as reports
+        from repro.api.reports import report_types
 
-        monkeypatch.setattr(reports, "FIGURE8_SWITCH_COUNTS", [6, 9])
+        # The declared default of the figure's switch_counts, shrunk.
+        monkeypatch.setattr(type(report_types.get("figure8")), "switch_counts", [6, 9])
         assert main(["figures", "8"]) == 0
         legacy_out = capsys.readouterr().out
 

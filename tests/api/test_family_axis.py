@@ -127,6 +127,19 @@ class TestScaleReport:
         with pytest.raises(PlanError, match="points"):
             report_types.get("scale").specs({"family": "hypercube"})
 
+    @pytest.mark.parametrize(
+        "params, named",
+        [
+            ({"family": 3}, "family must be a non-empty string, got 3"),
+            ({"family": "ring", "points": []}, "points must be a non-empty list, got []"),
+            ({"family": "ring", "points": "k"}, "points must be a list or null, got 'k'"),
+        ],
+    )
+    def test_malformed_family_or_points_rejected(self, params, named):
+        with pytest.raises(PlanError) as caught:
+            report_types.get("scale").specs(params)
+        assert named in str(caught.value)
+
     def test_default_points_cover_every_family(self):
         report = report_types.get("scale")
         for family in ("ring", "mesh", "torus", "fat_tree", "clos", "vl2", "dragonfly"):

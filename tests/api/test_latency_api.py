@@ -172,6 +172,32 @@ class TestLatencyReport:
         with pytest.raises(PlanError, match="sim_cyles"):
             plan.all_specs()
 
+    @pytest.mark.parametrize(
+        "report, params, named",
+        [
+            ("latency", {"injection_scale": 0.5},
+             "report 'latency': run spec field 'injection_scale' is set by the report; "
+             "use 'injection_scales'"),
+            ("figure8", {"benchmark": "D36_8"},
+             "report 'figure8': run spec field 'benchmark' is set by the report"),
+            ("figure10", {"benchmark": "D36_8"},
+             "'benchmark' is set by the report; use 'benchmarks'"),
+            ("figure8", {"switch_count": 10},
+             "'switch_count' is set by the report; use 'switch_counts'"),
+            ("scale", {"family": "ring", "switch_count": 99},
+             "'switch_count' is set by the report; use 'points'"),
+            ("availability", {"fault_recovery": "idle"},
+             "'fault_recovery' is set by the report; use 'recovery_policies'"),
+            ("scale", {"family": "ring", "topology_family": "mesh"},
+             "'topology_family' is set by the report; use 'family'"),
+        ],
+    )
+    def test_a_run_spec_field_the_report_sets_is_refused(self, report, params, named):
+        """Once accepted and ignored: the report's own value won silently."""
+        with pytest.raises(PlanError) as caught:
+            report_types.get(report).specs(params)
+        assert named in str(caught.value)
+
     def test_every_checked_in_plan_still_loads(self):
         plans = sorted((Path(__file__).resolve().parents[2] / "plans").glob("*.json"))
         assert plans

@@ -9,7 +9,14 @@ import pytest
 from repro.api.cache import ArtifactCache
 from repro.api.reports import run_report
 from repro.api.result import RunResult
-from repro.api.runner import COST_KIND, RESULT_KIND, Runner, audit_cache, run_plan
+from repro.api.runner import (
+    COST_KIND,
+    RESULT_KIND,
+    Runner,
+    audit_cache,
+    execute_spec,
+    run_plan,
+)
 from repro.api.spec import STAGE_VERSIONS, ExperimentPlan, ReportRequest, RunSpec
 
 
@@ -81,6 +88,19 @@ class TestArtifactCacheFlow:
         assert again.to_dict()["format_version"] != 99
         # ...and the bad entry was overwritten with a good one.
         assert runner.run_spec(spec).cache_hit is True
+
+    def test_a_record_of_another_spec_is_recomputed_not_served(self, tmp_path):
+        """A record answers only the spec it holds: filed under another
+        spec's key, it is a miss, and the fresh record overwrites it."""
+        cache = ArtifactCache(tmp_path)
+        six, seven = (RunSpec(benchmark="D26_media", switch_count=count) for count in (6, 7))
+        cache.put(RESULT_KIND, seven.fingerprint(), execute_spec(six).to_dict())
+
+        result = execute_spec(seven, cache)
+        assert result.cache_hit is False
+        assert result.switch_count == 7
+        assert RunResult.from_dict(cache.get(RESULT_KIND, seven.fingerprint())).spec == seven
+        assert execute_spec(seven, cache).cache_hit is True
 
     def test_malformed_bundle_design_is_recomputed(self, tmp_path, counting_synthesis):
         warm = RunSpec(benchmark="D26_media", switch_count=8, injection_scale=0.5, sim_cycles=100)

@@ -172,6 +172,8 @@ class TestSimulateFaults:
             (("--injection-scale", "-1"), "injection_scale must be positive"),
             (("--buffer-depth", "0"), "buffer_depth must be at least 1"),
             (("--injection-scale", "nan"), "injection_scale must be positive"),
+            (("--cycles", "-5"), "simulation run: max_cycles must be at least 1, got -5"),
+            (("--cycles", "0"), "simulation run: max_cycles must be at least 1, got 0"),
         ],
     )
     def test_settings_no_network_can_run_are_rejected(self, ring_file, flags, named, capsys):
@@ -322,6 +324,50 @@ class TestTypedErrors:
         plan = tmp_path / "plan.json"
         run = {"benchmark": "D26_media", "switch_count": 6, "injection_scale": 1.0, **params}
         plan.write_text(json.dumps({"name": "out-of-domain", "runs": [{**run, "sim_cycles": 100}]}))
+        code = main(["run", str(plan), "--no-cache"])
+        self._assert_clean_error(code, capsys, named)
+
+    #: Small settings of each report, so that a request the report wrongly
+    #: accepts runs in about a second.
+    SMALL_REPORTS = {
+        "latency": {"benchmark": "D26_media", "switch_count": 6, "sim_cycles": 100},
+        "availability": {
+            "benchmark": "D26_media", "switch_count": 6, "sim_cycles": 100,
+            "recovery_policies": ["removal"], "seeds": [0],
+        },
+        "figure10": {"switch_count": 6},
+    }
+
+    @pytest.mark.parametrize(
+        "report, params, named",
+        [
+            ("latency", {"injection_scales": 5},
+             "report 'latency': injection_scales must be a list, got 5"),
+            ("figure9", {"switch_counts": 10},
+             "report 'figure9': switch_counts must be a list, got 10"),
+            ("availability", {"recovery_policies": 3},
+             "report 'availability': recovery_policies must be a list, got 3"),
+            ("availability", {"fault_params": [1, 2]},
+             "report 'availability': fault_params must be a mapping, got [1, 2]"),
+            ("scale", {"family": "ring", "points": [1]},
+             "topology family 'ring' must be a mapping, got int"),
+            # Exited 0 with a delivered fraction of 0.0 for the unknown variant.
+            ("availability", {"variant": "nosuch"},
+             "report 'availability': variant must be one of 'unprotected', 'removal', "
+             "'ordering', got 'nosuch'"),
+            # Strings, once read as lists of their characters.
+            ("figure10", {"benchmarks": "D36_8"},
+             "report 'figure10': benchmarks must be a list, got 'D36_8'"),
+            ("availability", {"seeds": "ab"},
+             "report 'availability': seeds must be a list, got 'ab'"),
+            ("latency", {"injection_scales": "ab"},
+             "report 'latency': injection_scales must be a list, got 'ab'"),
+        ],
+    )
+    def test_report_parameter_out_of_domain(self, tmp_path, capsys, report, params, named):
+        plan = tmp_path / "plan.json"
+        request = {"type": report, **self.SMALL_REPORTS.get(report, {}), **params}
+        plan.write_text(json.dumps({"name": "bad-report", "reports": [request]}))
         code = main(["run", str(plan), "--no-cache"])
         self._assert_clean_error(code, capsys, named)
 

@@ -4,14 +4,15 @@ The cases come from the declarations themselves (:mod:`repro.domains`):
 the ``domains`` of the dataclass owners (``RunSpec``, ``SynthesisConfig``,
 ``SimulationConfig``, ``FaultEvent``, ``ExperimentPlan``,
 ``ReportRequest``), of the plan, trace and trace-event documents and,
-through the registries, of every topology family, fault model and traffic
-scenario.  A new knob or registry entry is covered without editing this
-file.  Each value must either raise a :class:`~repro.errors.ReproError`
-at once or be accepted and kept as given: a field or family parameter
-keeps the value it was given (nothing is clamped), a document is read,
-and a generator call completes with a schedule or a finite offered load
-instead of failing with another exception.  A document or family that
-lacks a required key fails with a typed error naming it.
+through the registries, of every topology family, fault model, traffic
+scenario and report type.  A new knob or registry entry is covered
+without editing this file.  Each value must either raise a
+:class:`~repro.errors.ReproError` at once or be accepted and kept as
+given: a field or family parameter keeps the value it was given (nothing
+is clamped), a document is read, a generator call completes with a
+schedule or a finite offered load and a report request builds its specs,
+instead of failing with another exception.  A document, family or report
+request that lacks a required key fails with a typed error naming it.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import math
 import pytest
 
 from repro.api.registry import fault_models, topology_families, traffic_scenarios
+from repro.api.reports import report_types
 from repro.api.spec import ExperimentPlan, ReportRequest, RunSpec, _PlanDocument
 from repro.domains import Interval
 from repro.errors import PlanError, ReproError, SimulationError
@@ -47,6 +49,10 @@ DATACLASS_OWNERS = {
     ExperimentPlan: {},
     ReportRequest: {"type": "availability"},
 }
+
+
+#: The required parameters of the report types that have any.
+REPORT_REQUIRED = {"scale": {"family": "ring"}}
 
 
 def _read_trace_event(event):
@@ -148,6 +154,12 @@ def _missing_key_cases():
         family = topology_families.get(name)
         read = family.normalized_params
         cases.append(pytest.param(family.domains, read, _required_family_params(family), id=name))
+    for name in report_types.names():
+        report = report_types.get(name)
+        cases.append(
+            pytest.param(report.domains, report.specs, REPORT_REQUIRED.get(name, {}),
+                         id=f"report-{name}")
+        )
     return cases
 
 
@@ -170,6 +182,17 @@ def test_family_parameter_raises_or_keeps_the_value(family_name, name):
         except ReproError:
             continue
         assert params[name] == value, (name, value)
+
+
+@pytest.mark.parametrize("report_name, name", _cases(_generators(report_types)))
+def test_report_parameter_raises_or_builds_specs(report_name, name):
+    report = report_types.get(report_name)
+    for value in boundary_values(report.domains, name):
+        try:
+            specs = report.specs({**REPORT_REQUIRED.get(report_name, {}), name: value})
+        except ReproError:
+            continue
+        assert specs and all(isinstance(spec, RunSpec) for spec in specs), (name, value)
 
 
 @pytest.mark.parametrize("model, name", _cases(_generators(fault_models)))
