@@ -19,10 +19,10 @@ can share one cache directory; a corrupt or truncated entry is treated as
 a miss, moved aside into ``<root>/corrupt/`` (so the evidence survives for
 debugging and the recompute's fresh write cannot race the broken file) and
 recomputed, never trusted.  A worker killed mid-write leaves its
-``.tmp`` file behind — those orphans are swept opportunistically the first
-time a process constructs a cache over the directory (once, so per-spec
-pool workers do not pay a tree walk per work item) and unconditionally by
-:meth:`ArtifactCache.clear`, so crashed sweeps cannot leak disk forever.
+``.tmp`` file behind — those orphans are swept the first time a process
+constructs a cache over the directory (once, so per-spec pool workers do
+not pay a tree walk per work item), so crashed sweeps cannot leak disk
+forever.
 Documents are serialized *without* key sorting: design documents encode
 route insertion order in JSON object order, and re-sorting them would
 perturb downstream iteration order.
@@ -113,9 +113,10 @@ class ArtifactCache:
     def put(self, kind: str, key: str, document: Dict[str, Any]) -> Path:
         """Atomically store ``document`` under ``(kind, key)``.
 
-        Retries once when the temp file (or its directory) vanishes between
-        write and rename — a concurrent :meth:`clear` sweeps ``.tmp`` files
-        unconditionally, and losing that race must not crash the writer.
+        Retries once when the temp file (or the entry's directory) vanishes
+        between write and rename — something outside this process may
+        remove the directory, and losing that race must not crash the
+        writer.
         """
         payload = json.dumps(document, indent=None, separators=(",", ":"))
         for attempt in range(2):
@@ -150,15 +151,9 @@ class ArtifactCache:
         return [path.stem for path in sorted((self.root / kind).glob("*/*.json"))]
 
     # ------------------------------------------------------------------
-    def entry_count(self, kind: Optional[str] = None) -> int:
-        """Number of stored artifacts (optionally of one kind)."""
-        base = self.root / kind if kind else self.root
-        if not base.is_dir():
-            return 0
-        return sum(1 for _ in base.rglob("*.json"))
-
-    def sweep_temp_files(self, *, min_age_seconds: float = _TMP_SWEEP_MIN_AGE_SECONDS) -> int:
-        """Remove orphaned ``.tmp`` files older than ``min_age_seconds``.
+    def sweep_temp_files(self) -> int:
+        """Remove orphaned ``.tmp`` files older than
+        :data:`_TMP_SWEEP_MIN_AGE_SECONDS`.
 
         :meth:`put` writes through a temp file in the entry's directory; a
         worker killed between ``mkstemp`` and ``os.replace`` leaks it.  Only
@@ -168,7 +163,7 @@ class ArtifactCache:
         removed = 0
         if not self.root.is_dir():
             return removed
-        cutoff = time.time() - min_age_seconds  # noc-lint: disable=det-wallclock - age math against file mtimes needs the wall clock; never feeds results
+        cutoff = time.time() - _TMP_SWEEP_MIN_AGE_SECONDS  # noc-lint: disable=det-wallclock - age math against file mtimes needs the wall clock; never feeds results
         for path in self.root.rglob("*.tmp"):
             try:
                 if path.stat().st_mtime <= cutoff:
@@ -176,19 +171,6 @@ class ArtifactCache:
                     removed += 1
             except OSError:
                 pass
-        return removed
-
-    def clear(self) -> int:
-        """Delete every artifact and temp file; returns how many were removed."""
-        removed = 0
-        if self.root.is_dir():
-            for pattern in ("*.json", "*.tmp"):
-                for path in self.root.rglob(pattern):
-                    try:
-                        path.unlink()
-                        removed += 1
-                    except OSError:
-                        pass
         return removed
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -61,7 +61,7 @@ from repro.errors import (
 )
 from repro.export.dot import cdg_to_dot, design_report, topology_to_dot
 from repro.model.serialization import load_design, save_design
-from repro.power.estimator import estimate_area, estimate_power
+from repro.power.estimator import estimate_power_and_area
 from repro.routing.ordering import apply_resource_ordering
 from repro.simulation.simulator import SimulationConfig, simulate_design
 from repro.synthesis.builder import SynthesisConfig, synthesize_design
@@ -155,8 +155,7 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
     print(f"synthesized {design.name}: {design.topology.switch_count} switches, "
           f"{design.topology.link_count} links, CDG "
           f"{'acyclic' if cdg.is_acyclic() else 'CYCLIC'}")
-    power = estimate_power(design)
-    area = estimate_area(design)
+    power, area = estimate_power_and_area(design)
     print(power.summary())
     print(area.summary())
     if args.output:

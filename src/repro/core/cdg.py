@@ -10,7 +10,7 @@ eliminates.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
 
 from repro.errors import DesignError
 from repro.model.channels import Channel
@@ -138,34 +138,18 @@ class ChannelDependencyGraph:
         return f"ChannelDependencyGraph(channels={self.channel_count}, edges={self.edge_count})"
 
 
-def build_cdg(
-    design_or_routes,
-    *,
-    include_unused_channels: bool = False,
-) -> ChannelDependencyGraph:
+def build_cdg(design_or_routes) -> ChannelDependencyGraph:
     """Build the CDG from a :class:`~repro.model.design.NocDesign` or a
     :class:`~repro.model.routes.RouteSet` (Step 2 of Algorithm 1).
 
-    Parameters
-    ----------
-    design_or_routes:
-        Either a full design (topology + routes) or a bare route set.
-    include_unused_channels:
-        When true and a design is given, every topology channel becomes a
-        vertex even if no route uses it.  Unused channels can never be part
-        of a cycle, so this only matters for reporting.
+    Only the channels some route uses become vertices: an unused channel
+    can never be part of a cycle.
     """
     if isinstance(design_or_routes, NocDesign):
         routes: RouteSet = design_or_routes.routes
-        design: Optional[NocDesign] = design_or_routes
     else:
         routes = design_or_routes
-        design = None
-
     cdg = ChannelDependencyGraph()
-    if include_unused_channels and design is not None:
-        for channel in design.topology.channels():
-            cdg.add_channel(channel)
     for flow_name, route in routes.items():
         cdg.add_route(flow_name, route.channels)
     return cdg

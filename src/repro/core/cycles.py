@@ -6,7 +6,7 @@ CDG; whenever the start vertex is reached again a cycle has been found, and
 (deterministically: vertices and successors are visited in sorted order) and
 additionally expose a full cycle enumeration based on Johnson's algorithm
 (:func:`repro.perf.cycle_search.simple_cycles`, over channel ids in sorted
-order) which the capped counts use.
+order) and the package's one capped cycle count, :func:`count_cycles`.
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ from repro.model.channels import Channel
 
 #: How many elementary cycles ``noc-deadlock analyze`` counts before
 #: stopping: dense CDGs have exponentially many.  A count that reaches it is
-#: a lower bound (:func:`format_cycle_count`).  Removal counts none.
+#: a lower bound (:func:`format_cycle_count`).  Removal counts only when it
+#: fails to converge, capped at 100.
 CYCLE_COUNT_CAP = 2000
 
 

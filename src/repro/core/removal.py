@@ -18,9 +18,11 @@ result its exact cycle structure: the number of cyclic strongly connected
 components, the channel count of the largest and the number of channels
 on some cycle (:func:`repro.perf.cycle_search.cycle_structure`).
 Elementary cycles are not counted: a dense CDG has exponentially many, and
-the paper reports what breaking them costs, not how many there were.  A
-capped count stays available off this path
-(:func:`repro.core.cycles.count_cycles`, ``noc-deadlock analyze``).
+the paper reports what breaking them costs, not how many there were.  Only
+a run that hits its iteration cap counts them, capped at 100, for the
+:class:`~repro.errors.ConvergenceError` it raises
+(:func:`repro.core.cycles.count_cycles`, which ``noc-deadlock analyze``
+also runs).
 
 Engines are looked up by name in the pluggable
 :data:`repro.api.registry.removal_engines` registry (new engines register
@@ -58,11 +60,7 @@ from repro.model.design import NocDesign
 from repro.model.validation import validate_design
 from repro.perf.cdg_index import CDGIndex
 from repro.perf.cost_index import CycleCostEngine
-from repro.perf.cycle_search import (
-    IncrementalCycleSearch,
-    count_cycles_indexed,
-    cycle_structure,
-)
+from repro.perf.cycle_search import IncrementalCycleSearch, cycle_structure
 
 ENGINE_CONTEXT = "context"
 ENGINE_REBUILD = "rebuild"
@@ -146,9 +144,10 @@ class DeadlockRemover:
         supplies what the engines do differently: ``next_cycle``,
         ``choose_break`` and ``after_break``, plus the CDG they maintain
         (``graph``, with ``is_acyclic()`` and ``edge_count``), its
-        ``cycle_structure``, the capped ``count_cycles`` a
-        :class:`~repro.errors.ConvergenceError` reports and the ``index``
-        handed to :func:`~repro.core.breaker.break_cycle`.
+        ``cycle_structure`` and the ``index`` handed to
+        :func:`~repro.core.breaker.break_cycle`.  A run past
+        ``max_iterations`` raises :class:`~repro.errors.ConvergenceError`
+        with the capped cycle count of the CDG rebuilt from ``work``.
         """
         cyclic_sccs, largest_scc, cyclic_channels = steps.cycle_structure()
 
@@ -170,7 +169,7 @@ class DeadlockRemover:
                 break
             iteration += 1
             if iteration > max_iterations:
-                raise ConvergenceError(iteration - 1, steps.count_cycles(limit=100))
+                raise ConvergenceError(iteration - 1, count_cycles(build_cdg(work), limit=100))
             direction, _, position, table = steps.choose_break(cycle)
             action = break_cycle(
                 work,
@@ -202,9 +201,6 @@ class _RebuildSteps:
 
     def cycle_structure(self):
         return cycle_structure(self.graph.channels, self.graph.successors)
-
-    def count_cycles(self, limit: int) -> int:
-        return count_cycles(self.graph, limit=limit)
 
     def next_cycle(self):
         return find_smallest_cycle(self.graph)
@@ -239,9 +235,6 @@ class _ContextSteps:
 
     def cycle_structure(self):
         return cycle_structure(self.index.sorted_vertices(), self.index.successors)
-
-    def count_cycles(self, limit: int) -> int:
-        return count_cycles_indexed(self.graph, limit=limit)
 
     def next_cycle(self):
         return self._search.find_smallest()

@@ -9,11 +9,13 @@ type annotation the owner already carries (``int``, ``float``, ``str``,
 these); its bound is data beside the annotations, an :class:`Interval` or
 its choices (a tuple or a registry).  The rules hold everywhere: a bool is
 never a number, a ``float`` must be finite, a ``str`` must not be empty,
-an unknown key is rejected with the valid ones named, and a required key
-must be given.  A violation raises the owner's typed error as ``"<owner>:
-<name> must be <domain>, got <value!r>"``, the domain being the kind when
-the type is wrong and the bound when the value is out of it.  A value that
-passes is kept as given.
+each element of a ``List[X]`` must be of kind ``X`` (``List[Any]`` is not
+checked), an unknown key is rejected with the valid ones named, and a
+required key must be given.  A violation raises the owner's typed error as
+``"<owner>: <name> must be <domain>, got <value!r>"`` (``<name>[<position>]``
+for a list element), the domain being the kind when the type is wrong and
+the bound when the value is out of it.  A value that passes is kept as
+given.
 
 A class (a dataclass, a topology family, a report type, a document's
 field list) holds a :class:`Domains` as its ``domains`` attribute; a
@@ -71,12 +73,14 @@ at_least = Interval
 
 
 class Knob(NamedTuple):
-    """One knob's kind, resolved from its annotation."""
+    """One knob's kind, resolved from its annotation; ``item`` is the kind of
+    a ``List[X]`` knob's elements."""
 
     types: Tuple[type, ...]
     kind: str
     finite: bool
     required: bool
+    item: Optional["Knob"] = None
 
 
 _KIND_NAMES = {
@@ -89,14 +93,29 @@ _KIND_NAMES = {
 def _leaves(annotation) -> Tuple[Any, ...]:
     if typing.get_origin(annotation) is typing.Union:
         return tuple(leaf for arg in typing.get_args(annotation) for leaf in _leaves(arg))
-    return (typing.get_origin(annotation) or annotation,)
+    return (annotation,)
 
 
 def _knob(annotation, required: bool) -> Knob:
     leaves = _leaves(annotation)
-    types = sum(((int, float) if t is float else (t,) for t in leaves), ())
-    names = dict.fromkeys(_KIND_NAMES.get(t) or f"an instance of {t.__name__}" for t in leaves)
-    return Knob(types, " or ".join(names), float in leaves, required)
+    origins = [typing.get_origin(t) or t for t in leaves]
+    types = sum(((int, float) if t is float else (t,) for t in origins), ())
+    names = dict.fromkeys(_KIND_NAMES.get(t) or f"an instance of {t.__name__}" for t in origins)
+    items = [typing.get_args(t) for t in leaves if typing.get_origin(t) is list]
+    item = _knob(items[0][0], True) if items and items[0] and items[0][0] is not Any else None
+    return Knob(types, " or ".join(names), float in origins, required, item)
+
+
+def _outside(knob: Knob, bound, value) -> Optional[str]:
+    """The domain ``value`` lies outside of, or None when it is inside."""
+    if not isinstance(value, knob.types) or value == "" or (
+            isinstance(value, bool) and bool not in knob.types):
+        return knob.kind
+    if bound is None or value is None or value in bound:
+        return None
+    if isinstance(bound, Interval):
+        return bound.describe(knob.finite)
+    return "one of " + ", ".join(map(repr, bound))
 
 
 @functools.lru_cache(maxsize=None)
@@ -154,26 +173,29 @@ class Domains:
         knobs, label, error = self.knobs, label or self.label, error or self.error
         if not isinstance(values, (dict, collections.abc.Mapping)):
             raise error(f"{label} must be a mapping, got {type(values).__name__}")
-        unknown = sorted((values.keys() - knobs.keys()) | (values.keys() & set(exclude)))
+        unknown = values.keys() - knobs.keys()
+        if exclude:
+            unknown |= values.keys() & set(exclude)
         if unknown:
             valid = ", ".join(name for name in knobs if name not in exclude) or "none"
-            raise error(f"{label}: unknown parameter(s) {', '.join(unknown)}; valid: {valid}")
+            raise error(f"{label}: unknown parameter(s) {', '.join(sorted(unknown))}; "
+                        f"valid: {valid}")
         for name, knob, bound in self._rules:
             if name not in values:
                 if knob.required and name not in exclude:
                     raise error(f"{label}: missing required parameter {name!r}")
                 continue
             value = values[name]
-            if not isinstance(value, knob.types) or value == "" or (
-                    isinstance(value, bool) and bool not in knob.types):
-                domain = knob.kind
-            elif bound is None or value is None or value in bound:
-                continue
-            elif isinstance(bound, Interval):
-                domain = bound.describe(knob.finite)
-            else:
-                domain = "one of " + ", ".join(map(repr, bound))
-            raise error(f"{label}: {name} must be {domain}, got {value!r}")
+            domain = _outside(knob, bound, value)
+            if domain:
+                raise error(f"{label}: {name} must be {domain}, got {value!r}")
+            if knob.item and isinstance(value, list):
+                item_bound = FINITE if knob.item.finite else None
+                for position, element in enumerate(value):
+                    domain = _outside(knob.item, item_bound, element)
+                    if domain:
+                        raise error(f"{label}: {name}[{position}] must be {domain}, "
+                                    f"got {element!r}")
 
     def normalize(self, values: Mapping[str, Any], *, label=None) -> Dict[str, Any]:
         """:meth:`check` ``values`` and return every knob of a class owner:

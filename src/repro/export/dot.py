@@ -17,7 +17,7 @@ def _quote(name: str) -> str:
     return f'"{escaped}"'
 
 
-def topology_to_dot(design_or_topology, *, show_cores: bool = True) -> str:
+def topology_to_dot(design_or_topology) -> str:
     """Render a topology (or a whole design) as a Graphviz ``digraph``.
 
     Switches become boxes; each physical link becomes one edge labelled with
@@ -48,7 +48,7 @@ def topology_to_dot(design_or_topology, *, show_cores: bool = True) -> str:
         lines.append(
             f"  {_quote(link.src)} -> {_quote(link.dst)} [{', '.join(attributes)}];"
         )
-    if design is not None and show_cores:
+    if design is not None:
         lines.append("  node [shape=ellipse, style=filled, fillcolor=honeydew];")
         for core, switch in sorted(design.core_map.items()):
             lines.append(f"  {_quote(core)};")
@@ -61,10 +61,10 @@ def cdg_to_dot(
     cdg: ChannelDependencyGraph,
     *,
     highlight_cycle: Optional[Sequence[Channel]] = None,
-    show_flows: bool = True,
 ) -> str:
     """Render a channel dependency graph as a Graphviz ``digraph``.
 
+    Each edge is labelled with the flows that create it.
     ``highlight_cycle`` colours the vertices and edges of one cycle (as
     returned by :func:`repro.core.cycles.find_smallest_cycle`) in red — the
     Figure 2 view of a design's deadlock potential.
@@ -84,15 +84,14 @@ def cdg_to_dot(
         else:
             lines.append(f"  {_quote(channel.name)};")
     for first, second in cdg.edges:
-        attributes = []
-        if show_flows:
-            flows = sorted(cdg.flows_on_edge(first, second))
-            attributes.append(f'label="{", ".join(flows)}"')
+        flows = sorted(cdg.flows_on_edge(first, second))
+        attributes = [f'label="{", ".join(flows)}"']
         if (first, second) in highlighted_edges:
             attributes.append("color=crimson")
             attributes.append("penwidth=2")
-        suffix = f" [{', '.join(attributes)}]" if attributes else ""
-        lines.append(f"  {_quote(first.name)} -> {_quote(second.name)}{suffix};")
+        lines.append(
+            f"  {_quote(first.name)} -> {_quote(second.name)} [{', '.join(attributes)}];"
+        )
     lines.append("}")
     return "\n".join(lines)
 

@@ -87,10 +87,6 @@ class Channel:
         """Human-readable name, e.g. ``SW1->SW2.vc0``."""
         return f"{self.link.name}.vc{self.vc}"
 
-    def with_vc(self, vc: int) -> "Channel":
-        """The channel on the same physical link but a different VC."""
-        return Channel(self.link, vc)
-
     def __str__(self) -> str:  # pragma: no cover - trivial
         return self.name
 

@@ -54,14 +54,6 @@ class NocDesign:
     # ------------------------------------------------------------------
     # core mapping
     # ------------------------------------------------------------------
-    def attach_core(self, core: str, switch: str) -> None:
-        """Attach ``core`` to ``switch`` (the switch must exist)."""
-        if not self.traffic.has_core(core):
-            raise DesignError(f"unknown core {core!r}")
-        if not self.topology.has_switch(switch):
-            raise DesignError(f"unknown switch {switch!r}")
-        self.core_map[core] = switch
-
     def switch_of(self, core: str) -> str:
         """The switch a core attaches to."""
         try:
@@ -80,10 +72,6 @@ class NocDesign:
     def flows(self) -> List[Flow]:
         """All flows of the design, sorted by name."""
         return self.traffic.flows
-
-    def flow_endpoints_switches(self, flow: Flow) -> tuple:
-        """(source switch, destination switch) for a flow."""
-        return self.switch_of(flow.src), self.switch_of(flow.dst)
 
     @property
     def extra_vc_count(self) -> int:

@@ -70,14 +70,6 @@ class Route:
         result.extend(channel.dst for channel in self._channels)
         return result
 
-    def uses_channel(self, channel: Channel) -> bool:
-        """True when the route traverses ``channel``."""
-        return channel in self._channels
-
-    def uses_link(self, link: Link) -> bool:
-        """True when the route traverses any VC of ``link``."""
-        return any(channel.link == link for channel in self._channels)
-
     def index_of(self, channel: Channel) -> int:
         """Position of the first occurrence of ``channel`` in the route."""
         try:
@@ -201,10 +193,6 @@ class RouteSet:
     def items(self) -> List[Tuple[str, Route]]:
         """(flow name, route) pairs sorted by flow name."""
         return [(name, self._routes[name]) for name in self.flow_names]
-
-    def total_hop_count(self) -> int:
-        """Sum of route lengths (proportional to dynamic link traversals)."""
-        return sum(route.hop_count for route in self._routes.values())
 
     def copy(self) -> "RouteSet":
         """Shallow copy (routes themselves are immutable)."""

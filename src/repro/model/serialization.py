@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Dict, Union
+from typing import Any, Dict, List, Optional, Union
 
+from repro.domains import NON_NEGATIVE, POSITIVE, Domains, at_least
 from repro.errors import SerializationError
 from repro.model.channels import Channel, Link
 from repro.model.design import NocDesign
@@ -71,59 +72,131 @@ def design_to_dict(design: NocDesign) -> Dict[str, Any]:
     }
 
 
+class _DesignDocument:
+    """A design document's sections: a class value is the default, none means
+    required (see :mod:`repro.domains`)."""
+
+    format_version: int = FORMAT_VERSION
+    name: str = "design"
+    topology: Dict[str, Any]
+    traffic: Dict[str, Any]
+    core_map: Dict[str, Any] = {}
+    routes: Dict[str, Any] = {}
+    domains = Domains("design", SerializationError)
+
+
+class _TopologySection:
+    """The ``topology`` section, declared as :class:`_DesignDocument` is."""
+
+    name: str = "topology"
+    switches: List[str]
+    links: List[Dict[str, Any]]
+    domains = Domains("design topology", SerializationError)
+
+
+class _LinkEntry:
+    """One entry of ``topology.links``; without ``length_mm`` a link is 1 mm."""
+
+    src: str
+    dst: str
+    index: int = 0
+    vc_count: int = 1
+    length_mm: Optional[float] = None
+    domains = Domains("design link", SerializationError, index=NON_NEGATIVE,
+                      vc_count=at_least(1), length_mm=POSITIVE)
+
+
+class _TrafficSection:
+    """The ``traffic`` section."""
+
+    name: str = "traffic"
+    cores: List[str]
+    flows: List[Dict[str, Any]]
+    domains = Domains("design traffic", SerializationError)
+
+
+class _FlowEntry:
+    """One entry of ``traffic.flows``."""
+
+    name: str
+    src: str
+    dst: str
+    bandwidth: float = 1.0
+    packet_size_flits: int = 8
+    domains = Domains("design flow", SerializationError, bandwidth=POSITIVE,
+                      packet_size_flits=at_least(1))
+
+
+class _ChannelEntry:
+    """One channel of a route in ``routes``."""
+
+    src: str
+    dst: str
+    index: int = 0
+    vc: int = 0
+    domains = Domains("design route", SerializationError, index=NON_NEGATIVE, vc=NON_NEGATIVE)
+
+
 def design_from_dict(data: Dict[str, Any]) -> NocDesign:
-    """Rebuild a design from the dictionary produced by :func:`design_to_dict`."""
-    try:
-        version = data.get("format_version", FORMAT_VERSION)
-        if version != FORMAT_VERSION:
-            raise SerializationError(
-                f"unsupported design format version {version} (expected {FORMAT_VERSION})"
-            )
-        topo_data = data["topology"]
-        topology = Topology(topo_data.get("name", "topology"))
-        topology.add_switches(topo_data["switches"])
-        for entry in topo_data["links"]:
-            link = topology.add_link(
-                entry["src"],
-                entry["dst"],
-                index=entry.get("index", 0),
-                vc_count=entry.get("vc_count", 1),
-            )
-            if "length_mm" in entry:
-                topology.set_link_length(link, entry["length_mm"])
+    """Rebuild a design from the dictionary produced by :func:`design_to_dict`.
 
-        traffic_data = data["traffic"]
-        traffic = CommunicationGraph(traffic_data.get("name", "traffic"))
-        traffic.add_cores(traffic_data["cores"])
-        for entry in traffic_data["flows"]:
-            traffic.add_flow(
-                entry["name"],
-                entry["src"],
-                entry["dst"],
-                entry.get("bandwidth", 1.0),
-                entry.get("packet_size_flits", 8),
-            )
-
-        routes = RouteSet()
-        for flow_name, channel_entries in data.get("routes", {}).items():
-            channels = [
-                Channel(Link(e["src"], e["dst"], e.get("index", 0)), e.get("vc", 0))
-                for e in channel_entries
-            ]
-            routes.set_route(flow_name, Route(channels))
-
-        design = NocDesign(
-            name=data.get("name", "design"),
-            topology=topology,
-            traffic=traffic,
-            core_map=dict(data.get("core_map", {})),
-            routes=routes,
+    Every section and entry is checked against its declared fields; a
+    malformed document raises :class:`~repro.errors.SerializationError`
+    naming the field.
+    """
+    document = _DesignDocument.domains.normalize(data)
+    version = document["format_version"]
+    if version != FORMAT_VERSION:
+        raise SerializationError(
+            f"unsupported design format version {version} (expected {FORMAT_VERSION})"
         )
-        return design
-    except SerializationError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SerializationError(f"malformed design document: {exc}") from exc
+    topo_data = _TopologySection.domains.normalize(document["topology"])
+    topology = Topology(topo_data["name"])
+    topology.add_switches(topo_data["switches"])
+    for position, entry in enumerate(topo_data["links"]):
+        entry = _LinkEntry.domains.normalize(entry, label=f"design link {position}")
+        topology.add_link(
+            entry["src"],
+            entry["dst"],
+            index=entry["index"],
+            vc_count=entry["vc_count"],
+            length_mm=entry["length_mm"],
+        )
+
+    traffic_data = _TrafficSection.domains.normalize(document["traffic"])
+    traffic = CommunicationGraph(traffic_data["name"])
+    traffic.add_cores(traffic_data["cores"])
+    for position, entry in enumerate(traffic_data["flows"]):
+        entry = _FlowEntry.domains.normalize(entry, label=f"design flow {position}")
+        traffic.add_flow(
+            entry["name"], entry["src"], entry["dst"], entry["bandwidth"],
+            entry["packet_size_flits"],
+        )
+
+    routes = RouteSet()
+    for flow_name, channel_entries in document["routes"].items():
+        if not isinstance(channel_entries, list):
+            raise SerializationError(
+                f"design: the route of flow {flow_name!r} must be a list, "
+                f"got {channel_entries!r}"
+            )
+        channels = []
+        for position, entry in enumerate(channel_entries):
+            entry = _ChannelEntry.domains.normalize(
+                entry, label=f"design route {flow_name!r} channel {position}"
+            )
+            channels.append(
+                Channel(Link(entry["src"], entry["dst"], entry["index"]), entry["vc"])
+            )
+        routes.set_route(flow_name, Route(channels))
+
+    return NocDesign(
+        name=document["name"],
+        topology=topology,
+        traffic=traffic,
+        core_map=dict(document["core_map"]),
+        routes=routes,
+    )
 
 
 def save_design(design: NocDesign, path: Union[str, Path]) -> Path:

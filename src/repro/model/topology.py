@@ -8,6 +8,7 @@ resource-ordering baseline grow ``vc_count`` when they need extra channels.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import TopologyError
@@ -240,28 +241,35 @@ class Topology:
         """Switches reachable over one outgoing link, sorted and deduplicated."""
         return sorted({link.dst for link in self.out_links(switch)})
 
-    def degree(self, switch: str) -> int:
-        """Total number of links touching ``switch`` (in + out)."""
-        return len(self.out_links(switch)) + len(self.in_links(switch))
+    def hop_distances(self, origin: str) -> Dict[str, int]:
+        """Hop distance from ``origin`` to every switch it reaches, treating
+        links as undirected.
+
+        One breadth-first search that visits each switch's neighbours in
+        sorted order, so the result is deterministic.
+        """
+        if not self.has_switch(origin):
+            raise TopologyError(f"unknown switch {origin!r}")
+        adjacency: Dict[str, set] = {switch: set() for switch in self._switches}
+        for link in self._links:
+            adjacency[link.src].add(link.dst)
+            adjacency[link.dst].add(link.src)
+        distances = {origin: 0}
+        queue = deque([origin])
+        while queue:
+            switch = queue.popleft()
+            for neighbor in sorted(adjacency[switch]):
+                if neighbor not in distances:
+                    distances[neighbor] = distances[switch] + 1
+                    queue.append(neighbor)
+        return distances
 
     def is_connected(self) -> bool:
         """True when every switch can reach every other switch treating links
         as undirected (the usual notion of connectivity for NoC floorplans)."""
         if not self._switches:
             return True
-        adjacency: Dict[str, set] = {s: set() for s in self._switches}
-        for link in self._links:
-            adjacency[link.src].add(link.dst)
-            adjacency[link.dst].add(link.src)
-        seen = set()
-        frontier = [self._switches[0]]
-        while frontier:
-            node = frontier.pop()
-            if node in seen:
-                continue
-            seen.add(node)
-            frontier.extend(adjacency[node] - seen)
-        return len(seen) == len(self._switches)
+        return len(self.hop_distances(self._switches[0])) == len(self._switches)
 
     def __iter__(self) -> Iterator[str]:
         return iter(self._switches)

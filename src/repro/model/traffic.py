@@ -115,16 +115,6 @@ class CommunicationGraph:
         self._flows[name] = flow
         return flow
 
-    def register_flow(self, flow: Flow) -> None:
-        """Register an already-constructed :class:`Flow`."""
-        if not self.has_core(flow.src):
-            raise TrafficError(f"flow {flow.name!r}: unknown source core {flow.src!r}")
-        if not self.has_core(flow.dst):
-            raise TrafficError(f"flow {flow.name!r}: unknown destination core {flow.dst!r}")
-        if flow.name in self._flows:
-            raise TrafficError(f"flow {flow.name!r} already exists")
-        self._flows[flow.name] = flow
-
     def flow(self, name: str) -> Flow:
         """Look up a flow by name."""
         try:

@@ -46,18 +46,18 @@ def validate_core_mapping(design: NocDesign) -> List[str]:
     return problems
 
 
-def validate_routes(design: NocDesign, require_all: bool = True) -> List[str]:
-    """Route findings: existence, channel validity, endpoint correctness."""
+def validate_routes(design: NocDesign) -> List[str]:
+    """Route findings: existence, channel validity, endpoint correctness.
+
+    Every flow needs a route, except one between cores on the same switch.
+    """
     problems: List[str] = []
     topology = design.topology
     for flow in design.traffic.flows:
         if not design.routes.has_route(flow.name):
-            if require_all:
-                src_sw = design.core_map.get(flow.src)
-                dst_sw = design.core_map.get(flow.dst)
-                if src_sw is not None and src_sw == dst_sw:
-                    # Cores on the same switch legitimately need no route.
-                    continue
+            src_sw = design.core_map.get(flow.src)
+            dst_sw = design.core_map.get(flow.dst)
+            if src_sw is None or src_sw != dst_sw:
                 problems.append(f"flow {flow.name!r} has no route")
             continue
         route = design.routes.route(flow.name)
@@ -119,22 +119,18 @@ def validate_routes(design: NocDesign, require_all: bool = True) -> List[str]:
     return problems
 
 
-def collect_problems(design: NocDesign, require_all_routes: bool = True) -> List[str]:
+def collect_problems(design: NocDesign) -> List[str]:
     """All findings from every validation pass."""
     problems = []
     problems.extend(validate_topology(design))
     problems.extend(validate_core_mapping(design))
-    problems.extend(validate_routes(design, require_all=require_all_routes))
+    problems.extend(validate_routes(design))
     return problems
 
 
-def validate_design(design: NocDesign, require_all_routes: bool = True) -> None:
+def validate_design(design: NocDesign) -> None:
     """Raise :class:`~repro.errors.ValidationError` when any check fails."""
-    problems = collect_problems(design, require_all_routes=require_all_routes)
+    problems = collect_problems(design)
     if problems:
         raise ValidationError(problems)
 
-
-def is_valid(design: NocDesign, require_all_routes: bool = True) -> bool:
-    """True when :func:`validate_design` would not raise."""
-    return not collect_problems(design, require_all_routes=require_all_routes)

@@ -12,7 +12,7 @@ Behaviour-preserving accelerations of the seed code paths:
   search that returns exactly what
   :func:`repro.core.cycles.find_smallest_cycle` would on a fresh rebuild,
   the exact cycle structure a removal record carries, and the Johnson
-  enumerator behind every elementary-cycle count;
+  enumerator behind :func:`repro.core.cycles.count_cycles`;
 * :mod:`repro.perf.route_engine` — int-relabelled switch graph with a
   per-node label Dijkstra and incremental congestion reweighting (replaces
   the exponential path-tuple route search without changing any route);
@@ -28,12 +28,7 @@ Behaviour-preserving accelerations of the seed code paths:
 
 from repro.perf.cdg_index import CDGIndex, channel_sort_key
 from repro.perf.cost_index import CycleCostEngine
-from repro.perf.cycle_search import (
-    IncrementalCycleSearch,
-    count_cycles_indexed,
-    cycle_structure,
-    tarjan_sccs,
-)
+from repro.perf.cycle_search import IncrementalCycleSearch, cycle_structure, tarjan_sccs
 from repro.perf.counters import PerfCounters, counters
 from repro.perf.executor import parallel_map, resolve_jobs
 from repro.perf.route_engine import IndexedRouter, SwitchGraph
@@ -46,7 +41,6 @@ __all__ = [
     "IndexedRouter",
     "PerfCounters",
     "SwitchGraph",
-    "count_cycles_indexed",
     "counters",
     "cycle_structure",
     "tarjan_sccs",

@@ -26,14 +26,14 @@ successor tuples and epoch-stamped scratch arrays.
 The same Tarjan pass gives a removal record its exact cycle structure
 (:func:`cycle_structure`).  The module also holds the one elementary-cycle
 enumerator of the package, :func:`simple_cycles` (Johnson 1975), which the
-capped cycle counts of :mod:`repro.core.cycles` and
-:func:`count_cycles_indexed` run; removal counts no cycles.
+one capped cycle count, :func:`repro.core.cycles.count_cycles`, runs;
+removal counts cycles only for the :class:`~repro.errors.ConvergenceError`
+of a run that hits its iteration cap.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from itertools import islice
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.perf.cdg_index import CDGIndex, ChannelKey
@@ -308,15 +308,3 @@ def _circuits(start: int, adjacency: Dict[int, List[int]]) -> Iterator[Tuple[int
             else:
                 for succ in adjacency[vertex]:
                     waiting.setdefault(succ, set()).add(vertex)
-
-
-def count_cycles_indexed(index: CDGIndex, limit: Optional[int] = 10000) -> int:
-    """Capped elementary-cycle count over the int-indexed CDG.
-
-    Same contract as :func:`repro.core.cycles.count_cycles`: a count
-    capped at ``limit`` does not depend on the enumeration order.
-    """
-    if limit is not None and limit <= 0:
-        return 0
-    cycles = simple_cycles(index.sorted_vertices(), index.successors)
-    return sum(1 for _ in islice(cycles, limit))

@@ -87,20 +87,12 @@ class NocAreaReport:
 def _router_loads(
     design: NocDesign,
     tech: TechnologyParameters,
-    port_counts: Optional[Dict[str, Dict[str, int]]] = None,
-    link_load: Optional[Dict[Link, float]] = None,
+    port_counts: Dict[str, Dict[str, int]],
+    link_load: Dict[Link, float],
 ) -> Dict[str, float]:
-    """Average per-router load (0..1) derived from the routed bandwidth.
-
-    ``port_counts`` and ``link_load`` let the fused estimation path share
-    the design-level derivations it already computed.
-    """
+    """Average per-router load (0..1) derived from the routed bandwidth."""
     capacity = tech.link_capacity_mbps
     loads: Dict[str, float] = {switch: 0.0 for switch in design.topology.switches}
-    if port_counts is None:
-        port_counts = design.switch_port_counts()
-    if link_load is None:
-        link_load = design.link_load()
     incoming_bw: Dict[str, float] = {switch: 0.0 for switch in design.topology.switches}
     for link, bandwidth in link_load.items():
         incoming_bw[link.dst] += bandwidth
@@ -114,85 +106,55 @@ def _router_loads(
     return loads
 
 
-def _estimate(
-    design: NocDesign,
-    tech: Optional[TechnologyParameters],
-    *,
-    want_power: bool,
-    want_area: bool,
-) -> Tuple[Optional[NocPowerReport], Optional[NocAreaReport]]:
-    """Shared estimation core: derive each design-level input exactly once.
+def estimate_power_and_area(
+    design: NocDesign, *, tech: Optional[TechnologyParameters] = None
+) -> Tuple[NocPowerReport, NocAreaReport]:
+    """The power and the area report of a design, from one pass.
 
-    Power and area both walk the same port counts, and power additionally
-    needs the router loads and link loads; fusing the two report builds
-    means one ``switch_port_counts``/``link_load``/``_router_loads`` pass
-    serves both, instead of each public entry point re-deriving them.  The
-    per-component float expressions are unchanged, so fused and standalone
-    reports are identical.
+    Both reports walk the same port counts, and power also needs the link
+    and router loads; each of these design-level inputs is derived once.
+    The evaluation pipeline reports both quantities for every design it
+    touches.
     """
     tech = tech or TechnologyParameters()
     router_model = RouterPowerModel(tech)
     link_model = LinkPowerModel(tech)
-
     port_counts = design.switch_port_counts()
+    link_load = design.link_load()
+    loads = _router_loads(design, tech, port_counts, link_load)
     topology = design.topology
-    power_report: Optional[NocPowerReport] = None
-    area_report: Optional[NocAreaReport] = None
 
-    if want_power:
-        power_report = NocPowerReport(design_name=design.name)
-        link_load = design.link_load()
-        loads = _router_loads(design, tech, port_counts, link_load)
-        for switch in topology.switches:
-            counts = port_counts[switch]
-            power_report.router_power_mw[switch] = router_model.total_power_mw(
-                counts["in_ports"], counts["out_ports"], counts["vcs"], loads[switch]
-            )
-        capacity = tech.link_capacity_mbps
-        for link, bandwidth in link_load.items():
-            length = topology.link_length(link)
-            load = min(bandwidth / capacity, 1.0)
-            power_report.link_power_mw[link] = link_model.total_power_mw(length, load)
-
-    if want_area:
-        area_report = NocAreaReport(design_name=design.name)
-        for switch in topology.switches:
-            counts = port_counts[switch]
-            area_report.router_area_mm2[switch] = router_model.area_mm2(
-                counts["in_ports"], counts["out_ports"], counts["vcs"]
-            )
-        for link in topology.links:
-            length = topology.link_length(link)
-            area_report.link_area_mm2[link] = link_model.area_mm2(length)
-
+    power_report = NocPowerReport(design_name=design.name)
+    area_report = NocAreaReport(design_name=design.name)
+    for switch in topology.switches:
+        counts = port_counts[switch]
+        power_report.router_power_mw[switch] = router_model.total_power_mw(
+            counts["in_ports"], counts["out_ports"], counts["vcs"], loads[switch]
+        )
+        area_report.router_area_mm2[switch] = router_model.area_mm2(
+            counts["in_ports"], counts["out_ports"], counts["vcs"]
+        )
+    capacity = tech.link_capacity_mbps
+    for link, bandwidth in link_load.items():
+        length = topology.link_length(link)
+        load = min(bandwidth / capacity, 1.0)
+        power_report.link_power_mw[link] = link_model.total_power_mw(length, load)
+    for link in topology.links:
+        area_report.link_area_mm2[link] = link_model.area_mm2(topology.link_length(link))
     return power_report, area_report
 
 
 def estimate_power(
     design: NocDesign, *, tech: Optional[TechnologyParameters] = None
 ) -> NocPowerReport:
-    """Estimate the power of every router and link of a design."""
-    power, _ = _estimate(design, tech, want_power=True, want_area=False)
-    return power
+    """Estimate the power of every router and link of a design (the first
+    half of :func:`estimate_power_and_area`)."""
+    return estimate_power_and_area(design, tech=tech)[0]
 
 
 def estimate_area(
     design: NocDesign, *, tech: Optional[TechnologyParameters] = None
 ) -> NocAreaReport:
-    """Estimate the silicon area of every router and link of a design."""
-    _, area = _estimate(design, tech, want_power=False, want_area=True)
-    return area
-
-
-def estimate_power_and_area(
-    design: NocDesign, *, tech: Optional[TechnologyParameters] = None
-) -> Tuple[NocPowerReport, NocAreaReport]:
-    """Both reports of a design from one pass over the derived inputs.
-
-    Identical to calling :func:`estimate_power` and :func:`estimate_area`
-    separately, but the router loads, port counts and link loads — the
-    expensive design-level derivations — are computed once and shared.
-    The evaluation pipeline reports both quantities for every design it
-    touches, which previously doubled that work per sweep point.
-    """
-    return _estimate(design, tech, want_power=True, want_area=True)
+    """Estimate the silicon area of every router and link of a design (the
+    second half of :func:`estimate_power_and_area`)."""
+    return estimate_power_and_area(design, tech=tech)[1]

@@ -16,8 +16,10 @@ and a non-positive explicit link weight raise
 :class:`~repro.errors.RouteError`; so does a factor too large for a path
 cost to stay exact (see :func:`compute_routes`).
 
-Two interchangeable engines implement the per-design routing loop, looked up
-by name in the pluggable :data:`repro.api.registry.routing_engines` registry
+:func:`route_flows` is the one loop that routes every flow of a design; the
+up*/down* and XY routings of :mod:`repro.routing.turns` run it too.  Two
+interchangeable engines drive it, looked up by name in the pluggable
+:data:`repro.api.registry.routing_engines` registry
 (new engines register with a decorator and become valid ``engine=`` values
 everywhere, including ``RunSpec.routing_engine`` and the CLI):
 
@@ -35,7 +37,7 @@ everywhere, including ``RunSpec.routing_engine`` and the CLI):
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.api.registry import routing_engines
 from repro.errors import RouteError
@@ -43,6 +45,7 @@ from repro.model.channels import Channel, Link
 from repro.model.design import NocDesign
 from repro.model.routes import Route, RouteSet
 from repro.model.topology import Topology
+from repro.model.traffic import Flow
 from repro.perf.route_engine import IndexedRouter, SwitchGraph
 
 #: Strength of the congestion term when callers do not choose one: the
@@ -137,6 +140,41 @@ def shortest_route(
     return Route([Channel(graph.links[lid], 0) for lid in path])
 
 
+def route_flows(
+    design: NocDesign,
+    flows: Iterable[Flow],
+    route: Callable[[str, str], Route],
+    commit: Optional[Callable[[Route, float], None]] = None,
+) -> RouteSet:
+    """Route ``flows`` in the given order and store each route on the design.
+
+    ``route(source switch, destination switch)`` returns a flow's route and
+    ``commit(route, bandwidth)``, when given, accounts it before the next
+    flow is routed.  A flow between cores on one switch gets no route (it
+    never enters the network), and any route it had is removed.  Returns
+    the design's route set, whose insertion order is the order of
+    ``flows``.
+    """
+    routes = design.routes
+    for flow in flows:
+        src_switch = design.switch_of(flow.src)
+        dst_switch = design.switch_of(flow.dst)
+        if src_switch == dst_switch:
+            if routes.has_route(flow.name):
+                routes.remove_route(flow.name)
+            continue
+        flow_route = route(src_switch, dst_switch)
+        routes.set_route(flow.name, flow_route)
+        if commit is not None:
+            commit(flow_route, flow.bandwidth)
+    return routes
+
+
+def _by_bandwidth(design: NocDesign) -> List[Flow]:
+    """The design's flows in descending-bandwidth order, ties by name."""
+    return sorted(design.traffic.flows, key=lambda f: (-f.bandwidth, f.name))
+
+
 # ----------------------------------------------------------------------
 # Routing-engine registry entries.  An engine routes every flow of a design
 # in descending-bandwidth order, replacing any route the flow had, and
@@ -151,14 +189,7 @@ def _legacy_compute_routes(design: NocDesign, *, congestion_factor: float) -> Ro
     routed_bandwidth: Dict[Link, float] = {link: 0.0 for link in topology.links}
     total_bandwidth = max(design.traffic.total_bandwidth, 1e-9)
 
-    flows = sorted(design.traffic.flows, key=lambda f: (-f.bandwidth, f.name))
-    for flow in flows:
-        src_switch = design.switch_of(flow.src)
-        dst_switch = design.switch_of(flow.dst)
-        if src_switch == dst_switch:
-            if design.routes.has_route(flow.name):
-                design.routes.remove_route(flow.name)
-            continue
+    def route(src_switch: str, dst_switch: str) -> Route:
         weights = {
             link: 1.0 + congestion_factor * routed_bandwidth[link] / total_bandwidth
             for link in topology.links
@@ -169,11 +200,13 @@ def _legacy_compute_routes(design: NocDesign, *, congestion_factor: float) -> Ro
                 f"no path from {src_switch!r} to {dst_switch!r} in topology "
                 f"{topology.name!r}"
             )
-        route = Route([Channel(link, 0) for link in links])
-        design.routes.set_route(flow.name, route)
-        for link in links:
-            routed_bandwidth[link] += flow.bandwidth
-    return design.routes
+        return Route([Channel(link, 0) for link in links])
+
+    def commit(flow_route: Route, bandwidth: float) -> None:
+        for link in flow_route.links:
+            routed_bandwidth[link] += bandwidth
+
+    return route_flows(design, _by_bandwidth(design), route, commit)
 
 
 @routing_engines.register(ENGINE_INDEXED)
@@ -187,18 +220,7 @@ def _indexed_compute_routes(design: NocDesign, *, congestion_factor: float) -> R
         congestion_factor=congestion_factor,
         total_bandwidth=max(design.traffic.total_bandwidth, 1e-9),
     )
-    flows = sorted(design.traffic.flows, key=lambda f: (-f.bandwidth, f.name))
-    for flow in flows:
-        src_switch = design.switch_of(flow.src)
-        dst_switch = design.switch_of(flow.dst)
-        if src_switch == dst_switch:
-            if design.routes.has_route(flow.name):
-                design.routes.remove_route(flow.name)
-            continue
-        route = router.route(src_switch, dst_switch)
-        design.routes.set_route(flow.name, route)
-        router.commit(route, flow.bandwidth)
-    return design.routes
+    return route_flows(design, _by_bandwidth(design), router.route, router.commit)
 
 
 def compute_routes(
@@ -287,9 +309,8 @@ def reroute_unrouted(design: NocDesign) -> None:
         congestion_factor=DEFAULT_CONGESTION_FACTOR,
         total_bandwidth=max(design.traffic.total_bandwidth, 1e-9),
     )
-    flows = sorted(design.traffic.flows, key=lambda f: (-f.bandwidth, f.name))
     unrouted = []
-    for flow in flows:
+    for flow in _by_bandwidth(design):
         if routes.has_route(flow.name):
             router.commit(routes.route(flow.name), flow.bandwidth)
         elif design.switch_of(flow.src) != design.switch_of(flow.dst):

@@ -17,6 +17,7 @@ construction.  The library implements them for three reasons:
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import RouteError
@@ -25,35 +26,23 @@ from repro.model.design import NocDesign
 from repro.model.routes import Route, RouteSet
 from repro.model.topology import Topology
 from repro.perf.route_engine import SwitchGraph
-
-
-def bfs_levels(topology: Topology, root: str) -> Dict[str, int]:
-    """Breadth-first levels of every switch from ``root`` (undirected)."""
-    if not topology.has_switch(root):
-        raise RouteError(f"unknown root switch {root!r}")
-    levels = {root: 0}
-    queue = deque([root])
-    while queue:
-        node = queue.popleft()
-        neighbors = set(topology.neighbors(node))
-        neighbors.update(link.src for link in topology.in_links(node))
-        for neighbor in sorted(neighbors):
-            if neighbor not in levels:
-                levels[neighbor] = levels[node] + 1
-                queue.append(neighbor)
-    return levels
+from repro.routing.shortest_path import route_flows
 
 
 def updown_orientation(topology: Topology, root: Optional[str] = None) -> Dict[Link, str]:
     """Classify every directed link as ``"up"`` (towards the root) or
     ``"down"`` (away from the root) for up*/down* routing.
 
-    Ties (links between switches on the same BFS level) are broken by switch
-    name so the orientation is acyclic and deterministic.
+    A switch's level is its hop distance from the root
+    (:meth:`~repro.model.topology.Topology.hop_distances`).  Ties (links
+    between switches on the same level) are broken by switch name so the
+    orientation is acyclic and deterministic.
     """
     if root is None:
         root = min(topology.switches)
-    levels = bfs_levels(topology, root)
+    if not topology.has_switch(root):
+        raise RouteError(f"unknown root switch {root!r}")
+    levels = topology.hop_distances(root)
     orientation: Dict[Link, str] = {}
     for link in topology.links:
         src_key = (levels.get(link.src, len(levels)), link.src)
@@ -113,11 +102,14 @@ def _updown_search(
 def _updown_route_between(
     graph: SwitchGraph, up: List[bool], source_switch: str, destination_switch: str
 ) -> Route:
-    """Search + Route construction shared by the single-pair and per-design
-    entry points.  An unknown *destination* (or an exhausted search) raises
-    the documented RouteError; an unknown *source* raises TopologyError,
-    matching the original per-flow BFS which touched the source's adjacency
-    first and only ever discovered the destination by reaching it.
+    """Shortest route that never takes a down->up turn (up*/down* routing).
+
+    Raises :class:`~repro.errors.RouteError` when no legal path exists —
+    up*/down* needs every "up" direction to eventually reach a common
+    ancestor, which holds whenever the topology is connected and links are
+    bidirectional, but can fail on arbitrary unidirectional topologies; this
+    limitation is exactly why the paper's method is more general.  An
+    unknown *source* raises TopologyError.
     """
     source_id = graph.switch_id(source_switch)
     path = (
@@ -132,47 +124,16 @@ def _updown_route_between(
     return Route([Channel(graph.links[lid], 0) for lid in path])
 
 
-def updown_route(
-    topology: Topology,
-    source_switch: str,
-    destination_switch: str,
-    *,
-    root: Optional[str] = None,
-) -> Route:
-    """Shortest route that never takes a down->up turn (up*/down* routing).
-
-    Raises :class:`~repro.errors.RouteError` when no legal path exists —
-    up*/down* needs every "up" direction to eventually reach a common
-    ancestor, which holds whenever the topology is connected and links are
-    bidirectional, but can fail on arbitrary unidirectional topologies; this
-    limitation is exactly why the paper's method is more general.
-    """
-    if source_switch == destination_switch:
-        raise RouteError("source and destination switch coincide")
-    graph = SwitchGraph(topology)
-    up = _updown_up_flags(graph, updown_orientation(topology, root))
-    return _updown_route_between(graph, up, source_switch, destination_switch)
-
-
 def compute_updown_routes(design: NocDesign, *, root: Optional[str] = None) -> RouteSet:
     """Route every flow of a design with up*/down* routing (stores + returns).
 
-    The indexed :class:`SwitchGraph`, the BFS-level orientation and its
-    per-link up flags are built once per call and shared by every flow.
+    The indexed :class:`SwitchGraph`, the level orientation and its
+    per-link up flags are built once per call and shared by every flow,
+    routed in name order.
     """
     graph = SwitchGraph(design.topology)
     up = _updown_up_flags(graph, updown_orientation(design.topology, root))
-    for flow in design.traffic.flows:
-        src_switch = design.switch_of(flow.src)
-        dst_switch = design.switch_of(flow.dst)
-        if src_switch == dst_switch:
-            if design.routes.has_route(flow.name):
-                design.routes.remove_route(flow.name)
-            continue
-        design.routes.set_route(
-            flow.name, _updown_route_between(graph, up, src_switch, dst_switch)
-        )
-    return design.routes
+    return route_flows(design, design.traffic.flows, partial(_updown_route_between, graph, up))
 
 
 def mesh_coordinates(switch: str) -> Tuple[int, int]:
@@ -217,13 +178,6 @@ def xy_route(topology: Topology, source_switch: str, destination_switch: str) ->
 
 
 def compute_xy_routes(design: NocDesign) -> RouteSet:
-    """Route every flow of a mesh design with XY routing (stores + returns)."""
-    for flow in design.traffic.flows:
-        src_switch = design.switch_of(flow.src)
-        dst_switch = design.switch_of(flow.dst)
-        if src_switch == dst_switch:
-            if design.routes.has_route(flow.name):
-                design.routes.remove_route(flow.name)
-            continue
-        design.routes.set_route(flow.name, xy_route(design.topology, src_switch, dst_switch))
-    return design.routes
+    """Route every flow of a mesh design with XY routing, in name order
+    (stores + returns)."""
+    return route_flows(design, design.traffic.flows, partial(xy_route, design.topology))

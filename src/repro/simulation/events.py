@@ -111,21 +111,49 @@ class FaultEvent:
             raise SimulationError(
                 f"fault event must be a mapping, got {type(data).__name__}"
             )
+        # The action names the target's form; without a valid one, the key given does.
         action = data.get("action")
-        if action in _LINK_ACTIONS:
-            link = data.get("link")
-            if not isinstance(link, Mapping) or "src" not in link or "dst" not in link:
-                raise SimulationError(
-                    f"{action} event needs a link mapping with src/dst, got {link!r}"
-                )
-            target: Tuple[Any, ...] = (link["src"], link["dst"], link.get("index", 0))
-        elif action in _ROUTER_ACTIONS:
-            if "switch" not in data:
-                raise SimulationError(f"{action} event needs a 'switch' field")
-            target = (data["switch"],)
+        linked = action in _LINK_ACTIONS if action in ACTIONS else "link" in data
+        if linked:
+            document = _LinkEventDocument.domains.normalize(data)
+            link = _LinkDocument.domains.normalize(document["link"])
+            target: Tuple[Any, ...] = (link["src"], link["dst"], link["index"])
         else:
-            target = ()  # the action's domain rejects it, naming the valid ones
-        return cls(cycle=data.get("cycle", 0), action=action, target=target)
+            document = _RouterEventDocument.domains.normalize(data)
+            target = (document["switch"],)
+        return cls(cycle=document["cycle"], action=document["action"], target=target)
+
+
+class _EventDocument:
+    """A fault event document's fields: a class value is the default, none
+    means required."""
+
+    cycle: int
+    action: str
+    domains = Domains("fault event", SimulationError, **FaultEvent.domains.bounds)
+
+
+class _LinkEventDocument(_EventDocument):
+    """A link event: ``{"cycle", "action", "link": {"src", "dst", "index"}}``."""
+
+    link: Dict[str, Any]
+    domains = Domains()
+
+
+class _LinkDocument:
+    """The ``link`` of a link event, declared as :class:`_EventDocument` is."""
+
+    src: str
+    dst: str
+    index: int = 0
+    domains = Domains("fault event link", SimulationError, index=NON_NEGATIVE)
+
+
+class _RouterEventDocument(_EventDocument):
+    """A router event: ``{"cycle", "action", "switch"}``."""
+
+    switch: str
+    domains = Domains()
 
 
 class EventSchedule:

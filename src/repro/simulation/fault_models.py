@@ -37,14 +37,13 @@ unknown or out-of-domain parameter raises
 from __future__ import annotations
 
 import random
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, List, Mapping, Optional, Tuple
 
 from repro.api.registry import fault_models
 from repro.domains import NON_NEGATIVE, POSITIVE, at_least, knobs
 from repro.errors import SimulationError
 from repro.model.channels import Link
 from repro.model.design import NocDesign
-from repro.model.topology import Topology
 from repro.simulation.events import EventSchedule
 
 #: Bounds of the failure window every windowed model takes.
@@ -98,25 +97,6 @@ def uniform_model(
     return schedule.validate_targets(topology)
 
 
-def _hop_distances(topology: Topology, origin: str) -> Dict[str, int]:
-    """Undirected BFS hop distance from ``origin`` to every switch."""
-    adjacency: Dict[str, set] = {}
-    for link in topology.links:
-        adjacency.setdefault(link.src, set()).add(link.dst)
-        adjacency.setdefault(link.dst, set()).add(link.src)
-    distances = {origin: 0}
-    frontier = [origin]
-    while frontier:
-        next_frontier: List[str] = []
-        for switch in frontier:
-            for neighbor in sorted(adjacency.get(switch, ())):
-                if neighbor not in distances:
-                    distances[neighbor] = distances[switch] + 1
-                    next_frontier.append(neighbor)
-        frontier = next_frontier
-    return distances
-
-
 @fault_models.register("spatial_burst")
 @knobs("fault model 'spatial_burst'", SimulationError, bursts=NON_NEGATIVE, radius=NON_NEGATIVE,
        **_WINDOW)
@@ -148,7 +128,7 @@ def spatial_burst_model(
         return schedule
     for epicentre in rng.sample(switches, min(bursts, len(switches))):
         cycle = rng.randrange(start_cycle, end_cycle)
-        distances = _hop_distances(topology, epicentre)
+        distances = topology.hop_distances(epicentre)
         far = radius + 1
         for link in topology.links:  # sorted
             if min(distances.get(link.src, far), distances.get(link.dst, far)) > radius:

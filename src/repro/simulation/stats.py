@@ -83,12 +83,6 @@ class SimulationStats:
             return 0.0
         return self.flits_delivered / self.cycles_run
 
-    def channel_utilization(self, channel: Channel) -> float:
-        """Fraction of cycles ``channel`` transferred a flit."""
-        if self.cycles_run == 0:
-            return 0.0
-        return self.channel_busy_cycles.get(channel, 0) / self.cycles_run
-
     def summary(self) -> str:
         """Multi-line human-readable report."""
         lines = [

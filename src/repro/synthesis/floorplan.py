@@ -19,6 +19,10 @@ from repro.model.topology import Topology
 #: plus its router at 65 nm, the technology node of the paper's power model.
 DEFAULT_TILE_MM = 2.0
 
+#: Shortest link length in millimetres: two adjacent switches still need a
+#: wire between them.
+MINIMUM_LINK_MM = 0.5
+
 
 def grid_dimensions(n_switches: int) -> Tuple[int, int]:
     """Smallest near-square grid that fits ``n_switches`` tiles."""
@@ -107,9 +111,9 @@ def assign_link_lengths(
     *,
     tile_mm: float = DEFAULT_TILE_MM,
     positions: Optional[Dict[str, Tuple[float, float]]] = None,
-    minimum_mm: float = 0.5,
 ) -> Dict[str, Tuple[float, float]]:
-    """Floorplan the design and store Manhattan link lengths on the topology.
+    """Floorplan the design and store Manhattan link lengths on the topology,
+    each at least :data:`MINIMUM_LINK_MM`.
 
     Returns the switch positions so callers can reuse or display them.
     """
@@ -120,11 +124,5 @@ def assign_link_lengths(
         ax, ay = positions[link.src]
         bx, by = positions[link.dst]
         length = abs(ax - bx) + abs(ay - by)
-        topology.set_link_length(link, max(length, minimum_mm))
+        topology.set_link_length(link, max(length, MINIMUM_LINK_MM))
     return positions
-
-
-def total_wirelength(design: NocDesign) -> float:
-    """Sum of physical link lengths in millimetres (unweighted)."""
-    topology = design.topology
-    return sum(topology.link_length(link) for link in topology.links)

@@ -42,12 +42,11 @@ def partition_cores(
     n_switches: int,
     *,
     balance_slack: int = 1,
-    switch_prefix: str = "sw",
 ) -> Dict[str, str]:
     """Partition the cores of ``traffic`` into ``n_switches`` groups.
 
     Returns the core-to-switch mapping with switches named
-    ``{switch_prefix}0 .. {switch_prefix}{n_switches-1}``.
+    ``sw0 .. sw{n_switches-1}``.
 
     Parameters
     ----------
@@ -133,7 +132,7 @@ def partition_cores(
     clusters.sort(key=lambda cluster: cluster[0])
     core_map: Dict[str, str] = {}
     for index, cluster in enumerate(clusters):
-        switch = f"{switch_prefix}{index}"
+        switch = f"sw{index}"
         for core in cluster:
             core_map[core] = switch
     return core_map

@@ -296,8 +296,8 @@ class TestCostBundle:
         for spec in specs:
             runner.run_spec(spec)
         assert counting_synthesis == [("D26_media", 8)]
-        assert runner.cache.entry_count(COST_KIND) == 1
-        assert runner.cache.entry_count(RESULT_KIND) == 3
+        assert len(runner.cache.keys(COST_KIND)) == 1
+        assert len(runner.cache.keys(RESULT_KIND)) == 3
 
     def test_second_load_point_skips_removal(self, tmp_path, counting_removal):
         specs = _grid([0.5, 1.0], sim_engine="compiled")
@@ -323,7 +323,7 @@ class TestCostBundle:
         runner = Runner(cache_dir=tmp_path / "cache")
         runner.run_spec(base)
         runner.run_spec(varied)
-        assert runner.cache.entry_count(COST_KIND) == 2
+        assert len(runner.cache.keys(COST_KIND)) == 2
 
     def test_corrupt_cost_bundle_recomputed(self, tmp_path, counting_removal):
         spec = _grid([1.0], sim_engine="compiled")[0]

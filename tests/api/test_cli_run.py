@@ -122,6 +122,17 @@ class TestRunSubcommand:
         assert err.startswith("error:")
         assert named in err
 
+    def test_malformed_fault_event_in_plan_is_a_clean_error(self, tmp_path, capsys):
+        # A list for a switch name once ended in "unhashable type: 'list'".
+        event = {"cycle": 50, "action": "fail_router", "switch": ["sw0"]}
+        run = {"benchmark": "D26_media", "switch_count": 6, "injection_scale": 1.0,
+               "sim_cycles": 100, "fault_schedule": {"events": [event]}}
+        plan = _write_plan(tmp_path, {"name": "x", "runs": [run]})
+        assert main(["run", str(plan), "--no-cache"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert "fault event: switch must be a non-empty string, got ['sw0']" in err
+
     def test_unwritable_output_fails_before_the_plan_runs(self, tmp_path, capsys, monkeypatch):
         from pathlib import Path
 

@@ -295,8 +295,8 @@ class TestStageVersions:
         cache = ArtifactCache(tmp_path)
         assert bumped.cache_hits == 0
         assert len(computed) == bundles_recomputed
-        assert cache.entry_count(RESULT_KIND) == 2 * len(plan.all_specs())
-        assert cache.entry_count(COST_KIND) == 1 + bundles_recomputed
+        assert len(cache.keys(RESULT_KIND)) == 2 * len(plan.all_specs())
+        assert len(cache.keys(COST_KIND)) == 1 + bundles_recomputed
 
         def strip(result):
             document = result.to_dict()

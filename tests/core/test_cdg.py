@@ -113,12 +113,11 @@ class TestBuildCdg:
         cdg = build_cdg(ring_design_fixture.routes)
         assert cdg.edge_count == 4
 
-    def test_include_unused_channels(self, ring_design_fixture):
-        ring_design_fixture.topology.add_virtual_channel(
+    def test_unused_channels_are_not_vertices(self, ring_design_fixture):
+        unused = ring_design_fixture.topology.add_virtual_channel(
             ring_design_fixture.topology.links[0]
         )
-        cdg = build_cdg(ring_design_fixture, include_unused_channels=True)
-        assert cdg.channel_count == ring_design_fixture.topology.channel_count
+        assert not build_cdg(ring_design_fixture).has_channel(unused)
 
     def test_mesh_with_xy_routing_is_acyclic(self, small_mesh_design):
         assert build_cdg(small_mesh_design).is_acyclic()

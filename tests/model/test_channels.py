@@ -57,12 +57,6 @@ class TestChannel:
         with pytest.raises(TopologyError):
             Channel(Link("A", "B"), -1)
 
-    def test_with_vc_keeps_link(self):
-        channel = Channel(Link("A", "B"), 0)
-        bumped = channel.with_vc(2)
-        assert bumped.link == channel.link
-        assert bumped.vc == 2
-
     def test_channels_on_same_link_differ_by_vc(self):
         link = Link("A", "B")
         assert Channel(link, 0) != Channel(link, 1)

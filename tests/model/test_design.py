@@ -15,18 +15,6 @@ class TestCoreMapping:
         with pytest.raises(DesignError):
             simple_line_design.switch_of("c0")
 
-    def test_attach_core(self, simple_line_design):
-        simple_line_design.attach_core("c0", "B")
-        assert simple_line_design.switch_of("c0") == "B"
-
-    def test_attach_unknown_core_rejected(self, simple_line_design):
-        with pytest.raises(DesignError):
-            simple_line_design.attach_core("zzz", "B")
-
-    def test_attach_to_unknown_switch_rejected(self, simple_line_design):
-        with pytest.raises(DesignError):
-            simple_line_design.attach_core("c0", "ZZ")
-
     def test_cores_on(self, simple_line_design):
         assert simple_line_design.cores_on("A") == ["c0"]
         assert simple_line_design.cores_on("B") == ["c1"]
@@ -38,10 +26,6 @@ class TestAccessors:
 
     def test_route_of(self, simple_line_design):
         assert simple_line_design.routes.route("f0").hop_count == 2
-
-    def test_flow_endpoints_switches(self, simple_line_design):
-        flow = simple_line_design.traffic.flow("f0")
-        assert simple_line_design.flow_endpoints_switches(flow) == ("A", "C")
 
     def test_extra_vc_count_initially_zero(self, simple_line_design):
         assert simple_line_design.extra_vc_count == 0

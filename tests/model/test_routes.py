@@ -39,11 +39,6 @@ class TestRoute:
     def test_links_property(self, abc_route):
         assert abc_route.links == (Link("A", "B"), Link("B", "C"), Link("C", "D"))
 
-    def test_uses_channel_and_link(self, abc_route):
-        assert abc_route.uses_channel(ch("B", "C"))
-        assert not abc_route.uses_channel(ch("B", "C", vc=1))
-        assert abc_route.uses_link(Link("B", "C"))
-
     def test_index_of(self, abc_route):
         assert abc_route.index_of(ch("B", "C")) == 1
         with pytest.raises(RouteError):
@@ -104,11 +99,6 @@ class TestRouteSet:
     def test_empty_flow_name_rejected(self, abc_route):
         with pytest.raises(RouteError):
             RouteSet().set_route("", abc_route)
-
-    def test_hop_count_statistics(self, abc_route):
-        routes = RouteSet({"f0": abc_route, "f1": Route([ch("A", "B")])})
-        assert routes.total_hop_count() == 4
-        assert RouteSet().total_hop_count() == 0
 
     def test_copy_is_independent(self, abc_route):
         routes = RouteSet({"f0": abc_route})

@@ -1,6 +1,9 @@
 """Tests for the topology graph (repro.model.topology)."""
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import TopologyError
 from repro.model.channels import Channel, Link
@@ -15,6 +18,19 @@ def triangle() -> Topology:
     topo.add_link("B", "C")
     topo.add_link("C", "A")
     return topo
+
+
+@st.composite
+def random_topologies(draw) -> Topology:
+    """One to seven switches joined by random directed links, parallel ones included."""
+    names = [f"S{i}" for i in range(draw(st.integers(min_value=1, max_value=7)))]
+    topology = Topology("random")
+    topology.add_switches(names)
+    links = st.tuples(st.sampled_from(names), st.sampled_from(names), st.integers(0, 1))
+    for src, dst, index in draw(st.lists(links, max_size=14, unique=True)):
+        if src != dst:
+            topology.add_link(src, dst, index=index)
+    return topology
 
 
 class TestSwitches:
@@ -82,7 +98,7 @@ class TestLinks:
 
     def test_neighbors_and_degree(self, triangle):
         assert triangle.neighbors("A") == ["B"]
-        assert triangle.degree("A") == 2
+        assert len(triangle.out_links("A")) + len(triangle.in_links("A")) == 2
 
     def test_link_length_default_and_set(self, triangle):
         link = Link("A", "B")
@@ -150,6 +166,21 @@ class TestGraphQueries:
 
     def test_empty_topology_is_connected(self):
         assert Topology().is_connected()
+
+    @settings(max_examples=80, deadline=None)
+    @given(topology=random_topologies(), data=st.data())
+    def test_hop_distances_match_networkx(self, topology, data):
+        origin = data.draw(st.sampled_from(topology.switches))
+        undirected = nx.Graph()
+        undirected.add_nodes_from(topology.switches)
+        undirected.add_edges_from((link.src, link.dst) for link in topology.links)
+        expected = nx.single_source_shortest_path_length(undirected, origin)
+        assert topology.hop_distances(origin) == expected
+        assert topology.is_connected() == nx.is_connected(undirected)
+
+    def test_hop_distances_from_unknown_switch_raise(self, triangle):
+        with pytest.raises(TopologyError):
+            triangle.hop_distances("Z")
 
     def test_unknown_switch_queries_raise(self, triangle):
         with pytest.raises(TopologyError):

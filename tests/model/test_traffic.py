@@ -68,14 +68,6 @@ class TestFlows:
         with pytest.raises(TrafficError):
             graph.add_flow("f9", "a", "zzz")
 
-    def test_register_flow_object(self, graph):
-        graph.register_flow(Flow("f3", "c", "a", 5.0))
-        assert graph.has_flow("f3")
-
-    def test_register_flow_unknown_core_rejected(self, graph):
-        with pytest.raises(TrafficError):
-            graph.register_flow(Flow("f9", "zzz", "a"))
-
     def test_flows_sorted_by_name(self, graph):
         assert [f.name for f in graph.flows] == ["f0", "f1", "f2"]
 

@@ -13,13 +13,12 @@ from route_strategies import random_route, random_route_sets
 
 from repro.analysis.experiments import compare_methods
 from repro.api.spec import ExperimentPlan
-from repro.core.cdg import build_cdg
+from repro.core.cdg import ChannelDependencyGraph, build_cdg
 from repro.core.cycles import count_cycles, find_all_cycles, find_smallest_cycle
 from repro.model.channels import Channel, Link
 from repro.perf.cdg_index import CDGIndex
 from repro.perf.cycle_search import (
     IncrementalCycleSearch,
-    count_cycles_indexed,
     cycle_structure,
     simple_cycles,
     tarjan_sccs,
@@ -192,27 +191,18 @@ class TestSimpleCycles:
     def test_capped_counts_match_networkx(self, routes, limit):
         index = CDGIndex.from_routes(routes)
         expected = sum(1 for _ in islice(nx.simple_cycles(index_graph(index)), limit))
-        assert count_cycles_indexed(index, limit=limit) == expected
         assert count_cycles(build_cdg(routes), limit=limit) == expected
 
 
 class TestCountCycles:
-    @given(routes=random_route_sets())
-    @SEARCH_SETTINGS
-    def test_indexed_count_matches_seed_count(self, routes):
-        index = CDGIndex.from_routes(routes)
-        assert count_cycles_indexed(index, limit=100) == count_cycles(
-            build_cdg(routes), limit=100
-        )
-
     def test_limit_caps_count(self):
-        index = CDGIndex()
+        cdg = ChannelDependencyGraph()
         # K4-ish dependency mesh: plenty of elementary cycles.
         for i, (a, b) in enumerate(
             [("A", "B"), ("B", "A"), ("B", "C"), ("C", "B"), ("C", "A"), ("A", "C")]
         ):
-            index.add_route(f"f{i}", [ch(a, b), ch(b, "D" if b != "D" else "A")])
-        index.add_route("g0", [ch("A", "B"), ch("B", "A"), ch("A", "B")])
-        index.add_route("g1", [ch("B", "C"), ch("C", "B"), ch("B", "C")])
-        assert count_cycles_indexed(index, limit=1) == 1
-        assert count_cycles_indexed(index, limit=0) == 0
+            cdg.add_route(f"f{i}", [ch(a, b), ch(b, "D" if b != "D" else "A")])
+        cdg.add_route("g0", [ch("A", "B"), ch("B", "A"), ch("A", "B")])
+        cdg.add_route("g1", [ch("B", "C"), ch("C", "B"), ch("B", "C")])
+        assert count_cycles(cdg, limit=1) == 1
+        assert count_cycles(cdg, limit=0) == 0

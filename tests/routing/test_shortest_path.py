@@ -103,7 +103,7 @@ class TestComputeRoutes:
     def test_all_flows_get_routes(self, d26_design_14sw):
         design = d26_design_14sw
         for flow in design.traffic.flows:
-            src, dst = design.flow_endpoints_switches(flow)
+            src, dst = design.switch_of(flow.src), design.switch_of(flow.dst)
             if src != dst:
                 assert design.routes.has_route(flow.name)
 
@@ -120,7 +120,7 @@ class TestComputeRoutes:
         compute_routes(design, congestion_factor=0.0)
         validate_design(design)
         for flow in design.traffic.flows:
-            src, dst = design.flow_endpoints_switches(flow)
+            src, dst = design.switch_of(flow.src), design.switch_of(flow.dst)
             if src == dst:
                 continue
             sx, sy = (int(p) for p in src.split("_")[1:])

@@ -7,27 +7,27 @@ from repro.core.cdg import build_cdg
 from repro.errors import RouteError
 from repro.model.validation import validate_design
 from repro.routing.turns import (
-    bfs_levels,
     compute_updown_routes,
     compute_xy_routes,
     mesh_coordinates,
     updown_orientation,
-    updown_route,
     xy_route,
 )
 from repro.synthesis.families import family_design
 
 
 class TestBfsLevels:
+    """The breadth-first levels up*/down* orients links by: hop distances."""
+
     def test_levels_from_root(self, small_mesh_design):
-        levels = bfs_levels(small_mesh_design.topology, "sw_0_0")
+        levels = small_mesh_design.topology.hop_distances("sw_0_0")
         assert levels["sw_0_0"] == 0
         assert levels["sw_1_0"] == 1
         assert levels["sw_2_2"] == 4
 
     def test_unknown_root_rejected(self, small_mesh_design):
-        with pytest.raises(RouteError):
-            bfs_levels(small_mesh_design.topology, "nope")
+        with pytest.raises(RouteError, match="unknown root switch 'nope'"):
+            updown_orientation(small_mesh_design.topology, "nope")
 
 
 class TestUpDown:
@@ -52,19 +52,21 @@ class TestUpDown:
         validate_design(design)
 
     def test_updown_route_endpoints(self, small_mesh_design):
-        route = updown_route(small_mesh_design.topology, "sw_0_0", "sw_2_2")
-        assert route.source_switch == "sw_0_0"
-        assert route.destination_switch == "sw_2_2"
-
-    def test_updown_same_switch_rejected(self, small_mesh_design):
-        with pytest.raises(RouteError):
-            updown_route(small_mesh_design.topology, "sw_0_0", "sw_0_0")
+        design = small_mesh_design.copy()
+        routes = compute_updown_routes(design)
+        assert routes.flow_names
+        for name, route in routes.items():
+            flow = design.traffic.flow(name)
+            assert route.source_switch == design.switch_of(flow.src)
+            assert route.destination_switch == design.switch_of(flow.dst)
 
     def test_updown_unknown_destination_is_route_error(self, small_mesh_design):
         # An unreachable (here: nonexistent) destination is a routing
-        # failure, not a topology error — the seed BFS simply exhausted.
+        # failure, not a topology error — the search simply exhausted.
+        design = small_mesh_design.copy()
+        design.core_map[design.traffic.flows[0].dst] = "sw_9_9"
         with pytest.raises(RouteError, match="no up\\*/down\\* route"):
-            updown_route(small_mesh_design.topology, "sw_0_0", "sw_9_9")
+            compute_updown_routes(design)
 
     def test_compute_updown_routes_on_mesh(self, small_mesh_design):
         design = small_mesh_design.copy()
@@ -83,12 +85,7 @@ class TestUpdownState:
         routes = compute_updown_routes(design)
         assert routes.flow_names
         for name in routes.flow_names:
-            route = routes.route(name)
-            flow = design.traffic.flow(name)
-            assert route == updown_route(
-                design.topology, design.switch_of(flow.src), design.switch_of(flow.dst)
-            )
-            directions = [reference[link] for link in route.links]
+            directions = [reference[link] for link in routes.route(name).links]
             assert directions == sorted(directions, key=lambda d: d == "down")
 
 

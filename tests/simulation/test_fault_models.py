@@ -23,7 +23,6 @@ from repro.api.registry import fault_models
 from repro.benchmarks.synthetic import default_mesh_traffic
 from repro.errors import RegistryError, SimulationError
 from repro.simulation.fault_models import (
-    _hop_distances,
     build_fault_schedule,
     cascade_model,
     mtbf_model,
@@ -91,8 +90,8 @@ class TestSpatialBurstModel:
         assert any(
             all(
                 min(
-                    _hop_distances(topology, switch).get(link.src, radius + 1),
-                    _hop_distances(topology, switch).get(link.dst, radius + 1),
+                    topology.hop_distances(switch).get(link.src, radius + 1),
+                    topology.hop_distances(switch).get(link.dst, radius + 1),
                 )
                 <= radius
                 for link in failed

@@ -27,12 +27,6 @@ class TestDerivedMetrics:
         stats = SimulationStats("x", packets_injected=10, packets_delivered=7)
         assert stats.packets_in_flight == 3
 
-    def test_channel_utilization(self):
-        channel = Channel(Link("A", "B"))
-        stats = SimulationStats("x", cycles_run=100, channel_busy_cycles={channel: 25})
-        assert stats.channel_utilization(channel) == pytest.approx(0.25)
-        assert stats.channel_utilization(Channel(Link("B", "A"))) == 0.0
-
     def test_deadlock_flag(self):
         stats = SimulationStats("x", deadlock_cycle=500)
         assert stats.deadlock_detected

@@ -108,7 +108,7 @@ class TestSynthesizeDesign:
     def test_every_inter_switch_flow_routed(self, d26_traffic):
         design = synthesize_design(d26_traffic, SynthesisConfig(n_switches=8))
         for flow in design.traffic.flows:
-            src, dst = design.flow_endpoints_switches(flow)
+            src, dst = design.switch_of(flow.src), design.switch_of(flow.dst)
             assert design.routes.has_route(flow.name) == (src != dst)
 
     def test_link_lengths_assigned(self, d26_traffic):

@@ -43,7 +43,6 @@ def reference_partition_cores(
     n_switches: int,
     *,
     balance_slack: int = 1,
-    switch_prefix: str = "sw",
 ) -> Dict[str, str]:
     """The naive greedy merge ``partition_cores`` must reproduce."""
     cores = traffic.cores
@@ -86,7 +85,7 @@ def reference_partition_cores(
     clusters.sort(key=lambda cluster: cluster[0])
     core_map: Dict[str, str] = {}
     for index, cluster in enumerate(clusters):
-        switch = f"{switch_prefix}{index}"
+        switch = f"sw{index}"
         for core in cluster:
             core_map[core] = switch
     return core_map
@@ -128,8 +127,8 @@ class TestPartitionBasics:
         assert len(set(core_map.values())) == 8
 
     def test_switch_names_use_prefix(self, d26_traffic):
-        core_map = partition_cores(d26_traffic, 4, switch_prefix="router")
-        assert all(switch.startswith("router") for switch in core_map.values())
+        core_map = partition_cores(d26_traffic, 4)
+        assert sorted(set(core_map.values())) == ["sw0", "sw1", "sw2", "sw3"]
 
     def test_one_switch_puts_everything_together(self, d26_traffic):
         core_map = partition_cores(d26_traffic, 1)

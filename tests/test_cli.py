@@ -14,6 +14,12 @@ def ring_file(tmp_path):
     return save_design(paper_ring_design(), tmp_path / "ring.json")
 
 
+def _fault_schedule(event, cycle=10):
+    """``--fault-schedule`` flags for a one-event schedule (no cycle when None)."""
+    event = dict(event) if cycle is None else {"cycle": cycle, **event}
+    return ("--fault-schedule", json.dumps({"events": [event]}))
+
+
 class TestAnalyze:
     def test_analyze_reports_cycle(self, ring_file, capsys):
         assert main(["analyze", str(ring_file)]) == 0
@@ -269,6 +275,34 @@ class TestTypedErrors:
                 ("--traffic-scenario", "bursty", "--scenario-params", '{"burst_length": NaN}'),
                 "traffic scenario 'bursty': burst_length must be at least 1 and finite, got nan",
             ),
+            # Fault event targets, once a TypeError or a target that
+            # "does not exist", and an omitted cycle once read as 0.
+            (
+                _fault_schedule({"action": "fail_link",
+                                 "link": {"src": "SW1", "dst": "SW2", "index": "x"}}),
+                "fault event link: index must be an integer, got 'x'",
+            ),
+            (
+                _fault_schedule({"action": "fail_router", "switch": ["SW1"]}),
+                "fault event: switch must be a non-empty string, got ['SW1']",
+            ),
+            (
+                _fault_schedule({"action": "fail_link",
+                                 "link": {"src": "SW1", "dst": "SW2", "index": 1.5}}),
+                "fault event link: index must be an integer, got 1.5",
+            ),
+            (
+                _fault_schedule({"action": "fail_link", "link": {"src": 3, "dst": "SW2"}}),
+                "fault event link: src must be a non-empty string, got 3",
+            ),
+            (
+                _fault_schedule({"action": "fail_router", "switch": 3}),
+                "fault event: switch must be a non-empty string, got 3",
+            ),
+            (
+                _fault_schedule({"action": "fail_router", "switch": "SW1"}, cycle=None),
+                "fault event: missing required parameter 'cycle'",
+            ),
         ],
     )
     def test_simulate_input_errors(self, ring_file, flags, named, capsys):
@@ -350,7 +384,7 @@ class TestTypedErrors:
             ("availability", {"fault_params": [1, 2]},
              "report 'availability': fault_params must be a mapping, got [1, 2]"),
             ("scale", {"family": "ring", "points": [1]},
-             "topology family 'ring' must be a mapping, got int"),
+             "report 'scale': points[0] must be a mapping, got 1"),
             # Exited 0 with a delivered fraction of 0.0 for the unknown variant.
             ("availability", {"variant": "nosuch"},
              "report 'availability': variant must be one of 'unprotected', 'removal', "
@@ -362,6 +396,9 @@ class TestTypedErrors:
              "report 'availability': seeds must be a list, got 'ab'"),
             ("latency", {"injection_scales": "ab"},
              "report 'latency': injection_scales must be a list, got 'ab'"),
+            # An unset scale once passed and ended the render in a TypeError.
+            ("latency", {"injection_scales": [None]},
+             "report 'latency': injection_scales[0] must be a number, got None"),
         ],
     )
     def test_report_parameter_out_of_domain(self, tmp_path, capsys, report, params, named):
@@ -369,6 +406,53 @@ class TestTypedErrors:
         request = {"type": report, **self.SMALL_REPORTS.get(report, {}), **params}
         plan.write_text(json.dumps({"name": "bad-report", "reports": [request]}))
         code = main(["run", str(plan), "--no-cache"])
+        self._assert_clean_error(code, capsys, named)
+
+    @pytest.mark.parametrize(
+        "path, value, named",
+        [
+            # Each once ended in a traceback, was accepted, or was read wrongly
+            # ("sw0" as three switches, "x" compared with Python's "'<' not
+            # supported").
+            ((), None, "design must be a mapping, got list"),
+            (("routes",), [1], "design: routes must be a mapping, got [1]"),
+            (("topology", "links", 0, "vc_count"), 2.5,
+             "design link 0: vc_count must be an integer, got 2.5"),
+            (("traffic", "flows", 0, "bandwidth"), float("nan"),
+             "design flow 0: bandwidth must be positive and finite, got nan"),
+            (("topology", "links", 0, "length_mm"), float("nan"),
+             "design link 0: length_mm must be positive and finite, got nan"),
+            (("traffic", "flows", 0, "packet_size_flits"), 2.5,
+             "design flow 0: packet_size_flits must be an integer, got 2.5"),
+            (("traffic", "flows", 0, "packet_size_flits"), True,
+             "design flow 0: packet_size_flits must be an integer, got True"),
+            (("name",), 3, "design: name must be a non-empty string, got 3"),
+            (("topology", "switches"), "sw0",
+             "design topology: switches must be a list, got 'sw0'"),
+            (("topology", "links", 0, "vc_count"), "x",
+             "design link 0: vc_count must be an integer, got 'x'"),
+            (("topology", "links", 0, "index"), "x",
+             "design link 0: index must be an integer, got 'x'"),
+            (("routes", "F1", 0, "vc"), "x",
+             "design route 'F1' channel 0: vc must be an integer, got 'x'"),
+            (("traffic", "flows", 0, "bandwidth"), "x",
+             "design flow 0: bandwidth must be a number, got 'x'"),
+            (("topology", "links", 0, "length_mm"), "x",
+             "design link 0: length_mm must be a number or null, got 'x'"),
+        ],
+    )
+    def test_malformed_design_document(self, ring_file, tmp_path, capsys, path, value, named):
+        document = json.loads(ring_file.read_text())
+        if path:
+            target = document
+            for key in path[:-1]:
+                target = target[key]
+            target[path[-1]] = value
+        else:
+            document = [document]
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(document))
+        code = main(["analyze", str(edited)])
         self._assert_clean_error(code, capsys, named)
 
     def test_run_output_write_error(self, tmp_path, capsys):

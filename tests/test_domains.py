@@ -3,16 +3,19 @@
 The cases come from the declarations themselves (:mod:`repro.domains`):
 the ``domains`` of the dataclass owners (``RunSpec``, ``SynthesisConfig``,
 ``SimulationConfig``, ``FaultEvent``, ``ExperimentPlan``,
-``ReportRequest``), of the plan, trace and trace-event documents and,
-through the registries, of every topology family, fault model, traffic
+``ReportRequest``), of the plan, trace, trace-event, fault-event and
+design documents (their sections and entries included) and, through the
+registries, of every topology family, fault model, traffic
 scenario and report type.  A new knob or registry entry is covered
 without editing this file.  Each value must either raise a
 :class:`~repro.errors.ReproError` at once or be accepted and kept as
 given: a field or family parameter keeps the value it was given (nothing
 is clamped), a document is read, a generator call completes with a
 schedule or a finite offered load and a report request builds its specs,
-instead of failing with another exception.  A document, family or report
-request that lacks a required key fails with a typed error naming it.
+instead of failing with another exception.  A list knob is also fed
+lists of one edge element each, and an accepted list must hold only
+elements of its declared kind.  A document, family or report request that
+lacks a required key fails with a typed error naming it.
 """
 
 from __future__ import annotations
@@ -27,6 +30,8 @@ from repro.api.reports import report_types
 from repro.api.spec import ExperimentPlan, ReportRequest, RunSpec, _PlanDocument
 from repro.domains import Interval
 from repro.errors import PlanError, ReproError, SimulationError
+from repro.model import serialization
+from repro.simulation import events
 from repro.simulation.events import EventSchedule, FaultEvent
 from repro.simulation.simulator import SimulationConfig, make_traffic_generator
 from repro.simulation.trace import _TraceDocument, _TraceEvent, validate_trace
@@ -39,6 +44,9 @@ SIZE_SCALING = {"trace_cycles", "horizon"}
 
 #: The values every knob is fed besides its bounds and their neighbours.
 EDGE_VALUES = [math.nan, math.inf, -math.inf, -1, 0, 2.5, True, "x", None]
+
+#: What every list knob is also fed: a list holding one edge element each.
+LIST_EDGE_VALUES = [[None], [math.nan], [True], [""], [2.5]]
 
 #: The required arguments each dataclass owner is built with.
 DATACLASS_OWNERS = {
@@ -59,6 +67,31 @@ def _read_trace_event(event):
     return validate_trace({"cycles": 5, "events": [event]})
 
 
+def _read_fault_link(link):
+    return FaultEvent.from_dict({"cycle": 0, "action": "fail_link", "link": link})
+
+
+#: A minimal valid design document: one link, one flow routed over it.
+DESIGN = {
+    "topology": {"switches": ["A", "B"], "links": [{"src": "A", "dst": "B"}]},
+    "traffic": {"cores": ["a", "b"], "flows": [{"name": "f0", "src": "a", "dst": "b"}]},
+    "core_map": {"a": "A", "b": "B"},
+    "routes": {"f0": [{"src": "A", "dst": "B"}]},
+}
+
+
+def _design_reader(section, key=None):
+    """Read ``DESIGN`` with its ``section`` (or the one entry of its list
+    ``key``) replaced."""
+
+    def read(value):
+        if key is not None:
+            value = {**DESIGN[section], key: [value]}
+        return serialization.design_from_dict({**DESIGN, section: value})
+
+    return read
+
+
 #: Each document's field list, the entry point that reads such a document
 #: and a minimal valid one.
 DOCUMENT_OWNERS = {
@@ -70,13 +103,47 @@ DOCUMENT_OWNERS = {
     "run-spec": (RunSpec, RunSpec.from_dict, {"benchmark": "D26_media", "switch_count": 8}),
     "trace": (_TraceDocument, validate_trace, {"cycles": 5}),
     "trace-event": (_TraceEvent, _read_trace_event, {"cycle": 0, "flow": "f0"}),
+    "link-event": (
+        events._LinkEventDocument,
+        FaultEvent.from_dict,
+        {"cycle": 0, "action": "fail_link", "link": {"src": "a", "dst": "b"}},
+    ),
+    "fault-link": (events._LinkDocument, _read_fault_link, {"src": "a", "dst": "b"}),
+    "router-event": (
+        events._RouterEventDocument,
+        FaultEvent.from_dict,
+        {"cycle": 0, "action": "fail_router", "switch": "sw0"},
+    ),
+    "design": (serialization._DesignDocument, serialization.design_from_dict, DESIGN),
+    "design-topology": (
+        serialization._TopologySection, _design_reader("topology"), DESIGN["topology"]
+    ),
+    "design-link": (
+        serialization._LinkEntry, _design_reader("topology", "links"), {"src": "A", "dst": "B"}
+    ),
+    "design-traffic": (
+        serialization._TrafficSection, _design_reader("traffic"), DESIGN["traffic"]
+    ),
+    "design-flow": (
+        serialization._FlowEntry,
+        _design_reader("traffic", "flows"),
+        {"name": "f0", "src": "a", "dst": "b"},
+    ),
+    "design-channel": (
+        serialization._ChannelEntry,
+        lambda channel: serialization.design_from_dict({**DESIGN, "routes": {"f0": [channel]}}),
+        {"src": "A", "dst": "B"},
+    ),
 }
 
 
 def boundary_values(domains, name):
-    """The edge values, each finite bound with its neighbours, and each choice."""
+    """The edge values, each finite bound with its neighbours, each choice and,
+    for a list knob, the list edge values."""
     knob, bound = domains.knobs[name], domains.bounds.get(name)
     values = EDGE_VALUES + ([] if name in SIZE_SCALING else [2**63])
+    if list in knob.types:
+        values += LIST_EDGE_VALUES
     if isinstance(bound, Interval):
         for edge in (bound.low, bound.high):
             if math.isfinite(edge) and knob.finite:
@@ -86,6 +153,18 @@ def boundary_values(domains, name):
     elif bound is not None:
         values += list(bound)
     return values
+
+
+def assert_elements_allowed(domains, name, value):
+    """An accepted list holds only elements of the knob's element kind
+    (any element when it is ``List[Any]``)."""
+    item = domains.knobs[name].item
+    if not isinstance(value, list) or item is None:
+        return
+    for element in value:
+        assert isinstance(element, item.types) and element != "", (name, value)
+        assert bool in item.types or not isinstance(element, bool), (name, value)
+        assert not isinstance(element, float) or math.isfinite(element), (name, value)
 
 
 def _cases(owners):
@@ -117,6 +196,7 @@ def test_dataclass_field_raises_or_keeps_the_value(owner, name):
             continue
         # A field left at its default may resolve it (synthesis_backend).
         assert value == default or getattr(made, name) == value, (name, value)
+        assert_elements_allowed(owner.domains, name, value)
 
 
 @pytest.mark.parametrize(
@@ -135,6 +215,7 @@ def test_document_field_raises_or_is_read(document, name):
             read({**valid, name: value})
         except ReproError:
             continue
+        assert_elements_allowed(owner.domains, name, value)
 
 
 def _required_family_params(family):
@@ -193,6 +274,7 @@ def test_report_parameter_raises_or_builds_specs(report_name, name):
         except ReproError:
             continue
         assert specs and all(isinstance(spec, RunSpec) for spec in specs), (name, value)
+        assert_elements_allowed(report.domains, name, value)
 
 
 @pytest.mark.parametrize("model, name", _cases(_generators(fault_models)))

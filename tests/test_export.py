@@ -21,10 +21,6 @@ class TestTopologyDot:
         dot = topology_to_dot(ring_design_fixture)
         assert '"core_F1_src"' in dot
 
-    def test_cores_hidden_on_request(self, ring_design_fixture):
-        dot = topology_to_dot(ring_design_fixture, show_cores=False)
-        assert "core_F1_src" not in dot
-
     def test_accepts_bare_topology(self, ring_design_fixture):
         dot = topology_to_dot(ring_design_fixture.topology)
         assert "core_F1_src" not in dot
@@ -54,11 +50,6 @@ class TestCdgDot:
         dot = cdg_to_dot(cdg)
         assert "F1" in dot
         assert "F3" in dot
-
-    def test_flow_labels_can_be_disabled(self, ring_design_fixture):
-        cdg = build_cdg(ring_design_fixture)
-        dot = cdg_to_dot(cdg, show_flows=False)
-        assert "F1" not in dot
 
     def test_cycle_highlighting(self, ring_design_fixture):
         cdg = build_cdg(ring_design_fixture)
